@@ -1,11 +1,8 @@
-"""Pure-Python kernels for coefficient-vector arithmetic in Z_q / p^M.
+"""Kernels for coefficient-vector arithmetic in Z_q / p^M.
 
 Elements of the unramified ring are coefficient tuples of length ``f`` on
 the power basis 1, t, .., t^(f-1); ``red`` holds the reduction rows
 t^(f+k) = sum_j red[k][j] t^j for k = 0 .. f-2, already reduced mod p^M.
-
-The compiled twin in ``_zqcore.pyx`` implements the same signatures; the
-package picks one at import time.  Keep both files in lockstep.
 """
 
 BACKEND = "python"
@@ -30,44 +27,6 @@ def zq_mul(a, b, red, f, pM):
             for j in range(f):
                 out[j] += c * row[j]
     return tuple(v % pM for v in out)
-
-
-def zq_add(a, b, f, pM):
-    return tuple((a[i] + b[i]) % pM for i in range(f))
-
-
-def zq_sub(a, b, f, pM):
-    return tuple((a[i] - b[i]) % pM for i in range(f))
-
-
-def zq_scal(c, a, f, pM):
-    return tuple((c * a[i]) % pM for i in range(f))
-
-
-def zq_mat_mul(A, B, red, f, pM):
-    """Product of matrices with coefficient-tuple entries."""
-    m, k = len(A), len(B)
-    n = len(B[0]) if k else 0
-    zero = (0,) * f
-    out = []
-    for i in range(m):
-        Ai = A[i]
-        row = []
-        for j in range(n):
-            acc = [0] * f
-            for s in range(k):
-                x = Ai[s]
-                if x == zero:
-                    continue
-                y = B[s][j]
-                if y == zero:
-                    continue
-                prod = zq_mul(x, y, red, f, pM)
-                for c in range(f):
-                    acc[c] += prod[c]
-            row.append(tuple(v % pM for v in acc))
-        out.append(row)
-    return out
 
 
 def zq_mat_vec(A, v, red, f, pM):

@@ -182,7 +182,9 @@ def lie_project(assoc, cap):
         rest = {w: c for w, c in assoc.items() if len(w) == d and c}
         while rest:
             w = min(rest)
-            assert is_lyndon(w), f"non-Lie input: leading word {w}"
+            if not is_lyndon(w):
+                raise MalformedInput("non-Lie input: leading word is not "
+                                     "Lyndon", witness=w)
             lam = rest[w]
             terms[w] = lam
             for ww, vv in _expand_bracket(w, cap).items():
@@ -378,6 +380,10 @@ def double_sum_series(c):
 
 def group_mul(a, x, y, n_class=None):
     """x * y via the truncated series; exact because the bracket is nilpotent."""
+    if len(x) != a.rank or len(y) != a.rank:
+        raise MalformedInput("vector length differs from the algebra's rank",
+                             witness={"rank": a.rank,
+                                      "lengths": [len(x), len(y)]})
     if n_class is None:
         _, n_class = lower_central_series(a)
     fle = bch_series(max(1, n_class))

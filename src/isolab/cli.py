@@ -115,8 +115,11 @@ def _load_dla(obj, args):
     lat_cols = None
     if lat is not None:
         # row-major in JSON, columns generate (same as the full schema)
-        lat_cols = [[_frac(lat[i][j]) for i in range(len(lat))]
-                    for j in range(len(lat[0]))]
+        try:
+            lat_cols = [[_frac(lat[i][j]) for i in range(len(lat))]
+                        for j in range(len(lat[0]))]
+        except (IndexError, KeyError, TypeError) as exc:
+            raise MalformedInput("bad lattice", witness=lat) from exc
     return DieudonneLie.from_rationals(
         spec, [[_frac(c) for c in row] for row in frob],
         [[[_frac(c) for c in cell] for cell in row] for row in bracket],
@@ -124,6 +127,8 @@ def _load_dla(obj, args):
 
 
 def _load_vector(obj, spec):
+    if not isinstance(obj, list):
+        raise MalformedInput("expected a list of rationals", witness=obj)
     return [PadicScalar.from_fraction(spec, _frac(v)) for v in obj]
 
 
@@ -138,7 +143,7 @@ def _load_datum(args, payload=None):
         try:
             args.type, nu = obj["type"], [_frac(v) for v in obj["nu"]]
             args.n = int(obj["n"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput("bad root datum", witness=obj) from exc
     if args.classical:
         nu = [-v for v in reversed(nu)]

@@ -12,10 +12,10 @@ from fractions import Fraction
 from .errors import (InsufficientPrecision, MalformedInput, NonInvertible,
                      NotNilpotent, SlopeNotStrictlyNegative, SlopeOutOfRange,
                      SplitUnavailable)
-from .isocrystal import Isocrystal, newton_slopes, slope_part, slope_split
-from .linalg import (coords_in_column_span, kernel_basis, mat_identity,
-                     mat_inverse, mat_mul, mat_sigma, mat_transpose, mat_vec,
-                     row_echelon, saturate_columns, solve_columns)
+from .isocrystal import Isocrystal, newton_slopes, slope_part
+from .linalg import (coords_in_column_span, kernel_basis, mat_inverse,
+                     mat_mul, mat_sigma, mat_vec, row_echelon,
+                     saturate_columns, solve_columns)
 from .padic import FieldSpec, PadicScalar
 
 

@@ -110,18 +110,3 @@ class SlopeOrderViolated(IsolabError):
 
 class MalformedInput(IsolabError):
     """Input JSON does not match the published schema (CLI exit 1)."""
-
-
-#: every error the CLI can emit, by code (exit-code contract is exhaustive)
-ERROR_CODES = {
-    cls.__name__: cls
-    for cls in (
-        FrobeniusLiftFailure, DivisionByZero, PrecisionExhausted,
-        InsufficientPrecision, NonInvertible, ResidueFieldTooSmall,
-        FieldSpecMismatch, NotNilpotent, SlopeOutOfRange,
-        SlopeNotStrictlyNegative, SplitUnavailable, DegreeTooLarge,
-        UnsupportedType, ParameterMismatch, NonzeroConstantTerm,
-        SequenceTooShort, DegreeBoundTooSmall, SlopeOrderViolated,
-        MalformedInput,
-    )
-}

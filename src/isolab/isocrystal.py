@@ -19,7 +19,7 @@ from math import gcd
 from .errors import (FieldSpecMismatch, InsufficientPrecision, MalformedInput,
                      NonInvertible, ResidueFieldTooSmall)
 from .linalg import (charpoly, coords_in_column_span, kernel_basis,
-                     mat_identity, mat_inverse, mat_mul, mat_sigma, mat_vec,
+                     mat_identity, mat_inverse, mat_mul, mat_vec,
                      newton_root_valuations, twisted_power)
 from .padic import FieldSpec, PadicScalar
 

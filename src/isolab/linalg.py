@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import _speedups as _k
 from .errors import InsufficientPrecision, NonInvertible
-from .padic import FieldSpec, PadicScalar
+from .padic import PadicScalar
 
 
 # --------------------------------------------------------------------------
@@ -48,40 +48,12 @@ def mat_vec(A, x):
     return out
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(c, A):
-    return [[c * a for a in row] for row in A]
-
-
 def mat_sigma(A, k=1):
     return [[a.sigma(k) for a in row] for row in A]
 
 
-def mat_transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
 def mat_from_rationals(spec, rows):
     return [[PadicScalar.from_fraction(spec, c) for c in row] for row in rows]
-
-
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(c, u):
-    return [c * a for a in u]
 
 
 # --------------------------------------------------------------------------

@@ -591,21 +591,6 @@ class PadicScalar:
             e >>= 1
         return out
 
-    # -- comparisons ---------------------------------------------------------
-
-    def is_zero_to_common_prec(self, other):
-        d = self - other
-        return d.is_zero
-
-    def residue(self):
-        """Image in the residue field as a coefficient tuple mod p."""
-        if self.is_zero or self.v > 0:
-            return (0,) * self.spec.f
-        if self.v < 0:
-            raise PrecisionExhausted("negative valuation has no residue",
-                                     witness=self.v)
-        return tuple(c % self.spec.p for c in self.unit)
-
     # -- conversion ----------------------------------------------------------
 
     def qp_components(self):
@@ -649,14 +634,3 @@ class PadicScalar:
                              (f"{c}*t" if i == 1 else f"{c}*t^{i}"))
         body = " + ".join(terms) or "0"
         return f"p^{self.v}*({body}) + O(p^{self.abs_prec})"
-
-
-def scalar_eq_exact(a, b):
-    """Units and valuations agree on the nose (same certified digits)."""
-    if a.is_zero or b.is_zero:
-        return a.is_zero and b.is_zero and a.rel == b.rel
-    if a.v != b.v:
-        return False
-    rel = min(a.rel, b.rel)
-    pM = a.spec.p ** rel
-    return all((x - y) % pM == 0 for x, y in zip(a.unit, b.unit))

@@ -223,16 +223,6 @@ def ps_mul(a, b):
     return PerfectedSeries(a.p, a.nvars, a.k, D, out)
 
 
-def ps_arith(op, a, b):
-    if op == "add":
-        return ps_add(a, b)
-    if op == "mul":
-        return ps_mul(a, b)
-    if op == "scalar":
-        return ps_scale(a, b)
-    raise MalformedInput("unknown arithmetic op", witness=op)
-
-
 def ps_pow(a, e):
     out = PerfectedSeries.monomial(a.p, a.nvars, a.k, a.D, (Fraction(0),) * a.nvars)
     base = a

@@ -1,8 +1,13 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import isolab
 from isolab import (DieudonneLie, FieldSpec, FreeLieElement, PadicScalar,
                     bch_series, denominator_profile, double_sum_series,
                     group_mul, lattice_closure_check, lie_project,
@@ -93,8 +98,25 @@ def test_denominator_profile():
 
 def test_lie_project_rejects_non_lie_input():
     # XY + YX = symmetric product, not a Lie element
-    with pytest.raises(AssertionError):
+    with pytest.raises(MalformedInput):
         lie_project({"XY": F(1), "YX": F(1)}, 2)
+
+
+def test_lie_project_rejects_non_lie_input_under_optimize():
+    # the guard must not be an assert, which -O strips
+    snippet = ("from fractions import Fraction as F\n"
+               "from isolab.bch import lie_project\n"
+               "from isolab.errors import MalformedInput\n"
+               "try:\n"
+               "    lie_project({'XY': F(1), 'YX': F(1)}, 2)\n"
+               "except MalformedInput:\n"
+               "    print('rejected')\n")
+    src = str(pathlib.Path(isolab.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-c", snippet],
+                         capture_output=True, text=True, timeout=10,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "rejected\n"
 
 
 def test_free_lie_element_json_round_trip():

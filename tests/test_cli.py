@@ -233,6 +233,26 @@ def test_fine_split_error_surfaces(capsys, tmp_path, monkeypatch):
     assert doc["witness"]["required_degree"] == 2
 
 
+@pytest.mark.parametrize("command, base, override", [
+    ("lcs", "heisenberg.json", {"lattice": []}),
+    ("bch-mul", "bch_mul.json", {"x": []}),
+    ("leafdim", "gsp4_ordinary.json", {"n": "x"}),
+    ("bch-mul", "bch_mul.json", {"x": ["1", "0", "0", "0"]}),
+    ("bch-mul", "bch_mul.json", {"x": 5}),
+], ids=["empty-lattice", "empty-vector", "non-integer-n", "long-vector",
+        "non-list-vector"])
+def test_bad_shape_exit_1(command, base, override, corpus_dir, capsys,
+                          monkeypatch):
+    import io
+    payload = json.loads((corpus_dir / base).read_text())
+    payload.update(override)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    code, out = run(capsys, command)
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"] == "MalformedInput"
+
+
 def test_unknown_subcommand_exit_1(capsys):
     assert main(["definitely-not-a-command"]) == 1
 

