@@ -11,9 +11,9 @@ as a JSON batch command.
 
 from .errors import (DegreeBoundTooSmall, DegreeTooLarge, DivisionByZero,
                      FieldSpecMismatch, FrobeniusLiftFailure,
-                     InsufficientPrecision, IsolabError, MalformedInput,
-                     NonInvertible, NonzeroConstantTerm, NotNilpotent,
-                     ParameterMismatch, PrecisionExhausted,
+                     InsufficientPrecision, InvariantViolated, IsolabError,
+                     MalformedInput, NonInvertible, NonzeroConstantTerm,
+                     NotNilpotent, ParameterMismatch, PrecisionExhausted,
                      ResidueFieldTooSmall, SequenceTooShort,
                      SlopeNotStrictlyNegative, SlopeOrderViolated,
                      SlopeOutOfRange, SplitUnavailable, UnsupportedType)
@@ -61,5 +61,5 @@ __all__ = [
     "NotNilpotent", "SlopeOutOfRange", "SlopeNotStrictlyNegative",
     "SplitUnavailable", "DegreeTooLarge", "UnsupportedType",
     "ParameterMismatch", "NonzeroConstantTerm", "SequenceTooShort",
-    "DegreeBoundTooSmall", "SlopeOrderViolated",
+    "DegreeBoundTooSmall", "SlopeOrderViolated", "InvariantViolated",
 ]

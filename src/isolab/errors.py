@@ -22,6 +22,13 @@ class IsolabError(Exception):
                 "message": str(self) or None}
 
 
+class InvariantViolated(IsolabError):
+    """An internal invariant failed: a bug, not a property of the input.
+
+    Lost precision is reported as InsufficientPrecision instead.
+    """
+
+
 # --- scalar arithmetic ---------------------------------------------------
 
 class FrobeniusLiftFailure(IsolabError):

@@ -16,8 +16,9 @@ kernels of the resulting factors.
 from fractions import Fraction
 from math import gcd
 
-from .errors import (FieldSpecMismatch, InsufficientPrecision, MalformedInput,
-                     NonInvertible, ResidueFieldTooSmall)
+from .errors import (FieldSpecMismatch, InsufficientPrecision,
+                     InvariantViolated, MalformedInput, NonInvertible,
+                     ResidueFieldTooSmall)
 from .linalg import (charpoly, coords_in_column_span, kernel_basis,
                      mat_identity, mat_inverse, mat_mul, mat_vec,
                      newton_root_valuations, twisted_power)
@@ -81,8 +82,9 @@ def _qp_charpoly(coeffs, spec):
     out = []
     for c in coeffs:
         comps = c.qp_components()
-        for extra in comps[1:]:
-            assert extra.is_zero, "charpoly coefficient escaped Q_p"
+        if not all(extra.is_zero for extra in comps[1:]):
+            raise InvariantViolated("charpoly coefficient escaped Q_p",
+                                    witness=c.to_json())
         base = comps[0]
         out.append(PadicScalar.from_raw(spec_p, (0,), 0, base.rel)
                    if base.is_zero else base)
@@ -137,7 +139,8 @@ def _ip_sub(a, b, pM):
 
 def _ip_divmod_monic(a, b, pM):
     """Quotient and remainder by a monic divisor, exact mod pM."""
-    assert b and b[-1] % pM == 1 % pM
+    if not b or b[-1] % pM != 1 % pM:
+        raise InvariantViolated("divisor is not monic", witness=list(b))
     a = [c % pM for c in a]
     db = len(b) - 1
     if len(a) - 1 < db:
@@ -191,7 +194,9 @@ def _ext_gcd_fp(a, b, p):
         r0, r1 = r1, r
         s0, s1 = s1, comb(s0, s1)
         t0, t1 = t1, comb(t0, t1)
-    assert len(r0) == 1, "inputs were not coprime"
+    if len(r0) != 1:
+        raise InvariantViolated("inputs were not coprime",
+                                witness={"gcd": r0})
     inv = pow(r0[0], p - 2, p)
     s = [(c * inv) % p for c in s0]
     t = [(c * inv) % p for c in t0]
@@ -214,14 +219,18 @@ def _hensel_split(fpoly, g0, h0, p, M):
             h = h + [0] * (len(h0) - len(h))
             h[-1] = 1  # monic by construction; re-pad trimmed zeros
         g, rem = _ip_divmod_monic(fpoly, h, pM)
-        assert not rem, "hensel step lost divisibility"
+        if rem:
+            raise InvariantViolated("hensel step lost divisibility",
+                                    witness={"precision": prec})
         b = _ip_sub(_ip_add(_ip_mul(s, g, pM), _ip_mul(t, h, pM), pM),
                     [1], pM)
         c, d = _ip_divmod_monic(_ip_mul(s, b, pM), h, pM)
         s = _ip_sub(s, d, pM)
         num = _ip_sub([1], _ip_mul(s, g, pM), pM)
         t, rr = _ip_divmod_monic(num, h, pM)
-        assert not rr, "bezout update lost divisibility"
+        if rr:
+            raise InvariantViolated("bezout update lost divisibility",
+                                    witness={"precision": prec})
     return g, h
 
 
@@ -250,14 +259,17 @@ def _peel_slope_factors(coeffs, vals, spec_p):
         for c in scaled:
             if c.is_zero:
                 ints.append(0)
+            elif c.v < 0:
+                raise InvariantViolated("transformed polynomial not integral",
+                                        witness={"valuation": m})
             else:
-                assert c.v >= 0, "transformed polynomial not integral"
                 ints.append((c.unit[0] * p ** c.v) % pM)
         a = n - w
-        assert all(ints[i] % p == 0 for i in range(a)), \
-            "polygon does not match the claimed minimal valuation"
         hbar = [ints[a + j] % p for j in range(w)] + [1]
-        assert hbar[0] % p != 0
+        if any(ints[i] % p for i in range(a)) or hbar[0] == 0:
+            raise InvariantViolated(
+                "polygon does not match the claimed minimal valuation",
+                witness={"valuation": m, "width": w})
         g0 = [0] * a + [1]
         A_fac, B_fac = _hensel_split(ints, g0, hbar, p, M)
         # untransform: factor with roots of valuation m
@@ -342,8 +354,10 @@ def slope_split(M, fine=False):
     coeffs = charpoly(A, spec)
     vals = newton_root_valuations(coeffs, spec)
     expect = sorted((d * lam * spec.f, w) for lam, w in slopes)
-    assert [(Fraction(m), w) for m, w in vals] == \
-        [(Fraction(m), w) for m, w in expect], "power trick changed the polygon"
+    if [(Fraction(m), w) for m, w in vals] != \
+            [(Fraction(m), w) for m, w in expect]:
+        raise InvariantViolated("power trick changed the polygon",
+                                witness={"power": d})
     int_vals = [(int(m), w) for m, w in vals]
     spec_p = FieldSpec(spec.p, 1, spec.N)
     qp_coeffs = _qp_charpoly(coeffs, spec)
@@ -367,7 +381,9 @@ def slope_split(M, fine=False):
         raise InsufficientPrecision(
             "slope blocks do not certifiably span", witness=exc.witness)
     for (lam, _, sub), (lam0, w0) in zip(blocks, slopes):
-        assert lam == lam0 and sub.rank == w0
+        if lam != lam0 or sub.rank != w0:
+            raise InvariantViolated("blocks disagree with the slopes",
+                                    witness={"slope": str(lam0)})
     return blocks
 
 

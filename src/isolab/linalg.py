@@ -1,15 +1,19 @@
 """Linear algebra over Q_q at finite precision, plus exact rational helpers.
 
 Matrices are plain lists of lists of PadicScalar (row major).  The hot
-paths (characteristic polynomials, twisted products) integralize to raw
-coefficient tuples and run on the _speedups kernel; everything else does
-row reduction with valuation pivoting so precision loss stays explicit.
+paths run on raw coefficient tuples and the _speedups kernels: mat_mul
+(and so twisted products, powers and Horner evaluation) multiplies the
+integralized operands in one integer product and gives each entry the
+precision the scalar fold would certify; charpoly integralizes the whole
+matrix at one precision.  Everything else does row reduction with
+valuation pivoting so precision loss stays explicit.
 """
 
 from fractions import Fraction
+from operator import add
 
 from . import _speedups as _k
-from .errors import InsufficientPrecision, NonInvertible
+from .errors import FieldSpecMismatch, InsufficientPrecision, NonInvertible
 from .padic import PadicScalar
 
 
@@ -23,29 +27,90 @@ def mat_identity(spec, n):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A, B):
-    m, k = len(A), len(B)
-    n = len(B[0])
+def _read(vecs, spec):
+    """Precision data of each entry of a list of rows (or columns).
+
+    Returns (absp, low, vmin): absp[i][s] is the absolute precision of
+    vecs[i][s]; low[i][s] is its valuation, or its bound when it is zero
+    to precision; vmin is the least valuation of a nonzero entry, or None.
+    """
+    absp, low = [], []
+    vmin = None
+    for vec in vecs:
+        arow, lrow = [], []
+        for a in vec:
+            if a.spec is not spec:
+                raise FieldSpecMismatch("operands over different rings",
+                                        witness={"left": spec.to_json(),
+                                                 "right": a.spec.to_json()})
+            if a.unit is None:
+                arow.append(a.rel)
+                lrow.append(a.rel)
+            else:
+                arow.append(a.v + a.rel)
+                lrow.append(a.v)
+                if vmin is None or a.v < vmin:
+                    vmin = a.v
+        absp.append(arow)
+        low.append(lrow)
+    return absp, low, vmin
+
+
+def _raw(vecs, vmin, spec, pW):
+    """Each entry as the coefficient tuple p^(v - vmin) * unit mod pW."""
+    p, zero = spec.p, (0,) * spec.f
     out = []
-    for i in range(m):
+    for vec in vecs:
         row = []
-        for j in range(n):
-            acc = A[i][0] * B[0][j]
-            for s in range(1, k):
-                acc = acc + A[i][s] * B[s][j]
-            row.append(acc)
+        for a in vec:
+            if a.unit is None:
+                row.append(zero)
+            else:
+                pv = p ** (a.v - vmin)
+                row.append(tuple(pv * c % pW for c in a.unit))
         out.append(row)
     return out
 
 
+def mat_mul(A, B):
+    """A * B, each entry exactly as the fold sum_s A[i][s] * B[s][j] gives it.
+
+    The digits come from one integer product of the integralized operands
+    (_speedups.zq_mat_mul).  An entry's absolute precision is the least
+    over s of that of A[i][s] * B[s][j], which is
+    min(abs(a) + low(b), low(a) + abs(b)) with low the valuation, or the
+    bound of a zero-to-precision entry.  PadicScalar addition certifies
+    the same minimum in any order: no partial sum reaches the relative
+    precision cap N, since its absolute precision is at most its lowest
+    term valuation plus N.
+    """
+    k, n = len(B), len(B[0])
+    # indexed by the inner dimension, so a row of A shorter than B raises
+    rows = [[row[s] for s in range(k)] for row in A]
+    cols = [[B[s][j] for s in range(k)] for j in range(n)]
+    if not rows or not cols:
+        return [[] for _ in rows]
+    spec = rows[0][0].spec
+    absA, lowA, vminA = _read(rows, spec)
+    absB, lowB, vminB = _read(cols, spec)
+    prec = [[min(min(map(add, ar, lc)), min(map(add, lr, ac)))
+             for ac, lc in zip(absB, lowB)]
+            for ar, lr in zip(absA, lowA)]
+    top = max(map(max, prec))
+    if vminA is None or vminB is None or top <= vminA + vminB:
+        return [[PadicScalar.zero(spec, a) for a in r] for r in prec]
+    shift = vminA + vminB
+    pW = spec.p ** (top - shift)
+    raw = _k.zq_mat_mul(_raw(rows, vminA, spec, pW),
+                        _raw(cols, vminB, spec, pW),
+                        spec.red_rows(pW), spec.f, pW)
+    return [[PadicScalar.from_raw(spec, c, shift, a) if a > shift
+             else PadicScalar.zero(spec, a) for c, a in zip(rr, pr)]
+            for rr, pr in zip(raw, prec)]
+
+
 def mat_vec(A, x):
-    out = []
-    for row in A:
-        acc = row[0] * x[0]
-        for s in range(1, len(x)):
-            acc = acc + row[s] * x[s]
-        out.append(acc)
-    return out
+    return [row[0] for row in mat_mul(A, [[c] for c in x])]
 
 
 def mat_sigma(A, k=1):

@@ -8,10 +8,10 @@ unipotent algebras are honest matrix algebras over Q.
 
 from fractions import Fraction
 
-from .errors import MalformedInput, UnsupportedType
+from .errors import MalformedInput, NonInvertible, UnsupportedType
 from .dieudonne import pdiv_dimension
 from .isocrystal import Isocrystal, newton_slopes, slope_part
-from .linalg import rat_mat_mul, rat_rank, rat_solve
+from .linalg import rat_mat_mul, rat_rank, rat_rref
 
 _TYPES = ("GL", "GSp", "SO")
 
@@ -259,14 +259,14 @@ def _lie_algebra_basis(group_type, n):
 
 
 def _rat_inv(B):
+    """Inverse of a square rational matrix: one elimination over [B | I]."""
     n = len(B)
-    cols = []
-    for j in range(n):
-        e = [Fraction(1 if i == j else 0) for i in range(n)]
-        x = rat_solve(B, e)
-        assert x is not None, "matrix is singular"
-        cols.append(x)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    aug = [list(B[i]) + [Fraction(1 if i == j else 0) for j in range(n)]
+           for i in range(n)]
+    rows, pivots = rat_rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise NonInvertible("matrix is singular", witness={"n": n})
+    return [row[n:] for row in rows]
 
 
 def adjoint_isocrystal(d, b, spec):
@@ -284,15 +284,16 @@ def adjoint_isocrystal(d, b, spec):
     basis = _lie_algebra_basis(d.group_type, n)
     dim = len(basis)
     cols = [_flatten(X) for X in basis]
-    A = [[cols[k][e] for k in range(dim)] for e in range(n * n)]
-    F = [[Fraction(0)] * dim for _ in range(dim)]
-    for k, X in enumerate(basis):
-        img = rat_mat_mul(rat_mat_mul(b, X), binv)
-        sol = rat_solve(A, _flatten(img))
-        assert sol is not None, "conjugation left the Lie algebra"
-        for l in range(dim):
-            F[l][k] = sol[l]
-    return Isocrystal.from_rationals(spec, F)
+    # one elimination over [A | img_1 .. img_dim]; A has full column rank,
+    # so each image has unique coordinates, read off the reduced rows
+    imgs = [_flatten(rat_mat_mul(rat_mat_mul(b, X), binv)) for X in basis]
+    aug = [[cols[k][e] for k in range(dim)] + [img[e] for img in imgs]
+           for e in range(n * n)]
+    rows, pivots = rat_rref(aug)
+    if pivots != list(range(dim)):
+        raise MalformedInput("conjugation left the Lie algebra",
+                             witness={"type": d.group_type, "n": n})
+    return Isocrystal.from_rationals(spec, [row[dim:] for row in rows[:dim]])
 
 
 def adjoint_slope_cross_check(d, spec):

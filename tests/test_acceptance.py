@@ -6,6 +6,8 @@ scale it ran at; a failure shows up as the test's FAILED line.
 
 import itertools
 import json
+import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import isolab
 from isolab import (DieudonneLie, FieldSpec, Isocrystal, PadicScalar,
                     PerfectedSeries, RestrictedParams, RootDatumWithCochar,
                     adjoint_slope_cross_check, denominator_profile,
@@ -383,11 +386,16 @@ CLI_COMMANDS = [
 def test_criterion_12_cli_determinism(corpus_dir):
     t0 = time.time()
     root = corpus_dir.parent
+    # the child's PYTHONPATH leads with the isolab package under test, so
+    # neither a relative PYTHONPATH nor an installed copy decides which runs
+    pkg_root = str(pathlib.Path(isolab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))}
     for argv in CLI_COMMANDS:
         outs = []
         for _ in range(2):
             r = subprocess.run([sys.executable, "-m", "isolab.cli"] + argv,
-                               capture_output=True, cwd=root)
+                               capture_output=True, cwd=root, env=env)
             outs.append((r.returncode, r.stdout))
         assert outs[0] == outs[1], argv
         assert outs[0][1].endswith(b"\n")

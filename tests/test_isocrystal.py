@@ -1,12 +1,18 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import isolab
 from isolab import (FieldSpec, Isocrystal, PadicScalar, internal_hom,
                     newton_slopes, slope_part, slope_split, standard_simple)
-from isolab.errors import (InsufficientPrecision, NonInvertible,
-                           ResidueFieldTooSmall)
+from isolab.errors import (InsufficientPrecision, InvariantViolated,
+                           NonInvertible, ResidueFieldTooSmall)
+from isolab.isocrystal import _ip_divmod_monic
 from isolab.linalg import mat_from_rationals, mat_inverse, mat_mul, mat_sigma
 
 QP = FieldSpec(5, 1, 16)
@@ -203,3 +209,24 @@ def test_json_round_trip():
     assert N.spec is M.spec
     assert all((a - b).is_zero
                for ra, rb in zip(M.F, N.F) for a, b in zip(ra, rb))
+
+
+def test_divmod_rejects_non_monic_divisor():
+    with pytest.raises(InvariantViolated):
+        _ip_divmod_monic([1, 2, 3], [1, 2], 25)
+
+
+def test_divmod_rejects_non_monic_divisor_under_optimize():
+    # the guard must not be an assert, which -O strips
+    snippet = ("from isolab.isocrystal import _ip_divmod_monic\n"
+               "from isolab.errors import InvariantViolated\n"
+               "try:\n"
+               "    _ip_divmod_monic([1, 2, 3], [1, 2], 25)\n"
+               "except InvariantViolated:\n"
+               "    print('rejected')\n")
+    src = str(pathlib.Path(isolab.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-c", snippet],
+                         capture_output=True, text=True, timeout=10,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "rejected\n"

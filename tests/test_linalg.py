@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from isolab import FieldSpec, PadicScalar
+from isolab.errors import FieldSpecMismatch
 from isolab.linalg import (charpoly, coords_in_column_span, kernel_basis,
                            lower_hull, mat_from_rationals, mat_identity,
-                           mat_inverse, mat_mul, newton_root_valuations,
+                           mat_inverse, mat_mul, mat_vec,
+                           newton_root_valuations,
                            rat_nullspace, rat_rank, rat_rref, rat_solve,
                            saturate_columns, solve_columns, twisted_power)
 
@@ -125,6 +129,93 @@ def test_twisted_power_f2():
     # t * sigma(t) is the norm, a prime-field element: fixed by sigma
     x = L[0][0]
     assert (x.sigma() - x).is_zero
+
+
+# ---- matrix product against the scalar fold ----
+
+def _fold_mat_mul(A, B):
+    """Reference product: a left fold of PadicScalar products and sums."""
+    out = []
+    for row in A:
+        orow = []
+        for j in range(len(B[0])):
+            acc = row[0] * B[0][j]
+            for s in range(1, len(B)):
+                acc = acc + row[s] * B[s][j]
+            orow.append(acc)
+        out.append(orow)
+    return out
+
+
+def _key(a):
+    return (a.v, a.unit, a.rel)
+
+
+def _rand_scalar(rng, spec):
+    if rng.random() < 0.25:
+        return PadicScalar.zero(spec, rng.randint(-3, spec.N + 3))
+    rel = rng.randint(1, spec.N)
+    pR = spec.p ** rel
+    unit = [rng.randrange(pR) for _ in range(spec.f)]
+    if all(c % spec.p == 0 for c in unit):
+        unit[rng.randrange(spec.f)] += 1
+    return PadicScalar(spec, rng.randint(-3, 3), tuple(unit), rel)
+
+
+def _rand_pair(rng, spec):
+    m, k, n = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+    A = [[_rand_scalar(rng, spec) for _ in range(k)] for _ in range(m)]
+    B = [[_rand_scalar(rng, spec) for _ in range(n)] for _ in range(k)]
+    if k >= 2 and rng.random() < 0.3:
+        # A[i][1] B[1][j] = -A[i][0] B[0][j]: the sum cancels to zero
+        for row in A:
+            row[1] = row[0]
+        B[1] = [-b for b in B[0]]
+    return A, B
+
+
+def test_mat_mul_matches_scalar_fold():
+    rng = random.Random(11)
+    specs = [FieldSpec(p, f, N) for p in (2, 3, 5, 7) for f in (1, 2, 3)
+             for N in (1, 3, 6)]
+    cancelled = zero_bounds = 0
+    for _ in range(1500):
+        spec = rng.choice(specs)
+        A, B = _rand_pair(rng, spec)
+        got, want = mat_mul(A, B), _fold_mat_mul(A, B)
+        assert [[_key(a) for a in r] for r in got] == \
+            [[_key(a) for a in r] for r in want]
+        col = [row[0] for row in B]
+        assert [_key(a) for a in mat_vec(A, col)] == \
+            [_key(r[0]) for r in _fold_mat_mul(A, [[c] for c in col])]
+        cancelled += sum(a.is_zero for r in want for a in r)
+        zero_bounds += sum(b.is_zero for r in B for b in r)
+    assert cancelled > 100 and zero_bounds > 1000
+
+
+def test_mat_mul_inner_dimension_one_and_edges():
+    spec = FieldSpec(3, 2, 4)
+    x = PadicScalar.from_coeffs(spec, [1, 2], valuation=-2)
+    z_low, z_high = PadicScalar.zero(spec, -5), PadicScalar.zero(spec, 9)
+    A = [[x], [z_low], [z_high]]
+    B = [[x, z_low, z_high]]
+    got = mat_mul(A, B)
+    assert [[_key(a) for a in r] for r in got] == \
+        [[_key(a) for a in r] for r in _fold_mat_mul(A, B)]
+    assert mat_mul([], B) == []
+    with pytest.raises(IndexError):
+        mat_mul(A, [])
+
+
+def test_mat_mul_rejects_mixed_specs():
+    s1, s2 = FieldSpec(5, 1, 6), FieldSpec(5, 2, 6)
+    one1, one2 = PadicScalar.from_int(s1, 1), PadicScalar.from_int(s2, 1)
+    with pytest.raises(FieldSpecMismatch):
+        mat_mul([[one1]], [[one2]])
+    with pytest.raises(FieldSpecMismatch):
+        mat_mul([[one1, one1]], [[one1], [one2]])
+    with pytest.raises(FieldSpecMismatch):
+        mat_vec([[one1], [one2]], [one1])
 
 
 # ---- exact rational helpers ----

@@ -8,7 +8,7 @@ from isolab import (FieldSpec, RootDatumWithCochar, adjoint_isocrystal,
                     newton_slopes, slope_multiset_from_roots,
                     unipotent_nilpotency)
 from isolab.dieudonne import pdiv_dimension
-from isolab.errors import MalformedInput, UnsupportedType
+from isolab.errors import MalformedInput, NonInvertible, UnsupportedType
 
 F = Fraction
 
@@ -159,6 +159,18 @@ def test_adjoint_identity_no_negative_part():
     b = [[F(1), F(0)], [F(0), F(1)]]
     iso = adjoint_isocrystal(d, b, spec)
     assert all(s >= 0 for s, _ in newton_slopes(iso))
+
+
+def test_adjoint_rejects_singular_or_non_normalizing_b():
+    spec = FieldSpec(5, 1, 16)
+    with pytest.raises(NonInvertible):
+        adjoint_isocrystal(gl(2, 0, 0), [[F(1), F(2)], [F(2), F(4)]], spec)
+    # diag(1, 2, 1, 1) is no symplectic similitude: conjugation scales the
+    # two halves of a short root vector differently
+    b = [[F(int(i == j) * (2 if i == 1 else 1)) for j in range(4)]
+         for i in range(4)]
+    with pytest.raises(MalformedInput):
+        adjoint_isocrystal(gsp(4, 0, 0, -1, -1), b, spec)
 
 
 def test_adjoint_cross_check_gsp4():
