@@ -152,18 +152,7 @@ def _integralize(A, spec):
     if W < 1:
         raise InsufficientPrecision("matrix entries carry no certified digits",
                                     witness={"working_precision": W})
-    pW = spec.p ** W
-    raw = []
-    for row in A:
-        rrow = []
-        for a in row:
-            if a.is_zero:
-                rrow.append((0,) * spec.f)
-            else:
-                pv = spec.p ** (a.v + e)
-                rrow.append(tuple((pv * c) % pW for c in a.unit))
-        raw.append(rrow)
-    return raw, e, W
+    return _raw(A, -e, spec, spec.p ** W), e, W
 
 
 def charpoly(A, spec):
