@@ -95,6 +95,9 @@ def _load_isocrystal(obj, args):
         rows = obj["frobenius"]
     except KeyError as exc:
         raise MalformedInput("missing frobenius", witness=obj) from exc
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) for row in rows)):
+        raise MalformedInput("frobenius must be a list of rows", witness=rows)
     return Isocrystal.from_rationals(spec,
                                      [[_frac(c) for c in row] for row in rows])
 

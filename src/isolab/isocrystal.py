@@ -325,6 +325,8 @@ def slope_split(M, fine=False):
     """
     spec = M.spec
     slopes = newton_slopes(M)
+    if not slopes:  # rank 0: nothing to split
+        return []
     if fine:
         for lam, w in slopes:
             r = lam.denominator

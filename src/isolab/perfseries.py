@@ -11,8 +11,9 @@ checker, and the slope-to-exponent bookkeeping (a, r, s).
 from fractions import Fraction
 from math import gcd
 
-from .errors import (DegreeBoundTooSmall, MalformedInput, NonzeroConstantTerm,
-                     ParameterMismatch, SequenceTooShort, SlopeOrderViolated)
+from .errors import (DegreeBoundTooSmall, InvariantViolated, MalformedInput,
+                     NonzeroConstantTerm, ParameterMismatch, SequenceTooShort,
+                     SlopeOrderViolated)
 from .padic import FieldSpec
 
 
@@ -224,14 +225,32 @@ def ps_mul(a, b):
 
 
 def ps_pow(a, e):
-    out = PerfectedSeries.monomial(a.p, a.nvars, a.k, a.D, (Fraction(0),) * a.nvars)
+    """a^e for an integer e >= 0, truncated at a.D like repeated ps_mul.
+
+    In characteristic p, (sum c_I X^I)^p = sum c_I^p X^{pI}: the p-th power
+    is exactly the absolute Frobenius.  Truncation commutes with it, since
+    exponents are >= 0 and every dropped term already has max > D.  So each
+    factor p of e costs one Frobenius pass, and only the cofactor prime to
+    p goes through square-and-multiply.
+    """
+    if not isinstance(e, int) or e < 0:
+        raise MalformedInput("power must be a nonnegative integer",
+                             witness=str(e))
+    if e == 0:
+        return PerfectedSeries.monomial(a.p, a.nvars, a.k, a.D,
+                                        (Fraction(0),) * a.nvars)
     base = a
-    while e:
+    while e % a.p == 0:
+        base = ps_frobenius(base, "forward", "absolute")
+        e //= a.p
+    out = None
+    while True:
         if e & 1:
-            out = ps_mul(out, base)
-        base = ps_mul(base, base)
+            out = base if out is None else ps_mul(out, base)
         e >>= 1
-    return out
+        if not e:
+            return out
+        base = ps_mul(base, base)
 
 
 def ps_frobenius(a, direction="forward", flavor="relative"):
@@ -444,7 +463,10 @@ def membership_restricted(a, params, method="both"):
         return closed_form()
     vd, wd = definitional()
     vc, wc = closed_form()
-    assert vd == vc, (wd, wc)
+    if vd != vc:
+        raise InvariantViolated("membership methods disagree",
+                                witness={"definitional": wd,
+                                         "closed_form": wc})
     return vc, wc
 
 
@@ -488,6 +510,9 @@ def rigidity_check(f, g, h, r, d_seq, powered_block="h"):
     if powered_block not in ("g", "h"):
         raise MalformedInput("powered_block must be g or h",
                              witness=powered_block)
+    if not isinstance(r, int) or r < 0:
+        raise MalformedInput("r must be a nonnegative integer",
+                             witness={"r": str(r)})
     args = list(g) + list(h)
     if not args:
         raise MalformedInput("no substituted series", witness=None)
@@ -537,5 +562,7 @@ def slope_exponents(mu1, mu0):
     a = mu1.numerator * mu0.numerator // gcd(mu1.numerator, mu0.numerator)
     r = a // mu1.numerator * mu1.denominator
     s = a // mu0.numerator * mu0.denominator
-    assert Fraction(a, r) == mu1 and Fraction(a, s) == mu0 and s > r
+    if not (Fraction(a, r) == mu1 and Fraction(a, s) == mu0 and s > r):
+        raise InvariantViolated("exponents do not reproduce the slopes",
+                                witness={"a": a, "r": r, "s": s})
     return a, r, s

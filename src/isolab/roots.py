@@ -8,10 +8,11 @@ unipotent algebras are honest matrix algebras over Q.
 
 from fractions import Fraction
 
-from .errors import MalformedInput, NonInvertible, UnsupportedType
+from .errors import (InvariantViolated, MalformedInput, NonInvertible,
+                     UnsupportedType)
 from .dieudonne import pdiv_dimension
 from .isocrystal import Isocrystal, newton_slopes, slope_part
-from .linalg import rat_mat_mul, rat_rank, rat_rref
+from .linalg import rat_mat_mul, rat_rref
 
 _TYPES = ("GL", "GSp", "SO")
 
@@ -66,7 +67,6 @@ class RootDatumWithCochar:
             alpha[j] -= 1
             roots.append(tuple(alpha))
         two_rho = tuple(sum(a[k] for a in roots) for k in range(n))
-        assert all(sum(a[k] for a in roots) == two_rho[k] for k in range(n))
         for alpha in roots:
             if _pair(alpha, nu) < 0:
                 raise MalformedInput(
@@ -109,8 +109,12 @@ def slope_multiset_from_roots(d):
 def leaf_dimension(d):
     """<2 rho, nu>; cross-checked against the p-divisible dimension sum."""
     dim = _pair(d.two_rho, d.nu)
-    assert dim == pdiv_dimension(slope_multiset_from_roots(d),
-                                 check_range=False)
+    pdiv = pdiv_dimension(slope_multiset_from_roots(d), check_range=False)
+    if dim != pdiv:
+        raise InvariantViolated("<2 rho, nu> differs from the p-divisible "
+                                "dimension",
+                                witness={"two_rho_nu": str(dim),
+                                         "pdiv": str(pdiv)})
     return int(dim) if dim.denominator == 1 else dim
 
 
@@ -126,22 +130,21 @@ def _form_sign(group_type, n, i):
 
 
 def _root_vector(group_type, n, i, j):
-    """Matrix of the root vector at upper position (i, j)."""
-    X = [[Fraction(0)] * n for _ in range(n)]
-    X[i][j] = Fraction(1)
+    """Integer matrix of the root vector at upper position (i, j)."""
+    X = [[0] * n for _ in range(n)]
+    X[i][j] = 1
     if group_type == "GL":
         return X
     mi, mj = n - 1 - j, n - 1 - i
     if (mi, mj) == (i, j):  # symplectic long root
         return X
-    X[mi][mj] = -Fraction(_form_sign(group_type, n, i)
-                          * _form_sign(group_type, n, j))
+    X[mi][mj] = -(_form_sign(group_type, n, i) * _form_sign(group_type, n, j))
     return X
 
 
 def _mat_bracket(A, B):
     n = len(A)
-    out = [[Fraction(0)] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for i in range(n):
         for k in range(n):
             a = A[i][k]
@@ -157,32 +160,35 @@ def _flatten(X):
     return [x for row in X for x in row]
 
 
-def _span_rank(mats):
-    rows = [_flatten(X) for X in mats]
-    rows = [r for r in rows if any(x != 0 for x in r)]
-    return rat_rank(rows) if rows else 0
+def _independent(mats):
+    """A basis of the span of mats, taken from among them in order: the
+    pivot columns of one rational elimination with the flattened matrices
+    as columns."""
+    _, pivots = rat_rref(list(zip(*map(_flatten, mats))))
+    return [mats[c] for c in pivots]
 
 
 def unipotent_nilpotency(d):
-    """Lower-central length of the strictly-positive-pairing root algebra."""
+    """Lower-central length of the strictly-positive-pairing root algebra.
+
+    Each layer C^{k+1} = [u, C^k] is kept as a basis drawn from its
+    brackets; by bilinearity [u, span(layer)] is spanned by the brackets of
+    the root vectors with that basis, so every rank is that of the full
+    bracket list.
+    """
     basis = [_root_vector(d.group_type, d.n, i, j)
              for (i, j) in _positive_root_positions(d.group_type, d.n)
              if _pair_pos(d, i, j) > 0]
-    if not basis:
-        return 0
-    layer = basis
+    layer = basis  # root vectors at distinct positions: independent
     n_class = 0
-    prev_rank = _span_rank(layer)
-    while layer and prev_rank > 0:
+    while layer:
         n_class += 1
-        nxt = [_mat_bracket(g, h) for g in basis for h in layer]
-        nxt = [X for X in nxt if any(x != 0 for row in X for x in row)]
-        rank = _span_rank(nxt)
-        assert rank < prev_rank or rank == 0, "central series stalled"
+        nxt = _independent([_mat_bracket(g, h) for g in basis for h in layer])
+        if nxt and len(nxt) >= len(layer):
+            raise InvariantViolated("central series stalled",
+                                    witness={"step": n_class,
+                                             "rank": len(nxt)})
         layer = nxt
-        prev_rank = rank
-        if rank == 0:
-            return n_class
     return n_class
 
 
@@ -213,7 +219,11 @@ def coxeter_gate(d, p):
         raise UnsupportedType("no Coxeter number for this type",
                               witness={"type": d.group_type})
     n_class = unipotent_nilpotency(d)
-    assert n_class <= h_weyl - 1
+    # SO(2) is a torus: no roots, h_weyl = 0 and n_class = 0
+    if n_class > max(h_weyl - 1, 0):
+        raise InvariantViolated("nilpotency class exceeds h_weyl - 1",
+                                witness={"n_class": n_class,
+                                         "h_weyl": h_weyl})
     return {"h": h, "h_weyl": h_weyl, "n_class": n_class,
             "p_ge_h": p >= h, "p_gt_n": p > n_class}
 
@@ -254,7 +264,9 @@ def _lie_algebra_basis(group_type, n):
             X[k][k] = Fraction(1)
             X[n - 1 - k][n - 1 - k] = Fraction(-1)
             basis.append(X)
-    assert _span_rank(basis) == len(basis)
+    if len(_independent(basis)) != len(basis):
+        raise InvariantViolated("Lie algebra basis is dependent",
+                                witness={"type": group_type, "n": n})
     return basis
 
 
@@ -313,6 +325,10 @@ def adjoint_slope_cross_check(d, spec):
     part, _ = slope_part(iso, "lt0")
     got = newton_slopes(part) if part.rank else []
     want = slope_multiset_from_roots(d)
-    assert [(s, m) for s, m in got] == [(Fraction(s), m) for s, m in want], \
-        (got, want)
+    if [(s, m) for s, m in got] != [(Fraction(s), m) for s, m in want]:
+        raise InvariantViolated("adjoint slopes differ from the root side",
+                                witness={"adjoint": [[str(s), m]
+                                                     for s, m in got],
+                                         "roots": [[str(s), m]
+                                                   for s, m in want]})
     return want

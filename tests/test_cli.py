@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import isolab
 from isolab.cli import main
@@ -73,6 +74,14 @@ def test_split_supersingular(corpus_dir, capsys):
     assert len(doc["blocks"]) == 1
     assert doc["blocks"][0]["slope"] == "-1/2"
     assert doc["blocks"][0]["rank"] == 2
+
+
+def test_split_rank_zero(monkeypatch, capsys):
+    import io
+    payload = json.dumps({"p": 5, "N": 8, "frobenius": []})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    code, out = run(capsys, "split")
+    assert (code, out) == (0, '{"blocks":[]}\n')
 
 
 def test_dla_check(corpus_dir, capsys):
@@ -239,8 +248,9 @@ def test_fine_split_error_surfaces(capsys, tmp_path, monkeypatch):
     ("leafdim", "gsp4_ordinary.json", {"n": "x"}),
     ("bch-mul", "bch_mul.json", {"x": ["1", "0", "0", "0"]}),
     ("bch-mul", "bch_mul.json", {"x": 5}),
+    ("rigidity", "rigidity_pos.json", {"r": -1}),
 ], ids=["empty-lattice", "empty-vector", "non-integer-n", "long-vector",
-        "non-list-vector"])
+        "non-list-vector", "negative-r"])
 def test_bad_shape_exit_1(command, base, override, corpus_dir, capsys,
                           monkeypatch):
     import io
@@ -297,3 +307,47 @@ def test_precision_flag_overrides_env(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
     code, doc = run_json(capsys, "--precision", "10", "slopes")
     assert code == 0 and doc == {"slopes": [["0", 1]]}
+
+
+# ---- contract: any one-field change of a corpus input gives one JSON line ----
+
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12)
+    | st.sampled_from(["", "x", "1/2", "-1", "GL", "SO", "g", "h"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["p", "D", "k", "terms"]), inner,
+                      max_size=2),
+    max_leaves=6)
+
+_CONTRACT_CASES = [
+    ("rigidity", "rigidity_pos.json", []),
+    ("nilclass", "gsp4_ordinary.json", []),
+    ("coxeter-gate", "gsp4_ordinary.json", ["--p", "5"]),
+    ("split", "supersingular2x2.json", []),
+]
+
+
+@pytest.mark.parametrize("command, base, flags", _CONTRACT_CASES,
+                         ids=[c[0] for c in _CONTRACT_CASES])
+def test_one_field_change_keeps_json_contract(command, base, flags,
+                                              corpus_dir):
+    import contextlib
+    import io
+    payload = json.loads((corpus_dir / base).read_text())
+
+    @settings(derandomize=True, database=None, max_examples=60,
+              deadline=None)
+    @given(field=st.sampled_from(sorted(payload)), value=_SMALL_JSON)
+    def check(field, value):
+        out, saved = io.StringIO(), sys.stdin
+        sys.stdin = io.StringIO(json.dumps({**payload, field: value}))
+        try:
+            with contextlib.redirect_stdout(out):
+                code = main([command, *flags])
+        finally:
+            sys.stdin = saved
+        assert code in (0, 1, 2)
+        assert out.getvalue().count("\n") == 1
+        json.loads(out.getvalue())
+
+    check()

@@ -355,3 +355,89 @@ def test_pow_repeated_squaring():
     p4 = ps_pow(a, 4)
     direct = ps_mul(ps_mul(a, a), ps_mul(a, a))
     assert p4.terms == direct.terms
+
+
+# ---- ps_pow by Frobenius against repeated multiplication ----
+
+def ref_pow(a, e):
+    """The former ps_pow: square-and-multiply with ps_mul alone."""
+    out = PerfectedSeries.monomial(a.p, a.nvars, a.k, a.D, (F(0),) * a.nvars)
+    base = a
+    while e:
+        if e & 1:
+            out = ps_mul(out, base)
+        base = ps_mul(base, base)
+        e >>= 1
+    return out
+
+
+def rand_series(rng, p, k, nvars, D, terms=(1, 4), zero_const=False):
+    """A few terms with exponents in [0, D] over denominators 1 and p."""
+    out = {}
+    for _ in range(rng.randrange(*terms)):
+        den = p ** rng.randrange(0, 2)
+        exp = tuple(F(rng.randrange(0, D * den + 1), den)
+                    for _ in range(nvars))
+        if zero_const and not any(exp):
+            continue
+        out[exp] = tuple(rng.randrange(p) for _ in range(k))
+    return PerfectedSeries(p, nvars, k, D, out)
+
+
+def test_pow_matches_repeated_mul():
+    rng = random.Random(2024)
+    for p in (2, 3, 5):
+        exps = sorted(set(range(34)) | {p ** m * c for m in (1, 2, 3)
+                                        for c in (1, 2, 3)})
+        for k in (1, 2, 3):
+            for nvars in (1, 2):
+                for D in (4, 8, 16):
+                    a = rand_series(rng, p, k, nvars, D)
+                    for e in exps:
+                        got, want = ps_pow(a, e), ref_pow(a, e)
+                        assert (got.terms, got.D) == (want.terms, want.D), \
+                            (p, k, nvars, D, e)
+
+
+def test_pow_rejects_bad_exponent():
+    # a negative exponent used to loop forever: -1 >> 1 == -1
+    for e in (-1, -8, F(2), 1.5, "2"):
+        with pytest.raises(MalformedInput):
+            ps_pow(mono(2, 1), e)
+
+
+def rand_ladder(rng):
+    """A random rigidity request (f, g, h, r, d_seq, powered_block)."""
+    p, k, D = rng.choice([2, 3]), rng.choice([1, 2]), rng.choice([8, 16])
+    ng, nh = rng.randrange(1, 3), rng.randrange(0, 2)
+    g = [rand_series(rng, p, k, 1, D, zero_const=True) for _ in range(ng)]
+    h = [rand_series(rng, p, k, 1, D, zero_const=True) for _ in range(nh)]
+    f = PerfectedSeries(p, ng + nh, k, D, {
+        tuple(F(rng.randrange(0, 3)) for _ in range(ng + nh)):
+            tuple(rng.randrange(p) for _ in range(k))
+        for _ in range(rng.randrange(1, 5))})
+    d_seq = sorted(rng.sample(range(1, D + 1), rng.randrange(1, 4)))
+    block = rng.choice(["g", "h"])
+    return f, g, h, rng.randrange(0, 3), d_seq, block
+
+
+def test_rigidity_matches_reference_pow(corpus_dir, monkeypatch):
+    import json
+    from isolab import perfseries
+
+    obj = json.loads((corpus_dir / "rigidity_pos.json").read_text())
+    corpus = (PerfectedSeries.from_json(obj["f"]),
+              [PerfectedSeries.from_json(o) for o in obj["g"]], [],
+              obj["r"], obj["d_seq"], obj["powered_block"])
+    rng = random.Random(11)
+    cases = [corpus] + [rand_ladder(rng) for _ in range(20)]
+    got = [rigidity_check(*c[:5], powered_block=c[5]) for c in cases]
+    monkeypatch.setattr(perfseries, "ps_pow", ref_pow)
+    want = [rigidity_check(*c[:5], powered_block=c[5]) for c in cases]
+    assert got == want
+    assert {c for rep in want for c in rep["congruences"]} == {True, False}
+
+
+def test_rigidity_rejects_negative_r():
+    with pytest.raises(MalformedInput):
+        rigidity_check(X(), [X()], [], -1, [1])

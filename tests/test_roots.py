@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,11 @@ from isolab import (FieldSpec, RootDatumWithCochar, adjoint_isocrystal,
                     adjoint_slope_cross_check, coxeter_gate, leaf_dimension,
                     newton_slopes, slope_multiset_from_roots,
                     unipotent_nilpotency)
+from isolab import roots
 from isolab.dieudonne import pdiv_dimension
-from isolab.errors import MalformedInput, NonInvertible, UnsupportedType
+from isolab.errors import (InvariantViolated, MalformedInput, NonInvertible,
+                           UnsupportedType)
+from isolab.linalg import rat_rank
 
 F = Fraction
 
@@ -131,6 +135,12 @@ def test_coxeter_gate_so5():
     assert rep["h"] == 2 and rep["h_weyl"] == 4
 
 
+def test_coxeter_gate_so2_torus():
+    # no roots at all: the bound n_class <= h_weyl - 1 is for h_weyl >= 2
+    assert coxeter_gate(so(2, 1, -1), 2) == {
+        "h": 0, "h_weyl": 0, "n_class": 0, "p_ge_h": True, "p_gt_n": True}
+
+
 def test_nilpotency_bound_by_coxeter():
     for n in (2, 3, 4, 5):
         for nu in itertools.product((0, -1, -2, -3), repeat=n):
@@ -209,3 +219,112 @@ def test_json_round_trip():
     d = gsp(4, 0, 0, -1, -1)
     e = RootDatumWithCochar.from_json(d.to_json())
     assert e.group_type == d.group_type and e.nu == d.nu
+
+
+# ---- nilpotency against the full-layer Fraction algorithm ----
+
+def ref_root_vector(group_type, n, i, j):
+    X = [[F(0)] * n for _ in range(n)]
+    X[i][j] = F(1)
+    if group_type == "GL":
+        return X
+    mi, mj = n - 1 - j, n - 1 - i
+    if (mi, mj) == (i, j):
+        return X
+    sign = lambda k: -1 if group_type == "GSp" and k >= n // 2 else 1
+    X[mi][mj] = -F(sign(i) * sign(j))
+    return X
+
+
+def ref_bracket(A, B):
+    n = len(A)
+    out = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            a, b = A[i][k], B[i][k]
+            if a == 0 and b == 0:
+                continue
+            for j in range(n):
+                out[i][j] += a * B[k][j] - b * A[k][j]
+    return out
+
+
+def ref_span_rank(mats):
+    rows = [[x for row in X for x in row] for X in mats]
+    rows = [r for r in rows if any(x != 0 for x in r)]
+    return rat_rank(rows) if rows else 0
+
+
+def ref_nilpotency(d):
+    """The former algorithm: layer k+1 is every bracket of a root vector
+    with every element of layer k, ranked over Q."""
+    basis = [ref_root_vector(d.group_type, d.n, i, j)
+             for (i, j) in roots._positive_root_positions(d.group_type, d.n)
+             if roots._pair_pos(d, i, j) > 0]
+    layer, n_class = basis, 0
+    prev_rank = ref_span_rank(layer) if basis else 0
+    while layer and prev_rank > 0:
+        n_class += 1
+        layer = [ref_bracket(g, h) for g in basis for h in layer]
+        layer = [X for X in layer if any(x != 0 for row in X for x in row)]
+        rank = ref_span_rank(layer)
+        assert rank < prev_rank or rank == 0
+        prev_rank = rank
+    return n_class
+
+
+def dominant_data(rng, typ, n, count, max_roots):
+    """count distinct dominant data of one type and size, drawn at random,
+    each with at most max_roots positive roots pairing positively (the
+    reference's layers grow like that number to the power of the class)."""
+    out, seen = [], set()
+    width = n // 2 if typ == "SO" else n
+    for _ in range(200):
+        values = rng.sample(range(-2, 2), rng.choice([2, 3]))
+        nu = tuple(sorted((rng.choice(values) for _ in range(width)),
+                          reverse=True))
+        if nu in seen:
+            continue
+        seen.add(nu)
+        try:
+            d = RootDatumWithCochar(typ, n, [F(v) for v in nu])
+        except MalformedInput:
+            continue
+        if sum(m for _, m in slope_multiset_from_roots(d)) <= max_roots:
+            out.append(d)
+        if len(out) == count:
+            break
+    return out
+
+
+def test_nilpotency_matches_full_layer_reference():
+    rng = random.Random(7)
+    data = []
+    for typ in ("GL", "GSp", "SO"):
+        for n in range(2, 8):
+            if typ == "GSp" and n % 2:
+                continue
+            drawn = dominant_data(rng, typ, n, 4, 10)
+            assert drawn, (typ, n)
+            data += drawn
+    # regular cocharacters: classes 3 and 4 need more roots than drawn above
+    data += [gl(4, 0, -1, -2, -3), gl(5, 0, -1, -2, -3, -4),
+             so(5, 2, 1, 0, -1, -2), so(6, 2, 1, 0, 0, -1, -2)]
+    classes = set()
+    for d in data:
+        want = ref_nilpotency(d)
+        assert unipotent_nilpotency(d) == want, d.to_json()
+        rep = coxeter_gate(d, 3)
+        assert rep["n_class"] == want and rep["p_gt_n"] == (3 > want)
+        classes.add(want)
+    assert classes == {0, 1, 2, 3, 4}
+
+
+def test_typed_guards_fire(monkeypatch):
+    d = gsp(4, 0, 0, -1, -1)
+    monkeypatch.setattr(roots, "pdiv_dimension", lambda *a, **k: 99)
+    with pytest.raises(InvariantViolated):
+        leaf_dimension(d)
+    monkeypatch.setattr(roots, "unipotent_nilpotency", lambda d: d.n)
+    with pytest.raises(InvariantViolated):
+        coxeter_gate(d, 5)
