@@ -12,7 +12,7 @@ from isolab import (FieldSpec, Isocrystal, PadicScalar, internal_hom,
                     newton_slopes, slope_part, slope_split, standard_simple)
 from isolab.errors import (InsufficientPrecision, InvariantViolated,
                            NonInvertible, ResidueFieldTooSmall)
-from isolab.isocrystal import _ip_divmod_monic
+from isolab.isocrystal import _hensel_split, _ip_divmod_monic
 from isolab.linalg import mat_from_rationals, mat_inverse, mat_mul, mat_sigma
 
 QP = FieldSpec(5, 1, 16)
@@ -209,6 +209,55 @@ def test_json_round_trip():
     assert N.spec is M.spec
     assert all((a - b).is_zero
                for ra, rb in zip(M.F, N.F) for a, b in zip(ra, rb))
+
+
+def _fp_gcd_degree(a, b, p):
+    """Degree of gcd(a, b) over F_p, by plain Euclid (test reference)."""
+    def trim(x):
+        x = [c % p for c in x]
+        while x and x[-1] == 0:
+            x.pop()
+        return x
+    a, b = trim(a), trim(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv
+            shift = len(a) - len(b)
+            a = trim([x - c * (b[i - shift] if i >= shift else 0)
+                      for i, x in enumerate(a)])
+        a, b = b, a
+    return len(a) - 1
+
+
+def _int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_hensel_split_lifts_coprime_factors():
+    rng = random.Random(15)
+    cases = 0
+    while cases < 40:
+        p = rng.choice([2, 3, 5, 7])
+        M = rng.randint(1, 9)
+        g0 = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+        h0 = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+        if _fp_gcd_degree(g0, h0, p) != 0:
+            continue
+        cases += 1
+        pM = p ** M
+        f = _int_poly_mul(g0, h0)
+        f = [c + p * rng.randrange(pM) for c in f[:-1]] + [1]
+        g, h = _hensel_split(f, g0, h0, p, M)
+        gh = _int_poly_mul(g, h)
+        assert len(gh) == len(f)
+        assert all((x - y) % pM == 0 for x, y in zip(gh, f))
+        assert [c % p for c in g] == g0
+        assert [c % p for c in h] == h0
 
 
 def test_divmod_rejects_non_monic_divisor():

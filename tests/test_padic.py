@@ -5,6 +5,7 @@ import pytest
 
 from isolab import FieldSpec, PadicScalar
 from isolab.errors import DivisionByZero, PrecisionExhausted
+from isolab.padic import canonical_modulus
 
 
 Z5 = FieldSpec(5, 1, 10)
@@ -157,6 +158,37 @@ def test_canonical_modulus_irreducible_and_deterministic():
     assert a is b
     # t^2 + t + 1 is the canonical degree-2 modulus mod 2
     assert a.g_low == (1, 1)
+
+
+#: (p, f) -> (a_0, .., a_{f-1}) of t^f + sum a_i t^i; the modulus fixes every
+#: digit of every Z_q answer, so it must never move
+CANONICAL_MODULI = {
+    (2, 1): (0,), (2, 2): (1, 1), (2, 3): (1, 1, 0), (2, 4): (1, 1, 0, 0),
+    (3, 1): (0,), (3, 2): (1, 0), (3, 3): (1, 2, 0), (3, 4): (2, 1, 0, 0),
+    (5, 1): (0,), (5, 2): (2, 0), (5, 3): (1, 1, 0), (5, 4): (2, 0, 0, 0),
+    (7, 1): (0,), (7, 2): (1, 0), (7, 3): (2, 0, 0), (7, 4): (1, 1, 0, 0),
+}
+
+
+@pytest.mark.parametrize("p,f", sorted(CANONICAL_MODULI))
+def test_canonical_modulus_table(p, f):
+    assert canonical_modulus(p, f) == CANONICAL_MODULI[p, f]
+
+
+def test_raw_inv_unit_random_units():
+    rng = random.Random(6)
+    for p in (2, 3, 5, 7):
+        for f in (2, 3, 4):
+            spec = FieldSpec(p, f, 6)
+            one = (1,) + (0,) * (f - 1)
+            for pM in (p, p ** 6):
+                for _ in range(8):
+                    u = tuple(rng.randrange(pM) for _ in range(f))
+                    if all(c % p == 0 for c in u):
+                        u = (u[0] + 1,) + u[1:]
+                    inv = spec.raw_inv_unit(u, pM)
+                    assert all(0 <= c < pM for c in inv)
+                    assert spec.raw_mul(inv, u, pM) == one
 
 
 def test_from_fraction_matches_division():
