@@ -13,12 +13,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import (DegreeTooLarge, InsufficientPrecision, MalformedInput,
-                     SplitUnavailable)
+from .errors import (DegreeTooLarge, InsufficientPrecision,
+                     InvariantViolated, MalformedInput, SplitUnavailable)
 from .dieudonne import (lattice_intersect_subspace, lower_central_series,
                         span_basis)
 from .isocrystal import slope_split
-from .linalg import coords_in_column_span, rat_solve, solve_columns
+from .linalg import (coords_in_column_span, rat_mat_mul, rat_solve,
+                     solve_columns)
 from .padic import PadicScalar
 
 MAX_CLASS = 8
@@ -117,7 +118,9 @@ def is_lyndon(w):
 @lru_cache(maxsize=None)
 def standard_factorization(w):
     """(u, v) with v the lexicographically least proper suffix."""
-    assert len(w) >= 2
+    if len(w) < 2:
+        raise InvariantViolated("a letter has no standard factorization",
+                                witness=w)
     v = min(w[i:] for i in range(1, len(w)))
     u = w[:len(w) - len(v)]
     return u, v
@@ -224,7 +227,9 @@ def denominator_profile(c):
             q += 1
         if d > 1:
             primes.add(d)
-    assert all(q <= c for q in primes), "denominator prime exceeds the class"
+    if any(q > c for q in primes):
+        raise InvariantViolated("denominator prime exceeds the class",
+                                witness={"class": c, "primes": sorted(primes)})
     return primes
 
 
@@ -232,27 +237,13 @@ def denominator_profile(c):
 # oracles
 # --------------------------------------------------------------------------
 
-def _mat_rat_mul(A, B):
-    n = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-
-
-def _mat_rat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def _mat_rat_scale(c, A):
-    return [[c * a for a in row] for row in A]
-
-
 def _mat_exp_nilpotent(A, cap):
     n = len(A)
     out = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     term = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for k in range(1, cap + 1):
-        term = _mat_rat_scale(Fraction(1, k), _mat_rat_mul(term, A))
-        out = _mat_rat_add(out, term)
+        term = [[x / k for x in row] for row in rat_mat_mul(term, A)]
+        out = [[a + b for a, b in zip(r, s)] for r, s in zip(out, term)]
     return out
 
 
@@ -262,9 +253,9 @@ def _mat_log_unipotent(U, cap):
     out = [[Fraction(0)] * n for _ in range(n)]
     Zk = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for k in range(1, cap + 1):
-        Zk = _mat_rat_mul(Zk, Z)
-        out = _mat_rat_add(out, _mat_rat_scale(Fraction((-1) ** (k + 1), k),
-                                               Zk))
+        Zk = rat_mat_mul(Zk, Z)
+        c = Fraction((-1) ** (k + 1), k)
+        out = [[a + c * z for a, z in zip(r, s)] for r, s in zip(out, Zk)]
     return out
 
 
@@ -280,8 +271,8 @@ def _eval_word_matrices(w, A, B, memo):
     u, v = standard_factorization(w)
     Mu = _eval_word_matrices(u, A, B, memo)
     Mv = _eval_word_matrices(v, A, B, memo)
-    out = _mat_rat_add(_mat_rat_mul(Mu, Mv),
-                       _mat_rat_scale(Fraction(-1), _mat_rat_mul(Mv, Mu)))
+    out = [[a - b for a, b in zip(r, s)]
+           for r, s in zip(rat_mat_mul(Mu, Mv), rat_mat_mul(Mv, Mu))]
     memo[w] = out
     return out
 
@@ -306,8 +297,9 @@ def oracle_check(c, trials=3, seed=20240901):
         ts = [Fraction(k) for k in range(1, c + 1)]
         logs = []
         for t in ts:
-            Ut = _mat_rat_mul(_mat_exp_nilpotent(_mat_rat_scale(t, A), c),
-                              _mat_exp_nilpotent(_mat_rat_scale(t, B), c))
+            tA, tB = ([[t * a for a in row] for row in X] for X in (A, B))
+            Ut = rat_mat_mul(_mat_exp_nilpotent(tA, c),
+                             _mat_exp_nilpotent(tB, c))
             logs.append(_mat_log_unipotent(Ut, c))
         # solve sum_d t^d C_d = log(t) entrywise
         pieces = [[[Fraction(0)] * n for _ in range(n)] for _ in range(c)]
@@ -325,8 +317,9 @@ def oracle_check(c, trials=3, seed=20240901):
             S = [[Fraction(0)] * n for _ in range(n)]
             for w, coeff in fle.terms.items():
                 if len(w) == d:
-                    S = _mat_rat_add(S, _mat_rat_scale(
-                        coeff, _eval_word_matrices(w, A, B, memo)))
+                    W = _eval_word_matrices(w, A, B, memo)
+                    S = [[s + coeff * x for s, x in zip(rs, rw)]
+                         for rs, rw in zip(S, W)]
             if S != pieces[d - 1]:
                 return {"trial": trial, "degree": d}
     return None
@@ -414,9 +407,9 @@ def group_mul(a, x, y, n_class=None):
 def lattice_closure_check(a, samples=100, seed=0, n_class=None):
     """Whether the group law maps lattice x lattice into the lattice.
 
-    For p > class this must hold (series coefficients are p-integral) and
-    is asserted over the samples; for p <= class a witness is searched for
-    and returned when found.
+    For p > class this must hold (series coefficients are p-integral), and
+    a failing sample raises InvariantViolated; for p <= class a witness is
+    searched for and returned when found.
     """
     if a.lattice is None:
         raise MalformedInput("no lattice on this algebra")
@@ -458,8 +451,10 @@ def lattice_closure_check(a, samples=100, seed=0, n_class=None):
                      for yi, li in zip(y, a.lattice[s])]
         prod = group_mul(a, x, y, n_class=n_class)
         if not in_lattice(prod):
-            assert spec.p <= n_class, \
-                "closure must hold for p above the class"
+            if spec.p > n_class:
+                raise InvariantViolated(
+                    "closure must hold for p above the class",
+                    witness={"p": spec.p, "class": n_class})
             return False, {"x": cx, "y": cy}
     return True, None
 

@@ -22,7 +22,8 @@ from .errors import (FieldSpecMismatch, InsufficientPrecision,
 from .linalg import (charpoly, coords_in_column_span, kernel_basis,
                      mat_identity, mat_inverse, mat_mul, mat_vec,
                      newton_root_valuations, twisted_power)
-from .padic import FieldSpec, PadicScalar
+from .padic import (FieldSpec, PadicScalar, poly_add, poly_divmod, poly_mul,
+                    poly_trim, poly_xgcd)
 
 
 class Isocrystal:
@@ -107,127 +108,31 @@ def newton_slopes(M):
 # slope factorization of an integral-polygon polynomial over Z_p
 # --------------------------------------------------------------------------
 
-def _ip_trim(a, pM):
-    a = [c % pM for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _ip_mul(a, b, pM):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _ip_trim(out, pM)
-
-
-def _ip_add(a, b, pM):
-    n = max(len(a), len(b))
-    return _ip_trim([((a[i] if i < len(a) else 0)
-                      + (b[i] if i < len(b) else 0)) for i in range(n)], pM)
-
-
-def _ip_sub(a, b, pM):
-    n = max(len(a), len(b))
-    return _ip_trim([((a[i] if i < len(a) else 0)
-                      - (b[i] if i < len(b) else 0)) for i in range(n)], pM)
-
-
-def _ip_divmod_monic(a, b, pM):
-    """Quotient and remainder by a monic divisor, exact mod pM."""
-    if not b or b[-1] % pM != 1 % pM:
-        raise InvariantViolated("divisor is not monic", witness=list(b))
-    a = [c % pM for c in a]
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], _ip_trim(a, pM)
-    q = [0] * (len(a) - db)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = a[k] % pM
-        if c:
-            q[k - db] = c
-            for j in range(db + 1):
-                a[k - db + j] = (a[k - db + j] - c * b[j]) % pM
-    return _ip_trim(q, pM), _ip_trim(a[:db], pM)
-
-
-def _ext_gcd_fp(a, b, p):
-    """(s, t) with s a + t b = 1 over F_p for coprime a, b."""
-    from .padic import _poly_trim
-
-    def divmod_fp(x, y):
-        x = x[:]
-        dy = len(y) - 1
-        inv = pow(y[-1], p - 2, p)
-        q = [0] * max(len(x) - dy, 0)
-        for k in range(len(x) - 1, dy - 1, -1):
-            c = (x[k] * inv) % p
-            if c:
-                q[k - dy] = c
-                for j in range(dy + 1):
-                    x[k - dy + j] = (x[k - dy + j] - c * y[j]) % p
-        return _poly_trim(q), _poly_trim(x[:dy] if dy else [])
-
-    r0, r1 = _poly_trim([c % p for c in a]), _poly_trim([c % p for c in b])
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = divmod_fp(r0, r1)
-
-        def comb(u0, u1):
-            qu = []
-            if q and u1:
-                qu = [0] * (len(q) + len(u1) - 1)
-                for i, qi in enumerate(q):
-                    if qi:
-                        for j, uj in enumerate(u1):
-                            qu[i + j] = (qu[i + j] + qi * uj) % p
-            n = max(len(u0), len(qu), 1)
-            return _poly_trim([((u0[i] if i < len(u0) else 0)
-                                - (qu[i] if i < len(qu) else 0)) % p
-                               for i in range(n)])
-
-        r0, r1 = r1, r
-        s0, s1 = s1, comb(s0, s1)
-        t0, t1 = t1, comb(t0, t1)
-    if len(r0) != 1:
-        raise InvariantViolated("inputs were not coprime",
-                                witness={"gcd": r0})
-    inv = pow(r0[0], p - 2, p)
-    s = [(c * inv) % p for c in s0]
-    t = [(c * inv) % p for c in t0]
-    return s, t
-
-
 def _hensel_split(fpoly, g0, h0, p, M):
-    """Lift f = g0 h0 (mod p) to mod p^M; all monic, f monic integral."""
-    s, t = _ext_gcd_fp(g0, h0, p)
-    g = [c % p for c in g0]
-    h = [c % p for c in h0]
+    """Lift f = g0 h0 (mod p) to mod p^M; all monic, f monic integral.
+
+    Quadratic lifting of the factors and of the Bezout pair s g + t h = 1
+    (von zur Gathen and Gerhard, Modern Computer Algebra, section 15.4).
+    """
+    d, s = poly_xgcd(h0, g0, p)
+    if d != [1]:
+        raise InvariantViolated("inputs were not coprime", witness={"gcd": d})
+    t = poly_divmod(poly_add([1], poly_mul(s, g0, p), p, -1), h0, p)[0]
+    g, h = poly_trim(g0, p), poly_trim(h0, p)
     prec = 1
     while prec < M:
         prec = min(2 * prec, M)
         pM = p ** prec
-        e = _ip_sub(fpoly, _ip_mul(g, h, pM), pM)
-        _, r = _ip_divmod_monic(_ip_mul(s, e, pM), h, pM)
-        h = _ip_add(h, r, pM)
-        if not h or h[-1] != 1:
-            h = h + [0] * (len(h0) - len(h))
-            h[-1] = 1  # monic by construction; re-pad trimmed zeros
-        g, rem = _ip_divmod_monic(fpoly, h, pM)
+        e = poly_add(fpoly, poly_mul(g, h, pM), pM, -1)
+        h = poly_add(h, poly_divmod(poly_mul(s, e, pM), h, pM)[1], pM)
+        g, rem = poly_divmod(fpoly, h, pM)
         if rem:
             raise InvariantViolated("hensel step lost divisibility",
                                     witness={"precision": prec})
-        b = _ip_sub(_ip_add(_ip_mul(s, g, pM), _ip_mul(t, h, pM), pM),
-                    [1], pM)
-        c, d = _ip_divmod_monic(_ip_mul(s, b, pM), h, pM)
-        s = _ip_sub(s, d, pM)
-        num = _ip_sub([1], _ip_mul(s, g, pM), pM)
-        t, rr = _ip_divmod_monic(num, h, pM)
+        b = poly_add(poly_add(poly_mul(s, g, pM), poly_mul(t, h, pM), pM),
+                     [1], pM, -1)
+        s = poly_add(s, poly_divmod(poly_mul(s, b, pM), h, pM)[1], pM, -1)
+        t, rr = poly_divmod(poly_add([1], poly_mul(s, g, pM), pM, -1), h, pM)
         if rr:
             raise InvariantViolated("bezout update lost divisibility",
                                     witness={"precision": prec})

@@ -13,59 +13,90 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _speedups as _k
-from .errors import (DivisionByZero, FrobeniusLiftFailure, MalformedInput,
-                     PrecisionExhausted)
+from .errors import (DivisionByZero, FrobeniusLiftFailure, InvariantViolated,
+                     MalformedInput, PrecisionExhausted)
 
 
 # --------------------------------------------------------------------------
-# polynomials over F_p (little-endian int lists), used only for setup
+# polynomials mod m: little-endian integer lists, a[i] the coefficient of
+# t^i.  Results are reduced into [0, m) with no top zero, so [] is zero;
+# m = p gives F_p[t].  Division needs a divisor whose leading coefficient
+# is 1 mod m, so poly_xgcd makes each remainder monic before dividing.
 # --------------------------------------------------------------------------
 
-def _poly_trim(a):
+def poly_trim(a, m):
+    a = [c % m for c in a]
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
-def _poly_mulmod(a, b, g, p):
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    return _poly_rem(res, g, p)
+def poly_add(a, b, m, c=1):
+    """a + c*b for an integer c."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, x in enumerate(b):
+        out[i] += c * x
+    return poly_trim(out, m)
 
 
-def _poly_rem(a, g, p):
-    a = a[:]
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], p - 2, p)
-    for k in range(len(a) - 1, dg - 1, -1):
-        c = (a[k] * inv_lead) % p
+def poly_mul(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return poly_trim(out, m)
+
+
+def poly_divmod(a, b, m):
+    """(q, r) with a = q b + r mod m and deg r < deg b, for b monic mod m."""
+    if not b or b[-1] % m != 1 % m:
+        raise InvariantViolated("divisor is not monic", witness=list(b))
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], poly_trim(a, m)
+    a = list(a)
+    q = [0] * (len(a) - db)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k] % m
         if c:
-            for j in range(dg + 1):
-                a[k - dg + j] = (a[k - dg + j] - c * g[j]) % p
-    del a[dg:]
-    return _poly_trim(a)
+            q[k - db] = c
+            for j in range(db):
+                a[k - db + j] -= c * b[j]
+    return poly_trim(q, m), poly_trim(a[:db], m)
 
 
-def _poly_powmod(a, e, g, p):
-    result = [1]
-    base = _poly_rem(a[:], g, p)
+def poly_powmod(a, e, g, m):
+    """a^e mod (g, m), for g monic mod m."""
+    out = [1]
+    a = poly_divmod(a, g, m)[1]
     while e:
         if e & 1:
-            result = _poly_mulmod(result, base, g, p)
-        base = _poly_mulmod(base, base, g, p)
+            out = poly_divmod(poly_mul(out, a, m), g, m)[1]
+        a = poly_divmod(poly_mul(a, a, m), g, m)[1]
         e >>= 1
-    return result
+    return out
 
 
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while b:
-        a = _poly_rem(a, b, p)
-        a, b = b, a
-    return a
+def poly_xgcd(a, b, p):
+    """(d, t) with d the monic gcd of a and b over F_p and t b = d mod a.
+
+    a must be monic.  Extended Euclid that scales each remainder to be
+    monic, so t is the inverse of b mod a when d == [1].
+    """
+    r0, t0 = poly_trim(a, p), []
+    r1, t1 = poly_trim(b, p), [1]
+    while True:
+        if r1 and r1[-1] != 1:
+            inv = pow(r1[-1], -1, p)
+            r1 = [c * inv % p for c in r1]
+            t1 = [c * inv % p for c in t1]
+        if len(r1) <= 1:
+            return (r1, t1) if r1 else (r0, t0)
+        q, r = poly_divmod(r0, r1, p)
+        r0, t0, r1, t1 = r1, t1, r, poly_add(t0, poly_mul(q, t1, p), p, -1)
 
 
 def _prime_factors(n):
@@ -80,24 +111,15 @@ def _prime_factors(n):
     return out
 
 
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _poly_trim([((a[i] if i < len(a) else 0)
-                        - (b[i] if i < len(b) else 0)) % p
-                       for i in range(n)])
-
-
 def _is_irreducible(g, p):
     """Rabin test for a monic g over F_p."""
     f = len(g) - 1
     x = [0, 1]
-    xq = _poly_powmod(x, p ** f, g, p)
-    if _poly_sub(xq, x, p):
+    if poly_add(poly_powmod(x, p ** f, g, p), x, p, -1):
         return False
     for q in _prime_factors(f):
-        xe = _poly_powmod(x, p ** (f // q), g, p)
-        d = _poly_gcd(_poly_sub(xe, x, p), g[:], p)
-        if len(d) != 1:
+        xe = poly_powmod(x, p ** (f // q), g, p)
+        if len(poly_xgcd(g, poly_add(xe, x, p, -1), p)[0]) != 1:
             return False
     return True
 
@@ -160,8 +182,7 @@ class FieldSpec:
     Instances are interned by (p, f, N): equality is identity.
     """
 
-    __slots__ = ("p", "f", "N", "pN", "g_low", "_red", "_sigma_mats",
-                 "_inv_cache")
+    __slots__ = ("p", "f", "N", "pN", "g_low", "_red", "_sigma_mats")
 
     def __new__(cls, p, f, N):
         key = (p, f, N)
@@ -178,7 +199,6 @@ class FieldSpec:
         self.pN = p ** N
         self.g_low = canonical_modulus(p, f)
         self._red = {}
-        self._inv_cache = {}
         self._sigma_mats = None
         _SPEC_CACHE[key] = self
         return self
@@ -242,46 +262,15 @@ class FieldSpec:
         p, f = self.p, self.f
         if f == 1:
             return (pow(u[0], -1, pM),)
-        # inverse mod p by extended euclid over F_p[t]
-        g = list(self.g_low) + [1]
-        r0, r1 = g[:], _poly_trim([c % p for c in u])
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            # divide r0 by r1
-            q = [0] * (len(r0) - len(r1) + 1)
-            r = r0[:]
-            inv_lead = pow(r1[-1], p - 2, p)
-            for k in range(len(r) - 1, len(r1) - 2, -1):
-                c = (r[k] * inv_lead) % p
-                q[k - len(r1) + 1] = c
-                if c:
-                    for j in range(len(r1)):
-                        r[k - len(r1) + 1 + j] = (
-                            r[k - len(r1) + 1 + j] - c * r1[j]) % p
-            r = _poly_trim(r)
-            # s0 - q*s1
-            qs = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs[i + j] = (qs[i + j] + qi * sj) % p
-            news = [( (s0[i] if i < len(s0) else 0) -
-                      (qs[i] if i < len(qs) else 0)) % p
-                    for i in range(max(len(s0), len(qs), 1))]
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_trim(news)
-        if not r1:
+        # inverse mod p by extended Euclid over F_p[t], then the quadratic
+        # lift y <- y (2 - u y)
+        d, y = poly_xgcd(list(self.g_low) + [1], u, p)
+        if d != [1]:
             raise DivisionByZero("not a unit", witness=list(u))
-        c = pow(r1[0], p - 2, p)
-        y = [0] * f
-        for i, si in enumerate(s1):
-            y[i] = (si * c) % p
-        y = tuple(y)
-        # quadratic lift y <- y (2 - u y)
-        prec, target = 1, pM
+        y = tuple(y) + (0,) * (f - len(y))
         pw = p
-        while pw < target:
-            pw = min(pw * pw, target)
+        while pw < pM:
+            pw = min(pw * pw, pM)
             uy = self.raw_mul(u, y, pw)
             two_minus = tuple((-c) % pw if i else (2 - c) % pw
                               for i, c in enumerate(uy))
@@ -296,40 +285,32 @@ class FieldSpec:
             self._sigma_mats = ()
             return
         # Hensel-lift the residue root t^p of g to Z_q/p^N
-        g_full = list(self.g_low) + [1]
+        g = list(self.g_low) + [1]
+        dg = [k * g[k] for k in range(1, f + 1)]
         x = self.raw_pow((0, 1) + (0,) * (f - 2), p, p)
 
-        def g_at(x, pM):
+        def horner(poly, x, pM):
             acc = (0,) * f
-            for c in reversed(g_full):
+            for c in reversed(poly):
                 acc = self.raw_mul(acc, x, pM)
-                acc = tuple((a + (c if i == 0 else 0)) % pM
-                            for i, a in enumerate(acc))
-            return acc
-
-        def gprime_at(x, pM):
-            acc = (0,) * f
-            for k in range(f, 0, -1):
-                c = k * g_full[k]
-                acc = self.raw_mul(acc, x, pM)
-                acc = tuple((a + (c if i == 0 else 0)) % pM
-                            for i, a in enumerate(acc))
+                acc = ((acc[0] + c) % pM,) + acc[1:]
             return acc
 
         prec = 1
         while prec < N:
             prec = min(2 * prec, N)
             pM = p ** prec
-            gx = g_at(x, pM)
-            gpx = gprime_at(x, pM)
+            gpx = horner(dg, x, pM)
             if self.raw_val(gpx, pM) != 0:
                 raise FrobeniusLiftFailure("derivative not a unit",
                                            witness=list(gpx))
-            corr = self.raw_mul(gx, self.raw_inv_unit(gpx, pM), pM)
+            corr = self.raw_mul(horner(g, x, pM),
+                                self.raw_inv_unit(gpx, pM), pM)
             x = tuple((a - b) % pM for a, b in zip(x, corr))
-        if self.raw_val(g_at(x, pN), pN) is not None:
+        gx = horner(g, x, pN)
+        if self.raw_val(gx, pN) is not None:
             raise FrobeniusLiftFailure("lift does not kill the modulus",
-                                       witness=list(g_at(x, pN)))
+                                       witness=list(gx))
         # powers sigma^k(t), then the f x f application matrices
         mats = []
         xk = x

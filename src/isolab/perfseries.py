@@ -33,21 +33,6 @@ def ff_neg(a, p):
     return tuple((-x) % p for x in a)
 
 
-def ff_mul(spec, a, b):
-    return spec.raw_mul(a, b, spec.p)
-
-
-def ff_pow(spec, a, e):
-    out = (1,) + (0,) * (spec.f - 1)
-    base = a
-    while e:
-        if e & 1:
-            out = ff_mul(spec, out, base)
-        base = ff_mul(spec, base, base)
-        e >>= 1
-    return out
-
-
 def ff_is_zero(a):
     return all(x == 0 for x in a)
 
@@ -82,6 +67,7 @@ class PerfectedSeries:
         if D < 1:
             raise MalformedInput("degree bound must be at least 1",
                                  witness={"D": D})
+        _ff_spec(p, k)  # p prime and k >= 1, before p divides anything
         self.p = p
         self.nvars = nvars
         self.k = k
@@ -161,7 +147,7 @@ class PerfectedSeries:
                 if exp in terms:
                     raise MalformedInput("duplicate exponent", witness=t)
                 terms[exp] = coeff
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise MalformedInput("bad series object", witness=obj) from exc
         return PerfectedSeries(p, nvars, k, D, terms)
 
@@ -198,7 +184,7 @@ def ps_scale(a, coeff):
     spec = _ff_spec(a.p, a.k)
     coeff = tuple(int(c) % a.p for c in coeff)
     return PerfectedSeries(a.p, a.nvars, a.k, a.D,
-                           {e: ff_mul(spec, c, coeff)
+                           {e: spec.raw_mul(c, coeff, a.p)
                             for e, c in a.terms.items()})
 
 
@@ -212,7 +198,7 @@ def ps_mul(a, b):
             e = tuple(x + y for x, y in zip(e1, e2))
             if e and max(e) > D:
                 continue
-            c = ff_mul(spec, c1, c2)
+            c = spec.raw_mul(c1, c2, a.p)
             if e in out:
                 s = ff_add(out[e], c, a.p)
                 if ff_is_zero(s):
@@ -270,7 +256,7 @@ def ps_frobenius(a, direction="forward", flavor="relative"):
     elif flavor == "absolute":
         # x -> x^p, whose inverse on F_{p^k} is x -> x^{p^{k-1}}
         e = p if direction == "forward" else p ** (a.k - 1)
-        fc = lambda c: ff_pow(spec, c, e)
+        fc = lambda c: spec.raw_pow(c, e, p)
     else:
         raise MalformedInput("flavor must be relative or absolute",
                              witness=flavor)

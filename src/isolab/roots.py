@@ -60,6 +60,11 @@ class RootDatumWithCochar:
         if len(nu) != n:
             raise MalformedInput("cocharacter length must match matrix size",
                                  witness={"n": n, "len": len(nu)})
+        sums = {a + b for a, b in zip(nu, reversed(nu))}
+        if group_type == "GSp" and len(sums) > 1:
+            raise MalformedInput(
+                "GSp cocharacter needs nu_i + nu_(n-1-i) constant",
+                witness={"nu": [str(v) for v in nu]})
         roots = []
         for i, j in _positive_root_positions(group_type, n):
             alpha = [0] * n

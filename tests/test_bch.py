@@ -13,7 +13,8 @@ from isolab import (DieudonneLie, FieldSpec, FreeLieElement, PadicScalar,
                     group_mul, lattice_closure_check, lie_project,
                     lyndon_words, oracle_check, rho_defect)
 from isolab.bch import is_lyndon, standard_factorization, MAX_CLASS
-from isolab.errors import DegreeTooLarge, MalformedInput
+from isolab import bch
+from isolab.errors import DegreeTooLarge, InvariantViolated, MalformedInput
 
 F = Fraction
 SPEC = FieldSpec(5, 1, 16)
@@ -220,6 +221,39 @@ def test_lattice_closure_abelian_any_p():
 def test_lattice_closure_needs_lattice():
     with pytest.raises(MalformedInput):
         lattice_closure_check(heisenberg())
+
+
+def test_typed_guards_fire(monkeypatch):
+    with pytest.raises(InvariantViolated):
+        standard_factorization("X")
+    # a table whose denominator has a prime above the class
+    monkeypatch.setattr(bch, "bch_series",
+                        lambda c: FreeLieElement(c, {"X": F(1, 7)}))
+    with pytest.raises(InvariantViolated):
+        denominator_profile(2)
+    monkeypatch.undo()
+    # a group law that leaves the lattice although p exceeds the class
+    monkeypatch.setattr(bch, "group_mul",
+                        lambda a, x, y, n_class=None: [c.scale_p(-1)
+                                                       for c in x])
+    with pytest.raises(InvariantViolated):
+        lattice_closure_check(heisenberg(5, EYE3), samples=1, seed=0)
+
+
+def test_typed_guards_fire_under_optimize():
+    # the guard must not be an assert, which -O strips
+    snippet = ("from isolab.bch import standard_factorization\n"
+               "from isolab.errors import InvariantViolated\n"
+               "try:\n"
+               "    standard_factorization('X')\n"
+               "except InvariantViolated:\n"
+               "    print('rejected')\n")
+    src = str(pathlib.Path(isolab.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-c", snippet],
+                         capture_output=True, text=True, timeout=10,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "rejected\n"
 
 
 # ---- the projection-defect identity ----

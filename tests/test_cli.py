@@ -263,6 +263,32 @@ def test_bad_shape_exit_1(command, base, override, corpus_dir, capsys,
     assert json.loads(out)["error"] == "MalformedInput"
 
 
+@pytest.mark.parametrize("p, pexp", [(1, 0), (0, 0), (0, 1)],
+                         ids=["p1", "p0", "p0-pexp1"])
+def test_perf_member_bad_characteristic_exit_1(p, pexp, corpus_dir):
+    # p = 1 used to loop forever; run in a child with a timeout
+    payload = {"p": p, "nvars": 1, "field": {"p": p, "k": 1}, "D": 4,
+               "terms": [{"exp": [{"num": 1, "pexp": pexp}],
+                          "coeff": [1]}]}
+    pkg_root = str(pathlib.Path(isolab.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-m", "isolab.cli", "perf-member", "--params",
+         "2,1,0"], input=json.dumps(payload), capture_output=True,
+        text=True, timeout=10, env=dict(os.environ, PYTHONPATH=pkg_root))
+    assert out.returncode == 1, out.stderr
+    assert out.stdout.count("\n") == 1
+    assert json.loads(out.stdout)["error"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("command", ["leafdim", "slope-roots"])
+def test_gsp_cocharacter_off_similitude_torus_exit_1(command, capsys):
+    code, out = run(capsys, command, "--type", "GSp", "--n", "4",
+                    "--nu=0,0,0,-1")
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"] == "MalformedInput"
+
+
 def test_unknown_subcommand_exit_1(capsys):
     assert main(["definitely-not-a-command"]) == 1
 

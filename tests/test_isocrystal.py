@@ -12,8 +12,9 @@ from isolab import (FieldSpec, Isocrystal, PadicScalar, internal_hom,
                     newton_slopes, slope_part, slope_split, standard_simple)
 from isolab.errors import (InsufficientPrecision, InvariantViolated,
                            NonInvertible, ResidueFieldTooSmall)
-from isolab.isocrystal import _hensel_split, _ip_divmod_monic
+from isolab.isocrystal import _hensel_split
 from isolab.linalg import mat_from_rationals, mat_inverse, mat_mul, mat_sigma
+from isolab.padic import poly_divmod
 
 QP = FieldSpec(5, 1, 16)
 
@@ -262,15 +263,15 @@ def test_hensel_split_lifts_coprime_factors():
 
 def test_divmod_rejects_non_monic_divisor():
     with pytest.raises(InvariantViolated):
-        _ip_divmod_monic([1, 2, 3], [1, 2], 25)
+        poly_divmod([1, 2, 3], [1, 2], 25)
 
 
 def test_divmod_rejects_non_monic_divisor_under_optimize():
     # the guard must not be an assert, which -O strips
-    snippet = ("from isolab.isocrystal import _ip_divmod_monic\n"
+    snippet = ("from isolab.padic import poly_divmod\n"
                "from isolab.errors import InvariantViolated\n"
                "try:\n"
-               "    _ip_divmod_monic([1, 2, 3], [1, 2], 25)\n"
+               "    poly_divmod([1, 2, 3], [1, 2], 25)\n"
                "except InvariantViolated:\n"
                "    print('rejected')\n")
     src = str(pathlib.Path(isolab.__file__).resolve().parent.parent)
