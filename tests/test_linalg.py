@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from isolab import FieldSpec, PadicScalar
-from isolab.errors import FieldSpecMismatch
+from isolab.errors import FieldSpecMismatch, InsufficientPrecision, IsolabError
 from isolab.linalg import (charpoly, coords_in_column_span, kernel_basis,
                            lower_hull, mat_from_rationals, mat_identity,
                            mat_inverse, mat_mul, mat_vec,
@@ -216,6 +216,123 @@ def test_mat_mul_rejects_mixed_specs():
         mat_mul([[one1, one1]], [[one1], [one2]])
     with pytest.raises(FieldSpecMismatch):
         mat_vec([[one1], [one2]], [one1])
+
+
+# ---- characteristic polynomial against the tuple-loop reference ----
+
+def _ref_charpoly(A, spec):
+    """Reference: Berkowitz on the whole matrix at one precision W.
+
+    Every product is one spec.raw_mul and every sum is reduced mod p^W, in
+    the loops charpoly ran before it moved onto the one matrix product.
+    """
+    n = len(A)
+    e, W = 0, None
+    for row in A:
+        for a in row:
+            if not a.is_zero and a.v < -e:
+                e = -a.v
+            if W is None or a.abs_prec < W:
+                W = a.abs_prec
+    W = (W if W is not None else spec.N) + e
+    if W < 1:
+        raise InsufficientPrecision("matrix entries carry no certified digits",
+                                    witness={"working_precision": W})
+    f, pW = spec.f, spec.p ** W
+    zero, one = (0,) * f, (1,) + (0,) * (f - 1)
+    raw = [[zero if a.is_zero else
+            tuple(spec.p ** (a.v + e) * c % pW for c in a.unit) for a in row]
+           for row in A]
+
+    def dot(u, v):
+        acc = [0] * f
+        for x, y in zip(u, v):
+            for c, t in enumerate(spec.raw_mul(x, y, pW)):
+                acc[c] += t
+        return tuple(t % pW for t in acc)
+
+    def neg(x):
+        return tuple(-c % pW for c in x)
+
+    p_vec = [one]
+    for r in range(1, n + 1):
+        Mp = [raw[i][:r - 1] for i in range(r - 1)]
+        C = [raw[i][r - 1] for i in range(r - 1)]
+        R = raw[r - 1][:r - 1]
+        col = [one, neg(raw[r - 1][r - 1])]
+        u = C
+        for _ in range(r - 1):
+            col.append(neg(dot(R, u)))
+            if len(col) == r + 1:
+                break
+            u = [dot(row, u) for row in Mp]
+        # Toeplitz product: new[i] = sum_k col[i - k] * old[k]
+        new = []
+        for i in range(r + 1):
+            ks = [k for k in range(len(p_vec)) if 0 <= i - k < len(col)]
+            new.append(dot([col[i - k] for k in ks], [p_vec[k] for k in ks]))
+        p_vec = new
+    return [PadicScalar.from_raw(spec, p_vec[n - j], -e * (n - j),
+                                 W - e * (n - j)) for j in range(n + 1)]
+
+
+CHARPOLY_SPECS = [FieldSpec(p, f, N) for p in (2, 3, 5, 7) for f in (1, 2, 3)
+                  for N in (1, 3, 6, 12)]
+
+
+def test_charpoly_matches_reference():
+    rng = random.Random(13)
+    raised = certified = 0
+    for _ in range(3000):
+        spec = rng.choice(CHARPOLY_SPECS)
+        n = rng.randint(0, 7)
+        A = [[_rand_scalar(rng, spec) for _ in range(n)] for _ in range(n)]
+        try:
+            want = _ref_charpoly(A, spec)
+        except IsolabError as exc:
+            with pytest.raises(IsolabError) as got:
+                charpoly(A, spec)
+            assert type(got.value) is type(exc)
+            assert got.value.witness == exc.witness
+            raised += 1
+            continue
+        assert [_key(c) for c in charpoly(A, spec)] == [_key(c) for c in want]
+        certified += sum(not c.is_zero for c in want[:-1])
+    assert raised > 500 and certified > 1500
+
+
+def _fraction_det(M):
+    M = [list(row) for row in M]
+    det = Fraction(1)
+    for c in range(len(M)):
+        piv = next((r for r in range(c, len(M)) if M[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            M[c], M[piv] = M[piv], M[c]
+            det = -det
+        det *= M[c][c]
+        for r in range(c + 1, len(M)):
+            t = M[r][c] / M[c][c]
+            M[r] = [a - t * b for a, b in zip(M[r], M[c])]
+    return det
+
+
+def test_charpoly_constant_term_is_exact_determinant():
+    # c_0 = det(-A) = (-1)^n det(A) to its certified precision
+    rng = random.Random(17)
+    certified = 0
+    for _ in range(300):
+        spec = rng.choice(CHARPOLY_SPECS)
+        n = rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-30, 30),
+                          rng.choice((1, 1, 2, 3, spec.p, spec.p ** 2)))
+                 for _ in range(n)] for _ in range(n)]
+        c0 = charpoly(mat_from_rationals(spec, rows), spec)[0]
+        det = PadicScalar.from_fraction(spec, (-1) ** n * _fraction_det(rows))
+        assert (c0 - det).is_zero
+        certified += not c0.is_zero
+    assert certified > 150
 
 
 # ---- exact rational helpers ----
