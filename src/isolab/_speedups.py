@@ -3,6 +3,8 @@
 Elements of the unramified ring are coefficient tuples of length ``f`` on
 the power basis 1, t, .., t^(f-1); ``red`` holds the reduction rows
 t^(f+k) = sum_j red[k][j] t^j for k = 0 .. f-2, already reduced mod p^M.
+zq_mul is the product of two scalars (FieldSpec.raw_mul); zq_mat_mul is
+the one matrix product, behind linalg.mat_mul and linalg.charpoly.
 """
 
 from operator import lshift, mul
@@ -69,32 +71,3 @@ def zq_mat_mul(A, Bcols, red, f, pM):
         out.append(orow)
     return out
 
-
-def zq_mat_vec(A, v, red, f, pM):
-    """Matrix * column-vector, coefficient-tuple entries."""
-    zero = (0,) * f
-    out = []
-    for i in range(len(A)):
-        Ai = A[i]
-        acc = [0] * f
-        for s in range(len(v)):
-            x = Ai[s]
-            if x == zero or v[s] == zero:
-                continue
-            prod = zq_mul(x, v[s], red, f, pM)
-            for c in range(f):
-                acc[c] += prod[c]
-        out.append(tuple(t % pM for t in acc))
-    return out
-
-
-def zq_vec_dot(u, v, red, f, pM):
-    zero = (0,) * f
-    acc = [0] * f
-    for s in range(len(u)):
-        if u[s] == zero or v[s] == zero:
-            continue
-        prod = zq_mul(u[s], v[s], red, f, pM)
-        for c in range(f):
-            acc[c] += prod[c]
-    return tuple(t % pM for t in acc)

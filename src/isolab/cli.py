@@ -2,8 +2,8 @@
 
 Inputs come from --in (file) or stdin; every result is a single line of
 canonically serialized JSON, so identical inputs give byte-identical
-outputs.  Exit codes: 0 success, 1 malformed input, 2 a library error (the
-error object carries the error name and its witness).
+outputs.  Exit codes: 0 success, 1 malformed input or arguments, 2 a
+library error (the error object carries the error name and its witness).
 """
 
 import argparse
@@ -292,8 +292,19 @@ def _cmd_slope_exponents(args):
 
 # --------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is MalformedInput, so it too gives one JSON line.
+
+    Subparsers are built with the class of their parent, so they inherit
+    this.  Only --help still prints and exits (status 0).
+    """
+
+    def error(self, message):
+        raise MalformedInput(message)
+
+
 def _build_parser():
-    top = argparse.ArgumentParser(prog="isolab", description=__doc__)
+    top = _Parser(prog="isolab", description=__doc__)
     top.add_argument("--classical", action="store_true",
                      help="negate all slope signs in inputs and outputs")
     top.add_argument("--precision", type=int, default=None,
@@ -350,11 +361,10 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if not exc.code else 1
-    try:
         args.fn(args)
         return 0
+    except SystemExit as exc:  # --help
+        return 0 if not exc.code else 1
     except MalformedInput as exc:
         _emit(exc.to_json())
         return 1

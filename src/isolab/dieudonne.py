@@ -9,9 +9,9 @@ assumed.
 
 from fractions import Fraction
 
-from .errors import (InsufficientPrecision, MalformedInput, NonInvertible,
-                     NotNilpotent, SlopeNotStrictlyNegative, SlopeOutOfRange,
-                     SplitUnavailable)
+from .errors import (InsufficientPrecision, InvariantViolated, MalformedInput,
+                     NonInvertible, NotNilpotent, SlopeNotStrictlyNegative,
+                     SlopeOutOfRange, SplitUnavailable)
 from .isocrystal import Isocrystal, newton_slopes, slope_part
 from .linalg import (coords_in_column_span, kernel_basis, mat_inverse,
                      mat_mul, mat_sigma, mat_vec, row_echelon,
@@ -233,6 +233,11 @@ def span_basis(vectors, spec):
 
 
 def in_span(basis, v, spec):
+    """Whether v lies in the span of basis.
+
+    False only when the residual is certified nonzero; a basis that lost
+    rank at working precision raises InsufficientPrecision instead.
+    """
     if _vec_is_zero(v):
         return True
     if not basis:
@@ -240,8 +245,16 @@ def in_span(basis, v, spec):
     try:
         coords_in_column_span([list(b) for b in basis], [list(v)], spec)
         return True
-    except (InsufficientPrecision, NonInvertible):
+    except InsufficientPrecision:
         return False
+    except NonInvertible as exc:
+        raise InsufficientPrecision("span basis lost rank at working precision",
+                                    witness=exc.witness) from exc
+
+
+def _require_in_span(basis, v, spec, what):
+    if not in_span(basis, v, spec):
+        raise InvariantViolated(what, witness={"dimension": len(basis)})
 
 
 # --------------------------------------------------------------------------
@@ -266,8 +279,8 @@ def lower_central_series(a):
             raise NotNilpotent("lower central series stabilized",
                                witness={"dimension": len(nxt)})
         for w in nxt:
-            phi_w = a.apply_phi(w)
-            assert in_span(nxt, phi_w, spec), "series term not F-stable"
+            _require_in_span(nxt, a.apply_phi(w), spec,
+                             "series term not F-stable")
         chain.append(nxt)
     n_class = len(chain) - 1
     return chain, n_class
@@ -482,8 +495,9 @@ def smallest_f_stable_subalgebra(a, generators):
             break
         cur = nxt
     for w in cur:
-        assert in_span(cur, a.apply_phi(w), spec)
+        _require_in_span(cur, a.apply_phi(w), spec, "closure not F-stable")
     for i in range(len(cur)):
         for j in range(i + 1, len(cur)):
-            assert in_span(cur, a.bracket_vec(cur[i], cur[j]), spec)
+            _require_in_span(cur, a.bracket_vec(cur[i], cur[j]), spec,
+                             "closure not closed under the bracket")
     return cur

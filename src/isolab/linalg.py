@@ -1,12 +1,13 @@
 """Linear algebra over Q_q at finite precision, plus exact rational helpers.
 
 Matrices are plain lists of lists of PadicScalar (row major).  The hot
-paths run on raw coefficient tuples and the _speedups kernels: mat_mul
-(and so twisted products, powers and Horner evaluation) multiplies the
-integralized operands in one integer product and gives each entry the
-precision the scalar fold would certify; charpoly integralizes the whole
-matrix at one precision.  Everything else does row reduction with
-valuation pivoting so precision loss stays explicit.
+paths run on raw coefficient tuples and one integer matrix product,
+_speedups.zq_mat_mul: mat_mul (and so twisted products, powers and
+Horner evaluation) multiplies the integralized operands and gives each
+entry the precision the scalar fold would certify; charpoly integralizes
+the whole matrix at one precision and runs each Berkowitz step as three
+such products.  Everything else does row reduction with valuation
+pivoting so precision loss stays explicit.
 """
 
 from fractions import Fraction
@@ -139,16 +140,9 @@ def twisted_power(F, spec):
 
 def _integralize(A, spec):
     """Return (raw rows, e, W): A = p^-e * raw with raw known mod p^W."""
-    e = 0
-    W = None
-    for row in A:
-        for a in row:
-            if not a.is_zero and a.v < -e:
-                e = -a.v
-            ap = a.abs_prec
-            if W is None or ap < W:
-                W = ap
-    W = (W if W is not None else spec.N) + e
+    absp, _, vmin = _read(A, spec)
+    e = max(0, -vmin) if vmin is not None else 0
+    W = min(map(min, absp), default=spec.N) + e
     if W < 1:
         raise InsufficientPrecision("matrix entries carry no certified digits",
                                     witness={"working_precision": W})
@@ -159,45 +153,36 @@ def charpoly(A, spec):
     """Coefficients c_0..c_n of det(T - A) = sum c_j T^j, c_n = 1.
 
     Division-free (Berkowitz) on integralized raw tuples, then descaled;
-    per-coefficient precision reflects the descaling honestly.
+    per-coefficient precision reflects the descaling honestly.  Each step
+    is three integer matrix products mod p^W: the Krylov vectors
+    Mp^k * C, the dots R * Mp^k * C, and the Toeplitz product of the
+    column (1, -a_rr, -R C, -R Mp C, ..) with the previous coefficients.
     """
     n = len(A)
     raw, e, W = _integralize(A, spec)
     pW = spec.p ** W
     red = spec.red_rows(pW)
     f = spec.f
-    one = (1,) + (0,) * (f - 1)
+    zero, one = (0,) * f, (1,) + (0,) * (f - 1)
+
+    def mul(X, Ycols):
+        return _k.zq_mat_mul(X, Ycols, red, f, pW)
+
+    def neg(x):
+        return tuple(-c % pW for c in x)
+
     p_vec = [one]
     for r in range(1, n + 1):
         Mp = [raw[i][:r - 1] for i in range(r - 1)]
-        C = [raw[i][r - 1] for i in range(r - 1)]
-        R = [raw[r - 1][j] for j in range(r - 1)]
-        a_rr = raw[r - 1][r - 1]
-        col = [one, tuple((-c) % pW for c in a_rr)]
-        u = C
-        for _ in range(r - 1):
-            dot = _k.zq_vec_dot(R, u, red, f, pW)
-            col.append(tuple((-c) % pW for c in dot))
-            if len(col) == r + 1:
-                break
-            u = _k.zq_mat_vec(Mp, u, red, f, pW)
-        # Toeplitz multiply: new[i] = sum_k col[i-k] * old[k]
-        zero_t = (0,) * f
-        new = []
-        for i in range(r + 1):
-            acc = [0] * f
-            for k in range(len(p_vec)):
-                d = i - k
-                if d < 0 or d >= len(col):
-                    continue
-                ck, pk = col[d], p_vec[k]
-                if ck == zero_t or pk == zero_t:
-                    continue
-                prod = _k.zq_mul(ck, pk, red, f, pW)
-                for c in range(f):
-                    acc[c] += prod[c]
-            new.append(tuple(v % pW for v in acc))
-        p_vec = new
+        krylov = [[raw[i][r - 1] for i in range(r - 1)]] if r > 1 else []
+        while len(krylov) < r - 1:
+            krylov.append([row[0] for row in mul(Mp, krylov[-1:])])
+        dots = mul([raw[r - 1][:r - 1]], krylov)[0]
+        col = [one, neg(raw[r - 1][r - 1])] + [neg(d) for d in dots]
+        # new[i] = sum_k col[i - k] * old[k]
+        toeplitz = [[col[i - k] if i >= k else zero for k in range(r)]
+                    for i in range(r + 1)]
+        p_vec = [row[0] for row in mul(toeplitz, [p_vec])]
     # p_vec[k] multiplies T^(n-k); descale
     coeffs = []
     for j in range(n + 1):

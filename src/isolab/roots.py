@@ -65,6 +65,10 @@ class RootDatumWithCochar:
             raise MalformedInput(
                 "GSp cocharacter needs nu_i + nu_(n-1-i) constant",
                 witness={"nu": [str(v) for v in nu]})
+        if group_type == "SO" and sums != {0}:
+            raise MalformedInput(
+                "SO cocharacter needs nu_i + nu_(n-1-i) = 0",
+                witness={"nu": [str(v) for v in nu]})
         roots = []
         for i, j in _positive_root_positions(group_type, n):
             alpha = [0] * n

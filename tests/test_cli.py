@@ -289,8 +289,38 @@ def test_gsp_cocharacter_off_similitude_torus_exit_1(command, capsys):
     assert json.loads(out)["error"] == "MalformedInput"
 
 
-def test_unknown_subcommand_exit_1(capsys):
-    assert main(["definitely-not-a-command"]) == 1
+@pytest.mark.parametrize("command", ["leafdim", "slope-roots"])
+def test_so_cocharacter_not_antisymmetric_exit_1(command, capsys):
+    code, out = run(capsys, command, "--type", "SO", "--n", "4",
+                    "--nu=1,0,0,0")
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("argv", [
+    ["definitely-not-a-command"],
+    ["slopes", "--bogus"],
+    ["bch-table"],
+    ["coxeter-gate", "--p", "x"],
+    [],
+    ["--precision", "x", "slopes"],
+    ["leafdim", "--n", "four"],
+], ids=["unknown-subcommand", "unknown-flag", "missing-required", "bad-int",
+        "no-arguments", "bad-global-int", "bad-subcommand-int"])
+def test_unknown_subcommand_exit_1(argv, capsys):
+    # every argument error is one MalformedInput line, with no usage text
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1
+    assert json.loads(captured.out)["error"] == "MalformedInput"
+    assert captured.err == ""
+
+
+def test_help_exit_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["slopes", "--help"]) == 0
+    assert "usage: isolab" in capsys.readouterr().out
 
 
 def test_console_script_end_to_end(corpus_dir, tmp_path):

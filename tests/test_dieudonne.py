@@ -1,14 +1,21 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import isolab
+from isolab import dieudonne
 from isolab import (DieudonneLie, FieldSpec, Isocrystal, PadicScalar,
                     aut_lie_algebra, dla_validate, lower_central_series,
                     minimal_slope_center_check, pdiv_dimension,
                     smallest_f_stable_subalgebra)
-from isolab.dieudonne import (lattice_filtration, lattice_intersect_subspace,
-                              span_basis)
-from isolab.errors import (NotNilpotent, SlopeNotStrictlyNegative,
+from isolab.dieudonne import (in_span, lattice_filtration,
+                              lattice_intersect_subspace, span_basis)
+from isolab.errors import (InsufficientPrecision, InvariantViolated,
+                           NotNilpotent, SlopeNotStrictlyNegative,
                            SlopeOutOfRange)
 
 SPEC = FieldSpec(5, 1, 16)
@@ -248,7 +255,56 @@ def test_json_round_trip():
 def test_phi_stability_of_lcs_terms():
     a = heisenberg()
     chain, _ = lower_central_series(a)
-    from isolab.dieudonne import in_span
     for term in chain:
         for v in term:
             assert in_span(term, a.apply_phi(v), SPEC) or not term
+
+
+def test_in_span_lost_rank_is_insufficient_precision():
+    one, zero = PadicScalar.from_int(SPEC, 1), PadicScalar.zero(SPEC)
+    e0, e1 = [one, zero], [zero, one]
+    assert in_span([e0], e0, SPEC)
+    # a residual certified nonzero: outside the span
+    assert not in_span([e0], e1, SPEC)
+    # a basis of rank 1 given as two vectors is no answer either way
+    with pytest.raises(InsufficientPrecision):
+        in_span([e0, e0], e0, SPEC)
+
+
+def test_typed_guards_fire(monkeypatch):
+    gens = [[PadicScalar.from_int(SPEC, int(i == j)) for j in range(3)]
+            for i in range(2)]
+    monkeypatch.setattr(dieudonne, "in_span", lambda basis, v, spec: False)
+    with pytest.raises(InvariantViolated, match="series term"):
+        lower_central_series(heisenberg())
+    with pytest.raises(InvariantViolated, match="F-stable"):
+        smallest_f_stable_subalgebra(heisenberg(), gens)
+    # Phi-stable, so only the bracket guard sees a False: the closure of
+    # e0, e1 is all three basis vectors, checked by three Phi calls first
+    answers = iter([True] * 3 + [False])
+    monkeypatch.setattr(dieudonne, "in_span",
+                        lambda basis, v, spec: next(answers))
+    with pytest.raises(InvariantViolated, match="bracket"):
+        smallest_f_stable_subalgebra(heisenberg(), gens)
+
+
+def test_typed_guards_fire_under_optimize():
+    # the guard must not be an assert, which -O strips
+    snippet = ("from fractions import Fraction as F\n"
+               "from isolab import DieudonneLie, FieldSpec, dieudonne\n"
+               "from isolab.errors import InvariantViolated\n"
+               "c = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]\n"
+               "c[0][1][2], c[1][0][2] = F(1), F(-1)\n"
+               "frob = [[F(1, 5), 0, 0], [0, F(1), 0], [0, 0, F(1, 5)]]\n"
+               "a = DieudonneLie.from_rationals(FieldSpec(5, 1, 16), frob, c)\n"
+               "dieudonne.in_span = lambda basis, v, spec: False\n"
+               "try:\n"
+               "    dieudonne.lower_central_series(a)\n"
+               "except InvariantViolated:\n"
+               "    print('rejected')\n")
+    src = str(pathlib.Path(isolab.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-c", snippet],
+                         capture_output=True, text=True, timeout=10,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "rejected\n"
