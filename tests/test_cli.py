@@ -92,6 +92,25 @@ def test_dla_check(corpus_dir, capsys):
     assert doc["lattice_dieudonne"] and doc["lattice_bracket_closure"]
 
 
+@pytest.mark.parametrize("command, payload, line", [
+    ("dla-check", None,
+     '{"error":"InsufficientPrecision","message":"lattice comparison '
+     'indeterminate","witness":{"rank":2,"size":3}}\n'),
+    ("hom", {"source": {"p": 5, "N": 8, "frobenius": [["1", "1"], ["1", "1"]]},
+             "target": {"p": 5, "N": 8, "frobenius": [["1"]]}},
+     '{"error":"NonInvertible","message":"matrix is singular to working '
+     'precision","witness":{"rank":1,"size":2}}\n'),
+], ids=["dla-check-singular-lattice", "hom-singular-source"])
+def test_rank_loss_error_line(command, payload, line, corpus_dir, capsys,
+                              monkeypatch):
+    import io
+    if payload is None:
+        payload = json.loads((corpus_dir / "heisenberg.json").read_text())
+        payload["lattice"] = [["1", "0", "1"], ["0", "1", "1"],
+                              ["0", "0", "0"]]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert run(capsys, command) == (2, line)
+
 def test_lcs(corpus_dir, capsys):
     code, doc = run_json(capsys, "lcs", "--in",
                          str(corpus_dir / "heisenberg.json"))

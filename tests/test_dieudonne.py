@@ -61,6 +61,24 @@ def test_validate_heisenberg():
                                 "lattice_bracket_closure"))
 
 
+def test_validate_lattice_failures_and_first_witness():
+    # [e0, e1] = [e0, e2] = e3 with phi = diag(1/25, 1, 1, 1/25); the
+    # lattice <e0, e1, e2, 5 e3> misses both brackets, and phi widens it
+    # by 1/25 on e0 and e3
+    c = [[[F(0)] * 4 for _ in range(4)] for _ in range(4)]
+    for j in (1, 2):
+        c[0][j][3], c[j][0][3] = F(1), F(-1)
+    frob = [[F(1, 25), 0, 0, 0], [0, F(1), 0, 0], [0, 0, F(1), 0],
+            [0, 0, 0, F(1, 25)]]
+    lattice = [[F(1), 0, 0, 0], [0, F(1), 0, 0], [0, 0, F(1), 0],
+               [0, 0, 0, F(5)]]
+    rep = dla_validate(build(frob, c, lattice))
+    assert rep["antisymmetry"] and rep["jacobi"] and rep["f_equivariance"]
+    assert rep["lattice_dieudonne"] is False
+    assert rep["witnesses"]["lattice_dieudonne"] == ("phi_image_exceeds", 3)
+    assert rep["lattice_bracket_closure"] is False
+    assert rep["witnesses"]["lattice_bracket_closure"] == (0, 1)
+
 def test_validate_broken_equivariance_witness():
     # phi e2 = e2 breaks [phi e0, phi e1] = phi e2
     frob = [[F(1, 5), 0, 0], [0, F(1), 0], [0, 0, F(1)]]

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from isolab import FieldSpec, PadicScalar
-from isolab.errors import FieldSpecMismatch, InsufficientPrecision, IsolabError
+from isolab.errors import (FieldSpecMismatch, InsufficientPrecision,
+                           IsolabError, NonInvertible)
 from isolab.linalg import (charpoly, coords_in_column_span, kernel_basis,
                            lower_hull, mat_from_rationals, mat_identity,
                            mat_inverse, mat_mul, mat_vec,
-                           newton_root_valuations,
+                           newton_root_valuations, row_echelon,
                            rat_nullspace, rat_rank, rat_rref, rat_solve,
                            saturate_columns, solve_columns, twisted_power)
 
@@ -151,8 +152,8 @@ def _key(a):
     return (a.v, a.unit, a.rel)
 
 
-def _rand_scalar(rng, spec):
-    if rng.random() < 0.25:
+def _rand_scalar(rng, spec, zero_share=0.25):
+    if rng.random() < zero_share:
         return PadicScalar.zero(spec, rng.randint(-3, spec.N + 3))
     rel = rng.randint(1, spec.N)
     pR = spec.p ** rel
@@ -333,6 +334,125 @@ def test_charpoly_constant_term_is_exact_determinant():
         assert (c0 - det).is_zero
         certified += not c0.is_zero
     assert certified > 150
+
+
+# ---- the p-adic solve against its two former forms ----
+
+def _ref_solve_columns(A, B, spec):
+    """Reference: the square solve on row-major A and B, as it was written."""
+    n = len(A)
+    k = len(B[0])
+    aug = [list(A[i]) + list(B[i]) for i in range(n)]
+    rows, pivots = row_echelon(aug)
+    pivot_cols = [pc for _, pc in pivots if pc < n]
+    if len(pivot_cols) != n:
+        raise NonInvertible("matrix is singular to working precision",
+                            witness={"rank": len(pivot_cols), "size": n})
+    X = [[None] * k for _ in range(n)]
+    for (pr, pc) in pivots:
+        if pc < n:
+            for j in range(k):
+                X[pc][j] = rows[pr][n + j]
+    return X
+
+
+def _ref_coords_in_column_span(basis_cols, targets, spec):
+    """Reference: the tall solve on column lists, as it was written."""
+    n = len(basis_cols[0])
+    r = len(basis_cols)
+    k = len(targets)
+    A = [[basis_cols[j][i] for j in range(r)] for i in range(n)]
+    T = [[targets[j][i] for j in range(k)] for i in range(n)]
+    aug = [A[i] + T[i] for i in range(n)]
+    rows, pivots = row_echelon(aug)
+    pivot_cols = [pc for _, pc in pivots if pc < r]
+    if len(pivot_cols) != r:
+        raise NonInvertible("columns are dependent to working precision",
+                            witness={"rank": len(pivot_cols), "cols": r})
+    X = [[None] * k for _ in range(r)]
+    used_rows = set()
+    for (pr, pc) in pivots:
+        if pc < r:
+            used_rows.add(pr)
+            for j in range(k):
+                X[pc][j] = rows[pr][r + j]
+    for i in range(len(rows)):
+        if i in used_rows:
+            continue
+        for j in range(k):
+            resid = rows[i][r + j]
+            if not resid.is_zero:
+                raise InsufficientPrecision(
+                    "target is outside the span to certified precision",
+                    witness={"row": i, "col": j,
+                             "residual_valuation": resid.v})
+    return X
+
+
+def _rows(cols):
+    return [list(row) for row in zip(*cols)]
+
+
+def _one_solve(basis_cols, targets, spec):
+    if len(basis_cols) == len(basis_cols[0]):
+        return solve_columns(_rows(basis_cols), _rows(targets), spec)
+    return coords_in_column_span(basis_cols, targets, spec)
+
+
+def _combination(rng, spec, cols):
+    n = len(cols[0])
+    out = [PadicScalar.zero(spec) for _ in range(n)]
+    for col in cols:
+        c = _rand_scalar(rng, spec, zero_share=0)
+        out = [o + c * x for o, x in zip(out, col)]
+    return out
+
+
+def _outcome(solve, basis_cols, targets, spec):
+    try:
+        X = solve(basis_cols, targets, spec)
+    except IsolabError as exc:
+        return (type(exc), str(exc), exc.witness)
+    return [[_key(c) for c in row] for row in X]
+
+
+SOLVE_SPECS = [FieldSpec(p, f, N) for p in (2, 3, 5, 7) for f in (1, 2, 3)
+               for N in (2, 4, 8)]
+
+
+def test_solve_matches_square_and_tall_references():
+    # square systems must answer as the square solve did, taller ones as
+    # the column-span solve did: every entry, and every error's wording
+    rng = random.Random(29)
+    seen = {}
+    for _ in range(3000):
+        spec = rng.choice(SOLVE_SPECS)
+        n = rng.randint(1, 5)
+        r = n if n == 1 or rng.random() < 0.5 else rng.randint(1, n - 1)
+        cols = [[_rand_scalar(rng, spec, zero_share=1 / 3) for _ in range(n)]
+                for _ in range(r)]
+        if rng.random() < 0.2:
+            # rank loss: a column lost to precision, or a combination
+            cols[-1] = (_combination(rng, spec, cols[:-1]) if r > 1
+                        else [PadicScalar.zero(spec, rng.randint(0, spec.N))
+                              for _ in range(n)])
+        targets = [_combination(rng, spec, cols) if rng.random() < 0.5 else
+                   [_rand_scalar(rng, spec, zero_share=1 / 3)
+                    for _ in range(n)]
+                   for _ in range(rng.randint(1, 3))]
+        if r == n:
+            want = _outcome(lambda c, t, s: _ref_solve_columns(
+                _rows(c), _rows(t), s), cols, targets, spec)
+        else:
+            want = _outcome(_ref_coords_in_column_span, cols, targets, spec)
+        assert _outcome(_one_solve, cols, targets, spec) == want
+        kind = ("square" if r == n else "tall",
+                want[0].__name__ if isinstance(want, tuple) else "solved")
+        seen[kind] = seen.get(kind, 0) + 1
+    assert min(seen.values()) > 100, seen
+    assert set(seen) == {("square", "solved"), ("square", "NonInvertible"),
+                         ("tall", "solved"), ("tall", "NonInvertible"),
+                         ("tall", "InsufficientPrecision")}
 
 
 # ---- exact rational helpers ----

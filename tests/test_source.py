@@ -1,6 +1,9 @@
 """Rules on the library source itself."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import pathlib
 
 import isolab
@@ -17,3 +20,17 @@ def test_no_bare_assert_in_library():
                   if isinstance(node, ast.Assert)]
     assert len(list(SRC.glob("*.py"))) > 5
     assert found == []
+
+
+def test_traced_names_exist():
+    # perfbench's tracer patches these names; a rename must fail here
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "_tracing", root / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{layer}.{name}" for layer, names in tracing.SPANS.items()
+               for name in names
+               if not inspect.isfunction(getattr(
+                   importlib.import_module(f"isolab.{layer}"), name, None))]
+    assert tracing.SPANS and missing == []
