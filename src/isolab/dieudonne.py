@@ -15,7 +15,7 @@ from .errors import (InsufficientPrecision, InvariantViolated, MalformedInput,
 from .isocrystal import Isocrystal, newton_slopes, slope_part
 from .linalg import (coords_in_column_span, kernel_basis, mat_inverse,
                      mat_mul, mat_sigma, mat_vec, row_echelon,
-                     saturate_columns, solve_columns)
+                     saturate_columns)
 from .padic import FieldSpec, PadicScalar
 
 
@@ -132,9 +132,9 @@ def _vec_is_zero(v):
     return all(c.is_zero for c in v)
 
 
-def _lattice_matrix(a):
-    return [[a.lattice[j][i] for j in range(len(a.lattice))]
-            for i in range(a.rank)]
+def integral_columns(X):
+    """For each column of a coordinate matrix, whether it is integral."""
+    return [all(c.is_zero or c.v >= 0 for c in col) for col in zip(*X)]
 
 
 def dla_validate(a):
@@ -172,10 +172,9 @@ def dla_validate(a):
                 report["witnesses"].setdefault("f_equivariance", (i, j))
     if a.lattice is not None:
         spec = a.spec
-        Lat = _lattice_matrix(a)
-        phi_lat = mat_mul(F, mat_sigma(Lat))
         try:
-            B = solve_columns(Lat, phi_lat, spec)
+            B = coords_in_column_span(
+                a.lattice, [a.apply_phi(c) for c in a.lattice], spec)
             Binv = mat_inverse(B, spec)
         except NonInvertible as exc:
             raise InsufficientPrecision("lattice comparison indeterminate",
@@ -193,20 +192,22 @@ def dla_validate(a):
         report["lattice_dieudonne"] = ok
         if wit:
             report["witnesses"]["lattice_dieudonne"] = wit
-        ok = True
-        for i in range(len(a.lattice)):
-            for j in range(i + 1, len(a.lattice)):
+        # one solve for every nonzero bracket: the square lattice basis
+        # takes every pivot, so each gets the digits of its own solve
+        pairs, brackets = [], []
+        for i in range(n):
+            for j in range(i + 1, n):
                 v = a.bracket_vec(a.lattice[i], a.lattice[j])
-                if _vec_is_zero(v):
-                    continue
-                coords = solve_columns(Lat, [[c] for c in v], spec)
-                for r in range(n):
-                    c = coords[r][0]
-                    if not c.is_zero and c.v < 0:
-                        ok = False
-                        report["witnesses"].setdefault(
-                            "lattice_bracket_closure", (i, j))
-        report["lattice_bracket_closure"] = ok
+                if not _vec_is_zero(v):
+                    pairs.append((i, j))
+                    brackets.append(v)
+        closed = integral_columns(
+            coords_in_column_span(a.lattice, brackets, spec))
+        for pair, ok in zip(pairs, closed):
+            if not ok:
+                report["witnesses"].setdefault("lattice_bracket_closure",
+                                               pair)
+        report["lattice_bracket_closure"] = all(closed)
     return report
 
 
@@ -243,7 +244,7 @@ def in_span(basis, v, spec):
     if not basis:
         return False
     try:
-        coords_in_column_span([list(b) for b in basis], [list(v)], spec)
+        coords_in_column_span(basis, [v], spec)
         return True
     except InsufficientPrecision:
         return False
@@ -324,7 +325,6 @@ def lattice_filtration(a, chain=None):
         lattices.append(lattice_intersect_subspace(a.lattice, sub, spec))
     ok = True
     witnesses = []
-    Lat0 = _lattice_matrix(a)
     for i in range(len(lattices) - 1):
         nxt = lattices[i + 1]
         for g in a.lattice:
@@ -337,8 +337,7 @@ def lattice_filtration(a, chain=None):
                     witnesses.append(("nonzero_into_zero", i))
                     continue
                 try:
-                    coords = coords_in_column_span(
-                        [list(c) for c in nxt], [list(v)], spec)
+                    coords = coords_in_column_span(nxt, [v], spec)
                 except (InsufficientPrecision, NonInvertible):
                     ok = False
                     witnesses.append(("outside_span", i))

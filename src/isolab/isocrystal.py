@@ -282,8 +282,7 @@ def slope_split(M, fine=False):
     # the blocks must fill the ambient space
     all_cols = [b for _, basis, _ in blocks for b in basis]
     try:
-        mat_inverse([[all_cols[j][i] for j in range(len(all_cols))]
-                     for i in range(M.rank)], spec)
+        coords_in_column_span(all_cols, [], spec)  # no targets: rank only
     except NonInvertible as exc:
         raise InsufficientPrecision(
             "slope blocks do not certifiably span", witness=exc.witness)

@@ -8,6 +8,13 @@ entry the precision the scalar fold would certify; charpoly integralizes
 the whole matrix at one precision and runs each Berkowitz step as three
 such products.  Everything else does row reduction with valuation
 pivoting so precision loss stays explicit.
+
+There is one p-adic solve, coords_in_column_span: a basis given as
+columns against any number of target columns, in one elimination.
+Pivots come from the basis block first and its row operations depend on
+the basis alone, so when the solve succeeds every target has the digits
+of its own solve; mat_inverse is that solve against the identity.  Over
+Q the one solve is rat_solve, with a matrix right side.
 """
 
 from fractions import Fraction
@@ -318,63 +325,42 @@ def kernel_basis(M, spec, expected_dim=None):
     return basis
 
 
-def solve_columns(A, B, spec):
-    """X with A X = B (A square invertible); raises NonInvertible."""
-    n = len(A)
-    k = len(B[0])
-    aug = [list(A[i]) + list(B[i]) for i in range(n)]
-    rows, pivots = row_echelon(aug)
-    pivot_cols = [pc for _, pc in pivots if pc < n]
-    if len(pivot_cols) != n:
-        raise NonInvertible("matrix is singular to working precision",
-                            witness={"rank": len(pivot_cols), "size": n})
-    X = [[None] * k for _ in range(n)]
-    for (pr, pc) in pivots:
-        if pc < n:
-            for j in range(k):
-                X[pc][j] = rows[pr][n + j]
-    return X
-
-
-def mat_inverse(A, spec):
-    return solve_columns(A, mat_identity(spec, len(A)), spec)
-
-
 def coords_in_column_span(basis_cols, targets, spec):
-    """Solve basis * X = targets where basis is n x r of full column rank.
+    """X with basis * X = targets: the one p-adic solve.
 
-    Overdetermined: solved via pivoting rows of the basis; consistency of
-    the remaining rows is checked to available precision.
+    basis_cols are the r columns of an n x r basis of full column rank and
+    targets the k right-hand columns, each a list of n entries as stored;
+    X is r x k, row major.  Rank loss raises NonInvertible, worded by
+    shape (square or taller); a leftover row of a taller basis that is not
+    zero to precision raises InsufficientPrecision.
     """
-    n = len(basis_cols[0])
     r = len(basis_cols)
-    k = len(targets)
-    A = [[basis_cols[j][i] for j in range(r)] for i in range(n)]
-    T = [[targets[j][i] for j in range(k)] for i in range(n)]
-    aug = [A[i] + T[i] for i in range(n)]
-    rows, pivots = row_echelon(aug)
-    pivot_cols = [pc for _, pc in pivots if pc < r]
-    if len(pivot_cols) != r:
+    rows, pivots = row_echelon(list(zip(*basis_cols, *targets, strict=True)))
+    basis_rows = {pr: pc for pr, pc in pivots if pc < r}
+    if len(basis_rows) != r:
+        if r == len(rows):
+            raise NonInvertible("matrix is singular to working precision",
+                                witness={"rank": len(basis_rows), "size": r})
         raise NonInvertible("columns are dependent to working precision",
-                            witness={"rank": len(pivot_cols), "cols": r})
-    X = [[None] * k for _ in range(r)]
-    used_rows = set()
-    for (pr, pc) in pivots:
-        if pc < r:
-            used_rows.add(pr)
-            for j in range(k):
-                X[pc][j] = rows[pr][r + j]
-    for i in range(len(rows)):
-        if i in used_rows:
+                            witness={"rank": len(basis_rows), "cols": r})
+    X = [None] * r
+    for pr, pc in basis_rows.items():
+        X[pc] = rows[pr][r:]
+    for i, row in enumerate(rows):
+        if i in basis_rows:
             continue
-        for j in range(k):
-            resid = rows[i][r + j]
+        for j, resid in enumerate(row[r:]):
             if not resid.is_zero:
                 raise InsufficientPrecision(
                     "target is outside the span to certified precision",
                     witness={"row": i, "col": j,
                              "residual_valuation": resid.v})
     return X
+
+
+def mat_inverse(A, spec):
+    return coords_in_column_span(list(zip(*A)), mat_identity(spec, len(A)),
+                                 spec)
 
 
 def saturate_columns(cols, spec):
@@ -475,18 +461,20 @@ def rat_nullspace(M):
     return basis
 
 
-def rat_solve(A, b):
-    """One solution of A x = b over Q, or None if inconsistent."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    aug = [list(map(Fraction, A[i])) + [Fraction(b[i])] for i in range(m)]
-    rows, pivots = rat_rref(aug)
-    if n in pivots:
+def rat_solve(A, B):
+    """One X with A X = B over Q, or None if a column of B is outside A's span.
+
+    B is a matrix (row major); unknowns without a pivot are set to 0.
+    """
+    n = len(A[0]) if A else 0
+    rows, pivots = rat_rref([list(a) + list(b)
+                             for a, b in zip(A, B, strict=True)])
+    if pivots and pivots[-1] >= n:
         return None
-    x = [Fraction(0)] * n
+    X = [[Fraction(0)] * (len(B[0]) if B else 0) for _ in range(n)]
     for r, pc in enumerate(pivots):
-        x[pc] = rows[r][n]
-    return x
+        X[pc] = rows[r][n:]
+    return X
 
 
 def rat_rank(M):

@@ -12,7 +12,7 @@ from .errors import (InvariantViolated, MalformedInput, NonInvertible,
                      UnsupportedType)
 from .dieudonne import pdiv_dimension
 from .isocrystal import Isocrystal, newton_slopes, slope_part
-from .linalg import rat_mat_mul, rat_rref
+from .linalg import rat_mat_mul, rat_rref, rat_solve
 
 _TYPES = ("GL", "GSp", "SO")
 
@@ -279,17 +279,6 @@ def _lie_algebra_basis(group_type, n):
     return basis
 
 
-def _rat_inv(B):
-    """Inverse of a square rational matrix: one elimination over [B | I]."""
-    n = len(B)
-    aug = [list(B[i]) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    rows, pivots = rat_rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise NonInvertible("matrix is singular", witness={"n": n})
-    return [row[n:] for row in rows]
-
-
 def adjoint_isocrystal(d, b, spec):
     """Isocrystal on the Lie algebra with Frobenius X -> b sigma(X) b^-1.
 
@@ -301,20 +290,17 @@ def adjoint_isocrystal(d, b, spec):
         raise MalformedInput("group element size mismatch",
                              witness={"n": n})
     b = [[Fraction(x) for x in row] for row in b]
-    binv = _rat_inv(b)
+    binv = rat_solve(b, [[int(i == j) for j in range(n)] for i in range(n)])
+    if binv is None:
+        raise NonInvertible("matrix is singular", witness={"n": n})
     basis = _lie_algebra_basis(d.group_type, n)
-    dim = len(basis)
-    cols = [_flatten(X) for X in basis]
-    # one elimination over [A | img_1 .. img_dim]; A has full column rank,
-    # so each image has unique coordinates, read off the reduced rows
+    # the basis has full column rank, so each image has unique coordinates
     imgs = [_flatten(rat_mat_mul(rat_mat_mul(b, X), binv)) for X in basis]
-    aug = [[cols[k][e] for k in range(dim)] + [img[e] for img in imgs]
-           for e in range(n * n)]
-    rows, pivots = rat_rref(aug)
-    if pivots != list(range(dim)):
+    coords = rat_solve(list(zip(*map(_flatten, basis))), list(zip(*imgs)))
+    if coords is None:
         raise MalformedInput("conjugation left the Lie algebra",
                              witness={"type": d.group_type, "n": n})
-    return Isocrystal.from_rationals(spec, [row[dim:] for row in rows[:dim]])
+    return Isocrystal.from_rationals(spec, coords)
 
 
 def adjoint_slope_cross_check(d, spec):

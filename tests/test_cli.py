@@ -84,6 +84,16 @@ def test_split_rank_zero(monkeypatch, capsys):
     assert (code, out) == (0, '{"blocks":[]}\n')
 
 
+def test_hom_rank_zero_source(monkeypatch, capsys):
+    import io
+    payload = json.dumps({"source": {"p": 5, "N": 8, "frobenius": []},
+                          "target": {"p": 5, "N": 8, "frobenius": [["1"]]}})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    code, out = run(capsys, "hom")
+    assert (code, out) == (
+        0, '{"frobenius":[],"rank":0,"spec":{"N":8,"f":1,"p":5}}\n')
+
+
 def test_dla_check(corpus_dir, capsys):
     code, doc = run_json(capsys, "dla-check", "--in",
                          str(corpus_dir / "heisenberg.json"))
