@@ -135,14 +135,14 @@ def _load_vector(obj, spec):
     return [PadicScalar.from_fraction(spec, _frac(v)) for v in obj]
 
 
-def _load_datum(args, payload=None):
-    if payload is None and (args.type or args.nu):
+def _load_datum(args):
+    if args.type or args.nu:
         if not (args.type and args.n and args.nu):
             raise MalformedInput("need --type, --n and --nu together",
                                  witness=None)
         nu = [_frac(v) for v in args.nu.split(",")]
     else:
-        obj = payload if payload is not None else _read_input(args)
+        obj = _read_input(args)
         try:
             args.type, nu = obj["type"], [_frac(v) for v in obj["nu"]]
             args.n = int(obj["n"])

@@ -116,15 +116,7 @@ class PerfectedSeries:
     def to_json(self):
         out = []
         for exp, coeff in self.sorted_terms():
-            ej = []
-            for v in exp:
-                den = v.denominator
-                e = 0
-                while den > 1:
-                    den //= self.p
-                    e += 1
-                ej.append({"num": v.numerator, "pexp": e})
-            out.append({"exp": ej, "coeff": list(coeff)})
+            out.append({"exp": _exp_json(self.p, exp), "coeff": list(coeff)})
         return {"p": self.p, "nvars": self.nvars,
                 "field": {"p": self.p, "k": self.k},
                 "D": self.D, "terms": out}
