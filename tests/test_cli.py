@@ -106,7 +106,8 @@ def test_dla_check(corpus_dir, capsys):
     ("dla-check", None,
      '{"error":"InsufficientPrecision","message":"lattice comparison '
      'indeterminate","witness":{"rank":2,"size":3}}\n'),
-    ("hom", {"source": {"p": 5, "N": 8, "frobenius": [["1", "1"], ["1", "1"]]},
+    ("hom", {"source": {"p": 5, "N": 8,
+                        "frobenius": [["1", "1"], ["1", "1"]]},
              "target": {"p": 5, "N": 8, "frobenius": [["1"]]}},
      '{"error":"NonInvertible","message":"matrix is singular to working '
      'precision","witness":{"rank":1,"size":2}}\n'),
@@ -120,6 +121,7 @@ def test_rank_loss_error_line(command, payload, line, corpus_dir, capsys,
                               ["0", "0", "0"]]
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
     assert run(capsys, command) == (2, line)
+
 
 def test_lcs(corpus_dir, capsys):
     code, doc = run_json(capsys, "lcs", "--in",

@@ -79,6 +79,7 @@ def test_validate_lattice_failures_and_first_witness():
     assert rep["lattice_bracket_closure"] is False
     assert rep["witnesses"]["lattice_bracket_closure"] == (0, 1)
 
+
 def test_validate_broken_equivariance_witness():
     # phi e2 = e2 breaks [phi e0, phi e1] = phi e2
     frob = [[F(1, 5), 0, 0], [0, F(1), 0], [0, 0, F(1)]]
