@@ -468,11 +468,10 @@ def rho_defect(a, xprime, x, n):
     P_cols = b_cols + c_cols
     nb = len(b_cols)
 
-    def rho(v):
-        coords = coords_in_column_span(P_cols, [v], spec)
+    def rho(coords):
         out = [PadicScalar.zero(spec) for _ in range(a.rank)]
         for s in range(nb):
-            cs = coords[s][0]
+            cs = coords[s]
             if cs.is_zero:
                 continue
             for i in range(a.rank):
@@ -481,8 +480,10 @@ def rho_defect(a, xprime, x, n):
         return out
 
     prod = group_mul(a, xprime, x)
-    d = [pm - px - pxp for pm, px, pxp in
-         zip(rho(prod), rho(x), rho(xprime))]
+    # P_cols is square, so every target has coordinates
+    rp, rx, rxp = map(rho, coords_in_column_span(P_cols, [prod, x, xprime],
+                                                 spec))
+    d = [pm - px - pxp for pm, px, pxp in zip(rp, rx, rxp)]
     report = {"n": n, "member": None, "witness": None}
     if a.lattice is not None:
         bplus = lattice_intersect_subspace(a.lattice,
@@ -492,16 +493,13 @@ def rho_defect(a, xprime, x, n):
         elif not bplus:
             report["member"] = False
             report["witness"] = {"reason": "zero minimal-slope lattice"}
+        elif (coords := coords_in_column_span(bplus, [d], spec)[0]) is None:
+            report["member"] = False
+            report["witness"] = {"reason": "outside the minimal-slope part"}
         else:
-            try:
-                coords = coords_in_column_span(bplus, [d], spec)
-                ok = all(row[0].is_zero or row[0].v >= -n for row in coords)
-                report["member"] = ok
-                if not ok:
-                    report["witness"] = {
-                        "valuations": [str(row[0].valuation())
-                                       for row in coords]}
-            except (InsufficientPrecision,) as exc:
-                report["member"] = False
-                report["witness"] = exc.witness
+            ok = all(c.is_zero or c.v >= -n for c in coords)
+            report["member"] = ok
+            if not ok:
+                report["witness"] = {
+                    "valuations": [str(c.valuation()) for c in coords]}
     return d, report

@@ -85,6 +85,13 @@ def _load_spec(obj, args):
     return FieldSpec(p, f, N)
 
 
+def _frac_rows(rows, what):
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) for row in rows)):
+        raise MalformedInput(f"{what} must be a list of rows", witness=rows)
+    return [[_frac(c) for c in row] for row in rows]
+
+
 def _load_isocrystal(obj, args):
     if not isinstance(obj, dict):
         raise MalformedInput("expected an object", witness=obj)
@@ -95,11 +102,7 @@ def _load_isocrystal(obj, args):
         rows = obj["frobenius"]
     except KeyError as exc:
         raise MalformedInput("missing frobenius", witness=obj) from exc
-    if not (isinstance(rows, list)
-            and all(isinstance(row, list) for row in rows)):
-        raise MalformedInput("frobenius must be a list of rows", witness=rows)
-    return Isocrystal.from_rationals(spec,
-                                     [[_frac(c) for c in row] for row in rows])
+    return Isocrystal.from_rationals(spec, _frac_rows(rows, "frobenius"))
 
 
 def _load_dla(obj, args):
@@ -114,6 +117,8 @@ def _load_dla(obj, args):
     except KeyError as exc:
         raise MalformedInput("missing frobenius or bracket",
                              witness=sorted(obj)) from exc
+    if not isinstance(bracket, list):
+        raise MalformedInput("bracket must be a list of rows", witness=bracket)
     lat = obj.get("lattice")
     lat_cols = None
     if lat is not None:
@@ -124,9 +129,8 @@ def _load_dla(obj, args):
         except (IndexError, KeyError, TypeError) as exc:
             raise MalformedInput("bad lattice", witness=lat) from exc
     return DieudonneLie.from_rationals(
-        spec, [[_frac(c) for c in row] for row in frob],
-        [[[_frac(c) for c in cell] for cell in row] for row in bracket],
-        lattice_cols=lat_cols)
+        spec, _frac_rows(frob, "frobenius"),
+        [_frac_rows(row, "bracket") for row in bracket], lattice_cols=lat_cols)
 
 
 def _load_vector(obj, spec):
@@ -136,21 +140,23 @@ def _load_vector(obj, spec):
 
 
 def _load_datum(args):
-    if args.type or args.nu:
-        if not (args.type and args.n and args.nu):
-            raise MalformedInput("need --type, --n and --nu together",
-                                 witness=None)
-        nu = [_frac(v) for v in args.nu.split(",")]
-    else:
+    flags = (args.type, args.n, args.nu)
+    if all(v is None for v in flags):
         obj = _read_input(args)
         try:
-            args.type, nu = obj["type"], [_frac(v) for v in obj["nu"]]
-            args.n = int(obj["n"])
+            group_type, nu = obj["type"], [_frac(v) for v in obj["nu"]]
+            n = int(obj["n"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput("bad root datum", witness=obj) from exc
+    elif any(v is None for v in flags):
+        raise MalformedInput("need --type, --n and --nu together",
+                             witness=None)
+    else:
+        group_type, n = args.type, args.n
+        nu = [_frac(v) for v in args.nu.split(",")]
     if args.classical:
         nu = [-v for v in reversed(nu)]
-    return RootDatumWithCochar(args.type, args.n, nu)
+    return RootDatumWithCochar(group_type, n, nu)
 
 
 def _slope_str(v, classical):
@@ -319,7 +325,7 @@ def _build_parser():
         p.add_argument("--classical", action="store_true",
                        default=argparse.SUPPRESS)
         p.add_argument("--precision", type=int, default=argparse.SUPPRESS)
-        p.set_defaults(fn=fn, type=None, n=None, nu=None)
+        p.set_defaults(fn=fn)
         for flag, kw in extra.items():
             p.add_argument("--" + flag.replace("_", "-"), **kw)
         return p
@@ -335,18 +341,12 @@ def _build_parser():
     add("lattice-closure", _cmd_lattice_closure,
         samples={"type": int, "default": 100},
         seed={"type": int, "default": 0})
-    for name, fn in [("leafdim", _cmd_leafdim),
-                     ("slope-roots", _cmd_slope_roots),
-                     ("nilclass", _cmd_nilclass)]:
-        p = add(name, fn)
-        p.add_argument("--type", dest="type")
-        p.add_argument("--n", dest="n", type=int)
-        p.add_argument("--nu", dest="nu")
-    p = add("coxeter-gate", _cmd_coxeter_gate, p={"type": int,
-                                                  "required": True})
-    p.add_argument("--type", dest="type")
-    p.add_argument("--n", dest="n", type=int)
-    p.add_argument("--nu", dest="nu")
+    datum = {"type": {}, "n": {"type": int}, "nu": {}}
+    add("leafdim", _cmd_leafdim, **datum)
+    add("slope-roots", _cmd_slope_roots, **datum)
+    add("nilclass", _cmd_nilclass, **datum)
+    add("coxeter-gate", _cmd_coxeter_gate, p={"type": int, "required": True},
+        **datum)
     add("perf-member", _cmd_perf_member,
         params={"required": True}, method={"default": "both"})
     add("perf-ecd", _cmd_perf_ecd, E={"required": True}, C={"required": True},

@@ -97,19 +97,18 @@ class DieudonneLie:
     def from_json(obj):
         try:
             iso = Isocrystal.from_json(obj["iso"])
-            braw = obj["bracket"]
+            spec = iso.spec
+            bracket = [[[PadicScalar.from_json(spec, c) for c in cell]
+                        for cell in row] for row in obj["bracket"]]
             lraw = obj.get("lattice")
-        except (KeyError, TypeError) as exc:
+            lattice = None
+            if lraw is not None:
+                # JSON carries the matrix row-major; columns generate
+                lattice = [[PadicScalar.from_json(spec, lraw[i][j])
+                            for i in range(len(lraw))]
+                           for j in range(len(lraw[0]))]
+        except (IndexError, KeyError, TypeError) as exc:
             raise MalformedInput("bad algebra object", witness=obj) from exc
-        spec = iso.spec
-        bracket = [[[PadicScalar.from_json(spec, c) for c in cell]
-                    for cell in row] for row in braw]
-        lattice = None
-        if lraw is not None:
-            # JSON carries the matrix row-major; columns generate
-            lattice = [[PadicScalar.from_json(spec, lraw[i][j])
-                        for i in range(len(lraw))]
-                       for j in range(len(lraw[0]))]
         return DieudonneLie(iso, bracket, lattice)
 
     @staticmethod
@@ -133,8 +132,8 @@ def _vec_is_zero(v):
 
 
 def integral_columns(X):
-    """For each column of a coordinate matrix, whether it is integral."""
-    return [all(c.is_zero or c.v >= 0 for c in col) for col in zip(*X)]
+    """For each coordinate column of a solve, whether it is integral."""
+    return [all(c.is_zero or c.v >= 0 for c in col) for col in X]
 
 
 def dla_validate(a):
@@ -173,23 +172,22 @@ def dla_validate(a):
     if a.lattice is not None:
         spec = a.spec
         try:
-            B = coords_in_column_span(
-                a.lattice, [a.apply_phi(c) for c in a.lattice], spec)
+            B = [list(row) for row in zip(*coords_in_column_span(
+                a.lattice, [a.apply_phi(c) for c in a.lattice], spec))]
             Binv = mat_inverse(B, spec)
         except NonInvertible as exc:
             raise InsufficientPrecision("lattice comparison indeterminate",
                                         witness=exc.witness)
-        ok = True
         wit = None
         for i in range(n):
             for j in range(n):
                 e = B[i][j]
-                if not e.is_zero and e.v < -1:
-                    ok, wit = False, ("phi_image_exceeds", j)
+                if wit is None and not e.is_zero and e.v < -1:
+                    wit = ("phi_image_exceeds", j)
                 e = Binv[i][j]
-                if not e.is_zero and e.v < 0:
-                    ok, wit = False, ("lattice_not_inside_phi_image", j)
-        report["lattice_dieudonne"] = ok
+                if wit is None and not e.is_zero and e.v < 0:
+                    wit = ("lattice_not_inside_phi_image", j)
+        report["lattice_dieudonne"] = wit is None
         if wit:
             report["witnesses"]["lattice_dieudonne"] = wit
         # one solve for every nonzero bracket: the square lattice basis
@@ -233,6 +231,16 @@ def span_basis(vectors, spec):
     return [rows[r] for r, _ in pivots]
 
 
+def _coords_in_span(basis, targets, spec):
+    """coords_in_column_span, with a basis that lost rank reported as lost
+    precision: the basis is an echelon span, independent by construction."""
+    try:
+        return coords_in_column_span(basis, targets, spec)
+    except NonInvertible as exc:
+        raise InsufficientPrecision("span basis lost rank at working precision",
+                                    witness=exc.witness) from exc
+
+
 def in_span(basis, v, spec):
     """Whether v lies in the span of basis.
 
@@ -243,14 +251,7 @@ def in_span(basis, v, spec):
         return True
     if not basis:
         return False
-    try:
-        coords_in_column_span(basis, [v], spec)
-        return True
-    except InsufficientPrecision:
-        return False
-    except NonInvertible as exc:
-        raise InsufficientPrecision("span basis lost rank at working precision",
-                                    witness=exc.witness) from exc
+    return _coords_in_span(basis, [v], spec)[0] is not None
 
 
 def _require_in_span(basis, v, spec, what):
@@ -323,31 +324,23 @@ def lattice_filtration(a, chain=None):
     lattices = [list(a.lattice)]
     for sub in chain[1:]:
         lattices.append(lattice_intersect_subspace(a.lattice, sub, spec))
-    ok = True
     witnesses = []
     for i in range(len(lattices) - 1):
         nxt = lattices[i + 1]
-        for g in a.lattice:
-            for h in lattices[i]:
-                v = a.bracket_vec(g, h)
-                if _vec_is_zero(v):
-                    continue
-                if not nxt:
-                    ok = False
-                    witnesses.append(("nonzero_into_zero", i))
-                    continue
-                try:
-                    coords = coords_in_column_span(nxt, [v], spec)
-                except (InsufficientPrecision, NonInvertible):
-                    ok = False
+        brackets = [a.bracket_vec(g, h)
+                    for g in a.lattice for h in lattices[i]]
+        brackets = [v for v in brackets if not _vec_is_zero(v)]
+        if not nxt:
+            witnesses += [("nonzero_into_zero", i)] * len(brackets)
+        elif brackets:
+            # one solve per step: each bracket gets the digits of its own solve
+            for coords in _coords_in_span(nxt, brackets, spec):
+                if coords is None:
                     witnesses.append(("outside_span", i))
-                    continue
-                for row in coords:
-                    c = row[0]
-                    if not c.is_zero and c.v < 0:
-                        ok = False
-                        witnesses.append(("non_integral", i))
-    return lattices, ok, witnesses
+                else:
+                    witnesses += [("non_integral", i) for c in coords
+                                  if not c.is_zero and c.v < 0]
+    return lattices, not witnesses, witnesses
 
 
 # --------------------------------------------------------------------------

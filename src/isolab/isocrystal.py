@@ -57,7 +57,8 @@ class Isocrystal:
             rows = obj["frobenius"]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput("bad isocrystal", witness=obj) from exc
-        if len(rows) != rank or any(len(r) != rank for r in rows):
+        if not (isinstance(rows, list) and len(rows) == rank and all(
+                isinstance(r, list) and len(r) == rank for r in rows)):
             raise MalformedInput("frobenius shape disagrees with rank",
                                  witness={"rank": rank})
         F = [[PadicScalar.from_json(spec, c) for c in row] for row in rows]
@@ -223,10 +224,11 @@ def slope_split(M, fine=False):
     strictly increasing and their direct sum is certified to fill the
     ambient module.
 
-    With fine=True, isoclinic blocks of slope a/r (reduced) and rank > r
-    must break into rank-r pieces; when that needs a residue extension
-    (r does not divide f) the required degree is reported via
-    ResidueFieldTooSmall and the base is never extended silently.
+    fine=True refines nothing: it returns the same blocks as fine=False.
+    Where a block of slope a/r (reduced) has rank above r, so that a
+    standard basis would need rank-r pieces, it raises instead:
+    ResidueFieldTooSmall with the degree it needs when r does not divide
+    f, InsufficientPrecision when r divides f.
     """
     spec = M.spec
     slopes = newton_slopes(M)
@@ -273,9 +275,12 @@ def slope_split(M, fine=False):
     for (m, w), G in zip(int_vals, factors):
         GA = _poly_at_matrix(G, A, spec)
         basis = kernel_basis(GA, spec, expected_dim=w)
-        targets = [M.apply(b) for b in basis]
-        X = coords_in_column_span(basis, targets, spec)
-        sub = Isocrystal(spec, X)
+        X = coords_in_column_span(basis, [M.apply(b) for b in basis], spec)
+        if None in X:
+            raise InsufficientPrecision(
+                "target is outside the span to certified precision",
+                witness={"col": X.index(None)})
+        sub = Isocrystal(spec, [list(row) for row in zip(*X)])
         lam = Fraction(m, d * spec.f)
         blocks.append((lam, basis, sub))
     blocks.sort(key=lambda t: t[0])

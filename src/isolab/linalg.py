@@ -11,10 +11,12 @@ pivoting so precision loss stays explicit.
 
 There is one p-adic solve, coords_in_column_span: a basis given as
 columns against any number of target columns, in one elimination.
-Pivots come from the basis block first and its row operations depend on
-the basis alone, so when the solve succeeds every target has the digits
-of its own solve; mat_inverse is that solve against the identity.  Over
-Q the one solve is rat_solve, with a matrix right side.
+Pivots are taken only in the basis block, so its row operations depend
+on the basis alone and every target gets the digits of its own solve.
+A target whose residual is certified nonzero comes back as None, a value
+and not an error; only rank loss of the basis raises (NonInvertible).
+mat_inverse is that solve against the identity.  Over Q the one solve
+is rat_solve, with a matrix right side.
 """
 
 from fractions import Fraction
@@ -275,11 +277,17 @@ def _pivot_row(rows, col, start):
     return best
 
 
-def row_echelon(M):
-    """In-place echelon on a copy; returns (rows, pivot (row,col) list)."""
+def row_echelon(M, pivot_cols=None):
+    """In-place echelon on a copy; returns (rows, pivot (row,col) list).
+
+    Pivots are taken in the first pivot_cols columns only (default all);
+    the row operations still act on every column.
+    """
     rows = [list(r) for r in M]
     m = len(rows)
     n = len(rows[0]) if m else 0
+    if pivot_cols is not None:
+        n = min(n, pivot_cols)
     pivots = []
     pr = 0
     for pc in range(n):
@@ -326,41 +334,32 @@ def kernel_basis(M, spec, expected_dim=None):
 
 
 def coords_in_column_span(basis_cols, targets, spec):
-    """X with basis * X = targets: the one p-adic solve.
+    """Coordinates of each target in the basis: the one p-adic solve.
 
     basis_cols are the r columns of an n x r basis of full column rank and
-    targets the k right-hand columns, each a list of n entries as stored;
-    X is r x k, row major.  Rank loss raises NonInvertible, worded by
-    shape (square or taller); a leftover row of a taller basis that is not
-    zero to precision raises InsufficientPrecision.
+    targets the right-hand columns, each a list of n entries as stored.
+    Returns one entry per target: its r coordinates, or None when its
+    residual is certified nonzero (the target is outside the span).  Rank
+    loss raises NonInvertible, worded by shape (square or taller).
     """
     r = len(basis_cols)
-    rows, pivots = row_echelon(list(zip(*basis_cols, *targets, strict=True)))
-    basis_rows = {pr: pc for pr, pc in pivots if pc < r}
-    if len(basis_rows) != r:
+    rows, pivots = row_echelon(list(zip(*basis_cols, *targets, strict=True)),
+                               pivot_cols=r)
+    if len(pivots) != r:
         if r == len(rows):
             raise NonInvertible("matrix is singular to working precision",
-                                witness={"rank": len(basis_rows), "size": r})
+                                witness={"rank": len(pivots), "size": r})
         raise NonInvertible("columns are dependent to working precision",
-                            witness={"rank": len(basis_rows), "cols": r})
-    X = [None] * r
-    for pr, pc in basis_rows.items():
-        X[pc] = rows[pr][r:]
-    for i, row in enumerate(rows):
-        if i in basis_rows:
-            continue
-        for j, resid in enumerate(row[r:]):
-            if not resid.is_zero:
-                raise InsufficientPrecision(
-                    "target is outside the span to certified precision",
-                    witness={"row": i, "col": j,
-                             "residual_valuation": resid.v})
-    return X
+                            witness={"rank": len(pivots), "cols": r})
+    resid = rows[r:]  # full rank: pivot s sits at row s, column s
+    return [[rows[pr][r + j] for pr in range(r)]
+            if all(row[r + j].is_zero for row in resid) else None
+            for j in range(len(targets))]
 
 
 def mat_inverse(A, spec):
-    return coords_in_column_span(list(zip(*A)), mat_identity(spec, len(A)),
-                                 spec)
+    X = coords_in_column_span(list(zip(*A)), mat_identity(spec, len(A)), spec)
+    return [list(row) for row in zip(*X)]
 
 
 def saturate_columns(cols, spec):

@@ -13,6 +13,7 @@ from .errors import (InvariantViolated, MalformedInput, NonInvertible,
 from .dieudonne import pdiv_dimension
 from .isocrystal import Isocrystal, newton_slopes, slope_part
 from .linalg import rat_mat_mul, rat_rref, rat_solve
+from .padic import FieldSpec
 
 _TYPES = ("GL", "GSp", "SO")
 
@@ -215,7 +216,9 @@ def coxeter_gate(d, p):
     bound 2(m-1), which is smaller than the Weyl-group Coxeter number in
     the odd case); h_weyl is the classical invariant.  Both are reported
     so the discrepancy stays visible.  n_class <= h_weyl - 1 is asserted.
+    p must be prime (MalformedInput otherwise).
     """
+    FieldSpec(p, 1, 1)  # the check a perfected series makes
     m = d.n // 2
     if d.group_type == "GL":
         h = h_weyl = d.n

@@ -286,6 +286,27 @@ def test_rho_defect_integral_pair():
     assert not d[2].is_zero and d[2].valuation() == 0
 
 
+def test_rho_defect_solves_twice(monkeypatch):
+    a = split_heisenberg()
+    calls = []
+    solve = bch.coords_in_column_span
+    monkeypatch.setattr(bch, "coords_in_column_span",
+                        lambda *args: calls.append(args) or solve(*args))
+    d, rep = rho_defect(a, vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0), 0)
+    assert not all(c.is_zero for c in d) and rep["member"] is True
+    assert [len(targets) for _, targets, _ in calls] == [3, 1]
+
+
+def test_rho_defect_outside_minimal_slope_part(monkeypatch):
+    # a minimal-slope lattice that misses the defect's direction e2
+    a = split_heisenberg()
+    monkeypatch.setattr(bch, "lattice_intersect_subspace",
+                        lambda *args: [vec(a.spec, 1, 0, 0)])
+    d, rep = rho_defect(a, vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0), 0)
+    assert rep["member"] is False
+    assert rep["witness"] == {"reason": "outside the minimal-slope part"}
+
+
 def test_rho_defect_scaled_complement():
     a = split_heisenberg()
     for n in range(4):

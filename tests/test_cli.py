@@ -273,6 +273,10 @@ def test_fine_split_error_surfaces(capsys, tmp_path, monkeypatch):
     assert doc["witness"]["required_degree"] == 2
 
 
+_SPEC_ISO = {"spec": {"p": 5, "f": 1, "N": 8}, "rank": 1,
+             "frobenius": [[{"valuation": 0, "unit": [1]}]]}
+
+
 @pytest.mark.parametrize("command, base, override", [
     ("lcs", "heisenberg.json", {"lattice": []}),
     ("bch-mul", "bch_mul.json", {"x": []}),
@@ -280,8 +284,18 @@ def test_fine_split_error_surfaces(capsys, tmp_path, monkeypatch):
     ("bch-mul", "bch_mul.json", {"x": ["1", "0", "0", "0"]}),
     ("bch-mul", "bch_mul.json", {"x": 5}),
     ("rigidity", "rigidity_pos.json", {"r": -1}),
+    ("dla-check", "heisenberg.json", {"frobenius": 1, "bracket": []}),
+    ("lcs", "heisenberg.json", {"frobenius": 1, "bracket": []}),
+    ("lattice-closure", "heisenberg.json", {"frobenius": 1, "bracket": []}),
+    ("slopes", "ordinary2x2.json", {**_SPEC_ISO, "frobenius": 1}),
+    ("dla-check", "heisenberg.json", {"iso": _SPEC_ISO, "bracket": 1}),
+    ("dla-check", "heisenberg.json", {"iso": _SPEC_ISO, "bracket": [[[{}]]],
+                                      "lattice": 1}),
 ], ids=["empty-lattice", "empty-vector", "non-integer-n", "long-vector",
-        "non-list-vector", "negative-r"])
+        "non-list-vector", "negative-r", "short-algebra-dla-check",
+        "short-algebra-lcs", "short-algebra-lattice-closure",
+        "spec-isocrystal-frobenius", "full-algebra-bracket",
+        "full-algebra-lattice"])
 def test_bad_shape_exit_1(command, base, override, corpus_dir, capsys,
                           monkeypatch):
     import io
@@ -292,6 +306,22 @@ def test_bad_shape_exit_1(command, base, override, corpus_dir, capsys,
     assert code == 1
     assert out.count("\n") == 1
     assert json.loads(out)["error"] == "MalformedInput"
+
+
+def test_datum_size_zero_message(capsys):
+    code, doc = run_json(capsys, "leafdim", "--type", "GL", "--n", "0",
+                         "--nu", "1")
+    assert code == 1
+    assert doc["message"] == "matrix size must be at least 2"
+
+
+@pytest.mark.parametrize("p", ["-3", "4"])
+def test_coxeter_gate_p_not_prime_exit_1(p, corpus_dir, capsys):
+    code, doc = run_json(capsys, "coxeter-gate", "--p", p, "--in",
+                         str(corpus_dir / "gsp4_ordinary.json"))
+    assert code == 1
+    assert (doc["error"], doc["message"]) == ("MalformedInput",
+                                              "p must be prime")
 
 
 @pytest.mark.parametrize("p, pexp", [(1, 0), (0, 0), (0, 1)],
@@ -406,11 +436,22 @@ _SMALL_JSON = st.recursive(
                       max_size=2),
     max_leaves=6)
 
+# every subcommand that reads JSON; bch-table and slope-exponents read flags
 _CONTRACT_CASES = [
     ("rigidity", "rigidity_pos.json", []),
     ("nilclass", "gsp4_ordinary.json", []),
     ("coxeter-gate", "gsp4_ordinary.json", ["--p", "5"]),
     ("split", "supersingular2x2.json", []),
+    ("slopes", "ordinary2x2.json", []),
+    ("hom", "hom_pair.json", []),
+    ("dla-check", "heisenberg.json", []),
+    ("lcs", "heisenberg.json", []),
+    ("bch-mul", "bch_mul.json", []),
+    ("lattice-closure", "heisenberg.json", []),
+    ("leafdim", "gsp4_ordinary.json", []),
+    ("slope-roots", "gsp4_ordinary.json", []),
+    ("perf-member", "ordseries.json", ["--params", "2,1,0"]),
+    ("perf-ecd", "ordseries.json", ["--E", "2", "--C", "1", "--d", "1"]),
 ]
 
 

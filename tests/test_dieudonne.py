@@ -75,9 +75,17 @@ def test_validate_lattice_failures_and_first_witness():
     rep = dla_validate(build(frob, c, lattice))
     assert rep["antisymmetry"] and rep["jacobi"] and rep["f_equivariance"]
     assert rep["lattice_dieudonne"] is False
-    assert rep["witnesses"]["lattice_dieudonne"] == ("phi_image_exceeds", 3)
+    assert rep["witnesses"]["lattice_dieudonne"] == ("phi_image_exceeds", 0)
     assert rep["lattice_bracket_closure"] is False
     assert rep["witnesses"]["lattice_bracket_closure"] == (0, 1)
+
+
+def test_validate_lattice_witness_names_the_column():
+    # phi e1 = e1 + e0/25: only the image of lattice column 1 exceeds
+    rep = dla_validate(build([[F(1), F(1, 25)], [0, F(1)]], zero_bracket(2),
+                             [[F(1), 0], [F(0), 1]]))
+    assert rep["lattice_dieudonne"] is False
+    assert rep["witnesses"]["lattice_dieudonne"] == ("phi_image_exceeds", 1)
 
 
 def test_validate_broken_equivariance_witness():
@@ -155,6 +163,23 @@ def test_lattice_filtration_scaled_center():
     assert [len(L) for L in lattices] == [3, 1, 0]
 
 
+def test_lattice_filtration_one_solve_per_step(monkeypatch):
+    # [e0, e1] = e2/5: both nonzero brackets leave the lattice <e2>, and
+    # one solve per filtration step answers them in bracket order
+    c = zero_bracket(3)
+    c[0][1][2], c[1][0][2] = F(1, 5), F(-1, 5)
+    a = build([[F(1, 5), 0, 0], [0, F(1), 0], [0, 0, F(1, 5)]], c, EYE3)
+    chain, _ = lower_central_series(a)
+    calls = []
+    solve = dieudonne.coords_in_column_span
+    monkeypatch.setattr(dieudonne, "coords_in_column_span",
+                        lambda *args: calls.append(args) or solve(*args))
+    lattices, ok, wit = lattice_filtration(a, chain)
+    assert [len(L) for L in lattices] == [3, 1, 0]
+    assert not ok and wit == [("non_integral", 0)] * 2
+    assert [len(targets) for _, targets, _ in calls] == [2]
+
+
 def test_lattice_filtration_abelian_trivial():
     a = build([[F(1), 0], [0, F(1, 5)]], zero_bracket(2),
               [[F(1), 0], [F(0), 1]])
@@ -218,7 +243,7 @@ def test_aut_heisenberg_contains_grading_derivation():
     cols = [[g[i][j] for i in range(3) for j in range(3)]
             for g in rep["basis"]]
     from isolab.linalg import coords_in_column_span
-    coords_in_column_span(cols, [tvec], SPEC)  # raises if not in span
+    assert coords_in_column_span(cols, [tvec], SPEC)[0] is not None
 
 
 def test_aut_literal_mode_flagged():

@@ -59,7 +59,18 @@ def test_split_triangular_mixing():
             img = [sum((M.F[i][j] * c[j].sigma() for j in range(M.rank)),
                        start=PadicScalar.zero(spec)) for i in range(M.rank)]
             from isolab.linalg import coords_in_column_span
-            coords_in_column_span(cols, [img], spec)  # raises if outside
+            assert coords_in_column_span(cols, [img], spec)[0] is not None
+
+
+def test_split_block_frobenius_is_the_restriction():
+    # each block's matrix acts on its basis: M(b_j) = sum_i F_block[i][j] b_i
+    M = iso([[0, "1/5", 0], [1, 0, 0], [0, 0, 1]])
+    blocks = slope_split(M)
+    assert [sub.rank for _, _, sub in blocks] == [2, 1]
+    for _, basis, sub in blocks:
+        PF = mat_mul([list(row) for row in zip(*basis)], sub.F)
+        for j, b in enumerate(basis):
+            assert all((x - row[j]).is_zero for x, row in zip(M.apply(b), PF))
 
 
 def test_split_isoclinic_single_block():

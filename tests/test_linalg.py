@@ -93,7 +93,7 @@ def test_solve_and_inverse():
     X = coords_in_column_span(_mat([[1, 0], [1, 1]]), _mat([[3, 4]]), Z5)
     # x + y = 3, y = 4 -> x = -1
     assert (X[0][0] - PadicScalar.from_int(Z5, -1)).is_zero
-    assert (X[1][0] - PadicScalar.from_int(Z5, 4)).is_zero
+    assert (X[0][1] - PadicScalar.from_int(Z5, 4)).is_zero
 
 
 def test_coords_in_column_span():
@@ -103,7 +103,15 @@ def test_coords_in_column_span():
     coords = coords_in_column_span(basis, target, Z5)
     # 3*(1,2) + 1*(0,1) = (3,7)
     assert (coords[0][0] - PadicScalar.from_int(Z5, 3)).is_zero
-    assert (coords[1][0] - PadicScalar.from_int(Z5, 1)).is_zero
+    assert (coords[0][1] - PadicScalar.from_int(Z5, 1)).is_zero
+
+
+def test_outside_target_is_none_and_leaves_the_others():
+    e0 = [PadicScalar.from_int(Z5, 1), PadicScalar.zero(Z5)]
+    e1 = [PadicScalar.zero(Z5), PadicScalar.from_int(Z5, 1)]
+    none, coords = coords_in_column_span([e0], [e1, e0], Z5)
+    assert none is None
+    assert [_key(c) for c in coords] == [_key(PadicScalar.from_int(Z5, 1))]
 
 
 def test_saturate_columns_divides_out_p():
@@ -402,12 +410,27 @@ def _combination(rng, spec, cols):
     return out
 
 
-def _outcome(solve, basis_cols, targets, spec):
+def _solo(basis_cols, target, spec):
+    """A former solve on one target: keys of its coordinates, None where
+    it raised InsufficientPrecision, or the NonInvertible it raised."""
     try:
-        X = solve(basis_cols, targets, spec)
+        if len(basis_cols) == len(target):
+            X = _ref_solve_columns(_rows(basis_cols), _rows([target]), spec)
+        else:
+            X = _ref_coords_in_column_span(basis_cols, [target], spec)
+    except InsufficientPrecision:
+        return None
+    except NonInvertible as exc:
+        return (type(exc), str(exc), exc.witness)
+    return [_key(row[0]) for row in X]
+
+
+def _batch(basis_cols, targets, spec):
+    try:
+        X = coords_in_column_span(basis_cols, targets, spec)
     except IsolabError as exc:
         return (type(exc), str(exc), exc.witness)
-    return [[_key(c) for c in row] for row in X]
+    return [None if x is None else [_key(c) for c in x] for x in X]
 
 
 SOLVE_SPECS = [FieldSpec(p, f, N) for p in (2, 3, 5, 7) for f in (1, 2, 3)
@@ -415,8 +438,9 @@ SOLVE_SPECS = [FieldSpec(p, f, N) for p in (2, 3, 5, 7) for f in (1, 2, 3)
 
 
 def test_solve_matches_square_and_tall_references():
-    # square systems must answer as the square solve did, taller ones as
-    # the column-span solve did: every entry, and every error's wording
+    # every target of a batch must answer as the former square or tall
+    # solve did on that target alone, with None where that solve raised
+    # InsufficientPrecision; its NonInvertible is the whole call's error
     rng = random.Random(29)
     seen = {}
     for _ in range(3000):
@@ -433,20 +457,23 @@ def test_solve_matches_square_and_tall_references():
         targets = [_combination(rng, spec, cols) if rng.random() < 0.5 else
                    [_rand_scalar(rng, spec, zero_share=1 / 3)
                     for _ in range(n)]
-                   for _ in range(rng.randint(1, 3))]
-        if r == n:
-            want = _outcome(lambda c, t, s: _ref_solve_columns(
-                _rows(c), _rows(t), s), cols, targets, spec)
+                   for _ in range(rng.randint(1, 4))]
+        want = [_solo(cols, t, spec) for t in targets]
+        if isinstance(want[0], tuple):
+            assert all(w == want[0] for w in want)
+            want, kind = want[0], "NonInvertible"
         else:
-            want = _outcome(_ref_coords_in_column_span, cols, targets, spec)
-        assert _outcome(coords_in_column_span, cols, targets, spec) == want
-        kind = ("square" if r == n else "tall",
-                want[0].__name__ if isinstance(want, tuple) else "solved")
+            outside = want.count(None)
+            kind = ("solved" if not outside else
+                    "outside" if outside == len(want) else "mixed")
+        assert _batch(cols, targets, spec) == want
+        kind = ("square" if r == n else "tall", kind)
         seen[kind] = seen.get(kind, 0) + 1
-    assert min(seen.values()) > 100, seen
+    # a square basis of full rank leaves no residual, so nothing is outside
     assert set(seen) == {("square", "solved"), ("square", "NonInvertible"),
-                         ("tall", "solved"), ("tall", "NonInvertible"),
-                         ("tall", "InsufficientPrecision")}
+                         ("tall", "solved"), ("tall", "outside"),
+                         ("tall", "mixed"), ("tall", "NonInvertible")}
+    assert min(seen.values()) >= 100, seen
 
 
 # ---- exact rational helpers ----
