@@ -19,7 +19,7 @@ from .dieudonne import (integral_columns, lattice_intersect_subspace,
                         lower_central_series, span_basis)
 from .isocrystal import slope_split
 from .linalg import coords_in_column_span, rat_mat_mul, rat_solve
-from .padic import PadicScalar
+from .padic import PadicScalar, _prime_factors
 
 MAX_CLASS = 8
 
@@ -217,15 +217,7 @@ def denominator_profile(c):
     """Primes dividing any coefficient denominator up to degree c."""
     primes = set()
     for coeff in bch_series(c).terms.values():
-        d = coeff.denominator
-        q = 2
-        while q * q <= d:
-            while d % q == 0:
-                primes.add(q)
-                d //= q
-            q += 1
-        if d > 1:
-            primes.add(d)
+        primes |= _prime_factors(coeff.denominator)
     if any(q > c for q in primes):
         raise InvariantViolated("denominator prime exceeds the class",
                                 witness={"class": c, "primes": sorted(primes)})
@@ -434,8 +426,7 @@ def lattice_closure_check(a, samples=100, seed=0, n_class=None):
                      for yi, li in zip(y, a.lattice[s])]
         prod = group_mul(a, x, y, n_class=n_class)
         # one solve per sample, so the first failing sample stops the search
-        if not integral_columns(
-                coords_in_column_span(a.lattice, [prod], spec))[0]:
+        if not integral_columns(coords_in_column_span(a.lattice, [prod]))[0]:
             if spec.p > n_class:
                 raise InvariantViolated(
                     "closure must hold for p above the class",
@@ -481,19 +472,17 @@ def rho_defect(a, xprime, x, n):
 
     prod = group_mul(a, xprime, x)
     # P_cols is square, so every target has coordinates
-    rp, rx, rxp = map(rho, coords_in_column_span(P_cols, [prod, x, xprime],
-                                                 spec))
+    rp, rx, rxp = map(rho, coords_in_column_span(P_cols, [prod, x, xprime]))
     d = [pm - px - pxp for pm, px, pxp in zip(rp, rx, rxp)]
     report = {"n": n, "member": None, "witness": None}
     if a.lattice is not None:
-        bplus = lattice_intersect_subspace(a.lattice,
-                                           span_basis(b_cols, spec), spec)
+        bplus = lattice_intersect_subspace(a.lattice, span_basis(b_cols))
         if all(c.is_zero for c in d):
             report["member"] = True
         elif not bplus:
             report["member"] = False
             report["witness"] = {"reason": "zero minimal-slope lattice"}
-        elif (coords := coords_in_column_span(bplus, [d], spec)[0]) is None:
+        elif (coords := coords_in_column_span(bplus, [d])[0]) is None:
             report["member"] = False
             report["witness"] = {"reason": "outside the minimal-slope part"}
         else:

@@ -186,9 +186,7 @@ def _cmd_split(args):
     for lam, basis, sub in blocks:
         out.append({"slope": _slope_str(lam, args.classical),
                     "rank": sub.rank,
-                    "basis": [[c.to_json() for c in col] for col in basis],
-                    "frobenius": [[c.to_json() for c in row]
-                                  for row in sub.F]})
+                    "basis": basis, "frobenius": sub.F})
     _emit({"blocks": out})
 
 
@@ -228,7 +226,7 @@ def _cmd_bch_mul(args):
     a = _load_dla(alg, args)
     x = _load_vector(xs, a.spec)
     y = _load_vector(ys, a.spec)
-    _emit({"product": [c.to_json() for c in group_mul(a, x, y)]})
+    _emit({"product": group_mul(a, x, y)})
 
 
 def _cmd_lattice_closure(args):

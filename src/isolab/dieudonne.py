@@ -16,7 +16,7 @@ from .isocrystal import Isocrystal, newton_slopes, slope_part
 from .linalg import (coords_in_column_span, kernel_basis, mat_inverse,
                      mat_mul, mat_sigma, mat_vec, row_echelon,
                      saturate_columns)
-from .padic import FieldSpec, PadicScalar
+from .padic import PadicScalar
 
 
 class DieudonneLie:
@@ -173,7 +173,7 @@ def dla_validate(a):
         spec = a.spec
         try:
             B = [list(row) for row in zip(*coords_in_column_span(
-                a.lattice, [a.apply_phi(c) for c in a.lattice], spec))]
+                a.lattice, [a.apply_phi(c) for c in a.lattice]))]
             Binv = mat_inverse(B, spec)
         except NonInvertible as exc:
             raise InsufficientPrecision("lattice comparison indeterminate",
@@ -199,8 +199,7 @@ def dla_validate(a):
                 if not _vec_is_zero(v):
                     pairs.append((i, j))
                     brackets.append(v)
-        closed = integral_columns(
-            coords_in_column_span(a.lattice, brackets, spec))
+        closed = integral_columns(coords_in_column_span(a.lattice, brackets))
         for pair, ok in zip(pairs, closed):
             if not ok:
                 report["witnesses"].setdefault("lattice_bracket_closure",
@@ -222,7 +221,7 @@ def require_valid_bracket(a):
 # subspace helpers (row-span form)
 # --------------------------------------------------------------------------
 
-def span_basis(vectors, spec):
+def span_basis(vectors):
     """Echelon basis of the span of the given coordinate vectors."""
     vecs = [v for v in vectors if not _vec_is_zero(v)]
     if not vecs:
@@ -231,31 +230,30 @@ def span_basis(vectors, spec):
     return [rows[r] for r, _ in pivots]
 
 
-def _coords_in_span(basis, targets, spec):
+def _coords_in_span(basis, targets):
     """coords_in_column_span, with a basis that lost rank reported as lost
     precision: the basis is an echelon span, independent by construction."""
     try:
-        return coords_in_column_span(basis, targets, spec)
+        return coords_in_column_span(basis, targets)
     except NonInvertible as exc:
         raise InsufficientPrecision("span basis lost rank at working precision",
                                     witness=exc.witness) from exc
 
 
-def in_span(basis, v, spec):
-    """Whether v lies in the span of basis.
+def in_span(basis, targets):
+    """Whether every vector in the list targets lies in the span of basis.
 
-    False only when the residual is certified nonzero; a basis that lost
-    rank at working precision raises InsufficientPrecision instead.
+    One solve answers all of them; zero targets need none, so an empty
+    list, or one of zero vectors only, is True without solving.  False
+    only when some residual is certified nonzero; a basis that lost rank
+    at working precision raises InsufficientPrecision instead.
     """
-    if _vec_is_zero(v):
-        return True
-    if not basis:
-        return False
-    return _coords_in_span(basis, [v], spec)[0] is not None
+    targets = [v for v in targets if not _vec_is_zero(v)]
+    return not targets or None not in _coords_in_span(basis, targets)
 
 
-def _require_in_span(basis, v, spec, what):
-    if not in_span(basis, v, spec):
+def _require_in_span(basis, targets, what):
+    if not in_span(basis, targets):
         raise InvariantViolated(what, witness={"dimension": len(basis)})
 
 
@@ -267,28 +265,26 @@ def lower_central_series(a):
     """Chain of spans [full, [a,a], [a,[a,a]], ..], empty last; plus class."""
     require_valid_bracket(a)
     n = a.rank
-    spec = a.spec
     basis = [a.basis_vector(i) for i in range(n)]
-    chain = [span_basis(basis, spec)]
+    chain = [span_basis(basis)]
     while chain[-1]:
         cur = chain[-1]
         nxt_vecs = []
         for b in basis:
             for w in cur:
                 nxt_vecs.append(a.bracket_vec(b, w))
-        nxt = span_basis(nxt_vecs, spec)
+        nxt = span_basis(nxt_vecs)
         if len(nxt) >= len(cur):
             raise NotNilpotent("lower central series stabilized",
                                witness={"dimension": len(nxt)})
-        for w in nxt:
-            _require_in_span(nxt, a.apply_phi(w), spec,
-                             "series term not F-stable")
+        _require_in_span(nxt, [a.apply_phi(w) for w in nxt],
+                         "series term not F-stable")
         chain.append(nxt)
     n_class = len(chain) - 1
     return chain, n_class
 
 
-def lattice_intersect_subspace(lattice_cols, subspace_basis, spec):
+def lattice_intersect_subspace(lattice_cols, subspace_basis):
     """Basis (ambient coordinates) of lattice ∩ span(subspace_basis).
 
     The membership conditions are rows annihilating the subspace; their
@@ -302,15 +298,15 @@ def lattice_intersect_subspace(lattice_cols, subspace_basis, spec):
         return []
     # rows annihilating the span: q with <b_i, q> = 0 for every basis vector
     W_T = [list(b) for b in subspace_basis]
-    ann = kernel_basis(W_T, spec, expected_dim=n - w)
+    ann = kernel_basis(W_T, expected_dim=n - w)
     if not ann:
-        sat = saturate_columns([list(c) for c in lattice_cols], spec)
+        sat = saturate_columns([list(c) for c in lattice_cols])
         return sat
     Lat = [[lattice_cols[j][i] for j in range(len(lattice_cols))]
            for i in range(n)]
     QL = mat_mul([list(q) for q in ann], Lat)
-    K = kernel_basis(QL, spec, expected_dim=w)
-    sat = saturate_columns(K, spec)
+    K = kernel_basis(QL, expected_dim=w)
+    sat = saturate_columns(K)
     return [mat_vec(Lat, c) for c in sat]
 
 
@@ -318,12 +314,11 @@ def lattice_filtration(a, chain=None):
     """Lattices cut out by the lower central series, plus bracket-closure."""
     if a.lattice is None:
         raise MalformedInput("no lattice on this algebra")
-    spec = a.spec
     if chain is None:
         chain, _ = lower_central_series(a)
     lattices = [list(a.lattice)]
     for sub in chain[1:]:
-        lattices.append(lattice_intersect_subspace(a.lattice, sub, spec))
+        lattices.append(lattice_intersect_subspace(a.lattice, sub))
     witnesses = []
     for i in range(len(lattices) - 1):
         nxt = lattices[i + 1]
@@ -334,7 +329,7 @@ def lattice_filtration(a, chain=None):
             witnesses += [("nonzero_into_zero", i)] * len(brackets)
         elif brackets:
             # one solve per step: each bracket gets the digits of its own solve
-            for coords in _coords_in_span(nxt, brackets, spec):
+            for coords in _coords_in_span(nxt, brackets):
                 if coords is None:
                     witnesses.append(("outside_span", i))
                 else:
@@ -409,7 +404,6 @@ def aut_lie_algebra(a, mode="derivation"):
     spec = a.spec
     n = a.rank
     f = spec.f
-    spec_p = FieldSpec(spec.p, 1, spec.N)
     basis = [a.basis_vector(i) for i in range(n)]
     tpow = [PadicScalar.from_coeffs(spec, tuple(1 if s == m else 0
                                                 for s in range(f)))
@@ -451,7 +445,7 @@ def aut_lie_algebra(a, mode="derivation"):
                 unknowns.append((r, c, m))
     rows = [[columns[u][e] for u in range(len(unknowns))]
             for e in range(len(columns[0]))]
-    sol = kernel_basis(rows, spec_p)
+    sol = kernel_basis(rows)
     out = []
     for gamma in sol:
         g = [[zero] * n for _ in range(n)]
@@ -471,8 +465,7 @@ def aut_lie_algebra(a, mode="derivation"):
 def smallest_f_stable_subalgebra(a, generators):
     """Closure of the generators under Phi, Phi^-1 and the bracket."""
     require_valid_bracket(a)
-    spec = a.spec
-    cur = span_basis(generators, spec)
+    cur = span_basis(generators)
     while True:
         new_vecs = list(cur)
         for w in cur:
@@ -481,15 +474,15 @@ def smallest_f_stable_subalgebra(a, generators):
         for i in range(len(cur)):
             for j in range(i + 1, len(cur)):
                 new_vecs.append(a.bracket_vec(cur[i], cur[j]))
-        nxt = span_basis(new_vecs, spec)
+        nxt = span_basis(new_vecs)
         if len(nxt) == len(cur):
             cur = nxt
             break
         cur = nxt
-    for w in cur:
-        _require_in_span(cur, a.apply_phi(w), spec, "closure not F-stable")
-    for i in range(len(cur)):
-        for j in range(i + 1, len(cur)):
-            _require_in_span(cur, a.bracket_vec(cur[i], cur[j]), spec,
-                             "closure not closed under the bracket")
+    _require_in_span(cur, [a.apply_phi(w) for w in cur],
+                     "closure not F-stable")
+    _require_in_span(cur, [a.bracket_vec(cur[i], cur[j])
+                           for i in range(len(cur))
+                           for j in range(i + 1, len(cur))],
+                     "closure not closed under the bracket")
     return cur

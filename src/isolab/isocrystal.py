@@ -69,10 +69,6 @@ class Isocrystal:
         return mat_vec(self.F, [c.sigma() for c in x])
 
 
-def _linearize(M):
-    return twisted_power(M.F, M.spec)
-
-
 def _qp_charpoly(coeffs, spec):
     """Project charpoly coefficients to Q_p, checking sigma-invariance.
 
@@ -95,9 +91,9 @@ def _qp_charpoly(coeffs, spec):
 
 def newton_slopes(M):
     """Sorted list of (slope, multiplicity); slopes are exact Fractions."""
-    L = _linearize(M)
+    L = twisted_power(M.F, M.spec)
     coeffs = charpoly(L, M.spec)
-    vals = newton_root_valuations(coeffs, M.spec)
+    vals = newton_root_valuations(coeffs)
     out = []
     for m, w in vals:
         out.append((m / M.spec.f, w))
@@ -247,7 +243,7 @@ def slope_split(M, fine=False):
                 raise InsufficientPrecision(
                     "fine splitting inside one slope is not certified here",
                     witness={"slope": str(lam), "rank": w})
-    L = _linearize(M)
+    L = twisted_power(M.F, spec)
     if len(slopes) == 1:
         lam, _ = slopes[0]
         basis = [[row[j] for row in mat_identity(spec, M.rank)]
@@ -261,7 +257,7 @@ def slope_split(M, fine=False):
     for _ in range(d - 1):
         A = mat_mul(A, L)
     coeffs = charpoly(A, spec)
-    vals = newton_root_valuations(coeffs, spec)
+    vals = newton_root_valuations(coeffs)
     expect = sorted((d * lam * spec.f, w) for lam, w in slopes)
     if [(Fraction(m), w) for m, w in vals] != \
             [(Fraction(m), w) for m, w in expect]:
@@ -274,8 +270,8 @@ def slope_split(M, fine=False):
     blocks = []
     for (m, w), G in zip(int_vals, factors):
         GA = _poly_at_matrix(G, A, spec)
-        basis = kernel_basis(GA, spec, expected_dim=w)
-        X = coords_in_column_span(basis, [M.apply(b) for b in basis], spec)
+        basis = kernel_basis(GA, expected_dim=w)
+        X = coords_in_column_span(basis, [M.apply(b) for b in basis])
         if None in X:
             raise InsufficientPrecision(
                 "target is outside the span to certified precision",
@@ -287,7 +283,7 @@ def slope_split(M, fine=False):
     # the blocks must fill the ambient space
     all_cols = [b for _, basis, _ in blocks for b in basis]
     try:
-        coords_in_column_span(all_cols, [], spec)  # no targets: rank only
+        coords_in_column_span(all_cols, [])  # no targets: rank only
     except NonInvertible as exc:
         raise InsufficientPrecision(
             "slope blocks do not certifiably span", witness=exc.witness)

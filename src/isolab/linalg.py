@@ -17,6 +17,11 @@ A target whose residual is certified nonzero comes back as None, a value
 and not an error; only rank loss of the basis raises (NonInvertible).
 mat_inverse is that solve against the identity.  Over Q the one solve
 is rat_solve, with a matrix right side.
+
+The solve, kernel_basis and saturate_columns read their ring from their
+operands and take no FieldSpec.  charpoly, twisted_power, mat_identity
+and mat_inverse take one, because a rank-0 operand has no entry to read
+it from.
 """
 
 from fractions import Fraction
@@ -221,7 +226,7 @@ def lower_hull(points):
     return hull
 
 
-def newton_root_valuations(coeffs, spec):
+def newton_root_valuations(coeffs):
     """Root valuations (as Fractions) with multiplicities, from c_0..c_n.
 
     Certified points are hull candidates; zero-to-precision coefficients
@@ -309,7 +314,7 @@ def row_echelon(M, pivot_cols=None):
     return rows, pivots
 
 
-def kernel_basis(M, spec, expected_dim=None):
+def kernel_basis(M, expected_dim=None):
     """Columns spanning ker(M); certification via expected_dim when known."""
     if not M:
         return []
@@ -321,7 +326,10 @@ def kernel_basis(M, spec, expected_dim=None):
         raise InsufficientPrecision(
             "kernel dimension could not be certified",
             witness={"expected": expected_dim, "found": len(free_cols)})
+    if not free_cols:
+        return []
     basis = []
+    spec = M[0][0].spec
     zero = PadicScalar.zero(spec)
     one = PadicScalar.from_int(spec, 1)
     for j in free_cols:
@@ -333,7 +341,7 @@ def kernel_basis(M, spec, expected_dim=None):
     return basis
 
 
-def coords_in_column_span(basis_cols, targets, spec):
+def coords_in_column_span(basis_cols, targets):
     """Coordinates of each target in the basis: the one p-adic solve.
 
     basis_cols are the r columns of an n x r basis of full column rank and
@@ -358,11 +366,11 @@ def coords_in_column_span(basis_cols, targets, spec):
 
 
 def mat_inverse(A, spec):
-    X = coords_in_column_span(list(zip(*A)), mat_identity(spec, len(A)), spec)
+    X = coords_in_column_span(list(zip(*A)), mat_identity(spec, len(A)))
     return [list(row) for row in zip(*X)]
 
 
-def saturate_columns(cols, spec):
+def saturate_columns(cols):
     """Basis of (Q-span of cols) intersected with the standard lattice.
 
     Column reduction over the local ring: repeatedly pick the globally

@@ -13,8 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _speedups as _k
-from .errors import (DivisionByZero, FrobeniusLiftFailure, InvariantViolated,
-                     MalformedInput, PrecisionExhausted)
+from .errors import (DivisionByZero, FieldSpecMismatch, FrobeniusLiftFailure,
+                     InvariantViolated, MalformedInput, PrecisionExhausted)
 
 
 # --------------------------------------------------------------------------
@@ -478,7 +478,6 @@ class PadicScalar:
 
     def _same(self, other):
         if self.spec is not other.spec:
-            from .errors import FieldSpecMismatch
             raise FieldSpecMismatch("operands over different rings",
                                     witness={"left": self.spec.to_json(),
                                              "right": other.spec.to_json()})

@@ -9,7 +9,7 @@ checker, and the slope-to-exponent bookkeeping (a, r, s).
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, log
 
 from .errors import (DegreeBoundTooSmall, InvariantViolated, MalformedInput,
                      NonzeroConstantTerm, ParameterMismatch, SequenceTooShort,
@@ -45,14 +45,23 @@ def ff_one(k):
 # the series type
 # --------------------------------------------------------------------------
 
+def _pexp(p, den):
+    """e with den == p**e, or None when den is no power of p.
+
+    Above p^2 the guess is the float logarithm rounded: its error is a
+    few ulps, far below 1/2 for any den that fits in memory.  One exact
+    power checks the guess, so this costs O(log e) big-integer products,
+    where dividing by p one step at a time costs O(e^2).
+    """
+    e = round(log(den, p)) if den > p * p else (den > p) + (den > 1)
+    return e if p ** e == den else None
+
+
 def _validate_exponent(p, v):
     v = Fraction(v)
     if v < 0:
         raise MalformedInput("negative exponent", witness=str(v))
-    d = v.denominator
-    while d % p == 0:
-        d //= p
-    if d != 1:
+    if _pexp(p, v.denominator) is None:
         raise MalformedInput("exponent denominator is not a power of p",
                              witness=str(v))
     return v
@@ -359,15 +368,7 @@ class RestrictedParams:
 
 def _ord_exponent(p, exp):
     """Largest power of p among the component denominators."""
-    v = 0
-    for x in exp:
-        den = x.denominator
-        e = 0
-        while den > 1:
-            den //= p
-            e += 1
-        v = max(v, e)
-    return v
+    return max((_pexp(p, x.denominator) for x in exp), default=0)
 
 
 def _min_surviving_n(p, m, smr, n0, strict=True):
@@ -381,15 +382,8 @@ def _min_surviving_n(p, m, smr, n0, strict=True):
 
 
 def _exp_json(p, exp):
-    out = []
-    for v in exp:
-        den = v.denominator
-        e = 0
-        while den > 1:
-            den //= p
-            e += 1
-        out.append({"num": v.numerator, "pexp": e})
-    return out
+    return [{"num": v.numerator, "pexp": _pexp(p, v.denominator)}
+            for v in exp]
 
 
 def membership_restricted(a, params, method="both"):

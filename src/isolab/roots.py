@@ -259,23 +259,14 @@ def _lie_algebra_basis(group_type, n):
     basis += [[[r[j][i] for j in range(n)] for i in range(n)]
               for r in basis]  # opposite root spaces by transposition
     # torus part: diagonal matrices compatible with the form
-    m = n // 2
+    for k in range(n // 2):
+        X = [[Fraction(0)] * n for _ in range(n)]
+        X[k][k] = Fraction(1)
+        X[n - 1 - k][n - 1 - k] = Fraction(-1)
+        basis.append(X)
     if group_type == "GSp":
-        diag_dim = m + 1
-        for k in range(m):
-            X = [[Fraction(0)] * n for _ in range(n)]
-            X[k][k] = Fraction(1)
-            X[n - 1 - k][n - 1 - k] = Fraction(-1)
-            basis.append(X)
         basis.append([[Fraction(1 if i == j else 0) for j in range(n)]
                       for i in range(n)])  # similitude center
-    else:
-        diag_dim = m
-        for k in range(m):
-            X = [[Fraction(0)] * n for _ in range(n)]
-            X[k][k] = Fraction(1)
-            X[n - 1 - k][n - 1 - k] = Fraction(-1)
-            basis.append(X)
     if len(_independent(basis)) != len(basis):
         raise InvariantViolated("Lie algebra basis is dependent",
                                 witness={"type": group_type, "n": n})

@@ -294,7 +294,7 @@ def test_rho_defect_solves_twice(monkeypatch):
                         lambda *args: calls.append(args) or solve(*args))
     d, rep = rho_defect(a, vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0), 0)
     assert not all(c.is_zero for c in d) and rep["member"] is True
-    assert [len(targets) for _, targets, _ in calls] == [3, 1]
+    assert [len(targets) for _, targets in calls] == [3, 1]
 
 
 def test_rho_defect_outside_minimal_slope_part(monkeypatch):

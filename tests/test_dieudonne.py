@@ -1,5 +1,6 @@
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,8 +16,9 @@ from isolab import (DieudonneLie, FieldSpec, Isocrystal, PadicScalar,
 from isolab.dieudonne import (in_span, lattice_filtration,
                               lattice_intersect_subspace, span_basis)
 from isolab.errors import (InsufficientPrecision, InvariantViolated,
-                           NotNilpotent, SlopeNotStrictlyNegative,
-                           SlopeOutOfRange)
+                           NonInvertible, NotNilpotent,
+                           SlopeNotStrictlyNegative, SlopeOutOfRange)
+from isolab.linalg import coords_in_column_span
 
 SPEC = FieldSpec(5, 1, 16)
 F = Fraction
@@ -177,7 +179,7 @@ def test_lattice_filtration_one_solve_per_step(monkeypatch):
     lattices, ok, wit = lattice_filtration(a, chain)
     assert [len(L) for L in lattices] == [3, 1, 0]
     assert not ok and wit == [("non_integral", 0)] * 2
-    assert [len(targets) for _, targets, _ in calls] == [2]
+    assert [len(targets) for _, targets in calls] == [2]
 
 
 def test_lattice_filtration_abelian_trivial():
@@ -242,8 +244,7 @@ def test_aut_heisenberg_contains_grading_derivation():
             for i in range(3) for j in range(3)]
     cols = [[g[i][j] for i in range(3) for j in range(3)]
             for g in rep["basis"]]
-    from isolab.linalg import coords_in_column_span
-    assert coords_in_column_span(cols, [tvec], SPEC)[0] is not None
+    assert coords_in_column_span(cols, [tvec])[0] is not None
 
 
 def test_aut_literal_mode_flagged():
@@ -282,8 +283,8 @@ def test_lattice_intersect_subspace():
     lat = [[PadicScalar.from_int(SPEC, 1), PadicScalar.zero(SPEC)],
            [PadicScalar.zero(SPEC), PadicScalar.from_int(SPEC, 1)]]
     diag = span_basis([[PadicScalar.from_int(SPEC, 1),
-                        PadicScalar.from_int(SPEC, 1)]], SPEC)
-    got = lattice_intersect_subspace(lat, diag, SPEC)
+                        PadicScalar.from_int(SPEC, 1)]])
+    got = lattice_intersect_subspace(lat, diag)
     assert len(got) == 1
     v = got[0]
     assert (v[0] - v[1]).is_zero
@@ -300,34 +301,89 @@ def test_phi_stability_of_lcs_terms():
     a = heisenberg()
     chain, _ = lower_central_series(a)
     for term in chain:
-        for v in term:
-            assert in_span(term, a.apply_phi(v), SPEC) or not term
+        assert in_span(term, [a.apply_phi(v) for v in term])
 
 
 def test_in_span_lost_rank_is_insufficient_precision():
     one, zero = PadicScalar.from_int(SPEC, 1), PadicScalar.zero(SPEC)
     e0, e1 = [one, zero], [zero, one]
-    assert in_span([e0], e0, SPEC)
+    assert in_span([e0], [e0])
     # a residual certified nonzero: outside the span
-    assert not in_span([e0], e1, SPEC)
+    assert not in_span([e0], [e1])
     # a basis of rank 1 given as two vectors is no answer either way
     with pytest.raises(InsufficientPrecision):
-        in_span([e0, e0], e0, SPEC)
+        in_span([e0, e0], [e0])
+
+
+def _per_target_in_span(basis, targets):
+    """Reference: one solve per nonzero target, True when all are inside."""
+    try:
+        return all(all(c.is_zero for c in t)
+                   or coords_in_column_span(basis, [t])[0] is not None
+                   for t in targets)
+    except NonInvertible:
+        return InsufficientPrecision
+
+
+def test_in_span_matches_per_target_solves():
+    # one batched solve answers as the AND of one solve per target
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(400):
+        spec = FieldSpec(rng.choice((2, 3, 5)), rng.choice((1, 2)), 8)
+        n = rng.randint(1, 4)
+
+        def scalar():
+            return PadicScalar.from_fraction(
+                spec, F(rng.randint(-9, 9), spec.p ** rng.randint(0, 2)))
+
+        basis = span_basis([[scalar() for _ in range(n)]
+                            for _ in range(rng.randint(0, n))])
+        if basis and rng.random() < 0.2:
+            basis = basis + [basis[-1]]  # a basis that lost rank
+        targets = []
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.choice(("zero", "inside", "random"))
+            if kind == "zero":
+                targets.append([PadicScalar.zero(spec)] * n)
+            elif kind == "inside" and basis:
+                coef = [scalar() for _ in basis]
+                targets.append([sum((c * b[i] for c, b in zip(coef, basis)),
+                                    PadicScalar.zero(spec))
+                                for i in range(n)])
+            else:
+                targets.append([scalar() for _ in range(n)])
+        want = _per_target_in_span(basis, targets)
+        if want is InsufficientPrecision:
+            with pytest.raises(InsufficientPrecision):
+                in_span(basis, targets)
+        else:
+            assert in_span(basis, targets) is want
+        nonzero = [t for t in targets if not all(c.is_zero for c in t)]
+        inside = [t for t in nonzero
+                  if _per_target_in_span(basis, [t]) is True]
+        seen.add("no nonzero target" if not nonzero else
+                 "lost rank" if want is InsufficientPrecision else
+                 "empty basis" if not basis else
+                 "mixed" if 0 < len(inside) < len(nonzero) else
+                 "inside" if want else "outside")
+    assert seen == {"no nonzero target", "lost rank", "empty basis",
+                    "mixed", "inside", "outside"}
 
 
 def test_typed_guards_fire(monkeypatch):
     gens = [[PadicScalar.from_int(SPEC, int(i == j)) for j in range(3)]
             for i in range(2)]
-    monkeypatch.setattr(dieudonne, "in_span", lambda basis, v, spec: False)
+    monkeypatch.setattr(dieudonne, "in_span", lambda basis, targets: False)
     with pytest.raises(InvariantViolated, match="series term"):
         lower_central_series(heisenberg())
     with pytest.raises(InvariantViolated, match="F-stable"):
         smallest_f_stable_subalgebra(heisenberg(), gens)
     # Phi-stable, so only the bracket guard sees a False: the closure of
-    # e0, e1 is all three basis vectors, checked by three Phi calls first
-    answers = iter([True] * 3 + [False])
+    # e0, e1 is checked by one call for the Phi images, then the brackets
+    answers = iter([True, False])
     monkeypatch.setattr(dieudonne, "in_span",
-                        lambda basis, v, spec: next(answers))
+                        lambda basis, targets: next(answers))
     with pytest.raises(InvariantViolated, match="bracket"):
         smallest_f_stable_subalgebra(heisenberg(), gens)
 
@@ -341,7 +397,7 @@ def test_typed_guards_fire_under_optimize():
                "c[0][1][2], c[1][0][2] = F(1), F(-1)\n"
                "frob = [[F(1, 5), 0, 0], [0, F(1), 0], [0, 0, F(1, 5)]]\n"
                "a = DieudonneLie.from_rationals(FieldSpec(5, 1, 16), frob, c)\n"
-               "dieudonne.in_span = lambda basis, v, spec: False\n"
+               "dieudonne.in_span = lambda basis, targets: False\n"
                "try:\n"
                "    dieudonne.lower_central_series(a)\n"
                "except InvariantViolated:\n"

@@ -62,7 +62,7 @@ def test_newton_root_valuations():
     coeffs = [PadicScalar.from_int(Z5, 5),
               PadicScalar.from_int(Z5, -6),
               PadicScalar.from_int(Z5, 1)]
-    vals = newton_root_valuations(coeffs, Z5)
+    vals = newton_root_valuations(coeffs)
     assert sorted(vals) == [(Fraction(0), 1), (Fraction(1), 1)]
 
 
@@ -71,13 +71,13 @@ def test_newton_root_valuations_fractional():
     coeffs = [PadicScalar.from_fraction(Z5, Fraction(-1, 5)),
               PadicScalar.zero(Z5),
               PadicScalar.from_int(Z5, 1)]
-    vals = newton_root_valuations(coeffs, Z5)
+    vals = newton_root_valuations(coeffs)
     assert vals == [(Fraction(-1, 2), 2)]
 
 
 def test_kernel_basis_rank_one():
     A = _mat([[1, 2], [2, 4]])
-    ker = kernel_basis(A, Z5)
+    ker = kernel_basis(A)
     assert len(ker) == 1
     v = ker[0]
     img = [A[i][0] * v[0] + A[i][1] * v[1] for i in range(2)]
@@ -90,7 +90,7 @@ def test_solve_and_inverse():
     Ainv = mat_inverse(A, Z5)
     assert _is_zero_mat([[mat_mul(A, Ainv)[i][j] - I[i][j]
                           for j in range(2)] for i in range(2)])
-    X = coords_in_column_span(_mat([[1, 0], [1, 1]]), _mat([[3, 4]]), Z5)
+    X = coords_in_column_span(_mat([[1, 0], [1, 1]]), _mat([[3, 4]]))
     # x + y = 3, y = 4 -> x = -1
     assert (X[0][0] - PadicScalar.from_int(Z5, -1)).is_zero
     assert (X[0][1] - PadicScalar.from_int(Z5, 4)).is_zero
@@ -100,7 +100,7 @@ def test_coords_in_column_span():
     basis = [[PadicScalar.from_int(Z5, 1), PadicScalar.from_int(Z5, 2)],
              [PadicScalar.from_int(Z5, 0), PadicScalar.from_int(Z5, 1)]]
     target = [[PadicScalar.from_int(Z5, 3), PadicScalar.from_int(Z5, 7)]]
-    coords = coords_in_column_span(basis, target, Z5)
+    coords = coords_in_column_span(basis, target)
     # 3*(1,2) + 1*(0,1) = (3,7)
     assert (coords[0][0] - PadicScalar.from_int(Z5, 3)).is_zero
     assert (coords[0][1] - PadicScalar.from_int(Z5, 1)).is_zero
@@ -109,7 +109,7 @@ def test_coords_in_column_span():
 def test_outside_target_is_none_and_leaves_the_others():
     e0 = [PadicScalar.from_int(Z5, 1), PadicScalar.zero(Z5)]
     e1 = [PadicScalar.zero(Z5), PadicScalar.from_int(Z5, 1)]
-    none, coords = coords_in_column_span([e0], [e1, e0], Z5)
+    none, coords = coords_in_column_span([e0], [e1, e0])
     assert none is None
     assert [_key(c) for c in coords] == [_key(PadicScalar.from_int(Z5, 1))]
 
@@ -117,7 +117,7 @@ def test_outside_target_is_none_and_leaves_the_others():
 def test_saturate_columns_divides_out_p():
     cols = [[PadicScalar.from_int(Z5, 5), PadicScalar.zero(Z5)],
             [PadicScalar.zero(Z5), PadicScalar.from_int(Z5, 1)]]
-    sat = saturate_columns(cols, Z5)
+    sat = saturate_columns(cols)
     vals = sorted(min(c.valuation() for c in col if not c.is_zero)
                   for col in sat)
     assert vals == [0, 0]
@@ -425,9 +425,9 @@ def _solo(basis_cols, target, spec):
     return [_key(row[0]) for row in X]
 
 
-def _batch(basis_cols, targets, spec):
+def _batch(basis_cols, targets):
     try:
-        X = coords_in_column_span(basis_cols, targets, spec)
+        X = coords_in_column_span(basis_cols, targets)
     except IsolabError as exc:
         return (type(exc), str(exc), exc.witness)
     return [None if x is None else [_key(c) for c in x] for x in X]
@@ -466,7 +466,7 @@ def test_solve_matches_square_and_tall_references():
             outside = want.count(None)
             kind = ("solved" if not outside else
                     "outside" if outside == len(want) else "mixed")
-        assert _batch(cols, targets, spec) == want
+        assert _batch(cols, targets) == want
         kind = ("square" if r == n else "tall", kind)
         seen[kind] = seen.get(kind, 0) + 1
     # a square basis of full rank leaves no residual, so nothing is outside

@@ -34,3 +34,22 @@ def test_traced_names_exist():
                if not inspect.isfunction(getattr(
                    importlib.import_module(f"isolab.{layer}"), name, None))]
     assert tracing.SPANS and missing == []
+
+
+def test_no_unused_parameters():
+    # a parameter its body never reads makes every caller pass a value
+    # for nothing
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"{path.name}:{node.name}:{p}" for p in params
+                      if p != "self" and p not in read]
+    assert found == []
