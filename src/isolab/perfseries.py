@@ -48,10 +48,13 @@ def ff_one(k):
 def _pexp(p, den):
     """e with den == p**e, or None when den is no power of p.
 
-    Above p^2 the guess is the float logarithm rounded: its error is a
-    few ulps, far below 1/2 for any den that fits in memory.  One exact
-    power checks the guess, so this costs O(log e) big-integer products,
-    where dividing by p one step at a time costs O(e^2).
+    Up to p^2 two comparisons give the guess: series validation calls
+    this for every exponent of every product, and the float logarithm
+    costs about 2.5 times as much per call.  Above p^2 the guess is that
+    logarithm rounded: its error is a few ulps, far below 1/2 for any
+    den that fits in memory.  One exact power checks the guess, so this
+    costs O(log e) big-integer products, where dividing by p one step at
+    a time costs O(e^2).
     """
     e = round(log(den, p)) if den > p * p else (den > p) + (den > 1)
     return e if p ** e == den else None
