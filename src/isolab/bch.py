@@ -394,8 +394,13 @@ def lattice_closure_check(a, samples=100, seed=0, n_class=None):
 
     For p > class this must hold (series coefficients are p-integral), and
     a failing sample raises InvariantViolated; for p <= class a witness is
-    searched for and returned when found.
+    searched for and returned when found.  samples counts the random pairs
+    checked after all basis pairs, so samples = 0 checks the basis pairs only.
     """
+    if (not isinstance(samples, int) or isinstance(samples, bool)
+            or samples < 0):
+        raise MalformedInput("samples must be a non-negative integer",
+                             witness=samples)
     if a.lattice is None:
         raise MalformedInput("no lattice on this algebra")
     if n_class is None:

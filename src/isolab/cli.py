@@ -7,6 +7,7 @@ library error (the error object carries the error name and its witness).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -307,7 +308,14 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInput(message)
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of this process, built on the first call.
+
+    Sharing it is safe: parse_args builds a fresh Namespace each time,
+    _Parser.error keeps no state, no default is mutable, and the handlers
+    look up the library functions by their module-global names at call time.
+    """
     top = _Parser(prog="isolab", description=__doc__)
     top.add_argument("--classical", action="store_true",
                      help="negate all slope signs in inputs and outputs")

@@ -414,15 +414,15 @@ class PadicScalar:
         if rel_mod <= 0:
             raise PrecisionExhausted("no certified digits",
                                      witness={"abs": abs_prec, "shift": shift})
-        pM = spec.p ** rel_mod
-        coeffs = tuple(c % pM for c in coeffs)
-        d = spec.raw_val(coeffs, pM)
+        d = spec.raw_val(coeffs, spec.p ** rel_mod)
         if d is None:
             return PadicScalar.zero(spec, abs_prec)
         v = shift + d
+        # rel <= rel_mod - d, so the unit is exact mod p^rel without first
+        # reducing the coefficients mod p^rel_mod
         rel = min(abs_prec - v, spec.N)
-        pw = spec.p ** d
-        unit = tuple((c // pw) % spec.p ** rel for c in coeffs)
+        pw, pr = spec.p ** d, spec.p ** rel
+        unit = tuple((c // pw) % pr for c in coeffs)
         return PadicScalar(spec, v, unit, rel)
 
     @staticmethod

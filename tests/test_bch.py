@@ -218,6 +218,21 @@ def test_lattice_closure_abelian_any_p():
     assert ok
 
 
+@pytest.mark.parametrize("samples", [-1, 1.5, "3", True],
+                         ids=["negative", "float", "string", "bool"])
+def test_lattice_closure_rejects_bad_samples(samples):
+    with pytest.raises(MalformedInput):
+        lattice_closure_check(heisenberg(5, EYE3), samples=samples)
+
+
+def test_lattice_closure_zero_samples_checks_basis_pairs():
+    assert lattice_closure_check(heisenberg(5, EYE3), samples=0) == (True,
+                                                                     None)
+    # at p = 2 the basis pair (e1, e2) already leaves the lattice
+    assert lattice_closure_check(heisenberg(2, EYE3), samples=0) == (
+        False, {"x": [1, 0, 0], "y": [0, 1, 0]})
+
+
 def test_lattice_closure_needs_lattice():
     with pytest.raises(MalformedInput):
         lattice_closure_check(heisenberg())

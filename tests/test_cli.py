@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import isolab
 from isolab.cli import main
+from test_acceptance import CLI_COMMANDS
 
 
 def run(capsys, *argv):
@@ -291,18 +292,19 @@ _SPEC_ISO = {"spec": {"p": 5, "f": 1, "N": 8}, "rank": 1,
     ("dla-check", "heisenberg.json", {"iso": _SPEC_ISO, "bracket": 1}),
     ("dla-check", "heisenberg.json", {"iso": _SPEC_ISO, "bracket": [[[{}]]],
                                       "lattice": 1}),
+    ("lattice-closure --samples -1", "heisenberg.json", {}),
 ], ids=["empty-lattice", "empty-vector", "non-integer-n", "long-vector",
         "non-list-vector", "negative-r", "short-algebra-dla-check",
         "short-algebra-lcs", "short-algebra-lattice-closure",
         "spec-isocrystal-frobenius", "full-algebra-bracket",
-        "full-algebra-lattice"])
+        "full-algebra-lattice", "negative-samples"])
 def test_bad_shape_exit_1(command, base, override, corpus_dir, capsys,
                           monkeypatch):
     import io
     payload = json.loads((corpus_dir / base).read_text())
     payload.update(override)
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
-    code, out = run(capsys, command)
+    code, out = run(capsys, *command.split())
     assert code == 1
     assert out.count("\n") == 1
     assert json.loads(out)["error"] == "MalformedInput"
@@ -399,6 +401,63 @@ def test_help_exit_0(capsys):
     assert "usage: isolab" in capsys.readouterr().out
 
 
+def test_no_state_carries_between_calls(corpus_dir, capsys, monkeypatch):
+    # the criterion-12 commands in one process, forwards then backwards,
+    # each followed by a call that sets a global flag, fails or prints help
+    import io
+    monkeypatch.chdir(corpus_dir.parent)
+    between = [
+        (["--classical", "slopes", "--in", "corpus/ordinary2x2.json"], ""),
+        (["--precision", "8", "split"],
+         '{"p": 5, "frobenius": [["1", "0"], ["0", "1/5"]]}'),
+        (["slopes", "--bogus"], ""),
+        (["--help"], ""),
+    ]
+    calls = []
+    for i, argv in enumerate(CLI_COMMANDS + CLI_COMMANDS[::-1]):
+        calls.append((argv, ""))
+        calls.append(between[i % len(between)])
+    seen = {}
+    for argv, stdin in calls:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        if argv == ["slopes", "--bogus"]:
+            assert code == 1 and captured.err == ""
+        seen.setdefault(tuple(argv), set()).add((code, captured.out))
+    assert len(seen) == len(CLI_COMMANDS) + len(between)
+    for argv, results in seen.items():
+        assert len(results) == 1, argv
+    assert {code for code, _ in seen[("--help",)]} == {0}
+
+
+def test_parser_is_built_once(monkeypatch):
+    import argparse
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    main(["slope-exponents", "--mu1", "1/2", "--mu0", "1/3"])
+    before = len(added)
+    main(["slope-exponents", "--mu1", "1/2", "--mu0", "1/3"])
+    assert added[before:] == []
+
+
+def test_every_subcommand_is_covered():
+    # a new subcommand must join the contract test and criterion 12
+    import argparse
+    from isolab.cli import _build_parser
+    names = set(next(a for a in _build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)).choices)
+    assert names <= {c[0] for c in _CONTRACT_CASES} | _FLAG_ONLY_COMMANDS
+    assert names <= {next(a for a in argv if not a.startswith("-"))
+                     for argv in CLI_COMMANDS}
+
+
 def test_console_script_end_to_end(corpus_dir, tmp_path):
     # Run the `isolab` script declared in pyproject.toml the way a
     # pip-generated wrapper does, so no install is needed.  The child's
@@ -452,6 +511,7 @@ _SMALL_JSON = st.recursive(
     max_leaves=6)
 
 # every subcommand that reads JSON; bch-table and slope-exponents read flags
+_FLAG_ONLY_COMMANDS = {"bch-table", "slope-exponents"}
 _CONTRACT_CASES = [
     ("rigidity", "rigidity_pos.json", []),
     ("nilclass", "gsp4_ordinary.json", []),
