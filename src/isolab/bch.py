@@ -202,8 +202,14 @@ def lie_project(assoc, cap):
 
 @lru_cache(maxsize=None)
 def bch_series(c):
-    """log(exp X exp Y) truncated beyond degree c, on the Lyndon basis."""
-    if not (1 <= c <= MAX_CLASS):
+    """log(exp X exp Y) truncated beyond degree c, on the Lyndon basis.
+
+    A class below 1 is malformed; one above MAX_CLASS is DegreeTooLarge.
+    """
+    if c < 1:
+        raise MalformedInput("class bound is 1..%d" % MAX_CLASS,
+                             witness={"requested": c})
+    if c > MAX_CLASS:
         raise DegreeTooLarge("class bound is 1..%d" % MAX_CLASS,
                              witness={"requested": c})
     X = {"X": Fraction(1)}
@@ -380,12 +386,13 @@ def group_mul(a, x, y, n_class=None):
         return out
 
     spec = a.spec
-    acc = [PadicScalar.zero(spec) for _ in range(a.rank)]
+    acc = [PadicScalar.zero(spec)] * a.rank
     for w, coeff in fle.terms.items():
         vec = ev(w)
+        c = PadicScalar.from_fraction(spec, coeff)
         for i in range(a.rank):
             if not vec[i].is_zero:
-                acc[i] = acc[i] + vec[i].mul_fraction(coeff)
+                acc[i] = acc[i] + vec[i] * c
     return acc
 
 
@@ -396,6 +403,13 @@ def lattice_closure_check(a, samples=100, seed=0, n_class=None):
     a failing sample raises InvariantViolated; for p <= class a witness is
     searched for and returned when found.  samples counts the random pairs
     checked after all basis pairs, so samples = 0 checks the basis pairs only.
+
+    There are at most two solves: one for the m^2 basis pairs, then one for
+    all the random pairs, so a witness among the basis pairs costs no
+    sample.  The answer is the one a solve per pair would give, with the
+    first failing pair in the same order: the solve gives each target the
+    digits of its own solve, a lattice that lost rank raises the same way
+    for every target, and group_mul cannot raise on these inputs.
     """
     if (not isinstance(samples, int) or isinstance(samples, bool)
             or samples < 0):
@@ -406,36 +420,44 @@ def lattice_closure_check(a, samples=100, seed=0, n_class=None):
     if n_class is None:
         _, n_class = lower_central_series(a)
     spec = a.spec
+    m = len(a.lattice)
     rng = random.Random(seed)
+    # every multiplier below lies in -3..3
+    mult = {k: PadicScalar.from_fraction(spec, k) for k in range(-3, 4)}
+    # each basis point is built once, not once per basis pair
+    points = {}
 
-    def sample_pairs():
-        m = len(a.lattice)
-        for i in range(m):
-            for j in range(m):
-                yield ([1 if s == i else 0 for s in range(m)],
-                       [1 if s == j else 0 for s in range(m)])
-        for _ in range(samples):
-            yield ([rng.randrange(-3, 4) for _ in range(m)],
-                   [rng.randrange(-3, 4) for _ in range(m)])
+    def point(coeffs):
+        key = tuple(coeffs)
+        if key not in points:
+            x = [PadicScalar.zero(spec)] * a.rank
+            for s, k in enumerate(coeffs):
+                if k:
+                    x = [xi + li * mult[k] for xi, li in zip(x, a.lattice[s])]
+            points[key] = x
+        return points[key]
 
-    for cx, cy in sample_pairs():
-        x = [PadicScalar.zero(spec) for _ in range(a.rank)]
-        y = [PadicScalar.zero(spec) for _ in range(a.rank)]
-        for s, k in enumerate(cx):
-            if k:
-                x = [xi + li.mul_fraction(k)
-                     for xi, li in zip(x, a.lattice[s])]
-        for s, k in enumerate(cy):
-            if k:
-                y = [yi + li.mul_fraction(k)
-                     for yi, li in zip(y, a.lattice[s])]
-        prod = group_mul(a, x, y, n_class=n_class)
-        # one solve per sample, so the first failing sample stops the search
-        if not integral_columns(coords_in_column_span(a.lattice, [prod]))[0]:
+    def draw():
+        return [rng.randrange(-3, 4) for _ in range(m)]
+
+    def batches():
+        # the random pairs are drawn only once the basis pairs pass
+        unit = [[1 if s == i else 0 for s in range(m)] for i in range(m)]
+        yield [(cx, cy) for cx in unit for cy in unit]
+        yield [(draw(), draw()) for _ in range(samples)]
+
+    for pairs in batches():
+        if not pairs:
+            continue
+        prods = [group_mul(a, point(cx), point(cy), n_class=n_class)
+                 for cx, cy in pairs]
+        closed = integral_columns(coords_in_column_span(a.lattice, prods))
+        if False in closed:
             if spec.p > n_class:
                 raise InvariantViolated(
                     "closure must hold for p above the class",
                     witness={"p": spec.p, "class": n_class})
+            cx, cy = pairs[closed.index(False)]
             return False, {"x": cx, "y": cy}
     return True, None
 

@@ -71,14 +71,17 @@ class DieudonneLie:
         return [PadicScalar.from_int(spec, 1) if j == i
                 else PadicScalar.zero(spec) for j in range(self.rank)]
 
-    def apply_phi(self, x):
-        return self.iso.apply(x)
+    def apply_phi(self, xs):
+        """Phi on each vector of the list xs, by Isocrystal.apply."""
+        return self.iso.apply(xs)
 
-    def apply_phi_inverse(self, x):
+    def apply_phi_inverse(self, xs):
+        """Phi^-1 = sigma^-1 . F^-1 on each vector of the list xs: one
+        mat_inverse and one mat_mul for the whole list."""
         Finv = mat_inverse(self.iso.F, self.spec)
-        y = mat_vec(Finv, x)
-        back = self.spec.f - 1 if self.spec.f > 1 else 0
-        return [c.sigma(back) for c in y]
+        back = self.spec.f - 1
+        return [[c.sigma(back) for c in y]
+                for y in mat_mul(xs, list(zip(*Finv)))]
 
     # -- serialization -------------------------------------------------------
 
@@ -161,19 +164,19 @@ def dla_validate(a):
                     report["jacobi"] = False
                     report["witnesses"].setdefault("jacobi", (i, j, k))
     F = a.iso.F
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = a.apply_phi(a.bracket[i][j])
-            rhs = a.bracket_vec([F[r][i] for r in range(n)],
-                                [F[r][j] for r in range(n)])
-            if not _vec_is_zero([x - y for x, y in zip(lhs, rhs)]):
-                report["f_equivariance"] = False
-                report["witnesses"].setdefault("f_equivariance", (i, j))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    images = a.apply_phi([a.bracket[i][j] for i, j in pairs])
+    for (i, j), lhs in zip(pairs, images):
+        rhs = a.bracket_vec([F[r][i] for r in range(n)],
+                            [F[r][j] for r in range(n)])
+        if not _vec_is_zero([x - y for x, y in zip(lhs, rhs)]):
+            report["f_equivariance"] = False
+            report["witnesses"].setdefault("f_equivariance", (i, j))
     if a.lattice is not None:
         spec = a.spec
         try:
             B = [list(row) for row in zip(*coords_in_column_span(
-                a.lattice, [a.apply_phi(c) for c in a.lattice]))]
+                a.lattice, a.apply_phi(a.lattice)))]
             Binv = mat_inverse(B, spec)
         except NonInvertible as exc:
             raise InsufficientPrecision("lattice comparison indeterminate",
@@ -277,8 +280,7 @@ def lower_central_series(a):
         if len(nxt) >= len(cur):
             raise NotNilpotent("lower central series stabilized",
                                witness={"dimension": len(nxt)})
-        _require_in_span(nxt, [a.apply_phi(w) for w in nxt],
-                         "series term not F-stable")
+        _require_in_span(nxt, a.apply_phi(nxt), "series term not F-stable")
         chain.append(nxt)
     n_class = len(chain) - 1
     return chain, n_class
@@ -468,9 +470,8 @@ def smallest_f_stable_subalgebra(a, generators):
     cur = span_basis(generators)
     while True:
         new_vecs = list(cur)
-        for w in cur:
-            new_vecs.append(a.apply_phi(w))
-            new_vecs.append(a.apply_phi_inverse(w))
+        for img, pre in zip(a.apply_phi(cur), a.apply_phi_inverse(cur)):
+            new_vecs += [img, pre]
         for i in range(len(cur)):
             for j in range(i + 1, len(cur)):
                 new_vecs.append(a.bracket_vec(cur[i], cur[j]))
@@ -479,8 +480,7 @@ def smallest_f_stable_subalgebra(a, generators):
             cur = nxt
             break
         cur = nxt
-    _require_in_span(cur, [a.apply_phi(w) for w in cur],
-                     "closure not F-stable")
+    _require_in_span(cur, a.apply_phi(cur), "closure not F-stable")
     _require_in_span(cur, [a.bracket_vec(cur[i], cur[j])
                            for i in range(len(cur))
                            for j in range(i + 1, len(cur))],

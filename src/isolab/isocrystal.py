@@ -20,7 +20,7 @@ from .errors import (FieldSpecMismatch, InsufficientPrecision,
                      InvariantViolated, MalformedInput, NonInvertible,
                      ResidueFieldTooSmall)
 from .linalg import (charpoly, coords_in_column_span, kernel_basis,
-                     mat_identity, mat_inverse, mat_mul, mat_vec,
+                     mat_identity, mat_inverse, mat_mul,
                      newton_root_valuations, twisted_power)
 from .padic import (FieldSpec, PadicScalar, poly_add, poly_divmod, poly_mul,
                     poly_trim, poly_xgcd)
@@ -64,9 +64,15 @@ class Isocrystal:
         F = [[PadicScalar.from_json(spec, c) for c in row] for row in rows]
         return Isocrystal(spec, F)
 
-    def apply(self, x):
-        """The semilinear operator: F . sigma(coordinates)."""
-        return mat_vec(self.F, [c.sigma() for c in x])
+    def apply(self, xs):
+        """The semilinear operator F . sigma(x) on each vector of the list xs.
+
+        One mat_mul answers the whole list: the rows sigma(x) times the
+        transpose of F.  mat_mul gives each entry the digits of its own
+        fold, so every image is the one its vector alone would get.
+        """
+        return mat_mul([[c.sigma() for c in x] for x in xs],
+                       list(zip(*self.F)))
 
 
 def _qp_charpoly(coeffs, spec):
@@ -271,7 +277,7 @@ def slope_split(M, fine=False):
     for (m, w), G in zip(int_vals, factors):
         GA = _poly_at_matrix(G, A, spec)
         basis = kernel_basis(GA, expected_dim=w)
-        X = coords_in_column_span(basis, [M.apply(b) for b in basis])
+        X = coords_in_column_span(basis, M.apply(basis))
         if None in X:
             raise InsufficientPrecision(
                 "target is outside the span to certified precision",

@@ -99,11 +99,13 @@ def mat_mul(A, B):
     precision cap N, since its absolute precision is at most its lowest
     term valuation plus N.
     """
-    k, n = len(B), len(B[0])
+    k = len(B)
     # indexed by the inner dimension, so a row of A shorter than B raises
     rows = [[row[s] for s in range(k)] for row in A]
-    cols = [[B[s][j] for s in range(k)] for j in range(n)]
-    if not rows or not cols:
+    if not rows:
+        return []
+    cols = [[B[s][j] for s in range(k)] for j in range(len(B[0]))]
+    if not cols:
         return [[] for _ in rows]
     spec = rows[0][0].spec
     absA, lowA, vminA = _read(rows, spec)

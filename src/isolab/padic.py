@@ -182,7 +182,8 @@ class FieldSpec:
     Instances are interned by (p, f, N): equality is identity.
     """
 
-    __slots__ = ("p", "f", "N", "pN", "g_low", "_red", "_sigma_mats")
+    __slots__ = ("p", "f", "N", "pN", "g_low", "_red", "_sigma_mats",
+                 "_zero")
 
     def __new__(cls, p, f, N):
         key = (p, f, N)
@@ -200,6 +201,7 @@ class FieldSpec:
         self.g_low = canonical_modulus(p, f)
         self._red = {}
         self._sigma_mats = None
+        self._zero = PadicScalar(self, None, None, N)
         _SPEC_CACHE[key] = self
         return self
 
@@ -390,6 +392,9 @@ class PadicScalar:
     mod p^rel (1 <= rel <= N), so the absolute precision is v + rel.
     Zero-to-precision: only the absolute bound survives (valuation >= rel,
     with v = unit = None).
+
+    Scalars are immutable: only __init__ sets their attributes, so one
+    instance may be shared, as PadicScalar.zero shares O(p^N).
     """
 
     __slots__ = ("spec", "v", "unit", "rel")
@@ -404,8 +409,10 @@ class PadicScalar:
 
     @staticmethod
     def zero(spec, bound=None):
-        return PadicScalar(spec, None, None,
-                           spec.N if bound is None else bound)
+        """O(p^bound); the default bound N returns the spec's shared zero."""
+        if bound is None:
+            return spec._zero
+        return PadicScalar(spec, None, None, bound)
 
     @staticmethod
     def from_raw(spec, coeffs, shift, abs_prec):
@@ -522,10 +529,10 @@ class PadicScalar:
             b1 = self.rel if self.is_zero else self.v
             b2 = other.rel if other.is_zero else other.v
             return PadicScalar.zero(spec, b1 + b2)
+        # raw_mul reduces the product mod p^rel, so the units need no
+        # reduction first
         rel = min(self.rel, other.rel)
-        pM = spec.p ** rel
-        unit = spec.raw_mul(tuple(c % pM for c in self.unit),
-                            tuple(c % pM for c in other.unit), pM)
+        unit = spec.raw_mul(self.unit, other.unit, spec.p ** rel)
         return PadicScalar(spec, self.v + other.v, unit, rel)
 
     def invert(self):
@@ -555,9 +562,6 @@ class PadicScalar:
         if self.is_zero:
             return PadicScalar.zero(self.spec, self.rel + k)
         return PadicScalar(self.spec, self.v + k, self.unit, self.rel)
-
-    def mul_fraction(self, fr):
-        return self * PadicScalar.from_fraction(self.spec, fr)
 
     def pow(self, e):
         if e < 0:

@@ -14,7 +14,9 @@ from isolab import (DieudonneLie, FieldSpec, FreeLieElement, PadicScalar,
                     lyndon_words, oracle_check, rho_defect)
 from isolab.bch import is_lyndon, standard_factorization, MAX_CLASS
 from isolab import bch
+from isolab.dieudonne import integral_columns, lower_central_series
 from isolab.errors import DegreeTooLarge, InvariantViolated, MalformedInput
+from isolab.linalg import coords_in_column_span
 
 F = Fraction
 SPEC = FieldSpec(5, 1, 16)
@@ -73,8 +75,13 @@ def test_degree_4_single_term():
 def test_degree_cap():
     with pytest.raises(DegreeTooLarge):
         bch_series(MAX_CLASS + 1)
-    with pytest.raises(DegreeTooLarge):
-        bch_series(0)
+
+
+@pytest.mark.parametrize("c", [-1, 0])
+def test_class_below_one_is_malformed(c):
+    with pytest.raises(MalformedInput) as exc:
+        bch_series(c)
+    assert exc.value.witness == {"requested": c}
 
 
 def test_matrix_oracle_through_degree_5():
@@ -231,6 +238,87 @@ def test_lattice_closure_zero_samples_checks_basis_pairs():
     # at p = 2 the basis pair (e1, e2) already leaves the lattice
     assert lattice_closure_check(heisenberg(2, EYE3), samples=0) == (
         False, {"x": [1, 0, 0], "y": [0, 1, 0]})
+
+
+def _closure_per_sample(a, samples, seed):
+    """lattice_closure_check as a loop with one solve per pair, stopping at
+    the first pair whose product leaves the lattice."""
+    _, n_class = lower_central_series(a)
+    spec, m = a.spec, len(a.lattice)
+    rng = random.Random(seed)
+
+    def pairs():
+        for i in range(m):
+            for j in range(m):
+                yield ([int(s == i) for s in range(m)],
+                       [int(s == j) for s in range(m)])
+        for _ in range(samples):
+            yield ([rng.randrange(-3, 4) for _ in range(m)],
+                   [rng.randrange(-3, 4) for _ in range(m)])
+
+    def point(coeffs):
+        x = [PadicScalar.zero(spec) for _ in range(a.rank)]
+        for s, k in enumerate(coeffs):
+            if k:
+                x = [xi + li * PadicScalar.from_fraction(spec, k)
+                     for xi, li in zip(x, a.lattice[s])]
+        return x
+
+    for cx, cy in pairs():
+        prod = group_mul(a, point(cx), point(cy), n_class=n_class)
+        if not integral_columns(coords_in_column_span(a.lattice, [prod]))[0]:
+            if spec.p > n_class:
+                raise InvariantViolated("closure must hold for p above "
+                                        "the class")
+            return False, {"x": cx, "y": cy}
+    return True, None
+
+
+def free_nilpotent_class3(p):
+    """Free nilpotent of rank 2 and class 3: e2 = [e0, e1], e3 = [e0, e2],
+    e4 = [e1, e2], Frobenius the identity, and a lattice with entries 1/3
+    on which, at p = 3, the basis pairs close but a random pair does not."""
+    c = zero_bracket(5)
+    for i, j, k in ((0, 1, 2), (0, 2, 3), (1, 2, 4)):
+        c[i][j][k], c[j][i][k] = F(1), F(-1)
+    lat = [[1, 0, -3, 0, 1], [0, 1, 1, 0, 0], [0, 0, 1, 0, -1],
+           [0, 0, 0, F(1, 3), F(-1, 3)], [0, 0, 0, 0, 1]]
+    eye = [[F(int(i == j)) for j in range(5)] for i in range(5)]
+    return DieudonneLie.from_rationals(
+        FieldSpec(p, 1, 12), eye, c,
+        lattice_cols=[[F(v) for v in col] for col in lat])
+
+
+@pytest.mark.parametrize("samples", [0, 12, 100])
+def test_lattice_closure_matches_per_sample_loop(samples):
+    seen = set()
+    for a in (heisenberg(2, EYE3), heisenberg(5, EYE3),
+              free_nilpotent_class3(2), free_nilpotent_class3(3),
+              free_nilpotent_class3(5)):
+        want = _closure_per_sample(a, samples, seed=0)
+        assert lattice_closure_check(a, samples=samples, seed=0) == want
+        seen.add("closed" if want[0] else
+                 "basis witness" if all(sorted(v) == [0] * (len(v) - 1) + [1]
+                                        for v in want[1].values())
+                 else "sample witness")
+    assert seen == ({"closed", "basis witness"} if samples == 0 else
+                    {"closed", "basis witness", "sample witness"})
+
+
+@pytest.mark.parametrize("a, samples, solves", [
+    (heisenberg(5, EYE3), 12, [9, 12]),
+    (heisenberg(5, EYE3), 0, [9]),
+    (heisenberg(2, EYE3), 100, [9]),
+    (free_nilpotent_class3(3), 100, [25, 100]),
+], ids=["closed", "no-samples", "basis-witness", "sample-witness"])
+def test_lattice_closure_solves_at_most_twice(monkeypatch, a, samples,
+                                             solves):
+    calls = []
+    solve = bch.coords_in_column_span
+    monkeypatch.setattr(bch, "coords_in_column_span",
+                        lambda *args: calls.append(args) or solve(*args))
+    lattice_closure_check(a, samples=samples, seed=0)
+    assert [len(targets) for _, targets in calls] == solves
 
 
 def test_lattice_closure_needs_lattice():

@@ -293,11 +293,14 @@ _SPEC_ISO = {"spec": {"p": 5, "f": 1, "N": 8}, "rank": 1,
     ("dla-check", "heisenberg.json", {"iso": _SPEC_ISO, "bracket": [[[{}]]],
                                       "lattice": 1}),
     ("lattice-closure --samples -1", "heisenberg.json", {}),
+    ("bch-table --class -1", "heisenberg.json", {}),
+    ("bch-table --class 0", "heisenberg.json", {}),
 ], ids=["empty-lattice", "empty-vector", "non-integer-n", "long-vector",
         "non-list-vector", "negative-r", "short-algebra-dla-check",
         "short-algebra-lcs", "short-algebra-lattice-closure",
         "spec-isocrystal-frobenius", "full-algebra-bracket",
-        "full-algebra-lattice", "negative-samples"])
+        "full-algebra-lattice", "negative-samples", "negative-class",
+        "zero-class"])
 def test_bad_shape_exit_1(command, base, override, corpus_dir, capsys,
                           monkeypatch):
     import io

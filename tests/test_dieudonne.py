@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import isolab
-from isolab import dieudonne
+from isolab import dieudonne, isocrystal
 from isolab import (DieudonneLie, FieldSpec, Isocrystal, PadicScalar,
                     aut_lie_algebra, dla_validate, lower_central_series,
                     minimal_slope_center_check, pdiv_dimension,
@@ -16,9 +16,10 @@ from isolab import (DieudonneLie, FieldSpec, Isocrystal, PadicScalar,
 from isolab.dieudonne import (in_span, lattice_filtration,
                               lattice_intersect_subspace, span_basis)
 from isolab.errors import (InsufficientPrecision, InvariantViolated,
-                           NonInvertible, NotNilpotent,
+                           IsolabError, NonInvertible, NotNilpotent,
                            SlopeNotStrictlyNegative, SlopeOutOfRange)
-from isolab.linalg import coords_in_column_span
+from isolab.linalg import coords_in_column_span, mat_inverse, mat_vec
+from test_linalg import _rand_scalar
 
 SPEC = FieldSpec(5, 1, 16)
 F = Fraction
@@ -301,7 +302,93 @@ def test_phi_stability_of_lcs_terms():
     a = heisenberg()
     chain, _ = lower_central_series(a)
     for term in chain:
-        assert in_span(term, [a.apply_phi(v) for v in term])
+        assert in_span(term, a.apply_phi(term))
+
+
+def _digits(vecs):
+    """Value and precision of every entry, as to_json and abs_prec give them."""
+    return [[(c.to_json(), c.abs_prec) for c in v] for v in vecs]
+
+
+def _rand_phi_algebra(rng, spec, n):
+    """A rank-n algebra, zero bracket, whose random Frobenius has full
+    precision, mixed valuations and exact zeros, and can be inverted."""
+    while True:
+        F_ = [[PadicScalar.zero(spec) if rng.random() < 0.3 else
+               PadicScalar.from_coeffs(
+                   spec, [rng.randrange(spec.pN) for _ in range(spec.f)],
+                   rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        try:
+            mat_inverse(F_, spec)
+        except IsolabError:
+            continue
+        zero = PadicScalar.zero(spec)
+        bracket = [[[zero] * n for _ in range(n)] for _ in range(n)]
+        return DieudonneLie(Isocrystal(spec, F_), bracket)
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_phi_on_lists_matches_per_vector_mat_vec(f):
+    # reference: the per-vector form, one mat_vec (and for Phi^-1 one
+    # mat_inverse) per vector
+    spec = FieldSpec(3, f, 6)
+    rng = random.Random(40 + f)
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        a = _rand_phi_algebra(rng, spec, n)
+        F_ = a.iso.F
+        xs = [[_rand_scalar(rng, spec) for _ in range(n)]
+              for _ in range(rng.randint(0, 5))]
+        if xs:
+            xs[0] = [PadicScalar.zero(spec, rng.randint(1, 6))] * n
+        want = [mat_vec(F_, [c.sigma() for c in x]) for x in xs]
+        assert _digits(a.apply_phi(xs)) == _digits(want)
+        assert _digits(a.iso.apply(xs)) == _digits(want)
+        want = [[c.sigma(f - 1) for c in mat_vec(mat_inverse(F_, spec), x)]
+                for x in xs]
+        assert _digits(a.apply_phi_inverse(xs)) == _digits(want)
+
+
+def test_phi_on_lists_rank_zero():
+    a = build([], [])
+    assert a.apply_phi([]) == [] and a.apply_phi_inverse([]) == []
+    assert dla_validate(a)["f_equivariance"]
+    assert lower_central_series(a) == ([[]], 0)
+
+
+def test_lcs_one_mat_mul_per_f_stability_step(monkeypatch):
+    # filiform rank 4: [e0, e_j] = e_(j+1), class 3
+    c = zero_bracket(4)
+    for j in (1, 2):
+        c[0][j][j + 1], c[j][0][j + 1] = F(1), F(-1)
+    a = build([[F(int(i == j)) for j in range(4)] for i in range(4)], c)
+    monkeypatch.setattr(dieudonne, "require_valid_bracket", lambda a: None)
+    rows = []
+    mul = isocrystal.mat_mul
+    monkeypatch.setattr(isocrystal, "mat_mul",
+                        lambda A, B: rows.append(len(A)) or mul(A, B))
+    chain, n_class = lower_central_series(a)
+    assert n_class == 3
+    # one product per step, each answering the whole new term
+    assert rows == [len(term) for term in chain[1:]] == [2, 1, 0]
+
+
+def test_closure_one_mat_inverse_per_step(monkeypatch):
+    a = heisenberg()
+    gens = [[PadicScalar.from_int(SPEC, int(i == j)) for j in range(3)]
+            for i in range(2)]
+    inverses, spans = [], []
+    inv, span = dieudonne.mat_inverse, dieudonne.span_basis
+    monkeypatch.setattr(dieudonne, "require_valid_bracket", lambda a: None)
+    monkeypatch.setattr(dieudonne, "mat_inverse",
+                        lambda *args: inverses.append(1) or inv(*args))
+    monkeypatch.setattr(dieudonne, "span_basis",
+                        lambda vecs: spans.append(1) or span(vecs))
+    assert len(smallest_f_stable_subalgebra(a, gens)) == 3
+    # span_basis runs once for the generators, then once per loop step;
+    # the two steps have 2 and 3 vectors, so one inverse per vector would
+    # make 5
+    assert len(spans) == 3 and len(inverses) == 2
 
 
 def test_in_span_lost_rank_is_insufficient_precision():

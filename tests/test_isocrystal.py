@@ -69,8 +69,8 @@ def test_split_block_frobenius_is_the_restriction():
     assert [sub.rank for _, _, sub in blocks] == [2, 1]
     for _, basis, sub in blocks:
         PF = mat_mul([list(row) for row in zip(*basis)], sub.F)
-        for j, b in enumerate(basis):
-            assert all((x - row[j]).is_zero for x, row in zip(M.apply(b), PF))
+        for j, img in enumerate(M.apply(basis)):
+            assert all((x - row[j]).is_zero for x, row in zip(img, PF))
 
 
 def test_split_isoclinic_single_block():

@@ -205,3 +205,47 @@ def test_sigma_invert_pow_known_answer():
     x = (t.sigma() * t.invert()).pow(5)
     assert x.to_json() == {"valuation": 0,
                            "unit": [130222, 337662, 27132, 22656]}
+
+
+def _mul_reduce_first(a, b):
+    """The product with both units reduced mod p^rel before raw_mul."""
+    spec = a.spec
+    if a.is_zero or b.is_zero:
+        return PadicScalar.zero(spec, (a.rel if a.is_zero else a.v)
+                                + (b.rel if b.is_zero else b.v))
+    rel = min(a.rel, b.rel)
+    pM = spec.p ** rel
+    unit = spec.raw_mul(tuple(c % pM for c in a.unit),
+                        tuple(c % pM for c in b.unit), pM)
+    return PadicScalar(spec, a.v + b.v, unit, rel)
+
+
+def _mixed_scalar(spec, rng):
+    """Any relative precision, units that are not reduced mod p^rel, and
+    zeros to precision."""
+    if rng.random() < 0.15:
+        return PadicScalar.zero(spec, rng.randint(-3, spec.N + 3))
+    rel = rng.randint(1, spec.N)
+    unit = [rng.randrange(spec.pN) for _ in range(spec.f)]
+    if all(c % spec.p == 0 for c in unit):
+        unit[0] += 1
+    return PadicScalar(spec, rng.randint(-3, 3), tuple(unit), rel)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 2), (5, 3), (7, 4)])
+def test_mul_matches_reduce_first(p, f):
+    spec = FieldSpec(p, f, 7)
+    rng = random.Random(31 * p + f)
+    for _ in range(300):
+        a, b = _mixed_scalar(spec, rng), _mixed_scalar(spec, rng)
+        got, want = a * b, _mul_reduce_first(a, b)
+        assert (got.to_json(), got.abs_prec) == (want.to_json(), want.abs_prec)
+        assert (got.v, got.unit, got.rel) == (want.v, want.unit, want.rel)
+
+
+def test_default_zero_is_shared_per_spec():
+    spec, other = FieldSpec(5, 2, 6), FieldSpec(5, 2, 7)
+    z = PadicScalar.zero(spec)
+    assert PadicScalar.zero(spec) is z and PadicScalar.zero(other) is not z
+    assert z.is_zero and z.rel == spec.N
+    assert PadicScalar.zero(spec, 3) is not PadicScalar.zero(spec, 3)

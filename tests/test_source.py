@@ -7,6 +7,7 @@ import inspect
 import pathlib
 
 import isolab
+from isolab import PadicScalar
 
 SRC = pathlib.Path(isolab.__file__).resolve().parent
 
@@ -52,4 +53,28 @@ def test_no_unused_parameters():
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             found += [f"{path.name}:{node.name}:{p}" for p in params
                       if p != "self" and p not in read]
+    assert found == []
+
+
+def test_scalars_are_immutable():
+    # PadicScalar.zero hands out one shared instance per spec, so no code
+    # may change a scalar's attributes once its __init__ has set them
+    slots = set(PadicScalar.__slots__)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        in_init = {id(n) for f in ast.walk(tree)
+                   if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                   for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if id(node) in in_init:
+                continue
+            if (isinstance(node, ast.Attribute) and node.attr in slots
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                found.append(f"{path.name}:{node.lineno}:{node.attr}")
+            elif isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) in ("setattr", "delattr")
+                    or getattr(node.func, "attr", None) in (
+                        "__setattr__", "__delattr__")):
+                found.append(f"{path.name}:{node.lineno}:call")
     assert found == []
