@@ -11,6 +11,7 @@ classical double-sum formula for low degree) guard the coefficient table.
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import factorial
 
 from .errors import (DegreeTooLarge, InsufficientPrecision,
@@ -404,12 +405,16 @@ def lattice_closure_check(a, samples=100, seed=0, n_class=None):
     searched for and returned when found.  samples counts the random pairs
     checked after all basis pairs, so samples = 0 checks the basis pairs only.
 
-    There are at most two solves: one for the m^2 basis pairs, then one for
-    all the random pairs, so a witness among the basis pairs costs no
-    sample.  The answer is the one a solve per pair would give, with the
-    first failing pair in the same order: the solve gives each target the
-    digits of its own solve, a lattice that lost rank raises the same way
-    for every target, and group_mul cannot raise on these inputs.
+    The pairs are checked in batches of one solve each.  For p > class,
+    where closure is a theorem and any failure raises the same error, all
+    pairs form one batch.  For p <= class, where a witness is expected, the
+    batches hold 1, 2, 4, ... pairs, so the search stops within twice as
+    many products as a solve per pair would make, and random pairs are
+    drawn only as their batch comes up.  The answer is the one a solve per
+    pair would give, with the first failing pair in the same order: the
+    solve gives each target the digits of its own solve, a lattice that
+    lost rank raises the same way for every target, and group_mul cannot
+    raise on these inputs.
     """
     if (not isinstance(samples, int) or isinstance(samples, bool)
             or samples < 0):
@@ -424,41 +429,40 @@ def lattice_closure_check(a, samples=100, seed=0, n_class=None):
     rng = random.Random(seed)
     # every multiplier below lies in -3..3
     mult = {k: PadicScalar.from_fraction(spec, k) for k in range(-3, 4)}
-    # each basis point is built once, not once per basis pair
-    points = {}
 
     def point(coeffs):
-        key = tuple(coeffs)
-        if key not in points:
-            x = [PadicScalar.zero(spec)] * a.rank
-            for s, k in enumerate(coeffs):
-                if k:
-                    x = [xi + li * mult[k] for xi, li in zip(x, a.lattice[s])]
-            points[key] = x
-        return points[key]
+        x = [PadicScalar.zero(spec)] * a.rank
+        for s, k in enumerate(coeffs):
+            if k:
+                x = [xi + li * mult[k] for xi, li in zip(x, a.lattice[s])]
+        return x
 
-    def draw():
-        return [rng.randrange(-3, 4) for _ in range(m)]
-
-    def batches():
-        # the random pairs are drawn only once the basis pairs pass
+    def pairs():
+        """(cx, cy, x, y): coefficients and points of the basis pairs, then
+        of the random pairs."""
         unit = [[1 if s == i else 0 for s in range(m)] for i in range(m)]
-        yield [(cx, cy) for cx in unit for cy in unit]
-        yield [(draw(), draw()) for _ in range(samples)]
+        basis = [point(u) for u in unit]
+        for cx, x in zip(unit, basis):
+            for cy, y in zip(unit, basis):
+                yield cx, cy, x, y
+        for _ in range(samples):
+            cx = [rng.randrange(-3, 4) for _ in range(m)]
+            cy = [rng.randrange(-3, 4) for _ in range(m)]
+            yield cx, cy, point(cx), point(cy)
 
-    for pairs in batches():
-        if not pairs:
-            continue
-        prods = [group_mul(a, point(cx), point(cy), n_class=n_class)
-                 for cx, cy in pairs]
+    todo = pairs()
+    size = m * m + samples if spec.p > n_class else 1
+    while batch := list(islice(todo, size)):
+        prods = [group_mul(a, x, y, n_class=n_class) for _, _, x, y in batch]
         closed = integral_columns(coords_in_column_span(a.lattice, prods))
         if False in closed:
             if spec.p > n_class:
                 raise InvariantViolated(
                     "closure must hold for p above the class",
                     witness={"p": spec.p, "class": n_class})
-            cx, cy = pairs[closed.index(False)]
+            cx, cy, _, _ = batch[closed.index(False)]
             return False, {"x": cx, "y": cy}
+        size *= 2
     return True, None
 
 

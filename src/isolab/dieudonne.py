@@ -77,7 +77,10 @@ class DieudonneLie:
 
     def apply_phi_inverse(self, xs):
         """Phi^-1 = sigma^-1 . F^-1 on each vector of the list xs: one
-        mat_inverse and one mat_mul for the whole list."""
+        mat_inverse and one mat_mul for the whole list, none for an empty
+        list, so an empty list never needs F to be invertible."""
+        if not xs:
+            return []
         Finv = mat_inverse(self.iso.F, self.spec)
         back = self.spec.f - 1
         return [[c.sigma(back) for c in y]

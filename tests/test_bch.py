@@ -148,6 +148,9 @@ def heisenberg(p=5, lattice=None):
 
 
 EYE3 = [[F(1), 0, 0], [F(0), 1, 0], [F(0), 0, 1]]
+#: lattice columns e0, e1, e2/2: closed under the group law at p = 2,
+#: although p = 2 is not above the class
+HALF_E2 = [[F(1), 0, 0], [F(0), 1, 0], [F(0), 0, F(1, 2)]]
 
 
 def vec(spec, *fracs):
@@ -292,7 +295,7 @@ def free_nilpotent_class3(p):
 @pytest.mark.parametrize("samples", [0, 12, 100])
 def test_lattice_closure_matches_per_sample_loop(samples):
     seen = set()
-    for a in (heisenberg(2, EYE3), heisenberg(5, EYE3),
+    for a in (heisenberg(2, EYE3), heisenberg(5, EYE3), heisenberg(2, HALF_E2),
               free_nilpotent_class3(2), free_nilpotent_class3(3),
               free_nilpotent_class3(5)):
         want = _closure_per_sample(a, samples, seed=0)
@@ -306,13 +309,16 @@ def test_lattice_closure_matches_per_sample_loop(samples):
 
 
 @pytest.mark.parametrize("a, samples, solves", [
-    (heisenberg(5, EYE3), 12, [9, 12]),
+    (heisenberg(5, EYE3), 12, [21]),
     (heisenberg(5, EYE3), 0, [9]),
-    (heisenberg(2, EYE3), 100, [9]),
-    (free_nilpotent_class3(3), 100, [25, 100]),
-], ids=["closed", "no-samples", "basis-witness", "sample-witness"])
-def test_lattice_closure_solves_at_most_twice(monkeypatch, a, samples,
-                                             solves):
+    (heisenberg(2, EYE3), 100, [1, 2]),
+    (free_nilpotent_class3(3), 100, [1, 2, 4, 8, 16]),
+    (heisenberg(2, HALF_E2), 12, [1, 2, 4, 8, 6]),
+], ids=["closed", "no-samples", "basis-witness", "sample-witness",
+        "closed-low-p"])
+def test_lattice_closure_solve_batches(monkeypatch, a, samples, solves):
+    # above the class one solve for all pairs; at or below it batches of
+    # 1, 2, 4, ... pairs up to the one with a witness
     calls = []
     solve = bch.coords_in_column_span
     monkeypatch.setattr(bch, "coords_in_column_span",

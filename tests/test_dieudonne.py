@@ -280,6 +280,17 @@ def test_smallest_f_stable_stable_line():
     assert len(smallest_f_stable_subalgebra(a, [e0])) == 1
 
 
+def test_smallest_f_stable_no_generators_singular_frobenius():
+    # generators that span 0 close to 0 without inverting F
+    a = build([[F(1), 0], [0, F(0)]], zero_bracket(2))
+    zero = [PadicScalar.zero(SPEC), PadicScalar.zero(SPEC)]
+    assert smallest_f_stable_subalgebra(a, []) == []
+    assert smallest_f_stable_subalgebra(a, [zero]) == []
+    assert a.apply_phi_inverse([]) == []
+    with pytest.raises(NonInvertible):
+        a.apply_phi_inverse([zero])
+
+
 def test_lattice_intersect_subspace():
     lat = [[PadicScalar.from_int(SPEC, 1), PadicScalar.zero(SPEC)],
            [PadicScalar.zero(SPEC), PadicScalar.from_int(SPEC, 1)]]
