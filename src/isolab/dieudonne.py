@@ -13,8 +13,8 @@ from .errors import (InsufficientPrecision, InvariantViolated, MalformedInput,
                      NonInvertible, NotNilpotent, SlopeNotStrictlyNegative,
                      SlopeOutOfRange, SplitUnavailable)
 from .isocrystal import Isocrystal, newton_slopes, slope_part
-from .linalg import (coords_in_column_span, kernel_basis, mat_inverse,
-                     mat_mul, mat_sigma, mat_vec, row_echelon,
+from .linalg import (coords_in_column_span, kernel_basis, mat_from_rationals,
+                     mat_inverse, mat_mul, mat_sigma, mat_vec, row_echelon,
                      saturate_columns)
 from .padic import PadicScalar
 
@@ -119,14 +119,10 @@ class DieudonneLie:
 
     @staticmethod
     def from_rationals(spec, frob_rows, bracket_rows, lattice_cols=None):
-        iso = Isocrystal.from_rationals(spec, frob_rows)
-        br = [[[PadicScalar.from_fraction(spec, c) for c in cell]
-               for cell in row] for row in bracket_rows]
-        lat = None
-        if lattice_cols is not None:
-            lat = [[PadicScalar.from_fraction(spec, c) for c in col]
-                   for col in lattice_cols]
-        return DieudonneLie(iso, br, lat)
+        return DieudonneLie(
+            Isocrystal.from_rationals(spec, frob_rows),
+            [mat_from_rationals(spec, row) for row in bracket_rows],
+            lattice_cols and mat_from_rationals(spec, lattice_cols))
 
 
 # --------------------------------------------------------------------------
@@ -196,22 +192,28 @@ def dla_validate(a):
         report["lattice_dieudonne"] = wit is None
         if wit:
             report["witnesses"]["lattice_dieudonne"] = wit
-        # one solve for every nonzero bracket: the square lattice basis
-        # takes every pivot, so each gets the digits of its own solve
-        pairs, brackets = [], []
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = a.bracket_vec(a.lattice[i], a.lattice[j])
-                if not _vec_is_zero(v):
-                    pairs.append((i, j))
-                    brackets.append(v)
-        closed = integral_columns(coords_in_column_span(a.lattice, brackets))
+        pairs, closed = lattice_bracket_closure(a)
         for pair, ok in zip(pairs, closed):
             if not ok:
                 report["witnesses"].setdefault("lattice_bracket_closure",
                                                pair)
         report["lattice_bracket_closure"] = all(closed)
     return report
+
+
+def lattice_bracket_closure(a):
+    """(pairs, closed): the pairs i < j of lattice columns with a nonzero
+    bracket, and whether each bracket lies in the lattice.  One solve for
+    all: the square lattice basis takes every pivot, so each bracket gets
+    the digits of its own solve."""
+    pairs, brackets = [], []
+    for i in range(a.rank):
+        for j in range(i + 1, a.rank):
+            v = a.bracket_vec(a.lattice[i], a.lattice[j])
+            if not _vec_is_zero(v):
+                pairs.append((i, j))
+                brackets.append(v)
+    return pairs, integral_columns(coords_in_column_span(a.lattice, brackets))
 
 
 def require_valid_bracket(a):
@@ -264,7 +266,7 @@ def _require_in_span(basis, targets, what):
 
 
 # --------------------------------------------------------------------------
-# lower central series and lattice filtration
+# lower central series and lattice intersection
 # --------------------------------------------------------------------------
 
 def lower_central_series(a):
@@ -313,34 +315,6 @@ def lattice_intersect_subspace(lattice_cols, subspace_basis):
     K = kernel_basis(QL, expected_dim=w)
     sat = saturate_columns(K)
     return [mat_vec(Lat, c) for c in sat]
-
-
-def lattice_filtration(a, chain=None):
-    """Lattices cut out by the lower central series, plus bracket-closure."""
-    if a.lattice is None:
-        raise MalformedInput("no lattice on this algebra")
-    if chain is None:
-        chain, _ = lower_central_series(a)
-    lattices = [list(a.lattice)]
-    for sub in chain[1:]:
-        lattices.append(lattice_intersect_subspace(a.lattice, sub))
-    witnesses = []
-    for i in range(len(lattices) - 1):
-        nxt = lattices[i + 1]
-        brackets = [a.bracket_vec(g, h)
-                    for g in a.lattice for h in lattices[i]]
-        brackets = [v for v in brackets if not _vec_is_zero(v)]
-        if not nxt:
-            witnesses += [("nonzero_into_zero", i)] * len(brackets)
-        elif brackets:
-            # one solve per step: each bracket gets the digits of its own solve
-            for coords in _coords_in_span(nxt, brackets):
-                if coords is None:
-                    witnesses.append(("outside_span", i))
-                else:
-                    witnesses += [("non_integral", i) for c in coords
-                                  if not c.is_zero and c.v < 0]
-    return lattices, not witnesses, witnesses
 
 
 # --------------------------------------------------------------------------

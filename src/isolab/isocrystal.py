@@ -20,7 +20,7 @@ from .errors import (FieldSpecMismatch, InsufficientPrecision,
                      InvariantViolated, MalformedInput, NonInvertible,
                      ResidueFieldTooSmall)
 from .linalg import (charpoly, coords_in_column_span, kernel_basis,
-                     mat_identity, mat_inverse, mat_mul,
+                     mat_from_rationals, mat_identity, mat_inverse, mat_mul,
                      newton_root_valuations, twisted_power)
 from .padic import (FieldSpec, PadicScalar, poly_add, poly_divmod, poly_mul,
                     poly_trim, poly_xgcd)
@@ -42,8 +42,7 @@ class Isocrystal:
 
     @staticmethod
     def from_rationals(spec, rows):
-        return Isocrystal(spec, [[PadicScalar.from_fraction(spec, c)
-                                  for c in row] for row in rows])
+        return Isocrystal(spec, mat_from_rationals(spec, rows))
 
     def to_json(self):
         return {"spec": self.spec.to_json(), "rank": self.rank,

@@ -453,23 +453,6 @@ def rat_rref(M):
     return rows, pivots
 
 
-def rat_nullspace(M):
-    """Basis of the rational kernel, as column vectors."""
-    if not M:
-        return []
-    n = len(M[0])
-    rows, pivots = rat_rref(M)
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for j in free:
-        vec = [Fraction(0)] * n
-        vec[j] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][j]
-        basis.append(vec)
-    return basis
-
-
 def rat_solve(A, B):
     """One X with A X = B over Q, or None if a column of B is outside A's span.
 

@@ -29,10 +29,6 @@ def ff_add(a, b, p):
     return tuple((x + y) % p for x, y in zip(a, b))
 
 
-def ff_neg(a, p):
-    return tuple((-x) % p for x in a)
-
-
 def ff_is_zero(a):
     return all(x == 0 for x in a)
 
@@ -108,10 +104,8 @@ class PerfectedSeries:
         return PerfectedSeries(p, nvars, k, D, {})
 
     @staticmethod
-    def monomial(p, nvars, k, D, exp, coeff=None):
-        if coeff is None:
-            coeff = ff_one(k)
-        return PerfectedSeries(p, nvars, k, D, {tuple(exp): tuple(coeff)})
+    def monomial(p, nvars, k, D, exp):
+        return PerfectedSeries(p, nvars, k, D, {tuple(exp): ff_one(k)})
 
     def same_shape(self, other):
         return (self.p == other.p and self.nvars == other.nvars
@@ -177,11 +171,6 @@ def ps_add(a, b):
         else:
             terms[exp] = c
     return PerfectedSeries(a.p, a.nvars, a.k, D, terms)
-
-
-def ps_neg(a):
-    return PerfectedSeries(a.p, a.nvars, a.k, a.D,
-                           {e: ff_neg(c, a.p) for e, c in a.terms.items()})
 
 
 def ps_scale(a, coeff):

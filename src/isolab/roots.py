@@ -89,18 +89,6 @@ class RootDatumWithCochar:
         self.two_rho = two_rho
         self.nu = tuple(nu)
 
-    @staticmethod
-    def from_json(obj):
-        try:
-            return RootDatumWithCochar(obj["type"], int(obj["n"]),
-                                       [Fraction(v) for v in obj["nu"]])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput("bad root datum", witness=obj) from exc
-
-    def to_json(self):
-        return {"type": self.group_type, "n": self.n,
-                "nu": [str(v) for v in self.nu]}
-
 
 def _pair(alpha, nu):
     return sum(a * v for a, v in zip(alpha, nu))
@@ -215,21 +203,17 @@ def coxeter_gate(d, p):
     h is the bound actually used downstream (for SO the stated orthogonal
     bound 2(m-1), which is smaller than the Weyl-group Coxeter number in
     the odd case); h_weyl is the classical invariant.  Both are reported
-    so the discrepancy stays visible.  n_class <= h_weyl - 1 is asserted.
+    so the discrepancy stays visible.  n_class above max(h_weyl - 1, 0)
+    raises InvariantViolated.
     p must be prime (MalformedInput otherwise).
     """
     FieldSpec(p, 1, 1)  # the check a perfected series makes
     m = d.n // 2
-    if d.group_type == "GL":
-        h = h_weyl = d.n
-    elif d.group_type == "GSp":
-        h = h_weyl = d.n
-    elif d.group_type == "SO":
+    if d.group_type == "SO":
         h = 2 * (m - 1)
         h_weyl = 2 * m if d.n % 2 else 2 * m - 2
-    else:  # pragma: no cover
-        raise UnsupportedType("no Coxeter number for this type",
-                              witness={"type": d.group_type})
+    else:  # GL and GSp
+        h = h_weyl = d.n
     n_class = unipotent_nilpotency(d)
     # SO(2) is a torus: no roots, h_weyl = 0 and n_class = 0
     if n_class > max(h_weyl - 1, 0):

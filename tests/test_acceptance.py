@@ -1,7 +1,7 @@
 """The twelve gate checks, one test each; run with -v for per-line results.
 
-Each test prints one `criterion NN: PASS` line (visible under -s) with the
-scale it ran at; a failure shows up as the test's FAILED line.
+Each criterion test prints one `criterion NN: PASS` line (visible under -s)
+with the scale it ran at; a failure shows up as the test's FAILED line.
 """
 
 import itertools
@@ -26,7 +26,7 @@ from isolab import (DieudonneLie, FieldSpec, Isocrystal, PadicScalar,
                     rigidity_check, slope_multiset_from_roots, slope_split)
 from isolab.dieudonne import dla_validate, pdiv_dimension
 from isolab.errors import MalformedInput
-from isolab.linalg import rat_nullspace
+from isolab.linalg import rat_rref
 from isolab.roots import coxeter_gate
 
 F = Fraction
@@ -201,6 +201,31 @@ def _frob_for_shape(shape):
                 out[ofs + i][ofs + j] = v
         ofs += len(b)
     return out
+
+
+def rat_nullspace(M):
+    """Basis of the rational kernel, as column vectors."""
+    if not M:
+        return []
+    n = len(M[0])
+    rows, pivots = rat_rref(M)
+    free = [j for j in range(n) if j not in pivots]
+    basis = []
+    for j in free:
+        vec = [F(0)] * n
+        vec[j] = F(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][j]
+        basis.append(vec)
+    return basis
+
+
+def test_rat_nullspace():
+    M = [[F(1), F(2), F(3)]]
+    ns = rat_nullspace(M)
+    assert len(ns) == 2
+    for v in ns:
+        assert sum(M[0][j] * v[j] for j in range(3)) == 0
 
 
 def _equivariance_kernel(frob):

@@ -14,7 +14,8 @@ from isolab import (DieudonneLie, FieldSpec, FreeLieElement, PadicScalar,
                     lyndon_words, oracle_check, rho_defect)
 from isolab.bch import is_lyndon, standard_factorization, MAX_CLASS
 from isolab import bch
-from isolab.dieudonne import integral_columns, lower_central_series
+from isolab.dieudonne import (dla_validate, integral_columns,
+                              lower_central_series)
 from isolab.errors import DegreeTooLarge, InvariantViolated, MalformedInput
 from isolab.linalg import coords_in_column_span
 
@@ -151,6 +152,9 @@ EYE3 = [[F(1), 0, 0], [F(0), 1, 0], [F(0), 0, 1]]
 #: lattice columns e0, e1, e2/2: closed under the group law at p = 2,
 #: although p = 2 is not above the class
 HALF_E2 = [[F(1), 0, 0], [F(0), 1, 0], [F(0), 0, F(1, 2)]]
+#: lattice columns e0, e1, 5*e2: [e0, e1] = e2 leaves it, so it is not
+#: closed under the bracket, and at p = 5 not under the group law either
+FIVE_E2 = [[F(1), 0, 0], [F(0), 1, 0], [F(0), 0, F(5)]]
 
 
 def vec(spec, *fracs):
@@ -245,7 +249,8 @@ def test_lattice_closure_zero_samples_checks_basis_pairs():
 
 def _closure_per_sample(a, samples, seed):
     """lattice_closure_check as a loop with one solve per pair, stopping at
-    the first pair whose product leaves the lattice."""
+    the first pair whose product leaves the lattice.  Above the class that
+    is a library fault only on a lattice closed under the bracket."""
     _, n_class = lower_central_series(a)
     spec, m = a.spec, len(a.lattice)
     rng = random.Random(seed)
@@ -270,7 +275,8 @@ def _closure_per_sample(a, samples, seed):
     for cx, cy in pairs():
         prod = group_mul(a, point(cx), point(cy), n_class=n_class)
         if not integral_columns(coords_in_column_span(a.lattice, [prod]))[0]:
-            if spec.p > n_class:
+            if spec.p > n_class and dla_validate(a)[
+                    "lattice_bracket_closure"]:
                 raise InvariantViolated("closure must hold for p above "
                                         "the class")
             return False, {"x": cx, "y": cy}
@@ -296,8 +302,8 @@ def free_nilpotent_class3(p):
 def test_lattice_closure_matches_per_sample_loop(samples):
     seen = set()
     for a in (heisenberg(2, EYE3), heisenberg(5, EYE3), heisenberg(2, HALF_E2),
-              free_nilpotent_class3(2), free_nilpotent_class3(3),
-              free_nilpotent_class3(5)):
+              heisenberg(5, FIVE_E2), free_nilpotent_class3(2),
+              free_nilpotent_class3(3), free_nilpotent_class3(5)):
         want = _closure_per_sample(a, samples, seed=0)
         assert lattice_closure_check(a, samples=samples, seed=0) == want
         seen.add("closed" if want[0] else
@@ -314,8 +320,9 @@ def test_lattice_closure_matches_per_sample_loop(samples):
     (heisenberg(2, EYE3), 100, [1, 2]),
     (free_nilpotent_class3(3), 100, [1, 2, 4, 8, 16]),
     (heisenberg(2, HALF_E2), 12, [1, 2, 4, 8, 6]),
+    (heisenberg(5, FIVE_E2), 12, [21]),
 ], ids=["closed", "no-samples", "basis-witness", "sample-witness",
-        "closed-low-p"])
+        "closed-low-p", "bracket-open-high-p"])
 def test_lattice_closure_solve_batches(monkeypatch, a, samples, solves):
     # above the class one solve for all pairs; at or below it batches of
     # 1, 2, 4, ... pairs up to the one with a witness
@@ -325,6 +332,17 @@ def test_lattice_closure_solve_batches(monkeypatch, a, samples, solves):
                         lambda *args: calls.append(args) or solve(*args))
     lattice_closure_check(a, samples=samples, seed=0)
     assert [len(targets) for _, targets in calls] == solves
+
+
+def test_lattice_closure_bracket_open_lattice_above_class():
+    # p = 5 is above class 2, but the lattice breaks the other hypothesis
+    # of the theorem: the answer is the first failing pair, not a fault
+    a = heisenberg(5, FIVE_E2)
+    rep = dla_validate(a)
+    assert rep["lattice_bracket_closure"] is False
+    assert rep["witnesses"]["lattice_bracket_closure"] == (0, 1)
+    assert lattice_closure_check(a, samples=100, seed=0) == (
+        False, {"x": [1, 0, 0], "y": [0, 1, 0]})
 
 
 def test_lattice_closure_needs_lattice():

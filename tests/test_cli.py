@@ -157,6 +157,24 @@ def test_lattice_closure(corpus_dir, capsys):
     assert doc == {"closed": True, "witness": None}
 
 
+def test_lattice_closure_bracket_open_lattice(corpus_dir, capsys,
+                                              monkeypatch):
+    # lattice <e0, e1, 5*e2> at p = 5, above class 2: [e0, e1] = e2 leaves
+    # it, so the group law need not close and the first failing pair is
+    # the answer
+    import io
+    payload = json.loads((corpus_dir / "heisenberg.json").read_text())
+    payload["lattice"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "5"]]
+    text = json.dumps(payload)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, doc = run_json(capsys, "dla-check")
+    assert (code, doc["lattice_bracket_closure"]) == (0, False)
+    assert doc["witnesses"]["lattice_bracket_closure"] == [0, 1]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(capsys, "lattice-closure") == (
+        0, '{"closed":false,"witness":{"x":[1,0,0],"y":[0,1,0]}}\n')
+
+
 def test_leafdim_flags(capsys):
     code, doc = run_json(capsys, "leafdim", "--type", "GSp", "--n", "4",
                          "--nu", "0,0,-1,-1")

@@ -13,8 +13,7 @@ from isolab import (DieudonneLie, FieldSpec, Isocrystal, PadicScalar,
                     aut_lie_algebra, dla_validate, lower_central_series,
                     minimal_slope_center_check, pdiv_dimension,
                     smallest_f_stable_subalgebra)
-from isolab.dieudonne import (in_span, lattice_filtration,
-                              lattice_intersect_subspace, span_basis)
+from isolab.dieudonne import in_span, lattice_intersect_subspace, span_basis
 from isolab.errors import (InsufficientPrecision, InvariantViolated,
                            IsolabError, NonInvertible, NotNilpotent,
                            SlopeNotStrictlyNegative, SlopeOutOfRange)
@@ -150,44 +149,6 @@ def test_lcs_not_nilpotent():
     frob = [[F(1), 0, 0], [0, F(1), 0], [0, 0, F(1)]]
     with pytest.raises(NotNilpotent):
         lower_central_series(build(frob, c))
-
-
-def test_lattice_filtration_heisenberg():
-    lattices, ok, wit = lattice_filtration(heisenberg(EYE3))
-    assert ok and not wit
-    assert [len(L) for L in lattices] == [3, 1, 0]
-
-
-def test_lattice_filtration_scaled_center():
-    # lattice <e0, e1, e2/p>: [e0,e1] = e2 = p*(e2/p) still closes
-    lat = [[F(1), 0, 0], [F(0), 1, 0], [F(0), 0, F(1, 5)]]
-    lattices, ok, _ = lattice_filtration(heisenberg(lat))
-    assert ok
-    assert [len(L) for L in lattices] == [3, 1, 0]
-
-
-def test_lattice_filtration_one_solve_per_step(monkeypatch):
-    # [e0, e1] = e2/5: both nonzero brackets leave the lattice <e2>, and
-    # one solve per filtration step answers them in bracket order
-    c = zero_bracket(3)
-    c[0][1][2], c[1][0][2] = F(1, 5), F(-1, 5)
-    a = build([[F(1, 5), 0, 0], [0, F(1), 0], [0, 0, F(1, 5)]], c, EYE3)
-    chain, _ = lower_central_series(a)
-    calls = []
-    solve = dieudonne.coords_in_column_span
-    monkeypatch.setattr(dieudonne, "coords_in_column_span",
-                        lambda *args: calls.append(args) or solve(*args))
-    lattices, ok, wit = lattice_filtration(a, chain)
-    assert [len(L) for L in lattices] == [3, 1, 0]
-    assert not ok and wit == [("non_integral", 0)] * 2
-    assert [len(targets) for _, targets in calls] == [2]
-
-
-def test_lattice_filtration_abelian_trivial():
-    a = build([[F(1), 0], [0, F(1, 5)]], zero_bracket(2),
-              [[F(1), 0], [F(0), 1]])
-    lattices, ok, _ = lattice_filtration(a)
-    assert ok and len(lattices[1]) == 0
 
 
 def test_pdiv_dimension_values():

@@ -10,8 +10,8 @@ from isolab.linalg import (charpoly, coords_in_column_span, kernel_basis,
                            lower_hull, mat_from_rationals, mat_identity,
                            mat_inverse, mat_mul, mat_vec,
                            newton_root_valuations, row_echelon,
-                           rat_nullspace, rat_rank, rat_rref, rat_solve,
-                           saturate_columns, twisted_power)
+                           rat_rank, rat_rref, rat_solve, saturate_columns,
+                           twisted_power)
 
 Z5 = FieldSpec(5, 1, 12)
 
@@ -483,14 +483,6 @@ def test_rat_rref_and_rank():
     R, piv = rat_rref([row[:] for row in M])
     assert rat_rank(M) == 1
     assert piv == [0]
-
-
-def test_rat_nullspace():
-    M = [[Fraction(1), Fraction(2), Fraction(3)]]
-    ns = rat_nullspace(M)
-    assert len(ns) == 2
-    for v in ns:
-        assert sum(M[0][j] * v[j] for j in range(3)) == 0
 
 
 def test_rat_solve_consistent_and_inconsistent():

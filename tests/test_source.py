@@ -34,7 +34,46 @@ def test_traced_names_exist():
                for name in names
                if not inspect.isfunction(getattr(
                    importlib.import_module(f"isolab.{layer}"), name, None))]
+    # outside SPANS: the tracer counts _speedups.zq_mul (its COUNTS entry
+    # with no class) and run.py stamps _speedups.BACKEND on every result
+    speedups = importlib.import_module("isolab._speedups")
+    missing += [f"_speedups.{attr}" for _, cls, attr in tracing.COUNTS
+                if cls is None and not inspect.isfunction(
+                    getattr(speedups, attr, None))]
+    if not isinstance(getattr(speedups, "BACKEND", None), str):
+        missing.append("_speedups.BACKEND")
     assert tracing.SPANS and missing == []
+
+
+#: top-level names that only code outside src/isolab reaches, and why
+REACHED_FROM_OUTSIDE = {
+    "linalg.rat_rank": "perfbench/tracing.py SPANS patches it, and "
+                       "test_traced_names_exist pins it",
+}
+
+
+def test_every_function_is_reachable():
+    # every top-level def and class is exported in isolab.__all__ or
+    # loaded by name somewhere in src/isolab outside its own body
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"),
+                                  filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    loads = [n for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(getattr(n, "ctx", None), ast.Load)]
+    found = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if node.name in isolab.__all__ or any(
+                    id(n) not in own and node.name in (
+                        getattr(n, "id", None), getattr(n, "attr", None))
+                    for n in loads):
+                continue
+            found.append(f"{mod}.{node.name}")
+    assert sorted(found) == sorted(REACHED_FROM_OUTSIDE)
 
 
 def test_no_unused_parameters():
