@@ -17,8 +17,8 @@ from math import factorial
 from .errors import (DegreeTooLarge, InsufficientPrecision,
                      InvariantViolated, MalformedInput, SplitUnavailable)
 from .dieudonne import (integral_columns, lattice_bracket_closure,
-                        lattice_intersect_subspace, lower_central_series,
-                        span_basis)
+                        lattice_intersect_subspace, lattice_phi_matrix,
+                        lower_central_series, span_basis)
 from .isocrystal import slope_split
 from .linalg import coords_in_column_span, rat_mat_mul, rat_solve
 from .padic import PadicScalar, _prime_factors
@@ -165,12 +165,6 @@ class FreeLieElement:
                 raise MalformedInput("words must be Lyndon over {X,Y}",
                                      witness=w)
         return FreeLieElement(deg, terms)
-
-    def associative(self):
-        out = {}
-        for w, c in self.terms.items():
-            out = _am_add(out, _am_scale(c, _expand_bracket(w, self.degree)))
-        return out
 
 
 def lie_project(assoc, cap):
@@ -424,6 +418,7 @@ def lattice_closure_check(a, samples=100, seed=0):
                              witness=samples)
     if a.lattice is None:
         raise MalformedInput("no lattice on this algebra")
+    lattice_phi_matrix(a)  # a lattice that lost rank raises here
     _, n_class = lower_central_series(a)
     spec = a.spec
     m = len(a.lattice)
@@ -502,6 +497,8 @@ def rho_defect(a, xprime, x, n):
                     out[i] = out[i] + cs * b_cols[s][i]
         return out
 
+    if a.lattice is not None:
+        lattice_phi_matrix(a)  # a lattice that lost rank raises here
     prod = group_mul(a, xprime, x)
     # P_cols is square, so every target has coordinates
     rp, rx, rxp = map(rho, coords_in_column_span(P_cols, [prod, x, xprime]))

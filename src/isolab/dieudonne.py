@@ -172,14 +172,7 @@ def dla_validate(a):
             report["f_equivariance"] = False
             report["witnesses"].setdefault("f_equivariance", (i, j))
     if a.lattice is not None:
-        spec = a.spec
-        try:
-            B = [list(row) for row in zip(*coords_in_column_span(
-                a.lattice, a.apply_phi(a.lattice)))]
-            Binv = mat_inverse(B, spec)
-        except NonInvertible as exc:
-            raise InsufficientPrecision("lattice comparison indeterminate",
-                                        witness=exc.witness)
+        B, Binv = lattice_phi_matrix(a)
         wit = None
         for i in range(n):
             for j in range(n):
@@ -216,13 +209,29 @@ def lattice_bracket_closure(a):
     return pairs, integral_columns(coords_in_column_span(a.lattice, brackets))
 
 
+def lattice_phi_matrix(a):
+    """(B, B^-1), column j of B being phi of lattice column j in lattice
+    coordinates.
+
+    A lattice that lost rank at working precision leaves the comparison
+    indeterminate: InsufficientPrecision."""
+    try:
+        B = [list(row) for row in zip(*coords_in_column_span(
+            a.lattice, a.apply_phi(a.lattice)))]
+        return B, mat_inverse(B, a.spec)
+    except NonInvertible as exc:
+        raise InsufficientPrecision("lattice comparison indeterminate",
+                                    witness=exc.witness)
+
+
 def require_valid_bracket(a):
-    rep = dla_validate(a)
+    """Raise MalformedInput unless the bracket is antisymmetric, satisfies
+    Jacobi and commutes with F; the lattice is not read."""
+    rep = dla_validate(DieudonneLie(a.iso, a.bracket))  # lattice dropped
     for key in ("antisymmetry", "jacobi", "f_equivariance"):
         if not rep[key]:
             raise MalformedInput(f"bracket law violated: {key}",
                                  witness=rep["witnesses"].get(key))
-    return rep
 
 
 # --------------------------------------------------------------------------

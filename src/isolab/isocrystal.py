@@ -6,19 +6,20 @@ Slopes are valuations of Frobenius eigenvalues normalized by the inertia
 degree; for p-divisible groups they land in [-1, 0] with 0 etale and -1
 multiplicative.
 
-Slope decomposition runs entirely in exact arithmetic: linearize by the
-twisted f-fold product, take a division-free characteristic polynomial,
-pass to the d-th power to clear slope denominators, peel one integral
-slope at a time by quadratic Hensel lifting, and cut the module along
-kernels of the resulting factors.
+Slope decomposition runs entirely in exact arithmetic over the module's
+own ring: linearize by the twisted f-fold product, take a division-free
+characteristic polynomial, pass to the d-th power to clear slope
+denominators (a step skipped when the slopes times f are already
+integral), peel one integral slope at a time by quadratic Hensel
+lifting, and cut the module along kernels of the resulting factors.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import (FieldSpecMismatch, InsufficientPrecision,
                      InvariantViolated, MalformedInput, NonInvertible,
-                     ResidueFieldTooSmall)
+                     PrecisionExhausted, ResidueFieldTooSmall)
 from .linalg import (charpoly, coords_in_column_span, kernel_basis,
                      mat_from_rationals, mat_identity, mat_inverse, mat_mul,
                      newton_root_valuations, twisted_power)
@@ -74,36 +75,35 @@ class Isocrystal:
                        list(zip(*self.F)))
 
 
-def _qp_charpoly(coeffs, spec):
-    """Project charpoly coefficients to Q_p, checking sigma-invariance.
+def _require_qp(coeffs):
+    """Check that charpoly coefficients lie in Q_p, each with a digit.
 
     The twisted product is conjugated into itself by Frobenius, so its
     characteristic polynomial has coefficients fixed by sigma; any
-    certified t-component here means a real bug upstream.
+    certified t-component here means a real bug upstream.  Units are
+    stored reduced mod p^rel, so a t-component is zero to precision
+    exactly when its digit is 0.
     """
-    spec_p = FieldSpec(spec.p, 1, spec.N)
-    out = []
     for c in coeffs:
-        comps = c.qp_components()
-        if not all(extra.is_zero for extra in comps[1:]):
+        if c.is_zero:
+            if c.rel <= 0:  # O(p^b) with b <= 0 certifies no digit
+                raise PrecisionExhausted("no certified digits",
+                                         witness={"abs": c.rel, "shift": 0})
+        elif any(c.unit[1:]):
             raise InvariantViolated("charpoly coefficient escaped Q_p",
                                     witness=c.to_json())
-        base = comps[0]
-        out.append(PadicScalar.from_raw(spec_p, (0,), 0, base.rel)
-                   if base.is_zero else base)
-    return out
+
+
+def _polygon(A, spec):
+    """charpoly of A and its root valuations, ascending and distinct."""
+    coeffs = charpoly(A, spec)
+    return coeffs, newton_root_valuations(coeffs)
 
 
 def newton_slopes(M):
     """Sorted list of (slope, multiplicity); slopes are exact Fractions."""
-    L = twisted_power(M.F, M.spec)
-    coeffs = charpoly(L, M.spec)
-    vals = newton_root_valuations(coeffs)
-    out = []
-    for m, w in vals:
-        out.append((m / M.spec.f, w))
-    out.sort(key=lambda t: t[0])
-    return out
+    _, vals = _polygon(twisted_power(M.F, M.spec), M.spec)
+    return [(m / M.spec.f, w) for m, w in vals]
 
 
 # --------------------------------------------------------------------------
@@ -141,19 +141,17 @@ def _hensel_split(fpoly, g0, h0, p, M):
     return g, h
 
 
-def _peel_slope_factors(coeffs, vals, spec_p):
+def _peel_slope_factors(coeffs, vals, spec):
     """Split a monic Q_p polynomial along its (integer) root valuations.
 
-    coeffs: c_0..c_n PadicScalar over Q_p, monic.  vals: ascending list of
-    (root valuation m, width w), all m integral.  Returns one monic factor
-    (list of PadicScalar) per valuation.
+    coeffs: c_0..c_n PadicScalar over spec, all in Q_p, monic.  vals:
+    ascending list of (root valuation m, width w), all m integral.  Returns
+    one monic factor (list of PadicScalar over spec, in Q_p) per valuation.
     """
-    p = spec_p.p
+    p = spec.p
     factors = []
     cur = coeffs
-    rest_vals = list(vals)
-    while len(rest_vals) > 1:
-        m, w = rest_vals[0]
+    for m, w in vals[:-1]:
         n = len(cur) - 1
         scaled = [c.scale_p(-m * (n - i)) for i, c in enumerate(cur)]
         M = min(c.abs_prec if not c.is_zero else c.rel for c in scaled)
@@ -180,40 +178,33 @@ def _peel_slope_factors(coeffs, vals, spec_p):
         g0 = [0] * a + [1]
         A_fac, B_fac = _hensel_split(ints, g0, hbar, p, M)
         # untransform: factor with roots of valuation m
-        factors.append(_untransform(B_fac, m, w, M, spec_p))
-        cur = _untransform(A_fac, m, a, M, spec_p)
-        rest_vals = [(mk, wk) for mk, wk in rest_vals[1:]]
+        factors.append(_untransform(B_fac, m, w, M, spec))
+        cur = _untransform(A_fac, m, a, M, spec)
     factors.append(cur)
     return factors
 
 
-def _untransform(ip, m, deg, M, spec_p):
+def _untransform(ip, m, deg, M, spec):
     """p^(m*deg) * B(T / p^m) for an integer-list monic B known mod p^M."""
     out = []
     ip = ip + [0] * (deg + 1 - len(ip))
+    pad = (0,) * (spec.f - 1)
     for i in range(deg + 1):
         shift = m * (deg - i)
-        out.append(PadicScalar.from_raw(spec_p, (ip[i],), shift, M + shift))
+        out.append(PadicScalar.from_raw(spec, (ip[i],) + pad, shift,
+                                        M + shift))
     return out
 
 
-def _poly_at_matrix(coeffs_qp, A, spec):
-    """Evaluate a Q_p polynomial at a Q_q matrix (Horner)."""
+def _poly_at_matrix(coeffs, A, spec):
+    """Evaluate a polynomial over spec at a matrix over spec (Horner)."""
     n = len(A)
     ident = mat_identity(spec, n)
-
-    def lift(c):
-        if c.is_zero:
-            return PadicScalar.zero(spec, c.rel)
-        return PadicScalar.from_raw(
-            spec, (c.unit[0],) + (0,) * (spec.f - 1), c.v, c.abs_prec)
-
-    out = [[lift(coeffs_qp[-1]) * e for e in row] for row in ident]
-    for c in reversed(coeffs_qp[:-1]):
+    out = [[coeffs[-1] * e for e in row] for row in ident]
+    for c in reversed(coeffs[:-1]):
         out = mat_mul(out, A)
-        cl = lift(c)
         for i in range(n):
-            out[i][i] = out[i][i] + cl
+            out[i][i] = out[i][i] + c
     return out
 
 
@@ -232,46 +223,40 @@ def slope_split(M, fine=False):
     f, InsufficientPrecision when r divides f.
     """
     spec = M.spec
-    slopes = newton_slopes(M)
+    L = twisted_power(M.F, spec)
+    coeffs, vals = _polygon(L, spec)
+    slopes = [(m / spec.f, w) for m, w in vals]
     if not slopes:  # rank 0: nothing to split
         return []
     if fine:
         for lam, w in slopes:
             r = lam.denominator
             if w > r and spec.f % r != 0:
-                need = spec.f * r // gcd(spec.f, r)
                 raise ResidueFieldTooSmall(
                     "fine splitting this block needs a residue extension",
                     witness={"slope": str(lam), "rank": w,
-                             "required_degree": need})
+                             "required_degree": lcm(spec.f, r)})
             if w > r and spec.f % r == 0:
                 raise InsufficientPrecision(
                     "fine splitting inside one slope is not certified here",
                     witness={"slope": str(lam), "rank": w})
-    L = twisted_power(M.F, spec)
     if len(slopes) == 1:
         lam, _ = slopes[0]
         basis = [[row[j] for row in mat_identity(spec, M.rank)]
                  for j in range(M.rank)]
         return [(lam, basis, M)]
-    d = 1
-    for lam, _ in slopes:
-        d = d // gcd(d, (lam * spec.f).denominator) \
-            * (lam * spec.f).denominator
+    d = lcm(*(m.denominator for m, _ in vals))
     A = L
     for _ in range(d - 1):
         A = mat_mul(A, L)
-    coeffs = charpoly(A, spec)
-    vals = newton_root_valuations(coeffs)
-    expect = sorted((d * lam * spec.f, w) for lam, w in slopes)
-    if [(Fraction(m), w) for m, w in vals] != \
-            [(Fraction(m), w) for m, w in expect]:
-        raise InvariantViolated("power trick changed the polygon",
-                                witness={"power": d})
-    int_vals = [(int(m), w) for m, w in vals]
-    spec_p = FieldSpec(spec.p, 1, spec.N)
-    qp_coeffs = _qp_charpoly(coeffs, spec)
-    factors = _peel_slope_factors(qp_coeffs, int_vals, spec_p)
+    if d > 1:
+        coeffs, power_vals = _polygon(A, spec)
+        if power_vals != [(d * m, w) for m, w in vals]:
+            raise InvariantViolated("power trick changed the polygon",
+                                    witness={"power": d})
+    int_vals = [(int(d * m), w) for m, w in vals]
+    _require_qp(coeffs)
+    factors = _peel_slope_factors(coeffs, int_vals, spec)
     blocks = []
     for (m, w), G in zip(int_vals, factors):
         GA = _poly_at_matrix(G, A, spec)

@@ -28,11 +28,8 @@ def _positive_root_positions(group_type, n):
                  if (i + 1) + (j + 1) <= n]
         longs = [(i, n - 1 - i) for i in range(g)]
         return short + longs
-    if group_type == "SO":
-        return [(i, j) for i in range(n) for j in range(i + 1, n)
-                if (i + 1) + (j + 1) < n + 1]
-    raise UnsupportedType("no root table for this type",
-                          witness={"type": group_type})
+    return [(i, j) for i in range(n) for j in range(i + 1, n)  # SO
+            if (i + 1) + (j + 1) < n + 1]
 
 
 class RootDatumWithCochar:

@@ -16,8 +16,9 @@ from isolab.bch import is_lyndon, standard_factorization, MAX_CLASS
 from isolab import bch
 from isolab.dieudonne import (dla_validate, integral_columns,
                               lower_central_series)
-from isolab.errors import DegreeTooLarge, InvariantViolated, MalformedInput
-from isolab.linalg import coords_in_column_span
+from isolab.errors import (DegreeTooLarge, InsufficientPrecision,
+                           InvariantViolated, MalformedInput)
+from isolab.linalg import coords_in_column_span, mat_from_rationals
 
 F = Fraction
 SPEC = FieldSpec(5, 1, 16)
@@ -422,6 +423,19 @@ def test_rho_defect_solves_twice(monkeypatch):
     d, rep = rho_defect(a, vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0), 0)
     assert not all(c.is_zero for c in d) and rep["member"] is True
     assert [len(targets) for _, targets in calls] == [3, 1]
+
+
+def test_rho_defect_rejects_singular_lattice():
+    # group_mul no longer reads the lattice; rho_defect still compares it
+    b = split_heisenberg()
+    a = DieudonneLie(b.iso, b.bracket, mat_from_rationals(
+        b.spec, [[F(1), 0, F(1)], [F(0), 1, 1], [F(0), 0, 0]]))
+    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
+    assert [c.to_json() for c in group_mul(a, x, y)] == [
+        c.to_json() for c in group_mul(b, x, y)]
+    with pytest.raises(InsufficientPrecision,
+                       match="lattice comparison indeterminate"):
+        rho_defect(a, x, y, 0)
 
 
 def test_rho_defect_outside_minimal_slope_part(monkeypatch):

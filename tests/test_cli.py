@@ -85,6 +85,44 @@ def test_split_rank_zero(monkeypatch, capsys):
     assert (code, out) == (0, '{"blocks":[]}\n')
 
 
+def _split_line(one):
+    """The split of slopes -1/2 and 0 below; one is the unit 1 over Q_q."""
+    z = '{"unit":null,"valuation":null,"zero_precision":%d}'
+    u = '{"unit":' + one + ',"valuation":%d}'
+    return ('{"blocks":[{"basis":[[' + u % 0 + ',' + z % 12 + ',' + z % 12
+            + '],[' + z % 12 + ',' + u % 0 + ',' + z % 12 + ']],'
+            '"frobenius":[[' + z % 11 + ',' + u % -1 + '],[' + u % 0 + ','
+            + z % 12 + ']],"rank":2,"slope":"-1/2"},{"basis":[[' + z % 12
+            + ',' + z % 13 + ',' + u % 0 + ']],"frobenius":[[' + u % 0
+            + ']],"rank":1,"slope":"0"}]}\n')
+
+
+@pytest.mark.parametrize("payload, code, line", [
+    # slopes -1/2 and 0: f times each slope is integral over Q_9, so the
+    # twisted power is split as it is
+    ({"p": 3, "f": 2, "N": 12, "frobenius": [["0", "1/3", "0"],
+                                             ["1", "0", "0"],
+                                             ["0", "0", "1"]]},
+     0, _split_line("[1,0]")),
+    # over Q_8, f times -1/2 is not, so its square is split
+    ({"p": 2, "f": 3, "N": 12, "frobenius": [["0", "1/2", "0"],
+                                             ["1", "0", "0"],
+                                             ["0", "0", "1"]]},
+     0, _split_line("[1,0,0]")),
+    # slopes -2 and -1 at N = 3: the charpoly's T coefficient is O(2^-1),
+    # which certifies no digit
+    ({"p": 2, "N": 3, "frobenius": [["1/4", "1/9", "1/3"],
+                                    ["4", "0", "1/4"],
+                                    ["2", "5", "1/5"]]},
+     2, '{"error":"PrecisionExhausted","message":"no certified digits",'
+        '"witness":{"abs":-1,"shift":0}}\n'),
+], ids=["two-slopes-f2", "two-slopes-f3", "zero-bound-coefficient"])
+def test_split_line(payload, code, line, monkeypatch, capsys):
+    import io
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert run(capsys, "split") == (code, line)
+
+
 def test_hom_rank_zero_source(monkeypatch, capsys):
     import io
     payload = json.dumps({"source": {"p": 5, "N": 8, "frobenius": []},
@@ -103,25 +141,47 @@ def test_dla_check(corpus_dir, capsys):
     assert doc["lattice_dieudonne"] and doc["lattice_bracket_closure"]
 
 
+#: lattice columns e0 + e2, e1 + e2 and 0: rank 2 of 3
+SINGULAR_LATTICE = [["1", "0", "1"], ["0", "1", "1"], ["0", "0", "0"]]
+LATTICE_INDETERMINATE = (
+    '{"error":"InsufficientPrecision","message":"lattice comparison '
+    'indeterminate","witness":{"rank":2,"size":3}}\n')
+
+
 @pytest.mark.parametrize("command, payload, line", [
-    ("dla-check", None,
-     '{"error":"InsufficientPrecision","message":"lattice comparison '
-     'indeterminate","witness":{"rank":2,"size":3}}\n'),
+    ("dla-check", None, LATTICE_INDETERMINATE),
+    ("lattice-closure", None, LATTICE_INDETERMINATE),
     ("hom", {"source": {"p": 5, "N": 8,
                         "frobenius": [["1", "1"], ["1", "1"]]},
              "target": {"p": 5, "N": 8, "frobenius": [["1"]]}},
      '{"error":"NonInvertible","message":"matrix is singular to working '
      'precision","witness":{"rank":1,"size":2}}\n'),
-], ids=["dla-check-singular-lattice", "hom-singular-source"])
+], ids=["dla-check-singular-lattice", "lattice-closure-singular-lattice",
+        "hom-singular-source"])
 def test_rank_loss_error_line(command, payload, line, corpus_dir, capsys,
                               monkeypatch):
     import io
     if payload is None:
         payload = json.loads((corpus_dir / "heisenberg.json").read_text())
-        payload["lattice"] = [["1", "0", "1"], ["0", "1", "1"],
-                              ["0", "0", "0"]]
+        payload["lattice"] = SINGULAR_LATTICE
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
     assert run(capsys, command) == (2, line)
+
+
+@pytest.mark.parametrize("command, name, line", [
+    ("lcs", "heisenberg.json", '{"dims":[3,1,0],"n_class":2}\n'),
+    ("bch-mul", "bch_mul.json",
+     '{"product":[{"unit":[1],"valuation":0},{"unit":[1],"valuation":0},'
+     '{"unit":[76293945313],"valuation":0}]}\n'),
+], ids=["lcs", "bch-mul"])
+def test_bracket_commands_ignore_the_lattice(command, name, line, corpus_dir,
+                                             capsys, monkeypatch):
+    # neither answer reads the lattice, so a singular one changes nothing
+    import io
+    payload = json.loads((corpus_dir / name).read_text())
+    payload.get("algebra", payload)["lattice"] = SINGULAR_LATTICE
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert run(capsys, command) == (0, line)
 
 
 def test_lcs(corpus_dir, capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import isolab
+from isolab import isocrystal
 from isolab import (FieldSpec, Isocrystal, PadicScalar, internal_hom,
                     newton_slopes, slope_part, slope_split, standard_simple)
 from isolab.errors import (InsufficientPrecision, InvariantViolated,
@@ -96,6 +97,53 @@ def test_fine_split_uncertified_when_degree_divides():
                 [0, 1, 0, 0], [0, 0, 1, 0]]])
     with pytest.raises(InsufficientPrecision):
         slope_split(M, fine=True)
+
+
+def two_slopes(p, f):
+    """Slopes -1/2 and 0 over Q_(p^f): f times -1/2 is integral iff f is
+    even, so the split needs the twisted power squared (d = 2) iff f is
+    odd."""
+    return iso([[0, f"1/{p}", 0], [1, 0, 0], [0, 0, 1]], FieldSpec(p, f, 12))
+
+
+@pytest.mark.parametrize("p, f, charpolys", [(3, 2, 1), (2, 3, 2)])
+def test_split_computes_each_power_once(p, f, charpolys, monkeypatch):
+    calls = []
+    for name in ("twisted_power", "charpoly"):
+        fn = getattr(isocrystal, name)
+        monkeypatch.setattr(isocrystal, name, lambda *a, fn=fn, name=name:
+                            calls.append(name) or fn(*a))
+    blocks = slope_split(two_slopes(p, f))
+    assert [(lam, sub.rank) for lam, _, sub in blocks] == [
+        (Fraction(-1, 2), 2), (Fraction(0), 1)]
+    assert calls.count("twisted_power") == 1
+    assert calls.count("charpoly") == charpolys
+
+
+def test_split_rejects_charpoly_outside_qp(monkeypatch):
+    # the constant coefficient times the unit 1 + t keeps the polygon but
+    # gains a t-component
+    real = isocrystal.charpoly
+
+    def charpoly(A, spec):
+        coeffs = real(A, spec)
+        return [coeffs[0] * PadicScalar.from_coeffs(spec, [1, 1])] + coeffs[1:]
+
+    monkeypatch.setattr(isocrystal, "charpoly", charpoly)
+    with pytest.raises(InvariantViolated, match="escaped Q_p"):
+        slope_split(two_slopes(3, 2))
+
+
+def test_split_rejects_power_with_another_polygon(monkeypatch):
+    # at d = 2 a charpoly of the twisted power in place of its square
+    # gives the unscaled slopes
+    seen = []
+    real = isocrystal.charpoly
+    monkeypatch.setattr(isocrystal, "charpoly",
+                        lambda A, spec: real(seen.append(A) or seen[0], spec))
+    with pytest.raises(InvariantViolated, match="power trick"):
+        slope_split(two_slopes(2, 3))
+    assert len(seen) == 2
 
 
 def test_hom_unit_roots():

@@ -76,6 +76,44 @@ def test_every_function_is_reachable():
     assert sorted(found) == sorted(REACHED_FROM_OUTSIDE)
 
 
+#: methods that only code outside this repository calls, and why
+CALLED_FROM_OUTSIDE = {
+    "cli._Parser.error": "argparse.ArgumentParser calls it on a bad argv",
+}
+
+
+def test_every_method_is_reachable():
+    # every non-dunder method of a class in src/isolab is loaded by name in
+    # src/isolab, tests/ or perfbench/ outside its own body
+    root = SRC.parents[1]
+    paths = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"),
+             *(root / "perfbench").glob("*.py")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"),
+                             filename=str(path)) for path in sorted(paths)}
+    loads = [n for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(getattr(n, "ctx", None), ast.Load)]
+    found = []
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)) or (
+                        node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    continue
+                own = {id(n) for n in ast.walk(node)}
+                if not any(id(n) not in own and node.name in (
+                        getattr(n, "id", None), getattr(n, "attr", None))
+                        for n in loads):
+                    found.append(f"{path.stem}.{cls.name}.{node.name}")
+    assert len(trees) > 10
+    assert sorted(found) == sorted(CALLED_FROM_OUTSIDE)
+
+
 def test_no_unused_parameters():
     # a parameter its body never reads makes every caller pass a value
     # for nothing
