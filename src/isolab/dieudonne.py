@@ -20,9 +20,15 @@ from .padic import PadicScalar
 
 
 class DieudonneLie:
-    """iso: the (module, Frobenius) pair; bracket: c[i][j][k]; lattice: columns."""
+    """iso: the (module, Frobenius) pair; bracket: c[i][j][k]; lattice: columns.
 
-    __slots__ = ("iso", "bracket", "lattice")
+    __init__ is the only code that sets an attribute, and no code writes
+    through bracket[...]: bracket_vec walks a table of the nonzero
+    constants built here once, which is valid only while the constants
+    never change.  A new bracket is a new DieudonneLie.
+    """
+
+    __slots__ = ("iso", "bracket", "lattice", "_cells")
 
     def __init__(self, iso, bracket, lattice=None):
         n = iso.rank
@@ -37,6 +43,20 @@ class DieudonneLie:
         self.iso = iso
         self.bracket = bracket
         self.lattice = lattice
+        # _cells[i]: the (j, ((k, c_ijk), ..)) with a nonzero c_ijk, j and
+        # k ascending.  A constant that is zero to precision, O(p^b), is
+        # left out with its bound b; a zero rule that keeps such bounds
+        # changes only this filter.
+        cells = []
+        for row in bracket:
+            out = []
+            for j, cell in enumerate(row):
+                consts = tuple((k, c) for k, c in enumerate(cell)
+                               if not c.is_zero)
+                if consts:
+                    out.append((j, consts))
+            cells.append(tuple(out))
+        self._cells = tuple(cells)
 
     @property
     def spec(self):
@@ -47,23 +67,21 @@ class DieudonneLie:
         return self.iso.rank
 
     def bracket_vec(self, x, y):
-        """[x, y] for coordinate vectors of PadicScalar."""
-        n = self.rank
-        spec = self.spec
-        out = [PadicScalar.zero(spec) for _ in range(n)]
-        for i in range(n):
-            xi = x[i]
-            if xi.is_zero:
+        """[x, y] = sum of x_i y_j c_ijk e_k for coordinate vectors of
+        PadicScalar, over the nonzero c_ijk only; zero x_i and y_j are
+        skipped.  Each sum runs in ascending i, j, k, as a dense loop
+        over all n^3 constants would."""
+        out = [PadicScalar.zero(self.spec)] * self.rank
+        for xi, cells in zip(x, self._cells):
+            if xi.unit is None:
                 continue
-            for j in range(n):
+            for j, consts in cells:
                 yj = y[j]
-                if yj.is_zero:
+                if yj.unit is None:
                     continue
-                cij = self.bracket[i][j]
                 w = xi * yj
-                for k in range(n):
-                    if not cij[k].is_zero:
-                        out[k] = out[k] + w * cij[k]
+                for k, c in consts:
+                    out[k] = out[k] + w * c
         return out
 
     def basis_vector(self, i):

@@ -497,43 +497,60 @@ class PadicScalar:
                            tuple((-c) % pM for c in self.unit), self.rel)
 
     def __add__(self, other):
-        self._same(other)
+        # the scalar hot path: it reads the slots (unit is None for a zero)
+        # instead of calling is_zero, abs_prec or zero(), and compares
+        # instead of calling min
         spec = self.spec
-        if self.is_zero and other.is_zero:
-            return PadicScalar.zero(spec, min(self.rel, other.rel))
-        if self.is_zero or other.is_zero:
-            z, x = (self, other) if self.is_zero else (other, self)
-            b = z.rel
-            if x.v >= b:
-                return PadicScalar.zero(spec, b)
-            abs_out = min(b, x.abs_prec)
-            rel = abs_out - x.v
-            pM = spec.p ** rel
-            return PadicScalar(spec, x.v,
-                               tuple(c % pM for c in x.unit), rel)
-        w = min(self.v, other.v)
-        abs_out = min(self.abs_prec, other.abs_prec)
-        mod = spec.p ** (abs_out - w)
-        pa, pb = spec.p ** (self.v - w), spec.p ** (other.v - w)
-        coeffs = tuple((pa * a + pb * b) % mod
-                       for a, b in zip(self.unit, other.unit))
-        return PadicScalar.from_raw(spec, coeffs, w, abs_out)
+        if other.spec is not spec:
+            self._same(other)
+        if self.unit is None:
+            if other.unit is None:
+                b = other.rel
+                return PadicScalar(spec, None, None,
+                                   self.rel if self.rel < b else b)
+            b, x = self.rel, other
+        elif other.unit is None:
+            b, x = other.rel, self
+        else:
+            sv, ov = self.v, other.v
+            w = sv if sv < ov else ov
+            abs_out, other_abs = sv + self.rel, ov + other.rel
+            if other_abs < abs_out:
+                abs_out = other_abs
+            p = spec.p
+            mod = p ** (abs_out - w)
+            pa, pb = p ** (sv - w), p ** (ov - w)
+            coeffs = tuple((pa * a + pb * c) % mod
+                           for a, c in zip(self.unit, other.unit))
+            return PadicScalar.from_raw(spec, coeffs, w, abs_out)
+        # x plus the zero O(p^b)
+        xv = x.v
+        if xv >= b:
+            return PadicScalar(spec, None, None, b)
+        rel = b - xv
+        if x.rel < rel:
+            rel = x.rel
+        pM = spec.p ** rel
+        return PadicScalar(spec, xv, tuple(c % pM for c in x.unit), rel)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        self._same(other)
         spec = self.spec
-        if self.is_zero or other.is_zero:
-            b1 = self.rel if self.is_zero else self.v
-            b2 = other.rel if other.is_zero else other.v
-            return PadicScalar.zero(spec, b1 + b2)
-        # raw_mul reduces the product mod p^rel, so the units need no
+        if other.spec is not spec:
+            self._same(other)
+        if self.unit is None or other.unit is None:
+            return PadicScalar(spec, None, None,
+                               (self.rel if self.unit is None else self.v)
+                               + (other.rel if other.unit is None else other.v))
+        # zq_mul reduces the product mod p^rel, so the units need no
         # reduction first
-        rel = min(self.rel, other.rel)
-        unit = spec.raw_mul(self.unit, other.unit, spec.p ** rel)
-        return PadicScalar(spec, self.v + other.v, unit, rel)
+        rel = self.rel if self.rel < other.rel else other.rel
+        pM = spec.p ** rel
+        return PadicScalar(spec, self.v + other.v,
+                           _k.zq_mul(self.unit, other.unit,
+                                     spec.red_rows(pM), spec.f, pM), rel)
 
     def invert(self):
         if self.is_zero:

@@ -363,6 +363,96 @@ def test_closure_one_mat_inverse_per_step(monkeypatch):
     assert len(spans) == 3 and len(inverses) == 2
 
 
+def _dense_bracket_vec(a, x, y):
+    """The bracket as a fold over all n^3 constants: the reference for
+    bracket_vec's walk over the nonzero ones."""
+    n = a.rank
+    spec = a.spec
+    out = [PadicScalar.zero(spec) for _ in range(n)]
+    for i in range(n):
+        xi = x[i]
+        if xi.is_zero:
+            continue
+        for j in range(n):
+            yj = y[j]
+            if yj.is_zero:
+                continue
+            cij = a.bracket[i][j]
+            w = xi * yj
+            for k in range(n):
+                if not cij[k].is_zero:
+                    out[k] = out[k] + w * cij[k]
+    return out
+
+
+def _rand_entry(rng, spec, zero_share):
+    """An exact zero, an O(p^b) zero with b < N, or a nonzero scalar of
+    mixed valuation and relative precision."""
+    r = rng.random()
+    if r < zero_share / 2:
+        return PadicScalar.zero(spec)
+    if r < zero_share:
+        return PadicScalar.zero(spec, rng.randint(-2, spec.N - 1))
+    return _rand_scalar(rng, spec, zero_share=0)
+
+
+def _triples(vecs):
+    return [[(c.v, c.unit, c.rel) for c in v] for v in vecs]
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_bracket_vec_matches_dense_fold(f):
+    spec = FieldSpec(3, f, 6)
+    rng = random.Random(70 + f)
+    eye = [[PadicScalar.from_int(spec, int(i == j)) for j in range(6)]
+           for i in range(6)]
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        share = rng.choice([0.3, 0.7, 0.95])
+        bracket = [[[_rand_entry(rng, spec, share) for _ in range(n)]
+                    for _ in range(n)] for _ in range(n)]
+        a = DieudonneLie(Isocrystal(spec, [row[:n] for row in eye[:n]]),
+                         bracket)
+        for _ in range(4):
+            x, y = ([_rand_entry(rng, spec, 0.4) for _ in range(n)]
+                    for _ in range(2))
+            got, want = a.bracket_vec(x, y), _dense_bracket_vec(a, x, y)
+            assert _digits([got]) == _digits([want])
+            assert _triples([got]) == _triples([want])
+    # the zero x_0 = O(5) is skipped with its bound, so [x, e1] claims
+    # O(5^8) where only O(5) is certified; the walk keeps that answer
+    spec = FieldSpec(5, 1, 8)
+    c = zero_bracket(2)
+    c[0][1][0], c[1][0][0] = F(1), F(-1)
+    a = build([[F(1), 0], [0, F(1)]], c, spec=spec)
+    zero, one = PadicScalar.zero(spec), PadicScalar.from_int(spec, 1)
+    x, y = [PadicScalar.zero(spec, 1), zero], [zero, one]
+    got = a.bracket_vec(x, y)
+    assert _digits([got]) == _digits([_dense_bracket_vec(a, x, y)])
+    assert [repr(v) for v in got] == ["O(p^8)", "O(p^8)"]
+
+
+def test_bracket_vec_skips_empty_cells(monkeypatch):
+    # a product x_i y_j is made only for a cell (i, j) with a nonzero
+    # constant; the dense fold made all n^2 of them
+    calls = []
+    mul = PadicScalar.__mul__
+    monkeypatch.setattr(PadicScalar, "__mul__",
+                        lambda s, o: calls.append(1) or mul(s, o))
+    x, y = ([PadicScalar.from_int(SPEC, v) for v in vec]
+            for vec in ((2, 3, 7), (4, 6, 1)))
+    # Heisenberg: cells (0, 1) and (1, 0), one constant each
+    heis, abelian = heisenberg(), build(EYE3, zero_bracket(3))
+    got = heis.bracket_vec(x, y)
+    assert len(calls) == 4
+    calls.clear()
+    got_abelian = abelian.bracket_vec(x, y)
+    assert calls == []
+    assert _digits([got]) == _digits([_dense_bracket_vec(heis, x, y)])
+    assert _digits([got_abelian]) == _digits(
+        [_dense_bracket_vec(abelian, x, y)])
+
+
 def test_in_span_lost_rank_is_insufficient_precision():
     one, zero = PadicScalar.from_int(SPEC, 1), PadicScalar.zero(SPEC)
     e0, e1 = [one, zero], [zero, one]

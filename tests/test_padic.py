@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from isolab import FieldSpec, PadicScalar
-from isolab.errors import DivisionByZero, PrecisionExhausted
+from isolab.errors import DivisionByZero, FieldSpecMismatch, PrecisionExhausted
 from isolab.padic import canonical_modulus
 
 
@@ -249,3 +249,92 @@ def test_default_zero_is_shared_per_spec():
     assert PadicScalar.zero(spec) is z and PadicScalar.zero(other) is not z
     assert z.is_zero and z.rel == spec.N
     assert PadicScalar.zero(spec, 3) is not PadicScalar.zero(spec, 3)
+
+
+def _add_reference(a, b):
+    """a + b through is_zero, abs_prec and PadicScalar.zero."""
+    spec = a.spec
+    if a.spec is not b.spec:
+        raise FieldSpecMismatch("operands over different rings")
+    if a.is_zero and b.is_zero:
+        return PadicScalar.zero(spec, min(a.rel, b.rel))
+    if a.is_zero or b.is_zero:
+        z, x = (a, b) if a.is_zero else (b, a)
+        bound = z.rel
+        if x.v >= bound:
+            return PadicScalar.zero(spec, bound)
+        abs_out = min(bound, x.abs_prec)
+        rel = abs_out - x.v
+        pM = spec.p ** rel
+        return PadicScalar(spec, x.v, tuple(c % pM for c in x.unit), rel)
+    w = min(a.v, b.v)
+    abs_out = min(a.abs_prec, b.abs_prec)
+    mod = spec.p ** (abs_out - w)
+    pa, pb = spec.p ** (a.v - w), spec.p ** (b.v - w)
+    coeffs = tuple((pa * s + pb * t) % mod for s, t in zip(a.unit, b.unit))
+    return PadicScalar.from_raw(spec, coeffs, w, abs_out)
+
+
+def _mul_reference(a, b):
+    """a * b through is_zero, PadicScalar.zero and FieldSpec.raw_mul."""
+    spec = a.spec
+    if a.spec is not b.spec:
+        raise FieldSpecMismatch("operands over different rings")
+    if a.is_zero or b.is_zero:
+        return PadicScalar.zero(spec, (a.rel if a.is_zero else a.v)
+                                + (b.rel if b.is_zero else b.v))
+    rel = min(a.rel, b.rel)
+    return PadicScalar(spec, a.v + b.v,
+                       spec.raw_mul(a.unit, b.unit, spec.p ** rel), rel)
+
+
+def _operand_pair(spec, rng, seen):
+    """(a, b) with negative valuations, rel < N, units that are not
+    reduced mod p^rel, sums that cancel digits, and zeros whose bound is
+    below or above the other operand's valuation."""
+    a = _mixed_scalar(spec, rng)
+    if a.is_zero:
+        a = PadicScalar(spec, rng.randint(-4, 4), (1,) * spec.f,
+                        rng.randint(1, spec.N))
+    seen.update({"negative"} if a.v < 0 else (),
+                {"rel < N"} if a.rel < spec.N else ())
+    r = rng.random()
+    if r < 0.3:
+        b = PadicScalar.zero(spec, a.v + rng.randint(-3, a.rel + 2))
+        seen.add("zero below" if b.rel <= a.v else "zero above")
+    elif r < 0.5:
+        # -a plus p^k r: the sum keeps only the digits above k
+        k, pR = rng.randint(1, spec.N), spec.p ** a.rel
+        unit = tuple((rng.randrange(spec.pN) * spec.p ** k - c) % pR
+                     for c in a.unit)
+        b = PadicScalar(spec, a.v, unit, rng.randint(1, spec.N))
+        seen.add("cancel")
+    elif r < 0.55:
+        b = PadicScalar.zero(spec, rng.randint(-4, spec.N + 4))
+        a = PadicScalar.zero(spec, rng.randint(-4, spec.N + 4))
+        seen.add("both zero")
+    else:
+        b = _mixed_scalar(spec, rng)
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (5, 1), (3, 2), (5, 3)])
+def test_add_mul_match_reference(p, f):
+    spec = FieldSpec(p, f, 6)
+    rng = random.Random(53 * p + f)
+    seen = set()
+    for _ in range(5000):
+        a, b = _operand_pair(spec, rng, seen)
+        for got, want in ((a + b, _add_reference(a, b)),
+                          (a * b, _mul_reference(a, b))):
+            assert (got.v, got.unit, got.rel) == (want.v, want.unit, want.rel)
+    assert seen == {"negative", "rel < N", "zero below", "zero above",
+                    "cancel", "both zero"}
+    other = FieldSpec(p, f, 7)
+    for a in (PadicScalar.from_int(spec, 3), PadicScalar.zero(spec)):
+        for b in (PadicScalar.from_int(other, 3), PadicScalar.zero(other)):
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(FieldSpecMismatch):
+                    x + y
+                with pytest.raises(FieldSpecMismatch):
+                    x * y

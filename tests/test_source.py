@@ -7,7 +7,7 @@ import inspect
 import pathlib
 
 import isolab
-from isolab import PadicScalar
+from isolab import DieudonneLie, PadicScalar
 
 SRC = pathlib.Path(isolab.__file__).resolve().parent
 
@@ -159,4 +159,48 @@ def test_scalars_are_immutable():
                 # and x.__setattr__("v", ...) name the slot in one of the
                 # first two arguments
                 found.append(f"{path.name}:{node.lineno}:call")
+    assert found == []
+
+
+def test_algebra_constants_are_fixed():
+    # DieudonneLie.__init__ builds bracket_vec's table of the nonzero
+    # constants once, so no code may set an algebra's attributes after
+    # __init__ or write through .bracket[...]
+    root = SRC.parents[1]
+    paths = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"),
+             *(root / "perfbench").glob("*.py")]
+    slots = set(DieudonneLie.__slots__)
+    in_init, found = set(), []
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        init = [n for cls in tree.body if isinstance(cls, ast.ClassDef)
+                and cls.name == "DieudonneLie" for f in cls.body
+                if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                for n in ast.walk(f)]
+        own = {id(n) for n in init}
+        in_init |= {n.attr for n in init if isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if id(node) in own:
+                continue
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) in ("setattr", "delattr")
+                    or getattr(node.func, "attr", None) in (
+                        "setattr", "delattr", "__setattr__",
+                        "__delattr__")) and any(
+                    isinstance(arg, ast.Constant) and arg.value in slots
+                    for arg in node.args[:2]):
+                found.append(f"{path.name}:{node.lineno}:call")
+            if not isinstance(getattr(node, "ctx", None),
+                              (ast.Store, ast.Del)):
+                continue
+            if isinstance(node, ast.Attribute) and node.attr in slots:
+                found.append(f"{path.name}:{node.lineno}:{node.attr}")
+            elif isinstance(node, ast.Subscript):
+                base = node.value
+                while isinstance(base, ast.Subscript):
+                    base = base.value
+                if getattr(base, "attr", None) == "bracket":
+                    found.append(f"{path.name}:{node.lineno}:bracket[...]")
+    assert in_init == slots
     assert found == []
