@@ -23,12 +23,14 @@ class DieudonneLie:
     """iso: the (module, Frobenius) pair; bracket: c[i][j][k]; lattice: columns.
 
     __init__ is the only code that sets an attribute, and no code writes
-    through bracket[...]: bracket_vec walks a table of the nonzero
-    constants built here once, which is valid only while the constants
-    never change.  A new bracket is a new DieudonneLie.
+    through bracket[...]: the table of nonzero constants bracket_vec walks
+    is built, and the bracket laws are checked, here once; both hold only
+    while the constants never change.  A new bracket is a new DieudonneLie.
+    An algebra that breaks a law is still built, for dla_validate to
+    report; every operation that needs the laws raises MalformedInput.
     """
 
-    __slots__ = ("iso", "bracket", "lattice", "_cells")
+    __slots__ = ("iso", "bracket", "lattice", "_cells", "_laws")
 
     def __init__(self, iso, bracket, lattice=None):
         n = iso.rank
@@ -57,6 +59,7 @@ class DieudonneLie:
                     out.append((j, consts))
             cells.append(tuple(out))
         self._cells = tuple(cells)
+        self._laws = _bracket_laws(self)
 
     @property
     def spec(self):
@@ -156,8 +159,8 @@ def integral_columns(X):
     return [all(c.is_zero or c.v >= 0 for c in col) for col in X]
 
 
-def dla_validate(a):
-    """Check every structural law; flags plus witnesses, never silent."""
+def _bracket_laws(a):
+    """dla_validate's report on the algebra without its lattice."""
     n = a.rank
     report = {"antisymmetry": True, "jacobi": True, "f_equivariance": True,
               "lattice_dieudonne": None, "lattice_bracket_closure": None,
@@ -189,6 +192,13 @@ def dla_validate(a):
         if not _vec_is_zero([x - y for x, y in zip(lhs, rhs)]):
             report["f_equivariance"] = False
             report["witnesses"].setdefault("f_equivariance", (i, j))
+    return report
+
+
+def dla_validate(a):
+    """Check every structural law; flags plus witnesses, never silent."""
+    n = a.rank
+    report = dict(a._laws, witnesses=dict(a._laws["witnesses"]))  # a copy
     if a.lattice is not None:
         B, Binv = lattice_phi_matrix(a)
         wit = None
@@ -244,12 +254,11 @@ def lattice_phi_matrix(a):
 
 def require_valid_bracket(a):
     """Raise MalformedInput unless the bracket is antisymmetric, satisfies
-    Jacobi and commutes with F; the lattice is not read."""
-    rep = dla_validate(DieudonneLie(a.iso, a.bracket))  # lattice dropped
+    Jacobi and commutes with F, by the algebra's stored verdict."""
     for key in ("antisymmetry", "jacobi", "f_equivariance"):
-        if not rep[key]:
+        if not a._laws[key]:
             raise MalformedInput(f"bracket law violated: {key}",
-                                 witness=rep["witnesses"].get(key))
+                                 witness=a._laws["witnesses"][key])
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from math import lcm
 
 from .errors import (FieldSpecMismatch, InsufficientPrecision,
                      InvariantViolated, MalformedInput, NonInvertible,
-                     PrecisionExhausted, ResidueFieldTooSmall)
+                     ResidueFieldTooSmall)
 from .linalg import (charpoly, coords_in_column_span, kernel_basis,
                      mat_from_rationals, mat_identity, mat_inverse, mat_mul,
                      newton_root_valuations, twisted_power)
@@ -84,11 +84,12 @@ def _require_qp(coeffs):
     stored reduced mod p^rel, so a t-component is zero to precision
     exactly when its digit is 0.
     """
-    for c in coeffs:
+    for j, c in enumerate(coeffs):
         if c.is_zero:
             if c.rel <= 0:  # O(p^b) with b <= 0 certifies no digit
-                raise PrecisionExhausted("no certified digits",
-                                         witness={"abs": c.rel, "shift": 0})
+                raise InsufficientPrecision(
+                    "charpoly coefficient certifies no digit",
+                    witness={"coefficient": j, "bound": c.rel})
         elif any(c.unit[1:]):
             raise InvariantViolated("charpoly coefficient escaped Q_p",
                                     witness=c.to_json())

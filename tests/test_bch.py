@@ -13,11 +13,13 @@ from isolab import (DieudonneLie, FieldSpec, FreeLieElement, PadicScalar,
                     group_mul, lattice_closure_check, lie_project,
                     lyndon_words, oracle_check, rho_defect)
 from isolab.bch import is_lyndon, standard_factorization, MAX_CLASS
-from isolab import bch
+from isolab import bch, dieudonne
 from isolab.dieudonne import (dla_validate, integral_columns,
-                              lower_central_series)
+                              lower_central_series,
+                              minimal_slope_center_check)
 from isolab.errors import (DegreeTooLarge, InsufficientPrecision,
-                           InvariantViolated, MalformedInput)
+                           InvariantViolated, MalformedInput,
+                           SplitUnavailable)
 from isolab.linalg import coords_in_column_span, mat_from_rationals
 
 F = Fraction
@@ -455,3 +457,37 @@ def test_rho_defect_scaled_complement():
         d, rep = rho_defect(a, vec(a.spec, 0, 1, 0), x, n)
         assert rep["n"] == n
         assert rep["member"] is True
+
+
+def test_rho_defect_zero_bound_coefficient():
+    # the charpoly's T coefficient is O(2^-1) at N = 3, so the slopes are
+    # not split and there is no complement to project along
+    spec = FieldSpec(2, 1, 3)
+    frob = [[F(1, 4), F(1, 9), F(1, 3)], [F(4), 0, F(1, 4)],
+            [F(2), F(5), F(1, 5)]]
+    a = DieudonneLie.from_rationals(spec, frob, zero_bracket(3))
+    with pytest.raises(SplitUnavailable) as exc:
+        rho_defect(a, vec(spec, 1, 0, 0), vec(spec, 0, 1, 0), 0)
+    assert exc.value.witness == {"coefficient": 1, "bound": -1}
+
+
+def test_built_algebra_is_not_checked_again(monkeypatch):
+    # DieudonneLie.__init__ checks the bracket laws once; no operation on
+    # the algebra builds another one or checks them again
+    a = split_heisenberg()
+    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
+    calls = []
+    laws, init = dieudonne._bracket_laws, DieudonneLie.__init__
+    monkeypatch.setattr(dieudonne, "_bracket_laws",
+                        lambda b: calls.append("laws") or laws(b))
+    monkeypatch.setattr(DieudonneLie, "__init__",
+                        lambda *args: calls.append("init") or init(*args))
+    assert lower_central_series(a)[1] == 2
+    assert minimal_slope_center_check(a) == (True, None)
+    group_mul(a, x, y)
+    assert lattice_closure_check(a, samples=4) == (True, None)
+    assert rho_defect(a, x, y, 0)[1]["member"] is True
+    assert dla_validate(a)["lattice_bracket_closure"] is True
+    assert calls == []
+    DieudonneLie(a.iso, a.bracket)  # the counters see a new algebra
+    assert calls == ["init", "laws"]

@@ -110,12 +110,13 @@ def _split_line(one):
                                              ["0", "0", "1"]]},
      0, _split_line("[1,0,0]")),
     # slopes -2 and -1 at N = 3: the charpoly's T coefficient is O(2^-1),
-    # which certifies no digit
+    # which certifies no digit; the witness names it and its bound
     ({"p": 2, "N": 3, "frobenius": [["1/4", "1/9", "1/3"],
                                     ["4", "0", "1/4"],
                                     ["2", "5", "1/5"]]},
-     2, '{"error":"PrecisionExhausted","message":"no certified digits",'
-        '"witness":{"abs":-1,"shift":0}}\n'),
+     2, '{"error":"InsufficientPrecision",'
+        '"message":"charpoly coefficient certifies no digit",'
+        '"witness":{"bound":-1,"coefficient":1}}\n'),
 ], ids=["two-slopes-f2", "two-slopes-f3", "zero-bound-coefficient"])
 def test_split_line(payload, code, line, monkeypatch, capsys):
     import io

@@ -1,3 +1,4 @@
+import copy
 import os
 import pathlib
 import random
@@ -15,8 +16,9 @@ from isolab import (DieudonneLie, FieldSpec, Isocrystal, PadicScalar,
                     smallest_f_stable_subalgebra)
 from isolab.dieudonne import in_span, lattice_intersect_subspace, span_basis
 from isolab.errors import (InsufficientPrecision, InvariantViolated,
-                           IsolabError, NonInvertible, NotNilpotent,
-                           SlopeNotStrictlyNegative, SlopeOutOfRange)
+                           IsolabError, MalformedInput, NonInvertible,
+                           NotNilpotent, SlopeNotStrictlyNegative,
+                           SlopeOutOfRange)
 from isolab.linalg import coords_in_column_span, mat_inverse, mat_vec
 from test_linalg import _rand_scalar
 
@@ -334,7 +336,6 @@ def test_lcs_one_mat_mul_per_f_stability_step(monkeypatch):
     for j in (1, 2):
         c[0][j][j + 1], c[j][0][j + 1] = F(1), F(-1)
     a = build([[F(int(i == j)) for j in range(4)] for i in range(4)], c)
-    monkeypatch.setattr(dieudonne, "require_valid_bracket", lambda a: None)
     rows = []
     mul = isocrystal.mat_mul
     monkeypatch.setattr(isocrystal, "mat_mul",
@@ -351,7 +352,6 @@ def test_closure_one_mat_inverse_per_step(monkeypatch):
             for i in range(2)]
     inverses, spans = [], []
     inv, span = dieudonne.mat_inverse, dieudonne.span_basis
-    monkeypatch.setattr(dieudonne, "require_valid_bracket", lambda a: None)
     monkeypatch.setattr(dieudonne, "mat_inverse",
                         lambda *args: inverses.append(1) or inv(*args))
     monkeypatch.setattr(dieudonne, "span_basis",
@@ -435,14 +435,15 @@ def test_bracket_vec_matches_dense_fold(f):
 def test_bracket_vec_skips_empty_cells(monkeypatch):
     # a product x_i y_j is made only for a cell (i, j) with a nonzero
     # constant; the dense fold made all n^2 of them
+    x, y = ([PadicScalar.from_int(SPEC, v) for v in vec]
+            for vec in ((2, 3, 7), (4, 6, 1)))
+    # Heisenberg: cells (0, 1) and (1, 0), one constant each; built before
+    # the count, since building checks the bracket laws
+    heis, abelian = heisenberg(), build(EYE3, zero_bracket(3))
     calls = []
     mul = PadicScalar.__mul__
     monkeypatch.setattr(PadicScalar, "__mul__",
                         lambda s, o: calls.append(1) or mul(s, o))
-    x, y = ([PadicScalar.from_int(SPEC, v) for v in vec]
-            for vec in ((2, 3, 7), (4, 6, 1)))
-    # Heisenberg: cells (0, 1) and (1, 0), one constant each
-    heis, abelian = heisenberg(), build(EYE3, zero_bracket(3))
     got = heis.bracket_vec(x, y)
     assert len(calls) == 4
     calls.clear()
@@ -451,6 +452,105 @@ def test_bracket_vec_skips_empty_cells(monkeypatch):
     assert _digits([got]) == _digits([_dense_bracket_vec(heis, x, y)])
     assert _digits([got_abelian]) == _digits(
         [_dense_bracket_vec(abelian, x, y)])
+
+
+def _reference_laws(a):
+    """dla_validate's three bracket-law loops as it once ran them on every
+    call, on an algebra without a lattice: the reference for the verdict
+    DieudonneLie.__init__ stores."""
+    n = a.rank
+    report = {"antisymmetry": True, "jacobi": True, "f_equivariance": True,
+              "lattice_dieudonne": None, "lattice_bracket_closure": None,
+              "witnesses": {}}
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n):
+                s = a.bracket[i][j][k] + a.bracket[j][i][k]
+                if not s.is_zero:
+                    report["antisymmetry"] = False
+                    report["witnesses"].setdefault("antisymmetry", (i, j, k))
+    basis = [a.basis_vector(i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                t1 = a.bracket_vec(basis[i], a.bracket_vec(basis[j], basis[k]))
+                t2 = a.bracket_vec(basis[j], a.bracket_vec(basis[k], basis[i]))
+                t3 = a.bracket_vec(basis[k], a.bracket_vec(basis[i], basis[j]))
+                s = [x + y + z for x, y, z in zip(t1, t2, t3)]
+                if not all(c.is_zero for c in s):
+                    report["jacobi"] = False
+                    report["witnesses"].setdefault("jacobi", (i, j, k))
+    F_ = a.iso.F
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    images = a.apply_phi([a.bracket[i][j] for i, j in pairs])
+    for (i, j), lhs in zip(pairs, images):
+        rhs = a.bracket_vec([F_[r][i] for r in range(n)],
+                            [F_[r][j] for r in range(n)])
+        if not all((x - y).is_zero for x, y in zip(lhs, rhs)):
+            report["f_equivariance"] = False
+            report["witnesses"].setdefault("f_equivariance", (i, j))
+    return report
+
+
+def _rand_law_algebra(rng, spec, n):
+    """A rank-n algebra whose constants mix exact zeros, O(p^b) zeros and
+    units.  The bracket is random, or made antisymmetric, or one
+    antisymmetric pair; the Frobenius is 1 or random.  So over a seed each
+    law both holds and fails."""
+    share = rng.choice([0.3, 0.7, 0.95])
+    bracket = [[[_rand_entry(rng, spec, share) for _ in range(n)]
+                for _ in range(n)] for _ in range(n)]
+    kind = rng.choice(("random", "antisymmetric", "one pair"))
+    if kind != "random":
+        keep = rng.sample(range(n), 2) if n > 1 else []
+        for i in range(n):
+            bracket[i][i] = [_rand_entry(rng, spec, 1) for _ in range(n)]
+            for j in range(i + 1, n):
+                if kind == "one pair" and sorted(keep) != [i, j]:
+                    bracket[i][j] = [_rand_entry(rng, spec, 1)
+                                     for _ in range(n)]
+                bracket[j][i] = [-c for c in bracket[i][j]]
+    if rng.random() < 0.5:
+        frob = [[PadicScalar.from_int(spec, int(i == j)) for j in range(n)]
+                for i in range(n)]
+    else:
+        frob = [[_rand_entry(rng, spec, 0.4) for _ in range(n)]
+                for _ in range(n)]
+    return DieudonneLie(Isocrystal(spec, frob), bracket)
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_stored_laws_match_reference(f):
+    spec = FieldSpec(3, f, 6)
+    rng = random.Random(90 + f)
+    laws = ("antisymmetry", "jacobi", "f_equivariance")
+    seen = set()
+    for t in range(60):
+        a = _rand_law_algebra(rng, spec, t % 5)  # ranks 0..4
+        want = _reference_laws(a)
+        assert dla_validate(a) == want
+        broken = [key for key in laws if not want[key]]
+        if broken:
+            with pytest.raises(MalformedInput) as exc:
+                dieudonne.require_valid_bracket(a)
+            assert str(exc.value) == f"bracket law violated: {broken[0]}"
+            assert exc.value.witness == want["witnesses"][broken[0]]
+        else:
+            dieudonne.require_valid_bracket(a)
+        seen |= {(key, want[key]) for key in laws}
+    assert seen == {(key, ok) for key in laws for ok in (True, False)}
+
+
+def test_validate_report_is_a_fresh_copy():
+    c = heis_bracket()
+    c[1][0][2] = F(0)  # breaks antisymmetry at (0, 1, 2)
+    for a in (heisenberg(EYE3), build(EYE3, c, EYE3)):
+        rep = dla_validate(a)
+        want = copy.deepcopy(rep)
+        rep["antisymmetry"] = not rep["antisymmetry"]
+        rep["witnesses"]["jacobi"] = (9, 9, 9)
+        rep["witnesses"].pop("antisymmetry", None)
+        assert dla_validate(a) == want
 
 
 def test_in_span_lost_rank_is_insufficient_precision():

@@ -204,3 +204,41 @@ def test_algebra_constants_are_fixed():
                     found.append(f"{path.name}:{node.lineno}:bracket[...]")
     assert in_init == slots
     assert found == []
+
+
+#: the only callers in src/isolab of a name, as (module, function) pairs
+ONLY_CALLERS = {
+    # DieudonneLie.__init__ checks the bracket laws, so the library builds
+    # an algebra only from its input, never to check one it holds
+    "DieudonneLie": {("dieudonne", "DieudonneLie.from_json"),
+                     ("dieudonne", "DieudonneLie.from_rationals")},
+    # every other operation reads the verdict the algebra stored
+    "dla_validate": {("cli", "_cmd_dla_check")},
+}
+
+
+def test_algebras_are_built_and_validated_only_at_the_edge():
+    calls = []  # (name, module, enclosing function, line)
+
+    def visit(mod, node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                name = getattr(child.func, "id",
+                               getattr(child.func, "attr", None))
+                if name in ONLY_CALLERS:
+                    calls.append((name, mod, scope, child.lineno))
+            visit(mod, child, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(path.stem, ast.parse(path.read_text(encoding="utf-8"),
+                                   filename=str(path)), "")
+    found = [f"{mod}.{scope}:{line}:{name}" for name, mod, scope, line
+             in calls if (mod, scope) not in ONLY_CALLERS[name]]
+    assert found == []
+    assert {(name, mod, scope) for name, mod, scope, _ in calls} == {
+        (name, *caller) for name, callers in ONLY_CALLERS.items()
+        for caller in callers}
