@@ -103,10 +103,6 @@ def lyndon_words(max_len):
             w.pop()
         if w:
             w[-1] += 1
-            last = w
-        else:
-            break
-        w = w[:]
     out.sort(key=lambda s: (len(s), s))
     return [s for s in out if len(s) <= max_len]
 

@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -303,6 +304,12 @@ class _Parser(argparse.ArgumentParser):
     Subparsers are built with the class of their parent, so they inherit
     this.  Only --help still prints and exits (status 0).
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # an argument that starts like a negative number (-1,-2,-3 or -1/2)
+        # is a value, not an unknown flag: "--nu -1,-2" reads as "--nu=-1,-2"
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise MalformedInput(message)

@@ -421,6 +421,8 @@ class PadicScalar:
         if rel_mod <= 0:
             raise PrecisionExhausted("no certified digits",
                                      witness={"abs": abs_prec, "shift": shift})
+        if not any(coeffs):
+            return PadicScalar.zero(spec, abs_prec)
         d = spec.raw_val(coeffs, spec.p ** rel_mod)
         if d is None:
             return PadicScalar.zero(spec, abs_prec)

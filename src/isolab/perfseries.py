@@ -317,7 +317,6 @@ def ps_compose(f, g, h=()):
             raise MalformedInput("outer series must have integer exponents",
                                  witness=[str(v) for v in exp])
     D = min(s.D for s in args)
-    spec = _ff_spec(base.p, base.k)
     out = PerfectedSeries.zero(base.p, base.nvars, base.k, D)
     pow_cache = [{} for _ in args]
 

@@ -12,7 +12,7 @@ from .errors import (InvariantViolated, MalformedInput, NonInvertible,
                      UnsupportedType)
 from .dieudonne import pdiv_dimension
 from .isocrystal import Isocrystal, newton_slopes, slope_part
-from .linalg import rat_mat_mul, rat_rref, rat_solve
+from .linalg import rat_rref, rat_solve
 from .padic import FieldSpec
 
 _TYPES = ("GL", "GSp", "SO")
@@ -269,8 +269,22 @@ def adjoint_isocrystal(d, b, spec):
     if binv is None:
         raise NonInvertible("matrix is singular", witness={"n": n})
     basis = _lie_algebra_basis(d.group_type, n)
+    # every basis element has at most two nonzero entries, and an entry x
+    # at (k, m) adds x (column k of b)(row m of b^-1) to b X b^-1
+    cols = [[(i, r[k]) for i, r in enumerate(b) if r[k]] for k in range(n)]
+    rows = [[(j, y) for j, y in enumerate(r) if y] for r in binv]
+    imgs = []
+    for X in basis:
+        img = [0] * (n * n)
+        for k, row in enumerate(X):
+            for m, x in enumerate(row):
+                if x:
+                    for i, bik in cols[k]:
+                        c, at = x * bik, i * n
+                        for j, y in rows[m]:
+                            img[at + j] += c * y
+        imgs.append(img)
     # the basis has full column rank, so each image has unique coordinates
-    imgs = [_flatten(rat_mat_mul(rat_mat_mul(b, X), binv)) for X in basis]
     coords = rat_solve(list(zip(*map(_flatten, basis))), list(zip(*imgs)))
     if coords is None:
         raise MalformedInput("conjugation left the Lie algebra",

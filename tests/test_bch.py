@@ -28,13 +28,37 @@ SPEC = FieldSpec(5, 1, 16)
 
 # ---- Lyndon machinery ----
 
+def _mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def _witt(k):
+    """Lyndon words of length k over two letters: (1/k) sum_{d|k} mu(d) 2^(k/d)."""
+    return sum(_mobius(d) * 2 ** (k // d)
+               for d in range(1, k + 1) if k % d == 0) // k
+
+
 def test_lyndon_words_degree_counts():
-    # Witt numbers for a 2-letter alphabet: 2, 1, 2, 3, 6, 9
-    words = lyndon_words(6)
-    by_len = {}
-    for w in words:
-        by_len.setdefault(len(w), []).append(w)
-    assert [len(by_len[k]) for k in range(1, 7)] == [2, 1, 2, 3, 6, 9]
+    # Witt numbers for a 2-letter alphabet: 2, 1, 2, 3, 6, 9, 18, 30, ...
+    assert [_witt(k) for k in range(1, 7)] == [2, 1, 2, 3, 6, 9]
+    for max_len in range(1, 12):
+        words = lyndon_words(max_len)
+        by_len = {}
+        for w in words:
+            by_len.setdefault(len(w), []).append(w)
+        assert sorted(by_len) == list(range(1, max_len + 1))
+        assert [len(by_len[k]) for k in sorted(by_len)] == [
+            _witt(k) for k in range(1, max_len + 1)]
+        assert all(is_lyndon(w) for w in words)
+        assert len(set(words)) == len(words)
 
 
 def test_lyndon_predicate():

@@ -392,6 +392,36 @@ def test_bad_shape_exit_1(command, base, override, corpus_dir, capsys,
     assert json.loads(out)["error"] == "MalformedInput"
 
 
+def test_nilclass_negative_nu_after_a_space(capsys):
+    for nu in (["--nu", "-1,-2,-3"], ["--nu=-1,-2,-3"]):
+        assert run(capsys, "nilclass", "--type", "GL", "--n", "3",
+                   *nu) == (0, '{"n_class":2}\n')
+
+
+@pytest.mark.parametrize("argv", [
+    ["leafdim", "--type", "GL", "--n", "3", "--nu", "-1,-2,-3"],
+    ["slope-roots", "--type", "GSp", "--n", "4", "--nu", "-1,-1,-2,-2"],
+    ["--classical", "coxeter-gate", "--p", "5", "--type", "SO", "--n", "5",
+     "--nu", "-1,-2"],
+    ["slope-exponents", "--mu1", "-1/2", "--mu0", "-1/3"],
+    ["perf-ecd", "--E", "-2", "--C", "-1/2", "--d", "-1", "--in",
+     "ordseries.json"],
+    ["perf-member", "--params", "-2,1,0", "--in", "ordseries.json"],
+], ids=["nu", "nu-gsp", "nu-classical", "mu1-mu0", "E-C-d", "params"])
+def test_leading_minus_value_after_a_space(argv, corpus_dir, capsys):
+    argv = [str(corpus_dir / a) if a.endswith(".json") else a for a in argv]
+    joined = []  # the same argv with every "--flag -value" as "--flag=-value"
+    for a in argv:
+        if a[:1] == "-" and a[1:2].isdigit():
+            joined[-1] += "=" + a
+        else:
+            joined.append(a)
+    assert joined != argv
+    spaced = run(capsys, *argv)
+    assert "expected one argument" not in spaced[1]
+    assert spaced == run(capsys, *joined)
+
+
 def test_datum_size_zero_message(capsys):
     code, doc = run_json(capsys, "leafdim", "--type", "GL", "--n", "0",
                          "--nu", "1")

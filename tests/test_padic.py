@@ -93,6 +93,28 @@ def test_precision_exhaustion():
         PadicScalar.from_raw(spec, (1,), 4, 4)
 
 
+@pytest.mark.parametrize("spec", [Z5, Z4, FieldSpec(3, 3, 6)],
+                         ids=["Z5", "Z4", "Z27"])
+def test_from_raw_all_zero_matches_raw_val(spec):
+    zero = (0,) * spec.f
+    for shift in range(-3, 4):
+        for abs_prec in range(shift + 1, shift + spec.N + 3):
+            rel_mod = abs_prec - shift
+            assert spec.raw_val(zero, spec.p ** rel_mod) is None
+            # the same zero as a tuple that raw_val reads as 0 mod p^rel_mod
+            want = PadicScalar.from_raw(
+                spec, (spec.p ** rel_mod,) + zero[1:], shift, abs_prec)
+            got = PadicScalar.from_raw(spec, zero, shift, abs_prec)
+            assert got.is_zero and got.abs_prec == abs_prec
+            assert got.to_json() == want.to_json()
+            assert got.to_json() == PadicScalar.zero(spec, abs_prec).to_json()
+        for abs_prec in range(shift - 2, shift + 1):
+            # no certified digits: raised before the zero is recognised
+            with pytest.raises(PrecisionExhausted) as exc:
+                PadicScalar.from_raw(spec, zero, shift, abs_prec)
+            assert exc.value.witness == {"abs": abs_prec, "shift": shift}
+
+
 def _rand_scalar(spec, rng):
     v = rng.randrange(-2, 3)
     coeffs = [rng.randrange(spec.p ** spec.N) for _ in range(spec.f)]

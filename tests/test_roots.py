@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from isolab import (FieldSpec, RootDatumWithCochar, adjoint_isocrystal,
-                    adjoint_slope_cross_check, coxeter_gate, leaf_dimension,
-                    newton_slopes, slope_multiset_from_roots,
-                    unipotent_nilpotency)
+from isolab import (FieldSpec, Isocrystal, RootDatumWithCochar,
+                    adjoint_isocrystal, adjoint_slope_cross_check,
+                    coxeter_gate, leaf_dimension, newton_slopes,
+                    slope_multiset_from_roots, unipotent_nilpotency)
 from isolab import roots
 from isolab.dieudonne import pdiv_dimension
-from isolab.errors import (InvariantViolated, MalformedInput, NonInvertible,
-                           UnsupportedType)
-from isolab.linalg import rat_rank
+from isolab.errors import (InvariantViolated, IsolabError, MalformedInput,
+                           NonInvertible, UnsupportedType)
+from isolab.linalg import rat_mat_mul, rat_rank, rat_solve
 
 F = Fraction
 
@@ -312,6 +312,93 @@ def test_nilpotency_matches_full_layer_reference():
         assert rep["n_class"] == want and rep["p_gt_n"] == (3 > want)
         classes.add(want)
     assert classes == {0, 1, 2, 3, 4}
+
+
+# ---- the adjoint isocrystal against dense conjugation ----
+
+def ref_adjoint_isocrystal(d, b, spec):
+    """The former construction: two dense products b X b^-1 per basis
+    element, then one solve for the coordinates."""
+    n = d.n
+    if len(b) != n or any(len(r) != n for r in b):
+        raise MalformedInput("group element size mismatch",
+                             witness={"n": n})
+    b = [[F(x) for x in row] for row in b]
+    binv = rat_solve(b, [[int(i == j) for j in range(n)] for i in range(n)])
+    if binv is None:
+        raise NonInvertible("matrix is singular", witness={"n": n})
+    basis = roots._lie_algebra_basis(d.group_type, n)
+    flat = lambda X: [x for row in X for x in row]
+    imgs = [flat(rat_mat_mul(rat_mat_mul(b, X), binv)) for X in basis]
+    coords = rat_solve(list(zip(*map(flat, basis))), list(zip(*imgs)))
+    if coords is None:
+        raise MalformedInput("conjugation left the Lie algebra",
+                             witness={"type": d.group_type, "n": n})
+    return Isocrystal.from_rationals(spec, coords)
+
+
+def adjoint_outcome(fn, d, b, spec):
+    try:
+        return "ok", fn(d, b, spec).to_json()
+    except IsolabError as exc:
+        return str(exc), type(exc).__name__, exc.witness
+
+
+def ref_exp_nilpotent(X):
+    n = len(X)
+    out = term = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    k = 0
+    while True:
+        k += 1
+        term = [[x / k for x in row] for row in rat_mat_mul(term, X)]
+        if not any(map(any, term)):
+            return out
+        out = [[a + t for a, t in zip(r, s)] for r, s in zip(out, term)]
+
+
+def group_elements(rng, d, p):
+    """diag(p^-nu), a root-group element times it, and random rational
+    matrices: one draw, one with a dependent row and one short a row."""
+    n = d.n
+    torus = [[F(p) ** int(-v) if i == j else F(0) for j in range(n)]
+             for i, v in enumerate(d.nu)]
+    i, j = rng.choice(roots._positive_root_positions(d.group_type, n))
+    X = roots._root_vector(d.group_type, n, i, j)
+    if rng.random() < 0.5:
+        X = [list(col) for col in zip(*X)]  # the opposite root
+    t = F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
+    unipotent = ref_exp_nilpotent([[t * x for x in row] for row in X])
+    rand = [[F(rng.randrange(-2, 3), rng.choice([1, 2, 3]))
+             for _ in range(n)] for _ in range(n)]
+    singular = [row[:] for row in rand]
+    singular[-1] = [a + c for a, c in zip(singular[0], singular[1])]
+    return {"torus": torus, "root group": rat_mat_mul(unipotent, torus),
+            "random": rand, "singular": singular, "short": rand[:-1]}
+
+
+def test_adjoint_isocrystal_matches_dense_reference():
+    rng = random.Random(11)
+    spec = FieldSpec(5, 1, 16)
+    shapes = ([("GL", n) for n in range(2, 7)] + [("GSp", 4), ("GSp", 6)]
+              + [("SO", n) for n in range(3, 8)])
+    seen = set()
+    for typ, n in shapes:
+        data = dominant_data(rng, typ, n, 2 if n < 6 else 1, n * n)
+        assert data, (typ, n)
+        for d in data:
+            for name, b in group_elements(rng, d, spec.p).items():
+                want = adjoint_outcome(ref_adjoint_isocrystal, d, b, spec)
+                got = adjoint_outcome(adjoint_isocrystal, d, b, spec)
+                assert got == want, (typ, n, d.nu, name, b)
+                seen.add((typ, name, want[0]))
+    # every path is taken: group elements answer, a random b leaves the
+    # Lie algebra of GSp and SO, singular and short b are refused
+    for typ in ("GL", "GSp", "SO"):
+        assert {(typ, "torus", "ok"), (typ, "root group", "ok"),
+                (typ, "singular", "matrix is singular"),
+                (typ, "short", "group element size mismatch")} <= seen
+        assert (typ, "random", "ok" if typ == "GL"
+                else "conjugation left the Lie algebra") in seen
 
 
 def test_typed_guards_fire(monkeypatch):
