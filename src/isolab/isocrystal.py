@@ -198,30 +198,59 @@ def _untransform(ip, m, deg, M, spec):
 
 
 def _poly_at_matrix(coeffs, A, spec):
-    """Evaluate a polynomial over spec at a matrix over spec (Horner)."""
+    """Evaluate a polynomial over spec at a matrix over spec (Horner).
+
+    Each step is out = out * A + c I by mat_mul, except the first: the
+    product (lead I) * A is built entry by entry, with the digits and
+    precision mat_mul gives it.  Entry (i, j) is lead * A[i][j]
+    truncated to absolute precision
+    min(abs(lead) + low(A[i][j]), low(lead) + abs(A[i][j]),
+    low(lead) + N + min over s of low(A[s][j])), with low the valuation,
+    or the bound of a zero.  The last term comes from the identity's
+    zeros O(p^N) (at s = i it is never the least, since abs(lead) is at
+    most low(lead) + N).  mat_mul's relative cap N never binds, since
+    the precision is at most the product's valuation plus the lesser
+    relative precision of its factors.
+    """
     n = len(A)
-    ident = mat_identity(spec, n)
-    out = [[coeffs[-1] * e for e in row] for row in ident]
-    for c in reversed(coeffs[:-1]):
-        out = mat_mul(out, A)
+    lead = coeffs[-1]
+    if len(coeffs) == 1:
+        return [[lead * e for e in row] for row in mat_identity(spec, n)]
+    lo = lead.rel if lead.unit is None else lead.v
+    la = lead.abs_prec
+    low = [[a.rel if a.unit is None else a.v for a in row] for row in A]
+    zeros = [lo + spec.N + min(col) for col in zip(*low)]
+    out = []
+    for row, lrow in zip(A, low):
+        orow = []
+        for a, l, z in zip(row, lrow, zeros):
+            prec = min(la + l, lo + a.abs_prec, z)
+            x = lead * a
+            if x.unit is None or prec <= x.v:
+                orow.append(PadicScalar.zero(spec, prec))
+            else:
+                pr = spec.p ** (prec - x.v)
+                orow.append(PadicScalar(spec, x.v,
+                                        tuple(c % pr for c in x.unit),
+                                        prec - x.v))
+        out.append(orow)
+    for k, c in enumerate(reversed(coeffs[:-1])):
+        if k:
+            out = mat_mul(out, A)
         for i in range(n):
             out[i][i] = out[i][i] + c
     return out
 
 
-def slope_split(M, fine=False):
-    """Decompose into isoclinic blocks: list of (slope, basis, block).
+def _slope_blocks(M, keep, fine=False):
+    """The blocks (slope, basis, block) of M whose slope keep accepts.
 
-    basis is a list of column vectors in the ambient coordinates; block is
-    the restricted isocrystal on that basis.  Blocks come back with slopes
-    strictly increasing and their direct sum is certified to fill the
-    ambient module.
-
-    fine=True refines nothing: it returns the same blocks as fine=False.
-    Where a block of slope a/r (reduced) has rank above r, so that a
-    standard basis would need rank-r pieces, it raises instead:
-    ResidueFieldTooSmall with the degree it needs when r does not divide
-    f, InsufficientPrecision when r divides f.
+    The polygon, the power trick with its polygon check, the Q_p check
+    and the factorization run on the whole module; Horner, the kernel and
+    the Frobenius solve run only for kept blocks, and the span check and
+    the blocks-versus-slopes check cover exactly the kept columns.  A
+    rejected block is never computed, so it cannot raise.  fine=True
+    checks every slope as slope_split documents.
     """
     spec = M.spec
     L = twisted_power(M.F, spec)
@@ -243,6 +272,8 @@ def slope_split(M, fine=False):
                     witness={"slope": str(lam), "rank": w})
     if len(slopes) == 1:
         lam, _ = slopes[0]
+        if not keep(lam):
+            return []
         basis = [[row[j] for row in mat_identity(spec, M.rank)]
                  for j in range(M.rank)]
         return [(lam, basis, M)]
@@ -258,8 +289,11 @@ def slope_split(M, fine=False):
     int_vals = [(int(d * m), w) for m, w in vals]
     _require_qp(coeffs)
     factors = _peel_slope_factors(coeffs, int_vals, spec)
-    blocks = []
-    for (m, w), G in zip(int_vals, factors):
+    # vals ascend, so the blocks come out with slopes increasing
+    blocks, kept = [], []
+    for (m, w), G, (lam, _) in zip(int_vals, factors, slopes):
+        if not keep(lam):
+            continue
         GA = _poly_at_matrix(G, A, spec)
         basis = kernel_basis(GA, expected_dim=w)
         X = coords_in_column_span(basis, M.apply(basis))
@@ -268,21 +302,37 @@ def slope_split(M, fine=False):
                 "target is outside the span to certified precision",
                 witness={"col": X.index(None)})
         sub = Isocrystal(spec, [list(row) for row in zip(*X)])
-        lam = Fraction(m, d * spec.f)
-        blocks.append((lam, basis, sub))
-    blocks.sort(key=lambda t: t[0])
-    # the blocks must fill the ambient space
+        blocks.append((Fraction(m, d * spec.f), basis, sub))
+        kept.append((lam, w))
+    # the kept blocks must be independent
     all_cols = [b for _, basis, _ in blocks for b in basis]
     try:
         coords_in_column_span(all_cols, [])  # no targets: rank only
     except NonInvertible as exc:
         raise InsufficientPrecision(
             "slope blocks do not certifiably span", witness=exc.witness)
-    for (lam, _, sub), (lam0, w0) in zip(blocks, slopes):
+    for (lam, _, sub), (lam0, w0) in zip(blocks, kept):
         if lam != lam0 or sub.rank != w0:
             raise InvariantViolated("blocks disagree with the slopes",
                                     witness={"slope": str(lam0)})
     return blocks
+
+
+def slope_split(M, fine=False):
+    """Decompose into isoclinic blocks: list of (slope, basis, block).
+
+    basis is a list of column vectors in the ambient coordinates; block is
+    the restricted isocrystal on that basis.  Blocks come back with slopes
+    strictly increasing and their direct sum is certified to fill the
+    ambient module.
+
+    fine=True refines nothing: it returns the same blocks as fine=False.
+    Where a block of slope a/r (reduced) has rank above r, so that a
+    standard basis would need rank-r pieces, it raises instead:
+    ResidueFieldTooSmall with the degree it needs when r does not divide
+    f, InsufficientPrecision when r divides f.
+    """
+    return _slope_blocks(M, lambda lam: True, fine)
 
 
 def internal_hom(Y, Z):
@@ -308,7 +358,12 @@ def slope_part(M, which):
     """Sub-isocrystal cut by a slope predicate, with its embedding.
 
     which: "leq0" (slopes <= 0), "lt0" (slopes < 0) or ("eq", value).
-    Returns (part, columns); the part can have rank 0.
+    Returns (part, columns); the part can have rank 0.  The part is the
+    direct sum of the kept blocks of slope_split, and it certifies what
+    those blocks do: each kept block's kernel dimension, its stability
+    under F, and the independence of the kept columns.  Rejected blocks
+    are never computed, so a block that cannot be certified raises only
+    when its slope is kept.
     """
     if which == "leq0":
         keep = lambda lam: lam <= 0
@@ -319,8 +374,7 @@ def slope_part(M, which):
         keep = lambda lam: lam == target
     else:
         raise MalformedInput("unknown slope predicate", witness=which)
-    blocks = slope_split(M)
-    chosen = [(lam, basis, sub) for lam, basis, sub in blocks if keep(lam)]
+    chosen = _slope_blocks(M, keep)
     cols = [b for _, basis, _ in chosen for b in basis]
     total = sum(sub.rank for _, _, sub in chosen)
     spec = M.spec

@@ -310,7 +310,8 @@ def row_echelon(M, pivot_cols=None):
             if r != pr:
                 c = rows[r][pc]
                 if not c.is_zero:
-                    rows[r] = [a - c * b for a, b in zip(rows[r], rows[pr])]
+                    c = -c  # once per row: a + (-c) b has the digits of a - c b
+                    rows[r] = [a + c * b for a, b in zip(rows[r], rows[pr])]
         pivots.append((pr, pc))
         pr += 1
     return rows, pivots
@@ -442,8 +443,9 @@ def rat_rref(M):
         if sel is None:
             continue
         rows[pr], rows[sel] = rows[sel], rows[pr]
-        inv = 1 / rows[pr][pc]
-        rows[pr] = [a * inv for a in rows[pr]]
+        if rows[pr][pc] != 1:
+            inv = 1 / rows[pr][pc]
+            rows[pr] = [a * inv for a in rows[pr]]
         for r in range(m):
             if r != pr and rows[r][pc] != 0:
                 c = rows[r][pc]

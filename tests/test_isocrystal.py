@@ -14,7 +14,8 @@ from isolab import (FieldSpec, Isocrystal, PadicScalar, internal_hom,
 from isolab.errors import (InsufficientPrecision, InvariantViolated,
                            NonInvertible, ResidueFieldTooSmall)
 from isolab.isocrystal import _hensel_split
-from isolab.linalg import mat_from_rationals, mat_inverse, mat_mul, mat_sigma
+from isolab.linalg import (mat_from_rationals, mat_identity, mat_inverse,
+                           mat_mul, mat_sigma)
 from isolab.padic import poly_divmod
 
 QP = FieldSpec(5, 1, 16)
@@ -339,3 +340,187 @@ def test_divmod_rejects_non_monic_divisor_under_optimize():
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.returncode == 0, out.stderr
     assert out.stdout == "rejected\n"
+
+
+# --------------------------------------------------------------------------
+# Horner: the first step is built entry by entry, as mat_mul would build it
+# --------------------------------------------------------------------------
+
+def _ref_poly_at_matrix(coeffs, A, spec):
+    """Horner from lead * I, every step one mat_mul (test reference)."""
+    n = len(A)
+    ident = mat_identity(spec, n)
+    out = [[coeffs[-1] * e for e in row] for row in ident]
+    for c in reversed(coeffs[:-1]):
+        out = mat_mul(out, A)
+        for i in range(n):
+            out[i][i] = out[i][i] + c
+    return out
+
+
+def _draw_scalar(rng, spec):
+    """An exact zero, an O(p^b) zero with b on either side of N, or a
+    nonzero scalar with a valuation from -3 to 3 and any precision."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return PadicScalar.zero(spec)
+    if kind == 1:
+        return PadicScalar.zero(spec, rng.randint(-2, spec.N + 4))
+    v = rng.randint(-3, 3)
+    rel = spec.N if kind < 4 else rng.randint(1, spec.N)
+    unit = [rng.randrange(spec.pN) for _ in range(spec.f)]
+    if unit[0] % spec.p == 0:
+        unit[0] += 1
+    return PadicScalar.from_raw(spec, tuple(unit), v, v + rel)
+
+
+def _draw_lead(rng, spec):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return PadicScalar.from_int(spec, 1)
+    if kind == 1:  # 1 + O(p^M) with M < N, as _untransform builds it
+        M = rng.randint(1, spec.N - 1)
+        return PadicScalar.from_raw(spec, (1,) + (0,) * (spec.f - 1), 0, M)
+    return _draw_scalar(rng, spec)
+
+
+def _entries(X):
+    return [[(a.to_json(), a.v, a.unit, a.rel) for a in row] for row in X]
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_poly_at_matrix_matches_horner_from_the_identity(f):
+    rng = random.Random(100 + f)
+    for _ in range(60):
+        spec = FieldSpec(rng.choice([2, 3, 5]), f, rng.randint(2, 8))
+        n = rng.randint(0, 6)
+        A = [[_draw_scalar(rng, spec) for _ in range(n)] for _ in range(n)]
+        deg = rng.randint(0, 4)
+        coeffs = [_draw_scalar(rng, spec) for _ in range(deg)]
+        coeffs.append(_draw_lead(rng, spec))
+        assert _entries(isocrystal._poly_at_matrix(coeffs, A, spec)) == \
+            _entries(_ref_poly_at_matrix(coeffs, A, spec))
+
+
+def test_poly_at_matrix_first_step_counts_the_identity_zeros():
+    # A[0][0] = 1 is exact, but the identity's zero O(p^N) meets
+    # A[1][0] = p^-3 in the first product, so (lead A)[0][0] keeps only
+    # N - 3 digits
+    spec = FieldSpec(5, 1, 6)
+    A = mat_from_rationals(spec, [[1, 0], [Fraction(1, 125), 1]])
+    one = PadicScalar.from_int(spec, 1)
+    out = isocrystal._poly_at_matrix([PadicScalar.zero(spec), one], A, spec)
+    assert out[0][0].rel == 3
+    assert _entries(out) == _entries(_ref_poly_at_matrix(
+        [PadicScalar.zero(spec), one], A, spec))
+
+
+# --------------------------------------------------------------------------
+# slope_part builds the kept blocks of slope_split and nothing else
+# --------------------------------------------------------------------------
+
+PREDICATES = {"leq0": lambda lam: lam <= 0, "lt0": lambda lam: lam < 0}
+
+
+def _adjoint(p, nu):
+    from isolab import RootDatumWithCochar
+    from isolab.roots import adjoint_isocrystal
+    n = len(nu)
+    b = [[Fraction(p) ** -nu[i] if i == j else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    return adjoint_isocrystal(RootDatumWithCochar("GL", n, nu), b,
+                              FieldSpec(p, 1, 48))
+
+
+def _seeded_modules():
+    rng = random.Random(18)
+    for _ in range(40):
+        p = rng.choice([2, 3, 5])
+        n = rng.randint(1, 4)
+        rows = [[Fraction(rng.randrange(-9, 10), rng.choice([1, 1, p]))
+                 * rng.choice([1, p]) for _ in range(n)] for _ in range(n)]
+        yield iso(rows, FieldSpec(p, rng.choice([1, 1, 2]), 10))
+    # the adjoint cross-check data of the slopes benchmark, each shift
+    for p, nu in [(2, (0, -1, -2)), (3, (0, 0, -1)), (5, (0, -1, -1)),
+                  (3, (0, -1, -1, -2))]:
+        for c in range(3):
+            yield _adjoint(p, [v - c for v in nu])
+
+
+def test_slope_part_is_the_kept_blocks_of_slope_split():
+    answered = polygons = 0
+    for M in _seeded_modules():
+        try:
+            blocks = slope_split(M)
+        except (NonInvertible, InsufficientPrecision):
+            continue
+        answered += 1
+        slopes = sorted({lam for lam, _, _ in blocks})
+        preds = dict(PREDICATES)
+        preds[("eq", slopes[-1])] = lambda lam, t=slopes[-1]: lam == t
+        for which, keep in preds.items():
+            kept = [(lam, basis, sub) for lam, basis, sub in blocks
+                    if keep(lam)]
+            part, cols = slope_part(M, which)
+            assert [[a.to_json() for a in c] for c in cols] == \
+                [[a.to_json() for a in c] for _, basis, _ in kept
+                 for c in basis]
+            want = [[a.to_json() for a in row]
+                    for row in _block_diagonal(M.spec, kept)]
+            assert part.to_json()["frobenius"] == want
+            if not part.rank:
+                continue
+            try:  # a block's F can hold too few digits for its own polygon
+                got = newton_slopes(part)
+            except (NonInvertible, InsufficientPrecision):
+                continue
+            assert got == [(lam, sub.rank) for lam, _, sub in kept]
+            polygons += 1
+    assert answered >= 45 and polygons >= 100
+
+
+def _block_diagonal(spec, blocks):
+    total = sum(sub.rank for _, _, sub in blocks)
+    F = [[PadicScalar.zero(spec)] * total for _ in range(total)]
+    off = 0
+    for _, _, sub in blocks:
+        for i, row in enumerate(sub.F):
+            F[off + i][off:off + sub.rank] = row
+        off += sub.rank
+    return F
+
+
+@pytest.mark.parametrize("which", ["lt0", "leq0"])
+def test_slope_part_builds_only_the_kept_blocks(which, monkeypatch):
+    M = _adjoint(3, (0, -1, -1, -2))
+    kept = [lam for lam, _ in newton_slopes(M) if PREDICATES[which](lam)]
+    assert 0 < len(kept) < len(newton_slopes(M))
+    calls = []
+    for name in ("_poly_at_matrix", "kernel_basis"):
+        fn = getattr(isocrystal, name)
+        monkeypatch.setattr(isocrystal, name, lambda *a, fn=fn, name=name,
+                            **k: calls.append(name) or fn(*a, **k))
+    slope_part(M, which)
+    assert calls.count("_poly_at_matrix") == len(kept)
+    assert calls.count("kernel_basis") == len(kept)
+
+
+def test_slope_part_answers_when_only_a_rejected_block_fails():
+    # slopes 0 and 1: the slope-1 block's kernel is not certified at N = 3
+    M = iso([[-3, -15], [-9, 1]], FieldSpec(3, 1, 3))
+    with pytest.raises(InsufficientPrecision) as ei:
+        slope_split(M)
+    assert ei.value.witness == {"expected": 1, "found": 0}
+    part, cols = slope_part(M, "leq0")
+    assert part.rank == 1 and len(cols) == 1
+
+
+def test_slope_part_still_raises_when_a_kept_block_fails():
+    # slopes -1 and 0: the slope-0 block's kernel is not certified at N = 3
+    M = iso([[1, -6], [7, "1/3"]], FieldSpec(3, 1, 3))
+    part, _ = slope_part(M, "lt0")
+    assert part.rank == 1
+    assert newton_slopes(part) == [(Fraction(-1), 1)]
+    with pytest.raises(InsufficientPrecision) as ei:
+        slope_part(M, "leq0")
+    assert ei.value.witness == {"expected": 1, "found": 0}
