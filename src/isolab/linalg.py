@@ -9,6 +9,13 @@ the whole matrix at one precision and runs each Berkowitz step as three
 such products.  Everything else does row reduction with valuation
 pivoting so precision loss stays explicit.
 
+There is one elimination loop, row_echelon.  span_basis (in dieudonne)
+returns its whole echelon rows; kernel_basis reads them only at the free
+columns, and the solve only at the target columns.  A pivot column is
+never read after its own step, so the kernel and the solve leave each
+pivot column as it stands once it is chosen: that halves the scalar
+products of a square elimination and keeps every digit they read.
+
 There is one p-adic solve, coords_in_column_span: a basis given as
 columns against any number of target columns, in one elimination.
 Pivots are taken only in the basis block, so its row operations depend
@@ -284,34 +291,43 @@ def _pivot_row(rows, col, start):
     return best
 
 
-def row_echelon(M, pivot_cols=None):
+def row_echelon(M, pivot_cols=None, _keep_pivot_cols=True):
     """In-place echelon on a copy; returns (rows, pivot (row,col) list).
 
-    Pivots are taken in the first pivot_cols columns only (default all);
-    the row operations still act on every column.
+    Pivots are taken in the first pivot_cols columns only (default all).
+    The row operations act on every column, unless _keep_pivot_cols is
+    False: then each column leaves the working set when it becomes a pivot
+    column, and each row comes back holding only the non-pivot columns, in
+    order, with the entries the full elimination gives them.  That is exact
+    because a pivot column is never read after its step: _pivot_row reads
+    only the current column, and an update only its multiplier there.
     """
     rows = [list(r) for r in M]
     m = len(rows)
     n = len(rows[0]) if m else 0
     if pivot_cols is not None:
         n = min(n, pivot_cols)
+    # take(row, k) reads a row's entry in the new pivot column; when pivot
+    # columns are dropped it also removes the entry
+    take = list.__getitem__ if _keep_pivot_cols else list.pop
     pivots = []
     pr = 0
     for pc in range(n):
         if pr >= m:
             break
-        i = _pivot_row(rows, pc, pr)
+        k = pc if _keep_pivot_cols else pc - pr  # where column pc sits
+        i = _pivot_row(rows, k, pr)
         if i is None:
             continue
         rows[pr], rows[i] = rows[i], rows[pr]
-        inv = rows[pr][pc].invert()
-        rows[pr] = [a * inv for a in rows[pr]]
+        inv = take(rows[pr], k).invert()
+        rows[pr] = piv = [a * inv for a in rows[pr]]
         for r in range(m):
             if r != pr:
-                c = rows[r][pc]
+                c = take(rows[r], k)
                 if not c.is_zero:
                     c = -c  # once per row: a + (-c) b has the digits of a - c b
-                    rows[r] = [a + c * b for a, b in zip(rows[r], rows[pr])]
+                    rows[r] = [a + c * b for a, b in zip(rows[r], piv)]
         pivots.append((pr, pc))
         pr += 1
     return rows, pivots
@@ -322,7 +338,7 @@ def kernel_basis(M, expected_dim=None):
     if not M:
         return []
     n = len(M[0])
-    rows, pivots = row_echelon(M)
+    rows, pivots = row_echelon(M, _keep_pivot_cols=False)
     pivot_cols = {pc for _, pc in pivots}
     free_cols = [j for j in range(n) if j not in pivot_cols]
     if expected_dim is not None and len(free_cols) != expected_dim:
@@ -335,11 +351,12 @@ def kernel_basis(M, expected_dim=None):
     spec = M[0][0].spec
     zero = PadicScalar.zero(spec)
     one = PadicScalar.from_int(spec, 1)
-    for j in free_cols:
+    # the rows hold the free columns only, in order
+    for q, j in enumerate(free_cols):
         vec = [zero] * n
         vec[j] = one
         for (pr, pc) in pivots:
-            vec[pc] = -rows[pr][j]
+            vec[pc] = -rows[pr][q]
         basis.append(vec)
     return basis
 
@@ -355,16 +372,18 @@ def coords_in_column_span(basis_cols, targets):
     """
     r = len(basis_cols)
     rows, pivots = row_echelon(list(zip(*basis_cols, *targets, strict=True)),
-                               pivot_cols=r)
+                               pivot_cols=r, _keep_pivot_cols=False)
     if len(pivots) != r:
         if r == len(rows):
             raise NonInvertible("matrix is singular to working precision",
                                 witness={"rank": len(pivots), "size": r})
         raise NonInvertible("columns are dependent to working precision",
                             witness={"rank": len(pivots), "cols": r})
-    resid = rows[r:]  # full rank: pivot s sits at row s, column s
-    return [[rows[pr][r + j] for pr in range(r)]
-            if all(row[r + j].is_zero for row in resid) else None
+    # full rank: pivot s sits at row s, column s, and the r basis columns
+    # are gone, so each row holds the target columns only
+    resid = rows[r:]
+    return [[rows[pr][j] for pr in range(r)]
+            if all(row[j].is_zero for row in resid) else None
             for j in range(len(targets))]
 
 
@@ -407,8 +426,9 @@ def saturate_columns(cols):
         for col in work:
             c = col[i]
             if not c.is_zero:
+                c = -c  # once per column, as in row_echelon
                 for s in range(n):
-                    col[s] = col[s] - c * piv[s]
+                    col[s] = col[s] + c * piv[s]
         out.append(piv)
         used_rows.add(i)
     return out

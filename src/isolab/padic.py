@@ -260,24 +260,34 @@ class FieldSpec:
         return best
 
     def raw_inv_unit(self, u, pM):
-        """Inverse of a unit coefficient tuple mod (g, pM)."""
-        p, f = self.p, self.f
-        if f == 1:
-            return (pow(u[0], -1, pM),)
-        # inverse mod p by extended Euclid over F_p[t], then the quadratic
-        # lift y <- y (2 - u y)
-        d, y = poly_xgcd(list(self.g_low) + [1], u, p)
-        if d != [1]:
+        """Inverse of a unit coefficient tuple mod (g, pM), by its norm.
+
+        With P = u sigma(u) .. sigma^(f-2)(u), the norm N(u) = u sigma(P)
+        is the product of all f conjugates of u.  sigma fixes it, so it
+        lies in Z_p / pM and its tuple is (n, 0, .., 0); hence
+        u^-1 = sigma(P) / n, with one integer inverse of n mod pM.  u is a
+        unit exactly when n is prime to p.  A unit has one inverse mod
+        (g, pM), so this is the inverse any other route gives, digit for
+        digit.  P is built by doubling, P_2k = P_k sigma^k(P_k) and
+        P_(k+1) = u sigma(P_k), in O(log f) products.  For f > 1, pM must
+        divide p^N, as for apply_sigma_raw.
+        """
+        if self.f == 1:
+            n, conj = u[0], (1,)
+        else:
+            P, k = u, 1
+            for bit in bin(self.f - 1)[3:]:
+                P = self.raw_mul(P, self.apply_sigma_raw(P, k, pM), pM)
+                k *= 2
+                if bit == "1":
+                    P = self.raw_mul(u, self.apply_sigma_raw(P, 1, pM), pM)
+                    k += 1
+            conj = self.apply_sigma_raw(P, 1, pM)
+            n = self.raw_mul(u, conj, pM)[0]
+        if n % self.p == 0:
             raise DivisionByZero("not a unit", witness=list(u))
-        y = tuple(y) + (0,) * (f - len(y))
-        pw = p
-        while pw < pM:
-            pw = min(pw * pw, pM)
-            uy = self.raw_mul(u, y, pw)
-            two_minus = tuple((-c) % pw if i else (2 - c) % pw
-                              for i, c in enumerate(uy))
-            y = self.raw_mul(y, two_minus, pw)
-        return tuple(c % pM for c in y)
+        n_inv = pow(n, -1, pM)
+        return tuple(c * n_inv % pM for c in conj)
 
     # -- Frobenius ----------------------------------------------------------
 
@@ -298,16 +308,26 @@ class FieldSpec:
                 acc = ((acc[0] + c) % pM,) + acc[1:]
             return acc
 
+        # y ~ 1/g'(x) is lifted with x (raw_inv_unit needs the sigma tables
+        # this builds): its inverse mod p over F_p[t], then one step
+        # y <- y (2 - g'(x) y) at each precision.  When x is a root mod p^m
+        # and the step goes to p^M, M <= 2m, y then inverts g'(x) mod
+        # p^(M - m) at least; g(x) is divisible by p^m, so the correction
+        # g(x) y is the one an exact inverse of g'(x) mod p^M gives.
+        dgx = horner(dg, x, p)
+        d, y = poly_xgcd(g, dgx, p)
+        if d != [1]:
+            raise FrobeniusLiftFailure("derivative not a unit",
+                                       witness=list(dgx))
+        y = tuple(y) + (0,) * (f - len(y))
         prec = 1
         while prec < N:
             prec = min(2 * prec, N)
             pM = p ** prec
-            gpx = horner(dg, x, pM)
-            if self.raw_val(gpx, pM) != 0:
-                raise FrobeniusLiftFailure("derivative not a unit",
-                                           witness=list(gpx))
-            corr = self.raw_mul(horner(g, x, pM),
-                                self.raw_inv_unit(gpx, pM), pM)
+            gy = self.raw_mul(horner(dg, x, pM), y, pM)
+            y = self.raw_mul(y, ((2 - gy[0]) % pM,)
+                             + tuple((-c) % pM for c in gy[1:]), pM)
+            corr = self.raw_mul(horner(g, x, pM), y, pM)
             x = tuple((a - b) % pM for a, b in zip(x, corr))
         gx = horner(g, x, pN)
         if self.raw_val(gx, pN) is not None:

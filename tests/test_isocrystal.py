@@ -524,3 +524,22 @@ def test_slope_part_still_raises_when_a_kept_block_fails():
     with pytest.raises(InsufficientPrecision) as ei:
         slope_part(M, "leq0")
     assert ei.value.witness == {"expected": 1, "found": 0}
+
+
+def test_split_block_polygon_is_not_certified_pinned():
+    # A known defect, open in ROADMAP.md.  slope_split certifies the
+    # blocks (slope -1 of rank 1, slope 0 of rank 2), but the slope-0
+    # block's F has entries of valuation -4 known to 3 absolute digits,
+    # and charpoly integralizes the whole block at one working precision:
+    # its constant coefficient comes back O(p^-1), which newton_slopes
+    # reports as NonInvertible, a lost precision read as a fact.  This
+    # pins today's outcome; per-entry precision in charpoly should flip it
+    # to [(Fraction(0), 2)].
+    M = iso([[5, -8, -8], [-12, -5, -6], [-27, 3, "5/3"]], FieldSpec(3, 1, 10))
+    blocks = slope_split(M)
+    assert [(lam, sub.rank) for lam, _, sub in blocks] == \
+        [(Fraction(-1), 1), (Fraction(0), 2)]
+    assert newton_slopes(blocks[0][2]) == [(Fraction(-1), 1)]
+    with pytest.raises(NonInvertible) as ei:
+        newton_slopes(blocks[1][2])
+    assert ei.value.witness == {"bound": -1}

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from isolab import FieldSpec, PadicScalar
+from isolab.dieudonne import span_basis
 from isolab.errors import (FieldSpecMismatch, InsufficientPrecision,
                            IsolabError, NonInvertible)
 from isolab.linalg import (charpoly, coords_in_column_span, kernel_basis,
@@ -474,6 +475,269 @@ def test_solve_matches_square_and_tall_references():
                          ("tall", "solved"), ("tall", "outside"),
                          ("tall", "mixed"), ("tall", "NonInvertible")}
     assert min(seen.values()) >= 100, seen
+
+
+# ---- the kernel and the solve against the full elimination ----
+
+def _ref_row_echelon(M, pivot_cols=None):
+    """Reference: the full elimination, which scales and updates every
+    column at every step, as the kernel and the solve ran it before they
+    left pivot columns out."""
+    rows = [list(r) for r in M]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if pivot_cols is not None:
+        n = min(n, pivot_cols)
+    pivots = []
+    pr = 0
+    for pc in range(n):
+        if pr >= m:
+            break
+        i = None
+        for k in range(pr, m):
+            a = rows[k][pc]
+            if not a.is_zero and (i is None or a.v < rows[i][pc].v):
+                i = k
+        if i is None:
+            continue
+        rows[pr], rows[i] = rows[i], rows[pr]
+        inv = rows[pr][pc].invert()
+        rows[pr] = [a * inv for a in rows[pr]]
+        for r in range(m):
+            if r != pr:
+                c = rows[r][pc]
+                if not c.is_zero:
+                    c = -c
+                    rows[r] = [a + c * b for a, b in zip(rows[r], rows[pr])]
+        pivots.append((pr, pc))
+        pr += 1
+    return rows, pivots
+
+
+def _ref_kernel_basis(M, expected_dim=None):
+    if not M:
+        return []
+    n = len(M[0])
+    rows, pivots = _ref_row_echelon(M)
+    pivot_cols = {pc for _, pc in pivots}
+    free_cols = [j for j in range(n) if j not in pivot_cols]
+    if expected_dim is not None and len(free_cols) != expected_dim:
+        raise InsufficientPrecision(
+            "kernel dimension could not be certified",
+            witness={"expected": expected_dim, "found": len(free_cols)})
+    spec = M[0][0].spec
+    basis = []
+    for j in free_cols:
+        vec = [PadicScalar.zero(spec)] * n
+        vec[j] = PadicScalar.from_int(spec, 1)
+        for (pr, pc) in pivots:
+            vec[pc] = -rows[pr][j]
+        basis.append(vec)
+    return basis
+
+
+def _ref_coords(basis_cols, targets):
+    r = len(basis_cols)
+    rows, pivots = _ref_row_echelon(
+        list(zip(*basis_cols, *targets, strict=True)), pivot_cols=r)
+    if len(pivots) != r:
+        if r == len(rows):
+            raise NonInvertible("matrix is singular to working precision",
+                                witness={"rank": len(pivots), "size": r})
+        raise NonInvertible("columns are dependent to working precision",
+                            witness={"rank": len(pivots), "cols": r})
+    return [[rows[pr][r + j] for pr in range(r)]
+            if all(row[r + j].is_zero for row in rows[r:]) else None
+            for j in range(len(targets))]
+
+
+def _ref_mat_inverse(A, spec):
+    X = _ref_coords(list(zip(*A)), mat_identity(spec, len(A)))
+    return [list(row) for row in zip(*X)]
+
+
+def _outcome(fn, *args):
+    """Each entry's to_json() and stored (v, unit, rel), None for a target
+    outside the span, or the error's class, message and witness."""
+    try:
+        vecs = fn(*args)
+    except IsolabError as exc:
+        return (type(exc), str(exc), exc.witness)
+    return [None if vec is None else
+            [(a.to_json(), _key(a)) for a in vec] for vec in vecs]
+
+
+ECHELON_SPECS = [FieldSpec(p, f, N) for p in (2, 3, 5) for f in (1, 2, 3)
+                 for N in (2, 4, 8)]
+
+
+def _echelon_entry(rng, spec):
+    """Exact zeros, O(p^b) zeros with b in -2..N+4, units not reduced mod
+    p^rel, valuations -3..3."""
+    r = rng.random()
+    if r < 0.1:
+        return PadicScalar.zero(spec)
+    if r < 0.3:
+        return PadicScalar.zero(spec, rng.randint(-2, spec.N + 4))
+    unit = [rng.randrange(spec.pN) for _ in range(spec.f)]
+    if all(c % spec.p == 0 for c in unit):
+        unit[rng.randrange(spec.f)] += 1
+    return PadicScalar(spec, rng.randint(-3, 3), tuple(unit),
+                       rng.randint(1, spec.N))
+
+
+def _echelon_matrix(rng, spec, m, n):
+    """An m x n matrix; now and then one row or column is a combination
+    of the others, so the rank drops, or lost to precision."""
+    M = [[_echelon_entry(rng, spec) for _ in range(n)] for _ in range(m)]
+    r = rng.random()
+    if r < 0.25 and m > 1:
+        M[-1] = _combination(rng, spec, M[:-1])
+    elif r < 0.5 and n > 1:
+        col = _combination(rng, spec, [list(c) for c in zip(*M)][:-1])
+        for row, c in zip(M, col):
+            row[-1] = c
+    return M
+
+
+def test_kernel_and_solve_match_full_elimination():
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(1500):
+        spec = rng.choice(ECHELON_SPECS)
+        shape = rng.choice(("square", "tall", "wide"))
+        n = rng.randint(1, 5)
+        m = (n if shape == "square" else n + rng.randint(1, 3)
+             if shape == "tall" else rng.randint(1, n))
+        M = _echelon_matrix(rng, spec, m, n)
+        dim = rng.choice((None, 0, 1, n - min(m, n)))
+        got = _outcome(kernel_basis, M, dim)
+        assert got == _outcome(_ref_kernel_basis, M, dim)
+        seen.add(("kernel", shape, "raised" if isinstance(got, tuple)
+                  else "nonzero" if got else "zero"))
+        # the columns of M as a basis, with targets inside and outside
+        cols = [list(c) for c in zip(*M)]
+        targets = [_combination(rng, spec, cols) if rng.random() < 0.5 else
+                   [_echelon_entry(rng, spec) for _ in range(m)]
+                   for _ in range(rng.randint(0, 3))]
+        got = _outcome(coords_in_column_span, cols, targets)
+        assert got == _outcome(_ref_coords, cols, targets)
+        seen.add(("solve", shape, "raised" if isinstance(got, tuple)
+                  else "outside" if None in got else "solved"))
+        if shape == "square":
+            got = _outcome(mat_inverse, M, spec)
+            assert got == _outcome(_ref_mat_inverse, M, spec)
+            seen.add(("inverse", "raised" if isinstance(got, tuple)
+                      else "solved"))
+        # span_basis returns whole echelon rows
+        vecs = [row for row in M if not all(a.is_zero for a in row)]
+        if vecs:
+            rows, pivots = _ref_row_echelon(vecs)
+            assert [[_key(a) for a in row] for row in span_basis(vecs)] == \
+                [[_key(a) for a in rows[pr]] for pr, _ in pivots]
+    assert {("kernel", s, k) for s in ("square", "tall", "wide")
+            for k in ("raised", "nonzero", "zero")} <= seen
+    assert {("solve", s, k) for s in ("square", "tall", "wide")
+            for k in ("raised", "solved")} <= seen
+    assert {("solve", "tall", "outside"), ("inverse", "raised"),
+            ("inverse", "solved")} <= seen
+
+
+def _count_products(monkeypatch):
+    """Per elimination step, [scaling products, other products]: a step
+    starts at its pivot's invert, and a scaling product multiplies by
+    that inverse."""
+    steps, invs = [], []
+    invert, mul = PadicScalar.invert, PadicScalar.__mul__
+
+    def counted_invert(a):
+        invs.append(invert(a))
+        steps.append([0, 0])
+        return invs[-1]
+
+    def counted_mul(a, b):
+        steps[-1][0 if b is invs[-1] else 1] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(PadicScalar, "invert", counted_invert)
+    monkeypatch.setattr(PadicScalar, "__mul__", counted_mul)
+    return steps
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(5, 1, 12), FieldSpec(3, 2, 8)],
+                         ids=["f1", "f2"])
+def test_solve_leaves_pivot_columns_alone(spec, monkeypatch):
+    # a dense n x n basis of full rank and t dense targets: every
+    # multiplier is nonzero, so step k scales the n + t - k - 1 columns
+    # right of its pivot and updates them in the n - 1 other rows
+    rng = random.Random(43)
+    n, t = 4, 3
+    basis = [[PadicScalar.from_coeffs(spec, [rng.randrange(1, 1000)
+                                              for _ in range(spec.f)])
+              for _ in range(n)] for _ in range(n)]
+    targets = [[PadicScalar.from_coeffs(spec, [rng.randrange(1, 1000)
+                                                for _ in range(spec.f)])
+                for _ in range(n)] for _ in range(t)]
+    want = _outcome(_ref_coords, basis, targets)
+    steps = _count_products(monkeypatch)
+    got = coords_in_column_span(basis, targets)
+    assert steps == [[n + t - k - 1, (n - 1) * (n + t - k - 1)]
+                     for k in range(n)]
+    monkeypatch.undo()
+    assert [[(a.to_json(), _key(a)) for a in x] for x in got] == want
+    # span_basis keeps whole rows: every step scales and updates all of them
+    rows = [list(r) for r in zip(*basis, *targets)]
+    steps = _count_products(monkeypatch)
+    span_basis(rows)
+    assert steps == [[n + t, (n - 1) * (n + t)] for _ in range(n)]
+
+
+# ---- lattice saturation against the subtracting loop ----
+
+def _ref_saturate_columns(cols):
+    """Reference: saturate_columns with its update written col[s] - c piv[s]."""
+    work = [list(c) for c in cols]
+    n = len(work[0]) if work else 0
+    out, used_rows = [], set()
+    while work:
+        best = None
+        for j, col in enumerate(work):
+            for i in range(n):
+                a = col[i]
+                if i not in used_rows and not a.is_zero and (
+                        best is None or a.v < best[2]):
+                    best = (j, i, a.v)
+        if best is None:
+            raise InsufficientPrecision(
+                "dependent columns while saturating a lattice",
+                witness={"remaining": len(work)})
+        j, i, _ = best
+        inv = work[j][i].invert()
+        piv = [a * inv for a in work[j]]
+        del work[j]
+        for col in work:
+            c = col[i]
+            if not c.is_zero:
+                for s in range(n):
+                    col[s] = col[s] - c * piv[s]
+        out.append(piv)
+        used_rows.add(i)
+    return out
+
+
+def test_saturate_columns_matches_subtracting_loop():
+    rng = random.Random(47)
+    raised = answered = 0
+    for _ in range(600):
+        spec = rng.choice(ECHELON_SPECS)
+        n = rng.randint(1, 5)
+        cols = [list(c) for c in zip(*_echelon_matrix(
+            rng, spec, n, rng.randint(1, n)))]
+        got = _outcome(saturate_columns, cols)
+        assert got == _outcome(_ref_saturate_columns, cols)
+        raised += isinstance(got, tuple)
+        answered += not isinstance(got, tuple)
+    assert raised > 50 and answered > 300
 
 
 # ---- exact rational helpers ----

@@ -1,11 +1,16 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import isolab
 from isolab import FieldSpec, PadicScalar
 from isolab.errors import DivisionByZero, FieldSpecMismatch, PrecisionExhausted
-from isolab.padic import canonical_modulus
+from isolab.padic import canonical_modulus, poly_xgcd
 
 
 Z5 = FieldSpec(5, 1, 10)
@@ -211,6 +216,133 @@ def test_raw_inv_unit_random_units():
                     inv = spec.raw_inv_unit(u, pM)
                     assert all(0 <= c < pM for c in inv)
                     assert spec.raw_mul(inv, u, pM) == one
+
+
+# ---- the norm inverse against the Newton inverse it replaced ----
+
+def _ref_raw_inv_unit(spec, u, pM):
+    """Reference: the inverse mod p from extended Euclid over F_p[t], then
+    the quadratic lift y <- y (2 - u y), as raw_inv_unit computed it before
+    it divided the conjugate product by the norm."""
+    p, f = spec.p, spec.f
+    if f == 1:
+        return (pow(u[0], -1, pM),)
+    d, y = poly_xgcd(list(spec.g_low) + [1], u, p)
+    if d != [1]:
+        raise DivisionByZero("not a unit", witness=list(u))
+    y = tuple(y) + (0,) * (f - len(y))
+    pw = p
+    while pw < pM:
+        pw = min(pw * pw, pM)
+        uy = spec.raw_mul(u, y, pw)
+        two_minus = tuple((-c) % pw if i else (2 - c) % pw
+                          for i, c in enumerate(uy))
+        y = spec.raw_mul(y, two_minus, pw)
+    return tuple(c % pM for c in y)
+
+
+def _ref_invert(x):
+    pM = x.spec.p ** x.rel
+    return PadicScalar(x.spec, -x.v, _ref_raw_inv_unit(
+        x.spec, tuple(c % pM for c in x.unit), pM), x.rel)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_norm_inverse_matches_newton_inverse(p):
+    rng = random.Random(59 * p)
+    N = 10
+    for f in range(1, 17):
+        spec = FieldSpec(p, f, N)
+        for rel in range(1, N + 1):
+            pM = p ** rel
+            for _ in range(3):
+                # coefficients up to p^(N + 3): not reduced mod pM
+                u = [rng.randrange(p ** (N + 3)) for _ in range(f)]
+                if all(c % p == 0 for c in u):
+                    u[rng.randrange(f)] += 1
+                u = tuple(u)
+                assert spec.raw_inv_unit(u, pM) == _ref_raw_inv_unit(
+                    spec, tuple(c % pM for c in u), pM)
+                x = PadicScalar(spec, rng.randint(-3, 3), u, rel)
+                got, want = x.invert(), _ref_invert(x)
+                assert (got.v, got.unit, got.rel) == \
+                    (want.v, want.unit, want.rel)
+
+
+NON_UNITS = [(FieldSpec(3, 1, 6), (9,)), (FieldSpec(5, 2, 6), (5, 25)),
+             (FieldSpec(2, 3, 8), (0, 2, 4)), (FieldSpec(7, 4, 5), (0,) * 4)]
+
+
+@pytest.mark.parametrize("spec,u", NON_UNITS,
+                         ids=[f"f{s.f}" for s, _ in NON_UNITS])
+def test_raw_inv_unit_rejects_a_non_unit(spec, u):
+    with pytest.raises(DivisionByZero) as exc:
+        spec.raw_inv_unit(u, spec.pN)
+    assert exc.value.witness == list(u)
+
+
+def test_raw_inv_unit_rejects_a_non_unit_under_optimize():
+    # the guard must not be an assert, which -O strips
+    snippet = ("from isolab import FieldSpec\n"
+               "from isolab.errors import DivisionByZero\n"
+               "for p, f, u in [(3, 1, (9,)), (5, 2, (5, 25))]:\n"
+               "    try:\n"
+               "        FieldSpec(p, f, 6).raw_inv_unit(u, p ** 6)\n"
+               "    except DivisionByZero as exc:\n"
+               "        print(exc.witness)\n")
+    src = str(pathlib.Path(isolab.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-c", snippet],
+                         capture_output=True, text=True, timeout=10,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[9]\n[5, 25]\n"
+
+
+def _ref_sigma_mats(spec):
+    """Reference: the sigma tables as _build_sigma made them when each
+    Hensel correction inverted g'(x) afresh with the Newton inverse."""
+    p, f, N, pN = spec.p, spec.f, spec.N, spec.pN
+    g = list(spec.g_low) + [1]
+    dg = [k * g[k] for k in range(1, f + 1)]
+    x = spec.raw_pow((0, 1) + (0,) * (f - 2), p, p)
+
+    def horner(poly, x, pM):
+        acc = (0,) * f
+        for c in reversed(poly):
+            acc = spec.raw_mul(acc, x, pM)
+            acc = ((acc[0] + c) % pM,) + acc[1:]
+        return acc
+
+    prec = 1
+    while prec < N:
+        prec = min(2 * prec, N)
+        pM = p ** prec
+        corr = spec.raw_mul(horner(g, x, pM),
+                            _ref_raw_inv_unit(spec, horner(dg, x, pM), pM), pM)
+        x = tuple((a - b) % pM for a, b in zip(x, corr))
+    mats, xk = [], x
+    for _ in range(1, f):
+        cols, pw = [], (1,) + (0,) * (f - 1)
+        for _ in range(f):
+            cols.append(pw)
+            pw = spec.raw_mul(pw, xk, pN)
+        mats.append(tuple(cols))
+        nxt, pwk = (0,) * f, (1,) + (0,) * (f - 1)
+        for j in range(f):
+            if x[j]:
+                nxt = tuple((a + x[j] * b) % pN for a, b in zip(nxt, pwk))
+            pwk = spec.raw_mul(pwk, xk, pN)
+        xk = nxt
+    return tuple(mats)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_sigma_tables_match_newton_lift(p):
+    for f in range(2, 7):
+        for N in range(1, 41):
+            spec = FieldSpec(p, f, N)
+            spec._build_sigma()
+            assert spec._sigma_mats == _ref_sigma_mats(spec), (f, N)
 
 
 def test_from_fraction_matches_division():
