@@ -9,13 +9,14 @@ library error (the error object carries the error name and its witness).
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
 from fractions import Fraction
 
 from .errors import IsolabError, MalformedInput
-from .padic import FieldSpec, PadicScalar
+from .padic import FieldSpec, PadicScalar, _json_int
 from .isocrystal import (Isocrystal, internal_hom, newton_slopes, slope_split)
 from .dieudonne import DieudonneLie, dla_validate, lower_central_series
 from .bch import bch_series, denominator_profile, group_mul, \
@@ -46,6 +47,14 @@ def _emit(obj):
                                 separators=(",", ":")) + "\n")
 
 
+def _finite(text):
+    """A JSON float; NaN, +-Infinity or an overflow is a ValueError."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"number out of range: {text}")
+    return x
+
+
 def _read_input(args):
     try:
         if args.infile and args.infile != "-":
@@ -53,8 +62,8 @@ def _read_input(args):
                 text = fh.read()
         else:
             text = sys.stdin.read()
-        return json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedInput("unreadable input", witness=str(exc)) from exc
 
 
@@ -79,9 +88,9 @@ def _frac(v):
 
 def _load_spec(obj, args):
     try:
-        p = int(obj["p"])
-        f = int(obj.get("f", 1))
-        N = int(obj["N"]) if "N" in obj else _default_n(args)
+        p = _json_int(obj["p"])
+        f = _json_int(obj.get("f", 1))
+        N = _json_int(obj["N"]) if "N" in obj else _default_n(args)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput("bad ring parameters", witness=obj) from exc
     return FieldSpec(p, f, N)
@@ -147,7 +156,7 @@ def _load_datum(args):
         obj = _read_input(args)
         try:
             group_type, nu = obj["type"], [_frac(v) for v in obj["nu"]]
-            n = int(obj["n"])
+            n = _json_int(obj["n"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput("bad root datum", witness=obj) from exc
     elif any(v is None for v in flags):
@@ -283,8 +292,8 @@ def _cmd_rigidity(args):
         f = PerfectedSeries.from_json(obj["f"])
         g = [PerfectedSeries.from_json(o) for o in obj["g"]]
         h = [PerfectedSeries.from_json(o) for o in obj.get("h", [])]
-        r = int(obj["r"])
-        d_seq = [int(v) for v in obj["d_seq"]]
+        r = _json_int(obj["r"])
+        d_seq = [_json_int(v) for v in obj["d_seq"]]
         block = obj.get("powered_block", "h")
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput("bad rigidity request", witness=obj) from exc

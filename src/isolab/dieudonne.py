@@ -308,9 +308,9 @@ def _require_in_span(basis, targets, what):
 def lower_central_series(a):
     """Chain of spans [full, [a,a], [a,[a,a]], ..], empty last; plus class."""
     require_valid_bracket(a)
-    n = a.rank
-    basis = [a.basis_vector(i) for i in range(n)]
-    chain = [span_basis(basis)]
+    # the basis vectors are the echelon rows span_basis would return
+    basis = [a.basis_vector(i) for i in range(a.rank)]
+    chain = [basis]
     while chain[-1]:
         cur = chain[-1]
         nxt_vecs = []

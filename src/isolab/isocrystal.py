@@ -23,8 +23,8 @@ from .errors import (FieldSpecMismatch, InsufficientPrecision,
 from .linalg import (charpoly, coords_in_column_span, kernel_basis,
                      mat_from_rationals, mat_identity, mat_inverse, mat_mul,
                      newton_root_valuations, twisted_power)
-from .padic import (FieldSpec, PadicScalar, poly_add, poly_divmod, poly_mul,
-                    poly_trim, poly_xgcd)
+from .padic import (FieldSpec, PadicScalar, _json_int, poly_add, poly_divmod,
+                    poly_mul, poly_trim, poly_xgcd)
 
 
 class Isocrystal:
@@ -53,7 +53,7 @@ class Isocrystal:
     def from_json(obj):
         try:
             spec = FieldSpec.from_json(obj["spec"])
-            rank = int(obj["rank"])
+            rank = _json_int(obj["rank"])
             rows = obj["frobenius"]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput("bad isocrystal", witness=obj) from exc
@@ -155,7 +155,7 @@ def _peel_slope_factors(coeffs, vals, spec):
     for m, w in vals[:-1]:
         n = len(cur) - 1
         scaled = [c.scale_p(-m * (n - i)) for i, c in enumerate(cur)]
-        M = min(c.abs_prec if not c.is_zero else c.rel for c in scaled)
+        M = min(c.abs_prec for c in scaled)
         if M < 1:
             raise InsufficientPrecision(
                 "slope transform exhausts precision",
@@ -201,39 +201,20 @@ def _poly_at_matrix(coeffs, A, spec):
     """Evaluate a polynomial over spec at a matrix over spec (Horner).
 
     Each step is out = out * A + c I by mat_mul, except the first: the
-    product (lead I) * A is built entry by entry, with the digits and
-    precision mat_mul gives it.  Entry (i, j) is lead * A[i][j]
-    truncated to absolute precision
-    min(abs(lead) + low(A[i][j]), low(lead) + abs(A[i][j]),
-    low(lead) + N + min over s of low(A[s][j])), with low the valuation,
-    or the bound of a zero.  The last term comes from the identity's
-    zeros O(p^N) (at s = i it is never the least, since abs(lead) is at
-    most low(lead) + N).  mat_mul's relative cap N never binds, since
-    the precision is at most the product's valuation plus the lesser
-    relative precision of its factors.
+    product (lead I) * A is built entry by entry, as lead * A[i][j] +
+    O(p^z_j) with z_j = low(lead) + N + min over s of low(A[s][j]) (low is
+    the valuation, or a zero's bound), where the identity's zeros O(p^N)
+    meet column j.  The product gives the rest of mat_mul's digits; its
+    relative cap N never binds.
     """
     n = len(A)
     lead = coeffs[-1]
     if len(coeffs) == 1:
         return [[lead * e for e in row] for row in mat_identity(spec, n)]
     lo = lead.rel if lead.unit is None else lead.v
-    la = lead.abs_prec
-    low = [[a.rel if a.unit is None else a.v for a in row] for row in A]
-    zeros = [lo + spec.N + min(col) for col in zip(*low)]
-    out = []
-    for row, lrow in zip(A, low):
-        orow = []
-        for a, l, z in zip(row, lrow, zeros):
-            prec = min(la + l, lo + a.abs_prec, z)
-            x = lead * a
-            if x.unit is None or prec <= x.v:
-                orow.append(PadicScalar.zero(spec, prec))
-            else:
-                pr = spec.p ** (prec - x.v)
-                orow.append(PadicScalar(spec, x.v,
-                                        tuple(c % pr for c in x.unit),
-                                        prec - x.v))
-        out.append(orow)
+    zeros = [PadicScalar.zero(spec, lo + spec.N + min(
+        a.rel if a.unit is None else a.v for a in col)) for col in zip(*A)]
+    out = [[lead * a + z for a, z in zip(row, zeros)] for row in A]
     for k, c in enumerate(reversed(coeffs[:-1])):
         if k:
             out = mat_mul(out, A)
@@ -274,9 +255,7 @@ def _slope_blocks(M, keep, fine=False):
         lam, _ = slopes[0]
         if not keep(lam):
             return []
-        basis = [[row[j] for row in mat_identity(spec, M.rank)]
-                 for j in range(M.rank)]
-        return [(lam, basis, M)]
+        return [(lam, mat_identity(spec, M.rank), M)]  # columns = rows
     d = lcm(*(m.denominator for m, _ in vals))
     A = L
     for _ in range(d - 1):

@@ -111,6 +111,14 @@ def _prime_factors(n):
     return out
 
 
+def _json_int(v):
+    """int(v) for a JSON int, integral float or integer string; a boolean
+    or a non-integral number is a ValueError, never truncated."""
+    if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"not an integer: {v!r}")
+    return int(v)
+
+
 def _is_irreducible(g, p):
     """Rabin test for a monic g over F_p."""
     f = len(g) - 1
@@ -208,24 +216,15 @@ class FieldSpec:
     # -- reduction data ----------------------------------------------------
 
     def red_rows(self, pM):
-        """Rows for t^(f+k), k = 0..f-2, mod (g, pM)."""
+        """Rows for t^(f+k), k = 0..f-2, mod (g, pM): t times the last."""
         rows = self._red.get(pM)
         if rows is None:
-            f = self.f
-            row = tuple((-c) % pM for c in self.g_low)  # t^f
-            out = []
-            prev = row
+            f, g = self.f, list(self.g_low) + [1]
+            r, rows = [0] * (f - 1) + [1], []
             for _ in range(f - 1):
-                out.append(prev)
-                # multiply by t: shift, then fold the overflow back in
-                top = prev[f - 1]
-                nxt = [0] + list(prev[:f - 1])
-                if top:
-                    for j in range(f):
-                        nxt[j] = (nxt[j] + top * row[j]) % pM
-                prev = tuple(v % pM for v in nxt)
-            rows = tuple(out)
-            self._red[pM] = rows
+                r = poly_divmod([0] + r, g, pM)[1]
+                rows.append(tuple(r) + (0,) * (f - len(r)))
+            rows = self._red[pM] = tuple(rows)
         return rows
 
     # -- raw ring helpers (coefficient tuples) -------------------------------
@@ -292,6 +291,8 @@ class FieldSpec:
     # -- Frobenius ----------------------------------------------------------
 
     def _build_sigma(self):
+        """Lift x = sigma(t); table k - 1 holds the powers sigma^k(t)^j,
+        j < f, and sigma^(k+1)(t) = sum_j x_j sigma^k(t)^j is read from it."""
         p, f, N, pN = self.p, self.f, self.N, self.pN
         if f == 1:
             self._sigma_mats = ()
@@ -333,24 +334,14 @@ class FieldSpec:
         if self.raw_val(gx, pN) is not None:
             raise FrobeniusLiftFailure("lift does not kill the modulus",
                                        witness=list(gx))
-        # powers sigma^k(t), then the f x f application matrices
-        mats = []
-        xk = x
-        for k in range(1, f):
-            cols = []
-            pw = (1,) + (0,) * (f - 1)
-            for _ in range(f):
-                cols.append(pw)
-                pw = self.raw_mul(pw, xk, pN)
+        mats, xk = [], x
+        for _ in range(1, f):
+            cols = [(1,) + (0,) * (f - 1)]
+            for _ in range(f - 1):
+                cols.append(self.raw_mul(cols[-1], xk, pN))
             mats.append(tuple(cols))
-            # sigma^{k+1}(t) = sum x_j sigma^k(t)^j  with x = sigma(t)
-            nxt = (0,) * f
-            pwk = (1,) + (0,) * (f - 1)
-            for j in range(f):
-                if x[j]:
-                    nxt = tuple((a + x[j] * b) % pN for a, b in zip(nxt, pwk))
-                pwk = self.raw_mul(pwk, xk, pN)
-            xk = nxt
+            xk = tuple(sum(xj * col[i] for xj, col in zip(x, cols)) % pN
+                       for i in range(f))
         if xk != (0, 1) + (0,) * (f - 2):
             raise FrobeniusLiftFailure("sigma^f is not the identity",
                                        witness=list(xk))
@@ -382,7 +373,8 @@ class FieldSpec:
     @staticmethod
     def from_json(obj):
         try:
-            return FieldSpec(int(obj["p"]), int(obj["f"]), int(obj["N"]))
+            return FieldSpec(_json_int(obj["p"]), _json_int(obj["f"]),
+                             _json_int(obj["N"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput("bad field spec", witness=obj) from exc
 
@@ -640,9 +632,9 @@ class PadicScalar:
         try:
             if obj.get("unit") is None:
                 b = obj.get("zero_precision", spec.N)
-                return PadicScalar.zero(spec, int(b))
-            v = int(obj["valuation"])
-            unit = [int(c) for c in obj["unit"]]
+                return PadicScalar.zero(spec, _json_int(b))
+            v = _json_int(obj["valuation"])
+            unit = [_json_int(c) for c in obj["unit"]]
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise MalformedInput("bad scalar", witness=obj) from exc
         return PadicScalar.from_coeffs(spec, unit, v)

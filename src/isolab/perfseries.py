@@ -14,7 +14,7 @@ from math import gcd, log
 from .errors import (DegreeBoundTooSmall, InvariantViolated, MalformedInput,
                      NonzeroConstantTerm, ParameterMismatch, SequenceTooShort,
                      SlopeOrderViolated)
-from .padic import FieldSpec
+from .padic import FieldSpec, _json_int
 
 
 # --------------------------------------------------------------------------
@@ -130,18 +130,19 @@ class PerfectedSeries:
     @staticmethod
     def from_json(obj):
         try:
-            p = int(obj["p"])
-            nvars = int(obj["nvars"])
-            k = int(obj["field"]["k"])
-            if int(obj["field"]["p"]) != p:
+            p = _json_int(obj["p"])
+            nvars = _json_int(obj["nvars"])
+            k = _json_int(obj["field"]["k"])
+            if _json_int(obj["field"]["p"]) != p:
                 raise MalformedInput("field characteristic mismatch",
                                      witness=obj["field"])
-            D = int(obj["D"])
+            D = _json_int(obj["D"])
             terms = {}
             for t in obj["terms"]:
-                exp = tuple(Fraction(int(e["num"]), p ** int(e["pexp"]))
+                exp = tuple(Fraction(_json_int(e["num"]),
+                                     p ** _json_int(e["pexp"]))
                             for e in t["exp"])
-                coeff = tuple(int(c) for c in t["coeff"])
+                coeff = tuple(_json_int(c) for c in t["coeff"])
                 if exp in terms:
                     raise MalformedInput("duplicate exponent", witness=t)
                 terms[exp] = coeff

@@ -39,7 +39,8 @@ class RootDatumWithCochar:
     vector is also accepted and expanded antisymmetrically.
     """
 
-    __slots__ = ("group_type", "n", "positive_roots", "two_rho", "nu")
+    __slots__ = ("group_type", "n", "positive_roots", "pairings", "two_rho",
+                 "nu")
 
     def __init__(self, group_type, n, nu):
         if group_type not in _TYPES:
@@ -67,23 +68,23 @@ class RootDatumWithCochar:
             raise MalformedInput(
                 "SO cocharacter needs nu_i + nu_(n-1-i) = 0",
                 witness={"nu": [str(v) for v in nu]})
-        roots = []
+        roots, pairings = [], []
         for i, j in _positive_root_positions(group_type, n):
             alpha = [0] * n
             alpha[i] += 1
             alpha[j] -= 1
+            t = nu[i] - nu[j]  # <alpha, nu>
+            if t < 0:
+                raise MalformedInput("cocharacter is not dominant",
+                                     witness={"root": alpha,
+                                              "pairing": str(t)})
             roots.append(tuple(alpha))
-        two_rho = tuple(sum(a[k] for a in roots) for k in range(n))
-        for alpha in roots:
-            if _pair(alpha, nu) < 0:
-                raise MalformedInput(
-                    "cocharacter is not dominant",
-                    witness={"root": list(alpha),
-                             "pairing": str(_pair(alpha, nu))})
+            pairings.append(t)
         self.group_type = group_type
         self.n = n
         self.positive_roots = roots
-        self.two_rho = two_rho
+        self.pairings = tuple(pairings)  # <alpha, nu> per positive root
+        self.two_rho = tuple(sum(a[k] for a in roots) for k in range(n))
         self.nu = tuple(nu)
 
 
@@ -94,8 +95,7 @@ def _pair(alpha, nu):
 def slope_multiset_from_roots(d):
     """{(-<alpha,nu>, mult)} over positive roots pairing strictly positively."""
     counts = {}
-    for alpha in d.positive_roots:
-        t = _pair(alpha, d.nu)
+    for t in d.pairings:
         if t > 0:
             counts[-t] = counts.get(-t, 0) + 1
     return sorted(counts.items())
@@ -172,8 +172,8 @@ def unipotent_nilpotency(d):
     bracket list.
     """
     basis = [_root_vector(d.group_type, d.n, i, j)
-             for (i, j) in _positive_root_positions(d.group_type, d.n)
-             if _pair_pos(d, i, j) > 0]
+             for (i, j), t in zip(_positive_root_positions(d.group_type, d.n),
+                                  d.pairings) if t > 0]
     layer = basis  # root vectors at distinct positions: independent
     n_class = 0
     while layer:
@@ -185,13 +185,6 @@ def unipotent_nilpotency(d):
                                              "rank": len(nxt)})
         layer = nxt
     return n_class
-
-
-def _pair_pos(d, i, j):
-    alpha = [0] * d.n
-    alpha[i] += 1
-    alpha[j] -= 1
-    return _pair(alpha, d.nu)
 
 
 def coxeter_gate(d, p):

@@ -416,6 +416,7 @@ def test_criterion_12_cli_determinism(corpus_dir):
     pkg_root = str(pathlib.Path(isolab.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))}
+    runs = []
     for argv in CLI_COMMANDS:
         outs = []
         for _ in range(2):
@@ -425,5 +426,24 @@ def test_criterion_12_cli_determinism(corpus_dir):
         assert outs[0] == outs[1], argv
         assert outs[0][1].endswith(b"\n")
         json.loads(outs[0][1])  # every output re-parses
-    _report(12, f"{len(CLI_COMMANDS)} commands x2 runs, "
+        runs.append([outs[0][0], outs[0][1].decode()])
+    # every guard holds without asserts: one python -O child runs all the
+    # commands through cli.main and must answer each one the same
+    snippet = ("import contextlib, io, json, sys\n"
+               "from isolab.cli import main\n"
+               "if not sys.flags.optimize:\n"
+               "    sys.exit('not run under -O')\n"
+               "runs = []\n"
+               "for argv in json.loads(sys.argv[1]):\n"
+               "    out = io.StringIO()\n"
+               "    with contextlib.redirect_stdout(out):\n"
+               "        code = main(argv)\n"
+               "    runs.append([code, out.getvalue()])\n"
+               "print(json.dumps(runs))\n")
+    r = subprocess.run([sys.executable, "-O", "-c", snippet,
+                        json.dumps(CLI_COMMANDS)], capture_output=True,
+                       cwd=root, env=env, stdin=subprocess.DEVNULL)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == runs
+    _report(12, f"{len(CLI_COMMANDS)} commands x2 runs and once under -O, "
                 f"{time.time() - t0:.2f}s")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -612,11 +613,105 @@ def test_precision_flag_overrides_env(monkeypatch, capsys):
     assert code == 0 and doc == {"slopes": [["0", 1]]}
 
 
+# ---- JSON numbers: no float is truncated, no constant or overflow leaks ----
+
+_FULL_SCHEMA = {"spec": {"p": 5, "f": 1, "N": 6}, "rank": 1,
+                "frobenius": [[{"valuation": 0, "unit": [1]}]]}
+_NUMBER_CASES = [
+    # (command, flags, base input, path of the field, raw JSON text)
+    ("slopes", [], "ordinary2x2.json", ["N"], "1e999"),
+    ("slopes", [], "ordinary2x2.json", ["frobenius", 0, 0], "1e999"),
+    ("slopes", [], "ordinary2x2.json", ["f"], "-Infinity"),
+    ("slopes", [], "ordinary2x2.json", ["N"], "NaN"),
+    ("slopes", [], "ordinary2x2.json", ["p"], "5.9"),
+    ("slopes", [], "ordinary2x2.json", ["N"], "3.99"),
+    ("slopes", [], "ordinary2x2.json", ["N"], "true"),
+    ("slopes", [], _FULL_SCHEMA, ["spec", "N"], "6.5"),
+    ("slopes", [], _FULL_SCHEMA, ["rank"], "1.5"),
+    ("slopes", [], _FULL_SCHEMA, ["frobenius", 0, 0, "valuation"], "0.5"),
+    ("slopes", [], _FULL_SCHEMA, ["frobenius", 0, 0, "unit", 0], "false"),
+    ("leafdim", [], "gsp4_ordinary.json", ["n"], "Infinity"),
+    ("leafdim", [], "gsp4_ordinary.json", ["n"], "4.5"),
+    ("perf-member", ["--params", "2,1,0"], "ordseries.json",
+     ["terms", 0, "exp", 0, "num"], "1.9"),
+    ("perf-member", ["--params", "2,1,0"], "ordseries.json",
+     ["terms", 0, "coeff", 0], "1.5"),
+    ("perf-member", ["--params", "2,1,0"], "ordseries.json", ["D"], "4.7"),
+    ("rigidity", [], "rigidity_pos.json", ["r"], "1.7"),
+    ("rigidity", [], "rigidity_pos.json", ["d_seq", 0], "1.9"),
+]
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def _run_text(command, flags, base, path, raw, corpus_dir, monkeypatch,
+              capsys):
+    """Exit status and stdout of command on base with the field at path
+    replaced by the raw JSON text."""
+    import io
+    payload = (json.loads((corpus_dir / base).read_text())
+               if isinstance(base, str) else json.loads(json.dumps(base)))
+    at = payload
+    for key in path[:-1]:
+        at = at[key]
+    at[path[-1]] = "@FIELD@"
+    text = json.dumps(payload).replace('"@FIELD@"', raw)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    return run(capsys, command, *flags)
+
+
+@pytest.mark.parametrize("command, flags, base, path, raw", _NUMBER_CASES,
+                         ids=[f"{c[0]}-{c[3][-1]}-{c[4]}"
+                              for c in _NUMBER_CASES])
+def test_json_number_that_is_not_an_integer_exit_1(command, flags, base,
+                                                   path, raw, corpus_dir,
+                                                   monkeypatch, capsys):
+    code, out = _run_text(command, flags, base, path, raw, corpus_dir,
+                          monkeypatch, capsys)
+    assert code == 1 and out.count("\n") == 1
+    assert json.loads(out, parse_constant=_reject_constant)["error"] == \
+        "MalformedInput"
+
+
+@pytest.mark.parametrize("command, flags, base, path, raw", [
+    ("slopes", [], "ordinary2x2.json", ["p"], '"5"'),
+    ("slopes", [], "ordinary2x2.json", ["p"], "5.0"),
+    ("slopes", [], "ordinary2x2.json", ["N"], "16.0"),
+    ("slopes", [], _FULL_SCHEMA, ["spec", "N"], "6.0"),
+    ("leafdim", [], "gsp4_ordinary.json", ["n"], "4.0"),
+    ("perf-member", ["--params", "2,1,0"], "ordseries.json", ["D"], "8.0"),
+    ("rigidity", [], "rigidity_pos.json", ["r"], "1.0"),
+])
+def test_integral_json_number_keeps_the_answer(command, flags, base, path,
+                                               raw, corpus_dir, monkeypatch,
+                                               capsys):
+    at = (json.loads((corpus_dir / base).read_text())
+          if isinstance(base, str) else base)
+    for key in path:
+        at = at[key]
+    want = _run_text(command, flags, base, path, json.dumps(at), corpus_dir,
+                     monkeypatch, capsys)
+    assert want[0] == 0
+    assert _run_text(command, flags, base, path, raw, corpus_dir,
+                     monkeypatch, capsys) == want
+
+
+def test_unreadable_utf8_exit_1(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b'{"p": 5, "frobenius": [["\xff"]]}')
+    code, out = run(capsys, "slopes", "--in", str(p))
+    assert code == 1
+    assert json.loads(out)["message"] == "unreadable input"
+
+
 # ---- contract: any one-field change of a corpus input gives one JSON line ----
 
 _SMALL_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12)
-    | st.sampled_from(["", "x", "1/2", "-1", "GL", "SO", "g", "h"]),
+    | st.sampled_from(["", "x", "1/2", "-1", "GL", "SO", "g", "h"])
+    | st.sampled_from([5.9, 0.5, 1e999, -math.inf, math.nan]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(["p", "D", "k", "terms"]), inner,
                       max_size=2),
@@ -663,6 +758,6 @@ def test_one_field_change_keeps_json_contract(command, base, flags,
             sys.stdin = saved
         assert code in (0, 1, 2)
         assert out.getvalue().count("\n") == 1
-        json.loads(out.getvalue())
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
     check()

@@ -338,11 +338,38 @@ def _ref_sigma_mats(spec):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_sigma_tables_match_newton_lift(p):
-    for f in range(2, 7):
-        for N in range(1, 41):
-            spec = FieldSpec(p, f, N)
-            spec._build_sigma()
-            assert spec._sigma_mats == _ref_sigma_mats(spec), (f, N)
+    cases = [(f, N) for f in range(2, 7) for N in range(1, 41)]
+    cases += [(f, N) for f in range(7, 13) for N in (1, 8, 40)]
+    for f, N in cases:
+        spec = FieldSpec(p, f, N)
+        spec._build_sigma()
+        assert spec._sigma_mats == _ref_sigma_mats(spec), (f, N)
+
+
+def _ref_red_rows(spec, pM):
+    """Reference: red_rows as a shift-and-fold loop on t^f = -g_low."""
+    f = spec.f
+    row = tuple((-c) % pM for c in spec.g_low)  # t^f
+    out, prev = [], row
+    for _ in range(f - 1):
+        out.append(prev)
+        # multiply by t: shift, then fold the overflow back in
+        top = prev[f - 1]
+        nxt = [0] + list(prev[:f - 1])
+        if top:
+            for j in range(f):
+                nxt[j] = (nxt[j] + top * row[j]) % pM
+        prev = tuple(v % pM for v in nxt)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_red_rows_match_shift_and_fold(p):
+    N = 6
+    for f in range(1, 17):
+        spec = FieldSpec(p, f, N)
+        for pM in (p, p ** N, p ** (2 * N + 3)):
+            assert spec.red_rows(pM) == _ref_red_rows(spec, pM), (f, pM)
 
 
 def test_from_fraction_matches_division():

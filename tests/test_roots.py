@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -63,6 +64,23 @@ def test_dominance_enforced():
         gl(2, -1, 0)
     with pytest.raises(MalformedInput):
         gsp(4, 0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("typ, n, nu, line", [
+    ("GL", 3, [0, 1, 0], '{"error":"MalformedInput","message":"cocharacter '
+     'is not dominant","witness":{"pairing":"-1","root":[1,-1,0]}}'),
+    ("GSp", 4, [1, 0, 2, 1], '{"error":"MalformedInput","message":'
+     '"cocharacter is not dominant","witness":{"pairing":"-1","root":'
+     '[1,0,-1,0]}}'),
+    ("SO", 5, [0, F(1, 2)], '{"error":"MalformedInput","message":'
+     '"cocharacter is not dominant","witness":{"pairing":"-1/2","root":'
+     '[1,-1,0,0,0]}}'),
+])
+def test_dominance_error_names_the_first_negative_root(typ, n, nu, line):
+    with pytest.raises(MalformedInput) as exc:
+        RootDatumWithCochar(typ, n, nu)
+    assert json.dumps(exc.value.to_json(), sort_keys=True,
+                      separators=(",", ":")) == line
 
 
 def test_gsp_needs_even_rank():
@@ -254,7 +272,7 @@ def ref_nilpotency(d):
     with every element of layer k, ranked over Q."""
     basis = [ref_root_vector(d.group_type, d.n, i, j)
              for (i, j) in roots._positive_root_positions(d.group_type, d.n)
-             if roots._pair_pos(d, i, j) > 0]
+             if d.nu[i] - d.nu[j] > 0]
     layer, n_class = basis, 0
     prev_rank = ref_span_rank(layer) if basis else 0
     while layer and prev_rank > 0:
@@ -289,6 +307,17 @@ def dominant_data(rng, typ, n, count, max_roots):
         if len(out) == count:
             break
     return out
+
+
+def test_pairings_match_the_dot_product():
+    rng = random.Random(11)
+    for typ in ("GL", "GSp", "SO"):
+        for n in range(2, 9):
+            if typ == "GSp" and n % 2:
+                continue
+            for d in dominant_data(rng, typ, n, 6, n * n):
+                assert d.pairings == tuple(roots._pair(alpha, d.nu)
+                                           for alpha in d.positive_roots)
 
 
 def test_nilpotency_matches_full_layer_reference():

@@ -242,3 +242,19 @@ def test_algebras_are_built_and_validated_only_at_the_edge():
     assert {(name, mod, scope) for name, mod, scope, _ in calls} == {
         (name, *caller) for name, callers in ONLY_CALLERS.items()
         for caller in callers}
+
+
+def test_scalars_are_built_in_padic():
+    # a scalar's digits and precision are set only by padic's own
+    # constructors and arithmetic; other modules call those
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "padic.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "PadicScalar" in (
+                      getattr(node.func, "id", None),
+                      getattr(node.func, "attr", None))]
+    assert len(list(SRC.glob("*.py"))) > 5
+    assert found == []
