@@ -28,6 +28,9 @@ from .perfseries import (PerfectedSeries, RestrictedParams, membership_ECd,
                          slope_exponents)
 
 DEFAULT_PRECISION = 32
+#: the deepest nesting of lists and objects an input may have; a full-schema
+#: bch-mul request, the deepest valid input, nests 7 levels
+MAX_DEPTH = 32
 
 
 def _jsonable(x):
@@ -56,15 +59,25 @@ def _finite(text):
 
 
 def _read_input(args):
+    deep = {"depth": f"over {MAX_DEPTH}"}
     try:
         if args.infile and args.infile != "-":
             with open(args.infile, "r", encoding="utf-8") as fh:
                 text = fh.read()
         else:
             text = sys.stdin.read()
-        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+        obj = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedInput("unreadable input", witness=str(exc)) from exc
+    except RecursionError as exc:
+        raise MalformedInput("unreadable input", witness=deep) from exc
+    level = [obj]  # the values at each depth, walked without recursion
+    for _ in range(MAX_DEPTH):
+        level = [v for x in level if isinstance(x, (list, dict))
+                 for v in (x.values() if isinstance(x, dict) else x)]
+    if any(isinstance(x, (list, dict)) for x in level):
+        raise MalformedInput("unreadable input", witness=deep)
+    return obj
 
 
 def _default_n(args):

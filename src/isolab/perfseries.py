@@ -6,6 +6,12 @@ and every operation states what survives.  On top of the ring structure this
 module provides the Frobenius operators, ideal truncations, composition, two
 membership tests for restricted-perfection subrings, the rigidity-criterion
 checker, and the slope-to-exponent bookkeeping (a, r, s).
+
+Validation happens once, at the edge: ``PerfectedSeries(...)`` checks
+outside input.  Operations build their results with the unchecked
+``_result``, since sums, p-multiples and p-quotients of checked exponents
+need no check, and a series never changes once built.  Both keep the terms
+that ``_kept`` keeps.
 """
 
 from fractions import Fraction
@@ -29,10 +35,6 @@ def ff_add(a, b, p):
     return tuple((x + y) % p for x, y in zip(a, b))
 
 
-def ff_is_zero(a):
-    return all(x == 0 for x in a)
-
-
 def ff_one(k):
     return (1,) + (0,) * (k - 1)
 
@@ -42,28 +44,26 @@ def ff_one(k):
 # --------------------------------------------------------------------------
 
 def _pexp(p, den):
-    """e with den == p**e, or None when den is no power of p.
-
-    Up to p^2 two comparisons give the guess: series validation calls
-    this for every exponent of every product, and the float logarithm
-    costs about 2.5 times as much per call.  Above p^2 the guess is that
-    logarithm rounded: its error is a few ulps, far below 1/2 for any
-    den that fits in memory.  One exact power checks the guess, so this
-    costs O(log e) big-integer products, where dividing by p one step at
-    a time costs O(e^2).
-    """
-    e = round(log(den, p)) if den > p * p else (den > p) + (den > 1)
-    return e if p ** e == den else None
+    """e with den == p**e, for den a power of p (_validate_exponent checks):
+    the float logarithm rounded, whose error of a few ulps is far below 1/2
+    for any den that fits in memory."""
+    return round(log(den, p))
 
 
 def _validate_exponent(p, v):
     v = Fraction(v)
     if v < 0:
         raise MalformedInput("negative exponent", witness=str(v))
-    if _pexp(p, v.denominator) is None:
+    if p ** _pexp(p, v.denominator) != v.denominator:
         raise MalformedInput("exponent denominator is not a power of p",
                              witness=str(v))
     return v
+
+
+def _kept(terms, D):
+    """The terms a series keeps: nonzero coefficient, sup-degree <= D."""
+    return {e: c for e, c in terms.items()
+            if any(c) and not (e and max(e) > D)}
 
 
 class PerfectedSeries:
@@ -76,10 +76,7 @@ class PerfectedSeries:
             raise MalformedInput("degree bound must be at least 1",
                                  witness={"D": D})
         _ff_spec(p, k)  # p prime and k >= 1, before p divides anything
-        self.p = p
-        self.nvars = nvars
-        self.k = k
-        self.D = D
+        self.p, self.nvars, self.k, self.D = p, nvars, k, D
         clean = {}
         for exp, coeff in terms.items():
             exp = tuple(_validate_exponent(p, v) for v in exp)
@@ -90,12 +87,8 @@ class PerfectedSeries:
             if len(coeff) != k:
                 raise MalformedInput("coefficient length mismatch",
                                      witness=list(coeff))
-            if ff_is_zero(coeff):
-                continue
-            if exp and max(exp) > D:
-                continue
             clean[exp] = coeff
-        self.terms = clean
+        self.terms = _kept(clean, D)
 
     # -- constructors -----------------------------------------------------
 
@@ -151,6 +144,23 @@ class PerfectedSeries:
         return PerfectedSeries(p, nvars, k, D, terms)
 
 
+def _result(a, terms, D=None, nvars=None):
+    """A series like a, with bound D and nvars variables, built unchecked.
+
+    __init__ would accept the terms as they are: each exponent is a sum,
+    p-multiple, p-quotient or zero-padding of checked exponents, so it is
+    >= 0 with a p-power denominator, and arity, coefficient length and
+    reduction mod p carry over.  Term order never reaches an output: every
+    output and witness path sorts, and F_p addition commutes.
+    """
+    out = object.__new__(PerfectedSeries)
+    out.p, out.k = a.p, a.k
+    out.nvars = a.nvars if nvars is None else nvars
+    out.D = a.D if D is None else D
+    out.terms = _kept(terms, out.D)
+    return out
+
+
 def _require_match(a, b):
     if not a.same_shape(b):
         raise ParameterMismatch("series parameters differ",
@@ -160,26 +170,17 @@ def _require_match(a, b):
 
 def ps_add(a, b):
     _require_match(a, b)
-    D = min(a.D, b.D)
     terms = dict(a.terms)
     for exp, c in b.terms.items():
-        if exp in terms:
-            s = ff_add(terms[exp], c, a.p)
-            if ff_is_zero(s):
-                del terms[exp]
-            else:
-                terms[exp] = s
-        else:
-            terms[exp] = c
-    return PerfectedSeries(a.p, a.nvars, a.k, D, terms)
+        terms[exp] = ff_add(terms[exp], c, a.p) if exp in terms else c
+    return _result(a, terms, min(a.D, b.D))
 
 
 def ps_scale(a, coeff):
     spec = _ff_spec(a.p, a.k)
     coeff = tuple(int(c) % a.p for c in coeff)
-    return PerfectedSeries(a.p, a.nvars, a.k, a.D,
-                           {e: spec.raw_mul(c, coeff, a.p)
-                            for e, c in a.terms.items()})
+    return _result(a, {e: spec.raw_mul(c, coeff, a.p)
+                       for e, c in a.terms.items()})
 
 
 def ps_mul(a, b):
@@ -193,15 +194,8 @@ def ps_mul(a, b):
             if e and max(e) > D:
                 continue
             c = spec.raw_mul(c1, c2, a.p)
-            if e in out:
-                s = ff_add(out[e], c, a.p)
-                if ff_is_zero(s):
-                    del out[e]
-                else:
-                    out[e] = s
-            elif not ff_is_zero(c):
-                out[e] = c
-    return PerfectedSeries(a.p, a.nvars, a.k, D, out)
+            out[e] = ff_add(out[e], c, a.p) if e in out else c
+    return _result(a, out, D)
 
 
 def ps_pow(a, e):
@@ -217,8 +211,7 @@ def ps_pow(a, e):
         raise MalformedInput("power must be a nonnegative integer",
                              witness=str(e))
     if e == 0:
-        return PerfectedSeries.monomial(a.p, a.nvars, a.k, a.D,
-                                        (Fraction(0),) * a.nvars)
+        return _result(a, {(Fraction(0),) * a.nvars: ff_one(a.k)})
     base = a
     while e % a.p == 0:
         base = ps_frobenius(base, "forward", "absolute")
@@ -254,15 +247,8 @@ def ps_frobenius(a, direction="forward", flavor="relative"):
     else:
         raise MalformedInput("flavor must be relative or absolute",
                              witness=flavor)
-    out = {}
-    for exp, c in a.terms.items():
-        ne = tuple(fe(v) for v in exp)
-        if ne and max(ne) > a.D:
-            continue
-        nc = fc(c)
-        if not ff_is_zero(nc):
-            out[ne] = nc
-    return PerfectedSeries(p, a.nvars, a.k, a.D, out)
+    return _result(a, {tuple(fe(v) for v in exp): fc(c)
+                       for exp, c in a.terms.items()})
 
 
 def ps_truncate_ideal(a, kind, m):
@@ -278,8 +264,7 @@ def ps_truncate_ideal(a, kind, m):
         keep = lambda exp: sum(int(v) for v in exp) < m
     else:
         raise MalformedInput("unknown ideal kind", witness=kind)
-    return PerfectedSeries(a.p, a.nvars, a.k, a.D,
-                           {e: c for e, c in a.terms.items() if keep(e)})
+    return _result(a, {e: c for e, c in a.terms.items() if keep(e)})
 
 
 def ps_embed(a, total_nvars, offset):
@@ -289,9 +274,8 @@ def ps_embed(a, total_nvars, offset):
                              witness={"offset": offset, "total": total_nvars})
     pad_l = (Fraction(0),) * offset
     pad_r = (Fraction(0),) * (total_nvars - a.nvars - offset)
-    return PerfectedSeries(a.p, total_nvars, a.k, a.D,
-                           {pad_l + e + pad_r: c
-                            for e, c in a.terms.items()})
+    return _result(a, {pad_l + e + pad_r: c for e, c in a.terms.items()},
+                   nvars=total_nvars)
 
 
 def ps_compose(f, g, h=()):
@@ -350,7 +334,9 @@ class RestrictedParams:
     __slots__ = ("r", "s", "n0")
 
     def __init__(self, r, s, n0):
-        if not (0 < r < s) or n0 < 0:
+        # a boolean or a non-integral value is refused, never truncated
+        if not (0 < r < s) or n0 < 0 or any(
+                isinstance(v, bool) or v % 1 for v in (r, s, n0)):
             raise MalformedInput("need 0 < r < s and n0 >= 0",
                                  witness={"r": r, "s": s, "n0": n0})
         self.r = int(r)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import isolab
-from isolab.cli import main
+from isolab.cli import MAX_DEPTH, main
 from test_acceptance import CLI_COMMANDS
 
 
@@ -704,6 +704,51 @@ def test_unreadable_utf8_exit_1(tmp_path, capsys):
     code, out = run(capsys, "slopes", "--in", str(p))
     assert code == 1
     assert json.loads(out)["message"] == "unreadable input"
+
+
+def _nested_slopes(depth, monkeypatch, capsys):
+    """slopes on a frobenius of nested lists; the input nests depth deep."""
+    import io
+    text = ('{"p":5,"frobenius":' + "[" * (depth - 1) + "]" * (depth - 1)
+            + "}")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    return run(capsys, "slopes")
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 500, 3000])
+def test_deep_nesting_exit_1(depth, monkeypatch, capsys):
+    # 500 levels ended in a RecursionError traceback and no JSON line; at
+    # 3000, json.loads itself raises it
+    code, out = _nested_slopes(depth, monkeypatch, capsys)
+    assert code == 1
+    assert out == ('{"error":"MalformedInput","message":"unreadable input",'
+                   f'"witness":{{"depth":"over {MAX_DEPTH}"}}}}\n')
+
+
+def test_nesting_at_the_limit_reaches_the_loader(monkeypatch, capsys):
+    code, out = _nested_slopes(MAX_DEPTH, monkeypatch, capsys)
+    assert code == 1
+    assert json.loads(out)["message"] == "bad rational"
+
+
+def test_full_schema_bch_mul_fits_the_depth_limit(corpus_dir, capsys,
+                                                   monkeypatch):
+    # the deepest valid input: the algebra in the schema DieudonneLie
+    # writes nests a request 7 levels deep
+    import io
+    from isolab.cli import _load_dla
+    obj = json.loads((corpus_dir / "bch_mul.json").read_text())
+    full = {**obj, "algebra": _load_dla(obj["algebra"], None).to_json()}
+    level, depth = [full], 0
+    while any(isinstance(x, (list, dict)) for x in level):
+        depth += 1
+        level = [v for x in level if isinstance(x, (list, dict))
+                 for v in (x.values() if isinstance(x, dict) else x)]
+    assert depth == 7 < MAX_DEPTH
+    want = run(capsys, "bch-mul", "--in", str(corpus_dir / "bch_mul.json"))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(full)))
+    assert run(capsys, "bch-mul") == want
+    assert want[0] == 0
 
 
 # ---- contract: any one-field change of a corpus input gives one JSON line ----

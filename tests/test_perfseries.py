@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from isolab import (PerfectedSeries, RestrictedParams, membership_ECd,
 from isolab.errors import (DegreeBoundTooSmall, MalformedInput,
                            NonzeroConstantTerm, ParameterMismatch,
                            SequenceTooShort, SlopeOrderViolated)
-from isolab.perfseries import ps_scale
+from isolab.padic import FieldSpec
+from isolab.perfseries import (_pexp, _validate_exponent, ff_add, ps_scale)
 
 F = Fraction
 
@@ -175,6 +177,14 @@ def test_restricted_params_validation():
         RestrictedParams(2, 2, 0)
     with pytest.raises(MalformedInput):
         RestrictedParams(1, 2, -1)
+    # a boolean or a non-integral value used to be truncated by int()
+    for r, s, n0 in ((1, 2.9, 0.5), (F(3, 2), 3, 0), (1, 2, F(1, 2)),
+                     (True, 2, 0), (1, 2, False), (1, float("inf"), 0)):
+        with pytest.raises(MalformedInput,
+                           match=r"need 0 < r < s and n0 >= 0"):
+            RestrictedParams(r, s, n0)
+    params = RestrictedParams(1.0, F(3), 0)
+    assert (params.r, params.s, params.n0) == (1, 3, 0)
 
 
 def test_ordinary_series_always_member():
@@ -441,3 +451,187 @@ def test_rigidity_matches_reference_pow(corpus_dir, monkeypatch):
 def test_rigidity_rejects_negative_r():
     with pytest.raises(MalformedInput):
         rigidity_check(X(), [X()], [], -1, [1])
+
+
+# ---- library results are built unchecked, by the rule __init__ keeps ----
+
+def ref_add(a, b):
+    """The former ps_add: drop a sum that is zero, rebuild with checks."""
+    terms = dict(a.terms)
+    for exp, c in b.terms.items():
+        if exp in terms:
+            s = ff_add(terms[exp], c, a.p)
+            if not any(s):
+                del terms[exp]
+            else:
+                terms[exp] = s
+        else:
+            terms[exp] = c
+    return PerfectedSeries(a.p, a.nvars, a.k, min(a.D, b.D), terms)
+
+
+def ref_mul(a, b):
+    """The former ps_mul: drop a zero partial sum, rebuild with checks."""
+    D = min(a.D, b.D)
+    spec = FieldSpec(a.p, a.k, 1)
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if e and max(e) > D:
+                continue
+            c = spec.raw_mul(c1, c2, a.p)
+            if e in out:
+                s = ff_add(out[e], c, a.p)
+                if not any(s):
+                    del out[e]
+                else:
+                    out[e] = s
+            elif any(c):
+                out[e] = c
+    return PerfectedSeries(a.p, a.nvars, a.k, D, out)
+
+
+def ref_map(a, exp_map, coeff_map, nvars=None):
+    """Each term moved by the two maps, rebuilt with checks."""
+    return PerfectedSeries(a.p, a.nvars if nvars is None else nvars, a.k,
+                           a.D, {exp_map(e): coeff_map(c)
+                                 for e, c in a.terms.items()})
+
+
+def same(got, want):
+    return ((got.p, got.nvars, got.k, got.D, got.terms)
+            == (want.p, want.nvars, want.k, want.D, want.terms))
+
+
+def op_cases(rng):
+    """(name, result, reference) for every operation on random inputs."""
+    p, k, nvars = rng.choice([2, 3, 5]), rng.randrange(1, 4), \
+        rng.randrange(1, 3)
+    spec = FieldSpec(p, k, 1)
+    a = rand_series(rng, p, k, nvars, rng.choice([2, 4, 8]), terms=(0, 6))
+    b = rand_series(rng, p, k, nvars, rng.choice([2, 4, 8]), terms=(0, 6))
+    minus_one = (p - 1,) + (0,) * (k - 1)
+    c = tuple(rng.randrange(p) for _ in range(k))
+    m = rng.randrange(0, 4)
+    off = rng.randrange(0, 2)
+    cases = [
+        ("add", ps_add(a, b), ref_add(a, b)),
+        ("add-cancel", ps_add(a, ps_scale(a, minus_one)),
+         ref_add(a, ref_map(a, lambda e: e,
+                            lambda x: spec.raw_mul(x, minus_one, p)))),
+        ("mul", ps_mul(a, b), ref_mul(a, b)),
+        ("scale", ps_scale(a, c),
+         ref_map(a, lambda e: e, lambda x: spec.raw_mul(x, c, p))),
+        ("scale-zero", ps_scale(a, (0,) * k),
+         PerfectedSeries.zero(p, nvars, k, a.D)),
+        ("frobenius-forward-absolute", ps_frobenius(a, "forward",
+                                                    "absolute"),
+         functools.reduce(ref_mul, [a] * p)),
+    ]
+    for direction, fe in (("forward", lambda v: v * p),
+                          ("inverse", lambda v: v / p)):
+        e = p if direction == "forward" else p ** (k - 1)
+        for flavor, fc in (("relative", lambda x: x),
+                           ("absolute", lambda x, e=e:
+                            spec.raw_pow(x, e, p))):
+            cases.append((f"frobenius-{direction}-{flavor}",
+                          ps_frobenius(a, direction, flavor),
+                          ref_map(a, lambda v, fe=fe: tuple(map(fe, v)),
+                                  fc)))
+    cases += [
+        ("truncate-frobenius", ps_truncate_ideal(a, "frobenius", m),
+         PerfectedSeries(p, nvars, k, a.D, {
+             e: x for e, x in a.terms.items()
+             if all(v < p ** m for v in e)})),
+        ("truncate-power", ps_truncate_ideal(a, "power", m),
+         PerfectedSeries(p, nvars, k, a.D, {
+             e: x for e, x in a.terms.items()
+             if sum(v.numerator // v.denominator for v in e) < m})),
+        ("embed", ps_embed(a, nvars + 1, off),
+         ref_map(a, lambda e: (F(0),) * off + e + (F(0),) * (1 - off),
+                 lambda x: x, nvars=nvars + 1)),
+    ]
+    # compose f(g_1, .., g_n) against its expansion by ref_mul and ref_add
+    g = [rand_series(rng, p, k, 1, rng.choice([2, 4, 8]), zero_const=True)
+         for _ in range(nvars)]
+    f = PerfectedSeries(p, nvars, k, 8, {
+        tuple(F(rng.randrange(0, 3)) for _ in range(nvars)):
+            tuple(rng.randrange(p) for _ in range(k))
+        for _ in range(rng.randrange(1, 4))})
+    D = min(x.D for x in g)
+    want = PerfectedSeries.zero(p, 1, k, D)
+    for exp, coeff in f.terms.items():
+        term = PerfectedSeries.monomial(p, 1, k, D, (F(0),))
+        for gi, ei in zip(g, exp):
+            for _ in range(int(ei)):
+                term = ref_mul(term, gi)
+        want = ref_add(want, ref_map(
+            term, lambda e: e, lambda x: spec.raw_mul(x, coeff, p)))
+    cases.append(("compose", ps_compose(f, g), want))
+    return cases
+
+
+def test_operations_match_the_validating_references():
+    rng = random.Random(21)
+    seen = set()
+    for _ in range(150):
+        for name, got, want in op_cases(rng):
+            assert same(got, want), name
+            again = PerfectedSeries(got.p, got.nvars, got.k, got.D,
+                                    got.terms)
+            assert same(again, got), name
+            seen.add((name, got.is_zero()))
+    # every operation gave a zero and a nonzero result at least once,
+    # except the ones that can only give zero
+    assert {name for name, zero in seen if not zero} == {
+        name for name, _ in seen} - {"add-cancel", "scale-zero"}
+    assert all((name, True) in seen for name, _ in seen)
+
+
+def test_operations_build_no_checked_series(monkeypatch):
+    rng = random.Random(7)
+    a = rand_series(rng, 3, 2, 2, 8, terms=(3, 6))
+    b = rand_series(rng, 3, 2, 2, 4, terms=(3, 6))
+    calls = []
+    init = PerfectedSeries.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(PerfectedSeries, "__init__", counting)
+    results = [ps_add(a, b), ps_mul(a, b), ps_scale(a, (2, 1)),
+               ps_truncate_ideal(a, "power", 5),
+               ps_truncate_ideal(a, "frobenius", 1), ps_embed(a, 3, 1)]
+    results += [ps_frobenius(a, d, fl) for d in ("forward", "inverse")
+                for fl in ("relative", "absolute")]
+    assert calls == []
+    assert all(isinstance(r, PerfectedSeries) for r in results)
+    PerfectedSeries.zero(3, 2, 2, 8)
+    assert len(calls) == 1  # the count sees the validating constructor
+
+
+_PRIMES = [q for q in range(2, 50) if all(q % d for d in range(2, q))]
+
+
+def test_pexp_rounds_exactly():
+    for p in _PRIMES:
+        for e in [*range(65), 10 ** 3, 10 ** 5]:
+            assert _pexp(p, p ** e) == e, (p, e)
+
+
+def test_validate_exponent_rejects_a_denominator_off_a_power():
+    for p in (2, 3, 5, 7):
+        for e in (1, 2, 3, 10, 64, 1000):
+            assert _validate_exponent(p, F(1, p ** e)) == F(1, p ** e)
+            others = [p ** e + 1, p ** e - 1] + [q ** e for q in (2, 3, 5)
+                                                 if q != p]
+            for den in others:
+                if den == 1:  # 2^1 - 1 is p^0
+                    continue
+                with pytest.raises(MalformedInput) as exc:
+                    _validate_exponent(p, F(1, den))
+                assert str(exc.value) == (
+                    "exponent denominator is not a power of p")
+                assert exc.value.witness == f"1/{den}"

@@ -7,7 +7,7 @@ import inspect
 import pathlib
 
 import isolab
-from isolab import DieudonneLie, PadicScalar
+from isolab import DieudonneLie, PadicScalar, PerfectedSeries
 
 SRC = pathlib.Path(isolab.__file__).resolve().parent
 
@@ -162,47 +162,83 @@ def test_scalars_are_immutable():
     assert found == []
 
 
+#: every file whose code could change a library object
+WATCHED = [*SRC.glob("*.py"), *(SRC.parents[1] / "tests").glob("*.py"),
+           *(SRC.parents[1] / "perfbench").glob("*.py")]
+
+
+def _writes(path, tree, skip, slots, items):
+    """Where tree, outside the nodes in skip, sets or deletes an attribute
+    named in slots, or writes through .items[...] or a mutating method of
+    .items."""
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) in ("setattr", "delattr")
+                or getattr(node.func, "attr", None) in (
+                    "setattr", "delattr", "__setattr__",
+                    "__delattr__")) and any(
+                isinstance(arg, ast.Constant) and arg.value in slots
+                for arg in node.args[:2]):
+            found.append(f"{path.name}:{node.lineno}:call")
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "attr", None) in (
+                "update", "pop", "popitem", "clear", "setdefault",
+                "__setitem__", "__delitem__") and getattr(
+                node.func.value, "attr", None) == items:
+            found.append(f"{path.name}:{node.lineno}:{items}.call")
+        if not isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in slots:
+            found.append(f"{path.name}:{node.lineno}:{node.attr}")
+        elif isinstance(node, ast.Subscript):
+            base = node.value
+            while isinstance(base, ast.Subscript):
+                base = base.value
+            if getattr(base, "attr", None) == items:
+                found.append(f"{path.name}:{node.lineno}:{items}[...]")
+    return found
+
+
 def test_algebra_constants_are_fixed():
     # DieudonneLie.__init__ builds bracket_vec's table of the nonzero
     # constants once, so no code may set an algebra's attributes after
     # __init__ or write through .bracket[...]
-    root = SRC.parents[1]
-    paths = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"),
-             *(root / "perfbench").glob("*.py")]
     slots = set(DieudonneLie.__slots__)
     in_init, found = set(), []
-    for path in sorted(paths):
+    for path in sorted(WATCHED):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         init = [n for cls in tree.body if isinstance(cls, ast.ClassDef)
                 and cls.name == "DieudonneLie" for f in cls.body
                 if isinstance(f, ast.FunctionDef) and f.name == "__init__"
                 for n in ast.walk(f)]
-        own = {id(n) for n in init}
         in_init |= {n.attr for n in init if isinstance(n, ast.Attribute)
                     and isinstance(n.ctx, ast.Store)}
-        for node in ast.walk(tree):
-            if id(node) in own:
-                continue
-            if isinstance(node, ast.Call) and (
-                    getattr(node.func, "id", None) in ("setattr", "delattr")
-                    or getattr(node.func, "attr", None) in (
-                        "setattr", "delattr", "__setattr__",
-                        "__delattr__")) and any(
-                    isinstance(arg, ast.Constant) and arg.value in slots
-                    for arg in node.args[:2]):
-                found.append(f"{path.name}:{node.lineno}:call")
-            if not isinstance(getattr(node, "ctx", None),
-                              (ast.Store, ast.Del)):
-                continue
-            if isinstance(node, ast.Attribute) and node.attr in slots:
-                found.append(f"{path.name}:{node.lineno}:{node.attr}")
-            elif isinstance(node, ast.Subscript):
-                base = node.value
-                while isinstance(base, ast.Subscript):
-                    base = base.value
-                if getattr(base, "attr", None) == "bracket":
-                    found.append(f"{path.name}:{node.lineno}:bracket[...]")
+        found += _writes(path, tree, {id(n) for n in init}, slots, "bracket")
     assert in_init == slots
+    assert found == []
+
+
+def test_series_are_never_changed():
+    # perfseries._result builds every library result without checks, which
+    # is sound only while a checked series never changes: no code sets a
+    # series attribute outside __init__ and _result, or writes through
+    # .terms[...].  A constructor may set its own object's attributes, so
+    # every __new__ and __init__ is skipped (FieldSpec.__new__ sets .p).
+    slots = set(PerfectedSeries.__slots__)
+    built, found = set(), []
+    for path in sorted(WATCHED):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        made = [n for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                and f.name in ("__new__", "__init__", "_result")
+                for n in ast.walk(f)]
+        if path.name == "perfseries.py":
+            built |= {n.attr for n in made if isinstance(n, ast.Attribute)
+                      and isinstance(n.ctx, ast.Store)}
+        found += _writes(path, tree, {id(n) for n in made}, slots, "terms")
+    assert slots <= built  # __init__ and _result set every slot
     assert found == []
 
 
@@ -214,6 +250,11 @@ ONLY_CALLERS = {
                      ("dieudonne", "DieudonneLie.from_rationals")},
     # every other operation reads the verdict the algebra stored
     "dla_validate": {("cli", "_cmd_dla_check")},
+    # PerfectedSeries.__init__ checks every exponent, so the library builds
+    # a series with it only from input; operations build theirs unchecked
+    "PerfectedSeries": {("perfseries", "PerfectedSeries.zero"),
+                        ("perfseries", "PerfectedSeries.monomial"),
+                        ("perfseries", "PerfectedSeries.from_json")},
 }
 
 
