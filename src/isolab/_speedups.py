@@ -4,7 +4,8 @@ Elements of the unramified ring are coefficient tuples of length ``f`` on
 the power basis 1, t, .., t^(f-1); ``red`` holds the reduction rows
 t^(f+k) = sum_j red[k][j] t^j for k = 0 .. f-2, already reduced mod p^M.
 zq_mul is the product of two scalars (FieldSpec.raw_mul); zq_mat_mul is
-the one matrix product, behind linalg.mat_mul and linalg.charpoly.
+the one matrix product, behind linalg.mat_mul, and zq_kronecker the
+integer packing it shares with linalg.charpoly.
 """
 
 from operator import lshift, mul
@@ -30,17 +31,46 @@ def zq_mul(a, b, red, f, pM):
             row = red[k - f]
             for j in range(f):
                 out[j] += c * row[j]
-    return tuple(v % pM for v in out)
+    return tuple([v % pM for v in out])
+
+
+def zq_kronecker(red, f, pM, k):
+    """(pack, fold) for sums of at most k products in Z_q / p^M, f > 1.
+
+    pack maps a coefficient tuple in [0, pM) to one integer by Kronecker
+    substitution, sum c_i 2^(K i), with K = 2 bits(pM - 1) + bits(k f)
+    wide enough that no slot of a sum of k packed products carries into
+    the next.  fold reads such a sum back as the coefficient tuple of the
+    sum reduced mod (g(t), pM); on one packed value it is its tuple.
+    """
+    K = 2 * (pM - 1).bit_length() + (k * f).bit_length()
+    shifts = [K * i for i in range(f)]
+    wide = [K * i for i in range(2 * f - 1)]
+    mask = (1 << K) - 1
+    high = list(zip(range(f, 2 * f - 1), red))
+
+    def pack(t):
+        return sum(map(lshift, t, shifts))
+
+    def fold(acc):
+        conv = [(acc >> s) & mask for s in wide]
+        res = conv[:f]
+        for i, rrow in high:
+            c = conv[i]
+            if c:
+                for j in range(f):
+                    res[j] += c * rrow[j]
+        return tuple([v % pM for v in res])
+
+    return pack, fold
 
 
 def zq_mat_mul(A, Bcols, red, f, pM):
     """A * B on coefficient tuples in [0, pM), B given by its columns.
 
     Each output entry is one convolution summed over the inner index and
-    reduced once mod (g(t), pM).  The convolution is a single integer sum
-    of products by Kronecker substitution: a tuple c becomes the integer
-    sum c_i 2^(K i), with K wide enough that no coefficient of the summed
-    product carries into the next.
+    reduced once mod (g(t), pM): a single integer sum of products of the
+    zq_kronecker packed entries.
     """
     if f == 1:
         # plain integer dot products, measurably faster than the packed
@@ -48,26 +78,7 @@ def zq_mat_mul(A, Bcols, red, f, pM):
         cols = [[t[0] for t in col] for col in Bcols]
         return [[(sum(map(mul, r, col)) % pM,) for col in cols]
                 for r in ([t[0] for t in row] for row in A)]
-    k = len(Bcols[0]) if Bcols else 0
-    K = 2 * (pM - 1).bit_length() + (k * f).bit_length()
-    shifts = [K * i for i in range(f)]
-    mask = (1 << K) - 1
-    cols = [[sum(map(lshift, t, shifts)) for t in col] for col in Bcols]
-    out = []
-    for row in A:
-        r = [sum(map(lshift, t, shifts)) for t in row]
-        orow = []
-        for col in cols:
-            acc = sum(map(mul, r, col))
-            conv = [(acc >> (K * i)) & mask for i in range(2 * f - 1)]
-            res = conv[:f]
-            for i in range(f, 2 * f - 1):
-                c = conv[i]
-                if c:
-                    rrow = red[i - f]
-                    for j in range(f):
-                        res[j] += c * rrow[j]
-            orow.append(tuple(v % pM for v in res))
-        out.append(orow)
-    return out
-
+    pack, fold = zq_kronecker(red, f, pM, len(Bcols[0]) if Bcols else 0)
+    cols = [list(map(pack, col)) for col in Bcols]
+    return [[fold(sum(map(mul, r, col))) for col in cols]
+            for r in (list(map(pack, row)) for row in A)]

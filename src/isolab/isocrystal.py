@@ -142,17 +142,19 @@ def _hensel_split(fpoly, g0, h0, p, M):
     return g, h
 
 
-def _peel_slope_factors(coeffs, vals, spec):
+def _peel_slope_factors(coeffs, vals, spec, count):
     """Split a monic Q_p polynomial along its (integer) root valuations.
 
     coeffs: c_0..c_n PadicScalar over spec, all in Q_p, monic.  vals:
     ascending list of (root valuation m, width w), all m integral.  Returns
-    one monic factor (list of PadicScalar over spec, in Q_p) per valuation.
+    one monic factor (list of PadicScalar over spec, in Q_p) for each of
+    the first count valuations.  Each peel splits off the lowest valuation
+    left, so the valuations past those are never peeled.
     """
     p = spec.p
     factors = []
     cur = coeffs
-    for m, w in vals[:-1]:
+    for m, w in vals[:min(count, len(vals) - 1)]:
         n = len(cur) - 1
         scaled = [c.scale_p(-m * (n - i)) for i, c in enumerate(cur)]
         M = min(c.abs_prec for c in scaled)
@@ -181,7 +183,8 @@ def _peel_slope_factors(coeffs, vals, spec):
         # untransform: factor with roots of valuation m
         factors.append(_untransform(B_fac, m, w, M, spec))
         cur = _untransform(A_fac, m, a, M, spec)
-    factors.append(cur)
+    if count == len(vals):
+        factors.append(cur)
     return factors
 
 
@@ -226,12 +229,14 @@ def _poly_at_matrix(coeffs, A, spec):
 def _slope_blocks(M, keep, fine=False):
     """The blocks (slope, basis, block) of M whose slope keep accepts.
 
-    The polygon, the power trick with its polygon check, the Q_p check
-    and the factorization run on the whole module; Horner, the kernel and
-    the Frobenius solve run only for kept blocks, and the span check and
-    the blocks-versus-slopes check cover exactly the kept columns.  A
-    rejected block is never computed, so it cannot raise.  fine=True
-    checks every slope as slope_split documents.
+    The polygon, the power trick with its polygon check and the Q_p check
+    run on the whole module.  The factorization peels slopes in ascending
+    order up to the last kept one, so the slopes above it are never
+    peeled.  Horner, the kernel and the Frobenius solve run only for kept
+    blocks, and the span check and the blocks-versus-slopes check cover
+    exactly the kept columns.  A rejected block is never computed and a
+    slope above the last kept one never peeled, so neither can raise.
+    fine=True checks every slope as slope_split documents.
     """
     spec = M.spec
     L = twisted_power(M.F, spec)
@@ -267,8 +272,11 @@ def _slope_blocks(M, keep, fine=False):
                                     witness={"power": d})
     int_vals = [(int(d * m), w) for m, w in vals]
     _require_qp(coeffs)
-    factors = _peel_slope_factors(coeffs, int_vals, spec)
-    # vals ascend, so the blocks come out with slopes increasing
+    count = max((i + 1 for i, (lam, _) in enumerate(slopes) if keep(lam)),
+                default=0)
+    factors = _peel_slope_factors(coeffs, int_vals, spec, count)
+    # vals ascend, so the blocks come out with slopes increasing; zip stops
+    # at the last peeled factor
     blocks, kept = [], []
     for (m, w), G, (lam, _) in zip(int_vals, factors, slopes):
         if not keep(lam):

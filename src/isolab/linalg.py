@@ -1,13 +1,14 @@
 """Linear algebra over Q_q at finite precision, plus exact rational helpers.
 
 Matrices are plain lists of lists of PadicScalar (row major).  The hot
-paths run on raw coefficient tuples and one integer matrix product,
-_speedups.zq_mat_mul: mat_mul (and so twisted products, powers and
-Horner evaluation) multiplies the integralized operands and gives each
-entry the precision the scalar fold would certify; charpoly integralizes
-the whole matrix at one precision and runs each Berkowitz step as three
-such products.  Everything else does row reduction with valuation
-pivoting so precision loss stays explicit.
+paths run on raw coefficient tuples packed into integers: mat_mul (and
+so twisted products, powers and Horner evaluation) multiplies the
+integralized operands in one integer matrix product,
+_speedups.zq_mat_mul, and gives each entry the precision the scalar fold
+would certify; charpoly integralizes the whole matrix at one precision,
+packs each entry once, and runs every Berkowitz step as integer dot
+products on the packed values.  Everything else does row reduction with
+valuation pivoting so precision loss stays explicit.
 
 There is one elimination loop, row_echelon.  span_basis (in dieudonne)
 returns its whole echelon rows; kernel_basis reads them only at the free
@@ -32,7 +33,7 @@ it from.
 """
 
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from . import _speedups as _k
 from .errors import FieldSpecMismatch, InsufficientPrecision, NonInvertible
@@ -89,7 +90,7 @@ def _raw(vecs, vmin, spec, pW):
                 row.append(zero)
             else:
                 pv = p ** (a.v - vmin)
-                row.append(tuple(pv * c % pW for c in a.unit))
+                row.append(tuple([pv * c % pW for c in a.unit]))
         out.append(row)
     return out
 
@@ -175,43 +176,46 @@ def _integralize(A, spec):
 def charpoly(A, spec):
     """Coefficients c_0..c_n of det(T - A) = sum c_j T^j, c_n = 1.
 
-    Division-free (Berkowitz) on integralized raw tuples, then descaled;
-    per-coefficient precision reflects the descaling honestly.  Each step
-    is three integer matrix products mod p^W: the Krylov vectors
-    Mp^k * C, the dots R * Mp^k * C, and the Toeplitz product of the
-    column (1, -a_rr, -R C, -R Mp C, ..) with the previous coefficients.
+    Division-free (Berkowitz) on the integralized matrix mod p^W, then
+    descaled; per-coefficient precision reflects the descaling honestly.
+    Each entry is packed into one integer once per call: the coefficient
+    itself at f = 1, the _speedups.zq_kronecker packing at f > 1.  So each
+    Krylov vector Mp^k C, each dot R Mp^k C and each coefficient of the
+    Toeplitz product of the column (1, -a_rr, -R C, -R Mp C, ..) with the
+    previous coefficients is one integer dot product, and only the new
+    value is read back, reduced mod (g(t), p^W) and packed again.
     """
     n = len(A)
     raw, e, W = _integralize(A, spec)
     pW = spec.p ** W
-    red = spec.red_rows(pW)
-    f = spec.f
-    zero, one = (0,) * f, (1,) + (0,) * (f - 1)
-
-    def mul(X, Ycols):
-        return _k.zq_mat_mul(X, Ycols, red, f, pW)
-
-    def neg(x):
-        return tuple(-c % pW for c in x)
-
-    p_vec = [one]
-    for r in range(1, n + 1):
-        Mp = [raw[i][:r - 1] for i in range(r - 1)]
-        krylov = [[raw[i][r - 1] for i in range(r - 1)]] if r > 1 else []
-        while len(krylov) < r - 1:
-            krylov.append([row[0] for row in mul(Mp, krylov[-1:])])
-        dots = mul([raw[r - 1][:r - 1]], krylov)[0]
-        col = [one, neg(raw[r - 1][r - 1])] + [neg(d) for d in dots]
-        # new[i] = sum_k col[i - k] * old[k]
-        toeplitz = [[col[i - k] if i >= k else zero for k in range(r)]
-                    for i in range(r + 1)]
-        p_vec = [row[0] for row in mul(toeplitz, [p_vec])]
+    if spec.f == 1:
+        P = [[t[0] for t in row] for row in raw]
+        reduce, unpack = pW.__rmod__, lambda c: (c,)
+    else:
+        pack, unpack = _k.zq_kronecker(spec.red_rows(pW), spec.f, pW, n)
+        P = [list(map(pack, row)) for row in raw]
+        reduce = lambda acc: pack(unpack(acc))  # noqa: E731
+    m1 = pW - 1  # reduce(m1 * x) is -x: m1 is -1 mod p^W, x packs linearly
+    p_vec = [1]  # 1 packs to 1 at every f
+    for r in range(n):
+        # step r + 1: Mp and C are the leading r x r block and column r
+        Mp = [row[:r] for row in P[:r]]
+        v = [row[r] for row in P[:r]]
+        R = [reduce(m1 * x) for x in P[r][:r]]  # -R: col gets -R Mp^k C
+        col = [1, reduce(m1 * P[r][r])]
+        for k in range(r):
+            col.append(reduce(sum(map(mul, R, v))))
+            if k < r - 1:
+                v = [reduce(sum(map(mul, row, v))) for row in Mp]
+        # new[i] = sum_k col[i - k] * old[k]; map stops at the shorter list
+        p_vec = [reduce(sum(map(mul, col[i::-1], p_vec)))
+                 for i in range(r + 2)]
     # p_vec[k] multiplies T^(n-k); descale
     coeffs = []
     for j in range(n + 1):
-        rawc = p_vec[n - j]
         shift = -e * (n - j)
-        coeffs.append(PadicScalar.from_raw(spec, rawc, shift, W + shift))
+        coeffs.append(PadicScalar.from_raw(spec, unpack(p_vec[n - j]), shift,
+                                           W + shift))
     return coeffs
 
 

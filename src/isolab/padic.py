@@ -443,7 +443,7 @@ class PadicScalar:
         # reducing the coefficients mod p^rel_mod
         rel = min(abs_prec - v, spec.N)
         pw, pr = spec.p ** d, spec.p ** rel
-        unit = tuple((c // pw) % pr for c in coeffs)
+        unit = tuple([(c // pw) % pr for c in coeffs])
         return PadicScalar(spec, v, unit, rel)
 
     @staticmethod
@@ -508,7 +508,7 @@ class PadicScalar:
             return self
         pM = self.spec.p ** self.rel
         return PadicScalar(self.spec, self.v,
-                           tuple((-c) % pM for c in self.unit), self.rel)
+                           tuple([(-c) % pM for c in self.unit]), self.rel)
 
     def __add__(self, other):
         # the scalar hot path: it reads the slots (unit is None for a zero)
@@ -532,11 +532,17 @@ class PadicScalar:
             if other_abs < abs_out:
                 abs_out = other_abs
             p = spec.p
-            mod = p ** (abs_out - w)
+            rel = abs_out - w
+            mod = p ** rel
             pa, pb = p ** (sv - w), p ** (ov - w)
-            coeffs = tuple((pa * a + pb * c) % mod
-                           for a, c in zip(self.unit, other.unit))
-            return PadicScalar.from_raw(spec, coeffs, w, abs_out)
+            coeffs = tuple([(pa * a + pb * c) % mod
+                            for a, c in zip(self.unit, other.unit)])
+            if sv == ov:
+                return PadicScalar.from_raw(spec, coeffs, w, abs_out)
+            # unequal valuations cannot cancel: mod p the sum is the lower
+            # operand's unit, which is nonzero mod p, so the sum is a unit
+            # times p^w; rel <= N, since abs_out <= w + (that unit's rel)
+            return PadicScalar(spec, w, coeffs, rel)
         # x plus the zero O(p^b)
         xv = x.v
         if xv >= b:
@@ -545,7 +551,7 @@ class PadicScalar:
         if x.rel < rel:
             rel = x.rel
         pM = spec.p ** rel
-        return PadicScalar(spec, xv, tuple(c % pM for c in x.unit), rel)
+        return PadicScalar(spec, xv, tuple([c % pM for c in x.unit]), rel)
 
     def __sub__(self, other):
         return self + (-other)

@@ -76,7 +76,11 @@ class PerfectedSeries:
             raise MalformedInput("degree bound must be at least 1",
                                  witness={"D": D})
         _ff_spec(p, k)  # p prime and k >= 1, before p divides anything
-        self.p, self.nvars, self.k, self.D = p, nvars, k, D
+        # a boolean or a non-integral arity is refused, never truncated
+        if isinstance(nvars, bool) or nvars < 0 or nvars % 1:
+            raise MalformedInput("arity must be a nonnegative integer",
+                                 witness={"nvars": nvars})
+        self.p, self.nvars, self.k, self.D = p, int(nvars), k, D
         clean = {}
         for exp, coeff in terms.items():
             exp = tuple(_validate_exponent(p, v) for v in exp)
@@ -179,6 +183,9 @@ def ps_add(a, b):
 def ps_scale(a, coeff):
     spec = _ff_spec(a.p, a.k)
     coeff = tuple(int(c) % a.p for c in coeff)
+    if len(coeff) != a.k:
+        raise MalformedInput("coefficient length mismatch",
+                             witness=list(coeff))
     return _result(a, {e: spec.raw_mul(c, coeff, a.p)
                        for e, c in a.terms.items()})
 

@@ -291,6 +291,19 @@ def test_perf_member_ordinary(corpus_dir, capsys):
     assert doc == {"member": True, "witness": None}
 
 
+def test_perf_member_negative_arity_exit_1(monkeypatch, capsys):
+    # answered {"member":true,"witness":null} with exit 0
+    import io
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        '{"p":2,"nvars":-3,"field":{"p":2,"k":1},"D":4,"terms":[]}'))
+    code, out = run(capsys, "perf-member", "--params", "2,1,0")
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "MalformedInput",
+        "message": "arity must be a nonnegative integer",
+        "witness": {"nvars": -3}}
+
+
 def test_perf_ecd(corpus_dir, capsys):
     code, doc = run_json(capsys, "perf-ecd", "--E", "2", "--C", "1",
                          "--d", "1", "--in", str(corpus_dir / "ordseries.json"))

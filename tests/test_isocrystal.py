@@ -496,13 +496,15 @@ def test_slope_part_builds_only_the_kept_blocks(which, monkeypatch):
     kept = [lam for lam, _ in newton_slopes(M) if PREDICATES[which](lam)]
     assert 0 < len(kept) < len(newton_slopes(M))
     calls = []
-    for name in ("_poly_at_matrix", "kernel_basis"):
+    for name in ("_poly_at_matrix", "kernel_basis", "_hensel_split"):
         fn = getattr(isocrystal, name)
         monkeypatch.setattr(isocrystal, name, lambda *a, fn=fn, name=name,
                             **k: calls.append(name) or fn(*a, **k))
     slope_part(M, which)
     assert calls.count("_poly_at_matrix") == len(kept)
     assert calls.count("kernel_basis") == len(kept)
+    # the kept slopes are the lowest ones: one peel each, none above them
+    assert calls.count("_hensel_split") == {"lt0": 2, "leq0": 3}[which]
 
 
 def test_slope_part_answers_when_only_a_rejected_block_fails():

@@ -311,6 +311,21 @@ def test_charpoly_matches_reference():
     assert raised > 500 and certified > 1500
 
 
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_charpoly_carry_edge_matches_reference(f):
+    # every raw entry is p^W - 1 in each coefficient, the largest value a
+    # packed slot holds: at v = 0, W = N; at v = -1, e = 1 and W = N again
+    for p in (2, 3, 5, 7):
+        for N in (1, 3, 6, 12):
+            spec = FieldSpec(p, f, N)
+            for v in (0, -1):
+                a = PadicScalar.from_coeffs(spec, [spec.pN - 1] * f, v)
+                for n in range(8):
+                    A = [[a] * n for _ in range(n)]
+                    assert [_key(c) for c in charpoly(A, spec)] == \
+                        [_key(c) for c in _ref_charpoly(A, spec)]
+
+
 def _fraction_det(M):
     M = [list(row) for row in M]
     det = Fraction(1)

@@ -83,6 +83,17 @@ def test_exponent_validation():
         mono(2, -1)
 
 
+def test_arity_validation():
+    # a negative arity used to build a series that every test accepted
+    for nvars in (-3, -1, True, False, 1.5, F(1, 2)):
+        with pytest.raises(MalformedInput,
+                           match="arity must be a nonnegative integer"):
+            PerfectedSeries(2, nvars, 1, 4, {})
+    a = PerfectedSeries(2, 2.0, 1, 4, {(F(1), F(0)): (1,)})
+    assert a.nvars == 2 and type(a.nvars) is int
+    assert PerfectedSeries(2, 0, 1, 4, {(): (1,)}).nvars == 0
+
+
 def test_frobenius_relative_forward():
     assert ps_frobenius(X(), "forward").terms == {(F(2),): (1,)}
     a = mono(2, F(1, 2))
@@ -358,6 +369,16 @@ def test_scale_and_neg_char2():
     a = mono(2, 1)
     assert ps_add(a, ps_scale(a, (a.p - 1,) + (0,) * (a.k - 1))).is_zero()
     assert ps_scale(a, (0,)).is_zero()
+
+
+def test_scale_rejects_a_coefficient_of_the_wrong_length():
+    # a short coefficient raised a bare IndexError, a long one was cut to k
+    a = mono(3, 1, k=2)
+    assert ps_scale(a, (2, 0)).terms == {(F(1),): (2, 0)}
+    for coeff in ((1,), (1, 0, 0), ()):
+        with pytest.raises(MalformedInput,
+                           match="coefficient length mismatch"):
+            ps_scale(a, coeff)
 
 
 def test_pow_repeated_squaring():
