@@ -119,6 +119,13 @@ def _json_int(v):
     return int(v)
 
 
+def _integral(v):
+    """True for an int or an integral float or Fraction: the one rule for
+    integer parameters.  A boolean or a non-integral value is refused, never
+    truncated, and a caller keeps int(v)."""
+    return type(v) is int or isinstance(v, (float, Fraction)) and v % 1 == 0
+
+
 def _is_irreducible(g, p):
     """Rabin test for a monic g over F_p."""
     f = len(g) - 1
@@ -194,6 +201,13 @@ class FieldSpec:
                  "_zero")
 
     def __new__(cls, p, f, N):
+        if type(p) is not int or type(f) is not int or type(N) is not int:
+            # keyed as ints, so no call is answered by a spec that another
+            # call built from True or 4.0
+            if not (_integral(p) and _integral(f) and _integral(N)):
+                raise MalformedInput("need prime p >= 2, f >= 1, N >= 1",
+                                     witness={"p": p, "f": f, "N": N})
+            p, f, N = int(p), int(f), int(N)
         key = (p, f, N)
         hit = _SPEC_CACHE.get(key)
         if hit is not None:

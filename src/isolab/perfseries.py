@@ -20,7 +20,7 @@ from math import gcd, log
 from .errors import (DegreeBoundTooSmall, InvariantViolated, MalformedInput,
                      NonzeroConstantTerm, ParameterMismatch, SequenceTooShort,
                      SlopeOrderViolated)
-from .padic import FieldSpec, _json_int
+from .padic import FieldSpec, _integral, _json_int
 
 
 # --------------------------------------------------------------------------
@@ -72,15 +72,20 @@ class PerfectedSeries:
     __slots__ = ("p", "nvars", "k", "D", "terms")
 
     def __init__(self, p, nvars, k, D, terms):
+        # a boolean or a non-integral bound or arity is refused, never
+        # truncated; FieldSpec refuses p and k by the same rule
+        if not _integral(D):
+            raise MalformedInput("degree bound must be an integer",
+                                 witness={"D": D})
         if D < 1:
             raise MalformedInput("degree bound must be at least 1",
                                  witness={"D": D})
-        _ff_spec(p, k)  # p prime and k >= 1, before p divides anything
-        # a boolean or a non-integral arity is refused, never truncated
-        if isinstance(nvars, bool) or nvars < 0 or nvars % 1:
+        spec = _ff_spec(p, k)  # p prime and k >= 1, before p divides anything
+        if not _integral(nvars) or nvars < 0:
             raise MalformedInput("arity must be a nonnegative integer",
                                  witness={"nvars": nvars})
-        self.p, self.nvars, self.k, self.D = p, int(nvars), k, D
+        p, k = spec.p, spec.f
+        self.p, self.nvars, self.k, self.D = p, int(nvars), k, int(D)
         clean = {}
         for exp, coeff in terms.items():
             exp = tuple(_validate_exponent(p, v) for v in exp)
@@ -214,7 +219,8 @@ def ps_pow(a, e):
     factor p of e costs one Frobenius pass, and only the cofactor prime to
     p goes through square-and-multiply.
     """
-    if not isinstance(e, int) or e < 0:
+    # an int and not a boolean: an integral Fraction or float is refused
+    if not (isinstance(e, int) and _integral(e)) or e < 0:
         raise MalformedInput("power must be a nonnegative integer",
                              witness=str(e))
     if e == 0:
@@ -261,9 +267,10 @@ def ps_frobenius(a, direction="forward", flavor="relative"):
 def ps_truncate_ideal(a, kind, m):
     """Class modulo an ideal: kind="frobenius" is (X_1^{p^m},..,X_n^{p^m}),
     kind="power" is (X_1,..,X_n)^m, perfected-monomial membership by floors."""
-    if m < 0:
-        raise MalformedInput("truncation order must be nonnegative",
+    if not _integral(m) or m < 0:
+        raise MalformedInput("truncation order must be a nonnegative integer",
                              witness={"m": m})
+    m = int(m)
     if kind == "frobenius":
         bound = Fraction(a.p) ** m
         keep = lambda exp: all(v < bound for v in exp)
@@ -276,6 +283,10 @@ def ps_truncate_ideal(a, kind, m):
 
 def ps_embed(a, total_nvars, offset):
     """The same series over a larger variable set, variables shifted."""
+    if not (_integral(total_nvars) and _integral(offset)):
+        raise MalformedInput("embedding offset and total must be integers",
+                             witness={"offset": offset, "total": total_nvars})
+    total_nvars, offset = int(total_nvars), int(offset)
     if offset < 0 or offset + a.nvars > total_nvars:
         raise MalformedInput("embedding out of range",
                              witness={"offset": offset, "total": total_nvars})
@@ -341,9 +352,7 @@ class RestrictedParams:
     __slots__ = ("r", "s", "n0")
 
     def __init__(self, r, s, n0):
-        # a boolean or a non-integral value is refused, never truncated
-        if not (0 < r < s) or n0 < 0 or any(
-                isinstance(v, bool) or v % 1 for v in (r, s, n0)):
+        if not all(map(_integral, (r, s, n0))) or not 0 < r < s or n0 < 0:
             raise MalformedInput("need 0 < r < s and n0 >= 0",
                                  witness={"r": r, "s": s, "n0": n0})
         self.r = int(r)
@@ -467,7 +476,8 @@ def rigidity_check(f, g, h, r, d_seq, powered_block="h"):
     if powered_block not in ("g", "h"):
         raise MalformedInput("powered_block must be g or h",
                              witness=powered_block)
-    if not isinstance(r, int) or r < 0:
+    # an int and not a boolean, as for ps_pow
+    if not (isinstance(r, int) and _integral(r)) or r < 0:
         raise MalformedInput("r must be a nonnegative integer",
                              witness={"r": str(r)})
     args = list(g) + list(h)
@@ -478,13 +488,14 @@ def rigidity_check(f, g, h, r, d_seq, powered_block="h"):
     q = p ** r
     D = min(s.D for s in args)
     for n, d_n in enumerate(d_seq):
-        if d_n < 1:
+        if not _integral(d_n) or d_n < 1:
             raise MalformedInput("d_seq entries must be positive",
                                  witness={"n": n, "d_n": d_n})
         if d_n > D:
             raise DegreeBoundTooSmall(
                 "cannot certify this power ideal at the working bound",
                 witness={"n": n, "d_n": d_n, "D": D})
+    d_seq = [int(d_n) for d_n in d_seq]
     ratio_ok = all(Fraction(q ** n, d_seq[n]) > Fraction(q ** (n + 1),
                                                          d_seq[n + 1])
                    for n in range(len(d_seq) - 1))

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import isolab
-from isolab import (DieudonneLie, FieldSpec, Isocrystal, PadicScalar,
+from isolab import (DieudonneLie, FieldSpec, PadicScalar,
                     PerfectedSeries, RestrictedParams, RootDatumWithCochar,
                     adjoint_slope_cross_check, denominator_profile,
                     lattice_closure_check, leaf_dimension,
@@ -29,6 +29,9 @@ from isolab.errors import MalformedInput
 from isolab.linalg import rat_rref
 from isolab.roots import coxeter_gate
 
+from reference import (CLI_COMMANDS, EYE3, X, badseries, gl, gsp, heisenberg,
+                       iso, split_heisenberg, zero_bracket)
+
 F = Fraction
 
 
@@ -36,23 +39,18 @@ def _report(num, detail):
     print(f"criterion {num:02d}: PASS ({detail})")
 
 
-def _iso(rows, spec):
-    return Isocrystal.from_rationals(
-        spec, [[F(str(c)) for c in row] for row in rows])
-
-
 def test_criterion_01_slope_normalization():
     t0 = time.time()
     spec = FieldSpec(5, 1, 16)
-    assert newton_slopes(_iso([[1]], spec)) == [(F(0), 1)]
-    assert newton_slopes(_iso([["1/5"]], spec)) == [(F(-1), 1)]
+    assert newton_slopes(iso([[1]], spec)) == [(F(0), 1)]
+    assert newton_slopes(iso([["1/5"]], spec)) == [(F(-1), 1)]
     _report(1, f"exact, {time.time() - t0:.2f}s")
 
 
 def test_criterion_02_supersingular_block():
     t0 = time.time()
     spec = FieldSpec(5, 1, 16)
-    M = _iso([[0, "1/5"], [1, 0]], spec)
+    M = iso([[0, "1/5"], [1, 0]], spec)
     assert newton_slopes(M) == [(F(-1, 2), 2)]
     blocks = slope_split(M)
     assert len(blocks) == 1
@@ -83,9 +81,8 @@ def test_criterion_03_dimension_identity():
             assert dim == pdiv_dimension(slope_multiset_from_roots(d),
                                          check_range=False)
     assert cases <= 200
-    assert leaf_dimension(
-        RootDatumWithCochar("GSp", 4, [F(0), F(0), F(-1), F(-1)])) == 3
-    assert leaf_dimension(RootDatumWithCochar("GL", 2, [F(0), F(-1)])) == 1
+    assert leaf_dimension(gsp(4, 0, 0, -1, -1)) == 3
+    assert leaf_dimension(gl(2, 0, -1)) == 1
     _report(3, f"{cases} root data, {time.time() - t0:.2f}s")
 
 
@@ -95,7 +92,7 @@ def test_criterion_04_adjoint_cross_check():
     cases = 0
     for n in (2, 3, 4):
         for nu in _dominant_tuples(n):
-            d = RootDatumWithCochar("GL", n, [F(v) for v in nu])
+            d = gl(n, *nu)
             got = adjoint_slope_cross_check(d, spec)
             assert got == slope_multiset_from_roots(d)
             cases += 1
@@ -112,20 +109,11 @@ def test_criterion_05_bch_oracle():
     _report(5, f"degrees 1-5 exact + profiles 1-8, {time.time() - t0:.2f}s")
 
 
-def _heisenberg(p):
-    spec = FieldSpec(p, 1, 16)
-    c = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
-    c[0][1][2], c[1][0][2] = F(1), F(-1)
-    frob = [[F(1, p), 0, 0], [0, F(1), 0], [0, 0, F(1, p)]]
-    eye = [[F(1), 0, 0], [F(0), 1, 0], [F(0), 0, 1]]
-    return DieudonneLie.from_rationals(spec, frob, c, lattice_cols=eye)
-
-
 def test_criterion_06_lattice_closure_gate():
     t0 = time.time()
-    ok, wit = lattice_closure_check(_heisenberg(5), samples=100, seed=0)
+    ok, wit = lattice_closure_check(heisenberg(5, EYE3), samples=100, seed=0)
     assert ok and wit is None
-    bad, wit2 = lattice_closure_check(_heisenberg(2), samples=100, seed=0)
+    bad, wit2 = lattice_closure_check(heisenberg(2, EYE3), samples=100, seed=0)
     assert not bad and wit2 is not None
     _report(6, f"p=5 closed 100/100, p=2 witness {wit2}, "
                f"{time.time() - t0:.2f}s")
@@ -133,12 +121,8 @@ def test_criterion_06_lattice_closure_gate():
 
 def test_criterion_07_rho_defect_containment():
     t0 = time.time()
-    spec = FieldSpec(5, 1, 24)
-    c = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
-    c[0][1][2], c[1][0][2] = F(1), F(-1)
-    frob = [[F(0), F(-1, 5), 0], [F(1), 0, 0], [0, 0, F(1, 5)]]
-    eye = [[F(1), 0, 0], [F(0), 1, 0], [F(0), 0, 1]]
-    a = DieudonneLie.from_rationals(spec, frob, c, lattice_cols=eye)
+    a = split_heisenberg(N=24)
+    spec = a.spec
     rng = random.Random(20240907)
     checked = 0
     for n in range(4):
@@ -249,7 +233,7 @@ def _equivariance_kernel(frob):
 
 
 def _bracket_from_coords(pairs, kernel, coeffs, n):
-    c = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    c = zero_bracket(n)
     for vec, lam in zip(kernel, coeffs):
         if not lam:
             continue
@@ -316,11 +300,8 @@ def test_criterion_09_restricted_membership():
         assert okb == okd
         agreed += 1
 
-    bad = PerfectedSeries(
-        2, 1, 1, 16,
-        {(F(i) + F(1, 2 ** i),): (1,) for i in range(1, 17)})
     for method in ("definitional", "closed_form"):
-        ok, wit = membership_restricted(bad, RestrictedParams(1, 2, 0),
+        ok, wit = membership_restricted(badseries(), RestrictedParams(1, 2, 0),
                                         method=method)
         assert not ok and wit is not None
 
@@ -332,22 +313,17 @@ def test_criterion_09_restricted_membership():
     _report(9, f"1000 random series + corpus checks, {time.time() - t0:.2f}s")
 
 
-def _xvar(nvars, slot, D):
-    exp = tuple(F(1) if i == slot else F(0) for i in range(nvars))
-    return PerfectedSeries(2, nvars, 1, D, {exp: (1,)})
-
-
 def test_criterion_10_rigidity_checker():
     t0 = time.time()
-    u, v = _xvar(2, 0, 16), _xvar(2, 1, 16)
+    u, v = X(D=16, nvars=2, slot=0), X(D=16, nvars=2, slot=1)
     from isolab import ps_add
     f = ps_add(u, v)          # u - v in characteristic 2
-    g = _xvar(1, 0, 16)
+    g = X(D=16)
     pos = rigidity_check(f, [g, g], [], 1, [1, 3, 9], powered_block="g")
     assert pos["congruences"] == [True, True, True]
     assert pos["ratio_ok"] and pos["evaluation_zero"]
 
-    neg = rigidity_check(_xvar(1, 0, 24), [_xvar(1, 0, 24)], [], 2,
+    neg = rigidity_check(X(D=24), [X(D=24)], [], 2,
                          [1, 5, 21], powered_block="g")
     q = 4
     first_over = next(n for n, d in enumerate([1, 5, 21]) if d > q ** n)
@@ -366,46 +342,19 @@ def test_criterion_11_coxeter_gate():
     cases = 0
     for n in (2, 3, 4, 5):
         for nu in _dominant_tuples(n, (0, -1, -2, -3)):
-            rep = coxeter_gate(
-                RootDatumWithCochar("GL", n, [F(v) for v in nu]), 7)
+            rep = coxeter_gate(gl(n, *nu), 7)
             assert rep["n_class"] <= rep["h"] - 1
             cases += 1
     for g in (1, 2, 3):
         for nu in _dominant_tuples(2 * g, (0, -1, -2, -3)):
             try:
-                d = RootDatumWithCochar("GSp", 2 * g, [F(v) for v in nu])
+                d = gsp(2 * g, *nu)
             except MalformedInput:
                 continue
             rep = coxeter_gate(d, 7)
             assert rep["n_class"] <= rep["h"] - 1
             cases += 1
     _report(11, f"{cases} exhaustive cochars, {time.time() - t0:.2f}s")
-
-
-CLI_COMMANDS = [
-    ["slopes", "--in", "corpus/ordinary2x2.json"],
-    ["split", "--in", "corpus/supersingular2x2.json"],
-    ["split", "--fine", "--in", "corpus/ordinary2x2.json"],
-    ["hom", "--in", "corpus/hom_pair.json"],
-    ["dla-check", "--in", "corpus/heisenberg.json"],
-    ["lcs", "--in", "corpus/heisenberg.json"],
-    ["bch-table", "--class", "4"],
-    ["bch-mul", "--in", "corpus/bch_mul.json"],
-    ["lattice-closure", "--in", "corpus/heisenberg.json"],
-    ["leafdim", "--in", "corpus/gsp4_ordinary.json"],
-    ["--classical", "leafdim", "--type", "GSp", "--n", "4",
-     "--nu", "1,1,0,0"],
-    ["slope-roots", "--in", "corpus/gsp4_ordinary.json"],
-    ["--classical", "slope-roots", "--in", "corpus/gsp4_ordinary.json"],
-    ["nilclass", "--in", "corpus/gsp4_ordinary.json"],
-    ["coxeter-gate", "--p", "5", "--in", "corpus/gsp4_ordinary.json"],
-    ["perf-member", "--params", "2,1,0", "--in", "corpus/badseries.json"],
-    ["perf-member", "--params", "2,1,0", "--in", "corpus/ordseries.json"],
-    ["perf-ecd", "--E", "1", "--C", "2", "--d", "0",
-     "--in", "corpus/badseries.json"],
-    ["rigidity", "--in", "corpus/rigidity_pos.json"],
-    ["slope-exponents", "--mu1", "1/2", "--mu0", "1/3"],
-]
 
 
 def test_criterion_12_cli_determinism(corpus_dir):

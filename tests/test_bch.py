@@ -1,26 +1,23 @@
-import os
-import pathlib
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-import isolab
-from isolab import (DieudonneLie, FieldSpec, FreeLieElement, PadicScalar,
+from isolab import (DieudonneLie, FieldSpec, FreeLieElement,
                     bch_series, denominator_profile, double_sum_series,
                     group_mul, lattice_closure_check, lie_project,
                     lyndon_words, oracle_check, rho_defect)
 from isolab.bch import is_lyndon, standard_factorization, MAX_CLASS
 from isolab import bch, dieudonne
-from isolab.dieudonne import (dla_validate, integral_columns,
-                              lower_central_series,
+from isolab.dieudonne import (dla_validate, lower_central_series,
                               minimal_slope_center_check)
 from isolab.errors import (DegreeTooLarge, InsufficientPrecision,
                            InvariantViolated, MalformedInput,
                            SplitUnavailable)
-from isolab.linalg import coords_in_column_span, mat_from_rationals
+from isolab.linalg import mat_from_rationals
+
+from reference import (EYE3, build, heisenberg, ref_lattice_closure,
+                       run_optimized, split_heisenberg, vec, zero_bracket)
 
 F = Fraction
 SPEC = FieldSpec(5, 1, 16)
@@ -147,12 +144,7 @@ def test_lie_project_rejects_non_lie_input_under_optimize():
                "    lie_project({'XY': F(1), 'YX': F(1)}, 2)\n"
                "except MalformedInput:\n"
                "    print('rejected')\n")
-    src = str(pathlib.Path(isolab.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-O", "-c", snippet],
-                         capture_output=True, text=True, timeout=10,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "rejected\n"
+    assert run_optimized(snippet) == "rejected\n"
 
 
 def test_free_lie_element_json_round_trip():
@@ -163,19 +155,6 @@ def test_free_lie_element_json_round_trip():
 
 # ---- group law on algebras ----
 
-def zero_bracket(n):
-    return [[[F(0)] * n for _ in range(n)] for _ in range(n)]
-
-
-def heisenberg(p=5, lattice=None):
-    spec = FieldSpec(p, 1, 16)
-    c = zero_bracket(3)
-    c[0][1][2], c[1][0][2] = F(1), F(-1)
-    frob = [[F(1, p), 0, 0], [0, F(1), 0], [0, 0, F(1, p)]]
-    return DieudonneLie.from_rationals(spec, frob, c, lattice_cols=lattice)
-
-
-EYE3 = [[F(1), 0, 0], [F(0), 1, 0], [F(0), 0, 1]]
 #: lattice columns e0, e1, e2/2: closed under the group law at p = 2,
 #: although p = 2 is not above the class
 HALF_E2 = [[F(1), 0, 0], [F(0), 1, 0], [F(0), 0, F(1, 2)]]
@@ -184,14 +163,9 @@ HALF_E2 = [[F(1), 0, 0], [F(0), 1, 0], [F(0), 0, F(1, 2)]]
 FIVE_E2 = [[F(1), 0, 0], [F(0), 1, 0], [F(0), 0, F(5)]]
 
 
-def vec(spec, *fracs):
-    return [PadicScalar.from_fraction(spec, F(str(v))) for v in fracs]
-
-
 def test_group_mul_abelian_is_addition():
     spec = SPEC
-    a = DieudonneLie.from_rationals(
-        spec, [[F(1), 0], [0, F(1, 5)]], zero_bracket(2))
+    a = build([[F(1), 0], [0, F(1, 5)]], zero_bracket(2))
     x = vec(spec, 3, "1/2")
     y = vec(spec, -1, 2)
     z = group_mul(a, x, y)
@@ -251,10 +225,8 @@ def test_lattice_closure_p2_counterexample():
 
 
 def test_lattice_closure_abelian_any_p():
-    spec = FieldSpec(2, 1, 16)
-    a = DieudonneLie.from_rationals(
-        spec, [[F(1), 0], [0, F(1, 2)]], zero_bracket(2),
-        lattice_cols=[[F(1), 0], [F(0), 1]])
+    a = build([[F(1), 0], [0, F(1, 2)]], zero_bracket(2),
+              [[F(1), 0], [F(0), 1]], FieldSpec(2, 1, 16))
     ok, _ = lattice_closure_check(a, samples=50, seed=1)
     assert ok
 
@@ -274,42 +246,6 @@ def test_lattice_closure_zero_samples_checks_basis_pairs():
         False, {"x": [1, 0, 0], "y": [0, 1, 0]})
 
 
-def _closure_per_sample(a, samples, seed):
-    """lattice_closure_check as a loop with one solve per pair, stopping at
-    the first pair whose product leaves the lattice.  Above the class that
-    is a library fault only on a lattice closed under the bracket."""
-    _, n_class = lower_central_series(a)
-    spec, m = a.spec, len(a.lattice)
-    rng = random.Random(seed)
-
-    def pairs():
-        for i in range(m):
-            for j in range(m):
-                yield ([int(s == i) for s in range(m)],
-                       [int(s == j) for s in range(m)])
-        for _ in range(samples):
-            yield ([rng.randrange(-3, 4) for _ in range(m)],
-                   [rng.randrange(-3, 4) for _ in range(m)])
-
-    def point(coeffs):
-        x = [PadicScalar.zero(spec) for _ in range(a.rank)]
-        for s, k in enumerate(coeffs):
-            if k:
-                x = [xi + li * PadicScalar.from_fraction(spec, k)
-                     for xi, li in zip(x, a.lattice[s])]
-        return x
-
-    for cx, cy in pairs():
-        prod = group_mul(a, point(cx), point(cy), n_class=n_class)
-        if not integral_columns(coords_in_column_span(a.lattice, [prod]))[0]:
-            if spec.p > n_class and dla_validate(a)[
-                    "lattice_bracket_closure"]:
-                raise InvariantViolated("closure must hold for p above "
-                                        "the class")
-            return False, {"x": cx, "y": cy}
-    return True, None
-
-
 def free_nilpotent_class3(p):
     """Free nilpotent of rank 2 and class 3: e2 = [e0, e1], e3 = [e0, e2],
     e4 = [e1, e2], Frobenius the identity, and a lattice with entries 1/3
@@ -320,9 +256,8 @@ def free_nilpotent_class3(p):
     lat = [[1, 0, -3, 0, 1], [0, 1, 1, 0, 0], [0, 0, 1, 0, -1],
            [0, 0, 0, F(1, 3), F(-1, 3)], [0, 0, 0, 0, 1]]
     eye = [[F(int(i == j)) for j in range(5)] for i in range(5)]
-    return DieudonneLie.from_rationals(
-        FieldSpec(p, 1, 12), eye, c,
-        lattice_cols=[[F(v) for v in col] for col in lat])
+    return build(eye, c, [[F(v) for v in col] for col in lat],
+                 FieldSpec(p, 1, 12))
 
 
 @pytest.mark.parametrize("samples", [0, 12, 100])
@@ -331,7 +266,7 @@ def test_lattice_closure_matches_per_sample_loop(samples):
     for a in (heisenberg(2, EYE3), heisenberg(5, EYE3), heisenberg(2, HALF_E2),
               heisenberg(5, FIVE_E2), free_nilpotent_class3(2),
               free_nilpotent_class3(3), free_nilpotent_class3(5)):
-        want = _closure_per_sample(a, samples, seed=0)
+        want = ref_lattice_closure(a, samples, seed=0)
         assert lattice_closure_check(a, samples=samples, seed=0) == want
         seen.add("closed" if want[0] else
                  "basis witness" if all(sorted(v) == [0] * (len(v) - 1) + [1]
@@ -402,31 +337,15 @@ def test_typed_guards_fire_under_optimize():
                "    standard_factorization('X')\n"
                "except InvariantViolated:\n"
                "    print('rejected')\n")
-    src = str(pathlib.Path(isolab.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-O", "-c", snippet],
-                         capture_output=True, text=True, timeout=10,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "rejected\n"
+    assert run_optimized(snippet) == "rejected\n"
 
 
 # ---- the projection-defect identity ----
 
-def split_heisenberg(p=5, lattice=True):
-    """e0,e1 a slope -1/2 block, e2 the slope -1 center, [e0,e1]=e2."""
-    spec = FieldSpec(p, 1, 16)
-    c = zero_bracket(3)
-    c[0][1][2], c[1][0][2] = F(1), F(-1)
-    frob = [[F(0), F(-1, p), 0], [F(1), 0, 0], [0, 0, F(1, p)]]
-    lat = EYE3 if lattice else None
-    return DieudonneLie.from_rationals(spec, frob, c, lattice_cols=lat)
-
-
 def test_rho_defect_abelian_zero():
     spec = SPEC
-    a = DieudonneLie.from_rationals(
-        spec, [[F(1, 5), 0], [0, F(-1, 25)]], zero_bracket(2),
-        lattice_cols=[[F(1), 0], [F(0), 1]])
+    a = build([[F(1, 5), 0], [0, F(-1, 25)]], zero_bracket(2),
+              [[F(1), 0], [F(0), 1]])
     d, rep = rho_defect(a, vec(spec, 1, 1), vec(spec, 2, 3), 0)
     assert all(c.is_zero for c in d)
     assert rep["member"] is True
@@ -489,7 +408,7 @@ def test_rho_defect_zero_bound_coefficient():
     spec = FieldSpec(2, 1, 3)
     frob = [[F(1, 4), F(1, 9), F(1, 3)], [F(4), 0, F(1, 4)],
             [F(2), F(5), F(1, 5)]]
-    a = DieudonneLie.from_rationals(spec, frob, zero_bracket(3))
+    a = build(frob, zero_bracket(3), spec=spec)
     with pytest.raises(SplitUnavailable) as exc:
         rho_defect(a, vec(spec, 1, 0, 0), vec(spec, 0, 1, 0), 0)
     assert exc.value.witness == {"coefficient": 1, "bound": -1}

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import isolab
 from isolab.cli import MAX_DEPTH, main
-from test_acceptance import CLI_COMMANDS
+
+from reference import CLI_COMMANDS
 
 
 def run(capsys, *argv):

@@ -1,14 +1,9 @@
 import copy
-import os
-import pathlib
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-import isolab
 from isolab import dieudonne, isocrystal
 from isolab import (DieudonneLie, FieldSpec, Isocrystal, PadicScalar,
                     aut_lie_algebra, dla_validate, lower_central_series,
@@ -20,36 +15,13 @@ from isolab.errors import (InsufficientPrecision, InvariantViolated,
                            NotNilpotent, SlopeNotStrictlyNegative,
                            SlopeOutOfRange)
 from isolab.linalg import coords_in_column_span, mat_inverse, mat_vec
-from test_linalg import _rand_scalar
+
+from reference import (EYE3, build, heis_bracket, heisenberg, key,
+                       rand_scalar, ref_bracket_laws, ref_bracket_vec,
+                       ref_in_span, run_optimized, vec, zero_bracket)
 
 SPEC = FieldSpec(5, 1, 16)
 F = Fraction
-
-
-def build(frob, bracket, lattice=None, spec=SPEC):
-    return DieudonneLie.from_rationals(spec, frob, bracket,
-                                       lattice_cols=lattice)
-
-
-def zero_bracket(n):
-    return [[[F(0)] * n for _ in range(n)] for _ in range(n)]
-
-
-def heis_bracket(sign=1):
-    """[e0, e1] = e2 on rank 3."""
-    c = zero_bracket(3)
-    c[0][1][2] = F(sign)
-    c[1][0][2] = F(-sign)
-    return c
-
-
-def heisenberg(lattice=None):
-    # phi e0 = e0/p, phi e1 = e1, phi e2 = e2/p: F-equivariant for [e0,e1]=e2
-    frob = [[F(1, 5), 0, 0], [0, F(1), 0], [0, 0, F(1, 5)]]
-    return build(frob, heis_bracket(), lattice)
-
-
-EYE3 = [[F(1), 0, 0], [F(0), 1, 0], [F(0), 0, 1]]
 
 
 def test_validate_abelian():
@@ -59,7 +31,7 @@ def test_validate_abelian():
 
 
 def test_validate_heisenberg():
-    rep = dla_validate(heisenberg(EYE3))
+    rep = dla_validate(heisenberg(lattice=EYE3))
     assert all(rep[k] for k in ("antisymmetry", "jacobi", "f_equivariance",
                                 "lattice_dieudonne",
                                 "lattice_bracket_closure"))
@@ -69,7 +41,7 @@ def test_validate_lattice_failures_and_first_witness():
     # [e0, e1] = [e0, e2] = e3 with phi = diag(1/25, 1, 1, 1/25); the
     # lattice <e0, e1, e2, 5 e3> misses both brackets, and phi widens it
     # by 1/25 on e0 and e3
-    c = [[[F(0)] * 4 for _ in range(4)] for _ in range(4)]
+    c = zero_bracket(4)
     for j in (1, 2):
         c[0][j][3], c[j][0][3] = F(1), F(-1)
     frob = [[F(1, 25), 0, 0, 0], [0, F(1), 0, 0], [0, 0, F(1), 0],
@@ -221,32 +193,28 @@ def test_aut_literal_mode_flagged():
 
 def test_smallest_f_stable_center():
     a = heisenberg()
-    z = [PadicScalar.zero(SPEC), PadicScalar.zero(SPEC),
-         PadicScalar.from_int(SPEC, 1)]
+    z = vec(SPEC, 0, 0, 1)
     sub = smallest_f_stable_subalgebra(a, [z])
     assert len(sub) == 1
 
 
 def test_smallest_f_stable_generators_span_all():
     a = heisenberg()
-    e0 = [PadicScalar.from_int(SPEC, 1), PadicScalar.zero(SPEC),
-          PadicScalar.zero(SPEC)]
-    e1 = [PadicScalar.zero(SPEC), PadicScalar.from_int(SPEC, 1),
-          PadicScalar.zero(SPEC)]
+    e0, e1 = vec(SPEC, 1, 0, 0), vec(SPEC, 0, 1, 0)
     sub = smallest_f_stable_subalgebra(a, [e0, e1])
     assert len(sub) == 3
 
 
 def test_smallest_f_stable_stable_line():
     a = build([[F(1), 0], [0, F(1, 5)]], zero_bracket(2))
-    e0 = [PadicScalar.from_int(SPEC, 1), PadicScalar.zero(SPEC)]
+    e0 = vec(SPEC, 1, 0)
     assert len(smallest_f_stable_subalgebra(a, [e0])) == 1
 
 
 def test_smallest_f_stable_no_generators_singular_frobenius():
     # generators that span 0 close to 0 without inverting F
     a = build([[F(1), 0], [0, F(0)]], zero_bracket(2))
-    zero = [PadicScalar.zero(SPEC), PadicScalar.zero(SPEC)]
+    zero = vec(SPEC, 0, 0)
     assert smallest_f_stable_subalgebra(a, []) == []
     assert smallest_f_stable_subalgebra(a, [zero]) == []
     assert a.apply_phi_inverse([]) == []
@@ -255,10 +223,8 @@ def test_smallest_f_stable_no_generators_singular_frobenius():
 
 
 def test_lattice_intersect_subspace():
-    lat = [[PadicScalar.from_int(SPEC, 1), PadicScalar.zero(SPEC)],
-           [PadicScalar.zero(SPEC), PadicScalar.from_int(SPEC, 1)]]
-    diag = span_basis([[PadicScalar.from_int(SPEC, 1),
-                        PadicScalar.from_int(SPEC, 1)]])
+    lat = [vec(SPEC, 1, 0), vec(SPEC, 0, 1)]
+    diag = span_basis([vec(SPEC, 1, 1)])
     got = lattice_intersect_subspace(lat, diag)
     assert len(got) == 1
     v = got[0]
@@ -267,7 +233,7 @@ def test_lattice_intersect_subspace():
 
 
 def test_json_round_trip():
-    a = heisenberg(EYE3)
+    a = heisenberg(lattice=EYE3)
     b = DieudonneLie.from_json(a.to_json())
     assert dla_validate(b) == dla_validate(a)
 
@@ -311,7 +277,7 @@ def test_phi_on_lists_matches_per_vector_mat_vec(f):
         n = rng.randint(1, 4)
         a = _rand_phi_algebra(rng, spec, n)
         F_ = a.iso.F
-        xs = [[_rand_scalar(rng, spec) for _ in range(n)]
+        xs = [[rand_scalar(rng, spec) for _ in range(n)]
               for _ in range(rng.randint(0, 5))]
         if xs:
             xs[0] = [PadicScalar.zero(spec, rng.randint(1, 6))] * n
@@ -363,28 +329,6 @@ def test_closure_one_mat_inverse_per_step(monkeypatch):
     assert len(spans) == 3 and len(inverses) == 2
 
 
-def _dense_bracket_vec(a, x, y):
-    """The bracket as a fold over all n^3 constants: the reference for
-    bracket_vec's walk over the nonzero ones."""
-    n = a.rank
-    spec = a.spec
-    out = [PadicScalar.zero(spec) for _ in range(n)]
-    for i in range(n):
-        xi = x[i]
-        if xi.is_zero:
-            continue
-        for j in range(n):
-            yj = y[j]
-            if yj.is_zero:
-                continue
-            cij = a.bracket[i][j]
-            w = xi * yj
-            for k in range(n):
-                if not cij[k].is_zero:
-                    out[k] = out[k] + w * cij[k]
-    return out
-
-
 def _rand_entry(rng, spec, zero_share):
     """An exact zero, an O(p^b) zero with b < N, or a nonzero scalar of
     mixed valuation and relative precision."""
@@ -393,11 +337,7 @@ def _rand_entry(rng, spec, zero_share):
         return PadicScalar.zero(spec)
     if r < zero_share:
         return PadicScalar.zero(spec, rng.randint(-2, spec.N - 1))
-    return _rand_scalar(rng, spec, zero_share=0)
-
-
-def _triples(vecs):
-    return [[(c.v, c.unit, c.rel) for c in v] for v in vecs]
+    return rand_scalar(rng, spec, zero_share=0)
 
 
 @pytest.mark.parametrize("f", [1, 2, 3])
@@ -416,9 +356,9 @@ def test_bracket_vec_matches_dense_fold(f):
         for _ in range(4):
             x, y = ([_rand_entry(rng, spec, 0.4) for _ in range(n)]
                     for _ in range(2))
-            got, want = a.bracket_vec(x, y), _dense_bracket_vec(a, x, y)
+            got, want = a.bracket_vec(x, y), ref_bracket_vec(a, x, y)
             assert _digits([got]) == _digits([want])
-            assert _triples([got]) == _triples([want])
+            assert list(map(key, got)) == list(map(key, want))
     # the zero x_0 = O(5) is skipped with its bound, so [x, e1] claims
     # O(5^8) where only O(5) is certified; the walk keeps that answer
     spec = FieldSpec(5, 1, 8)
@@ -428,7 +368,7 @@ def test_bracket_vec_matches_dense_fold(f):
     zero, one = PadicScalar.zero(spec), PadicScalar.from_int(spec, 1)
     x, y = [PadicScalar.zero(spec, 1), zero], [zero, one]
     got = a.bracket_vec(x, y)
-    assert _digits([got]) == _digits([_dense_bracket_vec(a, x, y)])
+    assert _digits([got]) == _digits([ref_bracket_vec(a, x, y)])
     assert [repr(v) for v in got] == ["O(p^8)", "O(p^8)"]
 
 
@@ -449,47 +389,9 @@ def test_bracket_vec_skips_empty_cells(monkeypatch):
     calls.clear()
     got_abelian = abelian.bracket_vec(x, y)
     assert calls == []
-    assert _digits([got]) == _digits([_dense_bracket_vec(heis, x, y)])
+    assert _digits([got]) == _digits([ref_bracket_vec(heis, x, y)])
     assert _digits([got_abelian]) == _digits(
-        [_dense_bracket_vec(abelian, x, y)])
-
-
-def _reference_laws(a):
-    """dla_validate's three bracket-law loops as it once ran them on every
-    call, on an algebra without a lattice: the reference for the verdict
-    DieudonneLie.__init__ stores."""
-    n = a.rank
-    report = {"antisymmetry": True, "jacobi": True, "f_equivariance": True,
-              "lattice_dieudonne": None, "lattice_bracket_closure": None,
-              "witnesses": {}}
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                s = a.bracket[i][j][k] + a.bracket[j][i][k]
-                if not s.is_zero:
-                    report["antisymmetry"] = False
-                    report["witnesses"].setdefault("antisymmetry", (i, j, k))
-    basis = [a.basis_vector(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                t1 = a.bracket_vec(basis[i], a.bracket_vec(basis[j], basis[k]))
-                t2 = a.bracket_vec(basis[j], a.bracket_vec(basis[k], basis[i]))
-                t3 = a.bracket_vec(basis[k], a.bracket_vec(basis[i], basis[j]))
-                s = [x + y + z for x, y, z in zip(t1, t2, t3)]
-                if not all(c.is_zero for c in s):
-                    report["jacobi"] = False
-                    report["witnesses"].setdefault("jacobi", (i, j, k))
-    F_ = a.iso.F
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    images = a.apply_phi([a.bracket[i][j] for i, j in pairs])
-    for (i, j), lhs in zip(pairs, images):
-        rhs = a.bracket_vec([F_[r][i] for r in range(n)],
-                            [F_[r][j] for r in range(n)])
-        if not all((x - y).is_zero for x, y in zip(lhs, rhs)):
-            report["f_equivariance"] = False
-            report["witnesses"].setdefault("f_equivariance", (i, j))
-    return report
+        [ref_bracket_vec(abelian, x, y)])
 
 
 def _rand_law_algebra(rng, spec, n):
@@ -527,7 +429,7 @@ def test_stored_laws_match_reference(f):
     seen = set()
     for t in range(60):
         a = _rand_law_algebra(rng, spec, t % 5)  # ranks 0..4
-        want = _reference_laws(a)
+        want = ref_bracket_laws(a)
         assert dla_validate(a) == want
         broken = [key for key in laws if not want[key]]
         if broken:
@@ -544,7 +446,7 @@ def test_stored_laws_match_reference(f):
 def test_validate_report_is_a_fresh_copy():
     c = heis_bracket()
     c[1][0][2] = F(0)  # breaks antisymmetry at (0, 1, 2)
-    for a in (heisenberg(EYE3), build(EYE3, c, EYE3)):
+    for a in (heisenberg(lattice=EYE3), build(EYE3, c, EYE3)):
         rep = dla_validate(a)
         want = copy.deepcopy(rep)
         rep["antisymmetry"] = not rep["antisymmetry"]
@@ -562,16 +464,6 @@ def test_in_span_lost_rank_is_insufficient_precision():
     # a basis of rank 1 given as two vectors is no answer either way
     with pytest.raises(InsufficientPrecision):
         in_span([e0, e0], [e0])
-
-
-def _per_target_in_span(basis, targets):
-    """Reference: one solve per nonzero target, True when all are inside."""
-    try:
-        return all(all(c.is_zero for c in t)
-                   or coords_in_column_span(basis, [t])[0] is not None
-                   for t in targets)
-    except NonInvertible:
-        return InsufficientPrecision
 
 
 def test_in_span_matches_per_target_solves():
@@ -602,7 +494,7 @@ def test_in_span_matches_per_target_solves():
                                 for i in range(n)])
             else:
                 targets.append([scalar() for _ in range(n)])
-        want = _per_target_in_span(basis, targets)
+        want = ref_in_span(basis, targets)
         if want is InsufficientPrecision:
             with pytest.raises(InsufficientPrecision):
                 in_span(basis, targets)
@@ -610,7 +502,7 @@ def test_in_span_matches_per_target_solves():
             assert in_span(basis, targets) is want
         nonzero = [t for t in targets if not all(c.is_zero for c in t)]
         inside = [t for t in nonzero
-                  if _per_target_in_span(basis, [t]) is True]
+                  if ref_in_span(basis, [t]) is True]
         seen.add("no nonzero target" if not nonzero else
                  "lost rank" if want is InsufficientPrecision else
                  "empty basis" if not basis else
@@ -651,9 +543,4 @@ def test_typed_guards_fire_under_optimize():
                "    dieudonne.lower_central_series(a)\n"
                "except InvariantViolated:\n"
                "    print('rejected')\n")
-    src = str(pathlib.Path(isolab.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-O", "-c", snippet],
-                         capture_output=True, text=True, timeout=10,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "rejected\n"
+    assert run_optimized(snippet) == "rejected\n"

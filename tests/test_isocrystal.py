@@ -1,29 +1,21 @@
-import os
-import pathlib
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-import isolab
 from isolab import isocrystal
 from isolab import (FieldSpec, Isocrystal, PadicScalar, internal_hom,
                     newton_slopes, slope_part, slope_split, standard_simple)
 from isolab.errors import (InsufficientPrecision, InvariantViolated,
                            NonInvertible, ResidueFieldTooSmall)
 from isolab.isocrystal import _hensel_split
-from isolab.linalg import (mat_from_rationals, mat_identity, mat_inverse,
-                           mat_mul, mat_sigma)
+from isolab.linalg import mat_from_rationals, mat_inverse, mat_mul, mat_sigma
 from isolab.padic import poly_divmod
 
+from reference import (iso, rat_charpoly, rat_val, ref_poly_at_matrix,
+                       run_optimized)
+
 QP = FieldSpec(5, 1, 16)
-
-
-def iso(rows, spec=QP):
-    return Isocrystal.from_rationals(
-        spec, [[Fraction(str(c)) for c in row] for row in rows])
 
 
 def test_unit_root_line():
@@ -206,33 +198,8 @@ def test_sum_rule_random():
         except (NonInvertible, InsufficientPrecision):
             continue
         total = sum(s * m for s, m in slopes)
-        # v(det F) from exact rational determinant
-        import itertools
-        det = Fraction(0)
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            seen = list(perm)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if seen[i] > seen[j]:
-                        sign = -sign
-            det += sign * _prod(rows[i][perm[i]] for i in range(n))
-        v = Fraction(0)
-        d = det
-        while d.numerator % 5 == 0:
-            d = d / 5
-            v += 1
-        while d.denominator % 5 == 0:
-            d = d * 5
-            v -= 1
-        assert total == v
-
-
-def _prod(it):
-    out = Fraction(1)
-    for x in it:
-        out *= x
-    return out
+        # v(det F) from the exact rational charpoly: det F = (-1)^n c_0
+        assert total == rat_val(rat_charpoly(rows)[0], 5)
 
 
 def test_twist_shifts_slopes():
@@ -334,29 +301,12 @@ def test_divmod_rejects_non_monic_divisor_under_optimize():
                "    poly_divmod([1, 2, 3], [1, 2], 25)\n"
                "except InvariantViolated:\n"
                "    print('rejected')\n")
-    src = str(pathlib.Path(isolab.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-O", "-c", snippet],
-                         capture_output=True, text=True, timeout=10,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "rejected\n"
+    assert run_optimized(snippet) == "rejected\n"
 
 
 # --------------------------------------------------------------------------
 # Horner: the first step is built entry by entry, as mat_mul would build it
 # --------------------------------------------------------------------------
-
-def _ref_poly_at_matrix(coeffs, A, spec):
-    """Horner from lead * I, every step one mat_mul (test reference)."""
-    n = len(A)
-    ident = mat_identity(spec, n)
-    out = [[coeffs[-1] * e for e in row] for row in ident]
-    for c in reversed(coeffs[:-1]):
-        out = mat_mul(out, A)
-        for i in range(n):
-            out[i][i] = out[i][i] + c
-    return out
-
 
 def _draw_scalar(rng, spec):
     """An exact zero, an O(p^b) zero with b on either side of N, or a
@@ -399,7 +349,7 @@ def test_poly_at_matrix_matches_horner_from_the_identity(f):
         coeffs = [_draw_scalar(rng, spec) for _ in range(deg)]
         coeffs.append(_draw_lead(rng, spec))
         assert _entries(isocrystal._poly_at_matrix(coeffs, A, spec)) == \
-            _entries(_ref_poly_at_matrix(coeffs, A, spec))
+            _entries(ref_poly_at_matrix(coeffs, A, spec))
 
 
 def test_poly_at_matrix_first_step_counts_the_identity_zeros():
@@ -411,7 +361,7 @@ def test_poly_at_matrix_first_step_counts_the_identity_zeros():
     one = PadicScalar.from_int(spec, 1)
     out = isocrystal._poly_at_matrix([PadicScalar.zero(spec), one], A, spec)
     assert out[0][0].rel == 3
-    assert _entries(out) == _entries(_ref_poly_at_matrix(
+    assert _entries(out) == _entries(ref_poly_at_matrix(
         [PadicScalar.zero(spec), one], A, spec))
 
 

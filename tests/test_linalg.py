@@ -5,14 +5,16 @@ import pytest
 
 from isolab import FieldSpec, PadicScalar
 from isolab.dieudonne import span_basis
-from isolab.errors import (FieldSpecMismatch, InsufficientPrecision,
-                           IsolabError, NonInvertible)
+from isolab.errors import FieldSpecMismatch, IsolabError
 from isolab.linalg import (charpoly, coords_in_column_span, kernel_basis,
                            lower_hull, mat_from_rationals, mat_identity,
                            mat_inverse, mat_mul, mat_vec,
-                           newton_root_valuations, row_echelon,
-                           rat_rank, rat_rref, rat_solve, saturate_columns,
-                           twisted_power)
+                           newton_root_valuations, rat_rank, rat_rref,
+                           rat_solve, saturate_columns, twisted_power)
+
+from reference import (key, rand_scalar, rat_charpoly, ref_charpoly,
+                       ref_coords, ref_kernel_basis, ref_mat_inverse,
+                       ref_mat_mul, ref_row_echelon, ref_saturate_columns)
 
 Z5 = FieldSpec(5, 1, 12)
 
@@ -112,7 +114,7 @@ def test_outside_target_is_none_and_leaves_the_others():
     e1 = [PadicScalar.zero(Z5), PadicScalar.from_int(Z5, 1)]
     none, coords = coords_in_column_span([e0], [e1, e0])
     assert none is None
-    assert [_key(c) for c in coords] == [_key(PadicScalar.from_int(Z5, 1))]
+    assert [key(c) for c in coords] == [key(PadicScalar.from_int(Z5, 1))]
 
 
 def test_saturate_columns_divides_out_p():
@@ -143,39 +145,10 @@ def test_twisted_power_f2():
 
 # ---- matrix product against the scalar fold ----
 
-def _fold_mat_mul(A, B):
-    """Reference product: a left fold of PadicScalar products and sums."""
-    out = []
-    for row in A:
-        orow = []
-        for j in range(len(B[0])):
-            acc = row[0] * B[0][j]
-            for s in range(1, len(B)):
-                acc = acc + row[s] * B[s][j]
-            orow.append(acc)
-        out.append(orow)
-    return out
-
-
-def _key(a):
-    return (a.v, a.unit, a.rel)
-
-
-def _rand_scalar(rng, spec, zero_share=0.25):
-    if rng.random() < zero_share:
-        return PadicScalar.zero(spec, rng.randint(-3, spec.N + 3))
-    rel = rng.randint(1, spec.N)
-    pR = spec.p ** rel
-    unit = [rng.randrange(pR) for _ in range(spec.f)]
-    if all(c % spec.p == 0 for c in unit):
-        unit[rng.randrange(spec.f)] += 1
-    return PadicScalar(spec, rng.randint(-3, 3), tuple(unit), rel)
-
-
 def _rand_pair(rng, spec):
     m, k, n = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
-    A = [[_rand_scalar(rng, spec) for _ in range(k)] for _ in range(m)]
-    B = [[_rand_scalar(rng, spec) for _ in range(n)] for _ in range(k)]
+    A = [[rand_scalar(rng, spec) for _ in range(k)] for _ in range(m)]
+    B = [[rand_scalar(rng, spec) for _ in range(n)] for _ in range(k)]
     if k >= 2 and rng.random() < 0.3:
         # A[i][1] B[1][j] = -A[i][0] B[0][j]: the sum cancels to zero
         for row in A:
@@ -192,12 +165,12 @@ def test_mat_mul_matches_scalar_fold():
     for _ in range(1500):
         spec = rng.choice(specs)
         A, B = _rand_pair(rng, spec)
-        got, want = mat_mul(A, B), _fold_mat_mul(A, B)
-        assert [[_key(a) for a in r] for r in got] == \
-            [[_key(a) for a in r] for r in want]
+        got, want = mat_mul(A, B), ref_mat_mul(A, B)
+        assert [[key(a) for a in r] for r in got] == \
+            [[key(a) for a in r] for r in want]
         col = [row[0] for row in B]
-        assert [_key(a) for a in mat_vec(A, col)] == \
-            [_key(r[0]) for r in _fold_mat_mul(A, [[c] for c in col])]
+        assert [key(a) for a in mat_vec(A, col)] == \
+            [key(r[0]) for r in ref_mat_mul(A, [[c] for c in col])]
         cancelled += sum(a.is_zero for r in want for a in r)
         zero_bounds += sum(b.is_zero for r in B for b in r)
     assert cancelled > 100 and zero_bounds > 1000
@@ -210,8 +183,8 @@ def test_mat_mul_inner_dimension_one_and_edges():
     A = [[x], [z_low], [z_high]]
     B = [[x, z_low, z_high]]
     got = mat_mul(A, B)
-    assert [[_key(a) for a in r] for r in got] == \
-        [[_key(a) for a in r] for r in _fold_mat_mul(A, B)]
+    assert [[key(a) for a in r] for r in got] == \
+        [[key(a) for a in r] for r in ref_mat_mul(A, B)]
     assert mat_mul([], B) == []
     with pytest.raises(IndexError):
         mat_mul(A, [])
@@ -230,62 +203,6 @@ def test_mat_mul_rejects_mixed_specs():
 
 # ---- characteristic polynomial against the tuple-loop reference ----
 
-def _ref_charpoly(A, spec):
-    """Reference: Berkowitz on the whole matrix at one precision W.
-
-    Every product is one spec.raw_mul and every sum is reduced mod p^W, in
-    the loops charpoly ran before it moved onto the one matrix product.
-    """
-    n = len(A)
-    e, W = 0, None
-    for row in A:
-        for a in row:
-            if not a.is_zero and a.v < -e:
-                e = -a.v
-            if W is None or a.abs_prec < W:
-                W = a.abs_prec
-    W = (W if W is not None else spec.N) + e
-    if W < 1:
-        raise InsufficientPrecision("matrix entries carry no certified digits",
-                                    witness={"working_precision": W})
-    f, pW = spec.f, spec.p ** W
-    zero, one = (0,) * f, (1,) + (0,) * (f - 1)
-    raw = [[zero if a.is_zero else
-            tuple(spec.p ** (a.v + e) * c % pW for c in a.unit) for a in row]
-           for row in A]
-
-    def dot(u, v):
-        acc = [0] * f
-        for x, y in zip(u, v):
-            for c, t in enumerate(spec.raw_mul(x, y, pW)):
-                acc[c] += t
-        return tuple(t % pW for t in acc)
-
-    def neg(x):
-        return tuple(-c % pW for c in x)
-
-    p_vec = [one]
-    for r in range(1, n + 1):
-        Mp = [raw[i][:r - 1] for i in range(r - 1)]
-        C = [raw[i][r - 1] for i in range(r - 1)]
-        R = raw[r - 1][:r - 1]
-        col = [one, neg(raw[r - 1][r - 1])]
-        u = C
-        for _ in range(r - 1):
-            col.append(neg(dot(R, u)))
-            if len(col) == r + 1:
-                break
-            u = [dot(row, u) for row in Mp]
-        # Toeplitz product: new[i] = sum_k col[i - k] * old[k]
-        new = []
-        for i in range(r + 1):
-            ks = [k for k in range(len(p_vec)) if 0 <= i - k < len(col)]
-            new.append(dot([col[i - k] for k in ks], [p_vec[k] for k in ks]))
-        p_vec = new
-    return [PadicScalar.from_raw(spec, p_vec[n - j], -e * (n - j),
-                                 W - e * (n - j)) for j in range(n + 1)]
-
-
 CHARPOLY_SPECS = [FieldSpec(p, f, N) for p in (2, 3, 5, 7) for f in (1, 2, 3)
                   for N in (1, 3, 6, 12)]
 
@@ -296,9 +213,9 @@ def test_charpoly_matches_reference():
     for _ in range(3000):
         spec = rng.choice(CHARPOLY_SPECS)
         n = rng.randint(0, 7)
-        A = [[_rand_scalar(rng, spec) for _ in range(n)] for _ in range(n)]
+        A = [[rand_scalar(rng, spec) for _ in range(n)] for _ in range(n)]
         try:
-            want = _ref_charpoly(A, spec)
+            want = ref_charpoly(A, spec)
         except IsolabError as exc:
             with pytest.raises(IsolabError) as got:
                 charpoly(A, spec)
@@ -306,7 +223,7 @@ def test_charpoly_matches_reference():
             assert got.value.witness == exc.witness
             raised += 1
             continue
-        assert [_key(c) for c in charpoly(A, spec)] == [_key(c) for c in want]
+        assert [key(c) for c in charpoly(A, spec)] == [key(c) for c in want]
         certified += sum(not c.is_zero for c in want[:-1])
     assert raised > 500 and certified > 1500
 
@@ -322,29 +239,13 @@ def test_charpoly_carry_edge_matches_reference(f):
                 a = PadicScalar.from_coeffs(spec, [spec.pN - 1] * f, v)
                 for n in range(8):
                     A = [[a] * n for _ in range(n)]
-                    assert [_key(c) for c in charpoly(A, spec)] == \
-                        [_key(c) for c in _ref_charpoly(A, spec)]
-
-
-def _fraction_det(M):
-    M = [list(row) for row in M]
-    det = Fraction(1)
-    for c in range(len(M)):
-        piv = next((r for r in range(c, len(M)) if M[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        for r in range(c + 1, len(M)):
-            t = M[r][c] / M[c][c]
-            M[r] = [a - t * b for a, b in zip(M[r], M[c])]
-    return det
+                    assert [key(c) for c in charpoly(A, spec)] == \
+                        [key(c) for c in ref_charpoly(A, spec)]
 
 
 def test_charpoly_constant_term_is_exact_determinant():
-    # c_0 = det(-A) = (-1)^n det(A) to its certified precision
+    # c_0 = det(-A) = (-1)^n det(A), the exact rational one to its
+    # certified precision
     rng = random.Random(17)
     certified = 0
     for _ in range(300):
@@ -354,99 +255,21 @@ def test_charpoly_constant_term_is_exact_determinant():
                           rng.choice((1, 1, 2, 3, spec.p, spec.p ** 2)))
                  for _ in range(n)] for _ in range(n)]
         c0 = charpoly(mat_from_rationals(spec, rows), spec)[0]
-        det = PadicScalar.from_fraction(spec, (-1) ** n * _fraction_det(rows))
-        assert (c0 - det).is_zero
+        exact = PadicScalar.from_fraction(spec, rat_charpoly(rows)[0])
+        assert (c0 - exact).is_zero
         certified += not c0.is_zero
     assert certified > 150
 
 
-# ---- the p-adic solve against its two former forms ----
-
-def _ref_solve_columns(A, B, spec):
-    """Reference: the square solve on row-major A and B, as it was written."""
-    n = len(A)
-    k = len(B[0])
-    aug = [list(A[i]) + list(B[i]) for i in range(n)]
-    rows, pivots = row_echelon(aug)
-    pivot_cols = [pc for _, pc in pivots if pc < n]
-    if len(pivot_cols) != n:
-        raise NonInvertible("matrix is singular to working precision",
-                            witness={"rank": len(pivot_cols), "size": n})
-    X = [[None] * k for _ in range(n)]
-    for (pr, pc) in pivots:
-        if pc < n:
-            for j in range(k):
-                X[pc][j] = rows[pr][n + j]
-    return X
-
-
-def _ref_coords_in_column_span(basis_cols, targets, spec):
-    """Reference: the tall solve on column lists, as it was written."""
-    n = len(basis_cols[0])
-    r = len(basis_cols)
-    k = len(targets)
-    A = [[basis_cols[j][i] for j in range(r)] for i in range(n)]
-    T = [[targets[j][i] for j in range(k)] for i in range(n)]
-    aug = [A[i] + T[i] for i in range(n)]
-    rows, pivots = row_echelon(aug)
-    pivot_cols = [pc for _, pc in pivots if pc < r]
-    if len(pivot_cols) != r:
-        raise NonInvertible("columns are dependent to working precision",
-                            witness={"rank": len(pivot_cols), "cols": r})
-    X = [[None] * k for _ in range(r)]
-    used_rows = set()
-    for (pr, pc) in pivots:
-        if pc < r:
-            used_rows.add(pr)
-            for j in range(k):
-                X[pc][j] = rows[pr][r + j]
-    for i in range(len(rows)):
-        if i in used_rows:
-            continue
-        for j in range(k):
-            resid = rows[i][r + j]
-            if not resid.is_zero:
-                raise InsufficientPrecision(
-                    "target is outside the span to certified precision",
-                    witness={"row": i, "col": j,
-                             "residual_valuation": resid.v})
-    return X
-
-
-def _rows(cols):
-    return [list(row) for row in zip(*cols)]
-
+# ---- the batched p-adic solve against one target at a time ----
 
 def _combination(rng, spec, cols):
     n = len(cols[0])
     out = [PadicScalar.zero(spec) for _ in range(n)]
     for col in cols:
-        c = _rand_scalar(rng, spec, zero_share=0)
+        c = rand_scalar(rng, spec, zero_share=0)
         out = [o + c * x for o, x in zip(out, col)]
     return out
-
-
-def _solo(basis_cols, target, spec):
-    """A former solve on one target: keys of its coordinates, None where
-    it raised InsufficientPrecision, or the NonInvertible it raised."""
-    try:
-        if len(basis_cols) == len(target):
-            X = _ref_solve_columns(_rows(basis_cols), _rows([target]), spec)
-        else:
-            X = _ref_coords_in_column_span(basis_cols, [target], spec)
-    except InsufficientPrecision:
-        return None
-    except NonInvertible as exc:
-        return (type(exc), str(exc), exc.witness)
-    return [_key(row[0]) for row in X]
-
-
-def _batch(basis_cols, targets):
-    try:
-        X = coords_in_column_span(basis_cols, targets)
-    except IsolabError as exc:
-        return (type(exc), str(exc), exc.witness)
-    return [None if x is None else [_key(c) for c in x] for x in X]
 
 
 SOLVE_SPECS = [FieldSpec(p, f, N) for p in (2, 3, 5, 7) for f in (1, 2, 3)
@@ -454,16 +277,16 @@ SOLVE_SPECS = [FieldSpec(p, f, N) for p in (2, 3, 5, 7) for f in (1, 2, 3)
 
 
 def test_solve_matches_square_and_tall_references():
-    # every target of a batch must answer as the former square or tall
-    # solve did on that target alone, with None where that solve raised
-    # InsufficientPrecision; its NonInvertible is the whole call's error
+    # every target of a batch must answer as ref_coords does on that
+    # target alone, square basis or tall, with None outside the span; its
+    # NonInvertible is the whole call's error
     rng = random.Random(29)
     seen = {}
     for _ in range(3000):
         spec = rng.choice(SOLVE_SPECS)
         n = rng.randint(1, 5)
         r = n if n == 1 or rng.random() < 0.5 else rng.randint(1, n - 1)
-        cols = [[_rand_scalar(rng, spec, zero_share=1 / 3) for _ in range(n)]
+        cols = [[rand_scalar(rng, spec, zero_share=1 / 3) for _ in range(n)]
                 for _ in range(r)]
         if rng.random() < 0.2:
             # rank loss: a column lost to precision, or a combination
@@ -471,18 +294,19 @@ def test_solve_matches_square_and_tall_references():
                         else [PadicScalar.zero(spec, rng.randint(0, spec.N))
                               for _ in range(n)])
         targets = [_combination(rng, spec, cols) if rng.random() < 0.5 else
-                   [_rand_scalar(rng, spec, zero_share=1 / 3)
+                   [rand_scalar(rng, spec, zero_share=1 / 3)
                     for _ in range(n)]
                    for _ in range(rng.randint(1, 4))]
-        want = [_solo(cols, t, spec) for t in targets]
+        want = [_outcome(ref_coords, cols, [t]) for t in targets]
         if isinstance(want[0], tuple):
             assert all(w == want[0] for w in want)
             want, kind = want[0], "NonInvertible"
         else:
+            want = [w[0] for w in want]
             outside = want.count(None)
             kind = ("solved" if not outside else
                     "outside" if outside == len(want) else "mixed")
-        assert _batch(cols, targets) == want
+        assert _outcome(coords_in_column_span, cols, targets) == want
         kind = ("square" if r == n else "tall", kind)
         seen[kind] = seen.get(kind, 0) + 1
     # a square basis of full rank leaves no residual, so nothing is outside
@@ -494,83 +318,6 @@ def test_solve_matches_square_and_tall_references():
 
 # ---- the kernel and the solve against the full elimination ----
 
-def _ref_row_echelon(M, pivot_cols=None):
-    """Reference: the full elimination, which scales and updates every
-    column at every step, as the kernel and the solve ran it before they
-    left pivot columns out."""
-    rows = [list(r) for r in M]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if pivot_cols is not None:
-        n = min(n, pivot_cols)
-    pivots = []
-    pr = 0
-    for pc in range(n):
-        if pr >= m:
-            break
-        i = None
-        for k in range(pr, m):
-            a = rows[k][pc]
-            if not a.is_zero and (i is None or a.v < rows[i][pc].v):
-                i = k
-        if i is None:
-            continue
-        rows[pr], rows[i] = rows[i], rows[pr]
-        inv = rows[pr][pc].invert()
-        rows[pr] = [a * inv for a in rows[pr]]
-        for r in range(m):
-            if r != pr:
-                c = rows[r][pc]
-                if not c.is_zero:
-                    c = -c
-                    rows[r] = [a + c * b for a, b in zip(rows[r], rows[pr])]
-        pivots.append((pr, pc))
-        pr += 1
-    return rows, pivots
-
-
-def _ref_kernel_basis(M, expected_dim=None):
-    if not M:
-        return []
-    n = len(M[0])
-    rows, pivots = _ref_row_echelon(M)
-    pivot_cols = {pc for _, pc in pivots}
-    free_cols = [j for j in range(n) if j not in pivot_cols]
-    if expected_dim is not None and len(free_cols) != expected_dim:
-        raise InsufficientPrecision(
-            "kernel dimension could not be certified",
-            witness={"expected": expected_dim, "found": len(free_cols)})
-    spec = M[0][0].spec
-    basis = []
-    for j in free_cols:
-        vec = [PadicScalar.zero(spec)] * n
-        vec[j] = PadicScalar.from_int(spec, 1)
-        for (pr, pc) in pivots:
-            vec[pc] = -rows[pr][j]
-        basis.append(vec)
-    return basis
-
-
-def _ref_coords(basis_cols, targets):
-    r = len(basis_cols)
-    rows, pivots = _ref_row_echelon(
-        list(zip(*basis_cols, *targets, strict=True)), pivot_cols=r)
-    if len(pivots) != r:
-        if r == len(rows):
-            raise NonInvertible("matrix is singular to working precision",
-                                witness={"rank": len(pivots), "size": r})
-        raise NonInvertible("columns are dependent to working precision",
-                            witness={"rank": len(pivots), "cols": r})
-    return [[rows[pr][r + j] for pr in range(r)]
-            if all(row[r + j].is_zero for row in rows[r:]) else None
-            for j in range(len(targets))]
-
-
-def _ref_mat_inverse(A, spec):
-    X = _ref_coords(list(zip(*A)), mat_identity(spec, len(A)))
-    return [list(row) for row in zip(*X)]
-
-
 def _outcome(fn, *args):
     """Each entry's to_json() and stored (v, unit, rel), None for a target
     outside the span, or the error's class, message and witness."""
@@ -579,7 +326,7 @@ def _outcome(fn, *args):
     except IsolabError as exc:
         return (type(exc), str(exc), exc.witness)
     return [None if vec is None else
-            [(a.to_json(), _key(a)) for a in vec] for vec in vecs]
+            [(a.to_json(), key(a)) for a in vec] for vec in vecs]
 
 
 ECHELON_SPECS = [FieldSpec(p, f, N) for p in (2, 3, 5) for f in (1, 2, 3)
@@ -627,7 +374,7 @@ def test_kernel_and_solve_match_full_elimination():
         M = _echelon_matrix(rng, spec, m, n)
         dim = rng.choice((None, 0, 1, n - min(m, n)))
         got = _outcome(kernel_basis, M, dim)
-        assert got == _outcome(_ref_kernel_basis, M, dim)
+        assert got == _outcome(ref_kernel_basis, M, dim)
         seen.add(("kernel", shape, "raised" if isinstance(got, tuple)
                   else "nonzero" if got else "zero"))
         # the columns of M as a basis, with targets inside and outside
@@ -636,20 +383,20 @@ def test_kernel_and_solve_match_full_elimination():
                    [_echelon_entry(rng, spec) for _ in range(m)]
                    for _ in range(rng.randint(0, 3))]
         got = _outcome(coords_in_column_span, cols, targets)
-        assert got == _outcome(_ref_coords, cols, targets)
+        assert got == _outcome(ref_coords, cols, targets)
         seen.add(("solve", shape, "raised" if isinstance(got, tuple)
                   else "outside" if None in got else "solved"))
         if shape == "square":
             got = _outcome(mat_inverse, M, spec)
-            assert got == _outcome(_ref_mat_inverse, M, spec)
+            assert got == _outcome(ref_mat_inverse, M, spec)
             seen.add(("inverse", "raised" if isinstance(got, tuple)
                       else "solved"))
         # span_basis returns whole echelon rows
         vecs = [row for row in M if not all(a.is_zero for a in row)]
         if vecs:
-            rows, pivots = _ref_row_echelon(vecs)
-            assert [[_key(a) for a in row] for row in span_basis(vecs)] == \
-                [[_key(a) for a in rows[pr]] for pr, _ in pivots]
+            rows, pivots = ref_row_echelon(vecs)
+            assert [[key(a) for a in row] for row in span_basis(vecs)] == \
+                [[key(a) for a in rows[pr]] for pr, _ in pivots]
     assert {("kernel", s, k) for s in ("square", "tall", "wide")
             for k in ("raised", "nonzero", "zero")} <= seen
     assert {("solve", s, k) for s in ("square", "tall", "wide")
@@ -693,13 +440,13 @@ def test_solve_leaves_pivot_columns_alone(spec, monkeypatch):
     targets = [[PadicScalar.from_coeffs(spec, [rng.randrange(1, 1000)
                                                 for _ in range(spec.f)])
                 for _ in range(n)] for _ in range(t)]
-    want = _outcome(_ref_coords, basis, targets)
+    want = _outcome(ref_coords, basis, targets)
     steps = _count_products(monkeypatch)
     got = coords_in_column_span(basis, targets)
     assert steps == [[n + t - k - 1, (n - 1) * (n + t - k - 1)]
                      for k in range(n)]
     monkeypatch.undo()
-    assert [[(a.to_json(), _key(a)) for a in x] for x in got] == want
+    assert [[(a.to_json(), key(a)) for a in x] for x in got] == want
     # span_basis keeps whole rows: every step scales and updates all of them
     rows = [list(r) for r in zip(*basis, *targets)]
     steps = _count_products(monkeypatch)
@@ -708,37 +455,6 @@ def test_solve_leaves_pivot_columns_alone(spec, monkeypatch):
 
 
 # ---- lattice saturation against the subtracting loop ----
-
-def _ref_saturate_columns(cols):
-    """Reference: saturate_columns with its update written col[s] - c piv[s]."""
-    work = [list(c) for c in cols]
-    n = len(work[0]) if work else 0
-    out, used_rows = [], set()
-    while work:
-        best = None
-        for j, col in enumerate(work):
-            for i in range(n):
-                a = col[i]
-                if i not in used_rows and not a.is_zero and (
-                        best is None or a.v < best[2]):
-                    best = (j, i, a.v)
-        if best is None:
-            raise InsufficientPrecision(
-                "dependent columns while saturating a lattice",
-                witness={"remaining": len(work)})
-        j, i, _ = best
-        inv = work[j][i].invert()
-        piv = [a * inv for a in work[j]]
-        del work[j]
-        for col in work:
-            c = col[i]
-            if not c.is_zero:
-                for s in range(n):
-                    col[s] = col[s] - c * piv[s]
-        out.append(piv)
-        used_rows.add(i)
-    return out
-
 
 def test_saturate_columns_matches_subtracting_loop():
     rng = random.Random(47)
@@ -749,7 +465,7 @@ def test_saturate_columns_matches_subtracting_loop():
         cols = [list(c) for c in zip(*_echelon_matrix(
             rng, spec, n, rng.randint(1, n)))]
         got = _outcome(saturate_columns, cols)
-        assert got == _outcome(_ref_saturate_columns, cols)
+        assert got == _outcome(ref_saturate_columns, cols)
         raised += isinstance(got, tuple)
         answered += not isinstance(got, tuple)
     assert raised > 50 and answered > 300

@@ -1,16 +1,17 @@
-import os
-import pathlib
+import json
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-import isolab
 from isolab import FieldSpec, PadicScalar
-from isolab.errors import DivisionByZero, FieldSpecMismatch, PrecisionExhausted
-from isolab.padic import canonical_modulus, poly_xgcd
+from isolab.errors import (DivisionByZero, FieldSpecMismatch, MalformedInput,
+                           PrecisionExhausted)
+from isolab.padic import canonical_modulus
+
+from reference import (ref_invert, ref_raw_inv_unit, ref_red_rows,
+                       ref_scalar_add, ref_scalar_mul, ref_sigma_mats,
+                       run_optimized)
 
 
 Z5 = FieldSpec(5, 1, 10)
@@ -174,6 +175,22 @@ def test_json_round_trip():
     assert PadicScalar.from_json(spec, z.to_json()).is_zero
 
 
+def test_fieldspec_refuses_booleans_and_non_integral_values():
+    # no other test builds a spec with p = 13, so no cached spec decides:
+    # FieldSpec(13, True, 5) used to be kept under the key of (13, 1, 5)
+    for args in ((13, True, 5), (True, 1, 5), (13, 1, False), (13, 1, 2.5),
+                 (13, 1.5, 5), (13.5, 1, 5), (13, 1, "5")):
+        with pytest.raises(MalformedInput) as exc:
+            FieldSpec(*args)
+        assert str(exc.value) == "need prime p >= 2, f >= 1, N >= 1"
+        assert exc.value.witness == dict(zip("pfN", args))
+    # an integral value is keyed and stored as an int
+    spec = FieldSpec(13.0, 1, Fraction(5))
+    assert spec is FieldSpec(13, 1, 5) is FieldSpec(13, 1.0, 5.0)
+    assert json.dumps(spec.to_json()) == '{"p": 13, "f": 1, "N": 5}'
+    assert type(spec.pN) is int and spec.pN == 13 ** 5
+
+
 def test_fieldspec_json_round_trip():
     spec = FieldSpec(7, 3, 9)
     assert FieldSpec.from_json(spec.to_json()) is spec  # interned
@@ -220,33 +237,6 @@ def test_raw_inv_unit_random_units():
 
 # ---- the norm inverse against the Newton inverse it replaced ----
 
-def _ref_raw_inv_unit(spec, u, pM):
-    """Reference: the inverse mod p from extended Euclid over F_p[t], then
-    the quadratic lift y <- y (2 - u y), as raw_inv_unit computed it before
-    it divided the conjugate product by the norm."""
-    p, f = spec.p, spec.f
-    if f == 1:
-        return (pow(u[0], -1, pM),)
-    d, y = poly_xgcd(list(spec.g_low) + [1], u, p)
-    if d != [1]:
-        raise DivisionByZero("not a unit", witness=list(u))
-    y = tuple(y) + (0,) * (f - len(y))
-    pw = p
-    while pw < pM:
-        pw = min(pw * pw, pM)
-        uy = spec.raw_mul(u, y, pw)
-        two_minus = tuple((-c) % pw if i else (2 - c) % pw
-                          for i, c in enumerate(uy))
-        y = spec.raw_mul(y, two_minus, pw)
-    return tuple(c % pM for c in y)
-
-
-def _ref_invert(x):
-    pM = x.spec.p ** x.rel
-    return PadicScalar(x.spec, -x.v, _ref_raw_inv_unit(
-        x.spec, tuple(c % pM for c in x.unit), pM), x.rel)
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_norm_inverse_matches_newton_inverse(p):
     rng = random.Random(59 * p)
@@ -261,10 +251,10 @@ def test_norm_inverse_matches_newton_inverse(p):
                 if all(c % p == 0 for c in u):
                     u[rng.randrange(f)] += 1
                 u = tuple(u)
-                assert spec.raw_inv_unit(u, pM) == _ref_raw_inv_unit(
+                assert spec.raw_inv_unit(u, pM) == ref_raw_inv_unit(
                     spec, tuple(c % pM for c in u), pM)
                 x = PadicScalar(spec, rng.randint(-3, 3), u, rel)
-                got, want = x.invert(), _ref_invert(x)
+                got, want = x.invert(), ref_invert(x)
                 assert (got.v, got.unit, got.rel) == \
                     (want.v, want.unit, want.rel)
 
@@ -290,50 +280,7 @@ def test_raw_inv_unit_rejects_a_non_unit_under_optimize():
                "        FieldSpec(p, f, 6).raw_inv_unit(u, p ** 6)\n"
                "    except DivisionByZero as exc:\n"
                "        print(exc.witness)\n")
-    src = str(pathlib.Path(isolab.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-O", "-c", snippet],
-                         capture_output=True, text=True, timeout=10,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "[9]\n[5, 25]\n"
-
-
-def _ref_sigma_mats(spec):
-    """Reference: the sigma tables as _build_sigma made them when each
-    Hensel correction inverted g'(x) afresh with the Newton inverse."""
-    p, f, N, pN = spec.p, spec.f, spec.N, spec.pN
-    g = list(spec.g_low) + [1]
-    dg = [k * g[k] for k in range(1, f + 1)]
-    x = spec.raw_pow((0, 1) + (0,) * (f - 2), p, p)
-
-    def horner(poly, x, pM):
-        acc = (0,) * f
-        for c in reversed(poly):
-            acc = spec.raw_mul(acc, x, pM)
-            acc = ((acc[0] + c) % pM,) + acc[1:]
-        return acc
-
-    prec = 1
-    while prec < N:
-        prec = min(2 * prec, N)
-        pM = p ** prec
-        corr = spec.raw_mul(horner(g, x, pM),
-                            _ref_raw_inv_unit(spec, horner(dg, x, pM), pM), pM)
-        x = tuple((a - b) % pM for a, b in zip(x, corr))
-    mats, xk = [], x
-    for _ in range(1, f):
-        cols, pw = [], (1,) + (0,) * (f - 1)
-        for _ in range(f):
-            cols.append(pw)
-            pw = spec.raw_mul(pw, xk, pN)
-        mats.append(tuple(cols))
-        nxt, pwk = (0,) * f, (1,) + (0,) * (f - 1)
-        for j in range(f):
-            if x[j]:
-                nxt = tuple((a + x[j] * b) % pN for a, b in zip(nxt, pwk))
-            pwk = spec.raw_mul(pwk, xk, pN)
-        xk = nxt
-    return tuple(mats)
+    assert run_optimized(snippet) == "[9]\n[5, 25]\n"
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -343,24 +290,7 @@ def test_sigma_tables_match_newton_lift(p):
     for f, N in cases:
         spec = FieldSpec(p, f, N)
         spec._build_sigma()
-        assert spec._sigma_mats == _ref_sigma_mats(spec), (f, N)
-
-
-def _ref_red_rows(spec, pM):
-    """Reference: red_rows as a shift-and-fold loop on t^f = -g_low."""
-    f = spec.f
-    row = tuple((-c) % pM for c in spec.g_low)  # t^f
-    out, prev = [], row
-    for _ in range(f - 1):
-        out.append(prev)
-        # multiply by t: shift, then fold the overflow back in
-        top = prev[f - 1]
-        nxt = [0] + list(prev[:f - 1])
-        if top:
-            for j in range(f):
-                nxt[j] = (nxt[j] + top * row[j]) % pM
-        prev = tuple(v % pM for v in nxt)
-    return tuple(out)
+        assert spec._sigma_mats == ref_sigma_mats(spec), (f, N)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -369,7 +299,7 @@ def test_red_rows_match_shift_and_fold(p):
     for f in range(1, 17):
         spec = FieldSpec(p, f, N)
         for pM in (p, p ** N, p ** (2 * N + 3)):
-            assert spec.red_rows(pM) == _ref_red_rows(spec, pM), (f, pM)
+            assert spec.red_rows(pM) == ref_red_rows(spec, pM), (f, pM)
 
 
 def test_from_fraction_matches_division():
@@ -388,19 +318,6 @@ def test_sigma_invert_pow_known_answer():
                            "unit": [130222, 337662, 27132, 22656]}
 
 
-def _mul_reduce_first(a, b):
-    """The product with both units reduced mod p^rel before raw_mul."""
-    spec = a.spec
-    if a.is_zero or b.is_zero:
-        return PadicScalar.zero(spec, (a.rel if a.is_zero else a.v)
-                                + (b.rel if b.is_zero else b.v))
-    rel = min(a.rel, b.rel)
-    pM = spec.p ** rel
-    unit = spec.raw_mul(tuple(c % pM for c in a.unit),
-                        tuple(c % pM for c in b.unit), pM)
-    return PadicScalar(spec, a.v + b.v, unit, rel)
-
-
 def _mixed_scalar(spec, rng):
     """Any relative precision, units that are not reduced mod p^rel, and
     zeros to precision."""
@@ -417,9 +334,11 @@ def _mixed_scalar(spec, rng):
 def test_mul_matches_reduce_first(p, f):
     spec = FieldSpec(p, f, 7)
     rng = random.Random(31 * p + f)
+    # units not reduced mod p^rel: the product equals the reference's,
+    # which reduces once after raw_mul, as reducing both units first did
     for _ in range(300):
         a, b = _mixed_scalar(spec, rng), _mixed_scalar(spec, rng)
-        got, want = a * b, _mul_reduce_first(a, b)
+        got, want = a * b, ref_scalar_mul(a, b)
         assert (got.to_json(), got.abs_prec) == (want.to_json(), want.abs_prec)
         assert (got.v, got.unit, got.rel) == (want.v, want.unit, want.rel)
 
@@ -430,43 +349,6 @@ def test_default_zero_is_shared_per_spec():
     assert PadicScalar.zero(spec) is z and PadicScalar.zero(other) is not z
     assert z.is_zero and z.rel == spec.N
     assert PadicScalar.zero(spec, 3) is not PadicScalar.zero(spec, 3)
-
-
-def _add_reference(a, b):
-    """a + b through is_zero, abs_prec and PadicScalar.zero."""
-    spec = a.spec
-    if a.spec is not b.spec:
-        raise FieldSpecMismatch("operands over different rings")
-    if a.is_zero and b.is_zero:
-        return PadicScalar.zero(spec, min(a.rel, b.rel))
-    if a.is_zero or b.is_zero:
-        z, x = (a, b) if a.is_zero else (b, a)
-        bound = z.rel
-        if x.v >= bound:
-            return PadicScalar.zero(spec, bound)
-        abs_out = min(bound, x.abs_prec)
-        rel = abs_out - x.v
-        pM = spec.p ** rel
-        return PadicScalar(spec, x.v, tuple(c % pM for c in x.unit), rel)
-    w = min(a.v, b.v)
-    abs_out = min(a.abs_prec, b.abs_prec)
-    mod = spec.p ** (abs_out - w)
-    pa, pb = spec.p ** (a.v - w), spec.p ** (b.v - w)
-    coeffs = tuple((pa * s + pb * t) % mod for s, t in zip(a.unit, b.unit))
-    return PadicScalar.from_raw(spec, coeffs, w, abs_out)
-
-
-def _mul_reference(a, b):
-    """a * b through is_zero, PadicScalar.zero and FieldSpec.raw_mul."""
-    spec = a.spec
-    if a.spec is not b.spec:
-        raise FieldSpecMismatch("operands over different rings")
-    if a.is_zero or b.is_zero:
-        return PadicScalar.zero(spec, (a.rel if a.is_zero else a.v)
-                                + (b.rel if b.is_zero else b.v))
-    rel = min(a.rel, b.rel)
-    return PadicScalar(spec, a.v + b.v,
-                       spec.raw_mul(a.unit, b.unit, spec.p ** rel), rel)
 
 
 def _operand_pair(spec, rng, seen):
@@ -508,8 +390,8 @@ def test_add_mul_match_reference(p, f):
         a, b = _operand_pair(spec, rng, seen)
         if not (a.is_zero or b.is_zero) and a.v != b.v:
             seen.add("valuations differ")  # __add__ skips from_raw
-        for got, want in ((a + b, _add_reference(a, b)),
-                          (a * b, _mul_reference(a, b))):
+        for got, want in ((a + b, ref_scalar_add(a, b)),
+                          (a * b, ref_scalar_mul(a, b))):
             assert (got.v, got.unit, got.rel) == (want.v, want.unit, want.rel)
     assert seen == {"negative", "rel < N", "zero below", "zero above",
                     "cancel", "both zero", "valuations differ"}

@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 from fractions import Fraction
 
@@ -12,29 +13,12 @@ from isolab.errors import (DegreeBoundTooSmall, MalformedInput,
                            NonzeroConstantTerm, ParameterMismatch,
                            SequenceTooShort, SlopeOrderViolated)
 from isolab.padic import FieldSpec
-from isolab.perfseries import (_pexp, _validate_exponent, ff_add, ps_scale)
+from isolab.perfseries import _pexp, _validate_exponent, ps_scale
+
+from reference import (X, badseries, mono, ref_ps_add, ref_ps_map, ref_ps_mul,
+                       ref_ps_pow)
 
 F = Fraction
-
-
-def mono(p, exp, D=8, k=1, nvars=1, coeff=None):
-    """One-term series c * X^exp (exp a tuple for nvars > 1)."""
-    if not isinstance(exp, tuple):
-        exp = (exp,)
-    exps = tuple(F(e) for e in exp)
-    c = coeff if coeff is not None else tuple([1] + [0] * (k - 1))
-    return PerfectedSeries(p, nvars, k, D, {exps: c})
-
-
-def X(p=2, D=8, nvars=1, slot=0):
-    exp = tuple(F(1) if i == slot else F(0) for i in range(nvars))
-    return mono(p, exp, D=D, nvars=nvars)
-
-
-def badseries(D=16):
-    """sum_{i=1..D} X^(i + 1/2^i) over F_2."""
-    terms = {(F(i) + F(1, 2 ** i),): (1,) for i in range(1, D + 1)}
-    return PerfectedSeries(2, 1, 1, D, terms)
 
 
 def test_mul_adds_fractional_exponents():
@@ -92,6 +76,38 @@ def test_arity_validation():
     a = PerfectedSeries(2, 2.0, 1, 4, {(F(1), F(0)): (1,)})
     assert a.nvars == 2 and type(a.nvars) is int
     assert PerfectedSeries(2, 0, 1, 4, {(): (1,)}).nvars == 0
+
+
+def test_bound_and_field_validation():
+    # a boolean or a non-integral bound or field degree used to be kept,
+    # and to_json wrote it: "D": true, or a Fraction json cannot write
+    for D in (F(5, 2), True, 2.5, "4"):
+        with pytest.raises(MalformedInput,
+                           match="degree bound must be an integer"):
+            PerfectedSeries(2, 1, 1, D, {(F(2),): (1,)})
+    with pytest.raises(MalformedInput) as exc:
+        PerfectedSeries(2, 1, 1, 0, {})
+    assert str(exc.value) == "degree bound must be at least 1"
+    assert exc.value.witness == {"D": 0}
+    for k in (True, 1.5):
+        with pytest.raises(MalformedInput):
+            PerfectedSeries(2, 1, k, 4, {})
+    a = PerfectedSeries(2.0, 1, 1.0, F(4), {(F(2),): (1,)})
+    assert json.dumps(a.to_json()) == json.dumps(mono(2, 2, D=4).to_json())
+
+
+def test_embed_and_truncate_take_integers():
+    a = ps_add(X(D=4), mono(2, F(5, 2), D=4))
+    for total, offset in ((True, False), (2.5, 0.5), (2, "0")):
+        with pytest.raises(MalformedInput):
+            ps_embed(a, total, offset)
+    assert json.dumps(ps_embed(a, 2.0, F(1)).to_json()) == \
+        json.dumps(ps_embed(a, 2, 1).to_json())
+    for m in (1.5, True, "2"):
+        with pytest.raises(MalformedInput):
+            ps_truncate_ideal(a, "power", m)
+    assert same(ps_truncate_ideal(a, "power", 2.0),
+                ps_truncate_ideal(a, "power", 2))
 
 
 def test_frobenius_relative_forward():
@@ -390,18 +406,6 @@ def test_pow_repeated_squaring():
 
 # ---- ps_pow by Frobenius against repeated multiplication ----
 
-def ref_pow(a, e):
-    """The former ps_pow: square-and-multiply with ps_mul alone."""
-    out = PerfectedSeries.monomial(a.p, a.nvars, a.k, a.D, (F(0),) * a.nvars)
-    base = a
-    while e:
-        if e & 1:
-            out = ps_mul(out, base)
-        base = ps_mul(base, base)
-        e >>= 1
-    return out
-
-
 def rand_series(rng, p, k, nvars, D, terms=(1, 4), zero_const=False):
     """A few terms with exponents in [0, D] over denominators 1 and p."""
     out = {}
@@ -425,14 +429,14 @@ def test_pow_matches_repeated_mul():
                 for D in (4, 8, 16):
                     a = rand_series(rng, p, k, nvars, D)
                     for e in exps:
-                        got, want = ps_pow(a, e), ref_pow(a, e)
+                        got, want = ps_pow(a, e), ref_ps_pow(a, e)
                         assert (got.terms, got.D) == (want.terms, want.D), \
                             (p, k, nvars, D, e)
 
 
 def test_pow_rejects_bad_exponent():
     # a negative exponent used to loop forever: -1 >> 1 == -1
-    for e in (-1, -8, F(2), 1.5, "2"):
+    for e in (-1, -8, F(2), 1.5, "2", True):
         with pytest.raises(MalformedInput):
             ps_pow(mono(2, 1), e)
 
@@ -463,62 +467,19 @@ def test_rigidity_matches_reference_pow(corpus_dir, monkeypatch):
     rng = random.Random(11)
     cases = [corpus] + [rand_ladder(rng) for _ in range(20)]
     got = [rigidity_check(*c[:5], powered_block=c[5]) for c in cases]
-    monkeypatch.setattr(perfseries, "ps_pow", ref_pow)
+    monkeypatch.setattr(perfseries, "ps_pow", ref_ps_pow)
     want = [rigidity_check(*c[:5], powered_block=c[5]) for c in cases]
     assert got == want
     assert {c for rep in want for c in rep["congruences"]} == {True, False}
 
 
 def test_rigidity_rejects_negative_r():
-    with pytest.raises(MalformedInput):
-        rigidity_check(X(), [X()], [], -1, [1])
+    for r, d_seq in ((-1, [1]), (True, [1]), (1, [1.5]), (1, [True, 2])):
+        with pytest.raises(MalformedInput):
+            rigidity_check(X(), [X()], [], r, d_seq)
 
 
 # ---- library results are built unchecked, by the rule __init__ keeps ----
-
-def ref_add(a, b):
-    """The former ps_add: drop a sum that is zero, rebuild with checks."""
-    terms = dict(a.terms)
-    for exp, c in b.terms.items():
-        if exp in terms:
-            s = ff_add(terms[exp], c, a.p)
-            if not any(s):
-                del terms[exp]
-            else:
-                terms[exp] = s
-        else:
-            terms[exp] = c
-    return PerfectedSeries(a.p, a.nvars, a.k, min(a.D, b.D), terms)
-
-
-def ref_mul(a, b):
-    """The former ps_mul: drop a zero partial sum, rebuild with checks."""
-    D = min(a.D, b.D)
-    spec = FieldSpec(a.p, a.k, 1)
-    out = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            if e and max(e) > D:
-                continue
-            c = spec.raw_mul(c1, c2, a.p)
-            if e in out:
-                s = ff_add(out[e], c, a.p)
-                if not any(s):
-                    del out[e]
-                else:
-                    out[e] = s
-            elif any(c):
-                out[e] = c
-    return PerfectedSeries(a.p, a.nvars, a.k, D, out)
-
-
-def ref_map(a, exp_map, coeff_map, nvars=None):
-    """Each term moved by the two maps, rebuilt with checks."""
-    return PerfectedSeries(a.p, a.nvars if nvars is None else nvars, a.k,
-                           a.D, {exp_map(e): coeff_map(c)
-                                 for e, c in a.terms.items()})
-
 
 def same(got, want):
     return ((got.p, got.nvars, got.k, got.D, got.terms)
@@ -537,18 +498,18 @@ def op_cases(rng):
     m = rng.randrange(0, 4)
     off = rng.randrange(0, 2)
     cases = [
-        ("add", ps_add(a, b), ref_add(a, b)),
+        ("add", ps_add(a, b), ref_ps_add(a, b)),
         ("add-cancel", ps_add(a, ps_scale(a, minus_one)),
-         ref_add(a, ref_map(a, lambda e: e,
+         ref_ps_add(a, ref_ps_map(a, lambda e: e,
                             lambda x: spec.raw_mul(x, minus_one, p)))),
-        ("mul", ps_mul(a, b), ref_mul(a, b)),
+        ("mul", ps_mul(a, b), ref_ps_mul(a, b)),
         ("scale", ps_scale(a, c),
-         ref_map(a, lambda e: e, lambda x: spec.raw_mul(x, c, p))),
+         ref_ps_map(a, lambda e: e, lambda x: spec.raw_mul(x, c, p))),
         ("scale-zero", ps_scale(a, (0,) * k),
          PerfectedSeries.zero(p, nvars, k, a.D)),
         ("frobenius-forward-absolute", ps_frobenius(a, "forward",
                                                     "absolute"),
-         functools.reduce(ref_mul, [a] * p)),
+         functools.reduce(ref_ps_mul, [a] * p)),
     ]
     for direction, fe in (("forward", lambda v: v * p),
                           ("inverse", lambda v: v / p)):
@@ -558,7 +519,7 @@ def op_cases(rng):
                             spec.raw_pow(x, e, p))):
             cases.append((f"frobenius-{direction}-{flavor}",
                           ps_frobenius(a, direction, flavor),
-                          ref_map(a, lambda v, fe=fe: tuple(map(fe, v)),
+                          ref_ps_map(a, lambda v, fe=fe: tuple(map(fe, v)),
                                   fc)))
     cases += [
         ("truncate-frobenius", ps_truncate_ideal(a, "frobenius", m),
@@ -570,10 +531,10 @@ def op_cases(rng):
              e: x for e, x in a.terms.items()
              if sum(v.numerator // v.denominator for v in e) < m})),
         ("embed", ps_embed(a, nvars + 1, off),
-         ref_map(a, lambda e: (F(0),) * off + e + (F(0),) * (1 - off),
+         ref_ps_map(a, lambda e: (F(0),) * off + e + (F(0),) * (1 - off),
                  lambda x: x, nvars=nvars + 1)),
     ]
-    # compose f(g_1, .., g_n) against its expansion by ref_mul and ref_add
+    # compose f(g_1, .., g_n) against its expansion by ref_ps_mul, ref_ps_add
     g = [rand_series(rng, p, k, 1, rng.choice([2, 4, 8]), zero_const=True)
          for _ in range(nvars)]
     f = PerfectedSeries(p, nvars, k, 8, {
@@ -586,8 +547,8 @@ def op_cases(rng):
         term = PerfectedSeries.monomial(p, 1, k, D, (F(0),))
         for gi, ei in zip(g, exp):
             for _ in range(int(ei)):
-                term = ref_mul(term, gi)
-        want = ref_add(want, ref_map(
+                term = ref_ps_mul(term, gi)
+        want = ref_ps_add(want, ref_ps_map(
             term, lambda e: e, lambda x: spec.raw_mul(x, coeff, p)))
     cases.append(("compose", ps_compose(f, g), want))
     return cases

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from isolab import (FieldSpec, Isocrystal, RootDatumWithCochar,
+from isolab import (FieldSpec, RootDatumWithCochar,
                     adjoint_isocrystal, adjoint_slope_cross_check,
                     coxeter_gate, leaf_dimension, newton_slopes,
                     slope_multiset_from_roots, unipotent_nilpotency)
@@ -13,21 +13,11 @@ from isolab import roots
 from isolab.dieudonne import pdiv_dimension
 from isolab.errors import (InvariantViolated, IsolabError, MalformedInput,
                            NonInvertible, UnsupportedType)
-from isolab.linalg import rat_mat_mul, rat_rank, rat_solve
+from isolab.linalg import rat_mat_mul
+
+from reference import gl, gsp, ref_adjoint_isocrystal, ref_nilpotency, so
 
 F = Fraction
-
-
-def gl(n, *nu):
-    return RootDatumWithCochar("GL", n, [F(str(v)) for v in nu])
-
-
-def gsp(n, *nu):
-    return RootDatumWithCochar("GSp", n, [F(str(v)) for v in nu])
-
-
-def so(n, *nu):
-    return RootDatumWithCochar("SO", n, [F(str(v)) for v in nu])
 
 
 def test_slope_multiset_gl3():
@@ -235,56 +225,6 @@ def test_dominance_monotonicity():
 
 # ---- nilpotency against the full-layer Fraction algorithm ----
 
-def ref_root_vector(group_type, n, i, j):
-    X = [[F(0)] * n for _ in range(n)]
-    X[i][j] = F(1)
-    if group_type == "GL":
-        return X
-    mi, mj = n - 1 - j, n - 1 - i
-    if (mi, mj) == (i, j):
-        return X
-    sign = lambda k: -1 if group_type == "GSp" and k >= n // 2 else 1
-    X[mi][mj] = -F(sign(i) * sign(j))
-    return X
-
-
-def ref_bracket(A, B):
-    n = len(A)
-    out = [[F(0)] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            a, b = A[i][k], B[i][k]
-            if a == 0 and b == 0:
-                continue
-            for j in range(n):
-                out[i][j] += a * B[k][j] - b * A[k][j]
-    return out
-
-
-def ref_span_rank(mats):
-    rows = [[x for row in X for x in row] for X in mats]
-    rows = [r for r in rows if any(x != 0 for x in r)]
-    return rat_rank(rows) if rows else 0
-
-
-def ref_nilpotency(d):
-    """The former algorithm: layer k+1 is every bracket of a root vector
-    with every element of layer k, ranked over Q."""
-    basis = [ref_root_vector(d.group_type, d.n, i, j)
-             for (i, j) in roots._positive_root_positions(d.group_type, d.n)
-             if d.nu[i] - d.nu[j] > 0]
-    layer, n_class = basis, 0
-    prev_rank = ref_span_rank(layer) if basis else 0
-    while layer and prev_rank > 0:
-        n_class += 1
-        layer = [ref_bracket(g, h) for g in basis for h in layer]
-        layer = [X for X in layer if any(x != 0 for row in X for x in row)]
-        rank = ref_span_rank(layer)
-        assert rank < prev_rank or rank == 0
-        prev_rank = rank
-    return n_class
-
-
 def dominant_data(rng, typ, n, count, max_roots):
     """count distinct dominant data of one type and size, drawn at random,
     each with at most max_roots positive roots pairing positively (the
@@ -345,27 +285,6 @@ def test_nilpotency_matches_full_layer_reference():
 
 # ---- the adjoint isocrystal against dense conjugation ----
 
-def ref_adjoint_isocrystal(d, b, spec):
-    """The former construction: two dense products b X b^-1 per basis
-    element, then one solve for the coordinates."""
-    n = d.n
-    if len(b) != n or any(len(r) != n for r in b):
-        raise MalformedInput("group element size mismatch",
-                             witness={"n": n})
-    b = [[F(x) for x in row] for row in b]
-    binv = rat_solve(b, [[int(i == j) for j in range(n)] for i in range(n)])
-    if binv is None:
-        raise NonInvertible("matrix is singular", witness={"n": n})
-    basis = roots._lie_algebra_basis(d.group_type, n)
-    flat = lambda X: [x for row in X for x in row]
-    imgs = [flat(rat_mat_mul(rat_mat_mul(b, X), binv)) for X in basis]
-    coords = rat_solve(list(zip(*map(flat, basis))), list(zip(*imgs)))
-    if coords is None:
-        raise MalformedInput("conjugation left the Lie algebra",
-                             witness={"type": d.group_type, "n": n})
-    return Isocrystal.from_rationals(spec, coords)
-
-
 def adjoint_outcome(fn, d, b, spec):
     try:
         return "ok", fn(d, b, spec).to_json()
@@ -373,7 +292,9 @@ def adjoint_outcome(fn, d, b, spec):
         return str(exc), type(exc).__name__, exc.witness
 
 
-def ref_exp_nilpotent(X):
+def _exp_nilpotent(X):
+    """exp(X) over Q for a nilpotent X, the finite sum of X^k / k!: an
+    input builder, compared with nothing."""
     n = len(X)
     out = term = [[F(int(i == j)) for j in range(n)] for i in range(n)]
     k = 0
@@ -396,7 +317,7 @@ def group_elements(rng, d, p):
     if rng.random() < 0.5:
         X = [list(col) for col in zip(*X)]  # the opposite root
     t = F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
-    unipotent = ref_exp_nilpotent([[t * x for x in row] for row in X])
+    unipotent = _exp_nilpotent([[t * x for x in row] for row in X])
     rand = [[F(rng.randrange(-2, 3), rng.choice([1, 2, 3]))
              for _ in range(n)] for _ in range(n)]
     singular = [row[:] for row in rand]

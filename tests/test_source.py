@@ -299,3 +299,62 @@ def test_scalars_are_built_in_padic():
                       getattr(node.func, "attr", None))]
     assert len(list(SRC.glob("*.py"))) > 5
     assert found == []
+
+
+# --------------------------------------------------------------------------
+# rules on the tests
+# --------------------------------------------------------------------------
+
+TESTS = SRC.parents[1] / "tests"
+
+
+def test_no_test_module_imports_another():
+    # builders and references that two modules share live in
+    # tests/reference.py, so each test module runs on its own
+    modules = {path.stem for path in TESTS.glob("test_*.py")}
+    found = []
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ([node.module] if node.module else
+                         [a.name for a in node.names])
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}:{name}" for name in names
+                      if name.split(".")[0] in modules]
+    assert len(modules) > 5
+    assert found == []
+
+
+def _looks_like_ref(name):
+    return not name.startswith("test_") and (
+        name.startswith(("_ref_", "ref_", "_dense_")) or "reference" in name)
+
+
+def test_references_live_in_one_module_with_a_label():
+    # a reference is Exact (test_reference.py checks its digits against
+    # rational arithmetic) or a Guard (it pins a refactor, defects and all)
+    found, exact, imported = [], set(), set()
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path.name == "test_reference.py":
+            imported = {a.name for node in tree.body
+                        if isinstance(node, ast.ImportFrom)
+                        and node.module == "reference" for a in node.names}
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                              ) or not _looks_like_ref(node.name):
+                continue
+            if path.name != "reference.py":
+                found.append(f"{path.name}:{node.name}: not in reference.py")
+            doc = ast.get_docstring(node) or ""
+            if not doc.startswith(("Exact:", "Guard:")):
+                found.append(f"{path.name}:{node.name}: no Exact: or Guard:")
+            elif doc.startswith("Exact:"):
+                exact.add(node.name)
+    assert len(exact) >= 4
+    assert found == []
+    assert exact <= imported, exact - imported
