@@ -17,11 +17,11 @@ from math import factorial
 from .errors import (DegreeTooLarge, InsufficientPrecision,
                      InvariantViolated, MalformedInput, SplitUnavailable)
 from .dieudonne import (integral_columns, lattice_bracket_closure,
-                        lattice_intersect_subspace, lattice_phi_matrix,
+                        lattice_coords, lattice_intersect_subspace,
                         lower_central_series, span_basis)
 from .isocrystal import slope_split
 from .linalg import coords_in_column_span, rat_mat_mul, rat_solve
-from .padic import PadicScalar, _prime_factors
+from .padic import PadicScalar, _integral, _prime_factors
 
 MAX_CLASS = 8
 
@@ -59,6 +59,12 @@ def _am_mul(a, b, cap):
                 elif w in out:
                     del out[w]
     return out
+
+
+def _am_bracket(a, b, cap):
+    """The commutator ab - ba, truncated beyond degree cap."""
+    return _am_add(_am_mul(a, b, cap),
+                   _am_scale(Fraction(-1), _am_mul(b, a, cap)))
 
 
 def _am_exp(a, cap):
@@ -128,10 +134,18 @@ def _expand_bracket(w, cap):
     if len(w) == 1:
         return {w: Fraction(1)}
     u, v = standard_factorization(w)
-    eu = _expand_bracket(u, cap)
-    ev = _expand_bracket(v, cap)
-    return _am_add(_am_mul(eu, ev, cap),
-                   _am_scale(Fraction(-1), _am_mul(ev, eu, cap)))
+    return _am_bracket(_expand_bracket(u, cap), _expand_bracket(v, cap), cap)
+
+
+def _bracketing(w, memo, bracket):
+    """The standard bracketing of the Lyndon word w, with bracket(s, t)
+    for [s, t] and memo holding the value of each word met so far, the
+    letters X and Y seeded by the caller."""
+    if w not in memo:
+        u, v = standard_factorization(w)
+        memo[w] = bracket(_bracketing(u, memo, bracket),
+                          _bracketing(v, memo, bracket))
+    return memo[w]
 
 
 class FreeLieElement:
@@ -191,12 +205,28 @@ def lie_project(assoc, cap):
     return terms
 
 
-@lru_cache(maxsize=None)
+def _class_bound(c):
+    """c as an int, by padic._integral's rule: a boolean or a non-integral
+    class bound is MalformedInput, never truncated."""
+    if not _integral(c):
+        raise MalformedInput("class bound must be an integer",
+                             witness={"requested": c})
+    return int(c)
+
+
 def bch_series(c):
     """log(exp X exp Y) truncated beyond degree c, on the Lyndon basis.
 
-    A class below 1 is malformed; one above MAX_CLASS is DegreeTooLarge.
+    c is read by the integer rule before the cache, so the cache is keyed
+    by an int; an int, which group_mul passes once per product, skips the
+    rule.  A class below 1 is malformed; one above MAX_CLASS is
+    DegreeTooLarge.
     """
+    return _bch_table(c if type(c) is int else _class_bound(c))
+
+
+@lru_cache(maxsize=None)
+def _bch_table(c):
     if c < 1:
         raise MalformedInput("class bound is 1..%d" % MAX_CLASS,
                              witness={"requested": c})
@@ -208,6 +238,10 @@ def bch_series(c):
     prod = _am_mul(_am_exp(X, c), _am_exp(Y, c), c)
     series = _am_log(prod, c)
     return FreeLieElement(c, lie_project(series, c))
+
+
+# perfbench's tracer reads the cache's hit ratio through the public name
+bch_series.cache_info = _bch_table.cache_info
 
 
 def denominator_profile(c):
@@ -247,22 +281,9 @@ def _mat_log_unipotent(U, cap):
     return out
 
 
-def _eval_word_matrices(w, A, B, memo):
-    if w in memo:
-        return memo[w]
-    if w == "X":
-        memo[w] = A
-        return A
-    if w == "Y":
-        memo[w] = B
-        return B
-    u, v = standard_factorization(w)
-    Mu = _eval_word_matrices(u, A, B, memo)
-    Mv = _eval_word_matrices(v, A, B, memo)
-    out = [[a - b for a, b in zip(r, s)]
-           for r, s in zip(rat_mat_mul(Mu, Mv), rat_mat_mul(Mv, Mu))]
-    memo[w] = out
-    return out
+def _rat_commutator(M, N):
+    return [[a - b for a, b in zip(r, s)]
+            for r, s in zip(rat_mat_mul(M, N), rat_mat_mul(N, M))]
 
 
 def oracle_check(c):
@@ -295,12 +316,12 @@ def oracle_check(c):
         sol = rat_solve(V, [[x for row in L for x in row] for L in logs])
         pieces = [[sol[d][i * n:(i + 1) * n] for i in range(n)]
                   for d in range(c)]
-        memo = {}
+        memo = {"X": A, "Y": B}
         for d in range(1, c + 1):
             S = [[Fraction(0)] * n for _ in range(n)]
             for w, coeff in fle.terms.items():
                 if len(w) == d:
-                    W = _eval_word_matrices(w, A, B, memo)
+                    W = _bracketing(w, memo, _rat_commutator)
                     S = [[s + coeff * x for s, x in zip(rs, rw)]
                          for rs, rw in zip(S, W)]
             if S != pieces[d - 1]:
@@ -315,6 +336,7 @@ def double_sum_series(c):
     by 1/((sum p+q) * prod p! q!), right-nested bracketing.  Exponential
     cost; intended for c <= 4.
     """
+    c = _class_bound(c)
     if c > 5:
         raise DegreeTooLarge("double-sum route is for low degree only",
                              witness={"requested": c})
@@ -322,10 +344,7 @@ def double_sum_series(c):
     def nested(word):
         if len(word) == 1:
             return {word: Fraction(1)}
-        head = {word[0]: Fraction(1)}
-        tail = nested(word[1:])
-        return _am_add(_am_mul(head, tail, c),
-                       _am_scale(Fraction(-1), _am_mul(tail, head, c)))
+        return _am_bracket({word[0]: Fraction(1)}, nested(word[1:]), c)
 
     total = {}
     # compositions: k blocks (p_i, q_i), p_i + q_i >= 1, total length <= c
@@ -363,24 +382,11 @@ def group_mul(a, x, y, n_class=None):
     if n_class is None:
         _, n_class = lower_central_series(a)
     fle = bch_series(max(1, n_class))
-    memo = {}
-
-    def ev(w):
-        if w in memo:
-            return memo[w]
-        if w == "X":
-            return x
-        if w == "Y":
-            return y
-        u, v = standard_factorization(w)
-        out = a.bracket_vec(ev(u), ev(v))
-        memo[w] = out
-        return out
-
+    memo = {"X": x, "Y": y}
     spec = a.spec
     acc = [PadicScalar.zero(spec)] * a.rank
     for w, coeff in fle.terms.items():
-        vec = ev(w)
+        vec = _bracketing(w, memo, a.bracket_vec)
         c = PadicScalar.from_fraction(spec, coeff)
         for i in range(a.rank):
             if not vec[i].is_zero:
@@ -414,7 +420,7 @@ def lattice_closure_check(a, samples=100, seed=0):
                              witness=samples)
     if a.lattice is None:
         raise MalformedInput("no lattice on this algebra")
-    lattice_phi_matrix(a)  # a lattice that lost rank raises here
+    lattice_coords(a, [])  # a lattice that lost rank raises here
     _, n_class = lower_central_series(a)
     spec = a.spec
     m = len(a.lattice)
@@ -476,10 +482,9 @@ def rho_defect(a, xprime, x, n):
     except InsufficientPrecision as exc:
         raise SplitUnavailable("no certified slope complement",
                                witness=exc.witness)
-    mu1 = min(lam for lam, _, _ in blocks)
-    b_cols = [c for lam, basis, _ in blocks for c in basis if lam == mu1]
-    c_cols = [c for lam, basis, _ in blocks for c in basis if lam != mu1]
-    P_cols = b_cols + c_cols
+    # slopes strictly increase, so the first block is the minimal-slope one
+    b_cols = blocks[0][1]
+    P_cols = [c for _, basis, _ in blocks for c in basis]
     nb = len(b_cols)
 
     def rho(coords):
@@ -494,7 +499,7 @@ def rho_defect(a, xprime, x, n):
         return out
 
     if a.lattice is not None:
-        lattice_phi_matrix(a)  # a lattice that lost rank raises here
+        lattice_coords(a, [])  # a lattice that lost rank raises here
     prod = group_mul(a, xprime, x)
     # P_cols is square, so every target has coordinates
     rp, rx, rxp = map(rho, coords_in_column_span(P_cols, [prod, x, xprime]))

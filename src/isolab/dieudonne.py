@@ -14,8 +14,8 @@ from .errors import (InsufficientPrecision, InvariantViolated, MalformedInput,
                      SlopeOutOfRange, SplitUnavailable)
 from .isocrystal import Isocrystal, newton_slopes, slope_part
 from .linalg import (coords_in_column_span, kernel_basis, mat_from_rationals,
-                     mat_inverse, mat_mul, mat_sigma, mat_vec, row_echelon,
-                     saturate_columns)
+                     mat_identity, mat_inverse, mat_mul, mat_sigma, mat_vec,
+                     row_echelon, saturate_columns)
 from .padic import PadicScalar
 
 
@@ -86,11 +86,6 @@ class DieudonneLie:
                 for k, c in consts:
                     out[k] = out[k] + w * c
         return out
-
-    def basis_vector(self, i):
-        spec = self.spec
-        return [PadicScalar.from_int(spec, 1) if j == i
-                else PadicScalar.zero(spec) for j in range(self.rank)]
 
     def apply_phi(self, xs):
         """Phi on each vector of the list xs, by Isocrystal.apply."""
@@ -172,7 +167,7 @@ def _bracket_laws(a):
                 if not s.is_zero:
                     report["antisymmetry"] = False
                     report["witnesses"].setdefault("antisymmetry", (i, j, k))
-    basis = [a.basis_vector(i) for i in range(n)]
+    basis = mat_identity(a.spec, n)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -234,18 +229,30 @@ def lattice_bracket_closure(a):
             if not _vec_is_zero(v):
                 pairs.append((i, j))
                 brackets.append(v)
-    return pairs, integral_columns(coords_in_column_span(a.lattice, brackets))
+    return pairs, integral_columns(lattice_coords(a, brackets))
+
+
+def lattice_coords(a, targets):
+    """coords_in_column_span(a.lattice, targets).  A lattice that lost
+    rank at working precision leaves every comparison with it
+    indeterminate: InsufficientPrecision, with the solve's witness.  Rank
+    is read from the lattice alone, so an empty list of targets checks it
+    and solves for nothing."""
+    try:
+        return coords_in_column_span(a.lattice, targets)
+    except NonInvertible as exc:
+        raise InsufficientPrecision("lattice comparison indeterminate",
+                                    witness=exc.witness)
 
 
 def lattice_phi_matrix(a):
     """(B, B^-1), column j of B being phi of lattice column j in lattice
     coordinates.
 
-    A lattice that lost rank at working precision leaves the comparison
-    indeterminate: InsufficientPrecision."""
+    A lattice, or a phi-image of it, that lost rank at working precision
+    leaves the comparison indeterminate: InsufficientPrecision."""
+    B = [list(row) for row in zip(*lattice_coords(a, a.apply_phi(a.lattice)))]
     try:
-        B = [list(row) for row in zip(*coords_in_column_span(
-            a.lattice, a.apply_phi(a.lattice)))]
         return B, mat_inverse(B, a.spec)
     except NonInvertible as exc:
         raise InsufficientPrecision("lattice comparison indeterminate",
@@ -309,7 +316,7 @@ def lower_central_series(a):
     """Chain of spans [full, [a,a], [a,[a,a]], ..], empty last; plus class."""
     require_valid_bracket(a)
     # the basis vectors are the echelon rows span_basis would return
-    basis = [a.basis_vector(i) for i in range(a.rank)]
+    basis = mat_identity(a.spec, a.rank)
     chain = [basis]
     while chain[-1]:
         cur = chain[-1]
@@ -393,11 +400,10 @@ def minimal_slope_center_check(a):
     except InsufficientPrecision as exc:
         raise SplitUnavailable("minimal-slope part not computable",
                                witness=exc.witness)
-    n = a.rank
+    basis = mat_identity(a.spec, a.rank)
     for b in cols:
-        for i in range(n):
-            v = a.bracket_vec(b, a.basis_vector(i))
-            if not _vec_is_zero(v):
+        for i, e in enumerate(basis):
+            if not _vec_is_zero(a.bracket_vec(b, e)):
                 return False, {"witness_basis_index": i}
     return True, None
 
@@ -419,7 +425,7 @@ def aut_lie_algebra(a, mode="derivation"):
     spec = a.spec
     n = a.rank
     f = spec.f
-    basis = [a.basis_vector(i) for i in range(n)]
+    basis = mat_identity(spec, n)
     tpow = [PadicScalar.from_coeffs(spec, tuple(1 if s == m else 0
                                                 for s in range(f)))
             for m in range(f)]

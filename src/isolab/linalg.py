@@ -284,6 +284,20 @@ def newton_root_valuations(coeffs):
 # row reduction with valuation pivoting
 # --------------------------------------------------------------------------
 
+def _eliminate(row, c, piv):
+    """row - c * piv, as row + (-c) * piv: the same digits, with c negated
+    once per row instead of once per entry.
+
+    A c that is zero to precision, O(p^b), returns row itself, and its
+    bound is dropped: ROADMAP item 2's zero rule, for row_echelon and
+    saturate_columns alike, so fixing it edits this function only.
+    """
+    if c.is_zero:
+        return row
+    c = -c
+    return [a + c * b for a, b in zip(row, piv)]
+
+
 def _pivot_row(rows, col, start):
     best, best_v = None, None
     for i in range(start, len(rows)):
@@ -329,9 +343,7 @@ def row_echelon(M, pivot_cols=None, _keep_pivot_cols=True):
         for r in range(m):
             if r != pr:
                 c = take(rows[r], k)
-                if not c.is_zero:
-                    c = -c  # once per row: a + (-c) b has the digits of a - c b
-                    rows[r] = [a + c * b for a, b in zip(rows[r], piv)]
+                rows[r] = _eliminate(rows[r], c, piv)
         pivots.append((pr, pc))
         pr += 1
     return rows, pivots
@@ -427,12 +439,7 @@ def saturate_columns(cols):
         inv = work[j][i].invert()
         piv = [a * inv for a in work[j]]
         del work[j]
-        for col in work:
-            c = col[i]
-            if not c.is_zero:
-                c = -c  # once per column, as in row_echelon
-                for s in range(n):
-                    col[s] = col[s] + c * piv[s]
+        work = [_eliminate(col, col[i], piv) for col in work]
         out.append(piv)
         used_rows.add(i)
     return out

@@ -126,6 +126,13 @@ def _integral(v):
     return type(v) is int or isinstance(v, (float, Fraction)) and v % 1 == 0
 
 
+def _rational(v):
+    """False for a boolean, which Fraction(v) would read as 0 or 1: the one
+    rule for rational parameters.  Every other value is read by
+    Fraction(v), which refuses what is not a number."""
+    return not isinstance(v, bool)
+
+
 def _is_irreducible(g, p):
     """Rabin test for a monic g over F_p."""
     f = len(g) - 1

@@ -20,7 +20,7 @@ from math import gcd, log
 from .errors import (DegreeBoundTooSmall, InvariantViolated, MalformedInput,
                      NonzeroConstantTerm, ParameterMismatch, SequenceTooShort,
                      SlopeOrderViolated)
-from .padic import FieldSpec, _integral, _json_int
+from .padic import FieldSpec, _integral, _json_int, _rational
 
 
 # --------------------------------------------------------------------------
@@ -438,6 +438,9 @@ def membership_restricted(a, params, method="both"):
 
 def membership_ECd(a, E, C, d):
     """Per-term growth bound p^ord <= max(C * (|I|_inf + d)^E, 1)."""
+    if not all(map(_rational, (E, C, d))):
+        raise MalformedInput("E, C and d must be rational, not boolean",
+                             witness={"E": str(E), "C": str(C), "d": str(d)})
     E, C, d = Fraction(E), Fraction(C), Fraction(d)
     if E <= 0 or C <= 0 or d < 0:
         raise MalformedInput("need E, C > 0 and d >= 0",
@@ -520,6 +523,9 @@ def rigidity_check(f, g, h, r, d_seq, powered_block="h"):
 
 def slope_exponents(mu1, mu0):
     """Smallest (a, r, s) with a/r = mu1 and a/s = mu0; 0 < mu0 < mu1 <= 1."""
+    if not (_rational(mu1) and _rational(mu0)):
+        raise MalformedInput("slopes must be rational, not boolean",
+                             witness={"mu1": str(mu1), "mu0": str(mu0)})
     mu1, mu0 = Fraction(mu1), Fraction(mu0)
     if not (0 < mu1 <= 1) or mu0 <= 0:
         raise MalformedInput("slope magnitudes must lie in (0, 1]",

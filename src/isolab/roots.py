@@ -12,8 +12,8 @@ from .errors import (InvariantViolated, MalformedInput, NonInvertible,
                      UnsupportedType)
 from .dieudonne import pdiv_dimension
 from .isocrystal import Isocrystal, newton_slopes, slope_part
-from .linalg import rat_rref, rat_solve
-from .padic import FieldSpec
+from .linalg import rat_rank, rat_rref, rat_solve
+from .padic import FieldSpec, _integral, _rational
 
 _TYPES = ("GL", "GSp", "SO")
 
@@ -46,12 +46,20 @@ class RootDatumWithCochar:
         if group_type not in _TYPES:
             raise UnsupportedType("supported types: GL, GSp, SO",
                                   witness={"type": group_type})
+        if not _integral(n):
+            raise MalformedInput("matrix size must be an integer",
+                                 witness={"n": n})
+        n = int(n)
         if group_type == "GSp" and n % 2:
             raise MalformedInput("GSp needs even matrix size",
                                  witness={"n": n})
         if n < 2:
             raise MalformedInput("matrix size must be at least 2",
                                  witness={"n": n})
+        if not all(map(_rational, nu)):
+            raise MalformedInput("cocharacter entries must be rational, "
+                                 "not boolean",
+                                 witness={"nu": [str(v) for v in nu]})
         nu = [Fraction(v) for v in nu]
         if group_type == "SO" and len(nu) == n // 2:
             mid = [Fraction(0)] if n % 2 else []
@@ -241,7 +249,7 @@ def _lie_algebra_basis(group_type, n):
     if group_type == "GSp":
         basis.append([[Fraction(1 if i == j else 0) for j in range(n)]
                       for i in range(n)])  # similitude center
-    if len(_independent(basis)) != len(basis):
+    if rat_rank(list(zip(*map(_flatten, basis)))) != len(basis):
         raise InvariantViolated("Lie algebra basis is dependent",
                                 witness={"type": group_type, "n": n})
     return basis

@@ -581,7 +581,7 @@ def ref_bracket_laws(a):
                 if not s.is_zero:
                     report["antisymmetry"] = False
                     report["witnesses"].setdefault("antisymmetry", (i, j, k))
-    basis = [a.basis_vector(i) for i in range(n)]
+    basis = mat_identity(a.spec, n)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):

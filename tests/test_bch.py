@@ -12,12 +12,13 @@ from isolab import bch, dieudonne
 from isolab.dieudonne import (dla_validate, lower_central_series,
                               minimal_slope_center_check)
 from isolab.errors import (DegreeTooLarge, InsufficientPrecision,
-                           InvariantViolated, MalformedInput,
+                           InvariantViolated, MalformedInput, NonInvertible,
                            SplitUnavailable)
 from isolab.linalg import mat_from_rationals
 
-from reference import (EYE3, build, heisenberg, ref_lattice_closure,
-                       run_optimized, split_heisenberg, vec, zero_bracket)
+from reference import (EYE3, build, heis_bracket, heisenberg,
+                       ref_lattice_closure, run_optimized, split_heisenberg,
+                       vec, zero_bracket)
 
 F = Fraction
 SPEC = FieldSpec(5, 1, 16)
@@ -107,6 +108,25 @@ def test_class_below_one_is_malformed(c):
     with pytest.raises(MalformedInput) as exc:
         bch_series(c)
     assert exc.value.witness == {"requested": c}
+
+
+@pytest.mark.parametrize("fn", [bch_series, denominator_profile,
+                                double_sum_series])
+@pytest.mark.parametrize("c", [2.5, True, "2"],
+                         ids=["non-integral", "bool", "string"])
+def test_class_bound_follows_the_integer_rule(fn, c):
+    with pytest.raises(MalformedInput) as exc:
+        fn(c)
+    assert exc.value.witness == {"requested": c}
+
+
+def test_integral_float_class_answers_as_the_integer():
+    want = bch_series(3)
+    size = bch_series.cache_info().currsize
+    assert bch_series(3.0) is bch_series(Fraction(3)) is want
+    assert bch_series.cache_info().currsize == size  # keyed by the int
+    assert denominator_profile(4.0) == denominator_profile(4) == {2, 3}
+    assert double_sum_series(3.0).terms == double_sum_series(3).terms
 
 
 def test_matrix_oracle_through_degree_5():
@@ -368,6 +388,47 @@ def test_rho_defect_solves_twice(monkeypatch):
     d, rep = rho_defect(a, vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0), 0)
     assert not all(c.is_zero for c in d) and rep["member"] is True
     assert [len(targets) for _, targets in calls] == [3, 1]
+
+
+def test_closure_answers_read_only_the_lattice_rank(monkeypatch):
+    # both check the lattice's rank by a solve with no targets: neither
+    # solves for phi of the lattice nor inverts a matrix
+    solves, inverses = [], []
+    solve, inverse = dieudonne.coords_in_column_span, dieudonne.mat_inverse
+    monkeypatch.setattr(dieudonne, "coords_in_column_span",
+                        lambda *args: solves.append(args) or solve(*args))
+    monkeypatch.setattr(dieudonne, "mat_inverse",
+                        lambda *args: inverses.append(args) or inverse(*args))
+    for a, run in (
+            (heisenberg(5, EYE3),
+             lambda a: lattice_closure_check(a, samples=12, seed=0)),
+            (split_heisenberg(),
+             lambda a: rho_defect(a, vec(a.spec, 1, 0, 0),
+                                  vec(a.spec, 0, 1, 0), 0))):
+        solves.clear()
+        run(a)
+        assert [len(targets) for basis, targets in solves
+                if basis is a.lattice] == [0]
+        assert inverses == []
+
+
+def singular_frobenius():
+    """heis_bracket over Z_5/5^8 on the lattice EYE3 with F = diag(1, 0, 0):
+    the lattice keeps its rank, its phi-image has rank 1."""
+    return build([[F(1), 0, 0], [0, 0, 0], [0, 0, 0]], heis_bracket(), EYE3,
+                 FieldSpec(5, 1, 8))
+
+
+def test_singular_frobenius_closure_needs_only_the_lattice():
+    a = singular_frobenius()
+    assert lattice_closure_check(a) == (True, None)
+    with pytest.raises(InsufficientPrecision,
+                       match="lattice comparison indeterminate") as exc:
+        dla_validate(a)
+    assert exc.value.witness == {"rank": 1, "size": 3}
+    with pytest.raises(NonInvertible) as exc:
+        rho_defect(a, vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0), 0)
+    assert exc.value.witness == {"bound": 8}
 
 
 def test_rho_defect_rejects_singular_lattice():

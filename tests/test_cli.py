@@ -171,6 +171,22 @@ def test_rank_loss_error_line(command, payload, line, corpus_dir, capsys,
     assert run(capsys, command) == (2, line)
 
 
+@pytest.mark.parametrize("command, code, line", [
+    ("lattice-closure", 0, '{"closed":true,"witness":null}\n'),
+    ("dla-check", 2, LATTICE_INDETERMINATE.replace('"rank":2', '"rank":1')),
+], ids=["lattice-closure", "dla-check"])
+def test_singular_frobenius_line(command, code, line, corpus_dir, capsys,
+                                 monkeypatch):
+    # F = diag(1, 0, 0) on the identity lattice: phi of the lattice has
+    # rank 1, which a closure answer never reads
+    import io
+    payload = json.loads((corpus_dir / "heisenberg.json").read_text())
+    payload["N"] = 8
+    payload["frobenius"] = [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert run(capsys, command) == (code, line)
+
+
 @pytest.mark.parametrize("command, name, line", [
     ("lcs", "heisenberg.json", '{"dims":[3,1,0],"n_class":2}\n'),
     ("bch-mul", "bch_mul.json",

@@ -330,19 +330,6 @@ def _mixed_scalar(spec, rng):
     return PadicScalar(spec, rng.randint(-3, 3), tuple(unit), rel)
 
 
-@pytest.mark.parametrize("p,f", [(2, 1), (3, 2), (5, 3), (7, 4)])
-def test_mul_matches_reduce_first(p, f):
-    spec = FieldSpec(p, f, 7)
-    rng = random.Random(31 * p + f)
-    # units not reduced mod p^rel: the product equals the reference's,
-    # which reduces once after raw_mul, as reducing both units first did
-    for _ in range(300):
-        a, b = _mixed_scalar(spec, rng), _mixed_scalar(spec, rng)
-        got, want = a * b, ref_scalar_mul(a, b)
-        assert (got.to_json(), got.abs_prec) == (want.to_json(), want.abs_prec)
-        assert (got.v, got.unit, got.rel) == (want.v, want.unit, want.rel)
-
-
 def test_default_zero_is_shared_per_spec():
     spec, other = FieldSpec(5, 2, 6), FieldSpec(5, 2, 7)
     z = PadicScalar.zero(spec)
@@ -381,17 +368,26 @@ def _operand_pair(spec, rng, seen):
     return (a, b) if rng.random() < 0.5 else (b, a)
 
 
-@pytest.mark.parametrize("p,f", [(2, 1), (5, 1), (3, 2), (5, 3)])
+@pytest.mark.parametrize("p,f", [(2, 1), (5, 1), (3, 2), (5, 3), (7, 4)])
 def test_add_mul_match_reference(p, f):
+    # 5000 pairs at N = 6 that reach every case of __add__, then 300 plain
+    # pairs at N = 7 whose units are not reduced mod p^rel: the product
+    # equals the reference's, which reduces once after raw_mul
     spec = FieldSpec(p, f, 6)
     rng = random.Random(53 * p + f)
     seen = set()
-    for _ in range(5000):
-        a, b = _operand_pair(spec, rng, seen)
+    pairs = [_operand_pair(spec, rng, seen) for _ in range(5000)]
+    spec7 = FieldSpec(p, f, 7)
+    rng = random.Random(31 * p + f)
+    pairs += [(_mixed_scalar(spec7, rng), _mixed_scalar(spec7, rng))
+              for _ in range(300)]
+    for a, b in pairs:
         if not (a.is_zero or b.is_zero) and a.v != b.v:
             seen.add("valuations differ")  # __add__ skips from_raw
         for got, want in ((a + b, ref_scalar_add(a, b)),
                           (a * b, ref_scalar_mul(a, b))):
+            assert (got.to_json(), got.abs_prec) == (want.to_json(),
+                                                     want.abs_prec)
             assert (got.v, got.unit, got.rel) == (want.v, want.unit, want.rel)
     assert seen == {"negative", "rel < N", "zero below", "zero above",
                     "cancel", "both zero", "valuations differ"}

@@ -287,6 +287,14 @@ def test_ecd_badseries_rejected():
     assert wit is not None
 
 
+@pytest.mark.parametrize("E, C, d", [(True, 2, 0), (1, True, 0),
+                                     (1, 2, False)])
+def test_ecd_refuses_booleans(E, C, d):
+    # Fraction(True) is 1: a boolean used to be read as E = 1
+    with pytest.raises(MalformedInput, match="not boolean"):
+        membership_ECd(mono(2, F(1, 2)), E, C, d)
+
+
 def test_ecd_monotone_in_C():
     a = mono(2, F(1, 4))
     member_small, _ = membership_ECd(a, F(1), F(1, 2), F(0))
@@ -357,6 +365,14 @@ def test_slope_exponents_basic():
 def test_slope_exponents_nontrivial_numerators():
     a, r, s = slope_exponents(F(2, 3), F(1, 2))
     assert F(a, r) == F(2, 3) and F(a, s) == F(1, 2) and s > r
+
+
+def test_slope_exponents_refuse_booleans():
+    # slope_exponents(True, 1/3) used to answer (1, 1, 3)
+    for mu1, mu0 in ((True, F(1, 3)), (F(1, 2), False)):
+        with pytest.raises(MalformedInput, match="not boolean"):
+            slope_exponents(mu1, mu0)
+    assert slope_exponents(1, "1/3") == slope_exponents(F(1), F(1, 3))
 
 
 def test_slope_exponents_order_violation():

@@ -78,6 +78,29 @@ def test_gsp_needs_even_rank():
         gsp(5, 0, 0, 0, -1, -1)
 
 
+def test_datum_refuses_boolean_cocharacter_entries():
+    # Fraction(True) is 1: [True, False] used to build nu = (1, 0)
+    with pytest.raises(MalformedInput, match="not boolean") as exc:
+        RootDatumWithCochar("GL", 2, [True, False])
+    assert exc.value.witness == {"nu": ["True", "False"]}
+
+
+@pytest.mark.parametrize("n", [2.5, True, "3"],
+                         ids=["non-integral", "bool", "string"])
+def test_datum_size_follows_the_integer_rule(n):
+    with pytest.raises(MalformedInput, match="must be an integer") as exc:
+        RootDatumWithCochar("GL", n, [1, 0, 0])
+    assert exc.value.witness == {"n": n}
+
+
+def test_integral_float_size_answers_as_the_integer():
+    d, want = (RootDatumWithCochar("GSp", n, [1, 1, 0, 0]) for n in (4.0, 4))
+    assert type(d.n) is int
+    assert (d.n, d.positive_roots, d.pairings, d.two_rho, d.nu) == (
+        want.n, want.positive_roots, want.pairings, want.two_rho, want.nu)
+    assert leaf_dimension(d) == leaf_dimension(want)
+
+
 def test_unknown_type():
     with pytest.raises(UnsupportedType):
         RootDatumWithCochar("E8", 8, [F(0)] * 8)

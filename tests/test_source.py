@@ -42,14 +42,14 @@ def test_traced_names_exist():
                     getattr(speedups, attr, None))]
     if not isinstance(getattr(speedups, "BACKEND", None), str):
         missing.append("_speedups.BACKEND")
+    # the tracer reads the BCH table's hit ratio through the public name
+    if not callable(getattr(isolab.bch.bch_series, "cache_info", None)):
+        missing.append("bch.bch_series.cache_info")
     assert tracing.SPANS and missing == []
 
 
 #: top-level names that only code outside src/isolab reaches, and why
-REACHED_FROM_OUTSIDE = {
-    "linalg.rat_rank": "perfbench/tracing.py SPANS patches it, and "
-                       "test_traced_names_exist pins it",
-}
+REACHED_FROM_OUTSIDE = {}
 
 
 def test_every_function_is_reachable():
