@@ -205,11 +205,15 @@ def lie_project(assoc, cap):
     return terms
 
 
-def _class_bound(c):
-    """c as an int, by padic._integral's rule: a boolean or a non-integral
-    class bound is MalformedInput, never truncated."""
+def _class_bound(c, top=MAX_CLASS):
+    """c as an int of at least 1, by padic._integral's rule: a boolean, a
+    non-integral or a non-positive class bound is MalformedInput, never
+    truncated.  top only names the caller's upper bound in the message."""
     if not _integral(c):
         raise MalformedInput("class bound must be an integer",
+                             witness={"requested": c})
+    if c < 1:
+        raise MalformedInput("class bound is 1..%d" % top,
                              witness={"requested": c})
     return int(c)
 
@@ -217,19 +221,16 @@ def _class_bound(c):
 def bch_series(c):
     """log(exp X exp Y) truncated beyond degree c, on the Lyndon basis.
 
-    c is read by the integer rule before the cache, so the cache is keyed
-    by an int; an int, which group_mul passes once per product, skips the
-    rule.  A class below 1 is malformed; one above MAX_CLASS is
+    c is read by _class_bound before the cache, so the cache is keyed by
+    an int; a positive int, which group_mul passes once per product, skips
+    the rule.  A class below 1 is malformed; one above MAX_CLASS is
     DegreeTooLarge.
     """
-    return _bch_table(c if type(c) is int else _class_bound(c))
+    return _bch_table(c if type(c) is int and c > 0 else _class_bound(c))
 
 
 @lru_cache(maxsize=None)
 def _bch_table(c):
-    if c < 1:
-        raise MalformedInput("class bound is 1..%d" % MAX_CLASS,
-                             witness={"requested": c})
     if c > MAX_CLASS:
         raise DegreeTooLarge("class bound is 1..%d" % MAX_CLASS,
                              witness={"requested": c})
@@ -336,7 +337,7 @@ def double_sum_series(c):
     by 1/((sum p+q) * prod p! q!), right-nested bracketing.  Exponential
     cost; intended for c <= 4.
     """
-    c = _class_bound(c)
+    c = _class_bound(c, 5)
     if c > 5:
         raise DegreeTooLarge("double-sum route is for low degree only",
                              witness={"requested": c})
@@ -397,22 +398,30 @@ def group_mul(a, x, y, n_class=None):
 def lattice_closure_check(a, samples=100, seed=0):
     """Whether the group law maps lattice x lattice into the lattice.
 
-    For p > class and a bracket-closed lattice this must hold (series
-    coefficients are p-integral), so a failing sample raises
-    InvariantViolated; otherwise the first failing pair is the witness.
-    samples counts the random pairs checked after all basis pairs, so
-    samples = 0 checks the basis pairs only.
+    Above the class the answer is a theorem (Lazard; Khukhro,
+    p-Automorphisms of Finite p-Groups, ch. 9-10): a Z_p-lattice closed
+    under the bracket is closed under any BCH series whose coefficients
+    through degree c are p-integral, and p > c makes them so.  So when
+    p > class and lattice_bracket_closure finds every basis bracket in the
+    lattice, the answer is (True, None), a certificate: denominator_profile
+    checks the coefficient hypothesis, and no product is taken.
 
-    The pairs are checked in batches of one solve each.  For p > class,
-    where closure is expected, all pairs form one batch; only when it
-    fails is the bracket closure of the lattice solved for.  For
-    p <= class, where a witness is expected, the batches hold 1, 2, 4, ...
-    pairs, so the search stops within twice as many products as a solve
-    per pair would make, and random pairs are drawn only as their batch
-    comes up.  The answer is the one a solve per pair would give, with the
-    first failing pair in the same order: the solve gives each target the
-    digits of its own solve, a lattice that lost rank raises the same way
-    for every target, and group_mul cannot raise on these inputs.
+    Otherwise, for p <= class or a lattice not closed under the bracket,
+    a sampler searches for a failing pair: the m^2 basis pairs, then
+    samples random pairs with coefficients in -3..3 drawn from seed, so
+    samples = 0 checks the basis pairs only.  The first failing pair is
+    the witness; with none, the answer is (True, None), which below the
+    class means only that no counterexample was found.
+
+    The sampler checks its pairs in batches of one solve each.  Above the
+    class all pairs form one batch.  At or below it, where a witness is
+    expected, the batches hold 1, 2, 4, ... pairs, so the search stops
+    within twice as many products as a solve per pair would make, and
+    random pairs are drawn only as their batch comes up.  The answer is
+    the one a solve per pair would give, with the first failing pair in
+    the same order: the solve gives each target the digits of its own
+    solve, a lattice that lost rank raises the same way for every target,
+    and group_mul cannot raise on these inputs.
     """
     if (not isinstance(samples, int) or isinstance(samples, bool)
             or samples < 0):
@@ -423,6 +432,9 @@ def lattice_closure_check(a, samples=100, seed=0):
     lattice_coords(a, [])  # a lattice that lost rank raises here
     _, n_class = lower_central_series(a)
     spec = a.spec
+    if spec.p > n_class and all(lattice_bracket_closure(a)[1]):
+        denominator_profile(max(1, n_class))
+        return True, None
     m = len(a.lattice)
     rng = random.Random(seed)
     # every multiplier below lies in -3..3
@@ -454,10 +466,6 @@ def lattice_closure_check(a, samples=100, seed=0):
         prods = [group_mul(a, x, y, n_class=n_class) for _, _, x, y in batch]
         closed = integral_columns(coords_in_column_span(a.lattice, prods))
         if False in closed:
-            if spec.p > n_class and all(lattice_bracket_closure(a)[1]):
-                raise InvariantViolated(
-                    "closure must hold for p above the class",
-                    witness={"p": spec.p, "class": n_class})
             cx, cy, _, _ = batch[closed.index(False)]
             return False, {"x": cx, "y": cy}
         size *= 2
@@ -482,8 +490,9 @@ def rho_defect(a, xprime, x, n):
     except InsufficientPrecision as exc:
         raise SplitUnavailable("no certified slope complement",
                                witness=exc.witness)
-    # slopes strictly increase, so the first block is the minimal-slope one
-    b_cols = blocks[0][1]
+    # slopes strictly increase, so the first block is the minimal-slope
+    # one; a rank-0 algebra has no block and a zero defect
+    b_cols = blocks[0][1] if blocks else []
     P_cols = [c for _, basis, _ in blocks for c in basis]
     nb = len(b_cols)
 

@@ -342,10 +342,10 @@ def lattice_intersect_subspace(lattice_cols, subspace_basis):
     certifies the elimination; the kernel is then saturated to unit pivots
     over the valuation ring.
     """
-    n = len(lattice_cols[0])
     w = len(subspace_basis)
     if w == 0:
         return []
+    n = len(lattice_cols[0])
     # rows annihilating the span: q with <b_i, q> = 0 for every basis vector
     W_T = [list(b) for b in subspace_basis]
     ann = kernel_basis(W_T, expected_dim=n - w)

@@ -103,11 +103,14 @@ def test_degree_cap():
         bch_series(MAX_CLASS + 1)
 
 
-@pytest.mark.parametrize("c", [-1, 0])
+@pytest.mark.parametrize("c", [-1, 0, -2, 0.0, F(-1)])
 def test_class_below_one_is_malformed(c):
-    with pytest.raises(MalformedInput) as exc:
-        bch_series(c)
-    assert exc.value.witness == {"requested": c}
+    # both routes to the series share the lower bound
+    for fn, top in ((bch_series, MAX_CLASS), (double_sum_series, 5)):
+        with pytest.raises(MalformedInput, match=f"class bound is 1..{top}"
+                           ) as exc:
+            fn(c)
+        assert exc.value.witness == {"requested": c}
 
 
 @pytest.mark.parametrize("fn", [bch_series, denominator_profile,
@@ -266,18 +269,22 @@ def test_lattice_closure_zero_samples_checks_basis_pairs():
         False, {"x": [1, 0, 0], "y": [0, 1, 0]})
 
 
-def free_nilpotent_class3(p):
+#: lattice columns with entries 1/3 on which, at p = 3, the basis pairs of
+#: free_nilpotent_class3 close under the group law but a random pair does
+#: not
+THIRDS = [[F(v) for v in col] for col in (
+    [1, 0, -3, 0, 1], [0, 1, 1, 0, 0], [0, 0, 1, 0, -1],
+    [0, 0, 0, F(1, 3), F(-1, 3)], [0, 0, 0, 0, 1])]
+
+
+def free_nilpotent_class3(p, lattice=THIRDS):
     """Free nilpotent of rank 2 and class 3: e2 = [e0, e1], e3 = [e0, e2],
-    e4 = [e1, e2], Frobenius the identity, and a lattice with entries 1/3
-    on which, at p = 3, the basis pairs close but a random pair does not."""
+    e4 = [e1, e2], Frobenius the identity."""
     c = zero_bracket(5)
     for i, j, k in ((0, 1, 2), (0, 2, 3), (1, 2, 4)):
         c[i][j][k], c[j][i][k] = F(1), F(-1)
-    lat = [[1, 0, -3, 0, 1], [0, 1, 1, 0, 0], [0, 0, 1, 0, -1],
-           [0, 0, 0, F(1, 3), F(-1, 3)], [0, 0, 0, 0, 1]]
     eye = [[F(int(i == j)) for j in range(5)] for i in range(5)]
-    return build(eye, c, [[F(v) for v in col] for col in lat],
-                 FieldSpec(p, 1, 12))
+    return build(eye, c, lattice, FieldSpec(p, 1, 12))
 
 
 @pytest.mark.parametrize("samples", [0, 12, 100])
@@ -297,23 +304,91 @@ def test_lattice_closure_matches_per_sample_loop(samples):
 
 
 @pytest.mark.parametrize("a, samples, solves", [
-    (heisenberg(5, EYE3), 12, [21]),
-    (heisenberg(5, EYE3), 0, [9]),
-    (heisenberg(2, EYE3), 100, [1, 2]),
-    (free_nilpotent_class3(3), 100, [1, 2, 4, 8, 16]),
-    (heisenberg(2, HALF_E2), 12, [1, 2, 4, 8, 6]),
-    (heisenberg(5, FIVE_E2), 12, [21]),
+    (heisenberg(5, EYE3), 12, [0, 1]),
+    (heisenberg(5, EYE3), 0, [0, 1]),
+    (heisenberg(2, EYE3), 100, [0, 1, 2]),
+    (free_nilpotent_class3(3), 100, [0, 1, 2, 4, 8, 16]),
+    (heisenberg(2, HALF_E2), 12, [0, 1, 2, 4, 8, 6]),
+    (heisenberg(5, FIVE_E2), 12, [0, 1, 21]),
 ], ids=["closed", "no-samples", "basis-witness", "sample-witness",
         "closed-low-p", "bracket-open-high-p"])
 def test_lattice_closure_solve_batches(monkeypatch, a, samples, solves):
-    # above the class one solve for all pairs; at or below it batches of
-    # 1, 2, 4, ... pairs up to the one with a witness
+    # every solve against the lattice, in order: the rank check with no
+    # targets, then above the class the one bracket solve, and the
+    # sampler only for an open bracket, with one solve for all pairs; at
+    # or below the class batches of 1, 2, 4, ... pairs up to the one with
+    # a witness
     calls = []
-    solve = bch.coords_in_column_span
-    monkeypatch.setattr(bch, "coords_in_column_span",
-                        lambda *args: calls.append(args) or solve(*args))
+    for module in (bch, dieudonne):
+        solve = module.coords_in_column_span
+        monkeypatch.setattr(module, "coords_in_column_span",
+                            lambda *args, solve=solve: calls.append(args)
+                            or solve(*args))
     lattice_closure_check(a, samples=samples, seed=0)
-    assert [len(targets) for _, targets in calls] == solves
+    assert [len(targets) for basis, targets in calls
+            if basis is a.lattice] == solves
+
+
+def test_closed_lattice_above_class_takes_no_product(monkeypatch):
+    calls = []
+    mul = bch.group_mul
+    monkeypatch.setattr(bch, "group_mul",
+                        lambda *args, **kw: calls.append(args)
+                        or mul(*args, **kw))
+    for a in (heisenberg(5, EYE3), free_nilpotent_class3(5)):
+        assert lattice_closure_check(a, samples=100, seed=0) == (True, None)
+    assert calls == []
+    assert lattice_closure_check(heisenberg(5, FIVE_E2), samples=0)[0] is False
+    assert len(calls) == 9
+
+
+def lie_style(p, lattice, rank=4):
+    """A slope -1/2 block e0, e1 (phi e0 = e1, phi e1 = -e0/p) and rank - 2
+    slope -1 lines, with [e0, e1] = e2 + 2 e3 + ... + (rank - 2) e_(rank-1):
+    the shapes of the lie benchmark workload whose bracket is not zero."""
+    frob = [[F(0)] * rank for _ in range(rank)]
+    frob[1][0], frob[0][1] = F(1), F(-1, p)
+    for k in range(2, rank):
+        frob[k][k] = F(1, p)
+    c = zero_bracket(rank)
+    for k in range(2, rank):
+        c[0][1][k], c[1][0][k] = F(k - 1), F(1 - k)
+    return build(frob, c, lattice, FieldSpec(p, 1, 12))
+
+
+def seeded_lattices(rng, p, rank):
+    """The standard lattice, then the ones with the first or the last
+    column scaled by p or by 1/p, then a unipotent shear with entries
+    scaled by p^-1..p."""
+    eye = [[F(int(i == j)) for j in range(rank)] for i in range(rank)]
+    out = [eye]
+    for k in (F(p), F(1, p)):
+        out += [[[v * k for v in col] if j == s else col
+                 for j, col in enumerate(eye)] for s in (0, rank - 1)]
+    out.append([[F(rng.randrange(-2, 3)) * p ** rng.randrange(-1, 2)
+                 if i < j else F(int(i == j)) for i in range(rank)]
+                for j in range(rank)])
+    return out
+
+
+def test_closure_certificate_agrees_with_the_sampler():
+    # above the class the certificate answers as the sampler of 100 pairs,
+    # which raises InvariantViolated if a product leaves a lattice closed
+    # under the bracket; both kinds of lattice occur
+    rng = random.Random(25)
+    makes = [(p, 3, heisenberg) for p in (3, 5, 7)]
+    makes += [(p, 5, free_nilpotent_class3) for p in (5, 7)]
+    makes += [(p, 4, lie_style) for p in (3, 5, 7)]
+    seen = set()
+    for p, rank, make in makes:
+        for lattice in seeded_lattices(rng, p, rank):
+            a = make(p, lattice)
+            assert p > lower_central_series(a)[1]
+            want = ref_lattice_closure(a, 100, seed=0)
+            assert lattice_closure_check(a, samples=100, seed=0) == want
+            seen.add((all(dieudonne.lattice_bracket_closure(a)[1]),
+                      want[0]))
+    assert seen == {(True, True), (False, False)}
 
 
 def test_lattice_closure_bracket_open_lattice_above_class():
@@ -341,12 +416,13 @@ def test_typed_guards_fire(monkeypatch):
     with pytest.raises(InvariantViolated):
         denominator_profile(2)
     monkeypatch.undo()
-    # a group law that leaves the lattice although p exceeds the class
-    monkeypatch.setattr(bch, "group_mul",
-                        lambda a, x, y, n_class=None: [c.scale_p(-1)
-                                                       for c in x])
-    with pytest.raises(InvariantViolated):
-        lattice_closure_check(heisenberg(5, EYE3), samples=1, seed=0)
+    # a closure certificate whose series has 1/5 for 1/2 at class 2 < p = 5
+    table = bch.bch_series(2).terms
+    monkeypatch.setattr(bch, "bch_series", lambda c: FreeLieElement(
+        c, {**table, "XY": F(1, 5)}))
+    with pytest.raises(InvariantViolated, match="denominator prime") as exc:
+        lattice_closure_check(heisenberg(5, EYE3))
+    assert exc.value.witness == {"class": 2, "primes": [5]}
 
 
 def test_typed_guards_fire_under_optimize():
@@ -371,6 +447,14 @@ def test_rho_defect_abelian_zero():
     assert rep["member"] is True
 
 
+@pytest.mark.parametrize("lattice, member", [(None, None), ([], True)])
+def test_rho_defect_rank_zero(lattice, member):
+    a = DieudonneLie.from_rationals(FieldSpec(5, 1, 8), [], [],
+                                    lattice_cols=lattice)
+    assert rho_defect(a, [], [], 0) == (
+        [], {"n": 0, "member": member, "witness": None})
+
+
 def test_rho_defect_integral_pair():
     a = split_heisenberg()
     d, rep = rho_defect(a, vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0), 0)
@@ -391,7 +475,8 @@ def test_rho_defect_solves_twice(monkeypatch):
 
 
 def test_closure_answers_read_only_the_lattice_rank(monkeypatch):
-    # both check the lattice's rank by a solve with no targets: neither
+    # both check the lattice's rank by a solve with no targets, and the
+    # closure certificate solves for the one nonzero basis bracket: neither
     # solves for phi of the lattice nor inverts a matrix
     solves, inverses = [], []
     solve, inverse = dieudonne.coords_in_column_span, dieudonne.mat_inverse
@@ -399,16 +484,16 @@ def test_closure_answers_read_only_the_lattice_rank(monkeypatch):
                         lambda *args: solves.append(args) or solve(*args))
     monkeypatch.setattr(dieudonne, "mat_inverse",
                         lambda *args: inverses.append(args) or inverse(*args))
-    for a, run in (
+    for a, run, want in (
             (heisenberg(5, EYE3),
-             lambda a: lattice_closure_check(a, samples=12, seed=0)),
+             lambda a: lattice_closure_check(a, samples=12, seed=0), [0, 1]),
             (split_heisenberg(),
              lambda a: rho_defect(a, vec(a.spec, 1, 0, 0),
-                                  vec(a.spec, 0, 1, 0), 0))):
+                                  vec(a.spec, 0, 1, 0), 0), [0])):
         solves.clear()
         run(a)
         assert [len(targets) for basis, targets in solves
-                if basis is a.lattice] == [0]
+                if basis is a.lattice] == want
         assert inverses == []
 
 
