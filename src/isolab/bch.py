@@ -374,14 +374,15 @@ def double_sum_series(c):
 # group law on nilpotent algebras
 # --------------------------------------------------------------------------
 
-def group_mul(a, x, y, n_class=None):
-    """x * y via the truncated series; exact because the bracket is nilpotent."""
+def group_mul(a, x, y):
+    """x * y via the series truncated beyond the algebra's class, which
+    lower_central_series reads from the algebra; exact because the
+    bracket is nilpotent."""
     if len(x) != a.rank or len(y) != a.rank:
         raise MalformedInput("vector length differs from the algebra's rank",
                              witness={"rank": a.rank,
                                       "lengths": [len(x), len(y)]})
-    if n_class is None:
-        _, n_class = lower_central_series(a)
+    _, n_class = lower_central_series(a)
     fle = bch_series(max(1, n_class))
     memo = {"X": x, "Y": y}
     spec = a.spec
@@ -413,15 +414,14 @@ def lattice_closure_check(a, samples=100, seed=0):
     the witness; with none, the answer is (True, None), which below the
     class means only that no counterexample was found.
 
-    The sampler checks its pairs in batches of one solve each.  Above the
-    class all pairs form one batch.  At or below it, where a witness is
-    expected, the batches hold 1, 2, 4, ... pairs, so the search stops
-    within twice as many products as a solve per pair would make, and
-    random pairs are drawn only as their batch comes up.  The answer is
-    the one a solve per pair would give, with the first failing pair in
-    the same order: the solve gives each target the digits of its own
-    solve, a lattice that lost rank raises the same way for every target,
-    and group_mul cannot raise on these inputs.
+    The sampler checks its pairs in batches of one solve each, holding 1,
+    2, 4, ... pairs, so the search stops within twice as many products as
+    a solve per pair would make, and random pairs are drawn only as their
+    batch comes up.  The answer is the one a solve per pair would give,
+    with the first failing pair in the same order: the solve gives each
+    target the digits of its own solve, a lattice that lost rank raises
+    the same way for every target, and group_mul cannot raise on these
+    inputs.
     """
     if (not isinstance(samples, int) or isinstance(samples, bool)
             or samples < 0):
@@ -461,9 +461,9 @@ def lattice_closure_check(a, samples=100, seed=0):
             yield cx, cy, point(cx), point(cy)
 
     todo = pairs()
-    size = m * m + samples if spec.p > n_class else 1
+    size = 1
     while batch := list(islice(todo, size)):
-        prods = [group_mul(a, x, y, n_class=n_class) for _, _, x, y in batch]
+        prods = [group_mul(a, x, y) for _, _, x, y in batch]
         closed = integral_columns(coords_in_column_span(a.lattice, prods))
         if False in closed:
             cx, cy, _, _ = batch[closed.index(False)]
@@ -482,8 +482,12 @@ def rho_defect(a, xprime, x, n):
     rho projects onto the minimal-slope part along the direct sum of the
     remaining slope blocks (an F-equivariant complement).  For x' in the
     lattice and x with complement-part denominators bounded by p^n, the
-    defect lands in p^-n times the minimal-slope part of the lattice.
+    defect lands in p^-n times the minimal-slope part of the lattice.  n
+    is an integer by padic._integral's rule, else MalformedInput.
     """
+    if not _integral(n):
+        raise MalformedInput("n must be an integer", witness={"n": n})
+    n = int(n)
     spec = a.spec
     try:
         blocks = slope_split(a.iso)

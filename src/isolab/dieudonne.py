@@ -7,11 +7,13 @@ the bracket.  All validation is reported with witnesses instead of being
 assumed.
 """
 
+import copy
 from fractions import Fraction
 
-from .errors import (InsufficientPrecision, InvariantViolated, MalformedInput,
-                     NonInvertible, NotNilpotent, SlopeNotStrictlyNegative,
-                     SlopeOutOfRange, SplitUnavailable)
+from .errors import (InsufficientPrecision, InvariantViolated, IsolabError,
+                     MalformedInput, NonInvertible, NotNilpotent,
+                     SlopeNotStrictlyNegative, SlopeOutOfRange,
+                     SplitUnavailable)
 from .isocrystal import Isocrystal, newton_slopes, slope_part
 from .linalg import (coords_in_column_span, kernel_basis, mat_from_rationals,
                      mat_identity, mat_inverse, mat_mul, mat_sigma, mat_vec,
@@ -22,15 +24,22 @@ from .padic import PadicScalar
 class DieudonneLie:
     """iso: the (module, Frobenius) pair; bracket: c[i][j][k]; lattice: columns.
 
-    __init__ is the only code that sets an attribute, and no code writes
-    through bracket[...]: the table of nonzero constants bracket_vec walks
-    is built, and the bracket laws are checked, here once; both hold only
-    while the constants never change.  A new bracket is a new DieudonneLie.
-    An algebra that breaks a law is still built, for dla_validate to
-    report; every operation that needs the laws raises MalformedInput.
+    __init__ is the only code that sets an attribute, save one slot, and
+    no code writes through bracket[...]: the table of nonzero constants
+    bracket_vec walks is built, and the bracket laws are checked, here
+    once; both hold only while the constants never change.  A new bracket
+    is a new DieudonneLie.  An algebra that breaks a law is still built,
+    for dla_validate to report; every operation that needs the laws raises
+    MalformedInput.
+
+    The one slot filled after __init__ is _series, which
+    lower_central_series alone reads and fills on its first call: the
+    series and class, or the IsolabError computing them raised.  Both
+    depend only on the constants and F, which never change, so the first
+    answer is every later one.
     """
 
-    __slots__ = ("iso", "bracket", "lattice", "_cells", "_laws")
+    __slots__ = ("iso", "bracket", "lattice", "_cells", "_laws", "_series")
 
     def __init__(self, iso, bracket, lattice=None):
         n = iso.rank
@@ -60,6 +69,7 @@ class DieudonneLie:
             cells.append(tuple(out))
         self._cells = tuple(cells)
         self._laws = _bracket_laws(self)
+        self._series = None
 
     @property
     def spec(self):
@@ -313,7 +323,37 @@ def _require_in_span(basis, targets, what):
 # --------------------------------------------------------------------------
 
 def lower_central_series(a):
-    """Chain of spans [full, [a,a], [a,[a,a]], ..], empty last; plus class."""
+    """Chain of spans [full, [a,a], [a,[a,a]], ..], empty last; plus class.
+
+    Computed once per algebra and stored in its _series slot.  Each call
+    returns a copy of the chain, new lists down to the vectors, which
+    share only the immutable scalars, so a caller that edits it changes
+    no later answer.  An IsolabError from the first computation is stored
+    in its place, and every call raises a new one of the same class, with
+    the same message and a copy of the witness.
+    """
+    memo = a._series
+    if memo is None:
+        try:
+            memo = _lower_central_series(a)
+        except IsolabError as exc:
+            memo = _replay(exc)
+        a._series = memo
+    if isinstance(memo, IsolabError):
+        raise _replay(memo)
+    chain, n_class = memo
+    return [[list(v) for v in term] for term in chain], n_class
+
+
+def _replay(exc):
+    """A new exception of exc's class, message and witness, with no
+    traceback: a stored error raised again keeps no frames alive."""
+    return type(exc)(str(exc), witness=copy.deepcopy(exc.witness))
+
+
+def _lower_central_series(a):
+    """Compute the chain and class; only lower_central_series calls this,
+    and it stores the result."""
     require_valid_bracket(a)
     # the basis vectors are the echelon rows span_basis would return
     basis = mat_identity(a.spec, a.rank)

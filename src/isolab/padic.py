@@ -176,10 +176,19 @@ def canonical_modulus(p, f):
     Candidates t^f + sum a_i t^i are scanned in increasing order of the
     integer sum(a_i p^i); the first irreducible one wins.  Degree 1 gives
     plain t, so f = 1 collapses to Z/p^N.
+
+    The first p candidates are the binomials t^f + a_0.  None of them is
+    irreducible when a prime dividing f does not divide p - 1, or when
+    4 | f and p is not 1 mod 4 (Lidl and Niederreiter, Finite Fields,
+    Thm 3.75), and then the scan starts after them.
     """
     if f == 1:
         return (0,)
-    for enc in range(p ** f):
+    start = 0
+    if any((p - 1) % q for q in _prime_factors(f)) or (
+            f % 4 == 0 and p % 4 != 1):
+        start = p
+    for enc in range(start, p ** f):
         a, e = [], enc
         for _ in range(f):
             a.append(e % p)

@@ -28,7 +28,7 @@ from isolab.errors import (DivisionByZero, InsufficientPrecision,
                            InvariantViolated, MalformedInput, NonInvertible)
 from isolab.linalg import (coords_in_column_span, mat_identity, mat_mul,
                            rat_mat_mul, rat_rank, rat_solve)
-from isolab.padic import poly_xgcd
+from isolab.padic import _is_irreducible, poly_xgcd
 from isolab.perfseries import PerfectedSeries, ff_add, ps_mul
 
 F = Fraction
@@ -217,6 +217,19 @@ def claims_agree(scalar, fraction):
 
 
 # ---- padic ----
+
+def ref_canonical_modulus(p, f):
+    """Guard: canonical_modulus's skip of the binomials t^f + a_0 where no
+    binomial is irreducible.  The former scan over every candidate, the
+    binomials first, by the same Rabin test."""
+    if f == 1:
+        return (0,)
+    for enc in range(p ** f):
+        a = [enc // p ** i % p for i in range(f)]
+        if _is_irreducible(a + [1], p):
+            return tuple(a)
+    raise InvariantViolated("no irreducible modulus", witness=(p, f))
+
 
 def ref_scalar_add(a, b):
     """Exact: a + b through is_zero, abs_prec and PadicScalar.zero."""
@@ -643,7 +656,7 @@ def ref_lattice_closure(a, samples, seed):
         return x
 
     for cx, cy in pairs():
-        prod = group_mul(a, point(cx), point(cy), n_class=n_class)
+        prod = group_mul(a, point(cx), point(cy))
         if not integral_columns(coords_in_column_span(a.lattice, [prod]))[0]:
             if spec.p > n_class and dla_validate(a)[
                     "lattice_bracket_closure"]:

@@ -309,15 +309,14 @@ def test_lattice_closure_matches_per_sample_loop(samples):
     (heisenberg(2, EYE3), 100, [0, 1, 2]),
     (free_nilpotent_class3(3), 100, [0, 1, 2, 4, 8, 16]),
     (heisenberg(2, HALF_E2), 12, [0, 1, 2, 4, 8, 6]),
-    (heisenberg(5, FIVE_E2), 12, [0, 1, 21]),
+    (heisenberg(5, FIVE_E2), 12, [0, 1, 1, 2]),
 ], ids=["closed", "no-samples", "basis-witness", "sample-witness",
         "closed-low-p", "bracket-open-high-p"])
 def test_lattice_closure_solve_batches(monkeypatch, a, samples, solves):
     # every solve against the lattice, in order: the rank check with no
     # targets, then above the class the one bracket solve, and the
-    # sampler only for an open bracket, with one solve for all pairs; at
-    # or below the class batches of 1, 2, 4, ... pairs up to the one with
-    # a witness
+    # sampler only for an open bracket or at or below the class, in
+    # batches of 1, 2, 4, ... pairs up to the one with a witness
     calls = []
     for module in (bch, dieudonne):
         solve = module.coords_in_column_span
@@ -338,8 +337,10 @@ def test_closed_lattice_above_class_takes_no_product(monkeypatch):
     for a in (heisenberg(5, EYE3), free_nilpotent_class3(5)):
         assert lattice_closure_check(a, samples=100, seed=0) == (True, None)
     assert calls == []
+    # an open bracket: the sampler stops in its second batch, at the
+    # failing basis pair (e0, e1)
     assert lattice_closure_check(heisenberg(5, FIVE_E2), samples=0)[0] is False
-    assert len(calls) == 9
+    assert len(calls) == 3
 
 
 def lie_style(p, lattice, rank=4):
@@ -558,6 +559,49 @@ def test_rho_defect_zero_bound_coefficient():
     with pytest.raises(SplitUnavailable) as exc:
         rho_defect(a, vec(spec, 1, 0, 0), vec(spec, 0, 1, 0), 0)
     assert exc.value.witness == {"coefficient": 1, "bound": -1}
+
+
+@pytest.mark.parametrize("n", ["2", None, True, 1.5, F(1, 2)])
+def test_rho_defect_refuses_a_non_integral_n(n):
+    a = split_heisenberg()
+    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
+    with pytest.raises(MalformedInput, match="n must be an integer") as exc:
+        rho_defect(a, x, y, n)
+    assert exc.value.witness == {"n": n}
+
+
+def test_rho_defect_reads_n_as_an_int():
+    # a negative bound still answers, and an integral float reads as its
+    # int, as padic._integral's callers do
+    a = split_heisenberg()
+    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
+    d, rep = rho_defect(a, x, y, -1)
+    assert rep == {"n": -1, "member": False,
+                   "witness": {"valuations": ["0"]}}
+    assert not all(c.is_zero for c in d)
+    d2, rep2 = rho_defect(a, x, y, 2.0)
+    assert rep2["n"] == 2 and type(rep2["n"]) is int
+    assert [c.to_json() for c in d2] == [c.to_json() for c in d]
+
+
+def test_series_is_computed_once_per_algebra(monkeypatch):
+    # group_mul, lattice_closure_check and rho_defect read the class
+    # through lower_central_series, which computes it once per algebra
+    calls = []
+    compute = dieudonne._lower_central_series
+    monkeypatch.setattr(dieudonne, "_lower_central_series",
+                        lambda a: calls.append(a) or compute(a))
+    a = split_heisenberg()
+    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
+    assert lower_central_series(a)[1] == 2
+    group_mul(a, x, y)
+    assert lattice_closure_check(a, samples=4) == (True, None)
+    assert rho_defect(a, x, y, 0)[1]["member"] is True
+    assert lower_central_series(a)[1] == 2
+    assert calls == [a]
+    b = DieudonneLie(a.iso, a.bracket, a.lattice)  # a rebuilt algebra
+    assert lower_central_series(b)[1] == 2 and group_mul(b, x, y)
+    assert calls == [a, b]
 
 
 def test_built_algebra_is_not_checked_again(monkeypatch):

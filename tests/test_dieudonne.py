@@ -1,5 +1,6 @@
 import copy
 import random
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -114,15 +115,73 @@ def test_lcs_strictly_upper_4x4():
     assert cls == 3
 
 
-def test_lcs_not_nilpotent():
-    # sl_2: [h,e]=2e, [h,f]=-2f, [e,f]=h on basis (e, f, h)
+def sl2():
+    """sl_2: [h,e]=2e, [h,f]=-2f, [e,f]=h on basis (e, f, h)."""
     c = zero_bracket(3)
     c[0][1][2], c[1][0][2] = F(1), F(-1)
     c[2][0][0], c[0][2][0] = F(2), F(-2)
     c[2][1][1], c[1][2][1] = F(-2), F(2)
-    frob = [[F(1), 0, 0], [0, F(1), 0], [0, 0, F(1)]]
+    return build([[F(1), 0, 0], [0, F(1), 0], [0, 0, F(1)]], c)
+
+
+def test_lcs_not_nilpotent():
     with pytest.raises(NotNilpotent):
-        lower_central_series(build(frob, c))
+        lower_central_series(sl2())
+
+
+def test_lcs_failure_is_replayed_as_a_fresh_error():
+    # the stored error is raised as a new instance each time: same class,
+    # message and witness, its own witness copy, no traceback that grows
+    a = sl2()
+    raised = []
+    for _ in range(3):
+        with pytest.raises(NotNilpotent) as exc:
+            lower_central_series(a)
+        raised.append(exc.value)
+    first = raised[0]
+    assert str(first) == "lower central series stabilized"
+    assert first.witness == {"dimension": 3}
+    for e in raised[1:]:
+        assert type(e) is NotNilpotent and e is not first
+        assert str(e) == str(first) and e.witness == first.witness
+        assert e.witness is not first.witness
+    assert len({len(traceback.extract_tb(e.__traceback__))
+                for e in raised}) == 1
+    first.witness["dimension"] = 0  # the caller's copy only
+    with pytest.raises(NotNilpotent) as exc:
+        lower_central_series(a)
+    assert exc.value.witness == {"dimension": 3}
+
+
+def test_lcs_stores_only_library_errors(monkeypatch):
+    # an exception that is not an IsolabError propagates and is not
+    # stored: the next call computes the series
+    a = heisenberg()
+    compute = dieudonne._lower_central_series
+
+    def fail(b):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(dieudonne, "_lower_central_series", fail)
+    with pytest.raises(RuntimeError):
+        lower_central_series(a)
+    monkeypatch.setattr(dieudonne, "_lower_central_series", compute)
+    assert lower_central_series(a)[1] == 2
+
+
+def test_lcs_returns_a_copy():
+    # editing a returned chain, its terms or its vectors leaves the next
+    # answer equal to a fresh algebra's
+    a = heisenberg()
+    chain, _ = lower_central_series(a)
+    chain[1][0][2] = PadicScalar.zero(a.spec)
+    chain[0].pop()
+    chain.append([])
+    want = lower_central_series(heisenberg())
+    got = lower_central_series(a)
+    assert [[list(map(key, v)) for v in t] for t in got[0]] == [
+        [list(map(key, v)) for v in t] for t in want[0]]
+    assert got[1] == want[1] == 2
 
 
 def test_pdiv_dimension_values():

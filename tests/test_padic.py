@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,11 @@ import pytest
 from isolab import FieldSpec, PadicScalar
 from isolab.errors import (DivisionByZero, FieldSpecMismatch, MalformedInput,
                            PrecisionExhausted)
-from isolab.padic import canonical_modulus
+from isolab.padic import _is_prime, canonical_modulus
 
-from reference import (ref_invert, ref_raw_inv_unit, ref_red_rows,
-                       ref_scalar_add, ref_scalar_mul, ref_sigma_mats,
-                       run_optimized)
+from reference import (ref_canonical_modulus, ref_invert, ref_raw_inv_unit,
+                       ref_red_rows, ref_scalar_add, ref_scalar_mul,
+                       ref_sigma_mats, run_optimized)
 
 
 Z5 = FieldSpec(5, 1, 10)
@@ -217,6 +218,30 @@ CANONICAL_MODULI = {
 @pytest.mark.parametrize("p,f", sorted(CANONICAL_MODULI))
 def test_canonical_modulus_table(p, f):
     assert canonical_modulus(p, f) == CANONICAL_MODULI[p, f]
+
+
+def test_canonical_modulus_matches_the_full_scan():
+    # 119 pairs; both kinds of answer occur: a binomial t^f + a_0, and a
+    # modulus found after the binomials
+    binomial, pairs = set(), 0
+    for p in filter(_is_prime, range(60)):
+        for f in range(2, 9):
+            want = ref_canonical_modulus(p, f)
+            assert canonical_modulus(p, f) == want
+            binomial.add(want[1:] == (0,) * (f - 1))
+            pairs += 1
+    assert pairs == 119 and binomial == {True, False}
+
+
+@pytest.mark.parametrize("f, want", [(3, (1, 1, 0)), (4, (6, 1, 0, 0))])
+def test_canonical_modulus_skips_the_binomials_at_a_large_p(f, want):
+    # 10007 - 1 = 2 * 5003 and 10007 = 3 mod 4: no binomial of degree 3
+    # or 4 is irreducible, and the answer is the second candidate after
+    # them
+    canonical_modulus.cache_clear()
+    start = time.perf_counter()
+    assert canonical_modulus(10007, f) == want
+    assert time.perf_counter() - start < 0.5
 
 
 def test_raw_inv_unit_random_units():

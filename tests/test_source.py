@@ -202,12 +202,19 @@ def _writes(path, tree, skip, slots, items):
     return found
 
 
+#: the one algebra slot set after __init__: (slot, module, the one
+#: top-level function that reads and fills it)
+ALGEBRA_MEMO = ("_series", "dieudonne", "lower_central_series")
+
+
 def test_algebra_constants_are_fixed():
     # DieudonneLie.__init__ builds bracket_vec's table of the nonzero
     # constants once, so no code may set an algebra's attributes after
-    # __init__ or write through .bracket[...]
+    # __init__ or write through .bracket[...]; the one exception is the
+    # memo slot, which only its function reads and fills
+    memo, memo_mod, memo_fn = ALGEBRA_MEMO
     slots = set(DieudonneLie.__slots__)
-    in_init, found = set(), []
+    in_init, filled, found = set(), set(), []
     for path in sorted(WATCHED):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         init = [n for cls in tree.body if isinstance(cls, ast.ClassDef)
@@ -216,8 +223,23 @@ def test_algebra_constants_are_fixed():
                 for n in ast.walk(f)]
         in_init |= {n.attr for n in init if isinstance(n, ast.Attribute)
                     and isinstance(n.ctx, ast.Store)}
-        found += _writes(path, tree, {id(n) for n in init}, slots, "bracket")
+        owner = [f for f in tree.body if path.parent == SRC
+                 and path.stem == memo_mod and isinstance(f, ast.FunctionDef)
+                 and f.name == memo_fn]
+        inside = {id(n) for n in init} | {id(n) for f in owner
+                                          for n in ast.walk(f)}
+        found += _writes(path, tree, inside, slots, "bracket")
+        for f in owner:
+            found += _writes(path, f, set(), slots - {memo}, "bracket")
+            filled |= {n.lineno for n in ast.walk(f)
+                       if isinstance(n, ast.Attribute) and n.attr == memo
+                       and isinstance(n.ctx, ast.Store)}
+        # nothing else reads the memo either
+        found += [f"{path.name}:{n.lineno}:{memo}:read" for n in ast.walk(tree)
+                  if id(n) not in inside and isinstance(n, ast.Attribute)
+                  and n.attr == memo and isinstance(n.ctx, ast.Load)]
     assert in_init == slots
+    assert filled
     assert found == []
 
 
