@@ -16,10 +16,10 @@ from math import factorial
 
 from .errors import (DegreeTooLarge, InsufficientPrecision,
                      InvariantViolated, MalformedInput, SplitUnavailable)
-from .dieudonne import (integral_columns, lattice_bracket_closure,
-                        lattice_coords, lattice_intersect_subspace,
-                        lower_central_series, span_basis)
-from .isocrystal import slope_split
+from .dieudonne import (algebra_slope_split, integral_columns,
+                        lattice_bracket_closure, lattice_coords,
+                        lattice_intersect_subspace, lower_central_series,
+                        span_basis)
 from .linalg import coords_in_column_span, rat_mat_mul, rat_solve
 from .padic import PadicScalar, _integral, _prime_factors
 
@@ -412,7 +412,8 @@ def lattice_closure_check(a, samples=100, seed=0):
     samples random pairs with coefficients in -3..3 drawn from seed, so
     samples = 0 checks the basis pairs only.  The first failing pair is
     the witness; with none, the answer is (True, None), which below the
-    class means only that no counterexample was found.
+    class means only that no counterexample was found.  samples is a
+    non-negative integer by padic._integral's rule, else MalformedInput.
 
     The sampler checks its pairs in batches of one solve each, holding 1,
     2, 4, ... pairs, so the search stops within twice as many products as
@@ -423,10 +424,10 @@ def lattice_closure_check(a, samples=100, seed=0):
     the same way for every target, and group_mul cannot raise on these
     inputs.
     """
-    if (not isinstance(samples, int) or isinstance(samples, bool)
-            or samples < 0):
+    if not _integral(samples) or samples < 0:
         raise MalformedInput("samples must be a non-negative integer",
                              witness=samples)
+    samples = int(samples)
     if a.lattice is None:
         raise MalformedInput("no lattice on this algebra")
     lattice_coords(a, [])  # a lattice that lost rank raises here
@@ -490,7 +491,7 @@ def rho_defect(a, xprime, x, n):
     n = int(n)
     spec = a.spec
     try:
-        blocks = slope_split(a.iso)
+        blocks = algebra_slope_split(a)
     except InsufficientPrecision as exc:
         raise SplitUnavailable("no certified slope complement",
                                witness=exc.witness)

@@ -14,7 +14,7 @@ from .errors import (InsufficientPrecision, InvariantViolated, IsolabError,
                      MalformedInput, NonInvertible, NotNilpotent,
                      SlopeNotStrictlyNegative, SlopeOutOfRange,
                      SplitUnavailable)
-from .isocrystal import Isocrystal, newton_slopes, slope_part
+from .isocrystal import Isocrystal, newton_slopes, slope_part, slope_split
 from .linalg import (coords_in_column_span, kernel_basis, mat_from_rationals,
                      mat_identity, mat_inverse, mat_mul, mat_sigma, mat_vec,
                      row_echelon, saturate_columns)
@@ -32,14 +32,16 @@ class DieudonneLie:
     for dla_validate to report; every operation that needs the laws raises
     MalformedInput.
 
-    The one slot filled after __init__ is _series, which
-    lower_central_series alone reads and fills on its first call: the
-    series and class, or the IsolabError computing them raised.  Both
+    Two slots are filled after __init__, each read and filled by one
+    function on its first call: _series by lower_central_series (the
+    series and class) and _split by algebra_slope_split (the slope
+    blocks of iso), or the IsolabError computing them raised.  Both
     depend only on the constants and F, which never change, so the first
     answer is every later one.
     """
 
-    __slots__ = ("iso", "bracket", "lattice", "_cells", "_laws", "_series")
+    __slots__ = ("iso", "bracket", "lattice", "_cells", "_laws", "_series",
+                 "_split")
 
     def __init__(self, iso, bracket, lattice=None):
         n = iso.rank
@@ -70,6 +72,7 @@ class DieudonneLie:
         self._cells = tuple(cells)
         self._laws = _bracket_laws(self)
         self._series = None
+        self._split = None
 
     @property
     def spec(self):
@@ -398,6 +401,34 @@ def lattice_intersect_subspace(lattice_cols, subspace_basis):
     K = kernel_basis(QL, expected_dim=w)
     sat = saturate_columns(K)
     return [mat_vec(Lat, c) for c in sat]
+
+
+# --------------------------------------------------------------------------
+# slope split
+# --------------------------------------------------------------------------
+
+def algebra_slope_split(a):
+    """slope_split(a.iso): the blocks (slope, basis, block), slopes ascending.
+
+    Computed once per algebra and stored in its _split slot, as
+    lower_central_series stores the series.  Each call returns new lists
+    down to the basis vectors and each block's F rows, which share only
+    the immutable scalars.  An IsolabError from the first computation is
+    stored in its place, and every call raises a new one of the same
+    class, with the same message and a copy of the witness.
+    """
+    memo = a._split
+    if memo is None:
+        try:
+            memo = slope_split(a.iso)
+        except IsolabError as exc:
+            memo = _replay(exc)
+        a._split = memo
+    if isinstance(memo, IsolabError):
+        raise _replay(memo)
+    return [(lam, [list(v) for v in basis],
+             Isocrystal(sub.spec, [list(row) for row in sub.F]))
+            for lam, basis, sub in memo]
 
 
 # --------------------------------------------------------------------------

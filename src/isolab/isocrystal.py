@@ -260,7 +260,10 @@ def _slope_blocks(M, keep, fine=False):
         lam, _ = slopes[0]
         if not keep(lam):
             return []
-        return [(lam, mat_identity(spec, M.rank), M)]  # columns = rows
+        # columns = rows; the block has its own rows, so an edit to it
+        # leaves M unchanged
+        return [(lam, mat_identity(spec, M.rank),
+                 Isocrystal(spec, [list(row) for row in M.F]))]
     d = lcm(*(m.denominator for m, _ in vals))
     A = L
     for _ in range(d - 1):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from isolab import (DieudonneLie, FieldSpec, FreeLieElement,
+from isolab import (DieudonneLie, FieldSpec, FreeLieElement, PadicScalar,
                     bch_series, denominator_profile, double_sum_series,
                     group_mul, lattice_closure_check, lie_project,
                     lyndon_words, oracle_check, rho_defect)
@@ -16,7 +16,7 @@ from isolab.errors import (DegreeTooLarge, InsufficientPrecision,
                            SplitUnavailable)
 from isolab.linalg import mat_from_rationals
 
-from reference import (EYE3, build, heis_bracket, heisenberg,
+from reference import (EYE3, build, heis_bracket, heisenberg, key,
                        ref_lattice_closure, run_optimized, split_heisenberg,
                        vec, zero_bracket)
 
@@ -254,11 +254,34 @@ def test_lattice_closure_abelian_any_p():
     assert ok
 
 
-@pytest.mark.parametrize("samples", [-1, 1.5, "3", True],
-                         ids=["negative", "float", "string", "bool"])
+@pytest.mark.parametrize("samples", [-1, 1.5, "3", True, F(5, 2), -1.0],
+                         ids=["negative", "float", "string", "bool",
+                              "fraction", "negative-float"])
 def test_lattice_closure_rejects_bad_samples(samples):
     with pytest.raises(MalformedInput):
         lattice_closure_check(heisenberg(5, EYE3), samples=samples)
+
+
+@pytest.mark.parametrize("samples", [2.0, F(2)], ids=["float", "fraction"])
+def test_lattice_closure_reads_integral_samples(monkeypatch, samples):
+    # an integral float or Fraction is read as its int, by the integer rule
+    # rho_defect's n follows; at p = 2 the sampler runs, so the number of
+    # products shows the samples drawn: 9 basis pairs, then 2 random ones
+    half_e2 = [[F(1), 0, 0], [F(0), 1, 0], [F(0), 0, F(1, 2)]]
+    calls = []
+    mul = bch.group_mul
+    monkeypatch.setattr(bch, "group_mul",
+                        lambda *args: calls.append(args) or mul(*args))
+    want = lattice_closure_check(heisenberg(2, half_e2), samples=2, seed=3)
+    assert want == (True, None) and len(calls) == 11
+    calls.clear()
+    with pytest.raises(MalformedInput,
+                       match="samples must be a non-negative integer"):
+        lattice_closure_check(heisenberg(2, half_e2),
+                              samples=samples + F(1, 2))
+    assert lattice_closure_check(heisenberg(2, half_e2), samples=samples,
+                                 seed=3) == want
+    assert len(calls) == 11
 
 
 def test_lattice_closure_zero_samples_checks_basis_pairs():
@@ -624,3 +647,153 @@ def test_built_algebra_is_not_checked_again(monkeypatch):
     assert calls == []
     DieudonneLie(a.iso, a.bracket)  # the counters see a new algebra
     assert calls == ["init", "laws"]
+
+
+# ---- the slope split, once per algebra ----
+
+def split_key(blocks):
+    return [(lam, [list(map(key, v)) for v in basis],
+             [list(map(key, row)) for row in sub.F])
+            for lam, basis, sub in blocks]
+
+
+def rho_key(res):
+    d, report = res
+    return [c.to_json() for c in d], report
+
+
+def test_split_is_computed_once_per_algebra(monkeypatch):
+    calls = []
+    split = dieudonne.slope_split
+    monkeypatch.setattr(dieudonne, "slope_split",
+                        lambda M: calls.append(M) or split(M))
+    a = split_heisenberg()
+    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
+    first = rho_key(rho_defect(a, x, y, 0))
+    for n in range(3):
+        rho_defect(a, y, vec(a.spec, F(1, 5 ** n), 2, 3), n)
+    assert rho_key(rho_defect(a, x, y, 0)) == first
+    assert calls == [a.iso]
+    b = DieudonneLie(a.iso, a.bracket, a.lattice)  # a rebuilt algebra
+    assert rho_key(rho_defect(b, x, y, 0)) == first
+    assert calls == [a.iso, b.iso]
+
+
+def test_split_returns_a_copy():
+    # editing the bases or F of one answer leaves every later answer equal
+    # to a fresh algebra's, and the algebra's own F unchanged
+    a, fresh = split_heisenberg(), split_heisenberg()
+    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
+    frob = a.iso.to_json()
+    blocks = dieudonne.algebra_slope_split(a)
+    want = split_key(dieudonne.algebra_slope_split(fresh))
+    assert split_key(blocks) == want
+    one = PadicScalar.from_int(a.spec, 1)
+    for _, basis, sub in blocks:
+        basis[0][0] = one
+        basis.append(list(basis[0]))
+        sub.F[0][0] = one
+        sub.F.pop()
+    blocks.reverse()
+    assert split_key(dieudonne.algebra_slope_split(a)) == want
+    assert rho_key(rho_defect(a, x, y, 0)) == rho_key(
+        rho_defect(fresh, x, y, 0))
+    assert a.iso.to_json() == frob
+
+
+def zero_bound_algebra():
+    """A split that raises InsufficientPrecision: the charpoly's T
+    coefficient is O(2^-1) at N = 3."""
+    spec = FieldSpec(2, 1, 3)
+    frob = [[F(1, 4), F(1, 9), F(1, 3)], [F(4), 0, F(1, 4)],
+            [F(2), F(5), F(1, 5)]]
+    return build(frob, zero_bracket(3), spec=spec)
+
+
+def test_split_failure_is_replayed_as_a_fresh_error(monkeypatch):
+    # the stored InsufficientPrecision comes back as SplitUnavailable on
+    # every call, with an equal witness of its own, and is computed once
+    calls = []
+    split = dieudonne.slope_split
+    monkeypatch.setattr(dieudonne, "slope_split",
+                        lambda M: calls.append(M) or split(M))
+    a = zero_bound_algebra()
+    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
+    raised = []
+    for _ in range(3):
+        with pytest.raises(SplitUnavailable,
+                           match="no certified slope complement") as exc:
+            rho_defect(a, x, y, 0)
+        raised.append(exc.value)
+    first = raised[0]
+    assert first.witness == {"coefficient": 1, "bound": -1}
+    for e in raised[1:]:
+        assert e is not first and e.witness == first.witness
+        assert e.witness is not first.witness
+    first.witness["bound"] = 0  # the caller's copy only
+    with pytest.raises(SplitUnavailable) as exc:
+        rho_defect(a, x, y, 0)
+    assert exc.value.witness == {"coefficient": 1, "bound": -1}
+    with pytest.raises(InsufficientPrecision) as exc:
+        dieudonne.algebra_slope_split(a)
+    assert exc.value.witness == {"coefficient": 1, "bound": -1}
+    assert calls == [a.iso]
+
+
+def test_split_stores_only_library_errors(monkeypatch):
+    # an exception that is not an IsolabError propagates and is not
+    # stored: the next call computes the split
+    a = split_heisenberg()
+    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
+    split = dieudonne.slope_split
+
+    def fail(M):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(dieudonne, "slope_split", fail)
+    with pytest.raises(RuntimeError):
+        rho_defect(a, x, y, 0)
+    monkeypatch.setattr(dieudonne, "slope_split", split)
+    assert rho_key(rho_defect(a, x, y, 0)) == rho_key(
+        rho_defect(split_heisenberg(), x, y, 0))
+
+
+def thirds(p):
+    """Slope -1/3 block e0, e1, e2 (phi e0 = e1, phi e1 = e2, phi e2 =
+    e0/p) and slope -2/3 block e3, e4, e5 (phi e5 = e3/p^2), with [e0, e1]
+    = e3, [e1, e2] = e4, [e0, e2] = -p e5: the rank-6 shape of the lie
+    benchmark workload."""
+    frob = [[F(0)] * 6 for _ in range(6)]
+    for i in (1, 2, 4, 5):
+        frob[i][i - 1] = F(1)
+    frob[0][2], frob[3][5] = F(1, p), F(1, p * p)
+    c = zero_bracket(6)
+    for i, j, k, v in ((0, 1, 3, 1), (1, 2, 4, 1), (0, 2, 5, -p)):
+        c[i][j][k], c[j][i][k] = F(v), F(-v)
+    eye = [[F(int(i == j)) for j in range(6)] for i in range(6)]
+    return build(frob, c, eye, FieldSpec(p, 1, 12))
+
+
+def test_stored_split_answers_as_a_fresh_algebra():
+    # about 20 seeded (x', x, n) per algebra on the lie workload's shapes:
+    # one algebra shared by every call answers as a fresh one per call.
+    # x has denominators p^k and n is k or k - 1, so both reports occur.
+    rng = random.Random(27)
+    makers = [lambda p, r=r: lie_style(
+        p, [[F(int(i == j)) for j in range(r)] for i in range(r)], r)
+        for r in (3, 4, 5, 6)] + [thirds]
+    members = set()
+    for make in makers:
+        for p in (3, 5, 7):
+            shared = make(p)
+            for _ in range(20):
+                k = rng.randrange(3)
+                n = k - rng.randrange(2)
+                xp = vec(shared.spec, *(rng.randrange(-9, 10)
+                                        for _ in range(shared.rank)))
+                x = vec(shared.spec, *(F(rng.randrange(-9, 10), p ** k)
+                                       for _ in range(shared.rank)))
+                got = rho_key(rho_defect(shared, xp, x, n))
+                assert got == rho_key(rho_defect(make(p), xp, x, n))
+                members.add(got[1]["member"])
+    assert members == {True, False}

@@ -74,6 +74,21 @@ def test_split_isoclinic_single_block():
     assert lam == Fraction(-1, 2) and sub.rank == 2
 
 
+def test_single_slope_block_is_not_the_module():
+    # the one block has its own rows: editing its F leaves M and the next
+    # split unchanged
+    M = iso([[0, "1/5"], [1, 0]])
+    before = M.to_json()
+    sub = slope_split(M)[0][2]
+    assert sub is not M and sub.F is not M.F
+    assert all(r is not s for r, s in zip(sub.F, M.F))
+    assert sub.to_json() == before
+    sub.F[0][0] = PadicScalar.from_int(M.spec, 1)
+    sub.F.pop()
+    assert M.to_json() == before
+    assert slope_split(M)[0][2].to_json() == before
+
+
 def test_fine_split_needs_residue_extension():
     # slope -1/2 with multiplicity 4 over f=1: would need f' = 2
     M = iso([[0, 0, 0, "1/25"], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])

@@ -202,17 +202,19 @@ def _writes(path, tree, skip, slots, items):
     return found
 
 
-#: the one algebra slot set after __init__: (slot, module, the one
-#: top-level function that reads and fills it)
-ALGEBRA_MEMO = ("_series", "dieudonne", "lower_central_series")
+#: the algebra slots set after __init__, each with the one top-level
+#: function that reads and fills it: slot -> (module, function)
+ALGEBRA_MEMO = {
+    "_series": ("dieudonne", "lower_central_series"),
+    "_split": ("dieudonne", "algebra_slope_split"),
+}
 
 
 def test_algebra_constants_are_fixed():
     # DieudonneLie.__init__ builds bracket_vec's table of the nonzero
     # constants once, so no code may set an algebra's attributes after
-    # __init__ or write through .bracket[...]; the one exception is the
-    # memo slot, which only its function reads and fills
-    memo, memo_mod, memo_fn = ALGEBRA_MEMO
+    # __init__ or write through .bracket[...]; the exceptions are the memo
+    # slots, each of which only its own function reads and fills
     slots = set(DieudonneLie.__slots__)
     in_init, filled, found = set(), set(), []
     for path in sorted(WATCHED):
@@ -223,23 +225,28 @@ def test_algebra_constants_are_fixed():
                 for n in ast.walk(f)]
         in_init |= {n.attr for n in init if isinstance(n, ast.Attribute)
                     and isinstance(n.ctx, ast.Store)}
-        owner = [f for f in tree.body if path.parent == SRC
-                 and path.stem == memo_mod and isinstance(f, ast.FunctionDef)
-                 and f.name == memo_fn]
-        inside = {id(n) for n in init} | {id(n) for f in owner
-                                          for n in ast.walk(f)}
-        found += _writes(path, tree, inside, slots, "bracket")
-        for f in owner:
-            found += _writes(path, f, set(), slots - {memo}, "bracket")
-            filled |= {n.lineno for n in ast.walk(f)
-                       if isinstance(n, ast.Attribute) and n.attr == memo
-                       and isinstance(n.ctx, ast.Store)}
-        # nothing else reads the memo either
-        found += [f"{path.name}:{n.lineno}:{memo}:read" for n in ast.walk(tree)
-                  if id(n) not in inside and isinstance(n, ast.Attribute)
-                  and n.attr == memo and isinstance(n.ctx, ast.Load)]
+        owners = {memo: [f for f in tree.body if path.parent == SRC
+                         and path.stem == mod
+                         and isinstance(f, ast.FunctionDef) and f.name == fn]
+                  for memo, (mod, fn) in ALGEBRA_MEMO.items()}
+        inside = {memo: {id(n) for n in init} | {
+                      id(n) for f in fs for n in ast.walk(f)}
+                  for memo, fs in owners.items()}
+        found += _writes(path, tree, set().union(*inside.values()), slots,
+                         "bracket")
+        for memo, fs in owners.items():
+            for f in fs:
+                found += _writes(path, f, set(), slots - {memo}, "bracket")
+                filled |= {memo for n in ast.walk(f)
+                           if isinstance(n, ast.Attribute) and n.attr == memo
+                           and isinstance(n.ctx, ast.Store)}
+            # nothing else reads the slot either
+            found += [f"{path.name}:{n.lineno}:{memo}:read"
+                      for n in ast.walk(tree) if id(n) not in inside[memo]
+                      and isinstance(n, ast.Attribute) and n.attr == memo
+                      and isinstance(n.ctx, ast.Load)]
     assert in_init == slots
-    assert filled
+    assert filled == set(ALGEBRA_MEMO)
     assert found == []
 
 
