@@ -25,8 +25,7 @@ from .dieudonne import (DieudonneLie, aut_lie_algebra, dla_validate,
                         minimal_slope_center_check, pdiv_dimension,
                         smallest_f_stable_subalgebra)
 from .bch import (FreeLieElement, bch_series, denominator_profile,
-                  double_sum_series, group_mul, lattice_closure_check,
-                  lie_project, lyndon_words, oracle_check, rho_defect)
+                  group_mul, lattice_closure_check, lie_project, rho_defect)
 from .roots import (RootDatumWithCochar, adjoint_isocrystal,
                     adjoint_slope_cross_check, coxeter_gate, leaf_dimension,
                     slope_multiset_from_roots, unipotent_nilpotency)
@@ -45,9 +44,8 @@ __all__ = [
     "lattice_intersect_subspace", "pdiv_dimension",
     "minimal_slope_center_check", "aut_lie_algebra",
     "smallest_f_stable_subalgebra",
-    "FreeLieElement", "lyndon_words", "lie_project", "bch_series",
-    "denominator_profile", "double_sum_series", "oracle_check", "group_mul",
-    "lattice_closure_check", "rho_defect",
+    "FreeLieElement", "lie_project", "bch_series", "denominator_profile",
+    "group_mul", "lattice_closure_check", "rho_defect",
     "RootDatumWithCochar", "leaf_dimension", "slope_multiset_from_roots",
     "unipotent_nilpotency", "coxeter_gate", "adjoint_isocrystal",
     "adjoint_slope_cross_check",

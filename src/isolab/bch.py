@@ -3,16 +3,16 @@
 The series is computed in the free associative algebra with exact
 rationals, then projected onto the Lyndon basis of the free Lie algebra
 by triangular elimination; the projection fails loudly if the input were
-not a Lie element, so Lie-ness is certified rather than assumed.  Two
-independent oracles (matrix logarithms of unipotent products, and the
-classical double-sum formula for low degree) guard the coefficient table.
+not a Lie element, so Lie-ness is certified rather than assumed.  The
+tests check the coefficient table against two independent references:
+matrix logarithms of unipotent products, and the classical double-sum
+formula for low degree.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import factorial
 
 from .errors import (DegreeTooLarge, InsufficientPrecision,
                      InvariantViolated, MalformedInput, SplitUnavailable)
@@ -20,7 +20,7 @@ from .dieudonne import (algebra_slope_split, integral_columns,
                         lattice_bracket_closure, lattice_coords,
                         lattice_intersect_subspace, lower_central_series,
                         span_basis)
-from .linalg import coords_in_column_span, rat_mat_mul, rat_solve
+from .linalg import coords_in_column_span
 from .padic import PadicScalar, _integral, _prime_factors
 
 MAX_CLASS = 8
@@ -95,24 +95,6 @@ def _am_log(a, cap):
 # Lyndon words and their standard bracketings
 # --------------------------------------------------------------------------
 
-def lyndon_words(max_len):
-    """Lyndon words over {X, Y} by Duval's generation, sorted by length."""
-    out = []
-    w = [0]
-    while w:
-        out.append("".join("XY"[i] for i in w))
-        last = w
-        w = last[:]
-        while len(w) < max_len:
-            w.append(w[len(w) % len(last)])
-        while w and w[-1] == 1:
-            w.pop()
-        if w:
-            w[-1] += 1
-    out.sort(key=lambda s: (len(s), s))
-    return [s for s in out if len(s) <= max_len]
-
-
 def is_lyndon(w):
     return all(w < w[i:] for i in range(1, len(w)))
 
@@ -149,12 +131,11 @@ def _bracketing(w, memo, bracket):
 
 
 class FreeLieElement:
-    """Rational combination of standard Lyndon brackets, graded degree <= degree."""
+    """Rational combination of standard Lyndon brackets: word -> coefficient."""
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, degree, terms):
-        self.degree = degree
+    def __init__(self, terms):
         self.terms = {w: Fraction(c) for w, c in terms.items() if c}
 
     def to_json(self):
@@ -162,19 +143,6 @@ class FreeLieElement:
                  if c.denominator != 1 else str(c.numerator)}
                 for w, c in sorted(self.terms.items(),
                                    key=lambda t: (len(t[0]), t[0]))]
-
-    @staticmethod
-    def from_json(obj):
-        try:
-            terms = {e["word"]: Fraction(e["coeff"]) for e in obj}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput("bad series element", witness=obj) from exc
-        deg = max((len(w) for w in terms), default=1)
-        for w in terms:
-            if not (w and set(w) <= {"X", "Y"} and is_lyndon(w)):
-                raise MalformedInput("words must be Lyndon over {X,Y}",
-                                     witness=w)
-        return FreeLieElement(deg, terms)
 
 
 def lie_project(assoc, cap):
@@ -205,15 +173,15 @@ def lie_project(assoc, cap):
     return terms
 
 
-def _class_bound(c, top=MAX_CLASS):
+def _class_bound(c):
     """c as an int of at least 1, by padic._integral's rule: a boolean, a
     non-integral or a non-positive class bound is MalformedInput, never
-    truncated.  top only names the caller's upper bound in the message."""
+    truncated."""
     if not _integral(c):
         raise MalformedInput("class bound must be an integer",
                              witness={"requested": c})
     if c < 1:
-        raise MalformedInput("class bound is 1..%d" % top,
+        raise MalformedInput("class bound is 1..%d" % MAX_CLASS,
                              witness={"requested": c})
     return int(c)
 
@@ -238,7 +206,7 @@ def _bch_table(c):
     Y = {"Y": Fraction(1)}
     prod = _am_mul(_am_exp(X, c), _am_exp(Y, c), c)
     series = _am_log(prod, c)
-    return FreeLieElement(c, lie_project(series, c))
+    return FreeLieElement(lie_project(series, c))
 
 
 # perfbench's tracer reads the cache's hit ratio through the public name
@@ -254,120 +222,6 @@ def denominator_profile(c):
         raise InvariantViolated("denominator prime exceeds the class",
                                 witness={"class": c, "primes": sorted(primes)})
     return primes
-
-
-# --------------------------------------------------------------------------
-# oracles
-# --------------------------------------------------------------------------
-
-def _mat_exp_nilpotent(A, cap):
-    n = len(A)
-    out = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    term = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for k in range(1, cap + 1):
-        term = [[x / k for x in row] for row in rat_mat_mul(term, A)]
-        out = [[a + b for a, b in zip(r, s)] for r, s in zip(out, term)]
-    return out
-
-
-def _mat_log_unipotent(U, cap):
-    n = len(U)
-    Z = [[U[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    out = [[Fraction(0)] * n for _ in range(n)]
-    Zk = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for k in range(1, cap + 1):
-        Zk = rat_mat_mul(Zk, Z)
-        c = Fraction((-1) ** (k + 1), k)
-        out = [[a + c * z for a, z in zip(r, s)] for r, s in zip(out, Zk)]
-    return out
-
-
-def _rat_commutator(M, N):
-    return [[a - b for a, b in zip(r, s)]
-            for r, s in zip(rat_mat_mul(M, N), rat_mat_mul(N, M))]
-
-
-def oracle_check(c):
-    """Degreewise agreement with log(exp tA exp tB) on nilpotent matrices.
-
-    The two-parameter trick: evaluating at c distinct t isolates each
-    graded piece by a Vandermonde solve, which is then compared exactly
-    with the evaluated series, on three seeded pairs; returns the first
-    mismatch or None.
-    """
-    rng = random.Random(20240901)
-    fle = bch_series(c)
-    n = c + 1
-    for trial in range(3):
-        A = [[Fraction(0)] * n for _ in range(n)]
-        B = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                A[i][j] = Fraction(rng.randrange(-9, 10))
-                B[i][j] = Fraction(rng.randrange(-9, 10))
-        ts = [Fraction(k) for k in range(1, c + 1)]
-        logs = []
-        for t in ts:
-            tA, tB = ([[t * a for a in row] for row in X] for X in (A, B))
-            Ut = rat_mat_mul(_mat_exp_nilpotent(tA, c),
-                             _mat_exp_nilpotent(tB, c))
-            logs.append(_mat_log_unipotent(Ut, c))
-        # solve sum_d t^d C_d = log(t) for all n^2 entries at once
-        V = [[t ** d for d in range(1, c + 1)] for t in ts]
-        sol = rat_solve(V, [[x for row in L for x in row] for L in logs])
-        pieces = [[sol[d][i * n:(i + 1) * n] for i in range(n)]
-                  for d in range(c)]
-        memo = {"X": A, "Y": B}
-        for d in range(1, c + 1):
-            S = [[Fraction(0)] * n for _ in range(n)]
-            for w, coeff in fle.terms.items():
-                if len(w) == d:
-                    W = _bracketing(w, memo, _rat_commutator)
-                    S = [[s + coeff * x for s, x in zip(rs, rw)]
-                         for rs, rw in zip(S, W)]
-            if S != pieces[d - 1]:
-                return {"trial": trial, "degree": d}
-    return None
-
-
-def double_sum_series(c):
-    """The classical double-sum expansion, as an independent low-degree check.
-
-    Sum over k of (-1)^(k-1)/k times words X^p1 Y^q1 .. X^pk Y^qk weighted
-    by 1/((sum p+q) * prod p! q!), right-nested bracketing.  Exponential
-    cost; intended for c <= 4.
-    """
-    c = _class_bound(c, 5)
-    if c > 5:
-        raise DegreeTooLarge("double-sum route is for low degree only",
-                             witness={"requested": c})
-
-    def nested(word):
-        if len(word) == 1:
-            return {word: Fraction(1)}
-        return _am_bracket({word[0]: Fraction(1)}, nested(word[1:]), c)
-
-    total = {}
-    # compositions: k blocks (p_i, q_i), p_i + q_i >= 1, total length <= c
-    def blocks(remaining, k_so_far, word, weight):
-        nonlocal total
-        if word:
-            m = len(word)
-            sign = Fraction((-1) ** (k_so_far - 1), k_so_far)
-            contrib = _am_scale(sign * weight / m, nested(word))
-            total = _am_add(total, contrib)
-        if remaining == 0:
-            return
-        for p in range(remaining + 1):
-            for q in range(remaining - p + 1):
-                if p + q == 0:
-                    continue
-                blocks(remaining - p - q, k_so_far + 1,
-                       word + "X" * p + "Y" * q,
-                       weight / (factorial(p) * factorial(q)))
-
-    blocks(c, 0, "", Fraction(1))
-    return FreeLieElement(c, lie_project(total, c))
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .isocrystal import Isocrystal, newton_slopes, slope_part, slope_split
 from .linalg import (coords_in_column_span, kernel_basis, mat_from_rationals,
                      mat_identity, mat_inverse, mat_mul, mat_sigma, mat_vec,
                      row_echelon, saturate_columns)
-from .padic import PadicScalar
+from .padic import PadicScalar, _integral, _rational
 
 
 class DieudonneLie:
@@ -438,16 +438,26 @@ def algebra_slope_split(a):
 def pdiv_dimension(slopes, check_range=True):
     """Sum of (-slope) * multiplicity over a slope multiset.
 
+    Each slope is rational by padic._rational's rule and each multiplicity
+    a non-negative integer by padic._integral's, else MalformedInput.
     check_range=False skips the [-1, 0] window (used by the root-datum
     cross-check, where the same additive formula applies to wider windows).
     """
     total = Fraction(0)
-    for lam, mult in slopes:
-        lam = Fraction(lam)
+    for raw, mult in slopes:
+        try:
+            lam = Fraction(raw) if _rational(raw) else None
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            lam = None
+        if lam is None or not _integral(mult) or mult < 0:
+            raise MalformedInput("a slope pair is a rational slope and a "
+                                 "non-negative integer multiplicity",
+                                 witness={"slope": str(raw),
+                                          "multiplicity": str(mult)})
         if check_range and not (-1 <= lam <= 0):
             raise SlopeOutOfRange("slope outside [-1, 0]",
                                   witness={"slope": str(lam)})
-        total += -lam * mult
+        total += -lam * int(mult)
     if total.denominator == 1:
         return int(total)
     return total
@@ -556,6 +566,10 @@ def aut_lie_algebra(a, mode="derivation"):
 
 def smallest_f_stable_subalgebra(a, generators):
     """Closure of the generators under Phi, Phi^-1 and the bracket."""
+    lengths = [len(g) for g in generators]
+    if any(n != a.rank for n in lengths):
+        raise MalformedInput("vector length differs from the algebra's rank",
+                             witness={"rank": a.rank, "lengths": lengths})
     require_valid_bracket(a)
     cur = span_basis(generators)
     while True:

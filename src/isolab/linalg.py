@@ -446,15 +446,8 @@ def saturate_columns(cols):
 
 
 # --------------------------------------------------------------------------
-# exact rational linear algebra (for root data and series oracles)
+# exact rational linear algebra (for root data)
 # --------------------------------------------------------------------------
-
-def rat_mat_mul(A, B):
-    m, k = len(A), len(B)
-    n = len(B[0])
-    return [[sum((A[i][s] * B[s][j] for s in range(k)), Fraction(0))
-             for j in range(n)] for i in range(m)]
-
 
 def rat_rref(M):
     """Reduced row echelon form over Q; returns (rows, pivot cols)."""

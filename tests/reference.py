@@ -1,12 +1,13 @@
 """The references the tests compare the library against, one per
 operation, and the builders that more than one test module uses.
 
-A reference's docstring opens with ``Exact:`` when test_reference.py checks
-its digits against rational arithmetic (``claims_agree``), or ``Guard:``
-when it is former code kept to pin a refactor: it names that refactor, and
-ROADMAP item 2 where it keeps today's zero rule (a zero O(p^b) operand is
-skipped with its bound).  A guard shows that nothing changed, not that the
-digits are right.
+A reference's docstring opens with ``Exact:`` when its arithmetic is exact
+and test_reference.py checks it: a p-adic reference's digits against
+rational arithmetic (``claims_agree``), a BCH reference against
+``bch_series``.  It opens with ``Guard:`` when it is former code kept to
+pin a refactor: it names that refactor, and ROADMAP item 2 where it keeps
+today's zero rule (a zero O(p^b) operand is skipped with its bound).  A
+guard shows that nothing changed, not that the digits are right.
 """
 
 import math
@@ -21,13 +22,14 @@ import isolab
 from isolab import (DieudonneLie, FieldSpec, Isocrystal, PadicScalar,
                     RootDatumWithCochar)
 from isolab import roots
-from isolab.bch import group_mul
+from isolab.bch import (FreeLieElement, _am_add, _am_bracket, _am_scale,
+                        _bracketing, bch_series, group_mul, lie_project)
 from isolab.dieudonne import (dla_validate, integral_columns,
                               lower_central_series)
 from isolab.errors import (DivisionByZero, InsufficientPrecision,
                            InvariantViolated, MalformedInput, NonInvertible)
 from isolab.linalg import (coords_in_column_span, mat_identity, mat_mul,
-                           rat_mat_mul, rat_rank, rat_solve)
+                           rat_rank, rat_solve)
 from isolab.padic import _is_irreducible, poly_xgcd
 from isolab.perfseries import PerfectedSeries, ff_add, ps_mul
 
@@ -185,6 +187,38 @@ def rat_charpoly(M):
                 for i in range(n)]
         c[n - k] = -sum(prod[i][i] for i in range(n)) // k
     return [F(ci, d ** (n - i)) for i, ci in enumerate(c)]
+
+
+def rat_mat_mul(A, B):
+    m, k = len(A), len(B)
+    n = len(B[0])
+    return [[sum((A[i][s] * B[s][j] for s in range(k)), Fraction(0))
+             for j in range(n)] for i in range(m)]
+
+
+def rat_mat_exp(A, cap):
+    """exp(A) over Q for a nilpotent A with A^(cap+1) = 0: the sum of
+    A^k / k! for k <= cap."""
+    n = len(A)
+    out = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    term = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for k in range(1, cap + 1):
+        term = [[x / k for x in row] for row in rat_mat_mul(term, A)]
+        out = [[a + b for a, b in zip(r, s)] for r, s in zip(out, term)]
+    return out
+
+
+def rat_mat_log(U, cap):
+    """log(U) over Q for a unipotent U with (U - 1)^(cap+1) = 0."""
+    n = len(U)
+    Z = [[U[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    out = [[Fraction(0)] * n for _ in range(n)]
+    Zk = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for k in range(1, cap + 1):
+        Zk = rat_mat_mul(Zk, Z)
+        c = Fraction((-1) ** (k + 1), k)
+        out = [[a + c * z for a, z in zip(r, s)] for r, s in zip(out, Zk)]
+    return out
 
 
 def rat_val(x, p):
@@ -664,6 +698,84 @@ def ref_lattice_closure(a, samples, seed):
                                         "the class")
             return False, {"x": cx, "y": cy}
     return True, None
+
+
+def ref_bch_matrix_oracle(c):
+    """Exact: bch_series(c) against log(exp tA exp tB) on nilpotent rational
+    matrices, degree by degree; returns the first mismatch or None.
+
+    The two-parameter trick: evaluating at c distinct t isolates each
+    graded piece by a Vandermonde solve, which is then compared exactly
+    with the evaluated series, on three seeded pairs.
+    """
+    rng = random.Random(20240901)
+    fle = bch_series(c)
+    n = c + 1
+    for trial in range(3):
+        A = [[Fraction(0)] * n for _ in range(n)]
+        B = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                A[i][j] = Fraction(rng.randrange(-9, 10))
+                B[i][j] = Fraction(rng.randrange(-9, 10))
+        ts = [Fraction(k) for k in range(1, c + 1)]
+        logs = []
+        for t in ts:
+            tA, tB = ([[t * a for a in row] for row in X] for X in (A, B))
+            Ut = rat_mat_mul(rat_mat_exp(tA, c), rat_mat_exp(tB, c))
+            logs.append(rat_mat_log(Ut, c))
+        # solve sum_d t^d C_d = log(t) for all n^2 entries at once
+        V = [[t ** d for d in range(1, c + 1)] for t in ts]
+        sol = rat_solve(V, [[x for row in L for x in row] for L in logs])
+        pieces = [[sol[d][i * n:(i + 1) * n] for i in range(n)]
+                  for d in range(c)]
+        memo = {"X": A, "Y": B}
+        for d in range(1, c + 1):
+            S = [[Fraction(0)] * n for _ in range(n)]
+            for w, coeff in fle.terms.items():
+                if len(w) == d:
+                    W = _bracketing(w, memo, _commutator)
+                    S = [[s + coeff * x for s, x in zip(rs, rw)]
+                         for rs, rw in zip(S, W)]
+            if S != pieces[d - 1]:
+                return {"trial": trial, "degree": d}
+    return None
+
+
+def ref_bch_double_sum(c):
+    """Exact: log(exp X exp Y) truncated beyond degree c by the classical
+    double-sum expansion, on the Lyndon basis.
+
+    Sum over k of (-1)^(k-1)/k times words X^p1 Y^q1 .. X^pk Y^qk weighted
+    by 1/((sum p+q) * prod p! q!), right-nested bracketing.  Exponential
+    cost; intended for c <= 5.
+    """
+    def nested(word):
+        if len(word) == 1:
+            return {word: Fraction(1)}
+        return _am_bracket({word[0]: Fraction(1)}, nested(word[1:]), c)
+
+    total = {}
+    # compositions: k blocks (p_i, q_i), p_i + q_i >= 1, total length <= c
+    def blocks(remaining, k_so_far, word, weight):
+        nonlocal total
+        if word:
+            m = len(word)
+            sign = Fraction((-1) ** (k_so_far - 1), k_so_far)
+            contrib = _am_scale(sign * weight / m, nested(word))
+            total = _am_add(total, contrib)
+        if remaining == 0:
+            return
+        for p in range(remaining + 1):
+            for q in range(remaining - p + 1):
+                if p + q == 0:
+                    continue
+                blocks(remaining - p - q, k_so_far + 1,
+                       word + "X" * p + "Y" * q,
+                       weight / (math.factorial(p) * math.factorial(q)))
+
+    blocks(c, 0, "", Fraction(1))
+    return FreeLieElement(lie_project(total, c))
 
 
 # ---- roots ----

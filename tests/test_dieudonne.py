@@ -188,9 +188,24 @@ def test_pdiv_dimension_values():
     assert pdiv_dimension([(F(0), 1)]) == 0
     assert pdiv_dimension([(F(-1), 1)]) == 1
     assert pdiv_dimension([(F(-1, 2), 2)]) == 1
+    # an integral float or Fraction multiplicity counts as its int, and a
+    # slope may be anything Fraction() reads
+    assert pdiv_dimension([("-1/2", 2.0), (-1, F(3)), (F(-1), 0)]) == 4
     with pytest.raises(SlopeOutOfRange):
         pdiv_dimension([(F(-2), 1)])
     assert pdiv_dimension([(F(-2), 1)], check_range=False) == 2
+
+
+@pytest.mark.parametrize("lam, mult", [
+    (None, 1), ("x", 1), ("1/0", 1), (float("inf"), 1), (True, 1),
+    (F(-1), 1.5), (F(-1), True), (F(-1, 2), -2), (F(-1), "1"),
+], ids=["slope-none", "slope-text", "slope-zero-denominator", "slope-inf",
+        "slope-bool", "mult-non-integral", "mult-bool", "mult-negative",
+        "mult-text"])
+def test_pdiv_dimension_refuses_malformed_pairs(lam, mult):
+    with pytest.raises(MalformedInput, match="slope pair") as exc:
+        pdiv_dimension([(F(-1, 2), 2), (lam, mult)], check_range=False)
+    assert exc.value.witness == {"slope": str(lam), "multiplicity": str(mult)}
 
 
 def test_pdiv_dimension_additive():
@@ -268,6 +283,17 @@ def test_smallest_f_stable_stable_line():
     a = build([[F(1), 0], [0, F(1, 5)]], zero_bracket(2))
     e0 = vec(SPEC, 1, 0)
     assert len(smallest_f_stable_subalgebra(a, [e0])) == 1
+
+
+@pytest.mark.parametrize("gens", [[[1]], [[1, 2, 3]], [[0, 0, 0]],
+                                  [[1, 0], [0, 0, 0]]],
+                         ids=["short", "long", "long-zero", "one-of-two"])
+def test_smallest_f_stable_refuses_wrong_lengths(gens):
+    a = build([[F(1), 0], [0, F(1, 5)]], zero_bracket(2))
+    with pytest.raises(MalformedInput, match="algebra's rank") as exc:
+        smallest_f_stable_subalgebra(a, [vec(SPEC, *g) for g in gens])
+    assert exc.value.witness == {"rank": 2,
+                                 "lengths": [len(g) for g in gens]}
 
 
 def test_smallest_f_stable_no_generators_singular_frobenius():

@@ -1,12 +1,14 @@
-"""The Exact references against rational arithmetic."""
+"""The Exact references: the p-adic ones against rational arithmetic,
+the BCH ones against bch_series."""
 
 import random
 from fractions import Fraction
 
-from isolab import FieldSpec, PadicScalar
+from isolab import FieldSpec, PadicScalar, bch_series
 from isolab.errors import InsufficientPrecision
 
-from reference import (claims_agree, rat_charpoly, ref_charpoly, ref_mat_mul,
+from reference import (claims_agree, rat_charpoly, ref_bch_double_sum,
+                       ref_bch_matrix_oracle, ref_charpoly, ref_mat_mul,
                        ref_scalar_add, ref_scalar_mul)
 
 SPECS = [FieldSpec(p, f, N) for p in (2, 3, 5, 7) for f in (1, 2, 3)
@@ -68,3 +70,15 @@ def test_exact_references_claim_only_true_digits():
     assert raised < 400 and min(nonzero.values()) > 1000
     assert set(nonzero) == set(zero) == {"input", "charpoly", "mat_mul",
                                          "add", "sub", "mul"}
+
+
+def test_matrix_oracle_through_degree_5():
+    for c in range(1, 6):
+        assert ref_bch_matrix_oracle(c) is None
+
+
+def test_double_sum_oracle_through_degree_5():
+    for c in range(1, 6):
+        a = bch_series(c)
+        b = ref_bch_double_sum(c)
+        assert a.terms == b.terms

@@ -13,9 +13,9 @@ from isolab import roots
 from isolab.dieudonne import pdiv_dimension
 from isolab.errors import (InvariantViolated, IsolabError, MalformedInput,
                            NonInvertible, UnsupportedType)
-from isolab.linalg import rat_mat_mul
 
-from reference import gl, gsp, ref_adjoint_isocrystal, ref_nilpotency, so
+from reference import (gl, gsp, rat_mat_exp, rat_mat_mul,
+                       ref_adjoint_isocrystal, ref_nilpotency, so)
 
 F = Fraction
 
@@ -315,20 +315,6 @@ def adjoint_outcome(fn, d, b, spec):
         return str(exc), type(exc).__name__, exc.witness
 
 
-def _exp_nilpotent(X):
-    """exp(X) over Q for a nilpotent X, the finite sum of X^k / k!: an
-    input builder, compared with nothing."""
-    n = len(X)
-    out = term = [[F(int(i == j)) for j in range(n)] for i in range(n)]
-    k = 0
-    while True:
-        k += 1
-        term = [[x / k for x in row] for row in rat_mat_mul(term, X)]
-        if not any(map(any, term)):
-            return out
-        out = [[a + t for a, t in zip(r, s)] for r, s in zip(out, term)]
-
-
 def group_elements(rng, d, p):
     """diag(p^-nu), a root-group element times it, and random rational
     matrices: one draw, one with a dependent row and one short a row."""
@@ -340,7 +326,7 @@ def group_elements(rng, d, p):
     if rng.random() < 0.5:
         X = [list(col) for col in zip(*X)]  # the opposite root
     t = F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
-    unipotent = _exp_nilpotent([[t * x for x in row] for row in X])
+    unipotent = rat_mat_exp([[t * x for x in row] for row in X], n)
     rand = [[F(rng.randrange(-2, 3), rng.choice([1, 2, 3]))
              for _ in range(n)] for _ in range(n)]
     singular = [row[:] for row in rand]
