@@ -18,8 +18,8 @@ from .errors import (DegreeTooLarge, InsufficientPrecision,
                      InvariantViolated, MalformedInput, SplitUnavailable)
 from .dieudonne import (algebra_slope_split, integral_columns,
                         lattice_bracket_closure, lattice_coords,
-                        lattice_intersect_subspace, lower_central_series,
-                        span_basis)
+                        lower_central_series, minimal_slope_lattice,
+                        require_vectors)
 from .linalg import coords_in_column_span
 from .padic import PadicScalar, _integral, _prime_factors
 
@@ -231,11 +231,9 @@ def denominator_profile(c):
 def group_mul(a, x, y):
     """x * y via the series truncated beyond the algebra's class, which
     lower_central_series reads from the algebra; exact because the
-    bracket is nilpotent."""
-    if len(x) != a.rank or len(y) != a.rank:
-        raise MalformedInput("vector length differs from the algebra's rank",
-                             witness={"rank": a.rank,
-                                      "lengths": [len(x), len(y)]})
+    bracket is nilpotent.  x and y are coordinate vectors of a, checked by
+    dieudonne.require_vectors before any work."""
+    require_vectors(a, [x, y])
     _, n_class = lower_central_series(a)
     fle = bch_series(max(1, n_class))
     memo = {"X": x, "Y": y}
@@ -339,6 +337,12 @@ def rho_defect(a, xprime, x, n):
     lattice and x with complement-part denominators bounded by p^n, the
     defect lands in p^-n times the minimal-slope part of the lattice.  n
     is an integer by padic._integral's rule, else MalformedInput.
+
+    The slope split and the minimal-slope part of the lattice depend only
+    on the algebra: each is computed on the first call, by
+    algebra_slope_split and minimal_slope_lattice, and read on every
+    later one, so a later call makes the lattice's rank check, one
+    group_mul and two solves.
     """
     if not _integral(n):
         raise MalformedInput("n must be an integer", witness={"n": n})
@@ -374,7 +378,7 @@ def rho_defect(a, xprime, x, n):
     d = [pm - px - pxp for pm, px, pxp in zip(rp, rx, rxp)]
     report = {"n": n, "member": None, "witness": None}
     if a.lattice is not None:
-        bplus = lattice_intersect_subspace(a.lattice, span_basis(b_cols))
+        bplus = minimal_slope_lattice(a)
         if all(c.is_zero for c in d):
             report["member"] = True
         elif not bplus:

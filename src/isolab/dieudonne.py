@@ -10,11 +10,11 @@ assumed.
 import copy
 from fractions import Fraction
 
-from .errors import (InsufficientPrecision, InvariantViolated, IsolabError,
-                     MalformedInput, NonInvertible, NotNilpotent,
-                     SlopeNotStrictlyNegative, SlopeOutOfRange,
-                     SplitUnavailable)
-from .isocrystal import Isocrystal, newton_slopes, slope_part, slope_split
+from .errors import (FieldSpecMismatch, InsufficientPrecision,
+                     InvariantViolated, IsolabError, MalformedInput,
+                     NonInvertible, NotNilpotent, SlopeNotStrictlyNegative,
+                     SlopeOutOfRange, SplitUnavailable)
+from .isocrystal import Isocrystal, _slope_blocks, _slope_polygon, slope_split
 from .linalg import (coords_in_column_span, kernel_basis, mat_from_rationals,
                      mat_identity, mat_inverse, mat_mul, mat_sigma, mat_vec,
                      row_echelon, saturate_columns)
@@ -24,24 +24,25 @@ from .padic import PadicScalar, _integral, _rational
 class DieudonneLie:
     """iso: the (module, Frobenius) pair; bracket: c[i][j][k]; lattice: columns.
 
-    __init__ is the only code that sets an attribute, save one slot, and
-    no code writes through bracket[...]: the table of nonzero constants
-    bracket_vec walks is built, and the bracket laws are checked, here
-    once; both hold only while the constants never change.  A new bracket
-    is a new DieudonneLie.  An algebra that breaks a law is still built,
-    for dla_validate to report; every operation that needs the laws raises
-    MalformedInput.
+    __init__ is the only code that sets an attribute, save the memo slots
+    below, and no code writes through bracket[...]: the table of nonzero
+    constants bracket_vec walks is built, and the bracket laws are
+    checked, here once; both hold only while the constants never change.
+    A new bracket is a new DieudonneLie.  An algebra that breaks a law is
+    still built, for dla_validate to report; every operation that needs
+    the laws raises MalformedInput.
 
-    Two slots are filled after __init__, each read and filled by one
+    Three slots are filled after __init__, each read and filled by one
     function on its first call: _series by lower_central_series (the
-    series and class) and _split by algebra_slope_split (the slope
-    blocks of iso), or the IsolabError computing them raised.  Both
-    depend only on the constants and F, which never change, so the first
-    answer is every later one.
+    series and class), _split by algebra_slope_split (the slope blocks
+    of iso) and _min_lattice by minimal_slope_lattice (the lattice's
+    minimal-slope part), or the IsolabError computing them raised.  All
+    three depend only on the constants, F and the lattice, which never
+    change, so the first answer is every later one.
     """
 
     __slots__ = ("iso", "bracket", "lattice", "_cells", "_laws", "_series",
-                 "_split")
+                 "_split", "_min_lattice")
 
     def __init__(self, iso, bracket, lattice=None):
         n = iso.rank
@@ -73,6 +74,7 @@ class DieudonneLie:
         self._laws = _bracket_laws(self)
         self._series = None
         self._split = None
+        self._min_lattice = None
 
     @property
     def spec(self):
@@ -281,6 +283,36 @@ def require_valid_bracket(a):
                                  witness=a._laws["witnesses"][key])
 
 
+def require_vectors(a, vectors):
+    """Raise unless every vector of the list is a coordinate vector of a:
+    a.rank entries, each a PadicScalar over a.spec.
+
+    A vector with no length or another length is MalformedInput, an entry
+    that is not a PadicScalar too; an entry over another ring is
+    FieldSpecMismatch, with the entry's ring on the left.  The lengths
+    are checked first, then each entry once.
+    """
+    try:
+        lengths = [len(v) for v in vectors]
+    except TypeError as exc:
+        raise MalformedInput("a coordinate vector is a list of PadicScalar",
+                             witness={"rank": a.rank}) from exc
+    if any(n != a.rank for n in lengths):
+        raise MalformedInput("vector length differs from the algebra's rank",
+                             witness={"rank": a.rank, "lengths": lengths})
+    spec = a.spec
+    for v in vectors:
+        for c in v:
+            if not isinstance(c, PadicScalar):
+                raise MalformedInput(
+                    "a coordinate vector is a list of PadicScalar",
+                    witness={"rank": a.rank, "entry": type(c).__name__})
+            if c.spec is not spec:
+                raise FieldSpecMismatch("operands over different rings",
+                                        witness={"left": c.spec.to_json(),
+                                                 "right": spec.to_json()})
+
+
 # --------------------------------------------------------------------------
 # subspace helpers (row-span form)
 # --------------------------------------------------------------------------
@@ -431,27 +463,73 @@ def algebra_slope_split(a):
             for lam, basis, sub in memo]
 
 
+def minimal_slope_lattice(a):
+    """Basis of the lattice ∩ the minimal-slope part: the
+    lattice_intersect_subspace of a.lattice with the span of the first
+    block of algebra_slope_split(a), or [] for an algebra with no block.
+    An algebra with no lattice is MalformedInput.
+
+    Computed once per algebra and stored in its _min_lattice slot, as
+    lower_central_series stores the series.  Each call returns new lists
+    down to the basis vectors, which share only the immutable scalars.
+    An IsolabError from the first computation is stored in its place,
+    and every call raises a new one of the same class, with the same
+    message and a copy of the witness.
+    """
+    if a.lattice is None:
+        raise MalformedInput("no lattice on this algebra")
+    memo = a._min_lattice
+    if memo is None:
+        try:
+            blocks = algebra_slope_split(a)
+            # slopes strictly increase, so the first block is the
+            # minimal-slope one
+            b_cols = blocks[0][1] if blocks else []
+            memo = lattice_intersect_subspace(a.lattice, span_basis(b_cols))
+        except IsolabError as exc:
+            memo = _replay(exc)
+        a._min_lattice = memo
+    if isinstance(memo, IsolabError):
+        raise _replay(memo)
+    return [list(v) for v in memo]
+
+
 # --------------------------------------------------------------------------
 # dimensions and centrality
 # --------------------------------------------------------------------------
 
+_SLOPE_PAIR = ("a slope pair is a rational slope and a non-negative integer "
+               "multiplicity")
+
+
 def pdiv_dimension(slopes, check_range=True):
     """Sum of (-slope) * multiplicity over a slope multiset.
 
-    Each slope is rational by padic._rational's rule and each multiplicity
-    a non-negative integer by padic._integral's, else MalformedInput.
+    slopes is an iterable of pairs.  Each slope is rational by
+    padic._rational's rule and each multiplicity a non-negative integer by
+    padic._integral's; anything else, a non-iterable slopes or an entry
+    that is not a pair included, is MalformedInput.
     check_range=False skips the [-1, 0] window (used by the root-datum
     cross-check, where the same additive formula applies to wider windows).
     """
+    try:
+        entries = list(slopes)
+    except TypeError as exc:
+        raise MalformedInput(_SLOPE_PAIR, witness={"slopes": str(slopes)}) \
+            from exc
     total = Fraction(0)
-    for raw, mult in slopes:
+    for entry in entries:
+        try:
+            raw, mult = entry
+        except (TypeError, ValueError) as exc:
+            raise MalformedInput(_SLOPE_PAIR, witness={"entry": str(entry)}) \
+                from exc
         try:
             lam = Fraction(raw) if _rational(raw) else None
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             lam = None
         if lam is None or not _integral(mult) or mult < 0:
-            raise MalformedInput("a slope pair is a rational slope and a "
-                                 "non-negative integer multiplicity",
+            raise MalformedInput(_SLOPE_PAIR,
                                  witness={"slope": str(raw),
                                           "multiplicity": str(mult)})
         if check_range and not (-1 <= lam <= 0):
@@ -468,19 +546,30 @@ def minimal_slope_center_check(a):
 
     Precondition: all slopes strictly negative.  For every input passing
     dla_validate this must return true; false indicates an internal bug.
+    A rank-0 algebra has no slope and an empty minimal-slope part, so it
+    answers (True, None).
+
+    The polygon is computed once: the slopes are read from it, and the
+    minimal-slope block is cut from it by the kept-block pipeline
+    slope_part uses, so no other block is computed and a block that
+    cannot be certified raises only when its slope is the minimal one.
     """
-    slopes = newton_slopes(a.iso)
-    for lam, _ in slopes:
+    polygon = _slope_polygon(a.iso)
+    slopes = [m / a.spec.f for m, _ in polygon[2]]
+    for lam in slopes:
         if lam >= 0:
             raise SlopeNotStrictlyNegative("nonnegative slope present",
                                            witness={"slope": str(lam)})
     require_valid_bracket(a)
-    mu1 = min(lam for lam, _ in slopes)
+    if not slopes:
+        return True, None
+    mu1 = min(slopes)
     try:
-        _, cols = slope_part(a.iso, ("eq", mu1))
+        blocks = _slope_blocks(a.iso, polygon, lambda lam: lam == mu1)
     except InsufficientPrecision as exc:
         raise SplitUnavailable("minimal-slope part not computable",
                                witness=exc.witness)
+    cols = [b for _, basis, _ in blocks for b in basis]
     basis = mat_identity(a.spec, a.rank)
     for b in cols:
         for i, e in enumerate(basis):
@@ -545,8 +634,9 @@ def aut_lie_algebra(a, mode="derivation"):
                     comps.extend(e.qp_components())
                 columns.append(comps)
                 unknowns.append((r, c, m))
-    rows = [[columns[u][e] for u in range(len(unknowns))]
-            for e in range(len(columns[0]))]
+    # the transpose; a rank-0 algebra has no unknowns, no rows and the
+    # zero map alone
+    rows = [list(row) for row in zip(*columns)]
     sol = kernel_basis(rows)
     out = []
     for gamma in sol:
@@ -566,10 +656,7 @@ def aut_lie_algebra(a, mode="derivation"):
 
 def smallest_f_stable_subalgebra(a, generators):
     """Closure of the generators under Phi, Phi^-1 and the bracket."""
-    lengths = [len(g) for g in generators]
-    if any(n != a.rank for n in lengths):
-        raise MalformedInput("vector length differs from the algebra's rank",
-                             witness={"rank": a.rank, "lengths": lengths})
+    require_vectors(a, generators)
     require_valid_bracket(a)
     cur = span_basis(generators)
     while True:

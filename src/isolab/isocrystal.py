@@ -101,9 +101,17 @@ def _polygon(A, spec):
     return coeffs, newton_root_valuations(coeffs)
 
 
+def _slope_polygon(M):
+    """(L, coeffs, vals): the twisted f-fold product L of M's Frobenius,
+    then its charpoly and root valuations by _polygon.  Each (m, w) of
+    vals is a slope m / f of multiplicity w."""
+    L = twisted_power(M.F, M.spec)
+    return (L,) + _polygon(L, M.spec)
+
+
 def newton_slopes(M):
     """Sorted list of (slope, multiplicity); slopes are exact Fractions."""
-    _, vals = _polygon(twisted_power(M.F, M.spec), M.spec)
+    _, _, vals = _slope_polygon(M)
     return [(m / M.spec.f, w) for m, w in vals]
 
 
@@ -226,11 +234,12 @@ def _poly_at_matrix(coeffs, A, spec):
     return out
 
 
-def _slope_blocks(M, keep, fine=False):
-    """The blocks (slope, basis, block) of M whose slope keep accepts.
+def _slope_blocks(M, polygon, keep, fine=False):
+    """The blocks (slope, basis, block) of M whose slope keep accepts;
+    polygon is _slope_polygon(M).
 
-    The polygon, the power trick with its polygon check and the Q_p check
-    run on the whole module.  The factorization peels slopes in ascending
+    The power trick with its polygon check and the Q_p check run on the
+    whole module.  The factorization peels slopes in ascending
     order up to the last kept one, so the slopes above it are never
     peeled.  Horner, the kernel and the Frobenius solve run only for kept
     blocks, and the span check and the blocks-versus-slopes check cover
@@ -239,8 +248,7 @@ def _slope_blocks(M, keep, fine=False):
     fine=True checks every slope as slope_split documents.
     """
     spec = M.spec
-    L = twisted_power(M.F, spec)
-    coeffs, vals = _polygon(L, spec)
+    L, coeffs, vals = polygon
     slopes = [(m / spec.f, w) for m, w in vals]
     if not slopes:  # rank 0: nothing to split
         return []
@@ -322,7 +330,7 @@ def slope_split(M, fine=False):
     ResidueFieldTooSmall with the degree it needs when r does not divide
     f, InsufficientPrecision when r divides f.
     """
-    return _slope_blocks(M, lambda lam: True, fine)
+    return _slope_blocks(M, _slope_polygon(M), lambda lam: True, fine)
 
 
 def internal_hom(Y, Z):
@@ -364,7 +372,7 @@ def slope_part(M, which):
         keep = lambda lam: lam == target
     else:
         raise MalformedInput("unknown slope predicate", witness=which)
-    chosen = _slope_blocks(M, keep)
+    chosen = _slope_blocks(M, _slope_polygon(M), keep)
     cols = [b for _, basis, _ in chosen for b in basis]
     total = sum(sub.rank for _, _, sub in chosen)
     spec = M.spec

@@ -5,14 +5,15 @@ import pytest
 
 from isolab import (DieudonneLie, FieldSpec, FreeLieElement, PadicScalar,
                     bch_series, denominator_profile, group_mul,
-                    lattice_closure_check, lie_project, rho_defect)
+                    lattice_closure_check, lie_project, rho_defect,
+                    slope_split, smallest_f_stable_subalgebra)
 from isolab.bch import is_lyndon, standard_factorization, MAX_CLASS
-from isolab import bch, dieudonne
+from isolab import bch, dieudonne, isocrystal
 from isolab.dieudonne import (dla_validate, lower_central_series,
                               minimal_slope_center_check)
-from isolab.errors import (DegreeTooLarge, InsufficientPrecision,
-                           InvariantViolated, MalformedInput, NonInvertible,
-                           SplitUnavailable)
+from isolab.errors import (DegreeTooLarge, FieldSpecMismatch,
+                           InsufficientPrecision, InvariantViolated,
+                           MalformedInput, NonInvertible, SplitUnavailable)
 from isolab.linalg import mat_from_rationals
 
 from reference import (EYE3, build, heis_bracket, heisenberg, key,
@@ -500,7 +501,7 @@ def test_rho_defect_rejects_singular_lattice():
 def test_rho_defect_outside_minimal_slope_part(monkeypatch):
     # a minimal-slope lattice that misses the defect's direction e2
     a = split_heisenberg()
-    monkeypatch.setattr(bch, "lattice_intersect_subspace",
+    monkeypatch.setattr(dieudonne, "lattice_intersect_subspace",
                         lambda *args: [vec(a.spec, 1, 0, 0)])
     d, rep = rho_defect(a, vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0), 0)
     assert rep["member"] is False
@@ -741,3 +742,177 @@ def test_stored_split_answers_as_a_fresh_algebra():
                 assert got == rho_key(rho_defect(make(p), xp, x, n))
                 members.add(got[1]["member"])
     assert members == {True, False}
+
+
+# ---- the minimal-slope lattice, once per algebra ----
+
+def lattice_key(cols):
+    return [list(map(key, v)) for v in cols]
+
+
+def test_minimal_slope_lattice_is_computed_once_per_algebra(monkeypatch):
+    calls = []
+    intersect = dieudonne.lattice_intersect_subspace
+    monkeypatch.setattr(dieudonne, "lattice_intersect_subspace",
+                        lambda *args: calls.append(args) or intersect(*args))
+    a = split_heisenberg()
+    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
+    first = rho_key(rho_defect(a, x, y, 0))
+    for n in range(3):
+        rho_defect(a, y, vec(a.spec, F(1, 5 ** n), 2, 3), n)
+    assert rho_key(rho_defect(a, x, y, 0)) == first
+    assert len(calls) == 1
+    b = DieudonneLie(a.iso, a.bracket, a.lattice)  # a rebuilt algebra
+    assert rho_key(rho_defect(b, x, y, 0)) == first
+    assert len(calls) == 2
+
+
+def test_minimal_slope_lattice_needs_a_lattice():
+    with pytest.raises(MalformedInput, match="no lattice"):
+        dieudonne.minimal_slope_lattice(heisenberg())
+
+
+def test_minimal_slope_lattice_returns_a_copy():
+    # editing one answer leaves every later answer equal to a fresh
+    # algebra's
+    a, fresh = split_heisenberg(), split_heisenberg()
+    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
+    cols = dieudonne.minimal_slope_lattice(a)
+    want = lattice_key(dieudonne.minimal_slope_lattice(fresh))
+    assert lattice_key(cols) == want and cols
+    cols[0][0] = PadicScalar.from_int(a.spec, 7)
+    cols.append(list(cols[0]))
+    assert lattice_key(dieudonne.minimal_slope_lattice(a)) == want
+    assert rho_key(rho_defect(a, x, y, 0)) == rho_key(
+        rho_defect(fresh, x, y, 0))
+
+
+def test_minimal_slope_lattice_failure_is_replayed_as_a_fresh_error(
+        monkeypatch):
+    # the intersection fails on its first call only, so a later call that
+    # computed again would answer: every call raises the stored error as
+    # a new instance with an equal witness of its own
+    calls = []
+    intersect = dieudonne.lattice_intersect_subspace
+
+    def fail_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise InsufficientPrecision("kernel dimension could not be "
+                                        "certified",
+                                        witness={"expected": 1, "found": 0})
+        return intersect(*args)
+
+    monkeypatch.setattr(dieudonne, "lattice_intersect_subspace", fail_once)
+    a = split_heisenberg()
+    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
+    raised = []
+    for _ in range(3):
+        with pytest.raises(InsufficientPrecision,
+                           match="kernel dimension") as exc:
+            rho_defect(a, x, y, 0)
+        raised.append(exc.value)
+    first = raised[0]
+    for e in raised[1:]:
+        assert e is not first and e.witness == first.witness
+        assert e.witness is not first.witness
+    first.witness["found"] = 5  # the caller's copy only
+    with pytest.raises(InsufficientPrecision) as exc:
+        dieudonne.minimal_slope_lattice(a)
+    assert exc.value.witness == {"expected": 1, "found": 0}
+    assert len(calls) == 1
+    # the split the lattice was cut from is stored apart, and answers
+    assert dieudonne.algebra_slope_split(a)
+
+
+def test_minimal_slope_lattice_stores_only_library_errors(monkeypatch):
+    # an exception that is not an IsolabError propagates and is not
+    # stored: the next call computes the lattice
+    a = split_heisenberg()
+    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
+    intersect = dieudonne.lattice_intersect_subspace
+
+    def fail(*args):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(dieudonne, "lattice_intersect_subspace", fail)
+    with pytest.raises(RuntimeError):
+        rho_defect(a, x, y, 0)
+    monkeypatch.setattr(dieudonne, "lattice_intersect_subspace", intersect)
+    assert rho_key(rho_defect(a, x, y, 0)) == rho_key(
+        rho_defect(split_heisenberg(), x, y, 0))
+
+
+def test_stored_minimal_slope_lattice_answers_as_the_direct_one():
+    # on the lie workload's shapes with seeded lattices, one algebra
+    # shared by seeded (x', x, n) answers as a fresh one per call, and the
+    # lattice it stored is the one cut directly from a fresh split
+    rng = random.Random(29)
+    algebras = [(lambda p=p, lat=lat, r=r: lie_style(p, lat, r))
+                for r in (3, 4, 6) for p in (3, 5, 7)
+                for lat in seeded_lattices(rng, p, r)[::2]]
+    algebras += [lambda p=p: thirds(p) for p in (3, 5, 7)]
+    members = set()
+    for make in algebras:
+        shared = make()
+        for _ in range(5):
+            k = rng.randrange(3)
+            n = k - rng.randrange(2)
+            xp = vec(shared.spec, *(rng.randrange(-9, 10)
+                                    for _ in range(shared.rank)))
+            x = vec(shared.spec, *(F(rng.randrange(-9, 10), shared.spec.p ** k)
+                                   for _ in range(shared.rank)))
+            got = rho_key(rho_defect(shared, xp, x, n))
+            assert got == rho_key(rho_defect(make(), xp, x, n))
+            members.add(got[1]["member"])
+        fresh = make()
+        direct = dieudonne.lattice_intersect_subspace(
+            fresh.lattice, dieudonne.span_basis(slope_split(fresh.iso)[0][1]))
+        assert lattice_key(dieudonne.minimal_slope_lattice(shared)) == \
+            lattice_key(direct)
+    assert members == {True, False}
+
+
+# ---- one polygon per minimal-slope check ----
+
+@pytest.mark.parametrize("make, polygons", [
+    (lambda: build([[F(1, 5), 0], [0, F(1, 5)]], zero_bracket(2)), 1),
+    (split_heisenberg, 2), (lambda: thirds(5), 2)],
+    ids=["one-slope", "halves", "thirds"])
+def test_center_check_computes_one_polygon(make, polygons, monkeypatch):
+    # one twisted power and one charpoly polygon per call, plus the power
+    # trick's polygon when the slopes have a denominator
+    a = make()
+    want = minimal_slope_center_check(a)
+    calls = []
+    power, polygon = isocrystal.twisted_power, isocrystal._polygon
+    monkeypatch.setattr(isocrystal, "twisted_power",
+                        lambda *args: calls.append("power") or power(*args))
+    monkeypatch.setattr(isocrystal, "_polygon",
+                        lambda *args: calls.append("polygon")
+                        or polygon(*args))
+    for _ in range(2):
+        assert minimal_slope_center_check(a) == want == (True, None)
+    assert calls == (["power"] + ["polygon"] * polygons) * 2
+
+
+# ---- coordinate vectors are checked before any work ----
+
+@pytest.mark.parametrize("fn", [
+    lambda a, x, y: group_mul(a, x, y),
+    lambda a, x, y: rho_defect(a, x, y, 0),
+    lambda a, x, y: smallest_f_stable_subalgebra(a, [y, x])],
+    ids=["group_mul", "rho_defect", "smallest_f_stable_subalgebra"])
+@pytest.mark.parametrize("bad, raised, witness", [
+    ([1, 0, 0], MalformedInput, {"rank": 3, "entry": "int"}),
+    ([None] * 3, MalformedInput, {"rank": 3, "entry": "NoneType"}),
+    ([F(1), 0, 0], MalformedInput, {"rank": 3, "entry": "Fraction"}),
+    (5, MalformedInput, {"rank": 3}),
+    (vec(FieldSpec(7, 1, 16), 1, 0, 0), FieldSpecMismatch,
+     {"left": {"p": 7, "f": 1, "N": 16}, "right": {"p": 5, "f": 1, "N": 16}}),
+], ids=["int", "none", "fraction", "no-length", "other-ring"])
+def test_coordinate_vectors_are_checked(fn, bad, raised, witness):
+    a = split_heisenberg()
+    with pytest.raises(raised) as exc:
+        fn(a, bad, vec(a.spec, 0, 1, 0))
+    assert exc.value.witness == witness

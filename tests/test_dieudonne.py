@@ -208,6 +208,18 @@ def test_pdiv_dimension_refuses_malformed_pairs(lam, mult):
     assert exc.value.witness == {"slope": str(lam), "multiplicity": str(mult)}
 
 
+@pytest.mark.parametrize("slopes, witness", [
+    ([1], {"entry": "1"}), (5, {"slopes": "5"}), (None, {"slopes": "None"}),
+    ([(1, 2, 3)], {"entry": "(1, 2, 3)"}),
+    ([("-1/2",)], {"entry": "('-1/2',)"}),
+    ([(F(-1), 1), [F(-1)]], {"entry": "[Fraction(-1, 1)]"}),
+], ids=["int-entry", "int", "none", "triple", "single", "second-entry"])
+def test_pdiv_dimension_refuses_non_pairs(slopes, witness):
+    with pytest.raises(MalformedInput, match="slope pair") as exc:
+        pdiv_dimension(slopes)
+    assert exc.value.witness == witness
+
+
 def test_pdiv_dimension_additive():
     a = [(F(-1, 2), 2)]
     b = [(F(-1), 3)]
@@ -234,6 +246,23 @@ def test_center_check_abelian_minus_one():
     a = build([[F(1, 5), 0], [0, F(1, 5)]], zero_bracket(2))
     ok, _ = minimal_slope_center_check(a)
     assert ok
+
+
+def rank_zero():
+    return DieudonneLie.from_rationals(FieldSpec(5, 1, 8), [], [])
+
+
+def test_center_check_rank_zero():
+    # no slope and an empty minimal-slope part: central, vacuously
+    assert minimal_slope_center_check(rank_zero()) == (True, None)
+
+
+@pytest.mark.parametrize("mode", ["derivation", "literal"])
+def test_aut_rank_zero(mode):
+    # the zero map alone
+    assert aut_lie_algebra(rank_zero(), mode=mode) == {
+        "dimension": 0, "basis": [], "mode": mode,
+        "quadratic_term_dropped": mode == "literal"}
 
 
 def test_aut_abelian_unit_root_dimension_4():

@@ -245,6 +245,7 @@ def _writes(path, tree, skip, slots, items):
 ALGEBRA_MEMO = {
     "_series": ("dieudonne", "lower_central_series"),
     "_split": ("dieudonne", "algebra_slope_split"),
+    "_min_lattice": ("dieudonne", "minimal_slope_lattice"),
 }
 
 
