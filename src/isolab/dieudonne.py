@@ -32,17 +32,18 @@ class DieudonneLie:
     still built, for dla_validate to report; every operation that needs
     the laws raises MalformedInput.
 
-    Three slots are filled after __init__, each read and filled by one
+    Four slots are filled after __init__, each read and filled by one
     function on its first call: _series by lower_central_series (the
     series and class), _split by algebra_slope_split (the slope blocks
-    of iso) and _min_lattice by minimal_slope_lattice (the lattice's
-    minimal-slope part), or the IsolabError computing them raised.  All
-    three depend only on the constants, F and the lattice, which never
-    change, so the first answer is every later one.
+    of iso), _min_lattice by minimal_slope_lattice (the lattice's
+    minimal-slope part) and _lattice_report by lattice_report (the
+    lattice half of dla_validate's report), or the IsolabError computing
+    them raised.  All four depend only on the constants, F and the
+    lattice, which never change, so the first answer is every later one.
     """
 
     __slots__ = ("iso", "bracket", "lattice", "_cells", "_laws", "_series",
-                 "_split", "_min_lattice")
+                 "_split", "_min_lattice", "_lattice_report")
 
     def __init__(self, iso, bracket, lattice=None):
         n = iso.rank
@@ -75,6 +76,7 @@ class DieudonneLie:
         self._series = None
         self._split = None
         self._min_lattice = None
+        self._lattice_report = None
 
     @property
     def spec(self):
@@ -206,30 +208,78 @@ def _bracket_laws(a):
 
 
 def dla_validate(a):
-    """Check every structural law; flags plus witnesses, never silent."""
-    n = a.rank
+    """Check every structural law; flags plus witnesses, never silent.
+
+    The bracket laws are the verdict __init__ stored; an algebra with a
+    lattice adds lattice_report's flags and witnesses, after the laws'.
+    Each call returns a new report, so a caller that edits it changes no
+    later answer.
+    """
     report = dict(a._laws, witnesses=dict(a._laws["witnesses"]))  # a copy
     if a.lattice is not None:
-        B, Binv = lattice_phi_matrix(a)
-        wit = None
-        for i in range(n):
-            for j in range(n):
-                e = B[i][j]
-                if wit is None and not e.is_zero and e.v < -1:
-                    wit = ("phi_image_exceeds", j)
-                e = Binv[i][j]
-                if wit is None and not e.is_zero and e.v < 0:
-                    wit = ("lattice_not_inside_phi_image", j)
-        report["lattice_dieudonne"] = wit is None
-        if wit:
-            report["witnesses"]["lattice_dieudonne"] = wit
-        pairs, closed = lattice_bracket_closure(a)
-        for pair, ok in zip(pairs, closed):
-            if not ok:
-                report["witnesses"].setdefault("lattice_bracket_closure",
-                                               pair)
-        report["lattice_bracket_closure"] = all(closed)
+        lat = lattice_report(a)
+        report["witnesses"].update(lat.pop("witnesses"))
+        report.update(lat)
     return report
+
+
+def lattice_report(a):
+    """dla_validate's lattice half: {"lattice_dieudonne": ..,
+    "lattice_bracket_closure": .., "witnesses": {..}}, the witnesses
+    holding the first failure of each flag that is False, in that order.
+
+    The lattice L is Dieudonne when L <= phi(L) <= (1/p) L: no entry of
+    lattice_phi_matrix's B has valuation below -1 and none of B^-1 below
+    0 (the witness names the first column that fails).  It is
+    bracket-closed when lattice_bracket_closure finds every bracket
+    integral (the witness is the first pair that is not).  An algebra
+    with no lattice is MalformedInput.
+
+    Computed once per algebra and stored in its _lattice_report slot, as
+    lower_central_series stores the series.  Each call returns a new
+    dict and a new witnesses dict; each witness is a tuple.  An
+    IsolabError from the first computation is stored in its place, and
+    every call raises a new one of the same class, with the same message
+    and a copy of the witness.
+    """
+    if a.lattice is None:
+        raise MalformedInput("no lattice on this algebra")
+    memo = a._lattice_report
+    if memo is None:
+        try:
+            memo = _lattice_report(a)
+        except IsolabError as exc:
+            memo = _replay(exc)
+        a._lattice_report = memo
+    if isinstance(memo, IsolabError):
+        raise _replay(memo)
+    dieudonne_ok, closed, witnesses = memo
+    return {"lattice_dieudonne": dieudonne_ok,
+            "lattice_bracket_closure": closed, "witnesses": dict(witnesses)}
+
+
+def _lattice_report(a):
+    """(dieudonne, closed, witnesses) for lattice_report, which stores
+    them; only it calls this."""
+    n = a.rank
+    witnesses = {}
+    B, Binv = lattice_phi_matrix(a)
+    wit = None
+    for i in range(n):
+        for j in range(n):
+            e = B[i][j]
+            if wit is None and not e.is_zero and e.v < -1:
+                wit = ("phi_image_exceeds", j)
+            e = Binv[i][j]
+            if wit is None and not e.is_zero and e.v < 0:
+                wit = ("lattice_not_inside_phi_image", j)
+    if wit:
+        witnesses["lattice_dieudonne"] = wit
+    pairs, closed = lattice_bracket_closure(a)
+    for pair, ok in zip(pairs, closed):
+        if not ok:
+            witnesses.setdefault("lattice_bracket_closure", pair)
+    return wit is None, all(closed), witnesses
 
 
 def lattice_bracket_closure(a):
@@ -524,10 +574,7 @@ def pdiv_dimension(slopes, check_range=True):
         except (TypeError, ValueError) as exc:
             raise MalformedInput(_SLOPE_PAIR, witness={"entry": str(entry)}) \
                 from exc
-        try:
-            lam = Fraction(raw) if _rational(raw) else None
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-            lam = None
+        lam = _rational(raw)
         if lam is None or not _integral(mult) or mult < 0:
             raise MalformedInput(_SLOPE_PAIR,
                                  witness={"slope": str(raw),

@@ -23,8 +23,8 @@ from .errors import (FieldSpecMismatch, InsufficientPrecision,
 from .linalg import (charpoly, coords_in_column_span, kernel_basis,
                      mat_from_rationals, mat_identity, mat_inverse, mat_mul,
                      newton_root_valuations, twisted_power)
-from .padic import (FieldSpec, PadicScalar, _json_int, poly_add, poly_divmod,
-                    poly_mul, poly_trim, poly_xgcd)
+from .padic import (FieldSpec, PadicScalar, _json_int, _rational, poly_add,
+                    poly_divmod, poly_mul, poly_trim, poly_xgcd)
 
 
 class Isocrystal:
@@ -355,7 +355,9 @@ def internal_hom(Y, Z):
 def slope_part(M, which):
     """Sub-isocrystal cut by a slope predicate, with its embedding.
 
-    which: "leq0" (slopes <= 0), "lt0" (slopes < 0) or ("eq", value).
+    which: "leq0" (slopes <= 0), "lt0" (slopes < 0) or ("eq", value),
+    value rational by padic._rational's rule; any other which is
+    MalformedInput.
     Returns (part, columns); the part can have rank 0.  The part is the
     direct sum of the kept blocks of slope_split, and it certifies what
     those blocks do: each kept block's kernel dimension, its stability
@@ -368,7 +370,9 @@ def slope_part(M, which):
     elif which == "lt0":
         keep = lambda lam: lam < 0
     elif isinstance(which, tuple) and len(which) == 2 and which[0] == "eq":
-        target = Fraction(which[1])
+        target = _rational(which[1])
+        if target is None:
+            raise MalformedInput("unknown slope predicate", witness=which)
         keep = lambda lam: lam == target
     else:
         raise MalformedInput("unknown slope predicate", witness=which)

@@ -127,10 +127,18 @@ def _integral(v):
 
 
 def _rational(v):
-    """False for a boolean, which Fraction(v) would read as 0 or 1: the one
-    rule for rational parameters.  Every other value is read by
-    Fraction(v), which refuses what is not a number."""
-    return not isinstance(v, bool)
+    """Fraction(v), or None for what is not a rational: the one rule for
+    rational parameters.  A boolean, which Fraction(v) would read as 0 or
+    1, is refused, and so is every value Fraction(v) refuses with a
+    TypeError, ValueError, ZeroDivisionError or OverflowError: None, a
+    list, "x", "1/0", an infinity or a NaN.  A caller raises its own
+    MalformedInput on None."""
+    if isinstance(v, bool):
+        return None
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        return None
 
 
 def _is_irreducible(g, p):

@@ -438,10 +438,11 @@ def membership_restricted(a, params, method="both"):
 
 def membership_ECd(a, E, C, d):
     """Per-term growth bound p^ord <= max(C * (|I|_inf + d)^E, 1)."""
-    if not all(map(_rational, (E, C, d))):
+    read = [_rational(v) for v in (E, C, d)]
+    if None in read:
         raise MalformedInput("E, C and d must be rational, not boolean",
                              witness={"E": str(E), "C": str(C), "d": str(d)})
-    E, C, d = Fraction(E), Fraction(C), Fraction(d)
+    E, C, d = read
     if E <= 0 or C <= 0 or d < 0:
         raise MalformedInput("need E, C > 0 and d >= 0",
                              witness={"E": str(E), "C": str(C), "d": str(d)})
@@ -523,10 +524,11 @@ def rigidity_check(f, g, h, r, d_seq, powered_block="h"):
 
 def slope_exponents(mu1, mu0):
     """Smallest (a, r, s) with a/r = mu1 and a/s = mu0; 0 < mu0 < mu1 <= 1."""
-    if not (_rational(mu1) and _rational(mu0)):
+    read = [_rational(mu1), _rational(mu0)]
+    if None in read:
         raise MalformedInput("slopes must be rational, not boolean",
                              witness={"mu1": str(mu1), "mu0": str(mu0)})
-    mu1, mu0 = Fraction(mu1), Fraction(mu0)
+    mu1, mu0 = read
     if not (0 < mu1 <= 1) or mu0 <= 0:
         raise MalformedInput("slope magnitudes must lie in (0, 1]",
                              witness={"mu1": str(mu1), "mu0": str(mu0)})

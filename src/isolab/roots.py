@@ -56,11 +56,12 @@ class RootDatumWithCochar:
         if n < 2:
             raise MalformedInput("matrix size must be at least 2",
                                  witness={"n": n})
-        if not all(map(_rational, nu)):
+        read = [_rational(v) for v in nu]
+        if None in read:
             raise MalformedInput("cocharacter entries must be rational, "
                                  "not boolean",
                                  witness={"nu": [str(v) for v in nu]})
-        nu = [Fraction(v) for v in nu]
+        nu = read
         if group_type == "SO" and len(nu) == n // 2:
             mid = [Fraction(0)] if n % 2 else []
             nu = nu + mid + [-v for v in reversed(nu)]

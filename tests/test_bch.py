@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -916,3 +917,122 @@ def test_coordinate_vectors_are_checked(fn, bad, raised, witness):
     with pytest.raises(raised) as exc:
         fn(a, bad, vec(a.spec, 0, 1, 0))
     assert exc.value.witness == witness
+
+
+# ---- the lattice report, once per algebra ----
+
+def test_lattice_report_is_computed_once_per_algebra(monkeypatch):
+    calls = []
+    phi = dieudonne.lattice_phi_matrix
+    closure = dieudonne.lattice_bracket_closure
+    monkeypatch.setattr(dieudonne, "lattice_phi_matrix",
+                        lambda a: calls.append("phi") or phi(a))
+    monkeypatch.setattr(dieudonne, "lattice_bracket_closure",
+                        lambda a: calls.append("closure") or closure(a))
+    a = split_heisenberg()
+    first = dla_validate(a)
+    for _ in range(3):
+        assert dla_validate(a) == first
+    assert dieudonne.lattice_report(a) == {
+        "lattice_dieudonne": True, "lattice_bracket_closure": True,
+        "witnesses": {}}
+    assert calls == ["phi", "closure"]
+    b = DieudonneLie(a.iso, a.bracket, a.lattice)  # a rebuilt algebra
+    assert dla_validate(b) == first
+    assert calls == ["phi", "closure"] * 2
+
+
+def test_lattice_report_needs_a_lattice():
+    with pytest.raises(MalformedInput, match="no lattice"):
+        dieudonne.lattice_report(heisenberg())
+    assert dla_validate(heisenberg())["lattice_dieudonne"] is None
+
+
+def test_lattice_report_returns_a_copy():
+    # editing one report, or its witnesses, leaves every later report
+    # equal to a fresh algebra's; a law witness stays ahead of the
+    # lattice's, as it was put in first
+    c = heis_bracket()
+    c[1][0][2] = F(0)  # breaks antisymmetry at (0, 1, 2)
+    lattice = [[F(1), 0, 0], [0, F(1, 5), 0], [0, 0, F(1)]]
+    a, fresh = build(EYE3, c, lattice), build(EYE3, c, lattice)
+    want = dla_validate(fresh)
+    assert list(want["witnesses"]) == ["antisymmetry",
+                                       "lattice_bracket_closure"]
+    for rep in (dla_validate(a), dieudonne.lattice_report(a)):
+        rep["lattice_bracket_closure"] = True
+        rep["witnesses"]["lattice_dieudonne"] = ("phi_image_exceeds", 9)
+        rep["witnesses"].pop("lattice_bracket_closure")
+    assert dla_validate(a) == want
+    assert list(dla_validate(a)["witnesses"]) == list(want["witnesses"])
+
+
+def test_lattice_report_failure_is_replayed_as_a_fresh_error(monkeypatch):
+    # a lattice that lost rank: every call raises the stored error as a
+    # new instance with an equal witness of its own, and computes nothing
+    b = split_heisenberg()
+    a = DieudonneLie(b.iso, b.bracket, mat_from_rationals(
+        b.spec, [[F(1), 0, F(1)], [F(0), 1, 1], [F(0), 0, 0]]))
+    raised = []
+    for _ in range(2):
+        with pytest.raises(InsufficientPrecision,
+                           match="lattice comparison indeterminate") as exc:
+            dla_validate(a)
+        raised.append(exc.value)
+    monkeypatch.setattr(dieudonne, "lattice_phi_matrix", None)
+    with pytest.raises(InsufficientPrecision) as exc:
+        dieudonne.lattice_report(a)
+    raised.append(exc.value)
+    first = raised[0]
+    for e in raised[1:]:
+        assert e is not first and e.witness == first.witness
+        assert e.witness is not first.witness
+    want = copy.deepcopy(first.witness)
+    first.witness.clear()  # the caller's copy only
+    with pytest.raises(InsufficientPrecision) as exc:
+        dla_validate(a)
+    assert exc.value.witness == want and want
+
+
+def test_lattice_report_stores_only_library_errors(monkeypatch):
+    # an exception that is not an IsolabError propagates and is not
+    # stored: the next call computes the report
+    a = split_heisenberg()
+    closure = dieudonne.lattice_bracket_closure
+
+    def fail(a):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(dieudonne, "lattice_bracket_closure", fail)
+    with pytest.raises(RuntimeError):
+        dla_validate(a)
+    monkeypatch.setattr(dieudonne, "lattice_bracket_closure", closure)
+    assert dla_validate(a) == dla_validate(split_heisenberg())
+
+
+def test_stored_lattice_report_answers_as_a_fresh_algebra():
+    # on the lie workload's shapes with seeded lattices, one algebra
+    # shared by every call, between the other lattice operations, reports
+    # as a fresh one per call; Dieudonne and closed lattices occur, and
+    # lattices that are neither, so both witnesses are checked
+    rng = random.Random(30)
+    algebras = [(lambda p=p, lat=lat, r=r: lie_style(p, lat, r))
+                for r in (3, 4, 6) for p in (3, 5, 7)
+                for lat in seeded_lattices(rng, p, r)]
+    algebras += [lambda p=p: thirds(p) for p in (3, 5, 7)]
+    seen = set()
+    for make in algebras:
+        shared = make()
+        x = vec(shared.spec, *range(1, shared.rank + 1))
+        for _ in range(3):
+            rep = dla_validate(shared)
+            assert rep == dla_validate(make())
+            lattice_closure_check(shared, samples=3)
+            rho_defect(shared, x, x, 0)
+        seen |= {(k, rep[k]) for k in ("lattice_dieudonne",
+                                       "lattice_bracket_closure")}
+        seen |= set(rep["witnesses"])
+    assert seen == {("lattice_dieudonne", True), ("lattice_dieudonne", False),
+                    ("lattice_bracket_closure", True),
+                    ("lattice_bracket_closure", False),
+                    "lattice_dieudonne", "lattice_bracket_closure"}

@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from isolab import FieldSpec, PadicScalar
+from isolab import (FieldSpec, PadicScalar, RootDatumWithCochar,
+                    membership_ECd, slope_exponents, slope_part)
+from isolab.dieudonne import pdiv_dimension
 from isolab.errors import (DivisionByZero, FieldSpecMismatch, MalformedInput,
                            PrecisionExhausted)
-from isolab.padic import _is_prime, canonical_modulus
+from isolab.padic import _is_prime, _rational, canonical_modulus
 
-from reference import (ref_canonical_modulus, ref_invert, ref_raw_inv_unit,
-                       ref_red_rows, ref_scalar_add, ref_scalar_mul,
-                       ref_sigma_mats, run_optimized)
+from reference import (iso, mono, ref_canonical_modulus, ref_invert,
+                       ref_raw_inv_unit, ref_red_rows, ref_scalar_add,
+                       ref_scalar_mul, ref_sigma_mats, run_optimized)
 
 
 Z5 = FieldSpec(5, 1, 10)
@@ -190,6 +192,46 @@ def test_fieldspec_refuses_booleans_and_non_integral_values():
     assert spec is FieldSpec(13, 1, 5) is FieldSpec(13, 1.0, 5.0)
     assert json.dumps(spec.to_json()) == '{"p": 13, "f": 1, "N": 5}'
     assert type(spec.pN) is int and spec.pN == 13 ** 5
+
+
+#: each site that reads a rational parameter, and its own refusal message
+RATIONAL_SITES = {
+    "slope_part": (lambda v: slope_part(iso([[Fraction(1, 5)]]), ("eq", v)),
+                   "unknown slope predicate"),
+    "RootDatumWithCochar": (lambda v: RootDatumWithCochar("GL", 2, [v, 0]),
+                            "cocharacter entries must be rational"),
+    "membership_ECd": (lambda v: membership_ECd(mono(2, Fraction(1, 2)), v,
+                                                1, 0),
+                       "E, C and d must be rational"),
+    "slope_exponents": (lambda v: slope_exponents(v, Fraction(1, 2)),
+                        "slopes must be rational"),
+    "pdiv_dimension": (lambda v: pdiv_dimension([(v, 1)]),
+                       "a slope pair is a rational slope"),
+}
+
+
+@pytest.mark.parametrize("value", ["x", None, "1/0", float("inf"),
+                                   float("nan"), True],
+                         ids=["string", "none", "zero-denominator", "inf",
+                              "nan", "bool"])
+@pytest.mark.parametrize("site", sorted(RATIONAL_SITES))
+def test_rational_parameters_follow_one_rule(site, value):
+    # each site reads through padic._rational and refuses with its own
+    # MalformedInput, never a bare exception or a boolean read as 0 or 1
+    call, message = RATIONAL_SITES[site]
+    assert _rational(value) is None
+    with pytest.raises(MalformedInput, match=message):
+        call(value)
+
+
+def test_rational_reads_numbers_and_rational_strings():
+    for v, want in ((2, 2), (-1.5, Fraction(-3, 2)), ("1/3", Fraction(1, 3)),
+                    (" -2/4 ", Fraction(-1, 2)),
+                    (Fraction(5, 7), Fraction(5, 7))):
+        got = _rational(v)
+        assert type(got) is Fraction and got == want
+    for v in ([1], (1, 2), {}, "", "1/2/3", float("-inf")):
+        assert _rational(v) is None
 
 
 def test_fieldspec_json_round_trip():

@@ -246,6 +246,7 @@ ALGEBRA_MEMO = {
     "_series": ("dieudonne", "lower_central_series"),
     "_split": ("dieudonne", "algebra_slope_split"),
     "_min_lattice": ("dieudonne", "minimal_slope_lattice"),
+    "_lattice_report": ("dieudonne", "lattice_report"),
 }
 
 
