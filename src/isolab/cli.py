@@ -4,6 +4,9 @@ Inputs come from --in (file) or stdin; every result is a single line of
 canonically serialized JSON, so identical inputs give byte-identical
 outputs.  Exit codes: 0 success, 1 malformed input or arguments, 2 a
 library error (the error object carries the error name and its witness).
+
+A call builds the top parser and the parser of the one subcommand it runs,
+not those of the other subcommands.
 """
 
 import argparse
@@ -337,58 +340,86 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInput(message)
 
 
+#: each subcommand's handler and the flags it adds to --in, --classical and
+#: --precision, in the order usage, --help and "invalid choice" list them
+_DATUM = {"--type": {}, "--n": {"type": int}, "--nu": {}}
+_SUBCOMMANDS = {
+    "slopes": (_cmd_slopes, {}),
+    "split": (_cmd_split, {"--fine": {"action": "store_true"}}),
+    "hom": (_cmd_hom, {}),
+    "dla-check": (_cmd_dla_check, {}),
+    "lcs": (_cmd_lcs, {}),
+    "bch-table": (_cmd_bch_table, {"--class": {
+        "dest": "nilpotency_class", "type": int, "required": True}}),
+    "bch-mul": (_cmd_bch_mul, {}),
+    "lattice-closure": (_cmd_lattice_closure, {
+        "--samples": {"type": int, "default": 100},
+        "--seed": {"type": int, "default": 0}}),
+    "leafdim": (_cmd_leafdim, _DATUM),
+    "slope-roots": (_cmd_slope_roots, _DATUM),
+    "nilclass": (_cmd_nilclass, _DATUM),
+    "coxeter-gate": (_cmd_coxeter_gate, {
+        "--p": {"type": int, "required": True}, **_DATUM}),
+    "perf-member": (_cmd_perf_member, {
+        "--params": {"required": True}, "--method": {"default": "both"}}),
+    "perf-ecd": (_cmd_perf_ecd, {"--E": {"required": True},
+                                 "--C": {"required": True},
+                                 "--d": {"required": True}}),
+    "rigidity": (_cmd_rigidity, {}),
+    "slope-exponents": (_cmd_slope_exponents, {"--mu1": {"required": True},
+                                               "--mu0": {"required": True}}),
+}
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """The subcommand positional, building a subcommand's parser the first
+    time it is dispatched to.
+
+    Its choices are the whole _SUBCOMMANDS table, so the usage line, --help
+    and "invalid choice" list every name; _name_parser_map holds only the
+    parsers built so far.  argparse checks the name against the choices
+    before it calls the action, and the "isolab" prefix of each parser's
+    prog was fixed when the action was made, so a parser built late reads
+    as one built up front.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.choices = _SUBCOMMANDS
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        if name not in self._name_parser_map:
+            fn, flags = self.choices[name]
+            p = self.add_parser(name)
+            p.add_argument("--in", dest="infile", default=None)
+            # SUPPRESS keeps a pre-subcommand --classical/--precision from
+            # being clobbered by the subparser's defaults
+            p.add_argument("--classical", action="store_true",
+                           default=argparse.SUPPRESS)
+            p.add_argument("--precision", type=int, default=argparse.SUPPRESS)
+            for flag, kw in flags.items():
+                p.add_argument(flag, **kw)
+            p.set_defaults(fn=fn)
+        super().__call__(parser, namespace, values, option_string)
+
+
 @functools.cache
 def _build_parser():
-    """The one parser of this process, built on the first call.
+    """The one top parser of this process, built on the first call.  Each
+    subcommand's parser is built the first time a call names it, and kept.
 
-    Sharing it is safe: parse_args builds a fresh Namespace each time,
+    Sharing them is safe: parse_args builds a fresh Namespace each time,
     _Parser.error keeps no state, no default is mutable, and the handlers
     look up the library functions by their module-global names at call time.
     """
-    top = _Parser(prog="isolab", description=__doc__)
+    # --help shows the module docstring without its last paragraph
+    top = _Parser(prog="isolab", description=__doc__.rsplit("\n\n", 1)[0])
     top.add_argument("--classical", action="store_true",
                      help="negate all slope signs in inputs and outputs")
     top.add_argument("--precision", type=int, default=None,
                      help="working precision N (default ISOLAB_PRECISION)")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **extra):
-        p = sub.add_parser(name)
-        p.add_argument("--in", dest="infile", default=None)
-        # SUPPRESS keeps a pre-subcommand --classical/--precision from being
-        # clobbered by the subparser's defaults
-        p.add_argument("--classical", action="store_true",
-                       default=argparse.SUPPRESS)
-        p.add_argument("--precision", type=int, default=argparse.SUPPRESS)
-        p.set_defaults(fn=fn)
-        for flag, kw in extra.items():
-            p.add_argument("--" + flag.replace("_", "-"), **kw)
-        return p
-
-    add("slopes", _cmd_slopes)
-    add("split", _cmd_split, fine={"action": "store_true"})
-    add("hom", _cmd_hom)
-    add("dla-check", _cmd_dla_check)
-    add("lcs", _cmd_lcs)
-    p = add("bch-table", _cmd_bch_table)
-    p.add_argument("--class", dest="nilpotency_class", type=int, required=True)
-    add("bch-mul", _cmd_bch_mul)
-    add("lattice-closure", _cmd_lattice_closure,
-        samples={"type": int, "default": 100},
-        seed={"type": int, "default": 0})
-    datum = {"type": {}, "n": {"type": int}, "nu": {}}
-    add("leafdim", _cmd_leafdim, **datum)
-    add("slope-roots", _cmd_slope_roots, **datum)
-    add("nilclass", _cmd_nilclass, **datum)
-    add("coxeter-gate", _cmd_coxeter_gate, p={"type": int, "required": True},
-        **datum)
-    add("perf-member", _cmd_perf_member,
-        params={"required": True}, method={"default": "both"})
-    add("perf-ecd", _cmd_perf_ecd, E={"required": True}, C={"required": True},
-        d={"required": True})
-    add("rigidity", _cmd_rigidity)
-    add("slope-exponents", _cmd_slope_exponents,
-        mu1={"required": True}, mu0={"required": True})
+    top.add_subparsers(dest="command", required=True, action=_Subcommands)
     return top
 
 

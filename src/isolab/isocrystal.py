@@ -23,8 +23,8 @@ from .errors import (FieldSpecMismatch, InsufficientPrecision,
 from .linalg import (charpoly, coords_in_column_span, kernel_basis,
                      mat_from_rationals, mat_identity, mat_inverse, mat_mul,
                      newton_root_valuations, twisted_power)
-from .padic import (FieldSpec, PadicScalar, _json_int, _rational, poly_add,
-                    poly_divmod, poly_mul, poly_trim, poly_xgcd)
+from .padic import (FieldSpec, PadicScalar, _integral, _json_int, _rational,
+                    poly_add, poly_divmod, poly_mul, poly_trim, poly_xgcd)
 
 
 class Isocrystal:
@@ -392,7 +392,16 @@ def slope_part(M, which):
 
 
 def standard_simple(spec, a, r):
-    """The rank-r cyclic model with slope a/r: e_i -> e_i+1, e_r -> p^a e_1."""
+    """The rank-r cyclic model with slope a/r: e_i -> e_i+1, e_r -> p^a e_1.
+
+    a and r are integers by padic._integral's rule, and r is at least 1;
+    anything else is MalformedInput, never truncated."""
+    if not (_integral(a) and _integral(r)):
+        raise MalformedInput("a and r must be integers",
+                             witness={"a": a, "r": r})
+    if r < 1:
+        raise MalformedInput("rank r must be at least 1", witness={"r": r})
+    a, r = int(a), int(r)
     zero = PadicScalar.zero(spec)
     F = [[zero] * r for _ in range(r)]
     for i in range(r - 1):

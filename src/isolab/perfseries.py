@@ -440,7 +440,7 @@ def membership_ECd(a, E, C, d):
     """Per-term growth bound p^ord <= max(C * (|I|_inf + d)^E, 1)."""
     read = [_rational(v) for v in (E, C, d)]
     if None in read:
-        raise MalformedInput("E, C and d must be rational, not boolean",
+        raise MalformedInput("E, C and d must be rational",
                              witness={"E": str(E), "C": str(C), "d": str(d)})
     E, C, d = read
     if E <= 0 or C <= 0 or d < 0:
@@ -526,7 +526,7 @@ def slope_exponents(mu1, mu0):
     """Smallest (a, r, s) with a/r = mu1 and a/s = mu0; 0 < mu0 < mu1 <= 1."""
     read = [_rational(mu1), _rational(mu0)]
     if None in read:
-        raise MalformedInput("slopes must be rational, not boolean",
+        raise MalformedInput("slopes must be rational",
                              witness={"mu1": str(mu1), "mu0": str(mu0)})
     mu1, mu0 = read
     if not (0 < mu1 <= 1) or mu0 <= 0:

@@ -6,6 +6,7 @@ the cocharacter pairs with roots by plain coordinate differences and the
 unipotent algebras are honest matrix algebras over Q.
 """
 
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import (InvariantViolated, MalformedInput, NonInvertible,
@@ -36,7 +37,10 @@ class RootDatumWithCochar:
     """Split classical root datum plus a dominant rational cocharacter.
 
     nu is given in matrix coordinates (length n); for SO a length-floor(n/2)
-    vector is also accepted and expanded antisymmetrically.
+    vector is also accepted and expanded antisymmetrically.  nu is a
+    sequence, such as a list or a tuple, and each entry a rational by
+    padic._rational's rule; a string, a non-sequence or another entry is
+    MalformedInput.
     """
 
     __slots__ = ("group_type", "n", "positive_roots", "pairings", "two_rho",
@@ -56,10 +60,12 @@ class RootDatumWithCochar:
         if n < 2:
             raise MalformedInput("matrix size must be at least 2",
                                  witness={"n": n})
+        if isinstance(nu, (str, bytes)) or not isinstance(nu, Sequence):
+            raise MalformedInput("cocharacter must be a sequence of "
+                                 "rationals", witness={"nu": nu})
         read = [_rational(v) for v in nu]
         if None in read:
-            raise MalformedInput("cocharacter entries must be rational, "
-                                 "not boolean",
+            raise MalformedInput("cocharacter entries must be rational",
                                  witness={"nu": [str(v) for v in nu]})
         nu = read
         if group_type == "SO" and len(nu) == n // 2:

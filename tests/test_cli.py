@@ -590,6 +590,54 @@ def test_parser_is_built_once(monkeypatch):
     assert added[before:] == []
 
 
+#: every subcommand, in the order usage, --help and "invalid choice" list them
+SUBCOMMANDS = ["slopes", "split", "hom", "dla-check", "lcs", "bch-table",
+               "bch-mul", "lattice-closure", "leafdim", "slope-roots",
+               "nilclass", "coxeter-gate", "perf-member", "perf-ecd",
+               "rigidity", "slope-exponents"]
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """The names passed to add_parser, from a parser not yet built."""
+    import argparse
+    from isolab.cli import _build_parser
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    _build_parser.cache_clear()
+    yield added
+    _build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_a_call_builds_only_its_subcommand_parser(name, fresh_parser,
+                                                  corpus_dir, monkeypatch,
+                                                  capsys):
+    monkeypatch.chdir(corpus_dir.parent)
+    argv = next(argv for argv in CLI_COMMANDS if name in argv)
+    assert main(list(argv)) == 0
+    assert fresh_parser == [name]
+    assert json.loads(capsys.readouterr().out)
+
+
+def test_help_and_bad_command_build_no_subcommand_parser(fresh_parser,
+                                                         monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["--help"]) == 0
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in capsys.readouterr().out
+    assert main(["bogus"]) == 1
+    message = json.loads(capsys.readouterr().out)["message"]
+    assert message.endswith(
+        "(choose from " + ", ".join(map(repr, SUBCOMMANDS)) + ")")
+    assert fresh_parser == []
+
+
 def test_every_subcommand_is_covered():
     # a new subcommand must join the contract test and criterion 12
     import argparse

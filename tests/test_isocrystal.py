@@ -7,7 +7,7 @@ from isolab import isocrystal
 from isolab import (FieldSpec, Isocrystal, PadicScalar, internal_hom,
                     newton_slopes, slope_part, slope_split, standard_simple)
 from isolab.errors import (InsufficientPrecision, InvariantViolated,
-                           NonInvertible, ResidueFieldTooSmall)
+                           MalformedInput, NonInvertible, ResidueFieldTooSmall)
 from isolab.isocrystal import _hensel_split
 from isolab.linalg import mat_from_rationals, mat_inverse, mat_mul, mat_sigma
 from isolab.padic import poly_divmod
@@ -244,6 +244,30 @@ def test_base_change_invariance():
 def test_standard_simple_slope():
     M = standard_simple(QP, -1, 2)
     assert newton_slopes(M) == [(Fraction(-1, 2), 2)]
+
+
+@pytest.mark.parametrize("a, r, message", [
+    (2.5, 2, "a and r must be integers"),
+    (True, 2, "a and r must be integers"),
+    (1, True, "a and r must be integers"),
+    (1, "2", "a and r must be integers"),
+    (None, 2, "a and r must be integers"),
+    (1, 0, "rank r must be at least 1"),
+    (1, -1, "rank r must be at least 1"),
+], ids=["non-integral", "bool-a", "bool-r", "string-r", "none-a", "rank-0",
+        "rank-negative"])
+def test_standard_simple_reads_integers(a, r, message):
+    # a = 2.5 used to give slope 0, a boolean was read as 1, r < 1 raised
+    # IndexError and a string r TypeError
+    with pytest.raises(MalformedInput) as exc:
+        standard_simple(QP, a, r)
+    assert str(exc.value) == message
+
+
+def test_standard_simple_reads_integral_numbers_as_integers():
+    for a, r in ((-1.0, 2), (Fraction(-1), 2.0)):
+        assert newton_slopes(standard_simple(QP, a, r)) == [
+            (Fraction(-1, 2), 2)]
 
 
 def test_json_round_trip():

@@ -194,7 +194,7 @@ def test_fieldspec_refuses_booleans_and_non_integral_values():
     assert type(spec.pN) is int and spec.pN == 13 ** 5
 
 
-#: each site that reads a rational parameter, and its own refusal message
+#: each site that reads a rational parameter, and its whole refusal message
 RATIONAL_SITES = {
     "slope_part": (lambda v: slope_part(iso([[Fraction(1, 5)]]), ("eq", v)),
                    "unknown slope predicate"),
@@ -206,7 +206,8 @@ RATIONAL_SITES = {
     "slope_exponents": (lambda v: slope_exponents(v, Fraction(1, 2)),
                         "slopes must be rational"),
     "pdiv_dimension": (lambda v: pdiv_dimension([(v, 1)]),
-                       "a slope pair is a rational slope"),
+                       "a slope pair is a rational slope and a non-negative "
+                       "integer multiplicity"),
 }
 
 
@@ -220,8 +221,9 @@ def test_rational_parameters_follow_one_rule(site, value):
     # MalformedInput, never a bare exception or a boolean read as 0 or 1
     call, message = RATIONAL_SITES[site]
     assert _rational(value) is None
-    with pytest.raises(MalformedInput, match=message):
+    with pytest.raises(MalformedInput) as exc:
         call(value)
+    assert str(exc.value) == message
 
 
 def test_rational_reads_numbers_and_rational_strings():

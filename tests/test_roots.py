@@ -80,9 +80,30 @@ def test_gsp_needs_even_rank():
 
 def test_datum_refuses_boolean_cocharacter_entries():
     # Fraction(True) is 1: [True, False] used to build nu = (1, 0)
-    with pytest.raises(MalformedInput, match="not boolean") as exc:
+    with pytest.raises(MalformedInput, match="must be rational") as exc:
         RootDatumWithCochar("GL", 2, [True, False])
     assert exc.value.witness == {"nu": ["True", "False"]}
+
+
+@pytest.mark.parametrize("nu", ["10", b"10", None, 5, True, {1, 0},
+                                iter([1, 0])],
+                         ids=["string", "bytes", "none", "int", "bool", "set",
+                              "iterator"])
+def test_datum_reads_nu_as_a_sequence(nu):
+    # "10" used to build nu = (1, 0) from its characters, and None or 5
+    # raised a bare TypeError
+    with pytest.raises(MalformedInput,
+                       match="^cocharacter must be a sequence of rationals$"
+                       ) as exc:
+        RootDatumWithCochar("GL", 2, nu)
+    assert exc.value.witness == {"nu": nu}
+
+
+def test_datum_reads_a_tuple_as_the_list():
+    d, want = (RootDatumWithCochar("GSp", 4, nu)
+               for nu in ((1, 1, 0, 0), [1, 1, 0, 0]))
+    assert (d.nu, d.positive_roots, d.pairings, d.two_rho) == (
+        want.nu, want.positive_roots, want.pairings, want.two_rho)
 
 
 @pytest.mark.parametrize("n", [2.5, True, "3"],
