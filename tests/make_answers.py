@@ -11,8 +11,10 @@ and lists the rows whose code or bytes differ.
 
 The rows are every ``CLI_COMMANDS`` line; every corpus file through every
 subcommand that reads JSON, plain, with --classical before the subcommand
-and with --precision 6 after it; a precision-edge ``slopes`` input; and the
-argv-error and --help forms of the top parser and of every subcommand.
+and with --precision 6 after it; a precision-edge ``slopes`` input; the
+argv-error and --help forms of the top parser and of every subcommand; and
+seeded generated algebras through ``dla-check``, ``lcs``, ``bch-mul`` and
+``lattice-closure``, read from stdin.
 Usage and error text is argparse's, so a Python whose argparse words its
 messages differently reads different bytes on those rows.
 
@@ -22,9 +24,12 @@ changed row; any other change leaves the ledger as it is.
 
 import io
 import json
+import math
 import os
 import pathlib
+import random
 import sys
+from fractions import Fraction
 
 from reference import CLI_COMMANDS
 
@@ -56,6 +61,94 @@ ORDINARY = "corpus/ordinary2x2.json"
 #: a determinant 5^-3 that the charpoly's one working precision cannot
 #: certify at N = 3 (ROADMAP item 3); recorded at today's error line
 PRECISION_EDGE = '{"p":5,"N":3,"frobenius":[["1","0"],["0","1/125"]]}'
+#: the seed and the number of generated algebras
+ALGEBRA_SEED, ALGEBRAS = 32, 40
+
+
+def _mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
+def _algebra(rng):
+    """A seeded algebra object for the JSON-reading DLA subcommands.
+
+    The free nilpotent algebra on e0, e1 of class 1, 2 or 3 (e2 = [e0,
+    e1], e3 = [e0, e2], e4 = [e1, e2]), with up to one more central line,
+    under a diagonal phi that the bracket multiplies, is written in the
+    basis of a random integral unitriangular P.  One algebra in three has
+    one bracket law broken, and the lattice is the standard one, one with
+    a column scaled by p or 1/p, a shear with entries up to p^+-1, or none.
+    """
+    p = rng.choice([2, 3, 5, 7])
+    words = [(0,), (1,), (0, 1), (0, 0, 1), (1, 0, 1)][
+        :rng.choice([2, 3, 5])] + [()] * rng.randrange(2)
+    n = len(words)
+    gens = [rng.choice([1, -1, 2]) * Fraction(p) ** -rng.randrange(2)
+            for _ in range(3)]
+    diag = [math.prod(gens[i] for i in w) if w else gens[2] for w in words]
+    # [e_w[0], e_(the word w[1:])] = e_k, as nonzero (i, j, k, c_ijk)
+    consts = [(i, j, k, v) for k, w in enumerate(words) if len(w) > 1
+              for i, j, v in ((w[0], words.index(w[1:]), 1),
+                              (words.index(w[1:]), w[0], -1))]
+    P = [[Fraction(int(i == j) if i >= j else rng.randrange(-2, 3))
+          for j in range(n)] for i in range(n)]
+    Q = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for j in range(n):  # Q = P^-1, P being unitriangular
+        for i in range(j - 1, -1, -1):
+            Q[i][j] = -sum(P[i][k] * Q[k][j] for k in range(i + 1, j + 1))
+    frob = _mat_mul(Q, _mat_mul(
+        [[diag[i] if i == j else Fraction(0) for j in range(n)]
+         for i in range(n)], P))
+    bracket = []
+    for i in range(n):
+        bracket.append([])
+        for j in range(n):  # [P e_i, P e_j], in the basis P e
+            w = [Fraction(0)] * n
+            for a, b, k, v in consts:
+                w[k] += P[a][i] * P[b][j] * v
+            bracket[i].append([sum(q * x for q, x in zip(row, w))
+                               for row in Q])
+    fault = rng.choice([None, None, "antisymmetry", "equivariance"]
+                       if n > 2 else [None])
+    if fault == "antisymmetry":
+        bracket[0][1][n - 1] += 1
+    elif fault == "equivariance":
+        frob[n - 1][n - 1] *= p
+    lattice = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    shape = rng.choice(["standard", "scaled", "shear", None])
+    if shape == "scaled":
+        s = rng.randrange(n)
+        for row in lattice:
+            row[s] *= rng.choice([Fraction(p), Fraction(1, p)])
+    elif shape == "shear":
+        lattice = [[Fraction(rng.randrange(-2, 3)) * Fraction(p) **
+                    rng.randrange(-1, 2) if i < j else Fraction(int(i == j))
+                    for j in range(n)] for i in range(n)]
+    obj = {"p": p, "N": rng.choice([8, 12, 16]),
+           "frobenius": [[str(v) for v in row] for row in frob],
+           "bracket": [[[str(v) for v in cell] for cell in row]
+                       for row in bracket]}
+    if shape:
+        obj["lattice"] = [[str(v) for v in row] for row in lattice]
+    return obj
+
+
+def generated():
+    """(argv, stdin) rows for the seeded algebras: each through dla-check,
+    lcs and lattice-closure, and with a seeded pair through bch-mul."""
+    rng = random.Random(ALGEBRA_SEED)
+    out = []
+    for _ in range(ALGEBRAS):
+        alg = _algebra(rng)
+        n, p = len(alg["frobenius"]), alg["p"]
+        x, y = ([str(Fraction(rng.randrange(-4, 5), p ** rng.randrange(2)))
+                 for _ in range(n)] for _ in range(2))
+        text = json.dumps(alg)
+        out += [(["dla-check"], text), (["lcs"], text),
+                (["lattice-closure"], text),
+                (["bch-mul"], json.dumps({"algebra": alg, "x": x, "y": y}))]
+    return out
 
 
 def calls():
@@ -68,6 +161,7 @@ def calls():
                     (["--classical", *form, "--in", name], ""),
                     ([*form, "--precision", "6", "--in", name], "")]
     out.append((["slopes"], PRECISION_EDGE))
+    out += generated()
     top = [[], ["--help"], ["-h"], ["bogus"], ["--bogus"], ["--classical"],
            ["--precision"], ["--precision", "x", "slopes"],
            ["--prec", "6", "slopes", "--in", ORDINARY],
