@@ -339,6 +339,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise MalformedInput(message)
 
+    def parse_args(self, args=None, namespace=None):
+        # argparse reports a missing subcommand before an unknown flag, so
+        # "isolab --bogus" would not name the flag; the top parser's
+        # subcommand is optional to argparse and required here
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            raise MalformedInput(f"unrecognized arguments: {' '.join(extras)}")
+        if args.command is None:
+            raise MalformedInput("the following arguments are required: "
+                                 "command")
+        return args
+
 
 #: each subcommand's handler and the flags it adds to --in, --classical and
 #: --precision, in the order usage, --help and "invalid choice" list them
@@ -419,7 +431,7 @@ def _build_parser():
                      help="negate all slope signs in inputs and outputs")
     top.add_argument("--precision", type=int, default=None,
                      help="working precision N (default ISOLAB_PRECISION)")
-    top.add_subparsers(dest="command", required=True, action=_Subcommands)
+    top.add_subparsers(dest="command", action=_Subcommands)
     return top
 
 
