@@ -32,14 +32,18 @@ class DieudonneLie:
     still built, for dla_validate to report; every operation that needs
     the laws raises MalformedInput.
 
-    Four slots are filled after __init__, each read and filled by one
-    function on its first call: _series by lower_central_series (the
-    series and class), _split by algebra_slope_split (the slope blocks
-    of iso), _min_lattice by minimal_slope_lattice (the lattice's
-    minimal-slope part) and _lattice_report by lattice_report (the
-    lattice half of dla_validate's report), or the IsolabError computing
-    them raised.  All four depend only on the constants, F and the
-    lattice, which never change, so the first answer is every later one.
+    Four memo slots are filled after __init__, each by one function
+    through _stored: _series by lower_central_series (the series and
+    class), _split by algebra_slope_split (the slope blocks of iso),
+    _min_lattice by minimal_slope_lattice (the lattice's minimal-slope
+    part) and _lattice_report by lattice_report (the lattice half of
+    dla_validate's report).  Each depends only on the constants, F and
+    the lattice, which never change, so the first answer is every later
+    one: the first call computes it and stores it, or stores the
+    IsolabError computing it raised.  Every later call returns a new
+    copy, which the caller may edit without changing a later answer, or
+    raises a new error of the stored one's class, message and witness
+    (a copy), with no traceback.  Any other exception is not stored.
     """
 
     __slots__ = ("iso", "bracket", "lattice", "_cells", "_laws", "_series",
@@ -235,32 +239,18 @@ def lattice_report(a):
     integral (the witness is the first pair that is not).  An algebra
     with no lattice is MalformedInput.
 
-    Computed once per algebra and stored in its _lattice_report slot, as
-    lower_central_series stores the series.  Each call returns a new
-    dict and a new witnesses dict; each witness is a tuple.  An
-    IsolabError from the first computation is stored in its place, and
-    every call raises a new one of the same class, with the same message
-    and a copy of the witness.
+    Stored in the _lattice_report slot; each witness is a tuple.
     """
     if a.lattice is None:
         raise MalformedInput("no lattice on this algebra")
-    memo = a._lattice_report
-    if memo is None:
-        try:
-            memo = _lattice_report(a)
-        except IsolabError as exc:
-            memo = _replay(exc)
-        a._lattice_report = memo
-    if isinstance(memo, IsolabError):
-        raise _replay(memo)
-    dieudonne_ok, closed, witnesses = memo
-    return {"lattice_dieudonne": dieudonne_ok,
-            "lattice_bracket_closure": closed, "witnesses": dict(witnesses)}
+    return _stored(a, "_lattice_report", _lattice_report,
+                   lambda memo: {"lattice_dieudonne": memo[0],
+                                 "lattice_bracket_closure": memo[1],
+                                 "witnesses": dict(memo[2])})
 
 
 def _lattice_report(a):
-    """(dieudonne, closed, witnesses) for lattice_report, which stores
-    them; only it calls this."""
+    """(dieudonne, closed, witnesses) for lattice_report."""
     n = a.rank
     witnesses = {}
     B, Binv = lattice_phi_matrix(a)
@@ -410,24 +400,27 @@ def _require_in_span(basis, targets, what):
 def lower_central_series(a):
     """Chain of spans [full, [a,a], [a,[a,a]], ..], empty last; plus class.
 
-    Computed once per algebra and stored in its _series slot.  Each call
-    returns a copy of the chain, new lists down to the vectors, which
-    share only the immutable scalars, so a caller that edits it changes
-    no later answer.  An IsolabError from the first computation is stored
-    in its place, and every call raises a new one of the same class, with
-    the same message and a copy of the witness.
+    Stored in the _series slot; the chain is copied down to the vectors.
     """
-    memo = a._series
+    return _stored(a, "_series", _lower_central_series,
+                   lambda memo: ([[list(v) for v in term] for term in memo[0]],
+                                 memo[1]))
+
+
+def _stored(a, slot, compute, copy_out):
+    """The memo contract of the DieudonneLie docstring for one slot: the
+    first call stores compute(a), or the IsolabError it raised; every
+    call returns copy_out of the stored answer or raises a replay."""
+    memo = getattr(a, slot)
     if memo is None:
         try:
-            memo = _lower_central_series(a)
+            memo = compute(a)
         except IsolabError as exc:
             memo = _replay(exc)
-        a._series = memo
+        setattr(a, slot, memo)
     if isinstance(memo, IsolabError):
         raise _replay(memo)
-    chain, n_class = memo
-    return [[list(v) for v in term] for term in chain], n_class
+    return copy_out(memo)
 
 
 def _replay(exc):
@@ -437,8 +430,7 @@ def _replay(exc):
 
 
 def _lower_central_series(a):
-    """Compute the chain and class; only lower_central_series calls this,
-    and it stores the result."""
+    """The chain and class for lower_central_series."""
     require_valid_bracket(a)
     # the basis vectors are the echelon rows span_basis would return
     basis = mat_identity(a.spec, a.rank)
@@ -492,25 +484,14 @@ def lattice_intersect_subspace(lattice_cols, subspace_basis):
 def algebra_slope_split(a):
     """slope_split(a.iso): the blocks (slope, basis, block), slopes ascending.
 
-    Computed once per algebra and stored in its _split slot, as
-    lower_central_series stores the series.  Each call returns new lists
-    down to the basis vectors and each block's F rows, which share only
-    the immutable scalars.  An IsolabError from the first computation is
-    stored in its place, and every call raises a new one of the same
-    class, with the same message and a copy of the witness.
+    Stored in the _split slot; the copy is new down to the basis vectors
+    and each block's F rows.
     """
-    memo = a._split
-    if memo is None:
-        try:
-            memo = slope_split(a.iso)
-        except IsolabError as exc:
-            memo = _replay(exc)
-        a._split = memo
-    if isinstance(memo, IsolabError):
-        raise _replay(memo)
-    return [(lam, [list(v) for v in basis],
-             Isocrystal(sub.spec, [list(row) for row in sub.F]))
-            for lam, basis, sub in memo]
+    return _stored(a, "_split", lambda a: slope_split(a.iso),
+                   lambda memo: [(lam, [list(v) for v in basis],
+                                  Isocrystal(sub.spec,
+                                             [list(row) for row in sub.F]))
+                                 for lam, basis, sub in memo])
 
 
 def minimal_slope_lattice(a):
@@ -519,29 +500,21 @@ def minimal_slope_lattice(a):
     block of algebra_slope_split(a), or [] for an algebra with no block.
     An algebra with no lattice is MalformedInput.
 
-    Computed once per algebra and stored in its _min_lattice slot, as
-    lower_central_series stores the series.  Each call returns new lists
-    down to the basis vectors, which share only the immutable scalars.
-    An IsolabError from the first computation is stored in its place,
-    and every call raises a new one of the same class, with the same
-    message and a copy of the witness.
+    Stored in the _min_lattice slot; the basis is copied down to the
+    vectors.
     """
     if a.lattice is None:
         raise MalformedInput("no lattice on this algebra")
-    memo = a._min_lattice
-    if memo is None:
-        try:
-            blocks = algebra_slope_split(a)
-            # slopes strictly increase, so the first block is the
-            # minimal-slope one
-            b_cols = blocks[0][1] if blocks else []
-            memo = lattice_intersect_subspace(a.lattice, span_basis(b_cols))
-        except IsolabError as exc:
-            memo = _replay(exc)
-        a._min_lattice = memo
-    if isinstance(memo, IsolabError):
-        raise _replay(memo)
-    return [list(v) for v in memo]
+    return _stored(a, "_min_lattice", _minimal_slope_lattice,
+                   lambda memo: [list(v) for v in memo])
+
+
+def _minimal_slope_lattice(a):
+    """The basis for minimal_slope_lattice."""
+    blocks = algebra_slope_split(a)
+    # slopes strictly increase, so the first block is the minimal-slope one
+    b_cols = blocks[0][1] if blocks else []
+    return lattice_intersect_subspace(a.lattice, span_basis(b_cols))
 
 
 # --------------------------------------------------------------------------

@@ -117,6 +117,20 @@ def key(a):
     return (a.v, a.unit, a.rel)
 
 
+def answer_key(x):
+    """x with each scalar as its key, each isocrystal as its F rows and
+    each dict as its items in order, for comparing answers."""
+    if isinstance(x, PadicScalar):
+        return key(x)
+    if isinstance(x, Isocrystal):
+        return answer_key(x.F)
+    if isinstance(x, dict):
+        return [(k, answer_key(v)) for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return [answer_key(v) for v in x]
+    return x
+
+
 def rand_scalar(rng, spec, zero_share=0.25):
     """O(p^b), b in -3..N+3, at the given share, else p^v times a unit
     known mod p^rel, v in -3..3."""
@@ -166,6 +180,24 @@ CLI_COMMANDS = [
     ["rigidity", "--in", "corpus/rigidity_pos.json"],
     ["slope-exponents", "--mu1", "1/2", "--mu0", "1/3"],
 ]
+
+#: the algebra slots set after __init__, each with the one top-level
+#: function that fills it through dieudonne._stored: slot -> (module,
+#: function)
+ALGEBRA_MEMO = {
+    "_series": ("dieudonne", "lower_central_series"),
+    "_split": ("dieudonne", "algebra_slope_split"),
+    "_min_lattice": ("dieudonne", "minimal_slope_lattice"),
+    "_lattice_report": ("dieudonne", "lattice_report"),
+}
+#: for each slot, the name in dieudonne its computation looks up when it
+#: runs, which a test wraps to count or fail the computation
+MEMO_COMPUTE = {
+    "_series": "_lower_central_series",
+    "_split": "slope_split",
+    "_min_lattice": "_minimal_slope_lattice",
+    "_lattice_report": "_lattice_report",
+}
 
 
 # ---- rational arithmetic and the digit rule ----

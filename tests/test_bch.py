@@ -1,13 +1,11 @@
-import copy
 import random
 from fractions import Fraction
 
 import pytest
 
-from isolab import (DieudonneLie, FieldSpec, FreeLieElement, PadicScalar,
-                    bch_series, denominator_profile, group_mul,
-                    lattice_closure_check, lie_project, rho_defect,
-                    slope_split, smallest_f_stable_subalgebra)
+from isolab import (DieudonneLie, FieldSpec, FreeLieElement, bch_series,
+                    denominator_profile, group_mul, lattice_closure_check,
+                    lie_project, rho_defect, smallest_f_stable_subalgebra)
 from isolab.bch import is_lyndon, standard_factorization, MAX_CLASS
 from isolab import bch, dieudonne, isocrystal
 from isolab.dieudonne import (dla_validate, lower_central_series,
@@ -17,9 +15,9 @@ from isolab.errors import (DegreeTooLarge, FieldSpecMismatch,
                            MalformedInput, NonInvertible, SplitUnavailable)
 from isolab.linalg import mat_from_rationals
 
-from reference import (EYE3, build, heis_bracket, heisenberg, key,
-                       ref_lattice_closure, run_optimized, split_heisenberg,
-                       vec, zero_bracket)
+from reference import (ALGEBRA_MEMO, EYE3, MEMO_COMPUTE, answer_key, build,
+                       heis_bracket, heisenberg, ref_lattice_closure,
+                       run_optimized, split_heisenberg, vec, zero_bracket)
 
 F = Fraction
 SPEC = FieldSpec(5, 1, 16)
@@ -553,24 +551,27 @@ def test_rho_defect_reads_n_as_an_int():
     assert [c.to_json() for c in d2] == [c.to_json() for c in d]
 
 
-def test_series_is_computed_once_per_algebra(monkeypatch):
-    # group_mul, lattice_closure_check and rho_defect read the class
-    # through lower_central_series, which computes it once per algebra
+def test_consumers_compute_each_slot_once(monkeypatch):
+    # group_mul, lattice_closure_check, rho_defect and dla_validate read
+    # the class, the split, the minimal-slope lattice and the lattice
+    # report from the algebra's slots: each is computed once per algebra
     calls = []
-    compute = dieudonne._lower_central_series
-    monkeypatch.setattr(dieudonne, "_lower_central_series",
-                        lambda a: calls.append(a) or compute(a))
+    for name in MEMO_COMPUTE.values():
+        compute = getattr(dieudonne, name)
+        monkeypatch.setattr(dieudonne, name, lambda *args, name=name,
+                            compute=compute: calls.append(name)
+                            or compute(*args))
     a = split_heisenberg()
     x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
-    assert lower_central_series(a)[1] == 2
-    group_mul(a, x, y)
-    assert lattice_closure_check(a, samples=4) == (True, None)
-    assert rho_defect(a, x, y, 0)[1]["member"] is True
-    assert lower_central_series(a)[1] == 2
-    assert calls == [a]
+    for _ in range(3):
+        group_mul(a, x, y)
+        assert lattice_closure_check(a, samples=4) == (True, None)
+        assert rho_defect(a, x, y, 0)[1]["member"] is True
+        assert dla_validate(a)["lattice_bracket_closure"] is True
+    assert sorted(calls) == sorted(MEMO_COMPUTE.values())
     b = DieudonneLie(a.iso, a.bracket, a.lattice)  # a rebuilt algebra
-    assert lower_central_series(b)[1] == 2 and group_mul(b, x, y)
-    assert calls == [a, b]
+    assert rho_defect(b, x, y, 0)[1]["member"] is True and dla_validate(b)
+    assert sorted(calls) == sorted([*MEMO_COMPUTE.values()] * 2)
 
 
 def test_built_algebra_is_not_checked_again(monkeypatch):
@@ -595,56 +596,9 @@ def test_built_algebra_is_not_checked_again(monkeypatch):
     assert calls == ["init", "laws"]
 
 
-# ---- the slope split, once per algebra ----
-
-def split_key(blocks):
-    return [(lam, [list(map(key, v)) for v in basis],
-             [list(map(key, row)) for row in sub.F])
-            for lam, basis, sub in blocks]
-
-
 def rho_key(res):
     d, report = res
     return [c.to_json() for c in d], report
-
-
-def test_split_is_computed_once_per_algebra(monkeypatch):
-    calls = []
-    split = dieudonne.slope_split
-    monkeypatch.setattr(dieudonne, "slope_split",
-                        lambda M: calls.append(M) or split(M))
-    a = split_heisenberg()
-    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
-    first = rho_key(rho_defect(a, x, y, 0))
-    for n in range(3):
-        rho_defect(a, y, vec(a.spec, F(1, 5 ** n), 2, 3), n)
-    assert rho_key(rho_defect(a, x, y, 0)) == first
-    assert calls == [a.iso]
-    b = DieudonneLie(a.iso, a.bracket, a.lattice)  # a rebuilt algebra
-    assert rho_key(rho_defect(b, x, y, 0)) == first
-    assert calls == [a.iso, b.iso]
-
-
-def test_split_returns_a_copy():
-    # editing the bases or F of one answer leaves every later answer equal
-    # to a fresh algebra's, and the algebra's own F unchanged
-    a, fresh = split_heisenberg(), split_heisenberg()
-    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
-    frob = a.iso.to_json()
-    blocks = dieudonne.algebra_slope_split(a)
-    want = split_key(dieudonne.algebra_slope_split(fresh))
-    assert split_key(blocks) == want
-    one = PadicScalar.from_int(a.spec, 1)
-    for _, basis, sub in blocks:
-        basis[0][0] = one
-        basis.append(list(basis[0]))
-        sub.F[0][0] = one
-        sub.F.pop()
-    blocks.reverse()
-    assert split_key(dieudonne.algebra_slope_split(a)) == want
-    assert rho_key(rho_defect(a, x, y, 0)) == rho_key(
-        rho_defect(fresh, x, y, 0))
-    assert a.iso.to_json() == frob
 
 
 def zero_bound_algebra():
@@ -657,8 +611,8 @@ def zero_bound_algebra():
 
 
 def test_split_failure_is_replayed_as_a_fresh_error(monkeypatch):
-    # the stored InsufficientPrecision comes back as SplitUnavailable on
-    # every call, with an equal witness of its own, and is computed once
+    # rho_defect answers a stored InsufficientPrecision split with a new
+    # SplitUnavailable on every call; the split is computed once
     calls = []
     split = dieudonne.slope_split
     monkeypatch.setattr(dieudonne, "slope_split",
@@ -671,37 +625,9 @@ def test_split_failure_is_replayed_as_a_fresh_error(monkeypatch):
                            match="no certified slope complement") as exc:
             rho_defect(a, x, y, 0)
         raised.append(exc.value)
-    first = raised[0]
-    assert first.witness == {"coefficient": 1, "bound": -1}
-    for e in raised[1:]:
-        assert e is not first and e.witness == first.witness
-        assert e.witness is not first.witness
-    first.witness["bound"] = 0  # the caller's copy only
-    with pytest.raises(SplitUnavailable) as exc:
-        rho_defect(a, x, y, 0)
-    assert exc.value.witness == {"coefficient": 1, "bound": -1}
-    with pytest.raises(InsufficientPrecision) as exc:
-        dieudonne.algebra_slope_split(a)
-    assert exc.value.witness == {"coefficient": 1, "bound": -1}
+    assert len({id(e) for e in raised}) == 3
+    assert [e.witness for e in raised] == [{"coefficient": 1, "bound": -1}] * 3
     assert calls == [a.iso]
-
-
-def test_split_stores_only_library_errors(monkeypatch):
-    # an exception that is not an IsolabError propagates and is not
-    # stored: the next call computes the split
-    a = split_heisenberg()
-    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
-    split = dieudonne.slope_split
-
-    def fail(M):
-        raise RuntimeError("interrupted")
-
-    monkeypatch.setattr(dieudonne, "slope_split", fail)
-    with pytest.raises(RuntimeError):
-        rho_defect(a, x, y, 0)
-    monkeypatch.setattr(dieudonne, "slope_split", split)
-    assert rho_key(rho_defect(a, x, y, 0)) == rho_key(
-        rho_defect(split_heisenberg(), x, y, 0))
 
 
 def thirds(p):
@@ -720,143 +646,28 @@ def thirds(p):
     return build(frob, c, eye, FieldSpec(p, 1, 12))
 
 
-def test_stored_split_answers_as_a_fresh_algebra():
-    # about 20 seeded (x', x, n) per algebra on the lie workload's shapes:
-    # one algebra shared by every call answers as a fresh one per call.
-    # x has denominators p^k and n is k or k - 1, so both reports occur.
+def test_stored_answers_equal_a_fresh_algebras():
+    # the lie workload's shapes, on every seeded lattice but at rank 5:
+    # one algebra shared by seeded rho_defect calls, between the other
+    # lattice operations, answers as a fresh algebra per call, and so
+    # does every slot.  x has denominators p^k and n is k or k - 1, so
+    # both reports occur, and Dieudonne, closed and neither lattices occur
     rng = random.Random(27)
-    makers = [lambda p, r=r: lie_style(
-        p, [[F(int(i == j)) for j in range(r)] for i in range(r)], r)
-        for r in (3, 4, 5, 6)] + [thirds]
-    members = set()
-    for make in makers:
-        for p in (3, 5, 7):
-            shared = make(p)
-            for _ in range(20):
-                k = rng.randrange(3)
-                n = k - rng.randrange(2)
-                xp = vec(shared.spec, *(rng.randrange(-9, 10)
-                                        for _ in range(shared.rank)))
-                x = vec(shared.spec, *(F(rng.randrange(-9, 10), p ** k)
-                                       for _ in range(shared.rank)))
-                got = rho_key(rho_defect(shared, xp, x, n))
-                assert got == rho_key(rho_defect(make(p), xp, x, n))
-                members.add(got[1]["member"])
-    assert members == {True, False}
-
-
-# ---- the minimal-slope lattice, once per algebra ----
-
-def lattice_key(cols):
-    return [list(map(key, v)) for v in cols]
-
-
-def test_minimal_slope_lattice_is_computed_once_per_algebra(monkeypatch):
-    calls = []
-    intersect = dieudonne.lattice_intersect_subspace
-    monkeypatch.setattr(dieudonne, "lattice_intersect_subspace",
-                        lambda *args: calls.append(args) or intersect(*args))
-    a = split_heisenberg()
-    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
-    first = rho_key(rho_defect(a, x, y, 0))
-    for n in range(3):
-        rho_defect(a, y, vec(a.spec, F(1, 5 ** n), 2, 3), n)
-    assert rho_key(rho_defect(a, x, y, 0)) == first
-    assert len(calls) == 1
-    b = DieudonneLie(a.iso, a.bracket, a.lattice)  # a rebuilt algebra
-    assert rho_key(rho_defect(b, x, y, 0)) == first
-    assert len(calls) == 2
-
-
-def test_minimal_slope_lattice_needs_a_lattice():
-    with pytest.raises(MalformedInput, match="no lattice"):
-        dieudonne.minimal_slope_lattice(heisenberg())
-
-
-def test_minimal_slope_lattice_returns_a_copy():
-    # editing one answer leaves every later answer equal to a fresh
-    # algebra's
-    a, fresh = split_heisenberg(), split_heisenberg()
-    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
-    cols = dieudonne.minimal_slope_lattice(a)
-    want = lattice_key(dieudonne.minimal_slope_lattice(fresh))
-    assert lattice_key(cols) == want and cols
-    cols[0][0] = PadicScalar.from_int(a.spec, 7)
-    cols.append(list(cols[0]))
-    assert lattice_key(dieudonne.minimal_slope_lattice(a)) == want
-    assert rho_key(rho_defect(a, x, y, 0)) == rho_key(
-        rho_defect(fresh, x, y, 0))
-
-
-def test_minimal_slope_lattice_failure_is_replayed_as_a_fresh_error(
-        monkeypatch):
-    # the intersection fails on its first call only, so a later call that
-    # computed again would answer: every call raises the stored error as
-    # a new instance with an equal witness of its own
-    calls = []
-    intersect = dieudonne.lattice_intersect_subspace
-
-    def fail_once(*args):
-        calls.append(args)
-        if len(calls) == 1:
-            raise InsufficientPrecision("kernel dimension could not be "
-                                        "certified",
-                                        witness={"expected": 1, "found": 0})
-        return intersect(*args)
-
-    monkeypatch.setattr(dieudonne, "lattice_intersect_subspace", fail_once)
-    a = split_heisenberg()
-    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
-    raised = []
-    for _ in range(3):
-        with pytest.raises(InsufficientPrecision,
-                           match="kernel dimension") as exc:
-            rho_defect(a, x, y, 0)
-        raised.append(exc.value)
-    first = raised[0]
-    for e in raised[1:]:
-        assert e is not first and e.witness == first.witness
-        assert e.witness is not first.witness
-    first.witness["found"] = 5  # the caller's copy only
-    with pytest.raises(InsufficientPrecision) as exc:
-        dieudonne.minimal_slope_lattice(a)
-    assert exc.value.witness == {"expected": 1, "found": 0}
-    assert len(calls) == 1
-    # the split the lattice was cut from is stored apart, and answers
-    assert dieudonne.algebra_slope_split(a)
-
-
-def test_minimal_slope_lattice_stores_only_library_errors(monkeypatch):
-    # an exception that is not an IsolabError propagates and is not
-    # stored: the next call computes the lattice
-    a = split_heisenberg()
-    x, y = vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0)
-    intersect = dieudonne.lattice_intersect_subspace
-
-    def fail(*args):
-        raise RuntimeError("interrupted")
-
-    monkeypatch.setattr(dieudonne, "lattice_intersect_subspace", fail)
-    with pytest.raises(RuntimeError):
-        rho_defect(a, x, y, 0)
-    monkeypatch.setattr(dieudonne, "lattice_intersect_subspace", intersect)
-    assert rho_key(rho_defect(a, x, y, 0)) == rho_key(
-        rho_defect(split_heisenberg(), x, y, 0))
-
-
-def test_stored_minimal_slope_lattice_answers_as_the_direct_one():
-    # on the lie workload's shapes with seeded lattices, one algebra
-    # shared by seeded (x', x, n) answers as a fresh one per call, and the
-    # lattice it stored is the one cut directly from a fresh split
-    rng = random.Random(29)
     algebras = [(lambda p=p, lat=lat, r=r: lie_style(p, lat, r))
-                for r in (3, 4, 6) for p in (3, 5, 7)
-                for lat in seeded_lattices(rng, p, r)[::2]]
+                for r in (3, 4, 5, 6) for p in (3, 5, 7)
+                for lat in seeded_lattices(rng, p, r)[:1 if r == 5 else 6]]
     algebras += [lambda p=p: thirds(p) for p in (3, 5, 7)]
-    members = set()
-    for make in algebras:
-        shared = make()
-        for _ in range(5):
+    members, seen = set(), set()
+    for build_one in algebras:
+        shared, template = build_one(), build_one()
+
+        def make():
+            return DieudonneLie(template.iso, template.bracket,
+                                template.lattice)
+
+        fresh = make()
+        rep = dla_validate(fresh)
+        for _ in range(3):
             k = rng.randrange(3)
             n = k - rng.randrange(2)
             xp = vec(shared.spec, *(rng.randrange(-9, 10)
@@ -866,12 +677,24 @@ def test_stored_minimal_slope_lattice_answers_as_the_direct_one():
             got = rho_key(rho_defect(shared, xp, x, n))
             assert got == rho_key(rho_defect(make(), xp, x, n))
             members.add(got[1]["member"])
-        fresh = make()
-        direct = dieudonne.lattice_intersect_subspace(
-            fresh.lattice, dieudonne.span_basis(slope_split(fresh.iso)[0][1]))
-        assert lattice_key(dieudonne.minimal_slope_lattice(shared)) == \
-            lattice_key(direct)
+            lattice_closure_check(shared, samples=3)
+            assert dla_validate(shared) == rep
+        for _, name in ALGEBRA_MEMO.values():
+            fn = getattr(dieudonne, name)
+            assert answer_key(fn(shared)) == answer_key(fn(fresh))
+        seen |= {(k, rep[k]) for k in ("lattice_dieudonne",
+                                       "lattice_bracket_closure")}
+        seen |= set(rep["witnesses"])
     assert members == {True, False}
+    assert seen == {("lattice_dieudonne", True), ("lattice_dieudonne", False),
+                    ("lattice_bracket_closure", True),
+                    ("lattice_bracket_closure", False),
+                    "lattice_dieudonne", "lattice_bracket_closure"}
+
+
+def test_minimal_slope_lattice_needs_a_lattice():
+    with pytest.raises(MalformedInput, match="no lattice"):
+        dieudonne.minimal_slope_lattice(heisenberg())
 
 
 # ---- one polygon per minimal-slope check ----
@@ -919,120 +742,15 @@ def test_coordinate_vectors_are_checked(fn, bad, raised, witness):
     assert exc.value.witness == witness
 
 
-# ---- the lattice report, once per algebra ----
-
-def test_lattice_report_is_computed_once_per_algebra(monkeypatch):
-    calls = []
-    phi = dieudonne.lattice_phi_matrix
-    closure = dieudonne.lattice_bracket_closure
-    monkeypatch.setattr(dieudonne, "lattice_phi_matrix",
-                        lambda a: calls.append("phi") or phi(a))
-    monkeypatch.setattr(dieudonne, "lattice_bracket_closure",
-                        lambda a: calls.append("closure") or closure(a))
-    a = split_heisenberg()
-    first = dla_validate(a)
-    for _ in range(3):
-        assert dla_validate(a) == first
-    assert dieudonne.lattice_report(a) == {
-        "lattice_dieudonne": True, "lattice_bracket_closure": True,
-        "witnesses": {}}
-    assert calls == ["phi", "closure"]
-    b = DieudonneLie(a.iso, a.bracket, a.lattice)  # a rebuilt algebra
-    assert dla_validate(b) == first
-    assert calls == ["phi", "closure"] * 2
+def test_law_witnesses_come_before_the_lattice_witnesses():
+    c = heis_bracket()
+    c[1][0][2] = F(0)  # breaks antisymmetry at (0, 1, 2)
+    a = build(EYE3, c, [[F(1), 0, 0], [0, F(1, 5), 0], [0, 0, F(1)]])
+    assert list(dla_validate(a)["witnesses"]) == ["antisymmetry",
+                                                  "lattice_bracket_closure"]
 
 
 def test_lattice_report_needs_a_lattice():
     with pytest.raises(MalformedInput, match="no lattice"):
         dieudonne.lattice_report(heisenberg())
     assert dla_validate(heisenberg())["lattice_dieudonne"] is None
-
-
-def test_lattice_report_returns_a_copy():
-    # editing one report, or its witnesses, leaves every later report
-    # equal to a fresh algebra's; a law witness stays ahead of the
-    # lattice's, as it was put in first
-    c = heis_bracket()
-    c[1][0][2] = F(0)  # breaks antisymmetry at (0, 1, 2)
-    lattice = [[F(1), 0, 0], [0, F(1, 5), 0], [0, 0, F(1)]]
-    a, fresh = build(EYE3, c, lattice), build(EYE3, c, lattice)
-    want = dla_validate(fresh)
-    assert list(want["witnesses"]) == ["antisymmetry",
-                                       "lattice_bracket_closure"]
-    for rep in (dla_validate(a), dieudonne.lattice_report(a)):
-        rep["lattice_bracket_closure"] = True
-        rep["witnesses"]["lattice_dieudonne"] = ("phi_image_exceeds", 9)
-        rep["witnesses"].pop("lattice_bracket_closure")
-    assert dla_validate(a) == want
-    assert list(dla_validate(a)["witnesses"]) == list(want["witnesses"])
-
-
-def test_lattice_report_failure_is_replayed_as_a_fresh_error(monkeypatch):
-    # a lattice that lost rank: every call raises the stored error as a
-    # new instance with an equal witness of its own, and computes nothing
-    b = split_heisenberg()
-    a = DieudonneLie(b.iso, b.bracket, mat_from_rationals(
-        b.spec, [[F(1), 0, F(1)], [F(0), 1, 1], [F(0), 0, 0]]))
-    raised = []
-    for _ in range(2):
-        with pytest.raises(InsufficientPrecision,
-                           match="lattice comparison indeterminate") as exc:
-            dla_validate(a)
-        raised.append(exc.value)
-    monkeypatch.setattr(dieudonne, "lattice_phi_matrix", None)
-    with pytest.raises(InsufficientPrecision) as exc:
-        dieudonne.lattice_report(a)
-    raised.append(exc.value)
-    first = raised[0]
-    for e in raised[1:]:
-        assert e is not first and e.witness == first.witness
-        assert e.witness is not first.witness
-    want = copy.deepcopy(first.witness)
-    first.witness.clear()  # the caller's copy only
-    with pytest.raises(InsufficientPrecision) as exc:
-        dla_validate(a)
-    assert exc.value.witness == want and want
-
-
-def test_lattice_report_stores_only_library_errors(monkeypatch):
-    # an exception that is not an IsolabError propagates and is not
-    # stored: the next call computes the report
-    a = split_heisenberg()
-    closure = dieudonne.lattice_bracket_closure
-
-    def fail(a):
-        raise RuntimeError("interrupted")
-
-    monkeypatch.setattr(dieudonne, "lattice_bracket_closure", fail)
-    with pytest.raises(RuntimeError):
-        dla_validate(a)
-    monkeypatch.setattr(dieudonne, "lattice_bracket_closure", closure)
-    assert dla_validate(a) == dla_validate(split_heisenberg())
-
-
-def test_stored_lattice_report_answers_as_a_fresh_algebra():
-    # on the lie workload's shapes with seeded lattices, one algebra
-    # shared by every call, between the other lattice operations, reports
-    # as a fresh one per call; Dieudonne and closed lattices occur, and
-    # lattices that are neither, so both witnesses are checked
-    rng = random.Random(30)
-    algebras = [(lambda p=p, lat=lat, r=r: lie_style(p, lat, r))
-                for r in (3, 4, 6) for p in (3, 5, 7)
-                for lat in seeded_lattices(rng, p, r)]
-    algebras += [lambda p=p: thirds(p) for p in (3, 5, 7)]
-    seen = set()
-    for make in algebras:
-        shared = make()
-        x = vec(shared.spec, *range(1, shared.rank + 1))
-        for _ in range(3):
-            rep = dla_validate(shared)
-            assert rep == dla_validate(make())
-            lattice_closure_check(shared, samples=3)
-            rho_defect(shared, x, x, 0)
-        seen |= {(k, rep[k]) for k in ("lattice_dieudonne",
-                                       "lattice_bracket_closure")}
-        seen |= set(rep["witnesses"])
-    assert seen == {("lattice_dieudonne", True), ("lattice_dieudonne", False),
-                    ("lattice_bracket_closure", True),
-                    ("lattice_bracket_closure", False),
-                    "lattice_dieudonne", "lattice_bracket_closure"}

@@ -17,9 +17,10 @@ from isolab.errors import (InsufficientPrecision, InvariantViolated,
                            SlopeOutOfRange)
 from isolab.linalg import coords_in_column_span, mat_inverse, mat_vec
 
-from reference import (EYE3, build, heis_bracket, heisenberg, key,
-                       rand_scalar, ref_bracket_laws, ref_bracket_vec,
-                       ref_in_span, run_optimized, vec, zero_bracket)
+from reference import (ALGEBRA_MEMO, EYE3, MEMO_COMPUTE, answer_key, build,
+                       heis_bracket, heisenberg, key, rand_scalar,
+                       ref_bracket_laws, ref_bracket_vec, ref_in_span,
+                       run_optimized, split_heisenberg, vec, zero_bracket)
 
 SPEC = FieldSpec(5, 1, 16)
 F = Fraction
@@ -129,59 +130,77 @@ def test_lcs_not_nilpotent():
         lower_central_series(sl2())
 
 
-def test_lcs_failure_is_replayed_as_a_fresh_error():
-    # the stored error is raised as a new instance each time: same class,
-    # message and witness, its own witness copy, no traceback that grows
-    a = sl2()
+# ---- the memo slots: one contract for all four ----
+
+def scramble(x):
+    """Edit in place every list, dict and isocrystal F reachable from x."""
+    if isinstance(x, Isocrystal):
+        scramble(x.F)
+    elif isinstance(x, (list, tuple, dict)):
+        for v in (x.values() if isinstance(x, dict) else x):
+            scramble(v)
+        if isinstance(x, list):
+            x[:] = x[::-1] + x[:1]
+        elif isinstance(x, dict):
+            x["edited"] = x.popitem() if x else None
+
+
+@pytest.mark.parametrize("slot", list(ALGEBRA_MEMO))
+def test_memo_contract(slot, monkeypatch):
+    fn = getattr(dieudonne, ALGEBRA_MEMO[slot][1])
+    compute = getattr(dieudonne, MEMO_COMPUTE[slot])
+    calls, faults = [], []
+
+    def counted(*args):
+        calls.append(args)
+        if faults:
+            raise faults.pop()
+        return compute(*args)
+
+    monkeypatch.setattr(dieudonne, MEMO_COMPUTE[slot], counted)
+    want = answer_key(fn(split_heisenberg()))
+    # computed once per algebra, and again for a rebuilt algebra; an
+    # edited answer changes no later one, which equals a fresh algebra's
+    a = split_heisenberg()
+    calls.clear()
+    for _ in range(3):
+        got = fn(a)
+        assert answer_key(got) == want
+        scramble(got)
+        assert answer_key(got) != want
+    assert len(calls) == 1
+    assert answer_key(fn(DieudonneLie(a.iso, a.bracket, a.lattice))) == want
+    assert len(calls) == 2
+    # a stored IsolabError is raised as a new instance each time: its
+    # class, message and witness, a witness copy of its own, and no
+    # traceback that grows
+    a, fault = split_heisenberg(), InsufficientPrecision(
+        "stored", witness={"bound": [1, 2]})
+    calls.clear()
+    faults.append(fault)
     raised = []
     for _ in range(3):
-        with pytest.raises(NotNilpotent) as exc:
-            lower_central_series(a)
+        with pytest.raises(InsufficientPrecision, match="^stored$") as exc:
+            fn(a)
         raised.append(exc.value)
-    first = raised[0]
-    assert str(first) == "lower central series stabilized"
-    assert first.witness == {"dimension": 3}
-    for e in raised[1:]:
-        assert type(e) is NotNilpotent and e is not first
-        assert str(e) == str(first) and e.witness == first.witness
-        assert e.witness is not first.witness
+    assert len(calls) == 1
+    assert len({id(e) for e in [fault, *raised]}) == 4
+    assert len({id(e.witness["bound"]) for e in [fault, *raised]}) == 4
+    assert all(type(e) is InsufficientPrecision and e.witness == {
+        "bound": [1, 2]} for e in raised)
     assert len({len(traceback.extract_tb(e.__traceback__))
                 for e in raised}) == 1
-    first.witness["dimension"] = 0  # the caller's copy only
-    with pytest.raises(NotNilpotent) as exc:
-        lower_central_series(a)
-    assert exc.value.witness == {"dimension": 3}
-
-
-def test_lcs_stores_only_library_errors(monkeypatch):
-    # an exception that is not an IsolabError propagates and is not
-    # stored: the next call computes the series
-    a = heisenberg()
-    compute = dieudonne._lower_central_series
-
-    def fail(b):
-        raise RuntimeError("interrupted")
-
-    monkeypatch.setattr(dieudonne, "_lower_central_series", fail)
+    raised[0].witness["bound"].append(3)  # the caller's copy only
+    with pytest.raises(InsufficientPrecision) as exc:
+        fn(a)
+    assert exc.value.witness == {"bound": [1, 2]}
+    # any other exception propagates unstored: the next call computes
+    a = split_heisenberg()
+    calls.clear()
+    faults.append(RuntimeError("interrupted"))
     with pytest.raises(RuntimeError):
-        lower_central_series(a)
-    monkeypatch.setattr(dieudonne, "_lower_central_series", compute)
-    assert lower_central_series(a)[1] == 2
-
-
-def test_lcs_returns_a_copy():
-    # editing a returned chain, its terms or its vectors leaves the next
-    # answer equal to a fresh algebra's
-    a = heisenberg()
-    chain, _ = lower_central_series(a)
-    chain[1][0][2] = PadicScalar.zero(a.spec)
-    chain[0].pop()
-    chain.append([])
-    want = lower_central_series(heisenberg())
-    got = lower_central_series(a)
-    assert [[list(map(key, v)) for v in t] for t in got[0]] == [
-        [list(map(key, v)) for v in t] for t in want[0]]
-    assert got[1] == want[1] == 2
+        fn(a)
+    assert answer_key(fn(a)) == want and len(calls) == 2
 
 
 def test_pdiv_dimension_values():

@@ -9,6 +9,8 @@ import pathlib
 import isolab
 from isolab import DieudonneLie, PadicScalar, PerfectedSeries
 
+from reference import ALGEBRA_MEMO
+
 SRC = pathlib.Path(isolab.__file__).resolve().parent
 
 
@@ -240,23 +242,14 @@ def _writes(path, tree, skip, slots, items):
     return found
 
 
-#: the algebra slots set after __init__, each with the one top-level
-#: function that reads and fills it: slot -> (module, function)
-ALGEBRA_MEMO = {
-    "_series": ("dieudonne", "lower_central_series"),
-    "_split": ("dieudonne", "algebra_slope_split"),
-    "_min_lattice": ("dieudonne", "minimal_slope_lattice"),
-    "_lattice_report": ("dieudonne", "lattice_report"),
-}
-
-
 def test_algebra_constants_are_fixed():
     # DieudonneLie.__init__ builds bracket_vec's table of the nonzero
     # constants once, so no code may set an algebra's attributes after
-    # __init__ or write through .bracket[...]; the exceptions are the memo
-    # slots, each of which only its own function reads and fills
-    slots = set(DieudonneLie.__slots__)
-    in_init, filled, found = set(), set(), []
+    # __init__ or write through .bracket[...].  The memo slots are the
+    # exception: dieudonne._stored alone reads and fills them, by the slot
+    # name each public function of ALGEBRA_MEMO passes it, once per slot
+    slots, memo = set(DieudonneLie.__slots__), set(ALGEBRA_MEMO)
+    in_init, stored, found = set(), [], []
     for path in sorted(WATCHED):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         init = [n for cls in tree.body if isinstance(cls, ast.ClassDef)
@@ -265,28 +258,34 @@ def test_algebra_constants_are_fixed():
                 for n in ast.walk(f)]
         in_init |= {n.attr for n in init if isinstance(n, ast.Attribute)
                     and isinstance(n.ctx, ast.Store)}
-        owners = {memo: [f for f in tree.body if path.parent == SRC
-                         and path.stem == mod
-                         and isinstance(f, ast.FunctionDef) and f.name == fn]
-                  for memo, (mod, fn) in ALGEBRA_MEMO.items()}
-        inside = {memo: {id(n) for n in init} | {
-                      id(n) for f in fs for n in ast.walk(f)}
-                  for memo, fs in owners.items()}
-        found += _writes(path, tree, set().union(*inside.values()), slots,
-                         "bracket")
-        for memo, fs in owners.items():
-            for f in fs:
-                found += _writes(path, f, set(), slots - {memo}, "bracket")
-                filled |= {memo for n in ast.walk(f)
-                           if isinstance(n, ast.Attribute) and n.attr == memo
-                           and isinstance(n.ctx, ast.Store)}
-            # nothing else reads the slot either
-            found += [f"{path.name}:{n.lineno}:{memo}:read"
-                      for n in ast.walk(tree) if id(n) not in inside[memo]
-                      and isinstance(n, ast.Attribute) and n.attr == memo
-                      and isinstance(n.ctx, ast.Load)]
+        skip = {id(n) for n in init}
+        found += _writes(path, tree, skip, slots, "bracket")
+        for top in tree.body:
+            where = (path.stem if path.parent == SRC else path.name,
+                     getattr(top, "name", None))
+            for n in ast.walk(top):
+                if id(n) in skip:
+                    continue
+                if isinstance(n, ast.Attribute) and n.attr in memo:
+                    found.append(f"{path.name}:{n.lineno}:{n.attr}")
+                if not isinstance(n, ast.Call):
+                    continue
+                name = getattr(n.func, "id", getattr(n.func, "attr", None))
+                slot = [a.value for a in n.args[:2]
+                        if isinstance(a, ast.Constant)]
+                if name == "_stored":
+                    stored.append((slot[0] if slot else None, where))
+                elif name in ("getattr", "__getattribute__") and \
+                        set(slot) & memo:
+                    found.append(f"{path.name}:{n.lineno}:{name}")
+                elif name in ("getattr", "setattr", "delattr") and \
+                        path.parent == SRC and where != ("dieudonne",
+                                                         "_stored"):
+                    # a slot name held in a variable: only _stored
+                    found.append(f"{path.name}:{n.lineno}:{name}")
     assert in_init == slots
-    assert filled == set(ALGEBRA_MEMO)
+    assert sorted(stored) == sorted(ALGEBRA_MEMO.items())
+    assert not any(fn.startswith("_") for _, fn in ALGEBRA_MEMO.values())
     assert found == []
 
 
