@@ -65,20 +65,16 @@ PRECISION_EDGE = '{"p":5,"N":3,"frobenius":[["1","0"],["0","1/125"]]}'
 ALGEBRA_SEED, ALGEBRAS = 32, 40
 
 
-def _mat_mul(A, B):
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
-            for row in A]
-
-
 def _algebra(rng):
     """A seeded algebra object for the JSON-reading DLA subcommands.
 
     The free nilpotent algebra on e0, e1 of class 1, 2 or 3 (e2 = [e0,
     e1], e3 = [e0, e2], e4 = [e1, e2]), with up to one more central line,
     under a diagonal phi that the bracket multiplies, is written in the
-    basis of a random integral unitriangular P.  One algebra in three has
-    one bracket law broken, and the lattice is the standard one, one with
-    a column scaled by p or 1/p, a shear with entries up to p^+-1, or none.
+    basis of a random integral unitriangular P.  Half of those of rank
+    above 2 have antisymmetry or F-equivariance broken.  The lattice is
+    the standard one, one with a column scaled by p or 1/p, a shear with
+    entries up to p^+-1, or none.
     """
     p = rng.choice([2, 3, 5, 7])
     words = [(0,), (1,), (0, 1), (0, 0, 1), (1, 0, 1)][
@@ -97,9 +93,8 @@ def _algebra(rng):
     for j in range(n):  # Q = P^-1, P being unitriangular
         for i in range(j - 1, -1, -1):
             Q[i][j] = -sum(P[i][k] * Q[k][j] for k in range(i + 1, j + 1))
-    frob = _mat_mul(Q, _mat_mul(
-        [[diag[i] if i == j else Fraction(0) for j in range(n)]
-         for i in range(n)], P))
+    frob = [[sum(Q[i][k] * diag[k] * P[k][j] for k in range(n))
+             for j in range(n)] for i in range(n)]
     bracket = []
     for i in range(n):
         bracket.append([])
