@@ -15,6 +15,10 @@ from isolab.errors import (DegreeTooLarge, FieldSpecMismatch,
                            MalformedInput, NonInvertible, SplitUnavailable)
 from isolab.linalg import mat_from_rationals
 
+from memo_contract import (check_computed_once,
+                           check_replays_a_fresh_error,
+                           check_returns_a_copy,
+                           check_stores_only_library_errors)
 from reference import (ALGEBRA_MEMO, EYE3, MEMO_COMPUTE, answer_key, build,
                        heis_bracket, heisenberg, ref_lattice_closure,
                        run_optimized, split_heisenberg, vec, zero_bracket)
@@ -574,6 +578,53 @@ def test_consumers_compute_each_slot_once(monkeypatch):
     assert sorted(calls) == sorted([*MEMO_COMPUTE.values()] * 2)
 
 
+# ---- each slot keeps the memo contract (memo_contract.py) ----
+
+def test_split_is_computed_once_per_algebra(monkeypatch):
+    check_computed_once("_split", monkeypatch)
+
+
+def test_split_returns_a_copy(monkeypatch):
+    check_returns_a_copy("_split", monkeypatch)
+
+
+def test_split_stores_only_library_errors(monkeypatch):
+    check_stores_only_library_errors("_split", monkeypatch)
+
+
+def test_minimal_slope_lattice_is_computed_once_per_algebra(monkeypatch):
+    check_computed_once("_min_lattice", monkeypatch)
+
+
+def test_minimal_slope_lattice_returns_a_copy(monkeypatch):
+    check_returns_a_copy("_min_lattice", monkeypatch)
+
+
+def test_minimal_slope_lattice_failure_is_replayed_as_a_fresh_error(
+        monkeypatch):
+    check_replays_a_fresh_error("_min_lattice", monkeypatch)
+
+
+def test_minimal_slope_lattice_stores_only_library_errors(monkeypatch):
+    check_stores_only_library_errors("_min_lattice", monkeypatch)
+
+
+def test_lattice_report_is_computed_once_per_algebra(monkeypatch):
+    check_computed_once("_lattice_report", monkeypatch)
+
+
+def test_lattice_report_returns_a_copy(monkeypatch):
+    check_returns_a_copy("_lattice_report", monkeypatch)
+
+
+def test_lattice_report_failure_is_replayed_as_a_fresh_error(monkeypatch):
+    check_replays_a_fresh_error("_lattice_report", monkeypatch)
+
+
+def test_lattice_report_stores_only_library_errors(monkeypatch):
+    check_stores_only_library_errors("_lattice_report", monkeypatch)
+
+
 def test_built_algebra_is_not_checked_again(monkeypatch):
     # DieudonneLie.__init__ checks the bracket laws once; no operation on
     # the algebra builds another one or checks them again
@@ -646,28 +697,18 @@ def thirds(p):
     return build(frob, c, eye, FieldSpec(p, 1, 12))
 
 
-def test_stored_answers_equal_a_fresh_algebras():
-    # the lie workload's shapes, on every seeded lattice but at rank 5:
-    # one algebra shared by seeded rho_defect calls, between the other
-    # lattice operations, answers as a fresh algebra per call, and so
-    # does every slot.  x has denominators p^k and n is k or k - 1, so
-    # both reports occur, and Dieudonne, closed and neither lattices occur
-    rng = random.Random(27)
-    algebras = [(lambda p=p, lat=lat, r=r: lie_style(p, lat, r))
-                for r in (3, 4, 5, 6) for p in (3, 5, 7)
-                for lat in seeded_lattices(rng, p, r)[:1 if r == 5 else 6]]
-    algebras += [lambda p=p: thirds(p) for p in (3, 5, 7)]
+def check_shared_answers_as_fresh(algebras, rng, rounds):
+    """Per algebra, and per thirds(p) for p = 3, 5, 7, one copy shared by
+    seeded rho_defect calls, between the other lattice operations, answers
+    as a fresh copy per call, and so does every slot; its minimal-slope
+    lattice is the one cut directly from a fresh split.  x has
+    denominators p^k and n is k or k - 1.  Returns the report members and
+    the lattice flags and witnesses seen."""
     members, seen = set(), set()
-    for build_one in algebras:
-        shared, template = build_one(), build_one()
-
-        def make():
-            return DieudonneLie(template.iso, template.bracket,
-                                template.lattice)
-
-        fresh = make()
+    for make in [*algebras, *(lambda p=p: thirds(p) for p in (3, 5, 7))]:
+        shared, fresh = make(), make()
         rep = dla_validate(fresh)
-        for _ in range(3):
+        for _ in range(rounds):
             k = rng.randrange(3)
             n = k - rng.randrange(2)
             xp = vec(shared.spec, *(rng.randrange(-9, 10)
@@ -682,10 +723,45 @@ def test_stored_answers_equal_a_fresh_algebras():
         for _, name in ALGEBRA_MEMO.values():
             fn = getattr(dieudonne, name)
             assert answer_key(fn(shared)) == answer_key(fn(fresh))
-        seen |= {(k, rep[k]) for k in ("lattice_dieudonne",
-                                       "lattice_bracket_closure")}
+        direct = dieudonne.lattice_intersect_subspace(
+            fresh.lattice,
+            dieudonne.span_basis(isocrystal.slope_split(fresh.iso)[0][1]))
+        assert answer_key(dieudonne.minimal_slope_lattice(shared)) == \
+            answer_key(direct)
+        seen |= {(flag, rep[flag]) for flag in ("lattice_dieudonne",
+                                                "lattice_bracket_closure")}
         seen |= set(rep["witnesses"])
+    return members, seen
+
+
+def test_stored_split_answers_as_a_fresh_algebra():
+    # 20 seeded calls per lie-workload shape on the standard lattice
+    algebras = [lambda p=p, r=r: lie_style(
+        p, [[F(int(i == j)) for j in range(r)] for i in range(r)], r)
+        for r in (3, 4, 5, 6) for p in (3, 5, 7)]
+    members, _ = check_shared_answers_as_fresh(algebras, random.Random(27), 20)
     assert members == {True, False}
+
+
+def test_stored_minimal_slope_lattice_answers_as_the_direct_one():
+    # 5 seeded calls per algebra on the lie workload's shapes with every
+    # other seeded lattice
+    rng = random.Random(29)
+    algebras = [(lambda p=p, lat=lat, r=r: lie_style(p, lat, r))
+                for r in (3, 4, 6) for p in (3, 5, 7)
+                for lat in seeded_lattices(rng, p, r)[::2]]
+    members, _ = check_shared_answers_as_fresh(algebras, rng, 5)
+    assert members == {True, False}
+
+
+def test_stored_lattice_report_answers_as_a_fresh_algebra():
+    # every seeded lattice: Dieudonne and closed lattices occur, and ones
+    # that are neither, so both witnesses are checked
+    rng = random.Random(30)
+    algebras = [(lambda p=p, lat=lat, r=r: lie_style(p, lat, r))
+                for r in (3, 4, 6) for p in (3, 5, 7)
+                for lat in seeded_lattices(rng, p, r)]
+    _, seen = check_shared_answers_as_fresh(algebras, rng, 3)
     assert seen == {("lattice_dieudonne", True), ("lattice_dieudonne", False),
                     ("lattice_bracket_closure", True),
                     ("lattice_bracket_closure", False),

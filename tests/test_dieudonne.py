@@ -1,6 +1,5 @@
 import copy
 import random
-import traceback
 from fractions import Fraction
 
 import pytest
@@ -17,10 +16,12 @@ from isolab.errors import (InsufficientPrecision, InvariantViolated,
                            SlopeOutOfRange)
 from isolab.linalg import coords_in_column_span, mat_inverse, mat_vec
 
-from reference import (ALGEBRA_MEMO, EYE3, MEMO_COMPUTE, answer_key, build,
-                       heis_bracket, heisenberg, key, rand_scalar,
-                       ref_bracket_laws, ref_bracket_vec, ref_in_span,
-                       run_optimized, split_heisenberg, vec, zero_bracket)
+from memo_contract import (CONTRACT, check_replays_a_fresh_error,
+                           check_returns_a_copy,
+                           check_stores_only_library_errors)
+from reference import (ALGEBRA_MEMO, EYE3, build, heis_bracket, heisenberg,
+                       key, rand_scalar, ref_bracket_laws, ref_bracket_vec,
+                       ref_in_span, run_optimized, vec, zero_bracket)
 
 SPEC = FieldSpec(5, 1, 16)
 F = Fraction
@@ -130,77 +131,25 @@ def test_lcs_not_nilpotent():
         lower_central_series(sl2())
 
 
+def test_lcs_failure_is_replayed_as_a_fresh_error(monkeypatch):
+    check_replays_a_fresh_error("_series", monkeypatch)
+
+
+def test_lcs_stores_only_library_errors(monkeypatch):
+    check_stores_only_library_errors("_series", monkeypatch)
+
+
+def test_lcs_returns_a_copy(monkeypatch):
+    check_returns_a_copy("_series", monkeypatch)
+
+
 # ---- the memo slots: one contract for all four ----
-
-def scramble(x):
-    """Edit in place every list, dict and isocrystal F reachable from x."""
-    if isinstance(x, Isocrystal):
-        scramble(x.F)
-    elif isinstance(x, (list, tuple, dict)):
-        for v in (x.values() if isinstance(x, dict) else x):
-            scramble(v)
-        if isinstance(x, list):
-            x[:] = x[::-1] + x[:1]
-        elif isinstance(x, dict):
-            x["edited"] = x.popitem() if x else None
-
 
 @pytest.mark.parametrize("slot", list(ALGEBRA_MEMO))
 def test_memo_contract(slot, monkeypatch):
-    fn = getattr(dieudonne, ALGEBRA_MEMO[slot][1])
-    compute = getattr(dieudonne, MEMO_COMPUTE[slot])
-    calls, faults = [], []
-
-    def counted(*args):
-        calls.append(args)
-        if faults:
-            raise faults.pop()
-        return compute(*args)
-
-    monkeypatch.setattr(dieudonne, MEMO_COMPUTE[slot], counted)
-    want = answer_key(fn(split_heisenberg()))
-    # computed once per algebra, and again for a rebuilt algebra; an
-    # edited answer changes no later one, which equals a fresh algebra's
-    a = split_heisenberg()
-    calls.clear()
-    for _ in range(3):
-        got = fn(a)
-        assert answer_key(got) == want
-        scramble(got)
-        assert answer_key(got) != want
-    assert len(calls) == 1
-    assert answer_key(fn(DieudonneLie(a.iso, a.bracket, a.lattice))) == want
-    assert len(calls) == 2
-    # a stored IsolabError is raised as a new instance each time: its
-    # class, message and witness, a witness copy of its own, and no
-    # traceback that grows
-    a, fault = split_heisenberg(), InsufficientPrecision(
-        "stored", witness={"bound": [1, 2]})
-    calls.clear()
-    faults.append(fault)
-    raised = []
-    for _ in range(3):
-        with pytest.raises(InsufficientPrecision, match="^stored$") as exc:
-            fn(a)
-        raised.append(exc.value)
-    assert len(calls) == 1
-    assert len({id(e) for e in [fault, *raised]}) == 4
-    assert len({id(e.witness["bound"]) for e in [fault, *raised]}) == 4
-    assert all(type(e) is InsufficientPrecision and e.witness == {
-        "bound": [1, 2]} for e in raised)
-    assert len({len(traceback.extract_tb(e.__traceback__))
-                for e in raised}) == 1
-    raised[0].witness["bound"].append(3)  # the caller's copy only
-    with pytest.raises(InsufficientPrecision) as exc:
-        fn(a)
-    assert exc.value.witness == {"bound": [1, 2]}
-    # any other exception propagates unstored: the next call computes
-    a = split_heisenberg()
-    calls.clear()
-    faults.append(RuntimeError("interrupted"))
-    with pytest.raises(RuntimeError):
-        fn(a)
-    assert answer_key(fn(a)) == want and len(calls) == 2
+    for check in CONTRACT:
+        with monkeypatch.context() as patch:
+            check(slot, patch)
 
 
 def test_pdiv_dimension_values():
