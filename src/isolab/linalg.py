@@ -1,14 +1,17 @@
 """Linear algebra over Q_q at finite precision, plus exact rational helpers.
 
 Matrices are plain lists of lists of PadicScalar (row major).  The hot
-paths run on raw coefficient tuples packed into integers: mat_mul (and
-so twisted products, powers and Horner evaluation) multiplies the
-integralized operands in one integer matrix product,
-_speedups.zq_mat_mul, and gives each entry the precision the scalar fold
-would certify; charpoly integralizes the whole matrix at one precision,
-packs each entry once, and runs every Berkowitz step as integer dot
-products on the packed values.  Everything else does row reduction with
-valuation pivoting so precision loss stays explicit.
+paths run on entries packed into integers (_pack, the
+_speedups.zq_kronecker packing at f > 1).  mat_mul (and so twisted
+products, powers and Horner evaluation) makes one read, one packing and
+one write per entry: each operand entry's precisions are read once, it
+is integralized and packed once, and each output entry that keeps a
+digit is one integer dot product handed to PadicScalar.from_raw, with
+the precision the scalar fold would certify.  charpoly integralizes the
+whole matrix at one precision, packs each entry the same way, and runs
+every Berkowitz step as integer dot products on the packed values.
+Everything else does row reduction with valuation pivoting so precision
+loss stays explicit.
 
 There is one elimination loop, row_echelon.  span_basis (in dieudonne)
 returns its whole echelon rows; kernel_basis reads them only at the free
@@ -79,18 +82,22 @@ def _read(vecs, spec):
     return absp, low, vmin
 
 
-def _raw(vecs, vmin, spec, pW):
-    """Each entry as the coefficient tuple p^(v - vmin) * unit mod pW."""
-    p, zero = spec.p, (0,) * spec.f
+def _pack(vecs, vmin, p, pW, shifts):
+    """Each entry p^(v - vmin) * unit mod pW packed by shifts, 0 for a zero;
+    at f = 1 (shifts None) the coefficient itself."""
+    if shifts is None:
+        return [[0 if a.unit is None else p ** (a.v - vmin) * a.unit[0] % pW
+                 for a in vec] for vec in vecs]
     out = []
     for vec in vecs:
         row = []
         for a in vec:
-            if a.unit is None:
-                row.append(zero)
-            else:
+            acc = 0
+            if a.unit is not None:
                 pv = p ** (a.v - vmin)
-                row.append(tuple([pv * c % pW for c in a.unit]))
+                for c, s in zip(a.unit, shifts):
+                    acc += pv * c % pW << s
+            row.append(acc)
         out.append(row)
     return out
 
@@ -98,14 +105,13 @@ def _raw(vecs, vmin, spec, pW):
 def mat_mul(A, B):
     """A * B, each entry exactly as the fold sum_s A[i][s] * B[s][j] gives it.
 
-    The digits come from one integer product of the integralized operands
-    (_speedups.zq_mat_mul).  An entry's absolute precision is the least
-    over s of that of A[i][s] * B[s][j], which is
-    min(abs(a) + low(b), low(a) + abs(b)) with low the valuation, or the
-    bound of a zero-to-precision entry.  PadicScalar addition certifies
-    the same minimum in any order: no partial sum reaches the relative
-    precision cap N, since its absolute precision is at most its lowest
-    term valuation plus N.
+    An entry's absolute precision is the least over s of that of
+    A[i][s] * B[s][j], min(abs(a) + low(b), low(a) + abs(b)) with low the
+    valuation, or the bound of a zero-to-precision entry: one min of the
+    row's abs | low plus the column's low | abs.  PadicScalar addition
+    certifies the same minimum in any order: no partial sum reaches the
+    relative precision cap N, since its absolute precision is at most its
+    lowest term valuation plus N.
     """
     k = len(B)
     # indexed by the inner dimension, so a row of A shorter than B raises
@@ -118,20 +124,23 @@ def mat_mul(A, B):
     spec = rows[0][0].spec
     absA, lowA, vminA = _read(rows, spec)
     absB, lowB, vminB = _read(cols, spec)
-    prec = [[min(min(map(add, ar, lc)), min(map(add, lr, ac)))
-             for ac, lc in zip(absB, lowB)]
-            for ar, lr in zip(absA, lowA)]
+    colp = list(map(add, lowB, absB))
+    prec = [[min(map(add, rowp, cp)) for cp in colp]
+            for rowp in map(add, absA, lowA)]
     top = max(map(max, prec))
+    zero, from_raw = PadicScalar.zero, PadicScalar.from_raw
     if vminA is None or vminB is None or top <= vminA + vminB:
-        return [[PadicScalar.zero(spec, a) for a in r] for r in prec]
+        return [[zero(spec, a) for a in r] for r in prec]
     shift = vminA + vminB
-    pW = spec.p ** (top - shift)
-    raw = _k.zq_mat_mul(_raw(rows, vminA, spec, pW),
-                        _raw(cols, vminB, spec, pW),
-                        spec.red_rows(pW), spec.f, pW)
-    return [[PadicScalar.from_raw(spec, c, shift, a) if a > shift
-             else PadicScalar.zero(spec, a) for c, a in zip(rr, pr)]
-            for rr, pr in zip(raw, prec)]
+    p, pW = spec.p, spec.p ** (top - shift)
+    if spec.f == 1:
+        shifts, fold = None, lambda acc: (acc,)
+    else:
+        shifts, fold, _ = _k.zq_kronecker(spec.red_rows(pW), spec.f, pW, k)
+    cols = _pack(cols, vminB, p, pW, shifts)
+    return [[from_raw(spec, fold(sum(map(mul, r, c))), shift, a) if a > shift
+             else zero(spec, a) for c, a in zip(cols, pr)]
+            for r, pr in zip(_pack(rows, vminA, p, pW, shifts), prec)]
 
 
 def mat_vec(A, x):
@@ -162,39 +171,32 @@ def twisted_power(F, spec):
     return L
 
 
-def _integralize(A, spec):
-    """Return (raw rows, e, W): A = p^-e * raw with raw known mod p^W."""
+def charpoly(A, spec):
+    """Coefficients c_0..c_n of det(T - A) = sum c_j T^j, c_n = 1.
+
+    Division-free (Berkowitz) on the integralized matrix mod p^W, then
+    descaled; per-coefficient precision reflects the descaling honestly.
+    Each entry is packed into one integer once per call, as mat_mul packs
+    it.  So each Krylov vector Mp^k C, each dot R Mp^k C and each
+    coefficient of the Toeplitz product of the column
+    (1, -a_rr, -R C, -R Mp C, ..) with the previous coefficients is one
+    integer dot product, and each new value is reduced mod (g(t), p^W)
+    and packed again in one step.
+    """
+    n = len(A)
     absp, _, vmin = _read(A, spec)
     e = max(0, -vmin) if vmin is not None else 0
     W = min(map(min, absp), default=spec.N) + e
     if W < 1:
         raise InsufficientPrecision("matrix entries carry no certified digits",
                                     witness={"working_precision": W})
-    return _raw(A, -e, spec, spec.p ** W), e, W
-
-
-def charpoly(A, spec):
-    """Coefficients c_0..c_n of det(T - A) = sum c_j T^j, c_n = 1.
-
-    Division-free (Berkowitz) on the integralized matrix mod p^W, then
-    descaled; per-coefficient precision reflects the descaling honestly.
-    Each entry is packed into one integer once per call: the coefficient
-    itself at f = 1, the _speedups.zq_kronecker packing at f > 1.  So each
-    Krylov vector Mp^k C, each dot R Mp^k C and each coefficient of the
-    Toeplitz product of the column (1, -a_rr, -R C, -R Mp C, ..) with the
-    previous coefficients is one integer dot product, and only the new
-    value is read back, reduced mod (g(t), p^W) and packed again.
-    """
-    n = len(A)
-    raw, e, W = _integralize(A, spec)
     pW = spec.p ** W
     if spec.f == 1:
-        P = [[t[0] for t in row] for row in raw]
-        reduce, unpack = pW.__rmod__, lambda c: (c,)
+        shifts, reduce, unpack = None, pW.__rmod__, lambda c: (c,)
     else:
-        pack, unpack = _k.zq_kronecker(spec.red_rows(pW), spec.f, pW, n)
-        P = [list(map(pack, row)) for row in raw]
-        reduce = lambda acc: pack(unpack(acc))  # noqa: E731
+        shifts, unpack, reduce = _k.zq_kronecker(spec.red_rows(pW), spec.f,
+                                                 pW, n)
+    P = _pack(A, -e, spec.p, pW, shifts)
     m1 = pW - 1  # reduce(m1 * x) is -x: m1 is -1 mod p^W, x packs linearly
     p_vec = [1]  # 1 packs to 1 at every f
     for r in range(n):

@@ -466,23 +466,36 @@ class PadicScalar:
 
     @staticmethod
     def from_raw(spec, coeffs, shift, abs_prec):
-        """Normalize p^shift * (coefficient tuple known mod p^(abs_prec - shift))."""
+        """p^shift * (coefficients known mod p^(abs_prec - shift)), normalized."""
         rel_mod = abs_prec - shift
         if rel_mod <= 0:
             raise PrecisionExhausted("no certified digits",
                                      witness={"abs": abs_prec, "shift": shift})
-        if not any(coeffs):
-            return PadicScalar.zero(spec, abs_prec)
-        d = spec.raw_val(coeffs, spec.p ** rel_mod)
-        if d is None:
-            return PadicScalar.zero(spec, abs_prec)
-        v = shift + d
-        # rel <= rel_mod - d, so the unit is exact mod p^rel without first
-        # reducing the coefficients mod p^rel_mod
-        rel = min(abs_prec - v, spec.N)
-        pw, pr = spec.p ** d, spec.p ** rel
-        unit = tuple([(c // pw) % pr for c in coeffs])
-        return PadicScalar(spec, v, unit, rel)
+        # one pass: d is the least valuation mod pM, rel_mod if all vanish
+        p, d = spec.p, rel_mod
+        pM = p ** rel_mod
+        for c in coeffs:
+            c %= pM
+            if c:
+                k = 0
+                while not c % p:
+                    c //= p
+                    k += 1
+                if k < d:
+                    d = k
+                    if not k:
+                        break
+        if d == rel_mod:
+            return PadicScalar(spec, None, None, abs_prec)
+        # rel = min(abs_prec - v, N) with v = shift + d; rel <= rel_mod - d,
+        # so each unit coefficient is exact mod p^rel
+        rel, pw = rel_mod - d, p ** d
+        if rel > spec.N:
+            rel, pr = spec.N, spec.pN
+        else:
+            pr = pM // pw
+        return PadicScalar(spec, shift + d,
+                           tuple([c // pw % pr for c in coeffs]), rel)
 
     @staticmethod
     def from_int(spec, n):

@@ -190,6 +190,28 @@ def test_mat_mul_inner_dimension_one_and_edges():
         mat_mul(A, [])
 
 
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_mat_mul_carry_edge_matches_fold(f):
+    # every integralized coefficient is p^W - 1, the largest value a packed
+    # slot holds, so each slot of a k-term dot product is at its largest:
+    # at v = 0, W = N; at v = -1, the shift is -2 and W = N again
+    for p in (2, 3, 5, 7):
+        for N in (1, 3, 6, 12):
+            spec = FieldSpec(p, f, N)
+            for v in (0, -1):
+                a = PadicScalar.from_coeffs(spec, [spec.pN - 1] * f, v)
+                for k in range(9):
+                    A, B = [[a] * k for _ in range(2)], [[a] * 3] * k
+                    if k == 0:
+                        # no row of B: there is no column count to read
+                        for product in (mat_mul, ref_mat_mul):
+                            with pytest.raises(IndexError):
+                                product(A, B)
+                        continue
+                    assert [[key(c) for c in r] for r in mat_mul(A, B)] == \
+                        [[key(c) for c in r] for r in ref_mat_mul(A, B)]
+
+
 def test_mat_mul_rejects_mixed_specs():
     s1, s2 = FieldSpec(5, 1, 6), FieldSpec(5, 2, 6)
     one1, one2 = PadicScalar.from_int(s1, 1), PadicScalar.from_int(s2, 1)

@@ -124,6 +124,46 @@ def test_from_raw_all_zero_matches_raw_val(spec):
             assert exc.value.witness == {"abs": abs_prec, "shift": shift}
 
 
+def test_from_raw_represents_its_input():
+    # ref_scalar_add and ref_charpoly normalize through from_raw too, so
+    # this checks it against its contract directly: coefficients negative
+    # or up to p^(2N), shifts -6..6, abs_prec from shift + 1 to shift + 2N
+    rng = random.Random(29)
+    zeros = units = raised = capped = 0
+    for spec in [FieldSpec(p, f, N) for p in (2, 3, 5) for f in (1, 2, 3)
+                 for N in (1, 2, 4)]:
+        p, N = spec.p, spec.N
+        for _ in range(60):
+            shift = rng.randint(-6, 6)
+            abs_prec = rng.randint(shift + 1, shift + 2 * N)
+            rel_mod = abs_prec - shift
+            # a shared power of p makes low valuations and vanishing sums
+            common = p ** rng.choice((0, 0, rng.randint(0, rel_mod + 1)))
+            coeffs = tuple(
+                common * rng.randint(-p ** (2 * N), p ** (2 * N))
+                * rng.choice((0, 1, 1, p, p ** N)) for _ in range(spec.f))
+            x = PadicScalar.from_raw(spec, coeffs, shift, abs_prec)
+            pM = p ** rel_mod
+            if all(c % pM == 0 for c in coeffs):
+                assert x.is_zero and x.abs_prec == abs_prec
+                zeros += 1
+                continue
+            assert not x.is_zero
+            # p^v * unit_i = p^shift * c_i mod p^abs, or mod p^(v + N) where
+            # the cap N cuts the relative precision; divided by p^shift
+            mod = p ** (x.abs_prec - shift)
+            assert all((u * p ** (x.v - shift) - c) % mod == 0
+                       for u, c in zip(x.unit, coeffs))
+            assert any(u % p for u in x.unit)
+            assert x.rel == min(abs_prec - x.v, N)
+            assert all(0 <= u < p ** x.rel for u in x.unit)
+            units += 1
+            raised += x.v > shift
+            capped += x.rel < abs_prec - x.v
+    # raised: the unit's valuation is above the shift; capped: N cuts rel
+    assert zeros > 400 and units > 600 and raised > 250 and capped > 200
+
+
 def _rand_scalar(spec, rng):
     v = rng.randrange(-2, 3)
     coeffs = [rng.randrange(spec.p ** spec.N) for _ in range(spec.f)]

@@ -123,15 +123,16 @@ CALLED_FROM_OUTSIDE = {
 
 
 def test_every_method_is_reachable():
-    # every non-dunder method of a class in src/isolab is loaded by name in
-    # src/isolab, tests/ or perfbench/ outside its own body
+    # every non-dunder method of a class in src/isolab is loaded as an
+    # attribute, x.<name>, in src/isolab, tests/ or perfbench/ outside its
+    # own body; a bare name that spells it (a local variable) does not count
     root = SRC.parents[1]
     paths = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"),
              *(root / "perfbench").glob("*.py")]
     trees = {path: ast.parse(path.read_text(encoding="utf-8"),
                              filename=str(path)) for path in sorted(paths)}
-    loads = [n for tree in trees.values() for n in ast.walk(tree)
-             if isinstance(getattr(n, "ctx", None), ast.Load)]
+    attrs = [n for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
     found = []
     for path, tree in trees.items():
         if path.parent != SRC:
@@ -146,9 +147,8 @@ def test_every_method_is_reachable():
                         and node.name.endswith("__")):
                     continue
                 own = {id(n) for n in ast.walk(node)}
-                if not any(id(n) not in own and node.name in (
-                        getattr(n, "id", None), getattr(n, "attr", None))
-                        for n in loads):
+                if not any(id(n) not in own and n.attr == node.name
+                           for n in attrs):
                     found.append(f"{path.stem}.{cls.name}.{node.name}")
     assert len(trees) > 10
     assert sorted(found) == sorted(CALLED_FROM_OUTSIDE)
