@@ -12,9 +12,11 @@ and lists the rows whose code or bytes differ.
 The rows are every ``CLI_COMMANDS`` line; every corpus file through every
 subcommand that reads JSON, plain, with --classical before the subcommand
 and with --precision 6 after it; a precision-edge ``slopes`` input; the
-argv-error and --help forms of the top parser and of every subcommand; and
+argv-error and --help forms of the top parser and of every subcommand;
 seeded generated algebras through ``dla-check``, ``lcs``, ``bch-mul`` and
-``lattice-closure``, read from stdin.
+``lattice-closure``; and seeded generated modules through ``slopes``,
+``split`` and ``split --fine``, and pairs of them through ``hom``, all read
+from stdin.
 Usage and error text is argparse's, so a Python whose argparse words its
 messages differently reads different bytes on those rows.
 
@@ -63,6 +65,8 @@ ORDINARY = "corpus/ordinary2x2.json"
 PRECISION_EDGE = '{"p":5,"N":3,"frobenius":[["1","0"],["0","1/125"]]}'
 #: the seed and the number of generated algebras
 ALGEBRA_SEED, ALGEBRAS = 32, 40
+#: the seed, the number of generated modules and of generated module pairs
+MODULE_SEED, MODULES, MODULE_PAIRS = 34, 80, 24
 
 
 def _algebra(rng):
@@ -129,6 +133,61 @@ def _algebra(rng):
     return obj
 
 
+def _module(rng, ring=None, rank=None):
+    """A seeded module object for slopes, split and hom, over ring.
+
+    ring is (p, f, N), drawn when None: p in 2, 3, 5, f in 1, 2, 3 and N
+    in 2, 3, 5, 8 or 12.  The rank, 1 to 4 when not given, is drawn next.
+    Entry (i, j) is zero or c p^(a_i + e) with c in -3..3 nonzero, a row
+    shift a_i in -1..1 and e in 0..2, so both single and mixed slopes
+    occur.  About half of the modules over f > 1 are written in the full
+    schema: there c only marks a zero, and each other entry is a unit with
+    t-components, each coefficient below p^N, at valuation a_i + e.  The
+    others list rationals.
+    """
+    p, f, N = ring or (rng.choice([2, 3, 5]), rng.choice([1, 2, 3]),
+                       rng.choice([2, 3, 5, 8, 12]))
+    n = rank or rng.randrange(1, 5)
+    full = f > 1 and rng.random() < 0.5
+    shift = [rng.randrange(-1, 2) for _ in range(n)]
+    rows = []
+    for i in range(n):
+        row = []
+        for _ in range(n):
+            v = shift[i] + rng.randrange(3)
+            c = rng.choice([0, 0, 1, -1, 2, -2, 3, -3])
+            if full:
+                unit = [rng.randrange(1, p ** N) if c else 0]
+                unit += [rng.randrange(p ** N) for _ in range(f - 1)]
+                row.append({"valuation": v, "unit": unit} if c else
+                           {"valuation": None, "unit": None})
+            else:
+                row.append(str(c * Fraction(p) ** v))
+        rows.append(row)
+    if full:
+        return {"spec": {"p": p, "f": f, "N": N}, "rank": n, "frobenius": rows}
+    return {"p": p, "f": f, "N": N, "frobenius": rows}
+
+
+def modules():
+    """(argv, stdin) rows for the seeded modules, each through slopes,
+    split and split --fine, and for seeded pairs over one ring, rank 1 or
+    2 each, through hom."""
+    rng = random.Random(MODULE_SEED)
+    out = []
+    for _ in range(MODULES):
+        text = json.dumps(_module(rng))
+        out += [(["slopes"], text), (["split"], text),
+                (["split", "--fine"], text)]
+    for _ in range(MODULE_PAIRS):
+        ring = (rng.choice([2, 3, 5]), rng.choice([1, 2, 3]),
+                rng.choice([2, 3, 5, 8, 12]))
+        pair = {side: _module(rng, ring, rng.randrange(1, 3))
+                for side in ("source", "target")}
+        out.append((["hom"], json.dumps(pair)))
+    return out
+
+
 def generated():
     """(argv, stdin) rows for the seeded algebras: each through dla-check,
     lcs and lattice-closure, and with a seeded pair through bch-mul."""
@@ -157,6 +216,7 @@ def calls():
                     ([*form, "--precision", "6", "--in", name], "")]
     out.append((["slopes"], PRECISION_EDGE))
     out += generated()
+    out += modules()
     top = [[], ["--help"], ["-h"], ["bogus"], ["--bogus"], ["--classical"],
            ["--precision"], ["--precision", "x", "slopes"],
            ["--prec", "6", "slopes", "--in", ORDINARY],
