@@ -50,6 +50,29 @@ def test_traced_names_exist():
     assert tracing.SPANS and missing == []
 
 
+def test_speedups_holds_only_the_benchmark_pins():
+    # the benchmark pins _speedups.zq_mul and _speedups.BACKEND; every
+    # other kernel lives next to its caller (the matrix kernels' packing is
+    # linalg._packing), so the module holds those two names and only padic
+    # imports it
+    speedups = importlib.import_module("isolab._speedups")
+    assert {name for name in vars(speedups)
+            if not name.startswith("__")} == {"zq_mul", "BACKEND"}
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            else:
+                continue
+            if any("_speedups" in name.split(".") for name in names):
+                importers.append((path.stem, node.lineno))
+    assert [stem for stem, _ in importers] == ["padic"], importers
+
+
 #: top-level names that only code outside src/isolab reaches, and why
 REACHED_FROM_OUTSIDE = {}
 
