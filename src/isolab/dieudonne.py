@@ -575,7 +575,7 @@ def minimal_slope_center_check(a):
     cannot be certified raises only when its slope is the minimal one.
     """
     polygon = _slope_polygon(a.iso)
-    slopes = [m / a.spec.f for m, _ in polygon[2]]
+    slopes = [lam for lam, _ in polygon[3]]
     for lam in slopes:
         if lam >= 0:
             raise SlopeNotStrictlyNegative("nonnegative slope present",

@@ -102,17 +102,17 @@ def _polygon(A, spec):
 
 
 def _slope_polygon(M):
-    """(L, coeffs, vals): the twisted f-fold product L of M's Frobenius,
-    then its charpoly and root valuations by _polygon.  Each (m, w) of
-    vals is a slope m / f of multiplicity w."""
+    """(L, coeffs, vals, slopes): the twisted f-fold product L of M's
+    Frobenius, then its charpoly and root valuations by _polygon, and the
+    slope m / f of multiplicity w for each (m, w) of vals."""
     L = twisted_power(M.F, M.spec)
-    return (L,) + _polygon(L, M.spec)
+    coeffs, vals = _polygon(L, M.spec)
+    return L, coeffs, vals, [(m / M.spec.f, w) for m, w in vals]
 
 
 def newton_slopes(M):
     """Sorted list of (slope, multiplicity); slopes are exact Fractions."""
-    _, _, vals = _slope_polygon(M)
-    return [(m / M.spec.f, w) for m, w in vals]
+    return _slope_polygon(M)[3]
 
 
 # --------------------------------------------------------------------------
@@ -234,36 +234,23 @@ def _poly_at_matrix(coeffs, A, spec):
     return out
 
 
-def _slope_blocks(M, polygon, keep, fine=False):
+def _slope_blocks(M, polygon, keep):
     """The blocks (slope, basis, block) of M whose slope keep accepts;
     polygon is _slope_polygon(M).
 
     The power trick with its polygon check and the Q_p check run on the
-    whole module.  The factorization peels slopes in ascending
-    order up to the last kept one, so the slopes above it are never
-    peeled.  Horner, the kernel and the Frobenius solve run only for kept
-    blocks, and the span check and the blocks-versus-slopes check cover
-    exactly the kept columns.  A rejected block is never computed and a
-    slope above the last kept one never peeled, so neither can raise.
-    fine=True checks every slope as slope_split documents.
+    whole module.  The factorization peels slopes in ascending order up
+    to the last kept one, so the slopes above it are never peeled.
+    Horner, the kernel and the Frobenius solve run only for kept blocks,
+    and the span check covers exactly the kept columns.  A rejected block
+    is never computed and a slope above the last kept one never peeled,
+    so neither can raise.  Each block takes its slope from the polygon,
+    and kernel_basis certifies its rank as the slope's multiplicity.
     """
     spec = M.spec
-    L, coeffs, vals = polygon
-    slopes = [(m / spec.f, w) for m, w in vals]
+    L, coeffs, vals, slopes = polygon
     if not slopes:  # rank 0: nothing to split
         return []
-    if fine:
-        for lam, w in slopes:
-            r = lam.denominator
-            if w > r and spec.f % r != 0:
-                raise ResidueFieldTooSmall(
-                    "fine splitting this block needs a residue extension",
-                    witness={"slope": str(lam), "rank": w,
-                             "required_degree": lcm(spec.f, r)})
-            if w > r and spec.f % r == 0:
-                raise InsufficientPrecision(
-                    "fine splitting inside one slope is not certified here",
-                    witness={"slope": str(lam), "rank": w})
     if len(slopes) == 1:
         lam, _ = slopes[0]
         if not keep(lam):
@@ -288,8 +275,8 @@ def _slope_blocks(M, polygon, keep, fine=False):
     factors = _peel_slope_factors(coeffs, int_vals, spec, count)
     # vals ascend, so the blocks come out with slopes increasing; zip stops
     # at the last peeled factor
-    blocks, kept = [], []
-    for (m, w), G, (lam, _) in zip(int_vals, factors, slopes):
+    blocks = []
+    for (lam, w), G in zip(slopes, factors):
         if not keep(lam):
             continue
         GA = _poly_at_matrix(G, A, spec)
@@ -299,9 +286,8 @@ def _slope_blocks(M, polygon, keep, fine=False):
             raise InsufficientPrecision(
                 "target is outside the span to certified precision",
                 witness={"col": X.index(None)})
-        sub = Isocrystal(spec, [list(row) for row in zip(*X)])
-        blocks.append((Fraction(m, d * spec.f), basis, sub))
-        kept.append((lam, w))
+        blocks.append((lam, basis,
+                       Isocrystal(spec, [list(row) for row in zip(*X)])))
     # the kept blocks must be independent
     all_cols = [b for _, basis, _ in blocks for b in basis]
     try:
@@ -309,10 +295,6 @@ def _slope_blocks(M, polygon, keep, fine=False):
     except NonInvertible as exc:
         raise InsufficientPrecision(
             "slope blocks do not certifiably span", witness=exc.witness)
-    for (lam, _, sub), (lam0, w0) in zip(blocks, kept):
-        if lam != lam0 or sub.rank != w0:
-            raise InvariantViolated("blocks disagree with the slopes",
-                                    witness={"slope": str(lam0)})
     return blocks
 
 
@@ -326,11 +308,24 @@ def slope_split(M, fine=False):
 
     fine=True refines nothing: it returns the same blocks as fine=False.
     Where a block of slope a/r (reduced) has rank above r, so that a
-    standard basis would need rank-r pieces, it raises instead:
-    ResidueFieldTooSmall with the degree it needs when r does not divide
-    f, InsufficientPrecision when r divides f.
+    standard basis would need rank-r pieces, it raises instead, after the
+    polygon and before any block: ResidueFieldTooSmall with the degree it
+    needs when r does not divide f, InsufficientPrecision when r divides f.
     """
-    return _slope_blocks(M, _slope_polygon(M), lambda lam: True, fine)
+    polygon = _slope_polygon(M)
+    f = M.spec.f
+    for lam, w in polygon[3] if fine else ():
+        r = lam.denominator
+        if w > r and f % r != 0:
+            raise ResidueFieldTooSmall(
+                "fine splitting this block needs a residue extension",
+                witness={"slope": str(lam), "rank": w,
+                         "required_degree": lcm(f, r)})
+        if w > r:
+            raise InsufficientPrecision(
+                "fine splitting inside one slope is not certified here",
+                witness={"slope": str(lam), "rank": w})
+    return _slope_blocks(M, polygon, lambda lam: True)
 
 
 def internal_hom(Y, Z):
