@@ -265,7 +265,8 @@ def lattice_closure_check(a, samples=100, seed=0):
     samples = 0 checks the basis pairs only.  The first failing pair is
     the witness; with none, the answer is (True, None), which below the
     class means only that no counterexample was found.  samples is a
-    non-negative integer by padic._integral's rule, else MalformedInput.
+    non-negative integer and seed an integer, by padic._integral's rule,
+    else MalformedInput.
 
     The sampler checks its pairs in batches of one solve each, holding 1,
     2, 4, ... pairs, so the search stops within twice as many products as
@@ -279,7 +280,9 @@ def lattice_closure_check(a, samples=100, seed=0):
     if not _integral(samples) or samples < 0:
         raise MalformedInput("samples must be a non-negative integer",
                              witness=samples)
-    samples = int(samples)
+    if not _integral(seed):
+        raise MalformedInput("seed must be an integer", witness=seed)
+    samples, seed = int(samples), int(seed)
     if a.lattice is None:
         raise MalformedInput("no lattice on this algebra")
     lattice_coords(a, [])  # a lattice that lost rank raises here

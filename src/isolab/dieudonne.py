@@ -457,20 +457,25 @@ def lattice_intersect_subspace(lattice_cols, subspace_basis):
     The membership conditions are rows annihilating the subspace; their
     composite with the lattice matrix has kernel of known dimension, which
     certifies the elimination; the kernel is then saturated to unit pivots
-    over the valuation ring.
+    over the valuation ring.  lattice_cols must be n columns of length n,
+    n the length of the subspace vectors, else MalformedInput.
     """
     w = len(subspace_basis)
     if w == 0:
         return []
-    n = len(lattice_cols[0])
+    n = len(subspace_basis[0])
+    if len(lattice_cols) != n or any(
+            len(v) != n for v in (*lattice_cols, *subspace_basis)):
+        raise MalformedInput(
+            "lattice needs n columns of length n, n the subspace's length",
+            witness={"lattice": [len(c) for c in lattice_cols],
+                     "subspace": [len(b) for b in subspace_basis]})
     # rows annihilating the span: q with <b_i, q> = 0 for every basis vector
     W_T = [list(b) for b in subspace_basis]
     ann = kernel_basis(W_T, expected_dim=n - w)
     if not ann:
-        sat = saturate_columns([list(c) for c in lattice_cols])
-        return sat
-    Lat = [[lattice_cols[j][i] for j in range(len(lattice_cols))]
-           for i in range(n)]
+        return saturate_columns([list(c) for c in lattice_cols])
+    Lat = [list(row) for row in zip(*lattice_cols)]
     QL = mat_mul([list(q) for q in ann], Lat)
     K = kernel_basis(QL, expected_dim=w)
     sat = saturate_columns(K)

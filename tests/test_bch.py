@@ -210,6 +210,34 @@ def test_lattice_closure_rejects_bad_samples(samples):
         lattice_closure_check(heisenberg(5, EYE3), samples=samples)
 
 
+@pytest.mark.parametrize("seed", [[1], {}, None, 2.5, "x", True, F(5, 2)],
+                         ids=["list", "dict", "none", "float", "string",
+                              "bool", "fraction"])
+@pytest.mark.parametrize("p", [5, 2], ids=["above-class", "below-class"])
+def test_lattice_closure_rejects_bad_seeds(p, seed):
+    # checked at entry: above the class the certificate never reads the
+    # seed, below it random.Random would take most of these
+    with pytest.raises(MalformedInput, match="seed must be an integer"):
+        lattice_closure_check(heisenberg(p, EYE3), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [2.0, F(2)], ids=["float", "fraction"])
+def test_lattice_closure_reads_integral_seeds(monkeypatch, seed):
+    # an integral seed draws the pairs its int draws: the products the
+    # sampler takes, 9 basis pairs and 5 random ones, are the same
+    half_e2 = [[F(1), 0, 0], [F(0), 1, 0], [F(0), 0, F(1, 2)]]
+    calls = []
+    mul = bch.group_mul
+    monkeypatch.setattr(bch, "group_mul", lambda a, x, y: calls.append(
+        [[c.to_json() for c in v] for v in (x, y)]) or mul(a, x, y))
+    want = lattice_closure_check(heisenberg(2, half_e2), samples=5, seed=2)
+    drawn, calls[:] = calls[:], []
+    assert len(drawn) == 14
+    assert lattice_closure_check(heisenberg(2, half_e2), samples=5,
+                                 seed=seed) == want
+    assert calls == drawn
+
+
 @pytest.mark.parametrize("samples", [2.0, F(2)], ids=["float", "fraction"])
 def test_lattice_closure_reads_integral_samples(monkeypatch, samples):
     # an integral float or Fraction is read as its int, by the integer rule

@@ -314,6 +314,23 @@ def test_lattice_intersect_subspace():
     assert v[0].valuation() == 0
 
 
+@pytest.mark.parametrize("lattice, subspace", [
+    ([], [(1,)]),
+    ([(1, 0)], [(1, 1)]),
+    ([(1, 0), (0, 1), (1, 1)], [(1, 1)]),
+    ([(1, 0), (0, 1, 0)], [(1, 1)]),
+    ([(1, 0, 0), (0, 1, 0)], [(1, 1)]),
+    ([(1, 0), (0, 1)], [(1, 1), (1,)]),
+], ids=["no-columns", "too-few-columns", "too-many-columns",
+        "one-long-column", "long-columns", "ragged-subspace"])
+def test_lattice_intersect_subspace_checks_shapes(lattice, subspace):
+    # n columns of length n, n the subspace vectors' length, checked before
+    # any elimination: a bad shape is malformed, not a precision shortfall
+    with pytest.raises(MalformedInput, match="n columns of length n"):
+        lattice_intersect_subspace([vec(SPEC, *c) for c in lattice],
+                                   [vec(SPEC, *b) for b in subspace])
+
+
 def test_json_round_trip():
     a = heisenberg(lattice=EYE3)
     b = DieudonneLie.from_json(a.to_json())
