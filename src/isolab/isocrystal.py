@@ -11,7 +11,8 @@ own ring: linearize by the twisted f-fold product, take a division-free
 characteristic polynomial, pass to the d-th power to clear slope
 denominators (a step skipped when the slopes times f are already
 integral), peel one integral slope at a time by quadratic Hensel
-lifting, and cut the module along kernels of the resulting factors.
+lifting of that slope's factor h and of the cofactor's inverse mod h,
+and cut the module along kernels of the resulting factors.
 """
 
 from fractions import Fraction
@@ -120,31 +121,42 @@ def newton_slopes(M):
 # --------------------------------------------------------------------------
 
 def _hensel_split(fpoly, g0, h0, p, M):
-    """Lift f = g0 h0 (mod p) to mod p^M; all monic, f monic integral.
+    """Lift f = g0 h0 (mod p) to f = g h (mod p^M); all monic, f integral.
 
-    Quadratic lifting of the factors and of the Bezout pair s g + t h = 1
-    (von zur Gathen and Gerhard, Modern Computer Algebra, section 15.4).
+    Quadratic lifting (von zur Gathen and Gerhard, Modern Computer
+    Algebra, section 15.4) of h and of s = 1/g mod h alone.  Each step
+    divides f by h at the next step's precision, which gives g and the
+    remainder r = f - g h in one division; then h becomes h + (s r mod h)
+    and s becomes s - (s (s g - 1) mod h).  The textbook also lifts the
+    cofactor t of s g + t h = 1, but t enters both updates only through
+    s (t h) mod h, which is 0, so it is never formed.  The last step skips
+    the s update it would not use.  A factorization mod p into coprime
+    monic factors has exactly one monic lift mod p^M, so g and h do not
+    depend on the route taken to them.
     """
-    d, s = poly_xgcd(h0, g0, p)
+    g0, h = poly_trim(g0, p), poly_trim(h0, p)
+    d, s = poly_xgcd(h, g0, p)
     if d != [1]:
         raise InvariantViolated("inputs were not coprime", witness={"gcd": d})
-    t = poly_divmod(poly_add([1], poly_mul(s, g0, p), p, -1), h0, p)[0]
-    g, h = poly_trim(g0, p), poly_trim(h0, p)
-    prec = 1
+    prec, nxt = 1, min(2, M)
+    g, r = poly_divmod(fpoly, h, p ** nxt)
+    if poly_trim(g, p) != g0 or any(c % p for c in r):
+        raise InvariantViolated("factors do not multiply to f mod p",
+                                witness={"prime": p})
     while prec < M:
-        prec = min(2 * prec, M)
-        pM = p ** prec
-        e = poly_add(fpoly, poly_mul(g, h, pM), pM, -1)
-        h = poly_add(h, poly_divmod(poly_mul(s, e, pM), h, pM)[1], pM)
-        g, rem = poly_divmod(fpoly, h, pM)
-        if rem:
+        prec, pM = nxt, p ** nxt
+        h = poly_add(h, poly_divmod(poly_mul(s, r, pM), h, pM)[1], pM)
+        nxt = min(2 * prec, M)
+        g, r = poly_divmod(fpoly, h, p ** nxt)
+        if any(c % pM for c in r):
             raise InvariantViolated("hensel step lost divisibility",
                                     witness={"precision": prec})
-        b = poly_add(poly_add(poly_mul(s, g, pM), poly_mul(t, h, pM), pM),
-                     [1], pM, -1)
-        s = poly_add(s, poly_divmod(poly_mul(s, b, pM), h, pM)[1], pM, -1)
-        t, rr = poly_divmod(poly_add([1], poly_mul(s, g, pM), pM, -1), h, pM)
-        if rr:
+        if prec == M:
+            break
+        gh = poly_divmod(g, h, pM)[1]
+        e = poly_divmod(poly_add(poly_mul(s, gh, pM), [1], pM, -1), h, pM)[1]
+        s = poly_add(s, poly_divmod(poly_mul(s, e, pM), h, pM)[1], pM, -1)
+        if poly_divmod(poly_add(poly_mul(s, gh, pM), [1], pM, -1), h, pM)[1]:
             raise InvariantViolated("bezout update lost divisibility",
                                     witness={"precision": prec})
     return g, h

@@ -306,13 +306,26 @@ def _int_poly_mul(a, b):
 
 
 def test_hensel_split_lifts_coprime_factors():
+    # Exact, by uniqueness: a coprime monic factorization mod p has one
+    # monic lift mod p^M, and the checks below (monic, the degrees, the
+    # residues mod p, g h = f mod p^M, reduced coefficients) pin it.  The
+    # shapes span the slope peel's: deg h 1-4, deg g up to 15, deg f up to
+    # 16, M at 1-3 and up to 64; half the cases take g0 = T^a as the peel
+    # does.
     rng = random.Random(15)
     cases = 0
-    while cases < 40:
+    while cases < 240:
         p = rng.choice([2, 3, 5, 7])
-        M = rng.randint(1, 9)
-        g0 = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
-        h0 = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+        M = rng.choice([1, 2, 3, rng.randint(4, 64)])
+        w = rng.randint(1, 4)
+        a = rng.randint(1, 16 - w)
+        if cases % 2:
+            g0 = [0] * a + [1]
+            h0 = [rng.randrange(1, p)] + [rng.randrange(p)
+                                          for _ in range(w - 1)] + [1]
+        else:
+            g0 = [rng.randrange(p) for _ in range(a)] + [1]
+            h0 = [rng.randrange(p) for _ in range(w)] + [1]
         if _fp_gcd_degree(g0, h0, p) != 0:
             continue
         cases += 1
@@ -320,11 +333,39 @@ def test_hensel_split_lifts_coprime_factors():
         f = _int_poly_mul(g0, h0)
         f = [c + p * rng.randrange(pM) for c in f[:-1]] + [1]
         g, h = _hensel_split(f, g0, h0, p, M)
+        assert (len(g), len(h)) == (a + 1, w + 1)
+        assert g[-1] == h[-1] == 1
+        assert all(0 <= c < pM for c in g + h)
         gh = _int_poly_mul(g, h)
         assert len(gh) == len(f)
         assert all((x - y) % pM == 0 for x, y in zip(gh, f))
         assert [c % p for c in g] == g0
         assert [c % p for c in h] == h0
+
+
+def test_hensel_split_refuses_factors_that_miss_f_mod_p():
+    # f = T^3 (T + 1)^2 mod 2, while g0 h0 = T^3 (T^2 + T + 1): without
+    # the entry check the lift returned h = T^2 + 2T + 1, which does not
+    # reduce to h0
+    with pytest.raises(InvariantViolated, match="do not multiply to f"):
+        _hensel_split([0, 0, 0, 1, 2, 1], [0, 0, 0, 1], [1, 1, 1], 2, 2)
+    with pytest.raises(InvariantViolated, match="do not multiply to f"):
+        _hensel_split([1, 1, 1], [1, 1], [0, 1], 3, 1)
+
+
+def test_hensel_split_guards_hold_under_optimize():
+    # neither guard may be an assert, which -O strips
+    snippet = ("from isolab.isocrystal import _hensel_split\n"
+               "from isolab.errors import InvariantViolated\n"
+               "for args in (([1, 0, 1], [1, 1], [1, 1], 2, 3),\n"
+               "             ([0, 0, 0, 1, 2, 1], [0, 0, 0, 1], [1, 1, 1],"
+               " 2, 2)):\n"
+               "    try:\n"
+               "        _hensel_split(*args)\n"
+               "    except InvariantViolated as exc:\n"
+               "        print(exc)\n")
+    assert run_optimized(snippet) == ("inputs were not coprime\n"
+                                      "factors do not multiply to f mod p\n")
 
 
 def test_divmod_rejects_non_monic_divisor():
