@@ -153,6 +153,7 @@ def _hensel_split(fpoly, g0, h0, p, M):
                                     witness={"precision": prec})
         if prec == M:
             break
+        # s g mod h through g mod h: deg g may be far above deg h
         gh = poly_divmod(g, h, pM)[1]
         e = poly_divmod(poly_add(poly_mul(s, gh, pM), [1], pM, -1), h, pM)[1]
         s = poly_add(s, poly_divmod(poly_mul(s, e, pM), h, pM)[1], pM, -1)
