@@ -15,8 +15,10 @@ and with --precision 6 after it; a precision-edge ``slopes`` input; the
 argv-error and --help forms of the top parser and of every subcommand;
 seeded generated algebras through ``dla-check``, ``lcs``, ``bch-mul`` and
 ``lattice-closure``; and seeded generated modules through ``slopes``,
-``split`` and ``split --fine``, and pairs of them through ``hom``, all read
-from stdin.
+``split`` and ``split --fine``, and pairs of them through ``hom``; seeded
+rational modules whose lower slopes are integral and whose top slope is
+not, through ``split``; and seeded perfected series through
+``perf-member``, ``perf-ecd`` and ``rigidity``, all read from stdin.
 Usage and error text is argparse's, so a Python whose argparse words its
 messages differently reads different bytes on those rows.
 
@@ -67,6 +69,14 @@ PRECISION_EDGE = '{"p":5,"N":3,"frobenius":[["1","0"],["0","1/125"]]}'
 ALGEBRA_SEED, ALGEBRAS = 32, 40
 #: the seed, the number of generated modules and of generated module pairs
 MODULE_SEED, MODULES, MODULE_PAIRS = 34, 80, 24
+#: a rational module with slopes 0 and 1/2 (twice): the power trick over
+#: all its valuations is a square, over the peeled one none
+MIXED_EXAMPLE = ('{"p":2,"N":16,"frobenius":[["1","1","0"],["2","0","2"],'
+                 '["-1","0","0"]]}')
+#: the seed and the number of generated mixed-slope modules
+MIXED_SEED, MIXED = 36, 32
+#: the seed and the number of generated series per subcommand
+SERIES_SEED, SERIES = 36, 16
 
 
 def _algebra(rng):
@@ -188,6 +198,111 @@ def modules():
     return out
 
 
+def _mixed(rng):
+    """A seeded rational module whose lower slopes are integral and whose
+    top slope is not.
+
+    One or two blocks of integral slope -1 or 0, ascending, each p^a times
+    the identity of rank 1 or 2, or the rank-2 cyclic model of slope a;
+    then a rank r = 2 or 3 cyclic model of slope b/r, r not dividing b,
+    less than 1 above them.  The block sum D is written in the basis of a random integral
+    unitriangular P, as P^-1 D P, over p in 2, 3, 5 and N in 8, 12 or 16.
+    """
+    p = rng.choice([2, 3, 5])
+    slopes = sorted(rng.sample([-1, 0], rng.randrange(1, 3)))
+    r = rng.choice([2, 3])
+    b = r * slopes[-1] + rng.randrange(1, r)
+    blocks = []  # (rank, a, exponent of the cyclic model's corner or None)
+    for a in slopes:
+        n = rng.randrange(1, 3)
+        blocks.append((n, a, None if n == 1 or rng.random() < 0.5 else 2 * a))
+    blocks.append((r, None, b))
+    n = sum(k for k, _, _ in blocks)
+    D = [[Fraction(0)] * n for _ in range(n)]
+    off = 0
+    for k, a, corner in blocks:
+        if corner is None:  # p^a I_k
+            for i in range(k):
+                D[off + i][off + i] = Fraction(p) ** a
+        else:  # e_i -> e_(i+1), e_k -> p^corner e_1
+            for i in range(k - 1):
+                D[off + i + 1][off + i] = Fraction(1)
+            D[off][off + k - 1] = Fraction(p) ** corner
+        off += k
+    P = [[Fraction(int(i == j) if i >= j else rng.randrange(-2, 3))
+          for j in range(n)] for i in range(n)]
+    Q = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for j in range(n):  # Q = P^-1, P being unitriangular
+        for i in range(j - 1, -1, -1):
+            Q[i][j] = -sum(P[i][k] * Q[k][j] for k in range(i + 1, j + 1))
+    frob = [[sum(Q[i][k] * D[k][l] * P[l][j] for k in range(n)
+                 for l in range(n)) for j in range(n)] for i in range(n)]
+    return {"p": p, "N": rng.choice([8, 12, 16]),
+            "frobenius": [[str(v) for v in row] for row in frob]}
+
+
+def mixed():
+    """(argv, stdin) split rows: MIXED_EXAMPLE, then the seeded modules."""
+    rng = random.Random(MIXED_SEED)
+    return [(["split"], MIXED_EXAMPLE)] + [
+        (["split"], json.dumps(_mixed(rng))) for _ in range(MIXED)]
+
+
+def _series(rng, p, k, nvars, D, constant=True, integral=False):
+    """A seeded series object over F_(p^k) in nvars variables, bound D.
+
+    One to five terms.  Each exponent component is m / p^e with e in 0..2
+    (0 when integral) and m in 0..2 p^e, so some terms pass D and some
+    reduce; the zero exponent is redrawn unless constant.  Coefficients
+    are drawn in 0..p-1, so some terms vanish.
+    """
+    terms = {}
+    for _ in range(rng.randrange(1, 6)):
+        exp = []
+        for _ in range(nvars):
+            e = 0 if integral else rng.randrange(3)
+            exp.append((rng.randrange(2 * p ** e + 1), e))
+        if constant or any(m for m, _ in exp):
+            terms[tuple(exp)] = [rng.randrange(p) for _ in range(k)]
+    return {"p": p, "nvars": nvars, "field": {"p": p, "k": k}, "D": D,
+            "terms": [{"exp": [{"num": m, "pexp": e} for m, e in exp],
+                       "coeff": c} for exp, c in terms.items()]}
+
+
+def series():
+    """(argv, stdin) rows for seeded series: SERIES each through
+    perf-member (with drawn s, r, n0 and method), perf-ecd (with drawn E, C
+    and d) and rigidity (with a drawn f, g, h, r, d_seq and block)."""
+    rng = random.Random(SERIES_SEED)
+    out = []
+    for _ in range(SERIES):
+        a = _series(rng, rng.choice([2, 3, 5]), rng.randrange(1, 3), 1,
+                    rng.choice([4, 8, 16]))
+        r = rng.randrange(1, 3)
+        params = f"{r + rng.randrange(1, 3)},{r},{rng.randrange(3)}"
+        method = rng.choice(["both", "both", "definitional", "closed_form"])
+        out.append((["perf-member", "--params", params, "--method", method],
+                    json.dumps(a)))
+    for _ in range(SERIES):
+        a = _series(rng, rng.choice([2, 3, 5]), rng.randrange(1, 3), 1,
+                    rng.choice([4, 8, 16]))
+        E, C = (str(Fraction(rng.randrange(1, 9), rng.randrange(1, 3)))
+                for _ in range(2))
+        out.append((["perf-ecd", "--E", E, "--C", C,
+                     "--d", str(rng.randrange(3))], json.dumps(a)))
+    for _ in range(SERIES):
+        p, k, D = rng.choice([2, 3]), rng.randrange(1, 3), rng.choice([8, 16])
+        ng, nh = rng.randrange(1, 3), rng.randrange(2)
+        g, h = ([_series(rng, p, k, 1, D, constant=rng.random() < 0.2)
+                 for _ in range(count)] for count in (ng, nh))
+        f = _series(rng, p, k, ng + nh, D, integral=True)
+        request = {"f": f, "g": g, "h": h, "r": rng.randrange(1, 3),
+                   "d_seq": sorted(rng.sample(range(1, D + 3), 3)),
+                   "powered_block": rng.choice(["g", "h"])}
+        out.append((["rigidity"], json.dumps(request)))
+    return out
+
+
 def generated():
     """(argv, stdin) rows for the seeded algebras: each through dla-check,
     lcs and lattice-closure, and with a seeded pair through bch-mul."""
@@ -232,6 +347,8 @@ def calls():
         if required:
             forms.append([name])
         out += [(argv, "") for argv in forms]
+    out += mixed()
+    out += series()
     # CLI_COMMANDS repeats some corpus forms; each call is one row
     return [(list(argv), stdin)
             for argv, stdin in dict.fromkeys((tuple(a), s) for a, s in out)]
