@@ -111,12 +111,13 @@ def standard_factorization(w):
 
 
 @lru_cache(maxsize=None)
-def _expand_bracket(w, cap):
-    """Associative expansion of the standard bracketing of a Lyndon word."""
+def _expand_bracket(w):
+    """Associative expansion of the standard bracketing of a Lyndon word:
+    every word of it has length len(w), so no truncation applies."""
     if len(w) == 1:
         return {w: Fraction(1)}
     u, v = standard_factorization(w)
-    return _am_bracket(_expand_bracket(u, cap), _expand_bracket(v, cap), cap)
+    return _am_bracket(_expand_bracket(u), _expand_bracket(v), len(w))
 
 
 def _bracketing(w, memo, bracket):
@@ -139,8 +140,7 @@ class FreeLieElement:
         self.terms = {w: Fraction(c) for w, c in terms.items() if c}
 
     def to_json(self):
-        return [{"word": w, "coeff": f"{c.numerator}/{c.denominator}"
-                 if c.denominator != 1 else str(c.numerator)}
+        return [{"word": w, "coeff": str(c)}
                 for w, c in sorted(self.terms.items(),
                                    key=lambda t: (len(t[0]), t[0]))]
 
@@ -162,7 +162,7 @@ def lie_project(assoc, cap):
                                      "Lyndon", witness=w)
             lam = rest[w]
             terms[w] = lam
-            for ww, vv in _expand_bracket(w, cap).items():
+            for ww, vv in _expand_bracket(w).items():
                 if len(ww) != d:
                     continue
                 nv = rest.get(ww, Fraction(0)) - lam * vv

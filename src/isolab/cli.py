@@ -38,7 +38,7 @@ MAX_DEPTH = 32
 
 def _jsonable(x):
     if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else str(x.numerator)
+        return str(x)
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

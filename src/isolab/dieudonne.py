@@ -366,16 +366,6 @@ def span_basis(vectors):
     return [rows[r] for r, _ in pivots]
 
 
-def _coords_in_span(basis, targets):
-    """coords_in_column_span, with a basis that lost rank reported as lost
-    precision: the basis is an echelon span, independent by construction."""
-    try:
-        return coords_in_column_span(basis, targets)
-    except NonInvertible as exc:
-        raise InsufficientPrecision("span basis lost rank at working precision",
-                                    witness=exc.witness) from exc
-
-
 def in_span(basis, targets):
     """Whether every vector in the list targets lies in the span of basis.
 
@@ -385,7 +375,15 @@ def in_span(basis, targets):
     at working precision raises InsufficientPrecision instead.
     """
     targets = [v for v in targets if not _vec_is_zero(v)]
-    return not targets or None not in _coords_in_span(basis, targets)
+    if not targets:
+        return True
+    try:
+        return None not in coords_in_column_span(basis, targets)
+    except NonInvertible as exc:
+        # the basis is an echelon span, independent by construction
+        raise InsufficientPrecision(
+            "span basis lost rank at working precision",
+            witness=exc.witness) from exc
 
 
 def _require_in_span(basis, targets, what):

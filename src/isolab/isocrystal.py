@@ -163,19 +163,19 @@ def _hensel_split(fpoly, g0, h0, p, M):
     return g, h
 
 
-def _peel_slope_factors(coeffs, vals, spec, count):
-    """Split a monic Q_p polynomial along its (integer) root valuations.
+def _peel_slope_factors(coeffs, vals, spec):
+    """Peel a monic Q_p polynomial along its lowest root valuations.
 
     coeffs: c_0..c_n PadicScalar over spec, all in Q_p, monic.  vals:
-    ascending list of (root valuation m, width w), all m integral.  Returns
-    one monic factor (list of PadicScalar over spec, in Q_p) for each of
-    the first count valuations.  Each peel splits off the lowest valuation
-    left, so the valuations past those are never peeled.
+    ascending list of (root valuation m, width w), all m integral, the
+    lowest valuations of the polynomial.  Returns one monic factor (list of
+    PadicScalar over spec, in Q_p) for each of vals, then the cofactor left
+    after them.  Each peel splits off the lowest valuation left.
     """
     p = spec.p
     factors = []
     cur = coeffs
-    for m, w in vals[:min(count, len(vals) - 1)]:
+    for m, w in vals:
         n = len(cur) - 1
         scaled = [c.scale_p(-m * (n - i)) for i, c in enumerate(cur)]
         M = min(c.abs_prec for c in scaled)
@@ -204,9 +204,7 @@ def _peel_slope_factors(coeffs, vals, spec, count):
         # untransform: factor with roots of valuation m
         factors.append(_untransform(B_fac, m, w, M, spec))
         cur = _untransform(A_fac, m, a, M, spec)
-    if count == len(vals):
-        factors.append(cur)
-    return factors
+    return factors + [cur]
 
 
 def _untransform(ip, m, deg, M, spec):
@@ -283,11 +281,13 @@ def _slope_blocks(M, polygon, keep):
                                     witness={"power": d})
     int_vals = [(int(d * m), w) for m, w in vals]
     _require_qp(coeffs)
+    # peel up to the last kept slope; the cofactor is the top slope's
+    # factor, or zip pairs it with a slope that keep rejects
     count = max((i + 1 for i, (lam, _) in enumerate(slopes) if keep(lam)),
                 default=0)
-    factors = _peel_slope_factors(coeffs, int_vals, spec, count)
-    # vals ascend, so the blocks come out with slopes increasing; zip stops
-    # at the last peeled factor
+    factors = _peel_slope_factors(
+        coeffs, int_vals[:min(count, len(vals) - 1)], spec)
+    # vals ascend, so the blocks come out with slopes increasing
     blocks = []
     for (lam, w), G in zip(slopes, factors):
         if not keep(lam):

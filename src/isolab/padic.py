@@ -279,23 +279,6 @@ class FieldSpec:
             e >>= 1
         return res
 
-    def raw_val(self, a, pM):
-        """min_i val_p(a_i), or None if a == 0 mod pM."""
-        best = None
-        for c in a:
-            c %= pM
-            if c == 0:
-                continue
-            v = 0
-            while c % self.p == 0:
-                c //= self.p
-                v += 1
-            if best is None or v < best:
-                best = v
-                if v == 0:
-                    break
-        return best
-
     def raw_inv_unit(self, u, pM):
         """Inverse of a unit coefficient tuple mod (g, pM), by its norm.
 
@@ -368,8 +351,8 @@ class FieldSpec:
                              + tuple((-c) % pM for c in gy[1:]), pM)
             corr = self.raw_mul(horner(g, x, pM), y, pM)
             x = tuple((a - b) % pM for a, b in zip(x, corr))
-        gx = horner(g, x, pN)
-        if self.raw_val(gx, pN) is not None:
+        gx = horner(g, x, pN)  # reduced into [0, p^N)
+        if any(gx):
             raise FrobeniusLiftFailure("lift does not kill the modulus",
                                        witness=list(gx))
         mats, xk = [], x
@@ -499,14 +482,7 @@ class PadicScalar:
 
     @staticmethod
     def from_int(spec, n):
-        if n == 0:
-            return PadicScalar.zero(spec)
-        v = 0
-        while n % spec.p == 0:
-            n //= spec.p
-            v += 1
-        unit = (n % spec.pN,) + (0,) * (spec.f - 1)
-        return PadicScalar(spec, v, unit, spec.N)
+        return PadicScalar.from_fraction(spec, n)
 
     @staticmethod
     def from_fraction(spec, fr):
@@ -650,18 +626,6 @@ class PadicScalar:
         if self.is_zero:
             return PadicScalar.zero(self.spec, self.rel + k)
         return PadicScalar(self.spec, self.v + k, self.unit, self.rel)
-
-    def pow(self, e):
-        if e < 0:
-            return self.invert().pow(-e)
-        out = PadicScalar.from_int(self.spec, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
     # -- conversion ----------------------------------------------------------
 

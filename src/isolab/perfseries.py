@@ -27,10 +27,6 @@ from .padic import FieldSpec, _integral, _json_int, _rational
 # coefficient field F_{p^k}, tuples of length k over F_p
 # --------------------------------------------------------------------------
 
-def _ff_spec(p, k):
-    return FieldSpec(p, k, 1)
-
-
 def ff_add(a, b, p):
     return tuple((x + y) % p for x, y in zip(a, b))
 
@@ -80,7 +76,7 @@ class PerfectedSeries:
         if D < 1:
             raise MalformedInput("degree bound must be at least 1",
                                  witness={"D": D})
-        spec = _ff_spec(p, k)  # p prime and k >= 1, before p divides anything
+        spec = FieldSpec(p, k, 1)  # checks p and k before p divides anything
         if not _integral(nvars) or nvars < 0:
             raise MalformedInput("arity must be a nonnegative integer",
                                  witness={"nvars": nvars})
@@ -186,7 +182,7 @@ def ps_add(a, b):
 
 
 def ps_scale(a, coeff):
-    spec = _ff_spec(a.p, a.k)
+    spec = FieldSpec(a.p, a.k, 1)
     coeff = tuple(int(c) % a.p for c in coeff)
     if len(coeff) != a.k:
         raise MalformedInput("coefficient length mismatch",
@@ -198,7 +194,7 @@ def ps_scale(a, coeff):
 def ps_mul(a, b):
     _require_match(a, b)
     D = min(a.D, b.D)
-    spec = _ff_spec(a.p, a.k)
+    spec = FieldSpec(a.p, a.k, 1)
     out = {}
     for e1, c1 in a.terms.items():
         for e2, c2 in b.terms.items():
@@ -243,7 +239,7 @@ def ps_frobenius(a, direction="forward", flavor="relative"):
     """X^I -> X^{pI} (forward) or X^{I/p} (inverse); absolute also moves
     coefficients by x -> x^p (resp. the p-th root, which exists here)."""
     p = a.p
-    spec = _ff_spec(p, a.k)
+    spec = FieldSpec(p, a.k, 1)
     if direction == "forward":
         fe = lambda v: v * p
     elif direction == "inverse":

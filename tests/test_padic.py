@@ -58,7 +58,7 @@ def test_sigma_congruent_to_pth_power_mod_p():
     for _ in range(10):
         x = PadicScalar.from_coeffs(spec, [rng.randrange(3 ** 6)
                                            for _ in range(4)])
-        d = x.sigma() - x.pow(3)
+        d = x.sigma() - x * x * x
         assert d.is_zero or d.valuation() >= 1
 
 
@@ -104,15 +104,15 @@ def test_precision_exhaustion():
 
 @pytest.mark.parametrize("spec", [Z5, Z4, FieldSpec(3, 3, 6)],
                          ids=["Z5", "Z4", "Z27"])
-def test_from_raw_all_zero_matches_raw_val(spec):
+def test_from_raw_all_zero_is_the_zero(spec):
     zero = (0,) * spec.f
     for shift in range(-3, 4):
         for abs_prec in range(shift + 1, shift + spec.N + 3):
             rel_mod = abs_prec - shift
-            assert spec.raw_val(zero, spec.p ** rel_mod) is None
-            # the same zero as a tuple that raw_val reads as 0 mod p^rel_mod
-            want = PadicScalar.from_raw(
-                spec, (spec.p ** rel_mod,) + zero[1:], shift, abs_prec)
+            # the same zero as a tuple whose entries are all 0 mod p^rel_mod
+            same = (spec.p ** rel_mod,) + zero[1:]
+            assert not any(c % spec.p ** rel_mod for c in same)
+            want = PadicScalar.from_raw(spec, same, shift, abs_prec)
             got = PadicScalar.from_raw(spec, zero, shift, abs_prec)
             assert got.is_zero and got.abs_prec == abs_prec
             assert got.to_json() == want.to_json()
@@ -422,7 +422,8 @@ def test_sigma_invert_pow_known_answer():
     """Digits of a product, inverse and power in Z_81/3^12 are pinned."""
     s = FieldSpec(3, 4, 12)
     t = PadicScalar.from_coeffs(s, [2, 1, 0, 2])
-    x = (t.sigma() * t.invert()).pow(5)
+    y = t.sigma() * t.invert()
+    x = y * y * y * y * y
     assert x.to_json() == {"valuation": 0,
                            "unit": [130222, 337662, 27132, 22656]}
 
