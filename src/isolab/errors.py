@@ -80,7 +80,9 @@ class SlopeNotStrictlyNegative(IsolabError):
 
 
 class SplitUnavailable(IsolabError):
-    """No F-equivariant complement exists at the working precision."""
+    """A split that is not available: no F-equivariant complement exists at
+    the working precision, or no precision gives it here, as for a fine
+    split inside one slope whose denominator divides f."""
 
 
 class DegreeTooLarge(IsolabError):

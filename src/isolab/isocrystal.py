@@ -20,7 +20,7 @@ from math import lcm
 
 from .errors import (FieldSpecMismatch, InsufficientPrecision,
                      InvariantViolated, MalformedInput, NonInvertible,
-                     ResidueFieldTooSmall)
+                     ResidueFieldTooSmall, SplitUnavailable)
 from .linalg import (charpoly, coords_in_column_span, kernel_basis,
                      mat_from_rationals, mat_identity, mat_inverse, mat_mul,
                      newton_root_valuations, twisted_power)
@@ -323,7 +323,8 @@ def slope_split(M, fine=False):
     Where a block of slope a/r (reduced) has rank above r, so that a
     standard basis would need rank-r pieces, it raises instead, after the
     polygon and before any block: ResidueFieldTooSmall with the degree it
-    needs when r does not divide f, InsufficientPrecision when r divides f.
+    needs when r does not divide f, SplitUnavailable when r divides f, at
+    every precision.
     """
     polygon = _slope_polygon(M)
     f = M.spec.f
@@ -335,8 +336,8 @@ def slope_split(M, fine=False):
                 witness={"slope": str(lam), "rank": w,
                          "required_degree": lcm(f, r)})
         if w > r:
-            raise InsufficientPrecision(
-                "fine splitting inside one slope is not certified here",
+            raise SplitUnavailable(
+                "fine splitting inside one slope is not implemented",
                 witness={"slope": str(lam), "rank": w})
     return _slope_blocks(M, polygon, lambda lam: True)
 

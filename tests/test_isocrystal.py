@@ -7,7 +7,8 @@ from isolab import isocrystal
 from isolab import (FieldSpec, Isocrystal, PadicScalar, internal_hom,
                     newton_slopes, slope_part, slope_split, standard_simple)
 from isolab.errors import (InsufficientPrecision, InvariantViolated,
-                           MalformedInput, NonInvertible, ResidueFieldTooSmall)
+                           MalformedInput, NonInvertible, ResidueFieldTooSmall,
+                           SplitUnavailable)
 from isolab.isocrystal import _hensel_split
 from isolab.linalg import mat_from_rationals, mat_inverse, mat_mul, mat_sigma
 from isolab.padic import poly_divmod
@@ -103,8 +104,10 @@ def test_fine_split_uncertified_when_degree_divides():
         spec, [[Fraction(c) for c in row] for row in
                [[0, 0, 0, Fraction(1, 25)], [1, 0, 0, 0],
                 [0, 1, 0, 0], [0, 0, 1, 0]]])
-    with pytest.raises(InsufficientPrecision):
+    # no precision answers it, so it is not a precision shortfall
+    with pytest.raises(SplitUnavailable) as ei:
         slope_split(M, fine=True)
+    assert ei.value.witness == {"slope": "-1/2", "rank": 4}
 
 
 def two_slopes(p, f):
