@@ -502,10 +502,14 @@ class PadicScalar:
 
     @staticmethod
     def from_coeffs(spec, coeffs, valuation=0):
-        """p^valuation * (integer coefficient tuple), exact input."""
+        """p^valuation * (integer coefficient tuple), exact input.  Each
+        coefficient is an integer by _integral's rule, never truncated."""
         if len(coeffs) != spec.f:
             raise MalformedInput("coefficient tuple has wrong length",
                                  witness=list(coeffs))
+        if not all(map(_integral, coeffs)):
+            raise MalformedInput("coefficients must be integers",
+                                 witness=[str(c) for c in coeffs])
         return PadicScalar.from_raw(spec, tuple(int(c) for c in coeffs),
                                     valuation, valuation + spec.N)
 

@@ -47,13 +47,31 @@ def _pexp(p, den):
 
 
 def _validate_exponent(p, v):
-    v = Fraction(v)
-    if v < 0:
-        raise MalformedInput("negative exponent", witness=str(v))
-    if p ** _pexp(p, v.denominator) != v.denominator:
+    """v as a Fraction by padic._rational's rule: >= 0, with a p-power
+    denominator.  A boolean or a non-rational value is MalformedInput."""
+    e = _rational(v)
+    if e is None:
+        raise MalformedInput("exponent must be rational", witness=str(v))
+    if e < 0:
+        raise MalformedInput("negative exponent", witness=str(e))
+    if p ** _pexp(p, e.denominator) != e.denominator:
         raise MalformedInput("exponent denominator is not a power of p",
-                             witness=str(v))
-    return v
+                             witness=str(e))
+    return e
+
+
+def _coefficient(coeff, p, k):
+    """coeff as a k-tuple over F_p.  Each entry is an integer by
+    padic._integral's rule; a boolean, a string or a non-integral entry is
+    MalformedInput, never truncated."""
+    if not all(map(_integral, coeff)):
+        raise MalformedInput("coefficients must be integers",
+                             witness=[str(c) for c in coeff])
+    coeff = tuple(int(c) % p for c in coeff)
+    if len(coeff) != k:
+        raise MalformedInput("coefficient length mismatch",
+                             witness=list(coeff))
+    return coeff
 
 
 def _kept(terms, D):
@@ -88,11 +106,7 @@ class PerfectedSeries:
             if len(exp) != nvars:
                 raise MalformedInput("exponent arity mismatch",
                                      witness=[str(v) for v in exp])
-            coeff = tuple(int(c) % p for c in coeff)
-            if len(coeff) != k:
-                raise MalformedInput("coefficient length mismatch",
-                                     witness=list(coeff))
-            clean[exp] = coeff
+            clean[exp] = _coefficient(coeff, p, k)
         self.terms = _kept(clean, D)
 
     # -- constructors -----------------------------------------------------
@@ -183,10 +197,7 @@ def ps_add(a, b):
 
 def ps_scale(a, coeff):
     spec = FieldSpec(a.p, a.k, 1)
-    coeff = tuple(int(c) % a.p for c in coeff)
-    if len(coeff) != a.k:
-        raise MalformedInput("coefficient length mismatch",
-                             witness=list(coeff))
+    coeff = _coefficient(coeff, a.p, a.k)
     return _result(a, {e: spec.raw_mul(c, coeff, a.p)
                        for e, c in a.terms.items()})
 

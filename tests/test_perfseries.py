@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from isolab import (PerfectedSeries, RestrictedParams, membership_ECd,
-                    membership_restricted, ps_add, ps_compose, ps_embed,
-                    ps_frobenius, ps_mul, ps_pow, ps_truncate_ideal,
+from isolab import (PadicScalar, PerfectedSeries, RestrictedParams,
+                    membership_ECd, membership_restricted, ps_add, ps_compose,
+                    ps_embed, ps_frobenius, ps_mul, ps_pow, ps_truncate_ideal,
                     rigidity_check, slope_exponents)
 from isolab.errors import (DegreeBoundTooSmall, MalformedInput,
                            NonzeroConstantTerm, ParameterMismatch,
@@ -401,6 +401,38 @@ def test_scale_and_neg_char2():
     a = mono(2, 1)
     assert ps_add(a, ps_scale(a, (a.p - 1,) + (0,) * (a.k - 1))).is_zero()
     assert ps_scale(a, (0,)).is_zero()
+
+
+#: each site that reads a coefficient entry or an exponent: its call, a
+#: value it reads, and its whole refusal message
+COERCION_SITES = {
+    "series-coefficient": (
+        lambda v: PerfectedSeries(3, 1, 1, 4, {(F(1),): (v,)}), 2.0,
+        "coefficients must be integers"),
+    "scale-coefficient": (lambda v: ps_scale(mono(3, 1), (v,)), F(2),
+                          "coefficients must be integers"),
+    "from_coeffs": (lambda v: PadicScalar.from_coeffs(FieldSpec(5, 1, 4),
+                                                      (v,)), 2.0,
+                    "coefficients must be integers"),
+    "series-exponent": (
+        lambda v: PerfectedSeries(3, 1, 1, 4, {(v,): (1,)}), "1/3",
+        "exponent must be rational"),
+}
+
+
+@pytest.mark.parametrize("site,value", [
+    *((s, v) for s in ("series-coefficient", "scale-coefficient",
+                       "from_coeffs")
+      for v in (2.5, "2", True, None, F(1, 2))),
+    *(("series-exponent", v) for v in (True, None, "x", float("nan")))])
+def test_coefficients_and_exponents_are_never_coerced(site, value):
+    # int(c) read 2.5 as 2, "2" as 2 and True as 1, and Fraction(v) read
+    # the exponent True as 1
+    call, valid, message = COERCION_SITES[site]
+    call(valid)
+    with pytest.raises(MalformedInput) as exc:
+        call(value)
+    assert str(exc.value) == message
 
 
 def test_scale_rejects_a_coefficient_of_the_wrong_length():
