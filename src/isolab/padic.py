@@ -503,15 +503,18 @@ class PadicScalar:
     @staticmethod
     def from_coeffs(spec, coeffs, valuation=0):
         """p^valuation * (integer coefficient tuple), exact input.  Each
-        coefficient is an integer by _integral's rule, never truncated."""
+        coefficient and the valuation are integers by _integral's rule,
+        never truncated."""
         if len(coeffs) != spec.f:
             raise MalformedInput("coefficient tuple has wrong length",
                                  witness=list(coeffs))
-        if not all(map(_integral, coeffs)):
-            raise MalformedInput("coefficients must be integers",
-                                 witness=[str(c) for c in coeffs])
+        if not (_integral(valuation) and all(map(_integral, coeffs))):
+            raise MalformedInput("coefficients and valuation must be integers",
+                                 witness={"coeffs": [str(c) for c in coeffs],
+                                          "valuation": str(valuation)})
+        v = int(valuation)
         return PadicScalar.from_raw(spec, tuple(int(c) for c in coeffs),
-                                    valuation, valuation + spec.N)
+                                    v, v + spec.N)
 
     # -- predicates ----------------------------------------------------------
 

@@ -413,7 +413,10 @@ COERCION_SITES = {
                           "coefficients must be integers"),
     "from_coeffs": (lambda v: PadicScalar.from_coeffs(FieldSpec(5, 1, 4),
                                                       (v,)), 2.0,
-                    "coefficients must be integers"),
+                    "coefficients and valuation must be integers"),
+    "from_coeffs-valuation": (
+        lambda v: PadicScalar.from_coeffs(FieldSpec(5, 1, 4), (1,), v), 2.0,
+        "coefficients and valuation must be integers"),
     "series-exponent": (
         lambda v: PerfectedSeries(3, 1, 1, 4, {(v,): (1,)}), "1/3",
         "exponent must be rational"),
@@ -422,12 +425,12 @@ COERCION_SITES = {
 
 @pytest.mark.parametrize("site,value", [
     *((s, v) for s in ("series-coefficient", "scale-coefficient",
-                       "from_coeffs")
+                       "from_coeffs", "from_coeffs-valuation")
       for v in (2.5, "2", True, None, F(1, 2))),
     *(("series-exponent", v) for v in (True, None, "x", float("nan")))])
 def test_coefficients_and_exponents_are_never_coerced(site, value):
-    # int(c) read 2.5 as 2, "2" as 2 and True as 1, and Fraction(v) read
-    # the exponent True as 1
+    # int(c) read 2.5 as 2, "2" as 2 and True as 1, Fraction(v) read the
+    # exponent True as 1, and from_coeffs kept the valuation 2.5 as p^2.5
     call, valid, message = COERCION_SITES[site]
     call(valid)
     with pytest.raises(MalformedInput) as exc:
