@@ -79,6 +79,18 @@ MIXED_SEED, MIXED = 36, 32
 SERIES_SEED, SERIES = 36, 16
 
 
+def _unitriangular(rng, n):
+    """A random integral upper unitriangular P, its entries above the
+    diagonal in -2..2, and Q = P^-1."""
+    P = [[Fraction(int(i == j) if i >= j else rng.randrange(-2, 3))
+          for j in range(n)] for i in range(n)]
+    Q = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for j in range(n):  # back-substitution, P being unitriangular
+        for i in range(j - 1, -1, -1):
+            Q[i][j] = -sum(P[i][k] * Q[k][j] for k in range(i + 1, j + 1))
+    return P, Q
+
+
 def _algebra(rng):
     """A seeded algebra object for the JSON-reading DLA subcommands.
 
@@ -101,12 +113,7 @@ def _algebra(rng):
     consts = [(i, j, k, v) for k, w in enumerate(words) if len(w) > 1
               for i, j, v in ((w[0], words.index(w[1:]), 1),
                               (words.index(w[1:]), w[0], -1))]
-    P = [[Fraction(int(i == j) if i >= j else rng.randrange(-2, 3))
-          for j in range(n)] for i in range(n)]
-    Q = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for j in range(n):  # Q = P^-1, P being unitriangular
-        for i in range(j - 1, -1, -1):
-            Q[i][j] = -sum(P[i][k] * Q[k][j] for k in range(i + 1, j + 1))
+    P, Q = _unitriangular(rng, n)
     frob = [[sum(Q[i][k] * diag[k] * P[k][j] for k in range(n))
              for j in range(n)] for i in range(n)]
     bracket = []
@@ -229,12 +236,7 @@ def _mixed(rng):
                 D[off + i + 1][off + i] = Fraction(1)
             D[off][off + k - 1] = Fraction(p) ** corner
         off += k
-    P = [[Fraction(int(i == j) if i >= j else rng.randrange(-2, 3))
-          for j in range(n)] for i in range(n)]
-    Q = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for j in range(n):  # Q = P^-1, P being unitriangular
-        for i in range(j - 1, -1, -1):
-            Q[i][j] = -sum(P[i][k] * Q[k][j] for k in range(i + 1, j + 1))
+    P, Q = _unitriangular(rng, n)
     frob = [[sum(Q[i][k] * D[k][l] * P[l][j] for k in range(n)
                  for l in range(n)) for j in range(n)] for i in range(n)]
     return {"p": p, "N": rng.choice([8, 12, 16]),
