@@ -162,14 +162,7 @@ def lie_project(assoc, cap):
                                      "Lyndon", witness=w)
             lam = rest[w]
             terms[w] = lam
-            for ww, vv in _expand_bracket(w).items():
-                if len(ww) != d:
-                    continue
-                nv = rest.get(ww, Fraction(0)) - lam * vv
-                if nv:
-                    rest[ww] = nv
-                elif ww in rest:
-                    del rest[ww]
+            rest = _am_add(rest, _am_scale(-lam, _expand_bracket(w)))
     return terms
 
 
@@ -190,11 +183,10 @@ def bch_series(c):
     """log(exp X exp Y) truncated beyond degree c, on the Lyndon basis.
 
     c is read by _class_bound before the cache, so the cache is keyed by
-    an int; a positive int, which group_mul passes once per product, skips
-    the rule.  A class below 1 is malformed; one above MAX_CLASS is
+    an int.  A class below 1 is malformed; one above MAX_CLASS is
     DegreeTooLarge.
     """
-    return _bch_table(c if type(c) is int and c > 0 else _class_bound(c))
+    return _bch_table(_class_bound(c))
 
 
 @lru_cache(maxsize=None)

@@ -108,21 +108,6 @@ class DieudonneLie:
                     out[k] = out[k] + w * c
         return out
 
-    def apply_phi(self, xs):
-        """Phi on each vector of the list xs, by Isocrystal.apply."""
-        return self.iso.apply(xs)
-
-    def apply_phi_inverse(self, xs):
-        """Phi^-1 = sigma^-1 . F^-1 on each vector of the list xs: one
-        mat_inverse and one mat_mul for the whole list, none for an empty
-        list, so an empty list never needs F to be invertible."""
-        if not xs:
-            return []
-        Finv = mat_inverse(self.iso.F, self.spec)
-        back = self.spec.f - 1
-        return [[c.sigma(back) for c in y]
-                for y in mat_mul(xs, list(zip(*Finv)))]
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
@@ -201,7 +186,7 @@ def _bracket_laws(a):
                     report["witnesses"].setdefault("jacobi", (i, j, k))
     F = a.iso.F
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    images = a.apply_phi([a.bracket[i][j] for i, j in pairs])
+    images = a.iso.apply([a.bracket[i][j] for i, j in pairs])
     for (i, j), lhs in zip(pairs, images):
         rhs = a.bracket_vec([F[r][i] for r in range(n)],
                             [F[r][j] for r in range(n)])
@@ -306,8 +291,9 @@ def lattice_phi_matrix(a):
 
     A lattice, or a phi-image of it, that lost rank at working precision
     leaves the comparison indeterminate: InsufficientPrecision."""
-    B = [list(row) for row in zip(*lattice_coords(a, a.apply_phi(a.lattice)))]
     try:
+        B = [list(row) for row in zip(*coords_in_column_span(
+            a.lattice, a.iso.apply(a.lattice)))]
         return B, mat_inverse(B, a.spec)
     except NonInvertible as exc:
         raise InsufficientPrecision("lattice comparison indeterminate",
@@ -443,7 +429,7 @@ def _lower_central_series(a):
         if len(nxt) >= len(cur):
             raise NotNilpotent("lower central series stabilized",
                                witness={"dimension": len(nxt)})
-        _require_in_span(nxt, a.apply_phi(nxt), "series term not F-stable")
+        _require_in_span(nxt, a.iso.apply(nxt), "series term not F-stable")
         chain.append(nxt)
     n_class = len(chain) - 1
     return chain, n_class
@@ -681,20 +667,17 @@ def smallest_f_stable_subalgebra(a, generators):
     """Closure of the generators under Phi, Phi^-1 and the bracket."""
     require_vectors(a, generators)
     require_valid_bracket(a)
-    cur = span_basis(generators)
-    while True:
+    cur, size = span_basis(generators), None
+    while len(cur) != size:  # until a step adds no dimension
+        size = len(cur)
         new_vecs = list(cur)
-        for img, pre in zip(a.apply_phi(cur), a.apply_phi_inverse(cur)):
+        for img, pre in zip(a.iso.apply(cur), a.iso.apply_inverse(cur)):
             new_vecs += [img, pre]
-        for i in range(len(cur)):
-            for j in range(i + 1, len(cur)):
+        for i in range(size):
+            for j in range(i + 1, size):
                 new_vecs.append(a.bracket_vec(cur[i], cur[j]))
-        nxt = span_basis(new_vecs)
-        if len(nxt) == len(cur):
-            cur = nxt
-            break
-        cur = nxt
-    _require_in_span(cur, a.apply_phi(cur), "closure not F-stable")
+        cur = span_basis(new_vecs)
+    _require_in_span(cur, a.iso.apply(cur), "closure not F-stable")
     _require_in_span(cur, [a.bracket_vec(cur[i], cur[j])
                            for i in range(len(cur))
                            for j in range(i + 1, len(cur))],

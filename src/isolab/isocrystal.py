@@ -75,6 +75,17 @@ class Isocrystal:
         return mat_mul([[c.sigma() for c in x] for x in xs],
                        list(zip(*self.F)))
 
+    def apply_inverse(self, xs):
+        """The inverse sigma^-1 . F^-1 of apply on each vector of the list
+        xs: one mat_inverse and one mat_mul for the whole list, none for an
+        empty list, so an empty list never needs F to be invertible."""
+        if not xs:
+            return []
+        Finv = mat_inverse(self.F, self.spec)
+        back = self.spec.f - 1
+        return [[c.sigma(back) for c in y]
+                for y in mat_mul(xs, list(zip(*Finv)))]
+
 
 def _require_qp(coeffs):
     """Check that charpoly coefficients lie in Q_p, each with a digit.

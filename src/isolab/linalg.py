@@ -285,15 +285,15 @@ def newton_root_valuations(coeffs):
         raise InsufficientPrecision("leading coefficient uncertified")
     hull = lower_hull(certified)
 
+    # the hull runs from x = 0 to x = n, so every index meets a segment
     def hull_height(x):
         for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
             if x1 <= x <= x2:
                 return Fraction(y1) + Fraction(y2 - y1, x2 - x1) * (x - x1)
-        return None
 
     for i, b in bounded:
         h = hull_height(i)
-        if h is not None and Fraction(b) < h:
+        if Fraction(b) < h:
             raise InsufficientPrecision(
                 "interior coefficient bound dips below the certified hull",
                 witness={"index": i, "bound": b, "needed": str(h)})
@@ -521,4 +521,4 @@ def rat_solve(A, B):
 
 
 def rat_rank(M):
-    return len(rat_rref(M)[1]) if M else 0
+    return len(rat_rref(M)[1])

@@ -315,9 +315,6 @@ class FieldSpec:
         """Lift x = sigma(t); table k - 1 holds the powers sigma^k(t)^j,
         j < f, and sigma^(k+1)(t) = sum_j x_j sigma^k(t)^j is read from it."""
         p, f, N, pN = self.p, self.f, self.N, self.pN
-        if f == 1:
-            self._sigma_mats = ()
-            return
         # Hensel-lift the residue root t^p of g to Z_q/p^N
         g = list(self.g_low) + [1]
         dg = [k * g[k] for k in range(1, f + 1)]

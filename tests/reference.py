@@ -673,7 +673,7 @@ def ref_bracket_laws(a):
                     report["witnesses"].setdefault("jacobi", (i, j, k))
     F_ = a.iso.F
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    images = a.apply_phi([a.bracket[i][j] for i, j in pairs])
+    images = a.iso.apply([a.bracket[i][j] for i, j in pairs])
     for (i, j), lhs in zip(pairs, images):
         rhs = a.bracket_vec([F_[r][i] for r in range(n)],
                             [F_[r][j] for r in range(n)])
