@@ -18,7 +18,7 @@ from .isocrystal import Isocrystal, _slope_blocks, _slope_polygon, slope_split
 from .linalg import (coords_in_column_span, kernel_basis, mat_from_rationals,
                      mat_identity, mat_inverse, mat_mul, mat_sigma, mat_vec,
                      row_echelon, saturate_columns)
-from .padic import PadicScalar, _integral, _rational
+from .padic import PadicScalar, _integral, _rational, _sequence
 
 
 class DieudonneLie:
@@ -51,14 +51,17 @@ class DieudonneLie:
 
     def __init__(self, iso, bracket, lattice=None):
         n = iso.rank
-        if len(bracket) != n or any(len(row) != n for row in bracket) or \
-                any(len(c) != n for row in bracket for c in row):
+
+        def square(rows):  # n sequences of length n, by padic._sequence
+            return _sequence(rows) and len(rows) == n and all(
+                _sequence(r) and len(r) == n for r in rows)
+
+        if not (square(bracket) and all(map(square, bracket))):
             raise MalformedInput("structure constants must be n x n x n",
                                  witness={"rank": n})
-        if lattice is not None:
-            if len(lattice) != n or any(len(col) != n for col in lattice):
-                raise MalformedInput("lattice needs n independent columns",
-                                     witness={"rank": n})
+        if lattice is not None and not square(lattice):
+            raise MalformedInput("lattice needs n independent columns",
+                                 witness={"rank": n})
         self.iso = iso
         self.bracket = bracket
         self.lattice = lattice
@@ -442,8 +445,15 @@ def lattice_intersect_subspace(lattice_cols, subspace_basis):
     composite with the lattice matrix has kernel of known dimension, which
     certifies the elimination; the kernel is then saturated to unit pivots
     over the valuation ring.  lattice_cols must be n columns of length n,
-    n the length of the subspace vectors, else MalformedInput.
+    n the length of the subspace vectors, else MalformedInput; both
+    arguments and their vectors are sequences by padic._sequence's rule.
     """
+    if not (_sequence(lattice_cols) and _sequence(subspace_basis) and all(
+            map(_sequence, (*lattice_cols, *subspace_basis)))):
+        raise MalformedInput(
+            "lattice and subspace must be sequences of vectors",
+            witness={"lattice": type(lattice_cols).__name__,
+                     "subspace": type(subspace_basis).__name__})
     w = len(subspace_basis)
     if w == 0:
         return []
@@ -457,8 +467,8 @@ def lattice_intersect_subspace(lattice_cols, subspace_basis):
     # rows annihilating the span: q with <b_i, q> = 0 for every basis vector
     W_T = [list(b) for b in subspace_basis]
     ann = kernel_basis(W_T, expected_dim=n - w)
-    if not ann:
-        return saturate_columns([list(c) for c in lattice_cols])
+    if not ann:  # the whole space: the lattice itself
+        return [list(c) for c in lattice_cols]
     Lat = [list(row) for row in zip(*lattice_cols)]
     QL = mat_mul([list(q) for q in ann], Lat)
     K = kernel_basis(QL, expected_dim=w)

@@ -25,15 +25,20 @@ from .linalg import (charpoly, coords_in_column_span, kernel_basis,
                      mat_from_rationals, mat_identity, mat_inverse, mat_mul,
                      newton_root_valuations, twisted_power)
 from .padic import (FieldSpec, PadicScalar, _integral, _json_int, _rational,
-                    poly_add, poly_divmod, poly_mul, poly_trim, poly_xgcd)
+                    _sequence, poly_add, poly_divmod, poly_mul, poly_trim,
+                    poly_xgcd)
 
 
 class Isocrystal:
-    """Frobenius matrix on a fixed basis of a free Q_q-module."""
+    """Frobenius matrix on a fixed basis of a free Q_q-module: F is a
+    square sequence of rows, each a sequence by padic._sequence's rule."""
 
     __slots__ = ("spec", "rank", "F")
 
     def __init__(self, spec, F):
+        if not (_sequence(F) and all(map(_sequence, F))):
+            raise MalformedInput("frobenius matrix must be a sequence of rows",
+                                 witness={"type": type(F).__name__})
         self.spec = spec
         self.rank = len(F)
         for row in F:

@@ -38,8 +38,9 @@ it from.
 from fractions import Fraction
 from operator import add, mul
 
-from .errors import FieldSpecMismatch, InsufficientPrecision, NonInvertible
-from .padic import PadicScalar
+from .errors import (FieldSpecMismatch, InsufficientPrecision,
+                     MalformedInput, NonInvertible)
+from .padic import PadicScalar, _sequence
 
 
 # --------------------------------------------------------------------------
@@ -183,6 +184,11 @@ def mat_sigma(A, k=1):
 
 
 def mat_from_rationals(spec, rows):
+    """The matrix over spec of a sequence of rows of rationals, each row a
+    sequence by padic._sequence's rule and each entry read by from_fraction."""
+    if not (_sequence(rows) and all(map(_sequence, rows))):
+        raise MalformedInput("a matrix must be a sequence of rows",
+                             witness={"type": type(rows).__name__})
     return [[PadicScalar.from_fraction(spec, c) for c in row] for row in rows]
 
 

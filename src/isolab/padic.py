@@ -9,6 +9,7 @@ remain certified.  Division by certified units is exact; division that
 would leave no digits raises instead of silently degrading.
 """
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -141,6 +142,16 @@ def _rational(v):
         return None
 
 
+def _sequence(v):
+    """True for a sequence: the one rule for sequence parameters.  A list,
+    a tuple or a range is one; a string or bytes, which would read as its
+    characters, is not, and neither is a mapping, a set, an iterator or a
+    non-iterable such as 5 or None.  A caller raises its own MalformedInput
+    on False."""
+    return type(v) in (list, tuple) or isinstance(v, Sequence) and \
+        not isinstance(v, (str, bytes))
+
+
 def _is_irreducible(g, p):
     """Rabin test for a monic g over F_p."""
     f = len(g) - 1
@@ -154,17 +165,28 @@ def _is_irreducible(g, p):
     return True
 
 
+#: the first 13 primes: _is_prime's trial divisors and its bases
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: psi_13 = 1287836182261 * 2575672364521, the least strong pseudoprime to
+#: every base of _BASES (Sorenson and Webster, "Strong pseudoprimes to
+#: twelve prime bases", Math. Comp. 86, 2017); FieldSpec refuses p at or
+#: above it
+P_CEILING = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Miller-Rabin to the bases _BASES, deterministic for n < P_CEILING."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _BASES:
         if n % small == 0:
             return n == small
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -236,6 +258,9 @@ class FieldSpec:
         hit = _SPEC_CACHE.get(key)
         if hit is not None:
             return hit
+        if p >= P_CEILING:  # the witness names the ceiling, never p
+            raise MalformedInput("p must be below the ceiling",
+                                 witness={"ceiling": P_CEILING})
         if f < 1 or N < 1:
             raise MalformedInput("need prime p >= 2, f >= 1, N >= 1",
                                  witness={"p": p, "f": f, "N": N})
@@ -483,10 +508,14 @@ class PadicScalar:
 
     @staticmethod
     def from_fraction(spec, fr):
-        fr = Fraction(fr)
-        if fr == 0:
+        """fr, rational by _rational's rule, at full precision."""
+        read = _rational(fr)
+        if read is None:
+            raise MalformedInput("value must be rational",
+                                 witness={"type": type(fr).__name__})
+        if read == 0:
             return PadicScalar.zero(spec)
-        num, den = fr.numerator, fr.denominator
+        num, den = read.numerator, read.denominator
         v = 0
         while num % spec.p == 0:
             num //= spec.p
@@ -501,7 +530,10 @@ class PadicScalar:
     def from_coeffs(spec, coeffs, valuation=0):
         """p^valuation * (integer coefficient tuple), exact input.  Each
         coefficient and the valuation are integers by _integral's rule,
-        never truncated."""
+        never truncated, and coeffs is a sequence by _sequence's."""
+        if not _sequence(coeffs):
+            raise MalformedInput("coefficients must be a sequence",
+                                 witness={"type": type(coeffs).__name__})
         if len(coeffs) != spec.f:
             raise MalformedInput("coefficient tuple has wrong length",
                                  witness=list(coeffs))

@@ -14,13 +14,14 @@ need no check, and a series never changes once built.  Both keep the terms
 that ``_kept`` keeps.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, log
 
 from .errors import (DegreeBoundTooSmall, InvariantViolated, MalformedInput,
                      NonzeroConstantTerm, ParameterMismatch, SequenceTooShort,
                      SlopeOrderViolated)
-from .padic import FieldSpec, _integral, _json_int, _rational
+from .padic import FieldSpec, _integral, _json_int, _rational, _sequence
 
 
 # --------------------------------------------------------------------------
@@ -61,9 +62,12 @@ def _validate_exponent(p, v):
 
 
 def _coefficient(coeff, p, k):
-    """coeff as a k-tuple over F_p.  Each entry is an integer by
-    padic._integral's rule; a boolean, a string or a non-integral entry is
-    MalformedInput, never truncated."""
+    """coeff as a k-tuple over F_p.  coeff is a sequence by padic._sequence's
+    rule and each entry an integer by padic._integral's; a boolean, a string
+    or a non-integral entry is MalformedInput, never truncated."""
+    if not _sequence(coeff):
+        raise MalformedInput("a coefficient must be a sequence",
+                             witness={"type": type(coeff).__name__})
     if not all(map(_integral, coeff)):
         raise MalformedInput("coefficients must be integers",
                              witness=[str(c) for c in coeff])
@@ -98,10 +102,16 @@ class PerfectedSeries:
         if not _integral(nvars) or nvars < 0:
             raise MalformedInput("arity must be a nonnegative integer",
                                  witness={"nvars": nvars})
+        if not isinstance(terms, Mapping):
+            raise MalformedInput("terms must map exponents to coefficients",
+                                 witness={"type": type(terms).__name__})
         p, k = spec.p, spec.f
         self.p, self.nvars, self.k, self.D = p, int(nvars), k, int(D)
         clean = {}
         for exp, coeff in terms.items():
+            if not _sequence(exp):
+                raise MalformedInput("an exponent must be a sequence",
+                                     witness={"type": type(exp).__name__})
             exp = tuple(_validate_exponent(p, v) for v in exp)
             if len(exp) != nvars:
                 raise MalformedInput("exponent arity mismatch",
@@ -307,8 +317,13 @@ def ps_compose(f, g, h=()):
     """Substitute the series g_1..g_a, h_1..h_b into an ordinary series f.
 
     f must have integer exponents in a+b variables; all substituted series
-    share parameters and have zero constant term.
+    share parameters and have zero constant term.  g and h are sequences by
+    padic._sequence's rule.
     """
+    if not (_sequence(g) and _sequence(h)):
+        raise MalformedInput("g and h must be sequences of series",
+                             witness={"g": type(g).__name__,
+                                      "h": type(h).__name__})
     args = list(g) + list(h)
     if f.nvars != len(args):
         raise MalformedInput("arity mismatch",
@@ -480,8 +495,14 @@ def rigidity_check(f, g, h, r, d_seq, powered_block="h"):
     composite must vanish modulo the n-th power ideal (X)^{d_n}; ratio_ok
     reports strict decrease of q^n / d_n over the given finite sequence;
     evaluation_zero substitutes the blocks over disjoint variable copies and
-    tests identical vanishing mod degree D.
+    tests identical vanishing mod degree D.  g, h and d_seq are sequences by
+    padic._sequence's rule.
     """
+    if not (_sequence(g) and _sequence(h) and _sequence(d_seq)):
+        raise MalformedInput("g, h and d_seq must be sequences",
+                             witness={"g": type(g).__name__,
+                                      "h": type(h).__name__,
+                                      "d_seq": type(d_seq).__name__})
     if not d_seq:
         raise SequenceTooShort("empty exponent sequence")
     if powered_block not in ("g", "h"):

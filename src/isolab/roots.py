@@ -6,7 +6,6 @@ the cocharacter pairs with roots by plain coordinate differences and the
 unipotent algebras are honest matrix algebras over Q.
 """
 
-from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import (InvariantViolated, MalformedInput, NonInvertible,
@@ -14,7 +13,7 @@ from .errors import (InvariantViolated, MalformedInput, NonInvertible,
 from .dieudonne import pdiv_dimension
 from .isocrystal import Isocrystal, newton_slopes, slope_part
 from .linalg import rat_rank, rat_rref, rat_solve
-from .padic import FieldSpec, _integral, _rational
+from .padic import FieldSpec, _integral, _rational, _sequence
 
 _TYPES = ("GL", "GSp", "SO")
 
@@ -60,7 +59,7 @@ class RootDatumWithCochar:
         if n < 2:
             raise MalformedInput("matrix size must be at least 2",
                                  witness={"n": n})
-        if isinstance(nu, (str, bytes)) or not isinstance(nu, Sequence):
+        if not _sequence(nu):
             raise MalformedInput("cocharacter must be a sequence of "
                                  "rationals", witness={"nu": nu})
         read = [_rational(v) for v in nu]

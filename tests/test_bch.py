@@ -20,7 +20,7 @@ from memo_contract import (check_computed_once,
                            check_returns_a_copy,
                            check_stores_only_library_errors)
 from reference import (ALGEBRA_MEMO, EYE3, MEMO_COMPUTE, answer_key, build,
-                       heis_bracket, heisenberg, ref_lattice_closure,
+                       heis_bracket, heisenberg, key, ref_lattice_closure,
                        run_optimized, split_heisenberg, vec, zero_bracket)
 
 F = Fraction
@@ -537,6 +537,33 @@ def test_rho_defect_outside_minimal_slope_part(monkeypatch):
     d, rep = rho_defect(a, vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0), 0)
     assert rep["member"] is False
     assert rep["witness"] == {"reason": "outside the minimal-slope part"}
+
+
+def test_rho_defect_zero_minimal_slope_lattice(monkeypatch):
+    # no algebra of positive rank has an empty minimal-slope lattice, so
+    # the witness is reached through a stand-in intersection
+    a = split_heisenberg()
+    monkeypatch.setattr(dieudonne, "lattice_intersect_subspace",
+                        lambda *args: [])
+    d, rep = rho_defect(a, vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0), 0)
+    assert not all(c.is_zero for c in d)
+    assert rep["member"] is False
+    assert rep["witness"] == {"reason": "zero minimal-slope lattice"}
+
+
+def test_rho_defect_isoclinic_reads_the_lattice_itself():
+    # every slope is 0, so the minimal-slope part is the whole space and
+    # its lattice is the algebra's: the defect e2 / 2 is not in the span of
+    # e0, e1 and 5 e2, though it is in the standard lattice
+    frob = [[F(int(i == j)) for j in range(3)] for i in range(3)]
+    for last, member, witness in (
+            (F(1, 5), True, None),
+            (F(5), False, {"valuations": [">= 16", ">= 16", "-1"]})):
+        a = build(frob, heis_bracket(),
+                  [[F(1), 0, 0], [F(0), 1, 0], [F(0), 0, last]])
+        d, rep = rho_defect(a, vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0), 0)
+        assert key(d[2]) == key(vec(a.spec, F(1, 2))[0])
+        assert rep == {"n": 0, "member": member, "witness": witness}
 
 
 def test_rho_defect_scaled_complement():

@@ -423,6 +423,38 @@ def test_bad_shape_exit_1(command, base, override, corpus_dir, capsys,
     assert json.loads(out)["error"] == "MalformedInput"
 
 
+_P_SLOPES = '{"p":%d,"frobenius":[["1"]]}'
+
+
+@pytest.mark.parametrize("argv, env, stdin, message, witness", [
+    (["slopes"], "nine", _P_SLOPES % 5, "bad ISOLAB_PRECISION", "nine"),
+    (["leafdim", "--type", "GL", "--n", "3"], None, "", "need --type, --n "
+     "and --nu together", None),
+    (["perf-member", "--params", "2,1", "--in", "ordseries.json"], None, "",
+     "params must be s,r,n0", "2,1"),
+    (["slopes"], None, _P_SLOPES % 318665857834031151167461, "p must be "
+     "prime", {"p": 318665857834031151167461}),
+    (["slopes"], None, _P_SLOPES % (10 ** 4000 + 1), "p must be below the "
+     "ceiling", {"ceiling": 3317044064679887385961981}),
+], ids=["precision-env", "partial-datum-flags", "short-params", "psi12",
+        "4000-digit-p"])
+def test_argument_refusal_lines(argv, env, stdin, message, witness,
+                                corpus_dir, monkeypatch, capsys):
+    # a bad ISOLAB_PRECISION matters only without --precision; a p at or
+    # above the ceiling is refused with the ceiling as witness, never p
+    import io
+    if env is None:
+        monkeypatch.delenv("ISOLAB_PRECISION", raising=False)
+    else:
+        monkeypatch.setenv("ISOLAB_PRECISION", env)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    argv = [str(corpus_dir / a) if a.endswith(".json") else a for a in argv]
+    code, out = run(capsys, *argv)
+    assert code == 1 and out.count("\n") == 1
+    assert json.loads(out) == {"error": "MalformedInput", "message": message,
+                               "witness": witness}
+
+
 def test_nilclass_negative_nu_after_a_space(capsys):
     for nu in (["--nu", "-1,-2,-3"], ["--nu=-1,-2,-3"]):
         assert run(capsys, "nilclass", "--type", "GL", "--n", "3",

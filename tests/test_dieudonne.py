@@ -19,9 +19,10 @@ from isolab.linalg import coords_in_column_span, mat_inverse, mat_vec
 from memo_contract import (CONTRACT, check_replays_a_fresh_error,
                            check_returns_a_copy,
                            check_stores_only_library_errors)
-from reference import (ALGEBRA_MEMO, EYE3, build, heis_bracket, heisenberg,
-                       key, rand_scalar, ref_bracket_laws, ref_bracket_vec,
-                       ref_in_span, run_optimized, vec, zero_bracket)
+from reference import (ALGEBRA_MEMO, EYE3, answer_key, build, heis_bracket,
+                       heisenberg, key, rand_scalar, ref_bracket_laws,
+                       ref_bracket_vec, ref_in_span, run_optimized, vec,
+                       zero_bracket)
 
 SPEC = FieldSpec(5, 1, 16)
 F = Fraction
@@ -233,6 +234,12 @@ def test_aut_rank_zero(mode):
         "quadratic_term_dropped": mode == "literal"}
 
 
+def test_aut_refuses_an_unknown_mode():
+    with pytest.raises(MalformedInput, match="unknown mode") as exc:
+        aut_lie_algebra(heisenberg(), mode="quadratic")
+    assert exc.value.witness == "quadratic"
+
+
 def test_aut_abelian_unit_root_dimension_4():
     a = build([[F(1), 0], [0, F(1)]], zero_bracket(2))
     rep = aut_lie_algebra(a, mode="derivation")
@@ -312,6 +319,23 @@ def test_lattice_intersect_subspace():
     v = got[0]
     assert (v[0] - v[1]).is_zero
     assert v[0].valuation() == 0
+
+
+def test_lattice_intersect_whole_space_is_the_lattice():
+    # a subspace of full dimension w = n leaves no annihilating row, and
+    # the intersection is the lattice itself.  (1, 0) is not in this
+    # lattice, so the standard lattice, which saturating the lattice's
+    # columns gave, is not the answer
+    lat = [vec(SPEC, 5, 0), vec(SPEC, 1, F(1, 5))]
+    got = lattice_intersect_subspace(lat, [vec(SPEC, 1, 0), vec(SPEC, 0, 1)])
+    assert answer_key(got) == answer_key(lat)
+    coords = coords_in_column_span(lat, [vec(SPEC, 1, 0)])[0]
+    assert coords[0].v == -1
+    # the lines e0 and e1 meet it in 5 e0 and e1
+    assert answer_key(lattice_intersect_subspace(lat, [vec(SPEC, 1, 0)])) \
+        == answer_key([vec(SPEC, 5, 0)])
+    e1 = lattice_intersect_subspace(lat, [vec(SPEC, 0, 1)])[0]
+    assert e1[0].is_zero and e1[1].v == 0
 
 
 @pytest.mark.parametrize("lattice, subspace", [

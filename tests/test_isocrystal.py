@@ -6,9 +6,9 @@ import pytest
 from isolab import isocrystal
 from isolab import (FieldSpec, Isocrystal, PadicScalar, internal_hom,
                     newton_slopes, slope_part, slope_split, standard_simple)
-from isolab.errors import (InsufficientPrecision, InvariantViolated,
-                           MalformedInput, NonInvertible, ResidueFieldTooSmall,
-                           SplitUnavailable)
+from isolab.errors import (FieldSpecMismatch, InsufficientPrecision,
+                           InvariantViolated, MalformedInput, NonInvertible,
+                           ResidueFieldTooSmall, SplitUnavailable)
 from isolab.isocrystal import _hensel_split
 from isolab.linalg import mat_from_rationals, mat_inverse, mat_mul, mat_sigma
 from isolab.padic import poly_divmod
@@ -264,6 +264,20 @@ def test_standard_simple_reads_integers(a, r, message):
     # IndexError and a string r TypeError
     with pytest.raises(MalformedInput) as exc:
         standard_simple(QP, a, r)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Isocrystal(QP, [[PadicScalar.from_int(QP, 1)] * 2]),
+     MalformedInput, "frobenius matrix must be square"),
+    (lambda: internal_hom(iso([[1]]), iso([[1]], FieldSpec(5, 1, 8))),
+     FieldSpecMismatch, "operands over different rings"),
+    (lambda: slope_part(iso([[1]]), "gt0"), MalformedInput,
+     "unknown slope predicate"),
+], ids=["non-square", "hom-over-two-rings", "slope-part-gt0"])
+def test_module_operations_refuse_bad_arguments(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
     assert str(exc.value) == message
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from isolab import FieldSpec, PadicScalar
 from isolab.dieudonne import span_basis
-from isolab.errors import FieldSpecMismatch, IsolabError
+from isolab.errors import (FieldSpecMismatch, InsufficientPrecision,
+                           IsolabError)
 from isolab.linalg import (charpoly, coords_in_column_span, kernel_basis,
                            lower_hull, mat_from_rationals, mat_identity,
                            mat_inverse, mat_mul, mat_vec,
@@ -67,6 +68,21 @@ def test_newton_root_valuations():
               PadicScalar.from_int(Z5, 1)]
     vals = newton_root_valuations(coeffs)
     assert sorted(vals) == [(Fraction(0), 1), (Fraction(1), 1)]
+
+
+def test_newton_root_valuations_refuses_a_bound_below_the_hull():
+    # T^2 + O(1) T + 25: the certified hull runs from (0, 2) to (2, 0), and
+    # the middle coefficient's bound 0 lies below its height 1 there, so
+    # the polygon is not certified
+    coeffs = [PadicScalar.from_int(Z5, 25), PadicScalar.zero(Z5, 0),
+              PadicScalar.from_int(Z5, 1)]
+    with pytest.raises(InsufficientPrecision) as exc:
+        newton_root_valuations(coeffs)
+    assert str(exc.value) == ("interior coefficient bound dips below the "
+                              "certified hull")
+    assert exc.value.witness == {"index": 1, "bound": 0, "needed": "1"}
+    coeffs[1] = PadicScalar.zero(Z5, 1)  # on the hull: it answers
+    assert newton_root_valuations(coeffs) == [(Fraction(1), 2)]
 
 
 def test_newton_root_valuations_fractional():

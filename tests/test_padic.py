@@ -5,14 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from isolab import (FieldSpec, PadicScalar, RootDatumWithCochar,
-                    membership_ECd, slope_exponents, slope_part)
-from isolab.dieudonne import pdiv_dimension
+from isolab import (DieudonneLie, FieldSpec, Isocrystal, PadicScalar,
+                    PerfectedSeries, RootDatumWithCochar, membership_ECd,
+                    ps_compose, rigidity_check, slope_exponents, slope_part)
+from isolab.dieudonne import lattice_intersect_subspace, pdiv_dimension
 from isolab.errors import (DivisionByZero, FieldSpecMismatch, MalformedInput,
                            PrecisionExhausted)
-from isolab.padic import _is_prime, _rational, canonical_modulus
+from isolab.padic import (_BASES, P_CEILING, _is_prime, _rational, _sequence,
+                          canonical_modulus)
+from isolab.perfseries import ps_scale
 
-from reference import (iso, mono, ref_canonical_modulus, ref_invert,
+from reference import (X, iso, mono, ref_canonical_modulus, ref_invert,
                        ref_raw_inv_unit, ref_red_rows, ref_scalar_add,
                        ref_scalar_mul, ref_sigma_mats, run_optimized)
 
@@ -33,6 +36,14 @@ def test_zero_reports_precision_bound():
     z = PadicScalar.zero(spec)
     assert z.is_zero
     assert z.valuation().bound == 6
+
+
+def test_from_coeffs_refuses_a_tuple_of_the_wrong_length():
+    for coeffs in ((), (1, 0, 0)):
+        with pytest.raises(MalformedInput) as exc:
+            PadicScalar.from_coeffs(Z4, coeffs)
+        assert str(exc.value) == "coefficient tuple has wrong length"
+        assert exc.value.witness == list(coeffs)
 
 
 def test_generator_is_unit():
@@ -234,8 +245,69 @@ def test_fieldspec_refuses_booleans_and_non_integral_values():
     assert type(spec.pN) is int and spec.pN == 13 ** 5
 
 
+#: psi_12 and psi_13, the least strong pseudoprimes to the first 12 and 13
+#: prime bases (Sorenson and Webster, Math. Comp. 86, 2017)
+PSI12 = 318665857834031151167461
+PSI13 = 3317044064679887385961981
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(
+        pow(x, 2 ** k, n) == n - 1 for k in range(1, s))
+
+
+def test_is_prime_is_deterministic_below_the_ceiling():
+    assert PSI12 == 399165290221 * 798330580441
+    assert PSI13 == 1287836182261 * 2575672364521 == P_CEILING
+    # psi_12 passes the first twelve bases, and the thirteenth, 41, refuses
+    # it; psi_13 passes all thirteen, so p stops below it
+    assert all(_strong_probable_prime(PSI12, a) for a in _BASES[:12])
+    assert not _strong_probable_prime(PSI12, 41) and not _is_prime(PSI12)
+    assert all(_strong_probable_prime(PSI13, a) for a in _BASES)
+    assert _is_prime(2 ** 61 - 1) and not _is_prime(2021)
+    spec = FieldSpec(2 ** 61 - 1, 1, 4)
+    assert spec.p == 2 ** 61 - 1
+    small = [n for n in range(2, 3000)
+             if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    assert list(filter(_is_prime, range(3000))) == small
+
+
+CEILING = {"ceiling": PSI13}
+
+
+@pytest.mark.parametrize("args, message, witness", [
+    ((5, 0, 4), "need prime p >= 2, f >= 1, N >= 1", {"p": 5, "f": 0, "N": 4}),
+    ((1763, 1, 4), "p must be prime", {"p": 1763}),
+    ((2021, 1, 4), "p must be prime", {"p": 2021}),
+    ((PSI12, 1, 4), "p must be prime", {"p": PSI12}),
+    ((PSI13, 1, 4), "p must be below the ceiling", CEILING),
+    ((2 ** 89 - 1, 1, 4), "p must be below the ceiling", CEILING),
+    ((10 ** 4000 + 1, 1, 4), "p must be below the ceiling", CEILING),
+    ((10 ** 4000 + 1, 0, 4), "p must be below the ceiling", CEILING),
+], ids=["f-0", "41-43", "43-47", "psi12", "psi13", "mersenne-89",
+        "4000-digits", "4000-digits-f-0"])
+def test_fieldspec_refuses_each_bad_p_f_and_n(args, message, witness):
+    # 1763 = 41 * 43 meets a trial divisor and 2021 = 43 * 47 a
+    # Miller-Rabin base; 2^89 - 1 is prime but above the ceiling, and a p
+    # above it is refused at once, with the ceiling and never p as witness
+    start = time.perf_counter()
+    with pytest.raises(MalformedInput) as exc:
+        FieldSpec(*args)
+    assert time.perf_counter() - start < 0.1
+    assert str(exc.value) == message
+    assert exc.value.witness == witness
+
+
 #: each site that reads a rational parameter, and its whole refusal message
 RATIONAL_SITES = {
+    "from_fraction": (lambda v: PadicScalar.from_fraction(Z5, v),
+                      "value must be rational"),
+    "from_rationals": (lambda v: Isocrystal.from_rationals(Z5, [[v]]),
+                       "value must be rational"),
     "slope_part": (lambda v: slope_part(iso([[Fraction(1, 5)]]), ("eq", v)),
                    "unknown slope predicate"),
     "RootDatumWithCochar": (lambda v: RootDatumWithCochar("GL", 2, [v, 0]),
@@ -264,6 +336,70 @@ def test_rational_parameters_follow_one_rule(site, value):
     with pytest.raises(MalformedInput) as exc:
         call(value)
     assert str(exc.value) == message
+
+
+#: each site that reads a sequence parameter: its call, a value it reads,
+#: and its whole refusal message
+SEQUENCE_SITES = {
+    "from_coeffs": (lambda v: PadicScalar.from_coeffs(Z5, v), (1,),
+                    "coefficients must be a sequence"),
+    "series-terms": (lambda v: PerfectedSeries(3, 1, 1, 4, v),
+                     {(Fraction(1),): (1,)},
+                     "terms must map exponents to coefficients"),
+    "series-exponent": (lambda v: PerfectedSeries(3, 1, 1, 4, {v: (1,)}),
+                        (Fraction(1),), "an exponent must be a sequence"),
+    "series-coefficient": (
+        lambda v: PerfectedSeries(3, 1, 1, 4, {(Fraction(1),): v}), (1,),
+        "a coefficient must be a sequence"),
+    "ps_scale": (lambda v: ps_scale(mono(3, 1), v), (1,),
+                 "a coefficient must be a sequence"),
+    "ps_compose": (lambda v: ps_compose(X(3), v), [X(3)],
+                   "g and h must be sequences of series"),
+    "rigidity-g": (lambda v: rigidity_check(X(3), v, [], 1, [1]), [X(3)],
+                   "g, h and d_seq must be sequences"),
+    "rigidity-d_seq": (lambda v: rigidity_check(X(3), [X(3)], [], 1, v), [1],
+                       "g, h and d_seq must be sequences"),
+    "Isocrystal": (lambda v: Isocrystal(Z5, v),
+                   [[PadicScalar.from_int(Z5, 1)]],
+                   "frobenius matrix must be a sequence of rows"),
+    "from_rationals": (lambda v: Isocrystal.from_rationals(Z5, v), [[1]],
+                       "a matrix must be a sequence of rows"),
+    "DieudonneLie": (lambda v: DieudonneLie(iso([[1]], Z5), v),
+                     [[[PadicScalar.zero(Z5)]]],
+                     "structure constants must be n x n x n"),
+    "lattice_intersect_subspace": (
+        lambda v: lattice_intersect_subspace(
+            v, [[PadicScalar.from_int(Z5, 1)]]),
+        [[PadicScalar.from_int(Z5, 1)]],
+        "lattice and subspace must be sequences of vectors"),
+    "RootDatumWithCochar": (lambda v: RootDatumWithCochar("GL", 2, v),
+                            (1, 0), "cocharacter must be a sequence of "
+                            "rationals"),
+}
+
+
+@pytest.mark.parametrize("site,value", [
+    *((site, v) for site in sorted(SEQUENCE_SITES)
+      for v in (5, None, "x", iter(()))),
+    ("series-terms", [])],
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_sequence_parameters_follow_one_rule(site, value):
+    # each site reads through padic._sequence and refuses with its own
+    # MalformedInput, never a bare TypeError or AttributeError, and never
+    # a one-letter string read as a one-entry sequence; series terms are a
+    # mapping, so a list is refused too
+    call, valid, message = SEQUENCE_SITES[site]
+    call(valid)
+    with pytest.raises(MalformedInput) as exc:
+        call(value)
+    assert str(exc.value) == message
+
+
+def test_sequence_reads_lists_tuples_and_ranges():
+    for v in ([], [1], (), (1, "x"), range(3)):
+        assert _sequence(v)
+    for v in ("", "ab", b"ab", {}, {1}, 5, None, iter([1])):
+        assert not _sequence(v)
 
 
 def test_rational_reads_numbers_and_rational_strings():

@@ -96,6 +96,40 @@ def test_bound_and_field_validation():
     assert json.dumps(a.to_json()) == json.dumps(mono(2, 2, D=4).to_json())
 
 
+#: each refusal of an operation's argument: its call and its whole message
+OPERATION_REFUSALS = {
+    "exponent-arity": (lambda: PerfectedSeries(3, 2, 1, 4, {(F(1),): (1,)}),
+                       "exponent arity mismatch"),
+    "frobenius-direction": (lambda: ps_frobenius(X(3), "sideways"),
+                            "direction must be forward or inverse"),
+    "frobenius-flavor": (lambda: ps_frobenius(X(3), "forward", "mixed"),
+                         "flavor must be relative or absolute"),
+    "truncate-kind": (lambda: ps_truncate_ideal(X(3), "degree", 2),
+                      "unknown ideal kind"),
+    "embed-too-far": (lambda: ps_embed(X(3), 1, 1), "embedding out of range"),
+    "embed-negative": (lambda: ps_embed(X(3), 2, -1),
+                       "embedding out of range"),
+    "compose-arity": (lambda: ps_compose(X(3, nvars=2), [X(3)]),
+                      "arity mismatch"),
+    "compose-nothing": (
+        lambda: ps_compose(PerfectedSeries(3, 0, 1, 4, {(): (1,)}), []),
+        "nothing to substitute into"),
+    "compose-fractional-outer": (lambda: ps_compose(mono(3, F(1, 3)), [X(3)]),
+                                 "outer series must have integer exponents"),
+    "membership-method": (
+        lambda: membership_restricted(X(3), RestrictedParams(1, 2, 0),
+                                      method="fast"), "unknown method"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(OPERATION_REFUSALS))
+def test_operations_refuse_bad_arguments(site):
+    call, message = OPERATION_REFUSALS[site]
+    with pytest.raises(MalformedInput) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_embed_and_truncate_take_integers():
     a = ps_add(X(D=4), mono(2, F(5, 2), D=4))
     for total, offset in ((True, False), (2.5, 0.5), (2, "0")):

@@ -195,6 +195,48 @@ def test_no_unused_parameters():
     assert found == []
 
 
+#: functions whose body is one call on their own parameters, and why each
+#: is kept
+FORWARDERS = {
+    "padic.PadicScalar.from_int": "perfbench builds its vectors with it",
+}
+
+
+def _functions(node, prefix=""):
+    """(qualified name, node) for every function under node, methods and
+    nested functions included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, name + ".")
+
+
+def test_no_forwarders():
+    # a function whose body, after its docstring, is one return of a call
+    # on its own parameters, in order, is a second name for the callee:
+    # callers call the callee.  A method's self or cls may be the callee's
+    # receiver instead of its first argument
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, node in _functions(tree):
+            body = node.body[ast.get_docstring(node) is not None:]
+            if len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            call = body[0].value
+            if not isinstance(call, ast.Call) or call.keywords:
+                continue
+            args = [getattr(arg, "id", None) for arg in call.args]
+            own = [p.arg for p in node.args.posonlyargs + node.args.args]
+            if args == own or own[:1] in (["self"], ["cls"]) and \
+                    args == own[1:]:
+                found.append(f"{path.stem}.{name}")
+    assert sorted(found) == sorted(FORWARDERS)
+
+
 def test_scalars_are_immutable():
     # PadicScalar.zero hands out one shared instance per spec, so no code
     # may change a scalar's attributes once its __init__ has set them
