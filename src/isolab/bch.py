@@ -376,9 +376,6 @@ def rho_defect(a, xprime, x, n):
         bplus = minimal_slope_lattice(a)
         if all(c.is_zero for c in d):
             report["member"] = True
-        elif not bplus:
-            report["member"] = False
-            report["witness"] = {"reason": "zero minimal-slope lattice"}
         elif (coords := coords_in_column_span(bplus, [d])[0]) is None:
             report["member"] = False
             report["witness"] = {"reason": "outside the minimal-slope part"}

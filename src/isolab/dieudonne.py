@@ -447,6 +447,8 @@ def lattice_intersect_subspace(lattice_cols, subspace_basis):
     over the valuation ring.  lattice_cols must be n columns of length n,
     n the length of the subspace vectors, else MalformedInput; both
     arguments and their vectors are sequences by padic._sequence's rule.
+    On the whole space, a lattice that lost rank at working precision
+    is InsufficientPrecision.
     """
     if not (_sequence(lattice_cols) and _sequence(subspace_basis) and all(
             map(_sequence, (*lattice_cols, *subspace_basis)))):
@@ -467,7 +469,13 @@ def lattice_intersect_subspace(lattice_cols, subspace_basis):
     # rows annihilating the span: q with <b_i, q> = 0 for every basis vector
     W_T = [list(b) for b in subspace_basis]
     ann = kernel_basis(W_T, expected_dim=n - w)
-    if not ann:  # the whole space: the lattice itself
+    if not ann:  # the whole space: the lattice itself, if it has rank n
+        try:
+            coords_in_column_span(lattice_cols, [])
+        except NonInvertible as exc:
+            raise InsufficientPrecision(
+                "lattice lost rank at working precision",
+                witness=exc.witness) from exc
         return [list(c) for c in lattice_cols]
     Lat = [list(row) for row in zip(*lattice_cols)]
     QL = mat_mul([list(q) for q in ann], Lat)

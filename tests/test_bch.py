@@ -539,18 +539,6 @@ def test_rho_defect_outside_minimal_slope_part(monkeypatch):
     assert rep["witness"] == {"reason": "outside the minimal-slope part"}
 
 
-def test_rho_defect_zero_minimal_slope_lattice(monkeypatch):
-    # no algebra of positive rank has an empty minimal-slope lattice, so
-    # the witness is reached through a stand-in intersection
-    a = split_heisenberg()
-    monkeypatch.setattr(dieudonne, "lattice_intersect_subspace",
-                        lambda *args: [])
-    d, rep = rho_defect(a, vec(a.spec, 1, 0, 0), vec(a.spec, 0, 1, 0), 0)
-    assert not all(c.is_zero for c in d)
-    assert rep["member"] is False
-    assert rep["witness"] == {"reason": "zero minimal-slope lattice"}
-
-
 def test_rho_defect_isoclinic_reads_the_lattice_itself():
     # every slope is 0, so the minimal-slope part is the whole space and
     # its lattice is the algebra's: the defect e2 / 2 is not in the span of

@@ -336,6 +336,12 @@ def test_lattice_intersect_whole_space_is_the_lattice():
         == answer_key([vec(SPEC, 5, 0)])
     e1 = lattice_intersect_subspace(lat, [vec(SPEC, 0, 1)])[0]
     assert e1[0].is_zero and e1[1].v == 0
+    # dependent columns are no lattice: the whole space refuses them
+    with pytest.raises(InsufficientPrecision,
+                       match="lattice lost rank") as exc:
+        lattice_intersect_subspace([vec(SPEC, 1, 1), vec(SPEC, 2, 2)],
+                                   [vec(SPEC, 1, 0), vec(SPEC, 0, 1)])
+    assert exc.value.witness == {"rank": 1, "size": 2}
 
 
 @pytest.mark.parametrize("lattice, subspace", [

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from isolab import (DieudonneLie, FieldSpec, Isocrystal, PadicScalar,
-                    PerfectedSeries, RootDatumWithCochar, membership_ECd,
+                    PerfectedSeries, padic, RootDatumWithCochar, membership_ECd,
                     ps_compose, rigidity_check, slope_exponents, slope_part)
 from isolab.dieudonne import lattice_intersect_subspace, pdiv_dimension
 from isolab.errors import (DivisionByZero, FieldSpecMismatch, MalformedInput,
@@ -290,14 +290,18 @@ CEILING = {"ceiling": PSI13}
     ((10 ** 4000 + 1, 0, 4), "p must be below the ceiling", CEILING),
 ], ids=["f-0", "41-43", "43-47", "psi12", "psi13", "mersenne-89",
         "4000-digits", "4000-digits-f-0"])
-def test_fieldspec_refuses_each_bad_p_f_and_n(args, message, witness):
+def test_fieldspec_refuses_each_bad_p_f_and_n(args, message, witness,
+                                              monkeypatch):
     # 1763 = 41 * 43 meets a trial divisor and 2021 = 43 * 47 a
     # Miller-Rabin base; 2^89 - 1 is prime but above the ceiling, and a p
-    # above it is refused at once, with the ceiling and never p as witness
-    start = time.perf_counter()
+    # above it is refused before any primality test, with the ceiling and
+    # never p as witness
+    if witness == CEILING:  # a primality test here would fail the case
+        def refuse(n):
+            raise AssertionError("_is_prime ran on a p above the ceiling")
+        monkeypatch.setattr(padic, "_is_prime", refuse)
     with pytest.raises(MalformedInput) as exc:
         FieldSpec(*args)
-    assert time.perf_counter() - start < 0.1
     assert str(exc.value) == message
     assert exc.value.witness == witness
 
