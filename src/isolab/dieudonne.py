@@ -10,15 +10,16 @@ assumed.
 import copy
 from fractions import Fraction
 
-from .errors import (FieldSpecMismatch, InsufficientPrecision,
-                     InvariantViolated, IsolabError, MalformedInput,
-                     NonInvertible, NotNilpotent, SlopeNotStrictlyNegative,
-                     SlopeOutOfRange, SplitUnavailable)
+from .errors import (InsufficientPrecision, InvariantViolated, IsolabError,
+                     MalformedInput, NonInvertible, NotNilpotent,
+                     SlopeNotStrictlyNegative, SlopeOutOfRange,
+                     SplitUnavailable)
 from .isocrystal import Isocrystal, _slope_blocks, _slope_polygon, slope_split
 from .linalg import (coords_in_column_span, kernel_basis, mat_from_rationals,
                      mat_identity, mat_inverse, mat_mul, mat_sigma, mat_vec,
                      row_echelon, saturate_columns)
-from .padic import PadicScalar, _integral, _rational, _sequence
+from .padic import (PadicScalar, _integral, _rational, _require_scalars,
+                    _sequence)
 
 
 class DieudonneLie:
@@ -329,17 +330,9 @@ def require_vectors(a, vectors):
     if any(n != a.rank for n in lengths):
         raise MalformedInput("vector length differs from the algebra's rank",
                              witness={"rank": a.rank, "lengths": lengths})
-    spec = a.spec
-    for v in vectors:
-        for c in v:
-            if not isinstance(c, PadicScalar):
-                raise MalformedInput(
-                    "a coordinate vector is a list of PadicScalar",
-                    witness={"rank": a.rank, "entry": type(c).__name__})
-            if c.spec is not spec:
-                raise FieldSpecMismatch("operands over different rings",
-                                        witness={"left": c.spec.to_json(),
-                                                 "right": spec.to_json()})
+    _require_scalars(a.spec, vectors,
+                     "a coordinate vector is a list of PadicScalar",
+                     {"rank": a.rank})
 
 
 # --------------------------------------------------------------------------
@@ -447,8 +440,8 @@ def lattice_intersect_subspace(lattice_cols, subspace_basis):
     over the valuation ring.  lattice_cols must be n columns of length n,
     n the length of the subspace vectors, else MalformedInput; both
     arguments and their vectors are sequences by padic._sequence's rule.
-    On the whole space, a lattice that lost rank at working precision
-    is InsufficientPrecision.
+    A lattice that lost rank at working precision is
+    InsufficientPrecision, whatever the subspace.
     """
     if not (_sequence(lattice_cols) and _sequence(subspace_basis) and all(
             map(_sequence, (*lattice_cols, *subspace_basis)))):
@@ -466,16 +459,16 @@ def lattice_intersect_subspace(lattice_cols, subspace_basis):
             "lattice needs n columns of length n, n the subspace's length",
             witness={"lattice": [len(c) for c in lattice_cols],
                      "subspace": [len(b) for b in subspace_basis]})
+    try:  # no targets: rank only
+        coords_in_column_span(lattice_cols, [])
+    except NonInvertible as exc:
+        raise InsufficientPrecision(
+            "lattice lost rank at working precision",
+            witness=exc.witness) from exc
     # rows annihilating the span: q with <b_i, q> = 0 for every basis vector
     W_T = [list(b) for b in subspace_basis]
     ann = kernel_basis(W_T, expected_dim=n - w)
-    if not ann:  # the whole space: the lattice itself, if it has rank n
-        try:
-            coords_in_column_span(lattice_cols, [])
-        except NonInvertible as exc:
-            raise InsufficientPrecision(
-                "lattice lost rank at working precision",
-                witness=exc.witness) from exc
+    if not ann:  # the whole space: the lattice itself
         return [list(c) for c in lattice_cols]
     Lat = [list(row) for row in zip(*lattice_cols)]
     QL = mat_mul([list(q) for q in ann], Lat)

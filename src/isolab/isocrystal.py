@@ -8,11 +8,12 @@ multiplicative.
 
 Slope decomposition runs entirely in exact arithmetic over the module's
 own ring: linearize by the twisted f-fold product, take a division-free
-characteristic polynomial, pass to the d-th power to clear slope
-denominators (a step skipped when the slopes times f are already
-integral), peel one integral slope at a time by quadratic Hensel
-lifting of that slope's factor h and of the cofactor's inverse mod h,
-and cut the module along kernels of the resulting factors.
+characteristic polynomial, pass to its d-th power, with d the lcm of the
+denominators of the root valuations that are peeled (a step skipped when
+those are integral; the unpeeled ones above them may stay fractional),
+peel one integral valuation at a time by quadratic Hensel lifting of
+that valuation's factor h and of the cofactor's inverse mod h, and cut
+the module along kernels of the resulting factors.
 """
 
 from fractions import Fraction
@@ -25,13 +26,15 @@ from .linalg import (charpoly, coords_in_column_span, kernel_basis,
                      mat_from_rationals, mat_identity, mat_inverse, mat_mul,
                      newton_root_valuations, twisted_power)
 from .padic import (FieldSpec, PadicScalar, _integral, _json_int, _rational,
-                    _sequence, poly_add, poly_divmod, poly_mul, poly_trim,
-                    poly_xgcd)
+                    _require_scalars, _sequence, poly_add, poly_divmod,
+                    poly_mul, poly_trim, poly_xgcd)
 
 
 class Isocrystal:
     """Frobenius matrix on a fixed basis of a free Q_q-module: F is a
-    square sequence of rows, each a sequence by padic._sequence's rule."""
+    square sequence of rows, each a sequence by padic._sequence's rule,
+    whose entries are PadicScalar over spec (padic._require_scalars),
+    checked once here."""
 
     __slots__ = ("spec", "rank", "F")
 
@@ -45,6 +48,8 @@ class Isocrystal:
             if len(row) != self.rank:
                 raise MalformedInput("frobenius matrix must be square",
                                      witness={"rank": self.rank})
+        _require_scalars(spec, F, "frobenius entries must be PadicScalar",
+                         {"rank": self.rank})
         self.F = F
 
     @staticmethod
@@ -265,9 +270,14 @@ def _slope_blocks(M, polygon, keep):
     """The blocks (slope, basis, block) of M whose slope keep accepts;
     polygon is _slope_polygon(M).
 
-    The power trick with its polygon check and the Q_p check run on the
-    whole module.  The factorization peels slopes in ascending order up
-    to the last kept one, so the slopes above it are never peeled.
+    The factorization peels slopes in ascending order up to the last
+    kept one, and never the top slope, whose factor is the cofactor.
+    Only the peeled root valuations must be integral: after the transform
+    T -> p^m T the roots above m have positive valuation, integral or
+    not.  So the power trick raises L to d, the lcm of the peeled
+    valuations' denominators, and checks the polygon of L^d; at d = 1 it
+    is skipped and L is cut as it is.
+
     Horner, the kernel and the Frobenius solve run only for kept blocks,
     and the span check covers exactly the kept columns.  A rejected block
     is never computed and a slope above the last kept one never peeled,
@@ -286,23 +296,23 @@ def _slope_blocks(M, polygon, keep):
         # leaves M unchanged
         return [(lam, mat_identity(spec, M.rank),
                  Isocrystal(spec, [list(row) for row in M.F]))]
-    d = lcm(*(m.denominator for m, _ in vals))
-    A = L
-    for _ in range(d - 1):
-        A = mat_mul(A, L)
-    if d > 1:
-        coeffs, power_vals = _polygon(A, spec)
-        if power_vals != [(d * m, w) for m, w in vals]:
-            raise InvariantViolated("power trick changed the polygon",
-                                    witness={"power": d})
-    int_vals = [(int(d * m), w) for m, w in vals]
-    _require_qp(coeffs)
     # peel up to the last kept slope; the cofactor is the top slope's
     # factor, or zip pairs it with a slope that keep rejects
     count = max((i + 1 for i, (lam, _) in enumerate(slopes) if keep(lam)),
                 default=0)
+    peeled = vals[:min(count, len(vals) - 1)]
+    d = lcm(*(m.denominator for m, _ in peeled))
+    A = L
+    if d > 1:
+        for _ in range(d - 1):
+            A = mat_mul(A, L)
+        coeffs, power_vals = _polygon(A, spec)
+        if power_vals != [(d * m, w) for m, w in vals]:
+            raise InvariantViolated("power trick changed the polygon",
+                                    witness={"power": d})
+    _require_qp(coeffs)
     factors = _peel_slope_factors(
-        coeffs, int_vals[:min(count, len(vals) - 1)], spec)
+        coeffs, [(int(d * m), w) for m, w in peeled], spec)
     # vals ascend, so the blocks come out with slopes increasing
     blocks = []
     for (lam, w), G in zip(slopes, factors):

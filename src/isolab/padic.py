@@ -705,3 +705,20 @@ class PadicScalar:
                              (f"{c}*t" if i == 1 else f"{c}*t^{i}"))
         body = " + ".join(terms) or "0"
         return f"p^{self.v}*({body}) + O(p^{self.abs_prec})"
+
+
+def _require_scalars(spec, rows, message, witness):
+    """Raise unless every entry of every row is a PadicScalar over spec:
+    MalformedInput(message) for another type, with the entry's type name
+    added to witness, and FieldSpecMismatch for another ring, with the
+    entry's ring on the left.  The one entry check for matrices and
+    coordinate vectors."""
+    for row in rows:
+        for c in row:
+            if not isinstance(c, PadicScalar):
+                raise MalformedInput(message, witness={
+                    **witness, "entry": type(c).__name__})
+            if c.spec is not spec:
+                raise FieldSpecMismatch("operands over different rings",
+                                        witness={"left": c.spec.to_json(),
+                                                 "right": spec.to_json()})

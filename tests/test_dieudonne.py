@@ -336,11 +336,18 @@ def test_lattice_intersect_whole_space_is_the_lattice():
         == answer_key([vec(SPEC, 5, 0)])
     e1 = lattice_intersect_subspace(lat, [vec(SPEC, 0, 1)])[0]
     assert e1[0].is_zero and e1[1].v == 0
-    # dependent columns are no lattice: the whole space refuses them
+
+@pytest.mark.parametrize("subspace", [[(1, 0), (0, 1)], [(1, 0)], [(1, 1)]],
+                         ids=["whole-space", "line-off-kernel",
+                              "line-in-span"])
+def test_lattice_intersect_refuses_dependent_columns(subspace):
+    # dependent columns are no lattice, whatever the subspace: on the line
+    # e0, which misses the lattice's kernel (1, -1/2), the kernel of Q L
+    # still has the expected dimension, and the answer was a zero vector
     with pytest.raises(InsufficientPrecision,
                        match="lattice lost rank") as exc:
         lattice_intersect_subspace([vec(SPEC, 1, 1), vec(SPEC, 2, 2)],
-                                   [vec(SPEC, 1, 0), vec(SPEC, 0, 1)])
+                                   [vec(SPEC, *b) for b in subspace])
     assert exc.value.witness == {"rank": 1, "size": 2}
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ from isolab import isocrystal
 from isolab import (FieldSpec, Isocrystal, PadicScalar, internal_hom,
                     newton_slopes, slope_part, slope_split, standard_simple)
 from isolab.errors import (FieldSpecMismatch, InsufficientPrecision,
-                           InvariantViolated, MalformedInput, NonInvertible,
-                           ResidueFieldTooSmall, SplitUnavailable)
+                           InvariantViolated, IsolabError, MalformedInput,
+                           NonInvertible, ResidueFieldTooSmall,
+                           SplitUnavailable)
 from isolab.isocrystal import _hensel_split
 from isolab.linalg import mat_from_rationals, mat_inverse, mat_mul, mat_sigma
 from isolab.padic import poly_divmod
@@ -129,6 +131,20 @@ def test_split_computes_each_power_once(p, f, charpolys, monkeypatch):
         (Fraction(-1, 2), 2), (Fraction(0), 1)]
     assert calls.count("twisted_power") == 1
     assert calls.count("charpoly") == charpolys
+
+
+def test_split_powers_only_for_the_peeled_slopes(monkeypatch):
+    # slopes 0 and 1/2: the only fractional slope is the top one, whose
+    # factor is the cofactor and is never peeled, so there is no power
+    # trick and no second polygon
+    calls = []
+    polygon = isocrystal._polygon
+    monkeypatch.setattr(isocrystal, "_polygon",
+                        lambda *a: calls.append("polygon") or polygon(*a))
+    blocks = slope_split(iso([[1, 0, 0], [0, 0, 5], [0, 1, 0]]))
+    assert [(lam, sub.rank) for lam, _, sub in blocks] == [
+        (Fraction(0), 1), (Fraction(1, 2), 2)]
+    assert calls == ["polygon"]
 
 
 def test_split_rejects_charpoly_outside_qp(monkeypatch):
@@ -279,6 +295,22 @@ def test_module_operations_refuse_bad_arguments(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("entry, error, witness", [
+    (5, MalformedInput, {"rank": 2, "entry": "int"}),
+    (Fraction(5), MalformedInput, {"rank": 2, "entry": "Fraction"}),
+    (None, MalformedInput, {"rank": 2, "entry": "NoneType"}),
+    (PadicScalar.from_int(FieldSpec(5, 1, 8), 5), FieldSpecMismatch,
+     {"left": {"p": 5, "f": 1, "N": 8}, "right": {"p": 5, "f": 1, "N": 16}}),
+], ids=["int", "fraction", "none", "other-ring"])
+def test_isocrystal_checks_its_entries(entry, error, witness):
+    # an int entry used to raise a bare AttributeError from linalg at the
+    # first newton_slopes; the last entry is the one checked
+    one = PadicScalar.from_int(QP, 1)
+    with pytest.raises(error) as exc:
+        Isocrystal(QP, [[one, one], [one, entry]])
+    assert exc.value.witness == witness
 
 
 def test_standard_simple_reads_integral_numbers_as_integers():
@@ -592,3 +624,138 @@ def test_split_block_polygon_is_not_certified_pinned():
     with pytest.raises(NonInvertible) as ei:
         newton_slopes(blocks[1][2])
     assert ei.value.witness == {"bound": -1}
+
+
+# --------------------------------------------------------------------------
+# slope_split claims only certified digits (ROADMAP items 7 and 13)
+# --------------------------------------------------------------------------
+
+#: the slopes a/r of the cyclic models in the conjugated modules
+CYCLIC_MODELS = [(0, 1), (-1, 1), (-1, 2), (-1, 3), (-2, 3), (-1, 4),
+                 (-3, 4)]
+
+
+def _conjugated(rng):
+    """(p, f, N, rows): F = P D P^-1 over Q, drawn as perfbench's
+    _draw_module draws P D sigma(P)^-1, but with rational moves, so that
+    sigma(P) = P and every entry has a rational lift.
+
+    D is a sum of cyclic models e_i -> e_(i+1), e_r -> p^a e_1 of slope
+    a/r, rank 2 to 5 in all; P is one elementary move by -2, -1, 1 or 2
+    per off-diagonal position; p in 2..7, f in 1..3, N in 8..24.
+    """
+    p, f = rng.choice([2, 3, 5, 7]), rng.choice([1, 2, 3])
+    n = rng.randrange(2, 6)
+    D = [[Fraction(0)] * n for _ in range(n)]
+    off = 0
+    while off < n:
+        a, r = rng.choice([m for m in CYCLIC_MODELS if m[1] <= n - off])
+        for i in range(r - 1):
+            D[off + i + 1][off + i] = Fraction(1)
+        D[off][off + r - 1] = Fraction(p) ** a
+        off += r
+    P = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    Pinv = [list(row) for row in P]
+    for i in range(n):
+        for j in range(n):
+            if i != j:  # P E and E^-1 P^-1 for E = I + c e_ij
+                c = rng.choice([-2, -1, 1, 2])
+                for row in P:
+                    row[j] += c * row[i]
+                Pinv[i] = [x - c * y for x, y in zip(Pinv[i], Pinv[j])]
+    rows = [[sum(P[i][k] * D[k][l] * Pinv[l][j] for k in range(n)
+                 for l in range(n)) for j in range(n)] for i in range(n)]
+    return p, f, rng.choice([8, 12, 16, 24]), rows
+
+
+def _rational_modules():
+    """The ledger's mixed-slope split rows, then 40 seeded conjugated
+    modules: (p, f, N, rows) each."""
+    from make_answers import mixed
+    out = []
+    for _, stdin in mixed():
+        obj = json.loads(stdin)
+        out.append((obj["p"], 1, obj["N"],
+                    [[Fraction(c) for c in row] for row in obj["frobenius"]]))
+    rng = random.Random(38)
+    return out + [_conjugated(rng) for _ in range(40)]
+
+
+def _split_at(p, f, N, rows):
+    """(M, slope_split(M)) over Q_(p^f) at N, or (M, the error's name)."""
+    M = Isocrystal.from_rationals(FieldSpec(p, f, N), rows)
+    try:
+        return M, slope_split(M)
+    except IsolabError as exc:
+        return M, type(exc).__name__
+
+
+def _lift(c):
+    """The t-components of c as rationals: p^v u_i, or zeros for O(p^b)."""
+    if c.is_zero:
+        return [Fraction(0)] * c.spec.f
+    return [Fraction(c.spec.p) ** c.v * u for u in c.unit]
+
+
+def _block_entries(blocks):
+    """Every basis entry, then every block Frobenius entry, block by block."""
+    return [c for _, basis, sub in blocks
+            for c in [*(x for b in basis for x in b),
+                      *(x for row in sub.F for x in row)]]
+
+
+def test_slope_split_digits_agree_with_a_higher_precision():
+    # every digit slope_split claims at N, in each basis vector and each
+    # block Frobenius entry, is the digit it claims at 3N + 16 wherever
+    # both claim it; and an answer at N is an answer with the same blocks
+    # at 3N + 16 (precision monotonicity)
+    answered, disagree = 0, []
+    for p, f, N, rows in _rational_modules():
+        _, low = _split_at(p, f, N, rows)
+        if isinstance(low, str):
+            continue
+        answered += 1
+        _, high = _split_at(p, f, 3 * N + 16, rows)
+        if isinstance(high, str) or [(lam, sub.rank) for lam, _, sub in low] \
+                != [(lam, sub.rank) for lam, _, sub in high]:
+            disagree.append((p, f, N, "blocks", high))
+            continue
+        for a, b in zip(_block_entries(low), _block_entries(high)):
+            common = min(a.abs_prec, b.abs_prec)
+            if any(rat_val(x - y, p) < common
+                   for x, y in zip(_lift(a), _lift(b))):
+                disagree.append((p, f, N, a, b))
+    assert not disagree
+    assert answered >= 50
+
+
+def test_slope_split_blocks_satisfy_the_frobenius_relation():
+    # F sigma(B) = B X over the rational lifts of the basis B and the
+    # block Frobenius X, to each entry's claimed precision: the least
+    # absolute precision of its two sides as the library computes them;
+    # every entry of B and X lies in Q_p to its precision
+    answered, disagree = 0, []
+    for p, f, N, rows in _rational_modules():
+        M, blocks = _split_at(p, f, N, rows)
+        if isinstance(blocks, str):
+            continue
+        answered += 1
+        disagree += [(p, f, N, c) for c in _block_entries(blocks)
+                     if not c.is_zero
+                     and any(u % p ** c.rel for u in c.unit[1:])]
+        zero = PadicScalar.zero(M.spec)
+        for lam, basis, sub in blocks:
+            images = M.apply(basis)
+            for j, image in enumerate(images):
+                for i in range(M.rank):
+                    rhs = sum((b[i] * x[j] for b, x in zip(basis, sub.F)),
+                              zero)
+                    exact = sum(rows[i][s] * _lift(c)[0]
+                                for s, c in enumerate(basis[j])) - sum(
+                        _lift(b[i])[0] * _lift(x[j])[0]
+                        for b, x in zip(basis, sub.F))
+                    if rat_val(exact, p) < min(image[i].abs_prec,
+                                               rhs.abs_prec):
+                        disagree.append((p, f, N, lam, i, j))
+    assert not disagree
+    assert answered >= 50
