@@ -337,13 +337,15 @@ def test_lattice_intersect_whole_space_is_the_lattice():
     e1 = lattice_intersect_subspace(lat, [vec(SPEC, 0, 1)])[0]
     assert e1[0].is_zero and e1[1].v == 0
 
+
 @pytest.mark.parametrize("subspace", [[(1, 0), (0, 1)], [(1, 0)], [(1, 1)]],
                          ids=["whole-space", "line-off-kernel",
                               "line-in-span"])
 def test_lattice_intersect_refuses_dependent_columns(subspace):
-    # dependent columns are no lattice, whatever the subspace: on the line
-    # e0, which misses the lattice's kernel (1, -1/2), the kernel of Q L
-    # still has the expected dimension, and the answer was a zero vector
+    # dependent columns are no lattice, whatever the subspace.  Checked
+    # only on the whole space, the line e0 got a kernel of Q L of the
+    # expected dimension and the answer [O(5^16), O(5^16)], and the line
+    # (1, 1) failed the kernel certificate instead
     with pytest.raises(InsufficientPrecision,
                        match="lattice lost rank") as exc:
         lattice_intersect_subspace([vec(SPEC, 1, 1), vec(SPEC, 2, 2)],
