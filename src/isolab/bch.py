@@ -336,8 +336,9 @@ def rho_defect(a, xprime, x, n):
     The slope split and the minimal-slope part of the lattice depend only
     on the algebra: each is computed on the first call, by
     algebra_slope_split and minimal_slope_lattice, and read on every
-    later one, so a later call makes the lattice's rank check, one
-    group_mul and two solves.
+    later one, so a later call makes one group_mul and two solves.  A
+    lattice that lost rank at working precision is InsufficientPrecision,
+    from minimal_slope_lattice, on every call.
     """
     if not _integral(n):
         raise MalformedInput("n must be an integer", witness={"n": n})
@@ -366,14 +367,14 @@ def rho_defect(a, xprime, x, n):
         return out
 
     if a.lattice is not None:
-        lattice_coords(a, [])  # a lattice that lost rank raises here
+        # stored per algebra; a lattice that lost rank raises here
+        bplus = minimal_slope_lattice(a)
     prod = group_mul(a, xprime, x)
     # P_cols is square, so every target has coordinates
     rp, rx, rxp = map(rho, coords_in_column_span(P_cols, [prod, x, xprime]))
     d = [pm - px - pxp for pm, px, pxp in zip(rp, rx, rxp)]
     report = {"n": n, "member": None, "witness": None}
     if a.lattice is not None:
-        bplus = minimal_slope_lattice(a)
         if all(c.is_zero for c in d):
             report["member"] = True
         elif (coords := coords_in_column_span(bplus, [d])[0]) is None:

@@ -528,20 +528,18 @@ _SLOPE_PAIR = ("a slope pair is a rational slope and a non-negative integer "
 def pdiv_dimension(slopes, check_range=True):
     """Sum of (-slope) * multiplicity over a slope multiset.
 
-    slopes is an iterable of pairs.  Each slope is rational by
-    padic._rational's rule and each multiplicity a non-negative integer by
-    padic._integral's; anything else, a non-iterable slopes or an entry
-    that is not a pair included, is MalformedInput.
+    slopes is a sequence of pairs by padic._sequence's rule.  Each slope is
+    rational by padic._rational's rule and each multiplicity a non-negative
+    integer by padic._integral's; anything else, a non-sequence slopes (an
+    iterator, a mapping or a string) or an entry that is not a pair
+    included, is MalformedInput.
     check_range=False skips the [-1, 0] window (used by the root-datum
     cross-check, where the same additive formula applies to wider windows).
     """
-    try:
-        entries = list(slopes)
-    except TypeError as exc:
-        raise MalformedInput(_SLOPE_PAIR, witness={"slopes": str(slopes)}) \
-            from exc
+    if not _sequence(slopes):
+        raise MalformedInput(_SLOPE_PAIR, witness={"slopes": str(slopes)})
     total = Fraction(0)
-    for entry in entries:
+    for entry in slopes:
         try:
             raw, mult = entry
         except (TypeError, ValueError) as exc:

@@ -7,16 +7,28 @@ module provides the Frobenius operators, ideal truncations, composition, two
 membership tests for restricted-perfection subrings, the rigidity-criterion
 checker, and the slope-to-exponent bookkeeping (a, r, s).
 
-Validation happens once, at the edge: ``PerfectedSeries(...)`` checks
-outside input.  Operations build their results with the unchecked
-``_result``, since sums, p-multiples and p-quotients of checked exponents
-need no check, and a series never changes once built.  Both keep the terms
-that ``_kept`` keeps.
+A series stores its exponents at one p-power depth: at depth s, the integer
+tuple E stands for the exponent vector E / p^s.  A product or a sum lifts
+the shallower side to the larger depth and adds integers, the bound D is
+the integer D p^s, and sorted integer tuples at one depth are already in
+value order.  The Frobenius moves only the depth, or scales E by p at
+depth 0.  Fractions appear only at the edges: ``PerfectedSeries(...)``
+reads Fraction exponents into this form, ``from_json`` reads each
+{num, pexp} pair straight into it, ``to_json`` and the membership
+witnesses write the reduced pairs back, and ``terms`` is a read-only view
+from tuples of Fraction to coefficient tuples.
+
+Validation happens once, at the edge: ``PerfectedSeries(...)`` and
+``from_json`` check outside input.  Operations build their results with the
+unchecked ``_result``, since sums, p-multiples and p-quotients of checked
+exponents need no check, and a series never changes once built.  Both keep
+the terms that ``_kept`` keeps.
 """
 
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, log
+from operator import add
 
 from .errors import (DegreeBoundTooSmall, InvariantViolated, MalformedInput,
                      NonzeroConstantTerm, ParameterMismatch, SequenceTooShort,
@@ -45,6 +57,26 @@ def _pexp(p, den):
     the float logarithm rounded, whose error of a few ulps is far below 1/2
     for any den that fits in memory."""
     return round(log(den, p))
+
+
+def _unit(p, depth):
+    """p^depth, the denominator of every exponent at that depth.  A shift
+    for p = 2, where ``2 ** depth`` squares its way up: 0.37 s against
+    5 ms at depth 10^8."""
+    return 1 << depth if p == 2 else p ** depth
+
+
+def _reduced(p, num, pexp):
+    """(num, pexp) for num / p^pexp with no factor p left in num while
+    pexp > 0: the pair to_json writes.  from_json compares its input pairs
+    by it before p is checked; p = 1 or -1, whose powers are 1 or -1,
+    reduces at once rather than once per unit of pexp."""
+    if p in (1, -1):
+        return num * p ** pexp, 0
+    while pexp and num % p == 0:
+        num //= p
+        pexp -= 1
+    return num, pexp
 
 
 def _validate_exponent(p, v):
@@ -78,16 +110,21 @@ def _coefficient(coeff, p, k):
     return coeff
 
 
-def _kept(terms, D):
-    """The terms a series keeps: nonzero coefficient, sup-degree <= D."""
+def _kept(terms, bound):
+    """The terms a series keeps: nonzero coefficient, sup-degree <= D, for
+    integer exponents at a depth where D reads as bound."""
     return {e: c for e, c in terms.items()
-            if any(c) and not (e and max(e) > D)}
+            if any(c) and not (e and max(e) > bound)}
 
 
 class PerfectedSeries:
-    """Finite term map exponent-vector -> F_{p^k} coefficient, sup-degree <= D."""
+    """Finite term map exponent-vector -> F_{p^k} coefficient, sup-degree <= D.
 
-    __slots__ = ("p", "nvars", "k", "D", "terms")
+    ``_terms`` maps integer tuples E at p-power depth ``depth`` to
+    coefficient tuples; ``terms`` reads it as exponent tuples of Fraction.
+    """
+
+    __slots__ = ("p", "nvars", "k", "D", "depth", "_terms")
 
     def __init__(self, p, nvars, k, D, terms):
         # a boolean or a non-integral bound or arity is refused, never
@@ -117,40 +154,45 @@ class PerfectedSeries:
                 raise MalformedInput("exponent arity mismatch",
                                      witness=[str(v) for v in exp])
             clean[exp] = _coefficient(coeff, p, k)
-        self.terms = _kept(clean, D)
+        # every denominator is a power of p, so the largest is p^depth
+        unit = max((v.denominator for exp in clean for v in exp), default=1)
+        self.depth = _pexp(p, unit)
+        self._terms = _kept({tuple(v.numerator * (unit // v.denominator)
+                                   for v in exp): c
+                             for exp, c in clean.items()}, self.D * unit)
 
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def zero(p, nvars, k, D):
-        return PerfectedSeries(p, nvars, k, D, {})
-
-    @staticmethod
-    def monomial(p, nvars, k, D, exp):
-        return PerfectedSeries(p, nvars, k, D, {tuple(exp): ff_one(k)})
+    @property
+    def terms(self):
+        """The term map with exponent tuples of Fraction, built on each
+        read: writing to it changes no series."""
+        unit = _unit(self.p, self.depth)
+        return {tuple(Fraction(v, unit) for v in e): c
+                for e, c in self._terms.items()}
 
     def same_shape(self, other):
         return (self.p == other.p and self.nvars == other.nvars
                 and self.k == other.k)
 
     def is_zero(self):
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+        return not self._terms
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self):
-        out = []
-        for exp, coeff in self.sorted_terms():
-            out.append({"exp": _exp_json(self.p, exp), "coeff": list(coeff)})
+        out = [{"exp": _exp_json(self.p, exp, self.depth),
+                "coeff": list(coeff)}
+               for exp, coeff in sorted(self._terms.items())]
         return {"p": self.p, "nvars": self.nvars,
                 "field": {"p": self.p, "k": self.k},
                 "D": self.D, "terms": out}
 
     @staticmethod
     def from_json(obj):
+        """The series obj writes, each {num, pexp} read as an integer pair.
+
+        Checks run in PerfectedSeries(...)'s order, after the reading and
+        the duplicate check, with its messages and witnesses.
+        """
         try:
             p = _json_int(obj["p"])
             nvars = _json_int(obj["nvars"])
@@ -161,20 +203,50 @@ class PerfectedSeries:
             D = _json_int(obj["D"])
             terms = {}
             for t in obj["terms"]:
-                exp = tuple(Fraction(_json_int(e["num"]),
-                                     p ** _json_int(e["pexp"]))
-                            for e in t["exp"])
+                exp = tuple(_read_pair(p, e) for e in t["exp"])
                 coeff = tuple(_json_int(c) for c in t["coeff"])
                 if exp in terms:
                     raise MalformedInput("duplicate exponent", witness=t)
                 terms[exp] = coeff
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise MalformedInput("bad series object", witness=obj) from exc
-        return PerfectedSeries(p, nvars, k, D, terms)
+        shape = PerfectedSeries(p, nvars, k, D, {})  # checks D, p, k, nvars
+        for exp, coeff in terms.items():
+            for num, pexp in exp:
+                if num < 0:
+                    raise MalformedInput(
+                        "negative exponent",
+                        witness=str(Fraction(num, p ** pexp)))
+            if len(exp) != nvars:
+                raise MalformedInput(
+                    "exponent arity mismatch",
+                    witness=[str(Fraction(num, p ** pexp))
+                             for num, pexp in exp])
+            terms[exp] = _coefficient(coeff, p, k)
+        depth = max((pexp for exp in terms for _, pexp in exp), default=0)
+        return _result(shape, {tuple(num * p ** (depth - pexp)
+                                     for num, pexp in exp): c
+                               for exp, c in terms.items()}, depth=depth)
 
 
-def _result(a, terms, D=None, nvars=None):
-    """A series like a, with bound D and nvars variables, built unchecked.
+def _read_pair(p, e):
+    """The reduced (num, pexp) of one JSON exponent.  A negative pexp, and
+    a positive one at p = 0, is a ValueError or ZeroDivisionError, which
+    from_json reports as a bad series object."""
+    num, pexp = _json_int(e["num"]), _json_int(e["pexp"])
+    if pexp < 0:
+        raise ValueError(f"negative pexp: {pexp}")
+    return _reduced(p, num, pexp)
+
+
+def _exp_json(p, exp, depth):
+    return [{"num": num, "pexp": pexp}
+            for num, pexp in (_reduced(p, v, depth) for v in exp)]
+
+
+def _result(a, terms, D=None, nvars=None, depth=None):
+    """A series like a, with bound D, nvars variables and exponents at
+    depth, built unchecked.
 
     __init__ would accept the terms as they are: each exponent is a sum,
     p-multiple, p-quotient or zero-padding of checked exponents, so it is
@@ -186,7 +258,8 @@ def _result(a, terms, D=None, nvars=None):
     out.p, out.k = a.p, a.k
     out.nvars = a.nvars if nvars is None else nvars
     out.D = a.D if D is None else D
-    out.terms = _kept(terms, out.D)
+    out.depth = a.depth if depth is None else depth
+    out._terms = _kept(terms, out.D * _unit(out.p, out.depth))
     return out
 
 
@@ -197,34 +270,46 @@ def _require_match(a, b):
                                          "right": [b.p, b.nvars, b.k]})
 
 
+def _lifted(a, depth):
+    """a's term map at a depth at least a.depth."""
+    if depth == a.depth:
+        return a._terms
+    f = a.p ** (depth - a.depth)
+    return {tuple(v * f for v in e): c for e, c in a._terms.items()}
+
+
 def ps_add(a, b):
     _require_match(a, b)
-    terms = dict(a.terms)
-    for exp, c in b.terms.items():
+    depth = max(a.depth, b.depth)
+    terms = dict(_lifted(a, depth))
+    for exp, c in _lifted(b, depth).items():
         terms[exp] = ff_add(terms[exp], c, a.p) if exp in terms else c
-    return _result(a, terms, min(a.D, b.D))
+    return _result(a, terms, min(a.D, b.D), depth=depth)
 
 
 def ps_scale(a, coeff):
     spec = FieldSpec(a.p, a.k, 1)
     coeff = _coefficient(coeff, a.p, a.k)
     return _result(a, {e: spec.raw_mul(c, coeff, a.p)
-                       for e, c in a.terms.items()})
+                       for e, c in a._terms.items()})
 
 
 def ps_mul(a, b):
     _require_match(a, b)
     D = min(a.D, b.D)
-    spec = FieldSpec(a.p, a.k, 1)
+    depth = max(a.depth, b.depth)
+    bound = D * _unit(a.p, depth)
+    p, mul = a.p, FieldSpec(a.p, a.k, 1).raw_mul
     out = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            if e and max(e) > D:
+    right = _lifted(b, depth).items()
+    for e1, c1 in _lifted(a, depth).items():
+        for e2, c2 in right:
+            e = tuple(map(add, e1, e2))
+            if e and max(e) > bound:
                 continue
-            c = spec.raw_mul(c1, c2, a.p)
-            out[e] = ff_add(out[e], c, a.p) if e in out else c
-    return _result(a, out, D)
+            c = mul(c1, c2, p)
+            out[e] = ff_add(out[e], c, p) if e in out else c
+    return _result(a, out, D, depth=depth)
 
 
 def ps_pow(a, e):
@@ -241,7 +326,7 @@ def ps_pow(a, e):
         raise MalformedInput("power must be a nonnegative integer",
                              witness=str(e))
     if e == 0:
-        return _result(a, {(Fraction(0),) * a.nvars: ff_one(a.k)})
+        return _result(a, {(0,) * a.nvars: ff_one(a.k)}, depth=0)
     base = a
     while e % a.p == 0:
         base = ps_frobenius(base, "forward", "absolute")
@@ -258,27 +343,27 @@ def ps_pow(a, e):
 
 def ps_frobenius(a, direction="forward", flavor="relative"):
     """X^I -> X^{pI} (forward) or X^{I/p} (inverse); absolute also moves
-    coefficients by x -> x^p (resp. the p-th root, which exists here)."""
-    p = a.p
-    spec = FieldSpec(p, a.k, 1)
-    if direction == "forward":
-        fe = lambda v: v * p
-    elif direction == "inverse":
-        fe = lambda v: v / p
-    else:
+    coefficients by x -> x^p (resp. the p-th root, which exists here).
+
+    Exponents move by the depth alone: one less forward (or E times p at
+    depth 0), one more inverse.  On F_{p^k}, x -> x^p is the Frobenius
+    sigma of FieldSpec(p, k, 1), and its inverse is sigma^-1."""
+    if direction not in ("forward", "inverse"):
         raise MalformedInput("direction must be forward or inverse",
                              witness=direction)
-    if flavor == "relative":
-        fc = lambda c: c
-    elif flavor == "absolute":
-        # x -> x^p, whose inverse on F_{p^k} is x -> x^{p^{k-1}}
-        e = p if direction == "forward" else p ** (a.k - 1)
-        fc = lambda c: spec.raw_pow(c, e, p)
-    else:
+    if flavor not in ("relative", "absolute"):
         raise MalformedInput("flavor must be relative or absolute",
                              witness=flavor)
-    return _result(a, {tuple(fe(v) for v in exp): fc(c)
-                       for exp, c in a.terms.items()})
+    p, terms = a.p, a._terms
+    if flavor == "absolute":
+        sigma = FieldSpec(p, a.k, 1).apply_sigma_raw
+        step = 1 if direction == "forward" else -1
+        terms = {e: sigma(c, step, p) for e, c in terms.items()}
+    if direction == "inverse":
+        return _result(a, terms, depth=a.depth + 1)
+    if a.depth:
+        return _result(a, terms, depth=a.depth - 1)
+    return _result(a, {tuple(v * p for v in e): c for e, c in terms.items()})
 
 
 def ps_truncate_ideal(a, kind, m):
@@ -288,14 +373,15 @@ def ps_truncate_ideal(a, kind, m):
         raise MalformedInput("truncation order must be a nonnegative integer",
                              witness={"m": m})
     m = int(m)
+    unit = _unit(a.p, a.depth)
     if kind == "frobenius":
-        bound = Fraction(a.p) ** m
+        bound = a.p ** m * unit
         keep = lambda exp: all(v < bound for v in exp)
     elif kind == "power":
-        keep = lambda exp: sum(int(v) for v in exp) < m
+        keep = lambda exp: sum(v // unit for v in exp) < m
     else:
         raise MalformedInput("unknown ideal kind", witness=kind)
-    return _result(a, {e: c for e, c in a.terms.items() if keep(e)})
+    return _result(a, {e: c for e, c in a._terms.items() if keep(e)})
 
 
 def ps_embed(a, total_nvars, offset):
@@ -307,9 +393,9 @@ def ps_embed(a, total_nvars, offset):
     if offset < 0 or offset + a.nvars > total_nvars:
         raise MalformedInput("embedding out of range",
                              witness={"offset": offset, "total": total_nvars})
-    pad_l = (Fraction(0),) * offset
-    pad_r = (Fraction(0),) * (total_nvars - a.nvars - offset)
-    return _result(a, {pad_l + e + pad_r: c for e, c in a.terms.items()},
+    pad_l = (0,) * offset
+    pad_r = (0,) * (total_nvars - a.nvars - offset)
+    return _result(a, {pad_l + e + pad_r: c for e, c in a._terms.items()},
                    nvars=total_nvars)
 
 
@@ -333,16 +419,17 @@ def ps_compose(f, g, h=()):
     base = args[0]
     for s in args:
         _require_match(base, s)
-        zero_exp = (Fraction(0),) * s.nvars
-        if zero_exp in s.terms:
+        if (0,) * s.nvars in s._terms:
             raise NonzeroConstantTerm("substituted series has a constant term",
                                       witness=s.to_json()["terms"][0])
-    for exp in f.terms:
-        if any(v.denominator != 1 for v in exp):
+    unit = _unit(f.p, f.depth)
+    for exp in f._terms:
+        if any(v % unit for v in exp):
             raise MalformedInput("outer series must have integer exponents",
-                                 witness=[str(v) for v in exp])
+                                 witness=[str(Fraction(v, unit))
+                                          for v in exp])
     D = min(s.D for s in args)
-    out = PerfectedSeries.zero(base.p, base.nvars, base.k, D)
+    out = _result(base, {}, D)
     pow_cache = [{} for _ in args]
 
     def arg_power(i, e):
@@ -352,16 +439,16 @@ def ps_compose(f, g, h=()):
             pow_cache[i][e] = ps_pow(args[i], e)
         return pow_cache[i][e]
 
-    for exp, coeff in sorted(f.terms.items()):
+    for exp, coeff in sorted(f._terms.items()):
         prod = None
-        for i, e in enumerate(int(v) for v in exp):
+        for i, e in enumerate(v // unit for v in exp):
             q = arg_power(i, e)
             if q is None:
                 continue
             prod = q if prod is None else ps_mul(prod, q)
         if prod is None:  # constant term of f
-            prod = PerfectedSeries.monomial(base.p, base.nvars, base.k, D,
-                                            (Fraction(0),) * base.nvars)
+            prod = _result(base, {(0,) * base.nvars: ff_one(base.k)}, D,
+                           depth=0)
         out = ps_add(out, ps_scale(prod, coeff))
     return out
 
@@ -382,24 +469,20 @@ class RestrictedParams:
         self.n0 = int(n0)
 
 
-def _ord_exponent(p, exp):
+def _ord_exponent(p, exp, depth):
     """Largest power of p among the component denominators."""
-    return max((_pexp(p, x.denominator) for x in exp), default=0)
+    return max((_reduced(p, v, depth)[1] for v in exp), default=0)
 
 
-def _min_surviving_n(p, m, smr, n0, strict=True):
-    """Smallest n >= n0 whose window p^{n(s-r)} exceeds (or reaches) m."""
+def _min_surviving_n(p, top, unit, smr, n0, strict=True):
+    """Smallest n >= n0 whose window p^{n(s-r)} exceeds (or reaches) the
+    exponent top / unit."""
     n = n0
     while True:
-        w = Fraction(p) ** (n * smr)
-        if (w > m) if strict else (w >= m):
+        w = p ** (n * smr) * unit
+        if (w > top) if strict else (w >= top):
             return n
         n += 1
-
-
-def _exp_json(p, exp):
-    return [{"num": v.numerator, "pexp": _pexp(p, v.denominator)}
-            for v in exp]
 
 
 def membership_restricted(a, params, method="both"):
@@ -415,33 +498,36 @@ def membership_restricted(a, params, method="both"):
         raise MalformedInput("unknown method", witness=method)
     p, r, s, n0 = a.p, params.r, params.s, params.n0
     smr = s - r
-    n_max = _min_surviving_n(p, Fraction(a.D), smr, n0, strict=True)
+    depth, unit = a.depth, _unit(a.p, a.depth)
+    n_max = _min_surviving_n(p, a.D, 1, smr, n0, strict=True)
 
     def definitional():
-        for exp in sorted(a.terms):
-            v = _ord_exponent(p, exp)
+        for exp in sorted(a._terms):
+            v = _ord_exponent(p, exp, depth)
             if v == 0:
                 continue
-            m = max(exp)
+            top = max(exp)
             for n in range(n0, n_max + 1):
-                if m * p ** (n * r) < Fraction(p) ** (n * s) and n * r < v:
+                if n * r < v and top * p ** (n * r) < p ** (n * s) * unit:
                     return False, _witness(exp, v, n)
         return True, None
 
     def closed_form():
-        for exp in sorted(a.terms):
-            v = _ord_exponent(p, exp)
+        for exp in sorted(a._terms):
+            v = _ord_exponent(p, exp, depth)
             if v == 0:
                 continue
-            n_first = _min_surviving_n(p, max(exp), smr, n0, strict=True)
+            n_first = _min_surviving_n(p, max(exp), unit, smr, n0)
             if v > r * n_first:
                 return False, _witness(exp, v, n_first)
         return True, None
 
     def _witness(exp, v, n):
-        n_le = _min_surviving_n(p, max(exp), smr, n0, strict=False)
-        w = {"exp": _exp_json(p, exp), "ord": v, "n": n, "allowed": r * n}
-        if n_le != _min_surviving_n(p, max(exp), smr, n0, strict=True):
+        top = max(exp)
+        n_le = _min_surviving_n(p, top, unit, smr, n0, strict=False)
+        w = {"exp": _exp_json(p, exp, depth), "ord": v, "n": n,
+             "allowed": r * n}
+        if n_le != _min_surviving_n(p, top, unit, smr, n0, strict=True):
             w["boundary"] = True
         return w
 
@@ -468,18 +554,20 @@ def membership_ECd(a, E, C, d):
     if E <= 0 or C <= 0 or d < 0:
         raise MalformedInput("need E, C > 0 and d >= 0",
                              witness={"E": str(E), "C": str(C), "d": str(d)})
-    p = a.p
-    for exp in sorted(a.terms):
-        v = _ord_exponent(p, exp)
+    p, unit = a.p, _unit(a.p, a.depth)
+    a0, q = E.numerator, E.denominator
+    for exp in sorted(a._terms):
+        v = _ord_exponent(p, exp, a.depth)
         if v == 0:
             continue
-        m = max(exp)
-        # p^v <= C (m+d)^E  <=>  p^{v q} <= C^q (m+d)^{a0} with E = a0/q
-        a0, q = E.numerator, E.denominator
-        lhs = Fraction(p) ** (v * q)
-        rhs = (C ** q) * ((m + d) ** a0)
-        if lhs > rhs:
-            return False, {"exp": _exp_json(p, exp), "ord": v,
+        # p^v <= C (m+d)^E  <=>  p^{v q} <= C^q (m+d)^{a0} with E = a0/q,
+        # m = max(exp) / unit; the right side is num / den
+        num = (C.numerator ** q
+               * (max(exp) * d.denominator + d.numerator * unit) ** a0)
+        den = C.denominator ** q * (unit * d.denominator) ** a0
+        if p ** (v * q) * den > num:
+            rhs = Fraction(num, den)
+            return False, {"exp": _exp_json(p, exp, a.depth), "ord": v,
                            "bound": f"{rhs.numerator}/{rhs.denominator}"}
     return True, None
 
@@ -528,8 +616,8 @@ def rigidity_check(f, g, h, r, d_seq, powered_block="h"):
                 "cannot certify this power ideal at the working bound",
                 witness={"n": n, "d_n": d_n, "D": D})
     d_seq = [int(d_n) for d_n in d_seq]
-    ratio_ok = all(Fraction(q ** n, d_seq[n]) > Fraction(q ** (n + 1),
-                                                         d_seq[n + 1])
+    # q^n / d_n > q^(n+1) / d_(n+1), times d_n d_(n+1) / q^n > 0
+    ratio_ok = all(d_seq[n + 1] > q * d_seq[n]
                    for n in range(len(d_seq) - 1))
     congruences = []
     for n, d_n in enumerate(d_seq):

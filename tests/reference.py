@@ -31,7 +31,7 @@ from isolab.errors import (DivisionByZero, InsufficientPrecision,
 from isolab.linalg import (coords_in_column_span, mat_identity, mat_mul,
                            rat_rank, rat_solve)
 from isolab.padic import _is_irreducible, poly_xgcd
-from isolab.perfseries import PerfectedSeries, ff_add, ps_mul
+from isolab.perfseries import PerfectedSeries, ff_add, ff_one
 
 F = Fraction
 
@@ -887,14 +887,16 @@ def ref_adjoint_isocrystal(d, b, spec):
 # ---- perfseries ----
 
 def ref_ps_pow(a, e):
-    """Guard: ps_pow taking p-th powers as one Frobenius pass.  The former
-    ps_pow: square-and-multiply with ps_mul alone."""
-    out = PerfectedSeries.monomial(a.p, a.nvars, a.k, a.D, (F(0),) * a.nvars)
+    """Guard: ps_pow taking p-th powers as one Frobenius pass, and series on
+    integer exponents at one depth.  The former ps_pow: square-and-multiply
+    with the former ps_mul alone."""
+    out = PerfectedSeries(a.p, a.nvars, a.k, a.D,
+                          {(F(0),) * a.nvars: ff_one(a.k)})
     base = a
     while e:
         if e & 1:
-            out = ps_mul(out, base)
-        base = ps_mul(base, base)
+            out = ref_ps_mul(out, base)
+        base = ref_ps_mul(base, base)
         e >>= 1
     return out
 
@@ -945,3 +947,178 @@ def ref_ps_map(a, exp_map, coeff_map, nvars=None):
     return PerfectedSeries(a.p, a.nvars if nvars is None else nvars, a.k,
                            a.D, {exp_map(e): coeff_map(c)
                                  for e, c in a.terms.items()})
+
+
+# The Guards below pin series on integer exponents at one p-power depth:
+# each is the former code, on the Fraction exponents of .terms, and builds
+# its results with the validating constructor.
+
+def _den_pexp(p, den):
+    """e with den == p**e, by division."""
+    e = 0
+    while den > 1:
+        den //= p
+        e += 1
+    return e
+
+
+def _exp_pairs(p, exp):
+    """A Fraction exponent vector as its {num, pexp} pairs."""
+    return [{"num": v.numerator, "pexp": _den_pexp(p, v.denominator)}
+            for v in exp]
+
+
+def ref_ps_scale(a, coeff):
+    """Guard: series on integer exponents at one depth.  The former
+    ps_scale."""
+    spec = FieldSpec(a.p, a.k, 1)
+    return ref_ps_map(a, lambda e: e, lambda c: spec.raw_mul(c, coeff, a.p))
+
+
+def ref_ps_frobenius(a, direction, flavor):
+    """Guard: series on integer exponents at one depth, and the coefficient
+    Frobenius by sigma.  The former ps_frobenius: each exponent times or
+    over p, each coefficient to the p-th power (forward) or the p^(k-1)-th
+    (inverse) by raw_pow."""
+    p, spec = a.p, FieldSpec(a.p, a.k, 1)
+    e = p if direction == "forward" else p ** (a.k - 1)
+    fc = ((lambda c: spec.raw_pow(c, e, p)) if flavor == "absolute"
+          else (lambda c: c))
+    fe = (lambda v: v * p) if direction == "forward" else (lambda v: v / p)
+    return ref_ps_map(a, lambda exp: tuple(map(fe, exp)), fc)
+
+
+def ref_ps_truncate_ideal(a, kind, m):
+    """Guard: series on integer exponents at one depth.  The former
+    ps_truncate_ideal, on Fraction exponents."""
+    if kind == "frobenius":
+        keep = lambda exp: all(v < F(a.p) ** m for v in exp)
+    else:
+        keep = lambda exp: sum(int(v) for v in exp) < m
+    return PerfectedSeries(a.p, a.nvars, a.k, a.D,
+                           {e: c for e, c in a.terms.items() if keep(e)})
+
+
+def ref_ps_embed(a, total_nvars, offset):
+    """Guard: series on integer exponents at one depth.  The former
+    ps_embed."""
+    pad_r = total_nvars - a.nvars - offset
+    return ref_ps_map(a, lambda e: (F(0),) * offset + e + (F(0),) * pad_r,
+                      lambda c: c, nvars=total_nvars)
+
+
+def ref_ps_compose(f, g, h=()):
+    """Guard: series on integer exponents at one depth.  The former
+    ps_compose on valid input, its powers by the former ps_mul."""
+    args = list(g) + list(h)
+    base = args[0]
+    D = min(s.D for s in args)
+    out = PerfectedSeries(base.p, base.nvars, base.k, D, {})
+    for exp, coeff in sorted(f.terms.items()):
+        term = PerfectedSeries(base.p, base.nvars, base.k, D,
+                               {(F(0),) * base.nvars: ff_one(base.k)})
+        for arg, e in zip(args, exp):
+            term = ref_ps_mul(term, ref_ps_pow(arg, int(e)))
+        out = ref_ps_add(out, ref_ps_scale(term, coeff))
+    return out
+
+
+def ref_series_to_json(a):
+    """Guard: series on integer exponents at one depth.  The former
+    to_json: each Fraction exponent as its numerator and the p-exponent of
+    its denominator."""
+    return {"p": a.p, "nvars": a.nvars, "field": {"p": a.p, "k": a.k},
+            "D": a.D, "terms": [{"exp": _exp_pairs(a.p, exp),
+                                 "coeff": list(c)}
+                                for exp, c in sorted(a.terms.items())]}
+
+
+def ref_series_from_json(obj):
+    """Guard: series on integer exponents at one depth.  The former
+    from_json on a well-formed object: Fraction(num, p ** pexp) for each
+    exponent, a repeated value refused."""
+    p, terms = obj["p"], {}
+    for t in obj["terms"]:
+        exp = tuple(F(e["num"], p ** e["pexp"]) for e in t["exp"])
+        if exp in terms:
+            raise MalformedInput("duplicate exponent", witness=t)
+        terms[exp] = tuple(t["coeff"])
+    return PerfectedSeries(p, obj["nvars"], obj["field"]["k"], obj["D"],
+                           terms)
+
+
+def ref_membership_restricted(a, params, method="both"):
+    """Guard: series on integer exponents at one depth.  The former
+    membership_restricted, on Fraction exponents."""
+    p, r, s, n0 = a.p, params.r, params.s, params.n0
+
+    def ord_(exp):
+        return max((_den_pexp(p, v.denominator) for v in exp), default=0)
+
+    def surviving(m, strict=True):
+        n = n0
+        while (F(p) ** (n * (s - r)) <= m) if strict else (
+                F(p) ** (n * (s - r)) < m):
+            n += 1
+        return n
+
+    def witness(exp, v, n):
+        w = {"exp": _exp_pairs(p, exp), "ord": v, "n": n, "allowed": r * n}
+        if surviving(max(exp), False) != surviving(max(exp)):
+            w["boundary"] = True
+        return w
+
+    n_max = surviving(F(a.D))
+    found = {"definitional": (True, None), "closed_form": (True, None)}
+    for exp in sorted(a.terms):
+        v = ord_(exp)
+        if v == 0:
+            continue
+        if found["definitional"][0]:
+            for n in range(n0, n_max + 1):
+                if max(exp) * p ** (n * r) < F(p) ** (n * s) and n * r < v:
+                    found["definitional"] = (False, witness(exp, v, n))
+                    break
+        n_first = surviving(max(exp))
+        if found["closed_form"][0] and v > r * n_first:
+            found["closed_form"] = (False, witness(exp, v, n_first))
+    assert found["definitional"][0] == found["closed_form"][0]
+    return found["closed_form" if method == "both" else method]
+
+
+def ref_membership_ECd(a, E, C, d):
+    """Guard: series on integer exponents at one depth.  The former
+    membership_ECd, on Fraction exponents."""
+    E, C, d = F(E), F(C), F(d)
+    for exp in sorted(a.terms):
+        v = max((_den_pexp(a.p, x.denominator) for x in exp), default=0)
+        if v == 0:
+            continue
+        rhs = C ** E.denominator * (max(exp) + d) ** E.numerator
+        if F(a.p) ** (v * E.denominator) > rhs:
+            return False, {"exp": _exp_pairs(a.p, exp), "ord": v,
+                           "bound": f"{rhs.numerator}/{rhs.denominator}"}
+    return True, None
+
+
+def ref_rigidity_check(f, g, h, r, d_seq, powered_block):
+    """Guard: series on integer exponents at one depth.  The former
+    rigidity_check on valid input, by the former operations, its ratio
+    test on Fractions."""
+    q = f.p ** r
+    cong = []
+    for n, d_n in enumerate(d_seq):
+        gs = [ref_ps_pow(x, q ** n) if powered_block == "g" else x
+              for x in g]
+        hs = [ref_ps_pow(x, q ** n) if powered_block == "h" else x
+              for x in h]
+        cong.append(ref_ps_truncate_ideal(ref_ps_compose(f, gs, hs), "power",
+                                          d_n).is_zero())
+    nv = (list(g) + list(h))[0].nvars
+    doubled = ref_ps_compose(f, [ref_ps_embed(x, 2 * nv, 0) for x in g],
+                             [ref_ps_embed(x, 2 * nv, nv) for x in h])
+    return {"congruences": cong,
+            "ratio_ok": all(F(q ** n, d_seq[n]) > F(q ** (n + 1),
+                                                     d_seq[n + 1])
+                            for n in range(len(d_seq) - 1)),
+            "evaluation_zero": doubled.is_zero()}

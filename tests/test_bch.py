@@ -477,9 +477,9 @@ def test_rho_defect_solves_twice(monkeypatch):
 def test_closure_answers_read_only_the_lattice_rank(monkeypatch):
     # both check the lattice's rank by a solve with no targets, and the
     # closure certificate solves for the one nonzero basis bracket: neither
-    # solves for phi of the lattice nor inverts a matrix.  rho_defect's
-    # first call checks the rank twice: once itself, and once in
-    # lattice_intersect_subspace, which checks it for every subspace
+    # solves for phi of the lattice nor inverts a matrix.  rho_defect checks
+    # the rank once, in lattice_intersect_subspace through the stored
+    # minimal_slope_lattice, so a later call makes no rank solve
     solves, inverses = [], []
     solve, inverse = dieudonne.coords_in_column_span, dieudonne.mat_inverse
     monkeypatch.setattr(dieudonne, "coords_in_column_span",
@@ -491,12 +491,15 @@ def test_closure_answers_read_only_the_lattice_rank(monkeypatch):
              lambda a: lattice_closure_check(a, samples=12, seed=0), [0, 1]),
             (split_heisenberg(),
              lambda a: rho_defect(a, vec(a.spec, 1, 0, 0),
-                                  vec(a.spec, 0, 1, 0), 0), [0, 0])):
+                                  vec(a.spec, 0, 1, 0), 0), [0])):
         solves.clear()
         run(a)
         assert [len(targets) for basis, targets in solves
                 if basis is a.lattice] == want
         assert inverses == []
+    solves.clear()
+    run(a)
+    assert [basis for basis, _ in solves if basis is a.lattice] == []
 
 
 def singular_frobenius():
@@ -527,8 +530,14 @@ def test_rho_defect_rejects_singular_lattice():
     assert [c.to_json() for c in group_mul(a, x, y)] == [
         c.to_json() for c in group_mul(b, x, y)]
     with pytest.raises(InsufficientPrecision,
-                       match="lattice comparison indeterminate"):
-        rho_defect(a, x, y, 0)
+                       match="lattice comparison indeterminate") as solve:
+        dieudonne.lattice_coords(a, [])
+    for _ in range(2):  # the stored refusal answers the second call
+        with pytest.raises(InsufficientPrecision,
+                           match="lattice lost rank at working precision"
+                           ) as exc:
+            rho_defect(a, x, y, 0)
+        assert exc.value.witness == solve.value.witness
 
 
 def test_rho_defect_outside_minimal_slope_part(monkeypatch):

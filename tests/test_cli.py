@@ -519,18 +519,22 @@ def test_perf_member_bad_characteristic_exit_1(p, pexp, corpus_dir):
 
 
 def test_perf_member_large_pexp_answers():
-    # reading the p-exponent by one division per step took 36 s at 200000
-    payload = {"p": 2, "nvars": 1, "field": {"p": 2, "k": 1}, "D": 4,
-               "terms": [{"exp": [{"num": 1, "pexp": 200000}],
-                          "coeff": [1]}]}
+    # reading the p-exponent by one division per step took 36 s at 200000,
+    # and at 10^8 the 2 ** pexp the reading and the checks computed took
+    # 1.1 s in all; the series now keeps the pair's pexp as its depth
     pkg_root = str(pathlib.Path(isolab.__file__).resolve().parent.parent)
-    out = subprocess.run(
-        [sys.executable, "-m", "isolab.cli", "perf-member", "--params",
-         "2,1,0"], input=json.dumps(payload), capture_output=True,
-        text=True, timeout=10, env=dict(os.environ, PYTHONPATH=pkg_root))
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == ('{"member":false,"witness":{"allowed":0,"exp":'
-                          '[{"num":1,"pexp":200000}],"n":0,"ord":200000}}\n')
+    for pexp in (200000, 10 ** 8):
+        payload = {"p": 2, "nvars": 1, "field": {"p": 2, "k": 1}, "D": 4,
+                   "terms": [{"exp": [{"num": 1, "pexp": pexp}],
+                              "coeff": [1]}]}
+        out = subprocess.run(
+            [sys.executable, "-m", "isolab.cli", "perf-member", "--params",
+             "2,1,0"], input=json.dumps(payload), capture_output=True,
+            text=True, timeout=10, env=dict(os.environ, PYTHONPATH=pkg_root))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == (
+            '{"member":false,"witness":{"allowed":0,"exp":'
+            f'[{{"num":1,"pexp":{pexp}}}],"n":0,"ord":{pexp}}}}}\n')
 
 
 @pytest.mark.parametrize("command", ["leafdim", "slope-roots"])

@@ -177,12 +177,21 @@ def test_pdiv_dimension_refuses_malformed_pairs(lam, mult):
     assert exc.value.witness == {"slope": str(lam), "multiplicity": str(mult)}
 
 
+ITERATOR = iter([(F(-1), 1)])
+
+
 @pytest.mark.parametrize("slopes, witness", [
     ([1], {"entry": "1"}), (5, {"slopes": "5"}), (None, {"slopes": "None"}),
     ([(1, 2, 3)], {"entry": "(1, 2, 3)"}),
     ([("-1/2",)], {"entry": "('-1/2',)"}),
     ([(F(-1), 1), [F(-1)]], {"entry": "[Fraction(-1, 1)]"}),
-], ids=["int-entry", "int", "none", "triple", "single", "second-entry"])
+    # not a sequence by padic._sequence's rule: an iterator used to be read
+    # as its pairs, a mapping as its keys and a string as its characters
+    (ITERATOR, {"slopes": str(ITERATOR)}),
+    ({F(-1): 1}, {"slopes": "{Fraction(-1, 1): 1}"}),
+    ("-1", {"slopes": "-1"}),
+], ids=["int-entry", "int", "none", "triple", "single", "second-entry",
+        "iterator", "mapping", "string"])
 def test_pdiv_dimension_refuses_non_pairs(slopes, witness):
     with pytest.raises(MalformedInput, match="slope pair") as exc:
         pdiv_dimension(slopes)

@@ -13,10 +13,14 @@ from isolab.errors import (DegreeBoundTooSmall, MalformedInput,
                            NonzeroConstantTerm, ParameterMismatch,
                            SequenceTooShort, SlopeOrderViolated)
 from isolab.padic import FieldSpec
-from isolab.perfseries import _pexp, _validate_exponent, ps_scale
+from isolab.perfseries import _pexp, _validate_exponent, ff_one, ps_scale
 
-from reference import (X, badseries, mono, ref_ps_add, ref_ps_map, ref_ps_mul,
-                       ref_ps_pow)
+from reference import (X, badseries, mono, ref_membership_ECd,
+                       ref_membership_restricted, ref_ps_add, ref_ps_compose,
+                       ref_ps_embed, ref_ps_frobenius, ref_ps_map, ref_ps_mul,
+                       ref_ps_pow, ref_ps_scale, ref_ps_truncate_ideal,
+                       ref_rigidity_check, ref_series_from_json,
+                       ref_series_to_json)
 
 F = Fraction
 
@@ -591,7 +595,7 @@ def op_cases(rng):
         ("scale", ps_scale(a, c),
          ref_ps_map(a, lambda e: e, lambda x: spec.raw_mul(x, c, p))),
         ("scale-zero", ps_scale(a, (0,) * k),
-         PerfectedSeries.zero(p, nvars, k, a.D)),
+         PerfectedSeries(p, nvars, k, a.D, {})),
         ("frobenius-forward-absolute", ps_frobenius(a, "forward",
                                                     "absolute"),
          functools.reduce(ref_ps_mul, [a] * p)),
@@ -627,9 +631,9 @@ def op_cases(rng):
             tuple(rng.randrange(p) for _ in range(k))
         for _ in range(rng.randrange(1, 4))})
     D = min(x.D for x in g)
-    want = PerfectedSeries.zero(p, 1, k, D)
+    want = PerfectedSeries(p, 1, k, D, {})
     for exp, coeff in f.terms.items():
-        term = PerfectedSeries.monomial(p, 1, k, D, (F(0),))
+        term = PerfectedSeries(p, 1, k, D, {(F(0),): ff_one(k)})
         for gi, ei in zip(g, exp):
             for _ in range(int(ei)):
                 term = ref_ps_mul(term, gi)
@@ -675,7 +679,7 @@ def test_operations_build_no_checked_series(monkeypatch):
                 for fl in ("relative", "absolute")]
     assert calls == []
     assert all(isinstance(r, PerfectedSeries) for r in results)
-    PerfectedSeries.zero(3, 2, 2, 8)
+    PerfectedSeries(3, 2, 2, 8, {})
     assert len(calls) == 1  # the count sees the validating constructor
 
 
@@ -702,3 +706,185 @@ def test_validate_exponent_rejects_a_denominator_off_a_power():
                 assert str(exc.value) == (
                     "exponent denominator is not a power of p")
                 assert exc.value.witness == f"1/{den}"
+
+
+# ---- exponents at one p-power depth, against the Fraction-exponent Guards ----
+
+def rand_deep_series(rng, p, k, nvars, D, zero_const=False):
+    """Up to five terms whose components mix denominators p^0 .. p^3, a few
+    of them above D."""
+    out = {}
+    for _ in range(rng.randrange(0, 6)):
+        exp = []
+        for _ in range(nvars):
+            den = p ** rng.randrange(0, 4)
+            exp.append(F(rng.randrange(0, (D + 1) * den + 1), den))
+        if zero_const and not any(exp):
+            continue
+        out[tuple(exp)] = tuple(rng.randrange(p) for _ in range(k))
+    return PerfectedSeries(p, nvars, k, D, out)
+
+
+def deep_cases(rng):
+    """(name, result, Guard result) for every operation on one draw."""
+    p, k, nvars = rng.choice([2, 3, 5]), rng.randrange(1, 4), \
+        rng.randrange(0, 3)
+    D = rng.choice([2, 4, 8])
+    a = rand_deep_series(rng, p, k, nvars, D)
+    b = rand_deep_series(rng, p, k, nvars, rng.choice([2, 4, 8]))
+    c = tuple(rng.randrange(p) for _ in range(k))
+    cases = [("add", ps_add(a, b), ref_ps_add(a, b)),
+             ("mul", ps_mul(a, b), ref_ps_mul(a, b)),
+             ("scale", ps_scale(a, c), ref_ps_scale(a, c))]
+    cases += [(f"pow-{e}", ps_pow(a, e), ref_ps_pow(a, e))
+              for e in (0, 1, 2, p, p + 1, p * p)]
+    for direction in ("forward", "inverse"):
+        for flavor in ("relative", "absolute"):
+            cases.append((f"frobenius-{direction}-{flavor}",
+                          ps_frobenius(a, direction, flavor),
+                          ref_ps_frobenius(a, direction, flavor)))
+    # depths that only the Frobenius reaches: above the input's, and a
+    # deep series multiplied and added with a shallow one
+    deep = ps_frobenius(ps_frobenius(a, "inverse"), "inverse", "absolute")
+    ref_deep = ref_ps_frobenius(ref_ps_frobenius(a, "inverse", "relative"),
+                                "inverse", "absolute")
+    cases += [("inverse-twice", deep, ref_deep),
+              ("forward-of-inverse", ps_frobenius(deep, "forward"),
+               ref_ps_frobenius(ref_deep, "forward", "relative")),
+              ("mul-deep", ps_mul(deep, b), ref_ps_mul(ref_deep, b)),
+              ("add-deep", ps_add(b, deep), ref_ps_add(b, ref_deep))]
+    # (X)^0 holds everything, so power truncation starts at 1
+    for kind, m in [("frobenius", 0), *((kind, m) for m in range(1, 4)
+                                        for kind in ("frobenius", "power"))]:
+        cases.append((f"truncate-{kind}-{m}", ps_truncate_ideal(a, kind, m),
+                      ref_ps_truncate_ideal(a, kind, m)))
+    off = rng.randrange(0, 2)
+    cases.append(("embed", ps_embed(a, nvars + 1, off),
+                  ref_ps_embed(a, nvars + 1, off)))
+    # f in one or two variables with integer exponents, once at depth 0
+    # and once at depth 1 (the inverse Frobenius of its p-multiple)
+    g = [rand_deep_series(rng, p, k, nvars, rng.choice([4, 8]),
+                          zero_const=True) for _ in range(rng.randrange(1, 3))]
+    f = PerfectedSeries(p, len(g), k, 8, {
+        tuple(F(rng.randrange(0, 3)) for _ in g):
+            tuple(rng.randrange(p) for _ in range(k))
+        for _ in range(rng.randrange(1, 4))})
+    f_deep = ps_frobenius(ps_frobenius(f, "forward"), "inverse")
+    cases += [("compose", ps_compose(f, g), ref_ps_compose(f, g)),
+              ("compose-deep-outer", ps_compose(f_deep, g[:1], g[1:]),
+               ref_ps_compose(f_deep, g[:1], g[1:]))]
+    return cases
+
+
+def test_depth_form_matches_the_fraction_guards():
+    rng = random.Random(39)
+    seen = set()
+    for _ in range(120):
+        for name, got, want in deep_cases(rng):
+            assert (got.terms, got.D) == (want.terms, want.D), name
+            assert got.to_json() == ref_series_to_json(want), name
+            back = PerfectedSeries.from_json(got.to_json())
+            ref_back = ref_series_from_json(ref_series_to_json(want))
+            assert (back.terms, back.D, back.to_json()) == (
+                ref_back.terms, ref_back.D, ref_series_to_json(ref_back)), name
+            seen.add((name, got.is_zero(), got.depth > 0))
+    names = {name for name, _, _ in seen}
+    assert {name for name, zero, _ in seen if not zero} == names
+    # every operation gave a result at depth 0 and one deeper, except the
+    # ones whose result is always deep or always at depth 0
+    shallow = {"pow-0"}
+    deep = {"frobenius-inverse-relative", "frobenius-inverse-absolute",
+            "inverse-twice", "forward-of-inverse", "mul-deep", "add-deep"}
+    assert {n for n, _, d in seen if d} == names - shallow
+    assert {n for n, _, d in seen if not d} == names - deep
+
+
+def test_depth_form_membership_and_rigidity_match_the_fraction_guards():
+    rng = random.Random(139)
+    answers = set()
+    for _ in range(200):
+        p, k = rng.choice([2, 3, 5]), rng.randrange(1, 4)
+        a = rand_deep_series(rng, p, k, rng.randrange(0, 3),
+                             rng.choice([4, 8, 16]))
+        if rng.random() < 0.5:  # a series deeper than its input
+            a = ps_frobenius(a, "inverse")
+        r = rng.randrange(1, 3)
+        params = RestrictedParams(r, r + rng.randrange(1, 3),
+                                  rng.randrange(0, 3))
+        for method in ("definitional", "closed_form", "both"):
+            got = membership_restricted(a, params, method)
+            assert got == ref_membership_restricted(a, params, method)
+            answers.add(("restricted", got[0]))
+        E, C = (F(rng.randrange(1, 9), rng.randrange(1, 3)) for _ in range(2))
+        dd = F(rng.randrange(0, 5), rng.randrange(1, 3))
+        got = membership_ECd(a, E, C, dd)
+        assert got == ref_membership_ECd(a, E, C, dd)
+        answers.add(("ECd", got[0]))
+    assert answers == {(kind, ok) for kind in ("restricted", "ECd")
+                       for ok in (True, False)}
+    reports = []
+    for _ in range(40):
+        p, k, D = rng.choice([2, 3, 5]), rng.randrange(1, 3), 8
+        g = [rand_deep_series(rng, p, k, 1, D, zero_const=True)
+             for _ in range(rng.randrange(1, 3))]
+        h = [rand_deep_series(rng, p, k, 1, D, zero_const=True)
+             for _ in range(rng.randrange(0, 2))]
+        f = PerfectedSeries(p, len(g) + len(h), k, D, {
+            tuple(F(rng.randrange(0, 3)) for _ in range(len(g) + len(h))):
+                tuple(rng.randrange(p) for _ in range(k))
+            for _ in range(rng.randrange(1, 4))})
+        d_seq = sorted(rng.sample(range(1, D + 1), rng.randrange(1, 4)))
+        r, block = rng.randrange(0, 2), rng.choice(["g", "h"])
+        got = rigidity_check(f, g, h, r, d_seq, powered_block=block)
+        assert got == ref_rigidity_check(f, g, h, r, d_seq, block)
+        reports.append(got)
+    assert {c for rep in reports for c in rep["congruences"]} == {True, False}
+    assert {rep["ratio_ok"] for rep in reports} == {True, False}
+
+
+def test_from_json_reads_unreduced_pairs_like_the_fraction_guard():
+    # {num, pexp} pairs whose num p divides, at pexp 0 .. 3: the same
+    # exponent twice is refused by value, as Fraction(num, p ** pexp) was
+    rng = random.Random(239)
+    outcomes = set()
+    for _ in range(300):
+        p, k, nvars = rng.choice([2, 3, 5]), rng.randrange(1, 3), \
+            rng.randrange(0, 3)
+        obj = {"p": p, "nvars": nvars, "field": {"p": p, "k": k}, "D": 4,
+               "terms": [{"exp": [{"num": rng.randrange(0, 5) * p
+                                   ** rng.randrange(0, 2),
+                                   "pexp": rng.randrange(0, 4)}
+                                  for _ in range(nvars)],
+                          "coeff": [rng.randrange(p) for _ in range(k)]}
+                         for _ in range(rng.randrange(0, 4))]}
+        try:
+            want = ref_series_from_json(obj)
+        except MalformedInput as exc:
+            with pytest.raises(MalformedInput) as got:
+                PerfectedSeries.from_json(obj)
+            assert (str(got.value), got.value.witness) == (
+                str(exc), exc.witness)
+            outcomes.add("refused")
+            continue
+        got = PerfectedSeries.from_json(obj)
+        assert (got.terms, got.D, got.to_json()) == (
+            want.terms, want.D, ref_series_to_json(want))
+        outcomes.add("read")
+    assert outcomes == {"read", "refused"}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_coefficient_frobenius_is_the_p_th_power(p, k):
+    # ps_frobenius moves coefficients by sigma of FieldSpec(p, k, 1) and its
+    # inverse; on all of F_(p^k) they are x -> x^p and x -> x^(p^(k-1))
+    spec = FieldSpec(p, k, 1)
+    field = [tuple((i // p ** j) % p for j in range(k))
+             for i in range(1, p ** k)]
+    a = PerfectedSeries(p, 1, k, p ** (k + 1), {
+        (F(i),): c for i, c in enumerate(field, 1)})
+    forward = ps_frobenius(a, "forward", "absolute").terms
+    inverse = ps_frobenius(a, "inverse", "absolute").terms
+    for i, c in enumerate(field, 1):
+        assert forward[(F(i * p),)] == spec.raw_pow(c, p, p)
+        assert inverse[(F(i, p),)] == spec.raw_pow(c, p ** (k - 1), p)

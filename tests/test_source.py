@@ -357,7 +357,8 @@ def test_series_are_never_changed():
     # perfseries._result builds every library result without checks, which
     # is sound only while a checked series never changes: no code sets a
     # series attribute outside __init__ and _result, or writes through
-    # .terms[...].  A constructor may set its own object's attributes, so
+    # ._terms[...] (the stored term map; .terms is a new dict on each
+    # read).  A constructor may set its own object's attributes, so
     # every __new__ and __init__ is skipped (FieldSpec.__new__ sets .p).
     slots = set(PerfectedSeries.__slots__)
     built, found = set(), []
@@ -369,7 +370,7 @@ def test_series_are_never_changed():
         if path.name == "perfseries.py":
             built |= {n.attr for n in made if isinstance(n, ast.Attribute)
                       and isinstance(n.ctx, ast.Store)}
-        found += _writes(path, tree, {id(n) for n in made}, slots, "terms")
+        found += _writes(path, tree, {id(n) for n in made}, slots, "_terms")
     assert slots <= built  # __init__ and _result set every slot
     assert found == []
 
@@ -383,10 +384,9 @@ ONLY_CALLERS = {
     # every other operation reads the verdict the algebra stored
     "dla_validate": {("cli", "_cmd_dla_check")},
     # PerfectedSeries.__init__ checks every exponent, so the library builds
-    # a series with it only from input; operations build theirs unchecked
-    "PerfectedSeries": {("perfseries", "PerfectedSeries.zero"),
-                        ("perfseries", "PerfectedSeries.monomial"),
-                        ("perfseries", "PerfectedSeries.from_json")},
+    # a series with it only from input (from_json checks its shape with it);
+    # operations build theirs unchecked
+    "PerfectedSeries": {("perfseries", "PerfectedSeries.from_json")},
 }
 
 
