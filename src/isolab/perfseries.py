@@ -19,10 +19,12 @@ witnesses write the reduced pairs back, and ``terms`` is a read-only view
 from tuples of Fraction to coefficient tuples.
 
 Validation happens once, at the edge: ``PerfectedSeries(...)`` and
-``from_json`` check outside input.  Operations build their results with the
-unchecked ``_result``, since sums, p-multiples and p-quotients of checked
-exponents need no check, and a series never changes once built.  Both keep
-the terms that ``_kept`` keeps.
+``from_json`` read outside input into (num, pexp) pairs, and one helper,
+``_depth_terms``, checks their sign, arity and coefficients and lifts them
+to one depth.  Operations build their results with the unchecked
+``_result``, since sums, p-multiples and p-quotients of checked exponents
+need no check, and a series never changes once built.  Both keep the terms
+that ``_kept`` keeps.
 """
 
 from collections.abc import Mapping
@@ -66,31 +68,52 @@ def _unit(p, depth):
     return 1 << depth if p == 2 else p ** depth
 
 
+def _stripped(p, n, cap):
+    """(n / p^v, v) for v = min(v_p(n), cap) and n != 0, in a few
+    big-integer steps: the lowest set bit for p = 2, otherwise the squares
+    p, p^2, p^4, .. that divide n, taken back out from the largest.  p = 1
+    or -1, which from_json may read before p is checked, stops at cap."""
+    if p == 2:
+        v = min(cap, (n & -n).bit_length() - 1)
+        return n >> v, v
+    squares = []
+    q = p
+    while 1 << len(squares) <= cap and n % q == 0:
+        squares.append(q)
+        q *= q
+    v = 0
+    for i in reversed(range(len(squares))):
+        if v + (1 << i) <= cap and n % squares[i] == 0:
+            n //= squares[i]
+            v += 1 << i
+    return n, v
+
+
 def _reduced(p, num, pexp):
     """(num, pexp) for num / p^pexp with no factor p left in num while
-    pexp > 0: the pair to_json writes.  from_json compares its input pairs
-    by it before p is checked; p = 1 or -1, whose powers are 1 or -1,
-    reduces at once rather than once per unit of pexp."""
-    if p in (1, -1):
-        return num * p ** pexp, 0
-    while pexp and num % p == 0:
-        num //= p
-        pexp -= 1
-    return num, pexp
+    pexp > 0, and (0, 0) for zero: the pair to_json writes.  from_json
+    compares its input pairs by it before p is checked; a positive pexp at
+    p = 0 is a ZeroDivisionError."""
+    if not pexp or num % p:
+        return num, pexp
+    if not num:
+        return 0, 0
+    num, v = _stripped(p, num, pexp)
+    return num, pexp - v
 
 
 def _validate_exponent(p, v):
-    """v as a Fraction by padic._rational's rule: >= 0, with a p-power
-    denominator.  A boolean or a non-rational value is MalformedInput."""
+    """v as its pair (num, pexp) for num / p^pexp, by padic._rational's
+    rule with a p-power denominator.  A boolean or a non-rational value is
+    MalformedInput; _depth_terms checks the sign."""
     e = _rational(v)
     if e is None:
         raise MalformedInput("exponent must be rational", witness=str(v))
-    if e < 0:
-        raise MalformedInput("negative exponent", witness=str(e))
-    if p ** _pexp(p, e.denominator) != e.denominator:
+    pexp = _pexp(p, e.denominator)
+    if p ** pexp != e.denominator:
         raise MalformedInput("exponent denominator is not a power of p",
                              witness=str(e))
-    return e
+    return e.numerator, pexp
 
 
 def _coefficient(coeff, p, k):
@@ -144,22 +167,16 @@ class PerfectedSeries:
                                  witness={"type": type(terms).__name__})
         p, k = spec.p, spec.f
         self.p, self.nvars, self.k, self.D = p, int(nvars), k, int(D)
-        clean = {}
-        for exp, coeff in terms.items():
+
+        def pairs(exp):
             if not _sequence(exp):
                 raise MalformedInput("an exponent must be a sequence",
                                      witness={"type": type(exp).__name__})
-            exp = tuple(_validate_exponent(p, v) for v in exp)
-            if len(exp) != nvars:
-                raise MalformedInput("exponent arity mismatch",
-                                     witness=[str(v) for v in exp])
-            clean[exp] = _coefficient(coeff, p, k)
-        # every denominator is a power of p, so the largest is p^depth
-        unit = max((v.denominator for exp in clean for v in exp), default=1)
-        self.depth = _pexp(p, unit)
-        self._terms = _kept({tuple(v.numerator * (unit // v.denominator)
-                                   for v in exp): c
-                             for exp, c in clean.items()}, self.D * unit)
+            return tuple(_validate_exponent(p, v) for v in exp)
+
+        self.depth, lifted = _depth_terms(
+            self, ((pairs(exp), c) for exp, c in terms.items()))
+        self._terms = _kept(lifted, self.D * _unit(p, self.depth))
 
     @property
     def terms(self):
@@ -211,22 +228,31 @@ class PerfectedSeries:
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise MalformedInput("bad series object", witness=obj) from exc
         shape = PerfectedSeries(p, nvars, k, D, {})  # checks D, p, k, nvars
-        for exp, coeff in terms.items():
-            for num, pexp in exp:
-                if num < 0:
-                    raise MalformedInput(
-                        "negative exponent",
-                        witness=str(Fraction(num, p ** pexp)))
-            if len(exp) != nvars:
-                raise MalformedInput(
-                    "exponent arity mismatch",
-                    witness=[str(Fraction(num, p ** pexp))
-                             for num, pexp in exp])
-            terms[exp] = _coefficient(coeff, p, k)
-        depth = max((pexp for exp in terms for _, pexp in exp), default=0)
-        return _result(shape, {tuple(num * p ** (depth - pexp)
-                                     for num, pexp in exp): c
-                               for exp, c in terms.items()}, depth=depth)
+        depth, lifted = _depth_terms(shape, terms.items())
+        return _result(shape, lifted, depth=depth)
+
+
+def _depth_terms(a, terms):
+    """(depth, term map) for the (exponent pairs, coefficient) items of
+    terms, checked for a's shape: each pair (num, pexp) reads num / p^pexp,
+    and depth is the largest pexp.  A negative exponent, an arity other
+    than a.nvars or a bad coefficient is MalformedInput, term by term."""
+    p, read = a.p, []
+    for exp, coeff in terms:
+        for num, pexp in exp:
+            if num < 0:
+                raise MalformedInput("negative exponent",
+                                     witness=str(Fraction(num, p ** pexp)))
+        if len(exp) != a.nvars:
+            raise MalformedInput("exponent arity mismatch",
+                                 witness=[str(Fraction(num, p ** pexp))
+                                          for num, pexp in exp])
+        read.append((exp, _coefficient(coeff, p, a.k)))
+    pexps = {pexp for exp, _ in read for _, pexp in exp}
+    depth = max(pexps, default=0)
+    units = {pexp: _unit(p, depth - pexp) for pexp in pexps}
+    return depth, {tuple(num * units[pexp] for num, pexp in exp): c
+                   for exp, c in read}
 
 
 def _read_pair(p, e):
@@ -274,7 +300,7 @@ def _lifted(a, depth):
     """a's term map at a depth at least a.depth."""
     if depth == a.depth:
         return a._terms
-    f = a.p ** (depth - a.depth)
+    f = _unit(a.p, depth - a.depth)
     return {tuple(v * f for v in e): c for e, c in a._terms.items()}
 
 
@@ -470,8 +496,15 @@ class RestrictedParams:
 
 
 def _ord_exponent(p, exp, depth):
-    """Largest power of p among the component denominators."""
-    return max((_reduced(p, v, depth)[1] for v in exp), default=0)
+    """Largest power of p among the component denominators: depth less the
+    least p-valuation, capped at depth, of a nonzero component.  Smaller
+    components go first, so the running least caps the larger ones."""
+    cap = depth
+    for v in sorted(filter(None, exp)):
+        if not cap:
+            break
+        cap = _stripped(p, v, cap)[1]
+    return depth - cap
 
 
 def _min_surviving_n(p, top, unit, smr, n0, strict=True):

@@ -521,20 +521,36 @@ def test_perf_member_bad_characteristic_exit_1(p, pexp, corpus_dir):
 def test_perf_member_large_pexp_answers():
     # reading the p-exponent by one division per step took 36 s at 200000,
     # and at 10^8 the 2 ** pexp the reading and the checks computed took
-    # 1.1 s in all; the series now keeps the pair's pexp as its depth
+    # 1.1 s in all; the series now keeps the pair's pexp as its depth.  A
+    # component at pexp 0 beside one at 10^8 is stored as 2^(10^8), and a
+    # zero num at 10^8 is the exponent 0: both read their p-valuation in a
+    # few steps, not one division per factor 2
     pkg_root = str(pathlib.Path(isolab.__file__).resolve().parent.parent)
-    for pexp in (200000, 10 ** 8):
-        payload = {"p": 2, "nvars": 1, "field": {"p": 2, "k": 1}, "D": 4,
-                   "terms": [{"exp": [{"num": 1, "pexp": pexp}],
-                              "coeff": [1]}]}
+    big = 10 ** 8
+    cases = [([[(1, pexp)]], '{"member":false,"witness":{"allowed":0,"exp":'
+              f'[{{"num":1,"pexp":{pexp}}}],"n":0,"ord":{pexp}}}}}')
+             for pexp in (200000, big)]
+    cases += [
+        ([[(1, big), (1, 0)]],
+         '{"member":false,"witness":{"allowed":1,"boundary":true,"exp":'
+         f'[{{"num":1,"pexp":{big}}},{{"num":1,"pexp":0}}],"n":1,'
+         f'"ord":{big}}}}}'),
+        ([[(0, big)]], '{"member":true,"witness":null}'),
+        ([[(0, big)], [(3, big)]],
+         '{"member":false,"witness":{"allowed":0,"exp":'
+         f'[{{"num":3,"pexp":{big}}}],"n":0,"ord":{big}}}}}')]
+    for terms, want in cases:
+        payload = {"p": 2, "nvars": len(terms[0]),
+                   "field": {"p": 2, "k": 1}, "D": 4,
+                   "terms": [{"exp": [{"num": num, "pexp": pexp}
+                                      for num, pexp in exp], "coeff": [1]}
+                             for exp in terms]}
         out = subprocess.run(
             [sys.executable, "-m", "isolab.cli", "perf-member", "--params",
              "2,1,0"], input=json.dumps(payload), capture_output=True,
             text=True, timeout=10, env=dict(os.environ, PYTHONPATH=pkg_root))
         assert out.returncode == 0, out.stderr
-        assert out.stdout == (
-            '{"member":false,"witness":{"allowed":0,"exp":'
-            f'[{{"num":1,"pexp":{pexp}}}],"n":0,"ord":{pexp}}}}}\n')
+        assert out.stdout == want + "\n", terms
 
 
 @pytest.mark.parametrize("command", ["leafdim", "slope-roots"])

@@ -13,7 +13,8 @@ from isolab.errors import (DegreeBoundTooSmall, MalformedInput,
                            NonzeroConstantTerm, ParameterMismatch,
                            SequenceTooShort, SlopeOrderViolated)
 from isolab.padic import FieldSpec
-from isolab.perfseries import _pexp, _validate_exponent, ff_one, ps_scale
+from isolab.perfseries import (_pexp, _reduced, _validate_exponent, ff_one,
+                               ps_scale)
 
 from reference import (X, badseries, mono, ref_membership_ECd,
                        ref_membership_restricted, ref_ps_add, ref_ps_compose,
@@ -695,7 +696,7 @@ def test_pexp_rounds_exactly():
 def test_validate_exponent_rejects_a_denominator_off_a_power():
     for p in (2, 3, 5, 7):
         for e in (1, 2, 3, 10, 64, 1000):
-            assert _validate_exponent(p, F(1, p ** e)) == F(1, p ** e)
+            assert _validate_exponent(p, F(1, p ** e)) == (1, e)
             others = [p ** e + 1, p ** e - 1] + [q ** e for q in (2, 3, 5)
                                                  if q != p]
             for den in others:
@@ -844,17 +845,20 @@ def test_depth_form_membership_and_rigidity_match_the_fraction_guards():
 
 def test_from_json_reads_unreduced_pairs_like_the_fraction_guard():
     # {num, pexp} pairs whose num p divides, at pexp 0 .. 3: the same
-    # exponent twice is refused by value, as Fraction(num, p ** pexp) was
+    # exponent twice is refused by value, as Fraction(num, p ** pexp) was;
+    # a negative num and a term of the wrong arity are refused with the
+    # message and witness PerfectedSeries(...) gives
     rng = random.Random(239)
     outcomes = set()
-    for _ in range(300):
+    for _ in range(400):
         p, k, nvars = rng.choice([2, 3, 5]), rng.randrange(1, 3), \
             rng.randrange(0, 3)
+        arity = lambda: nvars + (rng.random() < 0.05)
         obj = {"p": p, "nvars": nvars, "field": {"p": p, "k": k}, "D": 4,
-               "terms": [{"exp": [{"num": rng.randrange(0, 5) * p
+               "terms": [{"exp": [{"num": rng.randrange(-1, 5) * p
                                    ** rng.randrange(0, 2),
                                    "pexp": rng.randrange(0, 4)}
-                                  for _ in range(nvars)],
+                                  for _ in range(arity())],
                           "coeff": [rng.randrange(p) for _ in range(k)]}
                          for _ in range(rng.randrange(0, 4))]}
         try:
@@ -864,13 +868,35 @@ def test_from_json_reads_unreduced_pairs_like_the_fraction_guard():
                 PerfectedSeries.from_json(obj)
             assert (str(got.value), got.value.witness) == (
                 str(exc), exc.witness)
-            outcomes.add("refused")
+            outcomes.add(str(exc))
             continue
         got = PerfectedSeries.from_json(obj)
         assert (got.terms, got.D, got.to_json()) == (
             want.terms, want.D, ref_series_to_json(want))
         outcomes.add("read")
-    assert outcomes == {"read", "refused"}
+    assert outcomes == {"read", "duplicate exponent", "negative exponent",
+                        "exponent arity mismatch"}
+
+
+def test_reduced_strips_p_like_one_division_per_step():
+    # _reduced takes a few big-integer steps where the reading took one
+    # division per factor p; zero reduces to (0, 0) at any pexp
+    def stepwise(p, num, pexp):
+        while pexp and num % p == 0:
+            num //= p
+            pexp -= 1
+        return num, pexp
+
+    rng = random.Random(3907)
+    for p in (2, 3, 5, 7, -3):
+        for _ in range(2000):
+            num = rng.randrange(-40, 40) * p ** rng.randrange(0, 70)
+            pexp = rng.randrange(0, 80)
+            assert _reduced(p, num, pexp) == stepwise(p, num, pexp), \
+                (p, num, pexp)
+    for p in (1, -1):
+        assert _reduced(p, 6, 7) == (6 * p ** 7, 0)
+    assert _reduced(2, 0, 10 ** 8) == _reduced(3, 0, 10 ** 8) == (0, 0)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
