@@ -12,6 +12,7 @@ would leave no digits raises instead of silently degrading.
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
+from math import log10
 
 from . import _speedups as _k
 from .errors import (DivisionByZero, FieldSpecMismatch, FrobeniusLiftFailure,
@@ -172,6 +173,11 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: twelve prime bases", Math. Comp. 86, 2017); FieldSpec refuses p at or
 #: above it
 P_CEILING = 3317044064679887385961981
+#: the most decimal digits p^N may have: Python's default int-to-str limit,
+#: so every unit below p^N prints.  FieldSpec refuses p^N >= 10^PN_DIGITS
+#: with the ceiling as witness, never N, and a far larger N by a float
+#: bound before it computes p ** N
+PN_DIGITS = 4300
 
 
 def _is_prime(n):
@@ -265,6 +271,9 @@ class FieldSpec:
                                  witness={"p": p, "f": f, "N": N})
         if not _is_prime(p):
             raise MalformedInput("p must be prime", witness={"p": p})
+        if N > PN_DIGITS / log10(p) + 1 or p ** N >= 10 ** PN_DIGITS:
+            raise MalformedInput("p^N must be below the ceiling",
+                                 witness={"ceiling": f"10^{PN_DIGITS}"})
         self = object.__new__(cls)
         self.p, self.f, self.N = p, f, N
         self.pN = p ** N
@@ -293,15 +302,6 @@ class FieldSpec:
 
     def raw_mul(self, a, b, pM):
         return _k.zq_mul(a, b, self.red_rows(pM), self.f, pM)
-
-    def raw_pow(self, a, e, pM):
-        res = (1,) + (0,) * (self.f - 1)
-        while e:
-            if e & 1:
-                res = self.raw_mul(res, a, pM)
-            a = self.raw_mul(a, a, pM)
-            e >>= 1
-        return res
 
     def raw_inv_unit(self, u, pM):
         """Inverse of a unit coefficient tuple mod (g, pM), by its norm.
@@ -342,7 +342,8 @@ class FieldSpec:
         # Hensel-lift the residue root t^p of g to Z_q/p^N
         g = list(self.g_low) + [1]
         dg = [k * g[k] for k in range(1, f + 1)]
-        x = self.raw_pow((0, 1) + (0,) * (f - 2), p, p)
+        x = poly_powmod([0, 1], p, g, p)
+        x = tuple(x) + (0,) * (f - len(x))
 
         def horner(poly, x, pM):
             acc = (0,) * f

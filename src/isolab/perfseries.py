@@ -14,9 +14,14 @@ the integer D p^s, and sorted integer tuples at one depth are already in
 value order.  The Frobenius moves only the depth, or scales E by p at
 depth 0.  Fractions appear only at the edges: ``PerfectedSeries(...)``
 reads Fraction exponents into this form, ``from_json`` reads each
-{num, pexp} pair straight into it, ``to_json`` and the membership
-witnesses write the reduced pairs back, and ``terms`` is a read-only view
-from tuples of Fraction to coefficient tuples.
+{num, pexp} pair straight into it, ``to_json`` and every exponent witness
+write the reduced pairs back, and ``terms`` is a read-only view from
+tuples of Fraction to coefficient tuples.
+
+``ps_mul`` is the one product.  ``ps_compose`` starts each term of the
+outer series as the constant series of its coefficient, multiplies the
+argument powers in with ``ps_mul`` and adds the term with ``ps_add``; the
+outer series shares its arguments' p and k.
 
 Validation happens once, at the edge: ``PerfectedSeries(...)`` and
 ``from_json`` read outside input into (num, pexp) pairs, and one helper,
@@ -234,18 +239,19 @@ class PerfectedSeries:
 
 def _depth_terms(a, terms):
     """(depth, term map) for the (exponent pairs, coefficient) items of
-    terms, checked for a's shape: each pair (num, pexp) reads num / p^pexp,
-    and depth is the largest pexp.  A negative exponent, an arity other
-    than a.nvars or a bad coefficient is MalformedInput, term by term."""
+    terms, checked for a's shape: each reduced pair (num, pexp) reads
+    num / p^pexp, and depth is the largest pexp.  A negative exponent, an
+    arity other than a.nvars or a bad coefficient is MalformedInput, term
+    by term; an exponent witness is its pairs."""
     p, read = a.p, []
     for exp, coeff in terms:
         for num, pexp in exp:
             if num < 0:
                 raise MalformedInput("negative exponent",
-                                     witness=str(Fraction(num, p ** pexp)))
+                                     witness={"num": num, "pexp": pexp})
         if len(exp) != a.nvars:
             raise MalformedInput("exponent arity mismatch",
-                                 witness=[str(Fraction(num, p ** pexp))
+                                 witness=[{"num": num, "pexp": pexp}
                                           for num, pexp in exp])
         read.append((exp, _coefficient(coeff, p, a.k)))
     pexps = {pexp for exp, _ in read for _, pexp in exp}
@@ -311,13 +317,6 @@ def ps_add(a, b):
     for exp, c in _lifted(b, depth).items():
         terms[exp] = ff_add(terms[exp], c, a.p) if exp in terms else c
     return _result(a, terms, min(a.D, b.D), depth=depth)
-
-
-def ps_scale(a, coeff):
-    spec = FieldSpec(a.p, a.k, 1)
-    coeff = _coefficient(coeff, a.p, a.k)
-    return _result(a, {e: spec.raw_mul(c, coeff, a.p)
-                       for e, c in a._terms.items()})
 
 
 def ps_mul(a, b):
@@ -428,9 +427,11 @@ def ps_embed(a, total_nvars, offset):
 def ps_compose(f, g, h=()):
     """Substitute the series g_1..g_a, h_1..h_b into an ordinary series f.
 
-    f must have integer exponents in a+b variables; all substituted series
-    share parameters and have zero constant term.  g and h are sequences by
-    padic._sequence's rule.
+    f must have integer exponents in a+b variables and the p and k of the
+    substituted series, which share parameters and have zero constant term.
+    Each term of f starts as the constant series of its coefficient, takes
+    the argument powers in by ps_mul and joins the sum by ps_add.  g and h
+    are sequences by padic._sequence's rule.
     """
     if not (_sequence(g) and _sequence(h)):
         raise MalformedInput("g and h must be sequences of series",
@@ -448,34 +449,24 @@ def ps_compose(f, g, h=()):
         if (0,) * s.nvars in s._terms:
             raise NonzeroConstantTerm("substituted series has a constant term",
                                       witness=s.to_json()["terms"][0])
+    if (f.p, f.k) != (base.p, base.k):  # f's nvars is the argument count
+        raise ParameterMismatch("series parameters differ", witness={
+            "left": [f.p, f.nvars, f.k], "right": [base.p, base.nvars, base.k]})
     unit = _unit(f.p, f.depth)
     for exp in f._terms:
         if any(v % unit for v in exp):
             raise MalformedInput("outer series must have integer exponents",
-                                 witness=[str(Fraction(v, unit))
-                                          for v in exp])
+                                 witness=_exp_json(f.p, exp, f.depth))
     D = min(s.D for s in args)
-    out = _result(base, {}, D)
-    pow_cache = [{} for _ in args]
-
-    def arg_power(i, e):
-        if e == 0:
-            return None
-        if e not in pow_cache[i]:
-            pow_cache[i][e] = ps_pow(args[i], e)
-        return pow_cache[i][e]
-
+    out, powers = _result(base, {}, D), {}
     for exp, coeff in sorted(f._terms.items()):
-        prod = None
+        term = _result(base, {(0,) * base.nvars: coeff}, D, depth=0)
         for i, e in enumerate(v // unit for v in exp):
-            q = arg_power(i, e)
-            if q is None:
-                continue
-            prod = q if prod is None else ps_mul(prod, q)
-        if prod is None:  # constant term of f
-            prod = _result(base, {(0,) * base.nvars: ff_one(base.k)}, D,
-                           depth=0)
-        out = ps_add(out, ps_scale(prod, coeff))
+            if e:  # x^0 is the series 1, a product by it only a pass
+                if (i, e) not in powers:
+                    powers[i, e] = ps_pow(args[i], e)
+                term = ps_mul(term, powers[i, e])
+        out = ps_add(out, term)
     return out
 
 

@@ -17,8 +17,10 @@ seeded generated algebras through ``dla-check``, ``lcs``, ``bch-mul`` and
 ``lattice-closure``; and seeded generated modules through ``slopes``,
 ``split`` and ``split --fine``, and pairs of them through ``hom``; seeded
 rational modules whose lower slopes are integral and whose top slope is
-not, through ``split``; and seeded perfected series through
-``perf-member``, ``perf-ecd`` and ``rigidity``, all read from stdin.
+not, through ``split``; seeded perfected series through
+``perf-member``, ``perf-ecd`` and ``rigidity``; and five refusals: three
+exponents at pexp 20000, an outer series over another field and a p^N
+above its ceiling; all read from stdin.
 Usage and error text is argparse's, so a Python whose argparse words its
 messages differently reads different bytes on those rows.
 
@@ -35,7 +37,7 @@ import random
 import sys
 from fractions import Fraction
 
-from reference import CLI_COMMANDS
+from reference import CLI_COMMANDS, one_term_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "tests" / "answers.jsonl"
@@ -305,6 +307,23 @@ def series():
     return out
 
 
+def refusals():
+    """(argv, stdin) rows for inputs whose answer once was a traceback or
+    an answer over the wrong field: a negative exponent and a wrong arity
+    at pexp 20000, an outer exponent at pexp 20000, an outer series over
+    F_3 into arguments over F_2, and split at N above the p^N ceiling."""
+    member = ["perf-member", "--params", "2,1,0"]
+    x, deep = one_term_json(2, [(1, 0)]), one_term_json(2, [(1, 20000)])
+    rigidity = [{"f": deep, "g": [x]},
+                {"f": one_term_json(3, [(1, 0)], 2), "g": [x]}]
+    return [(member, json.dumps(one_term_json(2, [(-1, 20000)]))),
+            (member, json.dumps({**deep, "nvars": 2})),
+            *((["rigidity"], json.dumps({**request, "r": 1, "d_seq": [1, 3],
+                                         "powered_block": "g"}))
+              for request in rigidity),
+            (["split"], '{"p":5,"N":7000,"frobenius":[["1/3"]]}')]
+
+
 def generated():
     """(argv, stdin) rows for the seeded algebras: each through dla-check,
     lcs and lattice-closure, and with a seeded pair through bch-mul."""
@@ -351,6 +370,7 @@ def calls():
         out += [(argv, "") for argv in forms]
     out += mixed()
     out += series()
+    out += refusals()
     # CLI_COMMANDS repeats some corpus forms; each call is one row
     return [(list(argv), stdin)
             for argv, stdin in dict.fromkeys((tuple(a), s) for a, s in out)]

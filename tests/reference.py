@@ -30,7 +30,7 @@ from isolab.errors import (DivisionByZero, InsufficientPrecision,
                            InvariantViolated, MalformedInput, NonInvertible)
 from isolab.linalg import (coords_in_column_span, mat_identity, mat_mul,
                            rat_rank, rat_solve)
-from isolab.padic import _is_irreducible, poly_xgcd
+from isolab.padic import _is_irreducible, poly_powmod, poly_xgcd
 from isolab.perfseries import PerfectedSeries, ff_add, ff_one
 
 F = Fraction
@@ -88,6 +88,14 @@ def mono(p, exp, D=8, k=1, nvars=1, coeff=None):
 def X(p=2, D=8, nvars=1, slot=0):
     exp = tuple(F(1) if i == slot else F(0) for i in range(nvars))
     return mono(p, exp, D=D, nvars=nvars)
+
+
+def one_term_json(p, exp, coeff=1):
+    """The JSON series with the one term coeff * X^exp over F_p, bound 8;
+    exp is a list of (num, pexp) pairs."""
+    return {"p": p, "nvars": len(exp), "field": {"p": p, "k": 1}, "D": 8,
+            "terms": [{"exp": [{"num": num, "pexp": pexp}
+                               for num, pexp in exp], "coeff": [coeff]}]}
 
 
 def badseries(D=16):
@@ -358,6 +366,14 @@ def ref_invert(x):
         x.spec, tuple(c % pM for c in x.unit), pM), x.rel)
 
 
+def ref_coeff_pow(spec, c, e):
+    """Guard: the one polynomial power.  The former FieldSpec.raw_pow mod
+    p: c^e for a coefficient tuple of spec by poly_powmod modulo spec's
+    modulus, padded to f entries."""
+    x = poly_powmod(list(c), e, list(spec.g_low) + [1], spec.p)
+    return tuple(x) + (0,) * (spec.f - len(x))
+
+
 def ref_sigma_mats(spec):
     """Guard: _build_sigma reading each table from the one before it.  The
     sigma tables as _build_sigma made them when each Hensel correction
@@ -365,7 +381,7 @@ def ref_sigma_mats(spec):
     p, f, N, pN = spec.p, spec.f, spec.N, spec.pN
     g = list(spec.g_low) + [1]
     dg = [k * g[k] for k in range(1, f + 1)]
-    x = spec.raw_pow((0, 1) + (0,) * (f - 2), p, p)
+    x = ref_coeff_pow(spec, (0, 1), p)
 
     def horner(poly, x, pM):
         acc = (0,) * f
@@ -979,10 +995,10 @@ def ref_ps_frobenius(a, direction, flavor):
     """Guard: series on integer exponents at one depth, and the coefficient
     Frobenius by sigma.  The former ps_frobenius: each exponent times or
     over p, each coefficient to the p-th power (forward) or the p^(k-1)-th
-    (inverse) by raw_pow."""
+    (inverse) by poly_powmod."""
     p, spec = a.p, FieldSpec(a.p, a.k, 1)
     e = p if direction == "forward" else p ** (a.k - 1)
-    fc = ((lambda c: spec.raw_pow(c, e, p)) if flavor == "absolute"
+    fc = ((lambda c: ref_coeff_pow(spec, c, e)) if flavor == "absolute"
           else (lambda c: c))
     fe = (lambda v: v * p) if direction == "forward" else (lambda v: v / p)
     return ref_ps_map(a, lambda exp: tuple(map(fe, exp)), fc)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import isolab
 from isolab.cli import MAX_DEPTH, main
 
-from reference import CLI_COMMANDS
+from reference import CLI_COMMANDS, one_term_json
 
 
 def run(capsys, *argv):
@@ -426,6 +426,9 @@ def test_bad_shape_exit_1(command, base, override, corpus_dir, capsys,
 _P_SLOPES = '{"p":%d,"frobenius":[["1"]]}'
 
 
+_DEEP = {"num": 1, "pexp": 20000}
+
+
 @pytest.mark.parametrize("argv, env, stdin, message, witness", [
     (["slopes"], "nine", _P_SLOPES % 5, "bad ISOLAB_PRECISION", "nine"),
     (["leafdim", "--type", "GL", "--n", "3"], None, "", "need --type, --n "
@@ -436,12 +439,34 @@ _P_SLOPES = '{"p":%d,"frobenius":[["1"]]}'
      "prime", {"p": 318665857834031151167461}),
     (["slopes"], None, _P_SLOPES % (10 ** 4000 + 1), "p must be below the "
      "ceiling", {"ceiling": 3317044064679887385961981}),
+    (["split"], None, '{"p":5,"N":7000,"frobenius":[["1/3"]]}',
+     "p^N must be below the ceiling", {"ceiling": "10^4300"}),
+    (["slopes", "--precision", "7000"], None, _P_SLOPES % 5,
+     "p^N must be below the ceiling", {"ceiling": "10^4300"}),
+    (["slopes"], "7000", _P_SLOPES % 5, "p^N must be below the ceiling",
+     {"ceiling": "10^4300"}),
+    (["perf-member", "--params", "2,1,0"], None,
+     json.dumps(one_term_json(2, [(-1, 20000)])), "negative exponent",
+     {"num": -1, "pexp": 20000}),
+    (["perf-member", "--params", "2,1,0"], None,
+     json.dumps({**one_term_json(2, [(1, 20000)]), "nvars": 2}),
+     "exponent arity mismatch", [_DEEP]),
+    (["rigidity"], None, json.dumps({
+        "f": one_term_json(2, [(1, 20000)]),
+        "g": [one_term_json(2, [(1, 0)])], "r": 1, "d_seq": [1, 3],
+        "powered_block": "g"}),
+     "outer series must have integer exponents", [_DEEP]),
 ], ids=["precision-env", "partial-datum-flags", "short-params", "psi12",
-        "4000-digit-p"])
+        "4000-digit-p", "N-ceiling-json", "N-ceiling-flag", "N-ceiling-env",
+        "deep-negative", "deep-arity", "deep-outer"])
 def test_argument_refusal_lines(argv, env, stdin, message, witness,
                                 corpus_dir, monkeypatch, capsys):
     # a bad ISOLAB_PRECISION matters only without --precision; a p at or
-    # above the ceiling is refused with the ceiling as witness, never p
+    # above the ceiling is refused with the ceiling as witness, never p, and
+    # so is a p^N above its own ceiling, however N arrives: split at N =
+    # 7000 answered and then died in json.dumps on a 4893-digit unit.  An
+    # exponent witness at pexp 20000 was str(Fraction(num, 2 ** 20000)),
+    # with more digits than str() writes: a traceback and no line
     import io
     if env is None:
         monkeypatch.delenv("ISOLAB_PRECISION", raising=False)
@@ -450,9 +475,35 @@ def test_argument_refusal_lines(argv, env, stdin, message, witness,
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     argv = [str(corpus_dir / a) if a.endswith(".json") else a for a in argv]
     code, out = run(capsys, *argv)
-    assert code == 1 and out.count("\n") == 1
+    assert code == 1 and out.count("\n") == 1 and len(out) < 200
     assert json.loads(out) == {"error": "MalformedInput", "message": message,
                                "witness": witness}
+
+
+def test_split_answers_at_the_largest_precision_under_the_ceiling(
+        monkeypatch, capsys):
+    # 5^6151 has 4300 digits, so every unit below it prints
+    import io
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        '{"p":5,"N":6151,"frobenius":[["1/3"]]}'))
+    code, out = run(capsys, "split")
+    assert code == 0 and out.count("\n") == 1
+    assert json.loads(out)["blocks"]
+
+
+def test_rigidity_over_another_field_exits_2(monkeypatch, capsys):
+    # f = 2u over F_3 into g = x over F_2 read 2 as 0 and answered
+    # "evaluation_zero": true with exit 0
+    import io
+    request = {"f": one_term_json(3, [(1, 0)], 2),
+               "g": [one_term_json(2, [(1, 0)])], "r": 1,
+               "d_seq": [1, 3], "powered_block": "g"}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request)))
+    code, out = run(capsys, "rigidity")
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out) == {
+        "error": "ParameterMismatch", "message": "series parameters differ",
+        "witness": {"left": [3, 1, 1], "right": [2, 1, 1]}}
 
 
 def test_nilclass_negative_nu_after_a_space(capsys):

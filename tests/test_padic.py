@@ -11,9 +11,8 @@ from isolab import (DieudonneLie, FieldSpec, Isocrystal, PadicScalar,
 from isolab.dieudonne import lattice_intersect_subspace, pdiv_dimension
 from isolab.errors import (DivisionByZero, FieldSpecMismatch, MalformedInput,
                            PrecisionExhausted)
-from isolab.padic import (_BASES, P_CEILING, _is_prime, _rational, _sequence,
-                          canonical_modulus)
-from isolab.perfseries import ps_scale
+from isolab.padic import (_BASES, P_CEILING, PN_DIGITS, _is_prime, _rational,
+                          _sequence, canonical_modulus)
 
 from reference import (X, iso, mono, ref_canonical_modulus, ref_invert,
                        ref_raw_inv_unit, ref_red_rows, ref_scalar_add,
@@ -306,6 +305,27 @@ def test_fieldspec_refuses_each_bad_p_f_and_n(args, message, witness,
     assert exc.value.witness == witness
 
 
+def test_fieldspec_refuses_n_above_the_precision_ceiling():
+    # FieldSpec(5, 1, 10^400) computed 5 ** N and never returned; above the
+    # ceiling a unit mod p^N has more digits than str() writes, so split
+    # answered and then died in json.dumps
+    ceiling = {"ceiling": "10^4300"}
+    start = time.perf_counter()
+    with pytest.raises(MalformedInput) as exc:
+        FieldSpec(5, 1, 10 ** 400)
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == "p^N must be below the ceiling"
+    assert exc.value.witness == ceiling
+    for p in (2, 3, 5, 7, 2 ** 61 - 1):
+        N = 1
+        while p ** (N + 1) < 10 ** PN_DIGITS:
+            N += 1
+        assert FieldSpec(p, 1, N).pN < 10 ** PN_DIGITS
+        with pytest.raises(MalformedInput) as exc:
+            FieldSpec(p, 1, N + 1)
+        assert exc.value.witness == ceiling
+
+
 #: each site that reads a rational parameter, and its whole refusal message
 RATIONAL_SITES = {
     "from_fraction": (lambda v: PadicScalar.from_fraction(Z5, v),
@@ -355,8 +375,6 @@ SEQUENCE_SITES = {
     "series-coefficient": (
         lambda v: PerfectedSeries(3, 1, 1, 4, {(Fraction(1),): v}), (1,),
         "a coefficient must be a sequence"),
-    "ps_scale": (lambda v: ps_scale(mono(3, 1), v), (1,),
-                 "a coefficient must be a sequence"),
     "ps_compose": (lambda v: ps_compose(X(3), v), [X(3)],
                    "g and h must be sequences of series"),
     "rigidity-g": (lambda v: rigidity_check(X(3), v, [], 1, [1]), [X(3)],
